@@ -88,7 +88,11 @@ def cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else seed
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
-    report = protocols.oracle_report(prover, cfg, seed)
+    try:
+        report = protocols.oracle_report(prover, cfg, seed)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     if cfg.m == 1:
         cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
         if cfg.protocol == "amplification":
@@ -224,8 +228,12 @@ def cmd_sweep(args) -> int:
     rows = []
     for v in variances:
         prover = ProverChannel("AdditiveNoise", variance=float(v), n_modes=cfg.m)
-        rate, _ = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
-        omega = protocols.witness_analytic(prover, cfg)
+        try:
+            rate, _ = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
+            omega = protocols.witness_analytic(prover, cfg)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         rows.append({"variance": float(v), "accept_rate": rate, "analytic_omega": omega})
         print(f"v={v:.4f}  omega={omega:+.4f}  accept_rate={rate:.3f}")
     report = {"sweep": rows, "repetitions": reps, "seed": seed}
@@ -250,17 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", help="run the verification protocol")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--reps", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="true fidelity vs analytic witness")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff for m=1 cross-check")
     p.set_defaults(func=cmd_oracle)
 
@@ -281,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="accept rate vs additive-noise variance")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--v-min", type=float, default=0.0)
     p.add_argument("--v-max", type=float, default=0.5)
     p.add_argument("--points", type=int, default=6)

@@ -49,14 +49,6 @@ class FockOperator:
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
-    def save_csv(self, path: str) -> None:
-        """Row-major dump as (real, imag) pairs, one matrix row per line."""
-        flat = self.matrix.reshape(self.matrix.shape[0], -1)
-        out = np.empty((flat.shape[0], 2 * flat.shape[1]))
-        out[:, 0::2] = flat.real
-        out[:, 1::2] = flat.imag
-        np.savetxt(path, out, delimiter=",")
-
 
 @dataclass(frozen=True)
 class FockState:

@@ -9,7 +9,6 @@ jointly cover every moment the unitary witness estimator consumes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,11 +168,3 @@ def required_moments(m: int) -> list:
     keys += [("rot45", j) for j in range(m)]
     keys += [("Gamma2", u, v) for u in range(2 * m) for v in range(2 * m)]
     return keys
-
-
-def export_shots_csv(path: str, records) -> None:
-    """Write shot records as (setting_id, shot_index, mode, angle, outcome) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting_id", "shot_index", "mode", "angle", "outcome"])
-        writer.writerows(records)

@@ -1,4 +1,4 @@
-"""Protocol drivers: budgets, moment estimation, witness estimators, verdicts.
+"""Protocol drivers: budgets, the affine witness pipeline, verdicts.
 
 Three verifier-vs-prover games are implemented on top of the Gaussian
 simulator:
@@ -11,29 +11,34 @@ simulator:
 * ``state`` — verify a Gaussian pure-state source from single-mode homodyne
   moments of the supplied state.
 
-All additive constants in the witness estimators are derived under the fixed
-vacuum-variance-1/2 convention and pinned by the exact identities
-"honest prover gives omega = 1" and "optimal amplifier gives
-omega = (lam+1)/g^2"; see the analytic estimators below and the Fock-oracle
-cross-checks in the test suite.
+Every witness is affine in homodyne moments, omega = c0 + sum_k w_k <O_k>.
+A game's plan builder returns ``(batches, c0)``, and one pipeline serves all
+three: ``estimate_terms`` turns each ``Batch`` into its share of omega from
+fresh shots, ``exact_terms`` from exact moments (the infinite-shot witness).
+
+All additive constants are derived under the fixed vacuum-variance-1/2
+convention and pinned by the exact identities "honest prover gives
+omega = 1" and "optimal amplifier gives omega = (lam+1)/g^2"; the Fock-oracle
+cross-checks in the test suite confirm both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import gaussian, measurement
+from . import gaussian
 from .channels import AmplificationTarget, ProverChannel, true_average_fidelity
-from .gaussian import GaussianState, tmsv, tmsv_pairs
+from .gaussian import GaussianState, tmsv_pairs
 from .measurement import (
     HomodyneSetting,
     build_measurement_plan,
     required_moments,
+    rotated_quadrature_projector,
     sample_quadratures,
 )
 from .symplectic import SymplecticSpec, inverse, spectral_norm
@@ -180,11 +185,6 @@ class SampleBudget:
     channel_uses: int
     tmsv_copies: int
 
-    def __getattr__(self, name):
-        if name.startswith("c") and name[1:].isdigit():
-            return self.counts.get(name, 0)
-        raise AttributeError(name)
-
     def to_dict(self) -> dict:
         return {
             "counts": dict(self.counts),
@@ -303,27 +303,6 @@ def sample_budget(cfg: VerificationConfig) -> SampleBudget:
     }[cfg.protocol](cfg)
 
 
-@dataclass(frozen=True)
-class MomentRecord:
-    """Sampled (or analytic) moments of the channel output joint state.
-
-    gamma: first moments of the A' quadratures (length 2m);
-    Gamma1: A' second-moment matrix <x x^T> (symmetric, 2m x 2m);
-    Gamma2: A'-vs-R cross moments <x_A' x_R^T> (2m x 2m);
-    shots: per-moment shot counts actually used.
-    """
-
-    gamma: np.ndarray
-    Gamma1: np.ndarray
-    Gamma2: np.ndarray
-    shots: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        g1 = np.asarray(self.Gamma1, dtype=float)
-        if np.max(np.abs(g1 - g1.T)) > 1e-12:
-            raise ValueError("Gamma1 must be symmetric")
-
-
 def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianState:
     """(E_p (x) I)(TMSV^(x)m): modes 0..m-1 are A' (through the channel),
     modes m..2m-1 the untouched reference halves."""
@@ -332,139 +311,67 @@ def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianStat
     return gaussian.apply_channel(state, prover.realize(), modes=range(m))
 
 
-def _setting_column(setting: HomodyneSetting, mode: int) -> int:
-    return setting.measured_modes.index(mode)
+class Batch(NamedTuple):
+    """One homodyne setting, the budget count key ("c1".."c7") that sizes it,
+    and sparse terms (i, j, w) over its measured columns: w <x_i> when j is
+    None, w <x_i x_j> otherwise."""
+
+    setting: HomodyneSetting
+    key: str
+    terms: tuple
 
 
-def estimate_moments(
-    prover: ProverChannel,
-    cfg: VerificationConfig,
-    budget: SampleBudget,
-    seed,
-    shot_cap: int | None = None,
-) -> MomentRecord:
-    """Monte-Carlo moment estimation with the m+5 homodyne settings.
+def _target_weights(cfg: VerificationConfig):
+    """S^-1, then A = S^-T S^-1 and A d as nested lists, and d^T A d."""
+    S_inv = inverse(cfg.target).S
+    A = S_inv.T @ S_inv
+    Ad = A @ cfg.target.d
+    return S_inv, A.tolist(), Ad.tolist(), float(cfg.target.d @ Ad)
 
-    Each required moment consumes its own batch of fresh shots (c3 for
-    first moments, c4 for A' second moments, c5 for cross moments), drawn from
-    the setting that covers it; same-mode symmetrized q p moments come from
-    the 45-degree setting by subtracting half of each diagonal estimate.
-    Per-moment RNG streams are spawned from ``seed`` so estimates are
-    reproducible and order-independent.
+
+def _second_weight(A: list, u: int, v: int) -> float:
+    """Weight of the raw moment <x_u x_v> (u <= v) in -1/2 tr(A M).
+
+    The same-mode symmetrized q p moment is never estimated directly: it is
+    <x_45^2> - <q^2>/2 - <p^2>/2, so its weight -A[2j, 2j+1] goes to the
+    45-degree quadrature and half of it, negated, to each diagonal entry.
     """
-    m = prover.n_modes
-    state = output_state(prover, cfg)
-    plan = build_measurement_plan(m)
-    c3, c4, c5 = budget.counts["c3"], budget.counts["c4"], budget.counts["c5"]
-    if shot_cap is not None:
-        c3, c4, c5 = (min(c, shot_cap) for c in (c3, c4, c5))
-    if c4 == 0 or c5 == 0:
-        raise ValueError("second-moment budgets must be positive")
-
-    keys = required_moments(m)
-    ss = np.random.SeedSequence(seed)
-    streams = dict(zip(keys, ss.spawn(len(keys))))
-
-    def batch(key, shots):
-        setting = plan.settings[plan.setting_index(key)]
-        rng = np.random.default_rng(streams[key])
-        return setting, sample_quadratures(state, setting, rng, shots)
-
-    gamma = np.zeros(2 * m)
-    shots_used = {}
-    need_gamma = c3 > 0
-    if need_gamma:
-        for u in range(2 * m):
-            key = ("gamma", u)
-            setting, x = batch(key, c3)
-            col = _setting_column(setting, u // 2)
-            gamma[u] = x[:, col].mean()
-            shots_used[str(key)] = c3
-
-    Gamma1 = np.zeros((2 * m, 2 * m))
-    for u in range(2 * m):
-        for v in range(u, 2 * m):
-            if v == u + 1 and u % 2 == 0:
-                continue  # same-mode q p pair, handled from the 45-deg setting
-            key = ("Gamma1", u, v)
-            setting, x = batch(key, c4)
-            cu, cv = _setting_column(setting, u // 2), _setting_column(setting, v // 2)
-            Gamma1[u, v] = Gamma1[v, u] = (x[:, cu] * x[:, cv]).mean()
-            shots_used[str(key)] = c4
-    for j in range(m):
-        key = ("rot45", j)
-        setting, x = batch(key, c4)
-        col = _setting_column(setting, j)
-        rot2 = (x[:, col] ** 2).mean()
-        val = rot2 - 0.5 * Gamma1[2 * j, 2 * j] - 0.5 * Gamma1[2 * j + 1, 2 * j + 1]
-        Gamma1[2 * j, 2 * j + 1] = Gamma1[2 * j + 1, 2 * j] = val
-        shots_used[str(key)] = c4
-
-    Gamma2 = np.zeros((2 * m, 2 * m))
-    for u in range(2 * m):
-        for v in range(2 * m):
-            key = ("Gamma2", u, v)
-            setting, x = batch(key, c5)
-            cu = _setting_column(setting, u // 2)
-            cv = _setting_column(setting, m + v // 2)
-            Gamma2[u, v] = (x[:, cu] * x[:, cv]).mean()
-            shots_used[str(key)] = c5
-
-    return MomentRecord(gamma, Gamma1, Gamma2, shots_used)
+    return -0.5 * (A[u][u] - A[u][u ^ 1]) if u == v else -A[u][v]
 
 
-def analytic_moments(prover: ProverChannel, cfg: VerificationConfig) -> MomentRecord:
-    """Exact moments from Gaussian algebra (infinite-shot limit)."""
-    m = prover.n_modes
-    state = output_state(prover, cfg)
-    mu, V = state.mean, state.cov
-    a = slice(0, 2 * m)
-    r = slice(2 * m, 4 * m)
-    gamma = mu[a]
-    Gamma1 = V[a, a] + np.outer(gamma, gamma)
-    Gamma2 = V[a, r] + np.outer(mu[a], mu[r])
-    return MomentRecord(gamma, Gamma1, Gamma2)
-
-
-def _z_blocks(m: int) -> np.ndarray:
-    return np.kron(np.eye(m), np.diag([1.0, -1.0]))
-
-
-def witness_estimate_unitary(moments: MomentRecord, cfg: VerificationConfig) -> float:
-    """Witness value from moments, for an m-mode Gaussian unitary target.
+def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
+    """One batch per estimated moment of the m+5 plan:
 
     omega = -1/2 tr[S^-T S^-1 (Gamma1 - 2 gamma d^T + d d^T)]
-            + tr(Z^(+)m S^-1 Gamma2) / sqrt(lam+1) + 1 + m (lam-2) / (2 lam).
+            + tr(Z^(+)m S^-1 Gamma2) / sqrt(lam+1) + 1 + m (lam-2) / (2 lam),
 
-    The additive constant is pinned by requiring omega = 1 exactly for the
-    honest prover under the vacuum-variance-1/2 convention.
+    with gamma, Gamma1 and Gamma2 the A' means, A' second moments and A'-R
+    cross moments.  Every setting of the plan measures a prefix of the modes
+    or all of them, so mode k is column k.
     """
-    S = cfg.target
-    m = S.n_modes
-    S_inv = inverse(S).S
-    d = S.d
-    M = moments.Gamma1 - 2.0 * np.outer(moments.gamma, d) + np.outer(d, d)
-    quad = -0.5 * float(np.trace(S_inv.T @ S_inv @ M))
-    cross = float(np.trace(_z_blocks(m) @ S_inv @ moments.Gamma2)) / math.sqrt(cfg.lam + 1.0)
-    const = 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam)
-    return quad + cross + const
+    m = cfg.m
+    S_inv, A, Ad, dAd = _target_weights(cfg)
+    B = (np.kron(np.eye(m), np.diag([1.0, -1.0])) @ S_inv / math.sqrt(cfg.lam + 1.0)).tolist()
+    plan = build_measurement_plan(m)
+    batches = []
+    for key in required_moments(m):
+        kind, u, v = key[0], key[1], key[-1]
+        if kind == "Gamma1" and u % 2 == 0 and v == u + 1:
+            continue  # same-mode q p, folded into the rot45 and diagonal weights
+        if kind == "gamma":
+            count, term = "c3", (u // 2, None, Ad[u])
+        elif kind == "rot45":
+            count, term = "c4", (u, u, -A[2 * u][2 * u + 1])
+        elif kind == "Gamma1":
+            count, term = "c4", (u // 2, v // 2, _second_weight(A, u, v))
+        else:
+            count, term = "c5", (u // 2, m + v // 2, B[v][u])
+        batches.append(Batch(plan.settings[plan.setting_index(key)], count, (term,)))
+    return batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd
 
 
-@dataclass(frozen=True)
-class AmplificationMoments:
-    """The four quadrature second moments the amplification estimator consumes."""
-
-    qq_out: float  # <q_A'^2>
-    pp_out: float  # <p_A'^2>
-    q_cross: float  # <q_A' q_R>
-    p_cross: float  # <p_A' p_R>
-    shots: dict = field(default_factory=dict)
-
-
-def witness_estimate_amplification(
-    moments: AmplificationMoments, cfg: VerificationConfig
-) -> float:
-    """Witness value for the gain-g amplification test.
+def plan_amplification(cfg: VerificationConfig) -> tuple[list, float]:
+    """Four batches: c6 shots each for <q^2>, <p^2>; c7 each for <q q_R>, <p p_R>.
 
     omega = (lam+1)/g^2 [ K - (lam+1)/(2 g^2) (<q^2> + <p^2>)
                            + sqrt(lam+1)/g (<q q_R> - <p p_R>) ]
@@ -472,83 +379,108 @@ def witness_estimate_amplification(
     identity omega = (lam+1)/g^2 at the fidelity-optimal amplifier.
     """
     g, lam = cfg.g, cfg.lam
+    f = (lam + 1.0) / g**2
     K = 1.0 + (g**2 - lam - 1.0) / (2.0 * g**2) - (lam + 2.0) / (2.0 * lam)
-    bracket = (
-        K
-        - (lam + 1.0) / (2.0 * g**2) * (moments.qq_out + moments.pp_out)
-        + math.sqrt(lam + 1.0) / g * (moments.q_cross - moments.p_cross)
-    )
-    return (lam + 1.0) / g**2 * bracket
+    qq = HomodyneSetting((0.0, 0.0), "q(A')+q(R)")
+    pp = HomodyneSetting((np.pi / 2, np.pi / 2), "p(A')+p(R)")
+    cross = f * math.sqrt(lam + 1.0) / g
+    batches = [
+        Batch(qq, "c6", ((0, 0, -0.5 * f * f),)),
+        Batch(pp, "c6", ((0, 0, -0.5 * f * f),)),
+        Batch(qq, "c7", ((0, 1, cross),)),
+        Batch(pp, "c7", ((0, 1, -cross),)),
+    ]
+    return batches, f * K
 
 
-def analytic_amplification_moments(
-    prover: ProverChannel, cfg: VerificationConfig
-) -> AmplificationMoments:
-    state = output_state(prover, cfg)
-    mu, V = state.mean, state.cov
-    return AmplificationMoments(
-        qq_out=float(V[0, 0] + mu[0] ** 2),
-        pp_out=float(V[1, 1] + mu[1] ** 2),
-        q_cross=float(V[0, 2] + mu[0] * mu[2]),
-        p_cross=float(V[1, 3] + mu[1] * mu[3]),
-    )
+def plan_state(cfg: VerificationConfig) -> tuple[list, float]:
+    """omega = 1 + m/2 - 1/2 tr[S^-T S^-1 (M - 2 x d^T + d d^T)] from the
+    supplied state's means x and raw second moments M.
 
-
-def estimate_amplification_moments(
-    prover: ProverChannel,
-    cfg: VerificationConfig,
-    budget: SampleBudget,
-    seed,
-    shot_cap: int | None = None,
-) -> AmplificationMoments:
-    """Four dedicated shot batches: c6 each for <q^2>, <p^2>; c7 each for the
-    A'-R cross moments."""
-    state = output_state(prover, cfg)
-    c6, c7 = budget.counts["c6"], budget.counts["c7"]
-    if shot_cap is not None:
-        c6, c7 = min(c6, shot_cap), min(c7, shot_cap)
-    if c6 == 0 or c7 == 0:
-        raise ValueError("shot budgets must be positive")
+    Batches: all-q and all-p means (c1), then all-q, all-p and 45-degree
+    second moments and one mixed batch per mode j, q on j and p elsewhere (c2).
+    """
+    m = cfg.m
+    _, A, Ad, dAd = _target_weights(cfg)
     Q, P = 0.0, np.pi / 2
-    qq_set = HomodyneSetting((Q, Q), "q(A')+q(R)")
-    pp_set = HomodyneSetting((P, P), "p(A')+p(R)")
-    ss = np.random.SeedSequence(seed)
-    s_qq, s_pp, s_qc, s_pc = (np.random.default_rng(c) for c in ss.spawn(4))
-    x_qq = sample_quadratures(state, qq_set, s_qq, c6)
-    x_pp = sample_quadratures(state, pp_set, s_pp, c6)
-    x_qc = sample_quadratures(state, qq_set, s_qc, c7)
-    x_pc = sample_quadratures(state, pp_set, s_pc, c7)
-    return AmplificationMoments(
-        qq_out=float((x_qq[:, 0] ** 2).mean()),
-        pp_out=float((x_pp[:, 0] ** 2).mean()),
-        q_cross=float((x_qc[:, 0] * x_qc[:, 1]).mean()),
-        p_cross=float((x_pc[:, 0] * x_pc[:, 1]).mean()),
-        shots={"qq": c6, "pp": c6, "q_cross": c7, "p_cross": c7},
-    )
+    settings = [HomodyneSetting((phi,) * m, name) for phi, name in ((Q, "q"), (P, "p"))]
+    batches = [Batch(s, "c1", tuple((j, None, Ad[2 * j + r]) for j in range(m)))
+               for r, s in enumerate(settings)]
+    batches += [Batch(s, "c2", tuple((j, k, _second_weight(A, 2 * j + r, 2 * k + r))
+                                     for j in range(m) for k in range(j, m)))
+                for r, s in enumerate(settings)]
+    batches.append(Batch(HomodyneSetting((np.pi / 4,) * m, "45deg"), "c2",
+                         tuple((j, j, -A[2 * j][2 * j + 1]) for j in range(m))))
+    for j in range(m):
+        angles = [P] * m
+        angles[j] = Q
+        batches.append(Batch(HomodyneSetting(tuple(angles)), "c2",
+                             tuple((j, k, -A[2 * j][2 * k + 1]) for k in range(m) if k != j)))
+    return batches, 1.0 + 0.5 * m - 0.5 * dAd
+
+
+def witness_plan(cfg: VerificationConfig) -> tuple[list, float]:
+    """(batches, c0) of the config's game."""
+    return {
+        "unitary": plan_unitary,
+        "amplification": plan_amplification,
+        "state": plan_state,
+    }[cfg.protocol](cfg)
+
+
+def estimate_terms(state: GaussianState, batches, counts: dict, seed) -> list[float]:
+    """Each batch's contribution to omega from counts[batch.key] fresh shots.
+
+    Batch i draws from stream i of SeedSequence(seed).spawn(len(batches)), so
+    estimates are reproducible and order-independent.  A batch without shots
+    contributes 0 if all its weights are 0 and is an error otherwise.
+    """
+    out = []
+    for b, stream in zip(batches, np.random.SeedSequence(seed).spawn(len(batches))):
+        n, total = counts[b.key], 0.0
+        if n > 0:
+            x = sample_quadratures(state, b.setting, np.random.default_rng(stream), n)
+            for i, j, w in b.terms:
+                total += w * (x[:, i].sum() if j is None else x[:, i] @ x[:, j])
+            total /= n
+        elif any(w for _, _, w in b.terms):
+            raise ValueError(f"shot budget {b.key} must be positive")
+        out.append(float(total))
+    return out
+
+
+def exact_terms(mean: np.ndarray, second: np.ndarray, batches) -> list[float]:
+    """Each batch's contribution to omega from exact means and raw second
+    moments <x x^T> of the measured state (the infinite-shot limit)."""
+    n_modes = len(mean) // 2
+    moments = {}
+    out = []
+    for b in batches:
+        stats = moments.get(b.setting)
+        if stats is None:
+            P = rotated_quadrature_projector(b.setting, n_modes)
+            stats = moments[b.setting] = ((P @ mean).tolist(), (P @ second @ P.T).tolist())
+        mu, M = stats
+        out.append(float(sum(w * (mu[i] if j is None else M[i][j]) for i, j, w in b.terms)))
+    return out
 
 
 def witness_analytic(prover: ProverChannel, cfg: VerificationConfig) -> float:
     """Infinite-shot witness value for a prover channel under the config."""
-    if cfg.protocol == "amplification":
-        return witness_estimate_amplification(
-            analytic_amplification_moments(prover, cfg), cfg
-        )
-    if cfg.protocol == "unitary":
-        return witness_estimate_unitary(analytic_moments(prover, cfg), cfg)
-    raise ValueError("analytic witness available for unitary/amplification configs")
+    if cfg.protocol == "state":
+        raise ValueError("the state game has no prover channel; use witness_estimate_state")
+    state = output_state(prover, cfg)
+    batches, c0 = witness_plan(cfg)
+    return c0 + sum(exact_terms(state.mean, state.cov + np.outer(state.mean, state.mean), batches))
 
 
 def witness_estimate_state(
     mean_est: np.ndarray, second_moments: np.ndarray, cfg: VerificationConfig
 ) -> float:
-    """Pure-state witness: omega = 1 + m/2 - 1/2 tr[S^-T S^-1 (M - 2 x* d^T + d d^T)]
-    with M the raw second-moment matrix of the supplied state."""
-    S = cfg.target
-    m = S.n_modes
-    S_inv = inverse(S).S
-    d = S.d
-    M = second_moments - 2.0 * np.outer(mean_est, d) + np.outer(d, d)
-    return 1.0 + 0.5 * m - 0.5 * float(np.trace(S_inv.T @ S_inv @ M))
+    """Pure-state witness from the means and the (symmetric) raw second-moment
+    matrix of the supplied state."""
+    batches, c0 = plan_state(cfg)
+    return c0 + sum(exact_terms(np.asarray(mean_est), np.asarray(second_moments), batches))
 
 
 @dataclass(frozen=True)
@@ -573,13 +505,24 @@ class Verdict:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
 
 def _decide(omega_star: float, cfg: VerificationConfig) -> bool:
     # ties at the threshold accept (>= comparison)
     return omega_star >= cfg.F_t + cfg.epsilon
+
+
+def _run(state: GaussianState, cfg: VerificationConfig, seed: int, shot_cap: int | None) -> Verdict:
+    """Budget, sampled terms and verdict; diagnostics hold c0, the shots and
+    the term of every batch, with omega* = c0 + sum(terms)."""
+    budget = sample_budget(cfg)
+    counts = budget.counts
+    if shot_cap is not None:
+        counts = {k: min(c, shot_cap) for k, c in counts.items()}
+    batches, c0 = witness_plan(cfg)
+    terms = estimate_terms(state, batches, counts, seed)
+    omega = c0 + sum(terms)
+    diag = {"shot_cap": shot_cap, "c0": c0, "shots": [counts[b.key] for b in batches], "terms": terms}
+    return Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag)
 
 
 def run_verification(
@@ -594,32 +537,9 @@ def run_verification(
     worst-case budget (useful for rate experiments at desk scale).
     """
     cfg.validate()
-    if cfg.protocol == "unitary":
-        budget = sample_budget_unitary(cfg)
-        moments = estimate_moments(prover, cfg, budget, seed, shot_cap)
-        omega = witness_estimate_unitary(moments, cfg)
-        diag = {
-            "gamma": moments.gamma.tolist(),
-            "Gamma1": moments.Gamma1.ravel().tolist(),
-            "Gamma2": moments.Gamma2.ravel().tolist(),
-            "shot_cap": shot_cap,
-        }
-    elif cfg.protocol == "amplification":
-        budget = sample_budget_amplification(cfg)
-        amoments = estimate_amplification_moments(prover, cfg, budget, seed, shot_cap)
-        omega = witness_estimate_amplification(amoments, cfg)
-        diag = {
-            "moments": {
-                "qq_out": amoments.qq_out,
-                "pp_out": amoments.pp_out,
-                "q_cross": amoments.q_cross,
-                "p_cross": amoments.p_cross,
-            },
-            "shot_cap": shot_cap,
-        }
-    else:
+    if cfg.protocol == "state":
         raise ValueError("use run_state_verification for the state protocol")
-    return Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag)
+    return _run(output_state(prover, cfg), cfg, seed, shot_cap)
 
 
 def run_state_verification(
@@ -633,54 +553,9 @@ def run_state_verification(
     cfg.validate()
     if cfg.protocol != "state":
         raise ValueError("config is not for the state protocol")
-    m = cfg.m
-    if state.n_modes != m:
-        raise ValueError(f"state has {state.n_modes} modes, target has {m}")
-    budget = sample_budget_state(cfg)
-    c1, c2 = budget.counts["c1"], budget.counts["c2"]
-    if shot_cap is not None:
-        c1, c2 = min(c1, shot_cap), min(c2, shot_cap)
-    if c2 == 0:
-        raise ValueError("second-moment budget must be positive")
-
-    Q, P45, P = 0.0, np.pi / 4, np.pi / 2
-    all_q = HomodyneSetting((Q,) * m, "q")
-    all_p = HomodyneSetting((P,) * m, "p")
-    rot = HomodyneSetting((P45,) * m, "45deg")
-    ss = np.random.SeedSequence(seed)
-    streams = iter(ss.spawn(6 + m))
-
-    def draw(setting, shots):
-        return sample_quadratures(state, setting, np.random.default_rng(next(streams)), shots)
-
-    mean_est = np.zeros(2 * m)
-    if c1 > 0:
-        mean_est[0::2] = draw(all_q, c1).mean(axis=0)
-        mean_est[1::2] = draw(all_p, c1).mean(axis=0)
-
-    M = np.zeros((2 * m, 2 * m))
-    xq, xp = draw(all_q, c2), draw(all_p, c2)
-    M[0::2, 0::2] = xq.T @ xq / c2
-    M[1::2, 1::2] = xp.T @ xp / c2
-    xr = draw(rot, c2)
-    rot2 = (xr**2).mean(axis=0)
-    for j in range(m):
-        M[2 * j, 2 * j + 1] = M[2 * j + 1, 2 * j] = (
-            rot2[j] - 0.5 * M[2 * j, 2 * j] - 0.5 * M[2 * j + 1, 2 * j + 1]
-        )
-    for j in range(m):
-        angles = [P] * m
-        angles[j] = Q
-        xm = draw(HomodyneSetting(tuple(angles)), c2)
-        for kk in range(m):
-            if kk == j:
-                continue
-            u, v = 2 * j, 2 * kk + 1
-            M[u, v] = M[v, u] = (xm[:, j] * xm[:, kk]).mean()
-
-    omega = witness_estimate_state(mean_est, M, cfg)
-    diag = {"mean": mean_est.tolist(), "second_moments": M.ravel().tolist(), "shot_cap": shot_cap}
-    return Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag)
+    if state.n_modes != cfg.m:
+        raise ValueError(f"state has {state.n_modes} modes, target has {cfg.m}")
+    return _run(state, cfg, seed, shot_cap)
 
 
 def accept_rate(
@@ -706,8 +581,8 @@ def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0,
         target = AmplificationTarget(cfg.g)
     else:
         target = cfg.target
-    fbar, stderr = true_average_fidelity(prover, target, cfg.lam, mc_samples, seed)
     omega = witness_analytic(prover, cfg)
+    fbar, stderr = true_average_fidelity(prover, target, cfg.lam, mc_samples, seed)
     return {
         "true_fidelity": fbar,
         "true_fidelity_std_error": stderr,

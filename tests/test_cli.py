@@ -116,3 +116,44 @@ def test_sweep_csv(scenario, tmp_path, capsys):
     assert lines[0] == "variance,accept_rate,analytic_omega"
     assert len(lines) == 4
     capsys.readouterr()
+
+
+GAME_CONFIGS = {
+    "unitary": {"protocol": "unitary", "lam": 1.0, "F_t": 0.9, "delta": 0.25, "epsilon": 0.04,
+                "target": {"m": 1, "S": [1, 0, 0, 1], "d": [0.3, 0]}},
+    "amplification": {"protocol": "amplification", "lam": 1.0, "F_t": 0.25, "delta": 0.25,
+                      "epsilon": 0.03, "g": 2.5},
+    "state": {"protocol": "state", "lam": 1.0, "F_t": 0.9, "delta": 0.25, "epsilon": 0.04,
+              "target": {"m": 1, "S": [1, 0, 0, 1], "d": [0.3, 0]}},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GAME_CONFIGS))
+@pytest.mark.parametrize("command", ["verify", "oracle", "sweep", "budget"])
+def test_every_command_on_every_game_exits_cleanly(command, protocol, tmp_path, capsys):
+    data = {"config": GAME_CONFIGS[protocol],
+            "prover": {"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1},
+            "repetitions": 1, "seed": 3, "shot_cap": 500}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += ["--points", "2"]
+    if command == "oracle":
+        argv += ["--cutoff", "14"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if protocol == "state" and command != "budget":
+        # the state game verifies a supplied state, not a prover channel
+        assert code == 2 and "config error:" in err
+
+
+def test_flags_only_where_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "3", "--reps", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()

@@ -209,15 +209,6 @@ def test_default_cutoff_policy():
     assert tail <= 1e-6 < (nbar / (nbar + 1.0)) ** (c - 1)
 
 
-def test_operator_csv_export(tmp_path):
-    op = fock.number_op(4)
-    path = tmp_path / "n.csv"
-    op.save_csv(str(path))
-    data = np.loadtxt(path, delimiter=",")
-    re = data[:, 0::2]
-    np.testing.assert_allclose(re, np.diag([0.0, 1.0, 2.0, 3.0]))
-
-
 def test_hermiticity_flags():
     assert fock.number_op(6).is_hermitian()
     assert not fock.FockOperator(4, 1, np.diag([1j, 0, 0, 0])).is_hermitian()

@@ -94,11 +94,3 @@ def test_unmeasured_modes_are_skipped():
     setting = ms.HomodyneSetting((0.0, None))
     x = ms.sample_quadratures(st, setting, seed=6, shots=10)
     assert x.shape == (10, 1)
-
-
-def test_shot_csv_export(tmp_path):
-    path = tmp_path / "shots.csv"
-    ms.export_shots_csv(str(path), [(0, 0, 0, 0.0, 1.25), (0, 1, 0, 0.0, -0.5)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "setting_id,shot_index,mode,angle,outcome"
-    assert len(lines) == 3

@@ -10,18 +10,22 @@ from cvverify.channels import (
     random_prover,
     true_average_fidelity,
 )
+from cvverify.measurement import build_measurement_plan
 from cvverify.protocols import (
+    Batch,
     VerificationConfig,
-    analytic_moments,
-    estimate_moments,
+    estimate_terms,
+    exact_terms,
     lemma3_sample_count,
+    output_state,
+    plan_unitary,
     run_state_verification,
     run_verification,
     sample_budget_amplification,
     sample_budget_state,
     sample_budget_unitary,
     witness_analytic,
-    witness_estimate_unitary,
+    witness_estimate_state,
 )
 
 
@@ -185,43 +189,81 @@ def test_wrong_displacement_lowers_omega():
     assert omega == pytest.approx(fock.expectation(W, st), abs=1e-3)
 
 
+def unit_weights(batches):
+    """The same batches with every weight 1, so each term is a raw moment."""
+    return [Batch(b.setting, b.key, tuple((i, j, 1.0) for i, j, _ in b.terms)) for b in batches]
+
+
+def raw_moments(state):
+    return state.mean, state.cov + np.outer(state.mean, state.mean)
+
+
 def test_sampled_moments_converge_to_analytic():
     rng = np.random.default_rng(3)
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.5, rng=rng)
     cfg = cfg_unitary(spec, F_t=0.5, eps=0.02)
     p = ProverChannel("NoisyUnitary", spec=spec, excess=0.1)
-    budget = sample_budget_unitary(cfg)
-    mom = estimate_moments(p, cfg, budget, seed=0, shot_cap=40_000)
-    ref = analytic_moments(p, cfg)
-    np.testing.assert_allclose(mom.gamma, ref.gamma, atol=0.05)
-    np.testing.assert_allclose(mom.Gamma1, ref.Gamma1, atol=0.1)
-    np.testing.assert_allclose(mom.Gamma2, ref.Gamma2, atol=0.1)
+    counts = {k: min(c, 40_000) for k, c in sample_budget_unitary(cfg).counts.items()}
+    batches = unit_weights(plan_unitary(cfg)[0])
+    state = output_state(p, cfg)
+    got = np.array(estimate_terms(state, batches, counts, seed=0))
+    ref = np.array(exact_terms(*raw_moments(state), batches))
+    means = np.array([j is None for b in batches for _, j, _ in b.terms])
+    np.testing.assert_allclose(got[means], ref[means], atol=0.05)
+    np.testing.assert_allclose(got[~means], ref[~means], atol=0.1)
 
 
 def test_estimate_moments_honest_cross_block_sign():
     cfg = cfg_unitary(sp.identity(1))
     p = exact_unitary(sp.identity(1))
-    budget = sample_budget_unitary(cfg)
-    mom = estimate_moments(p, cfg, budget, seed=1, shot_cap=30_000)
+    plan = build_measurement_plan(1)
+    # <q_A' q_R> from the all-q setting, <p_A' p_R> from the all-p setting
+    batches = [Batch(plan.settings[0], "c5", ((0, 1, 1.0),)),
+               Batch(plan.settings[1], "c5", ((0, 1, 1.0),))]
+    qq, pp = estimate_terms(output_state(p, cfg), batches, {"c5": 30_000}, seed=1)
     s = np.sqrt(2.0)  # sinh(2 kappa)/2 at lam = 1
-    assert mom.Gamma2[0, 0] == pytest.approx(s, abs=0.05)
-    assert mom.Gamma2[1, 1] == pytest.approx(-s, abs=0.05)
+    assert qq == pytest.approx(s, abs=0.05)
+    assert pp == pytest.approx(-s, abs=0.05)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_zero_budget_rejected():
     cfg = cfg_unitary(sp.identity(1))
-    p = exact_unitary(sp.identity(1))
-    budget = sample_budget_unitary(cfg)
     with pytest.raises(ValueError):
-        estimate_moments(p, cfg, budget, seed=0, shot_cap=0)
+        run_verification(exact_unitary(sp.identity(1)), cfg, seed=0, shot_cap=0)
+    with pytest.raises(ValueError):
+        run_verification(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), seed=0, shot_cap=0)
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
+                              target=sp.identity(1))
+    with pytest.raises(ValueError):
+        run_state_verification(ga.vacuum(1), scfg, seed=0, shot_cap=0)
+
+
+def _quadrature(setting, col):
+    """Phase-space index (or "45:mode") measured by column ``col`` of a setting."""
+    mode = setting.measured_modes[col]
+    phi = setting.angles[mode]
+    return f"45:{mode}" if phi == np.pi / 4 else 2 * mode + int(phi == np.pi / 2)
 
 
 def test_gamma1_symmetric_by_construction():
+    # each unordered A' pair <x_u x_v> is one estimate from one batch, so the
+    # second-moment matrix the witness reads is symmetric by construction
     cfg = cfg_unitary(sp.identity(2).__class__(np.eye(4), np.zeros(4)))
+    batches, _ = plan_unitary(cfg)
+    pairs = []
+    for b in batches:
+        for i, j, _ in b.terms:
+            u, v = _quadrature(b.setting, i), None if j is None else _quadrature(b.setting, j)
+            if b.key == "c4":
+                pairs.append((u, v))
+    assert len(pairs) == len(set(pairs))
+    assert all(isinstance(u, str) or u <= v for u, v in pairs)
+    expected = {(u, v) for u in range(4) for v in range(u, 4) if not (u % 2 == 0 and v == u + 1)}
+    assert set(pairs) == expected | {("45:0", "45:0"), ("45:1", "45:1")}
     p = ProverChannel("AdditiveNoise", variance=0.2, n_modes=2)
-    budget = sample_budget_unitary(cfg)
-    mom = estimate_moments(p, cfg, budget, seed=2, shot_cap=2000)
-    np.testing.assert_array_equal(mom.Gamma1, mom.Gamma1.T)
+    v = run_verification(p, cfg, seed=2, shot_cap=2000)
+    assert np.isfinite(v.omega_star)
 
 
 def test_estimator_consistency_at_budget():
@@ -301,9 +343,92 @@ def test_state_protocol_rejects_thermal_impostor():
 
 def test_witness_estimate_requires_complete_moments():
     cfg = cfg_unitary(sp.identity(1))
-    from cvverify.protocols import MomentRecord
-
+    batches, c0 = plan_unitary(cfg)
+    # the plan reads A' and R quadratures: the A' moments alone do not cover it
     with pytest.raises(ValueError):
-        MomentRecord(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]), np.zeros((2, 2)))
-    mom = MomentRecord(np.zeros(2), np.eye(2), np.zeros((2, 2)))
-    assert np.isfinite(witness_estimate_unitary(mom, cfg))
+        exact_terms(np.zeros(2), np.eye(2), batches)
+    assert np.isfinite(c0 + sum(exact_terms(np.zeros(4), np.eye(4), batches)))
+
+
+# ------------------------------------------------ closed-form references
+
+def ref_unitary(state, cfg):
+    """-1/2 tr[S^-T S^-1 (Gamma1 - 2 gamma d^T + d d^T)] + tr(Z S^-1 Gamma2)/sqrt(lam+1)
+    + 1 + m (lam-2)/(2 lam)."""
+    m, lam = cfg.m, cfg.lam
+    mu, V = state.mean, state.cov
+    a, r = slice(0, 2 * m), slice(2 * m, 4 * m)
+    gamma = mu[a]
+    Gamma1 = V[a, a] + np.outer(gamma, gamma)
+    Gamma2 = V[a, r] + np.outer(mu[a], mu[r])
+    S_inv, d = sp.inverse(cfg.target).S, cfg.target.d
+    M = Gamma1 - 2.0 * np.outer(gamma, d) + np.outer(d, d)
+    Z = np.kron(np.eye(m), np.diag([1.0, -1.0]))
+    return (-0.5 * np.trace(S_inv.T @ S_inv @ M) + np.trace(Z @ S_inv @ Gamma2) / np.sqrt(lam + 1.0)
+            + 1.0 + m * (lam - 2.0) / (2.0 * lam))
+
+
+def ref_amplification(state, cfg):
+    """(lam+1)/g^2 [K - (lam+1)/(2 g^2) (<q^2> + <p^2>) + sqrt(lam+1)/g (<q q_R> - <p p_R>)]."""
+    g, lam = cfg.g, cfg.lam
+    mu, V = state.mean, state.cov
+    qq, pp = V[0, 0] + mu[0] ** 2, V[1, 1] + mu[1] ** 2
+    qc, pc = V[0, 2] + mu[0] * mu[2], V[1, 3] + mu[1] * mu[3]
+    K = 1.0 + (g**2 - lam - 1.0) / (2.0 * g**2) - (lam + 2.0) / (2.0 * lam)
+    return (lam + 1.0) / g**2 * (K - (lam + 1.0) / (2.0 * g**2) * (qq + pp)
+                                 + np.sqrt(lam + 1.0) / g * (qc - pc))
+
+
+def ref_state(mean, M, cfg):
+    """1 + m/2 - 1/2 tr[S^-T S^-1 (M - 2 x d^T + d d^T)]."""
+    S_inv, d = sp.inverse(cfg.target).S, cfg.target.d
+    X = M - 2.0 * np.outer(mean, d) + np.outer(d, d)
+    return 1.0 + 0.5 * cfg.m - 0.5 * np.trace(S_inv.T @ S_inv @ X)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_exact_path_matches_closed_forms():
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 3):
+        for _ in range(4):
+            p = random_prover(rng, n_modes=m)
+            spec = sp.random_symplectic(m, r_max=0.7, d_scale=0.5, rng=rng)
+            cfg = cfg_unitary(spec, lam=float(rng.uniform(0.6, 2.0)), F_t=0.5, eps=0.02)
+            for prover in (p, exact_unitary(spec)):
+                ref = ref_unitary(output_state(prover, cfg), cfg)
+                assert abs(witness_analytic(prover, cfg) - ref) <= 1e-12
+
+            scfg = VerificationConfig("state", lam=1.0, F_t=0.5, delta=0.25, epsilon=0.02,
+                                      target=spec)
+            mean = spec.d + rng.normal(scale=0.3, size=2 * m)
+            X = rng.normal(size=(2 * m, 2 * m))
+            M = 0.5 * spec.S @ spec.S.T + 0.1 * X @ X.T + np.outer(mean, mean)
+            assert abs(witness_estimate_state(mean, M, scfg) - ref_state(mean, M, scfg)) <= 1e-12
+
+    for g, lam in ((2.0, 1.0), (2.5, 1.4)):
+        cfg = VerificationConfig("amplification", lam=lam, F_t=0.2, delta=0.25, epsilon=0.02, g=g)
+        provers = [
+            optimal_amplifier(g, lam),
+            ProverChannel("QuantumLimitedAmplifier", g=float(rng.uniform(1.1, 2.5))),
+            ProverChannel("NoisyAmplifier", g=float(rng.uniform(1.1, 2.5)), excess=0.2),
+            ProverChannel("Attenuator", eta=0.7, excess=0.05),
+        ]
+        for prover in provers:
+            ref = ref_amplification(output_state(prover, cfg), cfg)
+            assert abs(witness_analytic(prover, cfg) - ref) <= 1e-12
+
+
+def test_verdict_terms_sum_to_omega_star():
+    spec = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.4, 0.1]))
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04, target=spec)
+    verdicts = [
+        run_verification(exact_unitary(spec), cfg_unitary(spec, F_t=0.5, eps=0.02), seed=1,
+                         shot_cap=1000),
+        run_verification(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), seed=1, shot_cap=1000),
+        run_state_verification(ga.apply_unitary(ga.vacuum(1), spec), scfg, seed=1, shot_cap=1000),
+    ]
+    for v in verdicts:
+        diag = v.diagnostics
+        assert set(diag) == {"shot_cap", "c0", "shots", "terms"}
+        assert len(diag["shots"]) == len(diag["terms"])
+        assert diag["c0"] + sum(diag["terms"]) == v.omega_star
