@@ -54,6 +54,9 @@ class ProverChannel:
             if self.spec is None:
                 raise ValueError(f"{self.kind} requires a SymplecticSpec")
             object.__setattr__(self, "n_modes", self.spec.n_modes)
+        # g * g is inf also when g^2 leaves the float range
+        if not all(map(np.isfinite, (self.g * self.g, self.eta, self.excess, self.variance))):
+            raise ValueError("channel parameters g^2, eta, excess and variance must be finite")
         if self.excess < 0 or self.variance < 0:
             raise ValueError("noise parameters must be nonnegative")
         if self.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier") and self.g < 1:
@@ -98,10 +101,10 @@ class ProverChannel:
         kwargs = {"kind": kind}
         if "spec" in data:
             kwargs["spec"] = SymplecticSpec.from_dict(data["spec"])
-        for key, attr in (("g", "g"), ("eta", "eta"), ("excess", "excess"),
-                          ("variance", "variance"), ("modes", "n_modes")):
+        for key, attr, kind in (("g", "g", float), ("eta", "eta", float), ("excess", "excess", float),
+                                ("variance", "variance", float), ("modes", "n_modes", int)):
             if key in data:
-                kwargs[attr] = data[key]
+                kwargs[attr] = kind(data[key])
         return cls(**kwargs)
 
 

@@ -6,7 +6,7 @@ operator-inequality suites), budget (sample-count table), sweep (accept rate
 vs additive noise).  Scenario/config files are JSON documents; reports are
 JSON (schema in cvverify/schemas/report.schema.json) or CSV.
 
-Exit codes: 0 success, 1 file/parse error, 2 config invariant violation.
+Exit codes: 0 success, 1 file/parse error, 2 invalid value (any ValueError).
 """
 
 from __future__ import annotations
@@ -18,20 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fock, protocols
-from .channels import ProverChannel
+from . import fock, protocols, symplectic
+from .channels import ProverChannel, elementary_factors
 from .measurement import build_measurement_plan, required_moments
 from .protocols import VerificationConfig
 
 MAX_TWO_MODE_DIM = 4096
+MALFORMED = (KeyError, TypeError, OverflowError)  # OverflowError: int(inf)
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read scenario {path!r}: {exc}")
+    if not isinstance(data, dict):
+        raise SystemExit(f"error: scenario {path!r} is not a JSON object")
+    return data
 
 
 def _parse_scenario(data: dict):
@@ -42,11 +46,8 @@ def _parse_scenario(data: dict):
         seed = int(data.get("seed", 0))
         shot_cap = data.get("shot_cap")
         shot_cap = int(shot_cap) if shot_cap is not None else None
-    except (KeyError, TypeError) as exc:
+    except MALFORMED as exc:
         raise SystemExit(f"error: malformed scenario: {exc}")
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
     return cfg, prover, reps, seed, shot_cap
 
 
@@ -66,11 +67,7 @@ def cmd_verify(args) -> int:
     reps = args.reps if args.reps is not None else reps
     if prover is None:
         raise SystemExit("error: verify requires a prover in the scenario")
-    try:
-        rate, verdicts = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    rate, verdicts = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
     report = {
         "name": data.get("name", Path(args.config).stem),
         "accept_rate": rate,
@@ -88,19 +85,13 @@ def cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else seed
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
-    try:
-        report = protocols.oracle_report(prover, cfg, seed)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    report = protocols.oracle_report(prover, cfg, seed)
     if cfg.m == 1:
         cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
         if cfg.protocol == "amplification":
             W = fock.witness_fock_amp(cfg.g, cfg.lam, cutoff)
         else:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
-        from .channels import elementary_factors
-
         state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
         report["fock_omega"] = fock.expectation(W, state)
         report["fock_cutoff"] = cutoff
@@ -142,18 +133,17 @@ def cmd_lemmas(args) -> int:
     results = []
     ok = True
 
-    # damping-operator inequality: G^(x)m >= 1 - sum n_i / cosh^2(theta)
+    # damping-operator inequality: G^(x)m >= 1 - sum n_i / cosh^2(theta); both
+    # sides are diagonal, so the least diagonal entry is the least eigenvalue
+    n = np.diag(fock.number_op(cutoff).matrix).real
     for theta in thetas:
+        g = np.diag(fock.g_theta(theta, cutoff).matrix).real
         for m in (1, 2):
-            G = fock.g_theta(theta, cutoff).matrix
-            n1 = fock.number_op(cutoff).matrix
             if m == 1:
-                lhs = G - (np.eye(cutoff) - n1 / np.cosh(theta) ** 2)
+                lhs = g - (1.0 - n / np.cosh(theta) ** 2)
             else:
-                eye = np.eye(cutoff)
-                total_n = np.kron(n1, eye) + np.kron(eye, n1)
-                lhs = np.kron(G, G) - (np.eye(cutoff**2) - total_n / np.cosh(theta) ** 2)
-            min_eig = float(np.min(np.linalg.eigvalsh(lhs)))
+                lhs = np.outer(g, g) - (1.0 - np.add.outer(n, n) / np.cosh(theta) ** 2)
+            min_eig = float(lhs.min())
             passed = min_eig >= -1e-10
             ok &= passed
             results.append({
@@ -183,8 +173,6 @@ def cmd_lemmas(args) -> int:
         if builder == "amp":
             W = fock.witness_fock_amp(g, lam, small2).matrix
         else:
-            from . import symplectic
-
             W = fock.witness_fock_unitary(symplectic.identity(1), lam, small2).matrix
         max_eig = float(np.max(np.linalg.eigvalsh(W - O)))
         passed = max_eig <= 1e-6
@@ -206,10 +194,9 @@ def cmd_budget(args) -> int:
     data = _load_json(args.config)
     try:
         cfg = VerificationConfig.from_dict(data.get("config", data))
-        budget = protocols.sample_budget(cfg)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except MALFORMED as exc:
+        raise SystemExit(f"error: malformed scenario: {exc}")
+    budget = protocols.sample_budget(cfg)
     report = {"config": cfg.to_dict(), "budget": budget.to_dict()}
     for name, count in sorted(budget.counts.items()):
         print(f"{name}: {count}")
@@ -228,12 +215,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for v in variances:
         prover = ProverChannel("AdditiveNoise", variance=float(v), n_modes=cfg.m)
-        try:
-            rate, _ = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
-            omega = protocols.witness_analytic(prover, cfg)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        rate, _ = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
+        omega = protocols.witness_analytic(prover, cfg)
         rows.append({"variance": float(v), "accept_rate": rate, "analytic_omega": omega})
         print(f"v={v:.4f}  omega={omega:+.4f}  accept_rate={rate:.3f}")
     report = {"sweep": rows, "repetitions": reps, "seed": seed}
@@ -304,6 +287,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -7,8 +7,11 @@ Gaussian unitaries, performance operators, the canonical benchmark
 observable, and both average-fidelity witnesses.
 
 Two-mode operators act on A' (x) R with index i * cutoff + j for
-|i>_{A'} |j>_R, i.e. plain ``np.kron`` ordering.  Truncation leakage is
-reported, never silently renormalized away.
+|i>_{A'} |j>_R, i.e. plain ``np.kron`` ordering, but only the two-mode
+generators are ``kron`` products: a channel factor on A' contracts its Kraus
+operators (a unitary is a family of one) into one slot of the (c, c, c, c)
+view, and a diagonal core in a squeezer sandwich scales the squeezer's
+columns.  Truncation leakage is reported, never silently renormalized away.
 """
 
 from __future__ import annotations
@@ -262,9 +265,17 @@ def canonical_observable(
     omega = performance_operator_avg_fidelity(
         g, lam, cutoff, quad_points, check_convergence=check_convergence
     ).matrix
-    inv_sqrt = np.kron(np.eye(cutoff), np.diag(1.0 / np.sqrt(rho_r)))
-    O = inv_sqrt @ omega @ inv_sqrt
+    inv_sqrt = np.tile(1.0 / np.sqrt(rho_r), cutoff)  # diagonal of 1 (x) rho_R^(-1/2)
+    O = inv_sqrt[:, None] * omega * inv_sqrt
     return FockOperator(cutoff, 2, 0.5 * (O + O.conj().T))
+
+
+def _squeezed_diagonal(theta: float, v: np.ndarray, slot: int, cutoff: int) -> np.ndarray:
+    """S_theta D S_theta+ for the diagonal D that is diag(v) on one slot (0 = A',
+    1 = R) and the identity on the other; D scales the columns of S_theta."""
+    S = squeeze2_fock(theta, cutoff).matrix
+    d = np.repeat(v, cutoff) if slot == 0 else np.tile(v, cutoff)
+    return (S * d) @ S.conj().T
 
 
 def canonical_observable_closed_form(
@@ -286,18 +297,12 @@ def canonical_observable_closed_form(
     if big < cutoff:
         raise ValueError("embed_cutoff must be at least cutoff")
     root = np.sqrt(lam + 1.0)
-    if g < root:
-        theta = np.arctanh(g / root)
-        S = squeeze2_fock(theta, big).matrix
-        core = np.kron(g_theta(theta, big).matrix, np.eye(big))
-        M = S @ core @ S.conj().T
-    elif g > root:
-        theta_p = np.arctanh(root / g)
-        S = squeeze2_fock(theta_p, big).matrix
-        core = np.kron(np.eye(big), g_theta(theta_p, big).matrix)
-        M = np.tanh(theta_p) ** 2 * (S @ core @ S.conj().T)
-    else:
+    if not (g < root or g > root):
         raise ValueError("closed form diverges at g = sqrt(lam+1); use the integrated form")
+    slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
+    theta = np.arctanh(root / g if slot else g / root)
+    G = np.diag(g_theta(theta, big).matrix)
+    M = np.tanh(theta) ** (2 * slot) * _squeezed_diagonal(theta, G, slot, big)
     M4 = M.reshape(big, big, big, big)[:cutoff, :cutoff, :cutoff, :cutoff]
     return FockOperator(cutoff, 2, np.ascontiguousarray(M4).reshape(cutoff**2, cutoff**2))
 
@@ -309,10 +314,10 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     kappa = arctanh(1 / sqrt(lam+1)).
     """
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    S = squeeze2_fock(kappa, cutoff).matrix
-    U = np.kron(gaussian_unitary_fock(spec, cutoff).matrix, np.eye(cutoff))
-    core = np.kron(number_op(cutoff).matrix, np.eye(cutoff))
-    W = np.eye(cutoff * cutoff) - (lam / (lam + 1.0)) * (U @ S @ core @ S.conj().T @ U.conj().T)
+    n = np.arange(cutoff, dtype=float)
+    U = gaussian_unitary_fock(spec, cutoff).matrix
+    core = apply_kraus_first_mode(_squeezed_diagonal(kappa, n, 0, cutoff), [U], cutoff)
+    W = np.eye(cutoff * cutoff) - (lam / (lam + 1.0)) * core
     return FockOperator(cutoff, 2, 0.5 * (W + W.conj().T))
 
 
@@ -326,39 +331,40 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     if g <= root:
         raise ValueError(f"amplification witness requires g > sqrt(lam+1) = {root:.4f}")
     theta_p = np.arctanh(root / g)
-    S = squeeze2_fock(theta_p, cutoff).matrix
-    core = np.kron(np.eye(cutoff), number_op(cutoff).matrix)
-    W = ((lam + 1.0) / g**2) * (
-        np.eye(cutoff * cutoff)
-        - ((g**2 - lam - 1.0) / g**2) * (S @ core @ S.conj().T)
-    )
+    core = _squeezed_diagonal(theta_p, np.arange(cutoff, dtype=float), 1, cutoff)
+    W = ((lam + 1.0) / g**2) * (np.eye(cutoff * cutoff) - ((g**2 - lam - 1.0) / g**2) * core)
     return FockOperator(cutoff, 2, 0.5 * (W + W.conj().T))
+
+
+def _dilation_kraus(U: np.ndarray, cutoff: int) -> list[np.ndarray]:
+    """Kraus operators <k|_E U |0>_E of a two-mode dilation U on system (x) environment."""
+    U4 = U.reshape(cutoff, cutoff, cutoff, cutoff)
+    return [np.ascontiguousarray(U4[:, k, :, 0]) for k in range(cutoff)]
 
 
 def attenuator_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
     """Kraus operators of the pure-loss channel from its beamsplitter dilation."""
     if not 0 < eta <= 1:
         raise ValueError("transmissivity must lie in (0, 1]")
-    U = beamsplitter_fock(eta, cutoff).matrix.reshape(cutoff, cutoff, cutoff, cutoff)
-    return [np.ascontiguousarray(U[:, k, :, 0]) for k in range(cutoff)]
+    return _dilation_kraus(beamsplitter_fock(eta, cutoff).matrix, cutoff)
 
 
 def amplifier_kraus(g: float, cutoff: int) -> list[np.ndarray]:
     """Kraus operators of the quantum-limited amplifier from its squeezer dilation."""
     if g < 1:
         raise ValueError("amplifier gain must be at least 1")
-    theta = np.arccosh(g)
-    U = squeeze2_fock(theta, cutoff).matrix.reshape(cutoff, cutoff, cutoff, cutoff)
-    return [np.ascontiguousarray(U[:, k, :, 0]) for k in range(cutoff)]
+    return _dilation_kraus(squeeze2_fock(np.arccosh(g), cutoff).matrix, cutoff)
 
 
 def apply_kraus_first_mode(rho: np.ndarray, kraus: list[np.ndarray], cutoff: int) -> np.ndarray:
-    """Apply a single-mode Kraus family to the first slot of a two-mode density matrix."""
-    out = np.zeros_like(rho)
+    """sum_K (K (x) 1) rho (K (x) 1)+ for any two-mode matrix rho, without
+    forming K (x) 1: with rho[i, j, k, l] = <ij|rho|kl>, K contracts into i (the
+    rows of the (c, c^3) view) and conj(K) into k (the rows of each (k, l) block)."""
+    R = np.asarray(rho).reshape(cutoff, cutoff, cutoff, cutoff)
+    out = np.zeros(R.shape, dtype=complex)
     for K in kraus:
-        KI = np.kron(K, np.eye(cutoff))
-        out += KI @ rho @ KI.conj().T
-    return out
+        out += K.conj() @ (K @ R.reshape(cutoff, -1)).reshape(R.shape)
+    return out.reshape(cutoff * cutoff, cutoff * cutoff)
 
 
 def apply_elementary_first_mode(
@@ -371,21 +377,21 @@ def apply_elementary_first_mode(
     """
     for kind, param in ops:
         if kind == "unitary":
-            U = np.kron(gaussian_unitary_fock(param, cutoff).matrix, np.eye(cutoff))
-            rho = U @ rho @ U.conj().T
+            kraus = [gaussian_unitary_fock(param, cutoff).matrix]
         elif kind == "attenuator":
-            rho = apply_kraus_first_mode(rho, attenuator_kraus(param, cutoff), cutoff)
+            kraus = attenuator_kraus(param, cutoff)
         elif kind == "amplifier":
-            rho = apply_kraus_first_mode(rho, amplifier_kraus(param, cutoff), cutoff)
+            kraus = amplifier_kraus(param, cutoff)
         else:
             raise ValueError(f"unknown elementary channel factor {kind!r}")
+        rho = apply_kraus_first_mode(rho, kraus, cutoff)
     return rho
 
 
 def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockState:
     """(E (x) I) applied to the TMSV purification of the lam-prior, in Fock space."""
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    rho = tmsv_fock(kappa, cutoff).rho.copy()
+    rho = tmsv_fock(kappa, cutoff).rho
     return FockState(cutoff, 2, apply_elementary_first_mode(rho, ops, cutoff))
 
 

@@ -77,6 +77,10 @@ class VerificationConfig:
     def validate(self) -> None:
         if self.protocol not in ("unitary", "amplification", "state"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        g2 = 0.0 if self.g is None else self.g * self.g  # inf also when g^2 leaves the float range
+        values = (self.lam, self.F_t, self.delta, self.epsilon, self.sigma1, self.sigma2, g2)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("lam, F_t, delta, epsilon, sigma1, sigma2 and g^2 must be finite")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if not 0 < self.delta <= 0.5:
@@ -86,6 +90,8 @@ class VerificationConfig:
         if self.protocol in ("unitary", "state"):
             if self.target is None:
                 raise ValueError(f"{self.protocol} protocol requires a target spec")
+            if not (np.all(np.isfinite(self.target.S)) and np.all(np.isfinite(self.target.d))):
+                raise ValueError("target S and d must be finite")
             if not self.target.is_valid():
                 raise ValueError("target S is not symplectic")
             if not 0 < self.F_t < 1:
@@ -163,11 +169,20 @@ def lemma3_sample_count(sigma: float, l: int, epsilon: float, delta: float) -> i
         raise ValueError("sigma, epsilon must be positive and l nonnegative")
     if not 0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    return int(math.ceil(_lemma3_raw(sigma, l, epsilon, delta)))
+    return _count(_lemma3_raw(sigma, l, epsilon, delta))
 
 
 def _lemma3_raw(sigma: float, l: int, epsilon: float, delta: float) -> float:
-    return sigma**2 * (l + 1) / (epsilon**2 * math.log(1.0 / (1.0 - delta)))
+    try:
+        return sigma**2 * (l + 1) / (epsilon**2 * math.log(1.0 / (1.0 - delta)))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _count(raw: float) -> int:
+    if not math.isfinite(raw):  # sigma too large, or epsilon or delta too small
+        raise ValueError(f"shot count {raw} out of range")
+    return int(math.ceil(raw))
 
 
 def _split_delta(delta: float, groups: int) -> float:
@@ -194,43 +209,40 @@ class SampleBudget:
         }
 
 
+def _moment_groups(cfg: VerificationConfig, mean_key: str, second_key: str,
+                   extra_groups: int) -> tuple[dict, float, float, float]:
+    """Raw counts of the mean group (error bound (2m)^{3/2} |S|^2 |d| e1; none
+    when d = 0) and the A' second-moment group (m |S|^2 e2), with epsilon and
+    delta split evenly over them and ``extra_groups`` more groups.  Returns
+    (raw, epsilon share, delta share, |S|)."""
+    m = cfg.m
+    norm_s = spectral_norm(cfg.target)
+    norm_d = float(np.linalg.norm(cfg.target.d))
+    groups = (2 if norm_d > 0 else 1) + extra_groups
+    dg = _split_delta(cfg.delta, groups)
+    share = cfg.epsilon / groups
+    raw = {mean_key: 0.0}
+    if norm_d > 0:
+        eps1 = share / ((2 * m) ** 1.5 * norm_s**2 * norm_d)
+        raw[mean_key] = _lemma3_raw(cfg.sigma1, 2 * m, eps1, dg)
+    eps2 = share / (m * norm_s**2)
+    raw[second_key] = _lemma3_raw(cfg.sigma2, m * (2 * m + 1), eps2, dg)
+    return raw, share, dg, norm_s
+
+
 def sample_budget_unitary(cfg: VerificationConfig) -> SampleBudget:
     """Budgets c3 (means), c4 (output second moments), c5 (cross moments).
 
-    The total estimation error splits into a mean term bounded by
-    (2m)^{3/2} |S|^2 |d| e1, an output-moment term bounded by m |S|^2 e2 and
-    a cross-moment term bounded by 2 m |S| e3 / sqrt(lam+1); each is allotted
-    an equal share of epsilon and of the failure probability.  When d = 0 the
-    mean term vanishes identically, gamma needs no dedicated budget, and the
-    remaining two groups each get epsilon/2.
+    The mean and output-moment groups are those of ``_moment_groups``; the
+    cross-moment term, bounded by 2 m |S| e3 / sqrt(lam+1), is one more group.
     """
     if cfg.protocol != "unitary":
         raise ValueError("config is not for the unitary protocol")
     m = cfg.m
-    S = cfg.target
-    norm_s = spectral_norm(S)
-    norm_d = float(np.linalg.norm(S.d))
-    has_d = norm_d > 0
-
-    groups = 3 if has_d else 2
-    dg = _split_delta(cfg.delta, groups)
-    share = cfg.epsilon / groups
-
-    counts, raw = {}, {}
-    if has_d:
-        eps1 = share / ((2 * m) ** 1.5 * norm_s**2 * norm_d)
-        raw["c3"] = _lemma3_raw(cfg.sigma1, 2 * m, eps1, dg)
-        counts["c3"] = int(math.ceil(raw["c3"]))
-    else:
-        raw["c3"] = 0.0
-        counts["c3"] = 0
-    eps2 = share / (m * norm_s**2)
-    raw["c4"] = _lemma3_raw(cfg.sigma2, m * (2 * m + 1), eps2, dg)
-    counts["c4"] = int(math.ceil(raw["c4"]))
+    raw, share, dg, norm_s = _moment_groups(cfg, "c3", "c4", extra_groups=1)
     eps3 = share * math.sqrt(cfg.lam + 1.0) / (2.0 * m * norm_s)
     raw["c5"] = _lemma3_raw(cfg.sigma2, 4 * m * m, eps3, dg)
-    counts["c5"] = int(math.ceil(raw["c5"]))
-
+    counts = {k: _count(v) for k, v in raw.items()}
     uses = 2 * m * counts["c3"] + m * (2 * m + 1) * counts["c4"] + 4 * m * m * counts["c5"]
     return SampleBudget(counts, raw, uses, m * uses)
 
@@ -255,7 +267,7 @@ def sample_budget_amplification(cfg: VerificationConfig) -> SampleBudget:
         "c6": _lemma3_raw(cfg.sigma2, 2, eps6, dg),
         "c7": _lemma3_raw(cfg.sigma2, 2, eps7, dg),
     }
-    counts = {k: int(math.ceil(v)) for k, v in raw.items()}
+    counts = {k: _count(v) for k, v in raw.items()}
     uses = 2 * counts["c6"] + 2 * counts["c7"]
     return SampleBudget(counts, raw, uses, uses)
 
@@ -264,33 +276,16 @@ def sample_budget_state(cfg: VerificationConfig) -> SampleBudget:
     """Budgets c1 (means) and c2 (second moments) for the pure-state protocol.
 
     Constants instantiated by the same error-splitting scheme as the unitary
-    case (epsilon halved across the two groups, failure probability split as
-    sqrt(1-delta) each); nu = 2 min(k^2, m) counts the observable groups
-    coupled per measurement round.
+    case (``_moment_groups``: epsilon halved across the two groups, failure
+    probability split as sqrt(1-delta) each); nu = 2 min(k^2, m) counts the
+    observable groups coupled per measurement round.
     """
     if cfg.protocol != "state":
         raise ValueError("config is not for the state protocol")
     m = cfg.m
-    norm_s = spectral_norm(cfg.target)
-    norm_d = float(np.linalg.norm(cfg.target.d))
-    has_d = norm_d > 0
     nu = 2 * min(cfg.k**2, m)
-
-    groups = 2 if has_d else 1
-    dg = _split_delta(cfg.delta, groups)
-    share = cfg.epsilon / groups
-
-    counts, raw = {}, {}
-    if has_d:
-        eps1 = share / ((2 * m) ** 1.5 * norm_s**2 * norm_d)
-        raw["c1"] = _lemma3_raw(cfg.sigma1, 2 * m, eps1, dg)
-        counts["c1"] = int(math.ceil(raw["c1"]))
-    else:
-        raw["c1"], counts["c1"] = 0.0, 0
-    eps2 = share / (m * norm_s**2)
-    raw["c2"] = _lemma3_raw(cfg.sigma2, m * (2 * m + 1), eps2, dg)
-    counts["c2"] = int(math.ceil(raw["c2"]))
-
+    raw, _, _, _ = _moment_groups(cfg, "c1", "c2", extra_groups=0)
+    counts = {k: _count(v) for k, v in raw.items()}
     uses = 2 * m * counts["c1"] + 2 * nu * m * counts["c2"]
     return SampleBudget(counts, raw, uses, uses)
 
@@ -307,6 +302,8 @@ def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianStat
     """(E_p (x) I)(TMSV^(x)m): modes 0..m-1 are A' (through the channel),
     modes m..2m-1 the untouched reference halves."""
     m = prover.n_modes
+    if m != cfg.m:
+        raise ValueError(f"prover acts on {m} modes but the config's target has {cfg.m}")
     state = tmsv_pairs(kappa_for(cfg.lam), m)
     return gaussian.apply_channel(state, prover.realize(), modes=range(m))
 
@@ -398,7 +395,8 @@ def plan_state(cfg: VerificationConfig) -> tuple[list, float]:
     supplied state's means x and raw second moments M.
 
     Batches: all-q and all-p means (c1), then all-q, all-p and 45-degree
-    second moments and one mixed batch per mode j, q on j and p elsewhere (c2).
+    second moments and, for m > 1 (one mode has no q_j p_k pair), one mixed
+    batch per mode j, q on j and p elsewhere (c2).
     """
     m = cfg.m
     _, A, Ad, dAd = _target_weights(cfg)
@@ -411,7 +409,7 @@ def plan_state(cfg: VerificationConfig) -> tuple[list, float]:
                 for r, s in enumerate(settings)]
     batches.append(Batch(HomodyneSetting((np.pi / 4,) * m, "45deg"), "c2",
                          tuple((j, j, -A[2 * j][2 * j + 1]) for j in range(m))))
-    for j in range(m):
+    for j in range(m if m > 1 else 0):
         angles = [P] * m
         angles[j] = Q
         batches.append(Batch(HomodyneSetting(tuple(angles)), "c2",
@@ -566,6 +564,8 @@ def accept_rate(
     shot_cap: int | None = None,
 ) -> tuple[float, list[Verdict]]:
     """Run the protocol ``repetitions`` times with independent seeds."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     verdicts = [
         run_verification(prover, cfg, s, shot_cap)
         for s in range(seed, seed + repetitions)

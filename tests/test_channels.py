@@ -42,6 +42,25 @@ def test_parameter_domains_enforced():
         ProverChannel("NoSuchKind")
 
 
+@pytest.mark.parametrize("params", [
+    {"kind": "QuantumLimitedAmplifier", "g": np.inf},
+    {"kind": "QuantumLimitedAmplifier", "g": 1e300},  # g^2 overflows
+    {"kind": "NoisyAmplifier", "g": 1.2, "excess": np.nan},
+    {"kind": "Attenuator", "eta": np.nan},
+    {"kind": "AdditiveNoise", "variance": np.inf},
+])
+def test_non_finite_channel_parameters_rejected(params):
+    with pytest.raises(ValueError, match="finite"):
+        ProverChannel(**params)
+
+
+def test_from_dict_coerces_numbers():
+    p = ProverChannel.from_dict({"kind": "QuantumLimitedAmplifier", "g": "1.5", "modes": "2"})
+    assert (p.g, p.n_modes) == (1.5, 2)
+    with pytest.raises(ValueError):
+        ProverChannel.from_dict({"kind": "AdditiveNoise", "variance": "abc"})
+
+
 def test_honest_prover_unit_fidelity():
     rng = np.random.default_rng(0)
     spec = sp.random_symplectic(2, r_max=0.8, d_scale=0.5, rng=rng)

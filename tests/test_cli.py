@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvverify.cli import main
 
@@ -54,6 +61,8 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", "--config", str(bad)]) == 1
+    bad.write_text("[1, 2]")  # valid JSON, but not a scenario object
+    assert main(["budget", "--config", str(bad)]) == 1
     capsys.readouterr()
 
 
@@ -157,3 +166,81 @@ def test_flags_only_where_read(capsys):
         main(["plan", "3", "--reps", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["plan", "0"], ["lemmas", "--cutoff", "1"],
+                                  ["lemmas", "--thetas", "abc"]])
+def test_invalid_argument_values_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_damping_suite_matches_dense_eigenvalues(tmp_path, capsys):
+    # the suite reads the minimum off the diagonals; the dense matrix it stands
+    # for is G (x) G - (1 - (n (x) 1 + 1 (x) n) / cosh^2 theta)
+    cutoff, thetas = 10, (0.1, 0.5, 1.0, 2.0)
+    main(["lemmas", "--cutoff", str(cutoff), "--thetas", ",".join(map(str, thetas)),
+          "--out", str(tmp_path)])
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "lemmas.json").read_text())["results"]
+    got = {r["theta"]: r["min_eigenvalue"] for r in rows
+           if r["suite"] == "damping-inequality" and r["m"] == 2}
+    assert sorted(got) == list(thetas)
+    eye = np.eye(cutoff)
+    n = np.diag(np.arange(cutoff, dtype=float))
+    for theta in thetas:
+        G = np.diag(np.tanh(theta) ** (2 * np.arange(cutoff)))
+        lhs = np.kron(G, G) - (np.eye(cutoff**2) - (np.kron(n, eye) + np.kron(eye, n))
+                               / np.cosh(theta) ** 2)
+        assert got[theta] == pytest.approx(np.linalg.eigvalsh(lhs).min(), abs=1e-12)
+
+
+# Scenario fuzz: bad values anywhere in a valid scenario.  The shot cap stays
+# finite and repetitions stay small, so every draw is a bounded run.
+BAD = [math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 0, -1, "abc", None, [1], {}, True]
+RUN_BAD = [math.inf, -math.inf, math.nan, 0, -1, "abc", None, [1], {}]
+TWO_MODE_TARGET = {"m": 2, "S": np.eye(4).ravel().tolist(), "d": [0.0] * 4}
+FIELDS = [("config", k) for k in ("protocol", "lam", "F_t", "delta", "epsilon", "sigma1",
+                                  "sigma2", "g", "target")]
+FIELDS += [("config", "target", k) for k in ("m", "S", "d")]
+FIELDS += [("prover", k) for k in ("kind", "g", "eta", "excess", "variance", "modes", "spec")]
+edit = st.one_of(
+    st.tuples(st.sampled_from(FIELDS),
+              st.one_of(st.sampled_from(BAD + [TWO_MODE_TARGET]), st.floats(), st.integers(-3, 3))),
+    st.tuples(st.sampled_from([("repetitions",), ("seed",), ("shot_cap",)]), st.sampled_from(RUN_BAD)),
+)
+PROVERS = [{"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1},
+           {"kind": "Attenuator", "eta": 0.8, "excess": 0.05},
+           {"kind": "NoisyUnitary", "spec": {"m": 1, "S": [1, 0, 0, 1], "d": [0, 0]}, "excess": 0.1}]
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["verify", "budget", "oracle"]),
+       protocol=st.sampled_from(sorted(GAME_CONFIGS)), prover=st.sampled_from(PROVERS),
+       edits=st.lists(edit, min_size=1, max_size=3))
+def test_scenario_fuzz_exits_with_a_code(command, protocol, prover, edits):
+    data = {"config": json.loads(json.dumps(GAME_CONFIGS[protocol])),
+            "prover": json.loads(json.dumps(prover)), "repetitions": 1, "seed": 3,
+            "shot_cap": 200}
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node.get(key, {}), dict) else {}
+        node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        argv = [command, "--config", str(path)] + (["--cutoff", "6"] if command == "oracle" else [])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "config error:" in err.getvalue()

@@ -212,3 +212,83 @@ def test_default_cutoff_policy():
 def test_hermiticity_flags():
     assert fock.number_op(6).is_hermitian()
     assert not fock.FockOperator(4, 1, np.diag([1j, 0, 0, 0])).is_hermitian()
+
+
+# Dense references: the one-mode operators as explicit products with the
+# identity, as the oracle wrote them before it contracted single slots.
+
+def _dense_kraus(rho, kraus, cutoff):
+    out = np.zeros_like(rho)
+    for K in kraus:
+        KI = np.kron(K, np.eye(cutoff))
+        out += KI @ rho @ KI.conj().T
+    return out
+
+
+def _dense_witness_unitary(spec, lam, cutoff):
+    kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
+    S = fock.squeeze2_fock(kappa, cutoff).matrix
+    U = np.kron(fock.gaussian_unitary_fock(spec, cutoff).matrix, np.eye(cutoff))
+    core = np.kron(fock.number_op(cutoff).matrix, np.eye(cutoff))
+    W = np.eye(cutoff**2) - (lam / (lam + 1.0)) * (U @ S @ core @ S.conj().T @ U.conj().T)
+    return 0.5 * (W + W.conj().T)
+
+
+def _dense_witness_amp(g, lam, cutoff):
+    theta_p = np.arctanh(np.sqrt(lam + 1.0) / g)
+    S = fock.squeeze2_fock(theta_p, cutoff).matrix
+    core = np.kron(np.eye(cutoff), fock.number_op(cutoff).matrix)
+    W = ((lam + 1.0) / g**2) * (
+        np.eye(cutoff**2) - ((g**2 - lam - 1.0) / g**2) * (S @ core @ S.conj().T)
+    )
+    return 0.5 * (W + W.conj().T)
+
+
+def _dense_closed_form(g, lam, cutoff):
+    root = np.sqrt(lam + 1.0)
+    if g < root:
+        theta, scale = np.arctanh(g / root), 1.0
+        core = np.kron(fock.g_theta(theta, cutoff).matrix, np.eye(cutoff))
+    else:
+        theta = np.arctanh(root / g)
+        scale = np.tanh(theta) ** 2
+        core = np.kron(np.eye(cutoff), fock.g_theta(theta, cutoff).matrix)
+    S = fock.squeeze2_fock(theta, cutoff).matrix
+    return scale * (S @ core @ S.conj().T)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_structured_kraus_matches_dense():
+    cutoff = 10
+    rng = np.random.default_rng(11)
+    rho = rng.normal(size=(cutoff**2, cutoff**2)) + 1j * rng.normal(size=(cutoff**2, cutoff**2))
+    spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
+    families = {
+        "unitary": [fock.gaussian_unitary_fock(spec, cutoff).matrix],
+        "attenuator": fock.attenuator_kraus(0.7, cutoff),
+        "amplifier": fock.amplifier_kraus(1.3, cutoff),
+    }
+    for name, kraus in families.items():
+        got = fock.apply_kraus_first_mode(rho, kraus, cutoff)
+        dev = np.max(np.abs(got - _dense_kraus(rho, kraus, cutoff)))
+        assert dev <= 1e-12, (name, dev)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_structured_witnesses_match_dense():
+    cutoff = 12
+    spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=np.random.default_rng(3))
+    for lam in (0.8, 1.0):
+        W = fock.witness_fock_unitary(spec, lam, cutoff).matrix
+        assert np.max(np.abs(W - _dense_witness_unitary(spec, lam, cutoff))) <= 1e-12
+        for g in (2.0, 2.5):
+            W = fock.witness_fock_amp(g, lam, cutoff).matrix
+            assert np.max(np.abs(W - _dense_witness_amp(g, lam, cutoff))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_structured_closed_form_matches_dense():
+    cutoff = 10
+    for g in (1.0, 2.0):
+        C = fock.canonical_observable_closed_form(g, 1.0, cutoff, embed_cutoff=cutoff).matrix
+        assert np.max(np.abs(C - _dense_closed_form(g, 1.0, cutoff))) <= 1e-12

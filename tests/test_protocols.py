@@ -16,11 +16,14 @@ from cvverify.protocols import (
     VerificationConfig,
     estimate_terms,
     exact_terms,
+    accept_rate,
     lemma3_sample_count,
     output_state,
+    plan_state,
     plan_unitary,
     run_state_verification,
     run_verification,
+    sample_budget,
     sample_budget_amplification,
     sample_budget_state,
     sample_budget_unitary,
@@ -140,6 +143,58 @@ def test_config_gain_gap_warns():
 def test_config_delta_range():
     with pytest.raises(ValueError):
         cfg_unitary(sp.identity(1), delta=0.7)
+
+
+@pytest.mark.parametrize("field", ["lam", "sigma1", "sigma2", "F_t", "epsilon", "delta"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        cfg_unitary(sp.identity(1), **{"eps" if field == "epsilon" else field: value})
+
+
+def test_config_rejects_non_finite_target_and_gain():
+    for S, d in ((np.diag([np.nan, 1.0]), np.zeros(2)), (np.eye(2), np.array([np.inf, 0.0]))):
+        with pytest.raises(ValueError, match="target S and d must be finite"):
+            cfg_unitary(sp.SymplecticSpec(S, d))
+    with pytest.raises(ValueError, match="finite"):
+        cfg_amp(np.inf)
+
+
+def test_budget_out_of_float_range_is_value_error():
+    # sigma^2 overflows, or epsilon^2 underflows to 0: both used to escape as
+    # OverflowError / ZeroDivisionError
+    state = dict(lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04, target=sp.identity(2))
+    amp = dict(lam=1.0, F_t=0.25, delta=0.25, epsilon=0.03, g=2.5)
+    for cfg in (cfg_unitary(sp.displacement([0.3, 0.0]), sigma1=1e200),
+                cfg_unitary(sp.identity(1), sigma2=1e200),
+                cfg_unitary(sp.identity(1), eps=1e-170),
+                VerificationConfig("amplification", sigma2=1e200, **amp),
+                VerificationConfig("state", sigma2=1e200, **state)):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_budget(cfg)
+
+
+def test_prover_mode_mismatch_names_both_counts():
+    cfg = cfg_unitary(sp.identity(2))
+    with pytest.raises(ValueError, match="prover acts on 1 modes .* target has 2"):
+        output_state(exact_unitary(sp.identity(1)), cfg)
+    with pytest.raises(ValueError, match="prover acts on 2 modes .* target has 1"):
+        witness_analytic(ProverChannel("AdditiveNoise", variance=0.1, n_modes=2), cfg_amp(2.5))
+
+
+def test_accept_rate_needs_a_repetition():
+    with pytest.raises(ValueError, match="repetitions"):
+        accept_rate(exact_unitary(sp.identity(1)), cfg_unitary(sp.identity(1)), 0, seed=0)
+
+
+def test_state_plan_batches_all_have_terms():
+    # a single mode has no q_j p_k pair, so the m = 1 plan has no mixed batch
+    for m in (1, 2, 3):
+        cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
+                                 target=sp.identity(m))
+        batches, _ = plan_state(cfg)
+        assert all(b.terms for b in batches)
+        assert len(batches) == 5 + (m if m > 1 else 0)
 
 
 def test_config_serialization_roundtrip():
