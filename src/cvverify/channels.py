@@ -189,34 +189,31 @@ def true_average_fidelity(
     m = p.n_modes
     ch = p.realize()
     rng = np.random.default_rng(seed)
-    sigma = np.sqrt(1.0 / (2.0 * lam))
-    alphas = sigma * (
-        rng.standard_normal((mc_samples, m)) + 1j * rng.standard_normal((mc_samples, m))
-    )
+    # Re and Im of the amplitudes as one (2, N, m) block, interleaved into the
+    # input means sqrt(2) (Re alpha, Im alpha) of variance 1/(2 lam) each
+    mean_in = rng.standard_normal((2, mc_samples, m)).transpose(1, 2, 0).reshape(mc_samples, 2 * m)
+    mean_in *= np.sqrt(1.0 / lam)
 
-    # Channel output moments are affine in the input mean; the covariance and
-    # the fidelity quadratic form are sample-independent, so vectorize.
+    # Channel output moments are affine in the input mean, so the target
+    # output minus the channel output is (T - X) mean_in + d_t - d.  The
+    # covariance sum V = L L^T is sample-independent and the fidelity
+    # exponent is |L^-1 (target - output)|^2; no more than two N x 2m
+    # arrays are alive at once.
     X, Y, d = ch.X, ch.Y, ch.d
     V_out = X @ (0.5 * np.eye(2 * m)) @ X.T + Y
-
-    mean_in = np.empty((mc_samples, 2 * m))
-    mean_in[:, 0::2] = np.sqrt(2.0) * alphas.real
-    mean_in[:, 1::2] = np.sqrt(2.0) * alphas.imag
-    mean_out = mean_in @ X.T + d
-
     if isinstance(target, AmplificationTarget):
-        mean_tgt = target.g * mean_in
+        T, d_t = target.g * np.eye(2 * m), np.zeros(2 * m)
         V_tgt = 0.5 * np.eye(2 * m)
     else:
-        mean_tgt = mean_in @ target.S.T + target.d
+        T, d_t = target.S, target.d
         V_tgt = 0.5 * target.S @ target.S.T
-    V_sum = V_tgt + V_out
-    delta = mean_tgt - mean_out
-    sign, logdet = np.linalg.slogdet(V_sum)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance sum not positive definite")
-    quad = np.einsum("ij,ij->i", delta, np.linalg.solve(V_sum, delta.T).T)
-    f = np.exp(-0.5 * quad - 0.5 * logdet)
+    L = np.linalg.cholesky(V_tgt + V_out)  # LinAlgError unless positive definite
+    y = mean_in @ (T - X).T
+    y += d_t - d
+    del mean_in
+    y = y @ np.linalg.inv(L).T
+    quad = np.einsum("ij,ij->i", y, y)
+    f = np.exp(-0.5 * quad - np.log(np.diag(L)).sum())
     return float(f.mean()), float(f.std(ddof=1) / np.sqrt(mc_samples))
 
 

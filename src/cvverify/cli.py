@@ -51,6 +51,14 @@ def _parse_scenario(data: dict):
     return cfg, prover, reps, seed, shot_cap
 
 
+def _check_cutoff(cutoff: int) -> None:
+    """Refuse a cutoff whose dense two-mode matrices exceed MAX_TWO_MODE_DIM."""
+    if cutoff * cutoff > MAX_TWO_MODE_DIM:
+        raise SystemExit(
+            f"error: two-mode dimension {cutoff * cutoff} exceeds cap {MAX_TWO_MODE_DIM}"
+        )
+
+
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2)
     if args.out:
@@ -85,15 +93,19 @@ def cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else seed
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
+    if cfg.m == 1:  # the Fock cross-check runs on one mode only
+        cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
+        _check_cutoff(cutoff)
     report = protocols.oracle_report(prover, cfg, seed)
     if cfg.m == 1:
-        cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
         if cfg.protocol == "amplification":
             W = fock.witness_fock_amp(cfg.g, cfg.lam, cutoff)
         else:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
         state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
         report["fock_omega"] = fock.expectation(W, state)
+        if not np.isfinite(report["fock_omega"]):
+            raise ValueError(f"Fock witness {report['fock_omega']} is not finite")
         report["fock_cutoff"] = cutoff
         report["fock_state_leakage"] = state.leakage
     _emit(report, args)
@@ -125,10 +137,7 @@ def cmd_plan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cutoff = args.cutoff
-    if cutoff * cutoff > MAX_TWO_MODE_DIM:
-        raise SystemExit(
-            f"error: two-mode dimension {cutoff * cutoff} exceeds cap {MAX_TWO_MODE_DIM}"
-        )
+    _check_cutoff(cutoff)
     thetas = [float(t) for t in args.thetas.split(",")]
     results = []
     ok = True

@@ -413,5 +413,7 @@ def default_cutoff(lam: float, leakage: float = 1e-6) -> int:
     """Smallest cutoff keeping the TMSV input's truncation leakage below ``leakage``."""
     nbar = 1.0 / lam
     x = nbar / (nbar + 1.0)
+    if x >= 1.0:
+        raise ValueError(f"lam = {lam} is too small for a finite cutoff")
     n = int(np.ceil(np.log(leakage) / np.log(x)))
     return max(n, 2)

@@ -1,10 +1,14 @@
 """Homodyne sampling and the m+5 local measurement plan.
 
 A homodyne setting assigns a quadrature angle to a subset of modes (all
-selected quadratures commute since they live on distinct modes); sampling
-draws from the exact multivariate-Gaussian marginal of the rotated
-quadratures.  ``build_measurement_plan`` produces the m+5 settings that
-jointly cover every moment the unitary witness estimator consumes.
+selected quadratures commute since they live on distinct modes).  Shots are
+i.i.d. draws from the exact multivariate-Gaussian marginal of the rotated
+quadratures, so every moment estimate reads only the shot sum and the
+scatter sum; ``sample_moment_sums`` draws those two sufficient statistics
+exactly at a cost independent of the shot count, and ``sample_quadratures``
+draws the individual shots (its reference).  ``build_measurement_plan``
+produces the m+5 settings that jointly cover every moment the unitary
+witness estimator consumes.
 """
 
 from __future__ import annotations
@@ -56,6 +60,17 @@ def rotated_quadrature_projector(setting: HomodyneSetting, n_modes: int) -> np.n
     return P
 
 
+def _marginal(state: GaussianState, setting: HomodyneSetting):
+    """Mean and Cholesky factor (with 1e-14 jitter) of the measured quadratures."""
+    P = rotated_quadrature_projector(setting, state.n_modes)
+    cov = P @ state.cov @ P.T
+    return P @ state.mean, np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
+
+
+def _rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def sample_quadratures(
     state: GaussianState,
     setting: HomodyneSetting,
@@ -65,15 +80,47 @@ def sample_quadratures(
     """Joint homodyne samples, shape (shots, n_measured).
 
     ``seed`` may be an int or a numpy SeedSequence/Generator; identical seeds
-    reproduce identical shot records.
+    reproduce identical shot records.  The protocols draw only the sums of
+    ``sample_moment_sums``; this per-shot sampler is its reference.
     """
-    P = rotated_quadrature_projector(setting, state.n_modes)
-    mean = P @ state.mean
-    cov = P @ state.cov @ P.T
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    L = np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
-    z = rng.standard_normal((shots, mean.size))
+    mean, L = _marginal(state, setting)
+    z = _rng(seed).standard_normal((shots, mean.size))
     return mean + z @ L.T
+
+
+def sample_moment_sums(
+    state: GaussianState,
+    setting: HomodyneSetting,
+    seed,
+    shots: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_n x_n, sum_n x_n x_n^T) of ``shots`` joint homodyne shots, drawn
+    exactly in O(k^3) for k measured modes whatever the shot count.
+
+    The shots x_n = mu + L z_n are i.i.d. Gaussian, so the two sums are
+    sufficient statistics: the sample mean is mu + L z / sqrt(N), and the
+    centred scatter is L W L^T with W ~ Wishart(I, N-1) independent of it.
+    W is drawn by the Bartlett decomposition W = A A^T (A lower triangular,
+    A_ii^2 ~ chi^2(N-1-i), A_ij ~ N(0, 1) below the diagonal; Smith &
+    Hocking 1972, AS 53) when N-1 >= k, and as A A^T from a k x (N-1)
+    normal block A otherwise.  Mean and L are those of ``sample_quadratures``.
+    """
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
+    mean, L = _marginal(state, setting)
+    k = mean.size
+    if shots == 0:
+        return np.zeros(k), np.zeros((k, k))
+    rng = _rng(seed)
+    xbar = mean + L @ rng.standard_normal(k) / np.sqrt(shots)
+    dof = shots - 1
+    if dof >= k:
+        A = np.tril(rng.standard_normal((k, k)), -1)
+        A.flat[:: k + 1] = np.sqrt(rng.chisquare(dof - np.arange(k)))
+    else:
+        A = rng.standard_normal((k, dof))
+    LA = L @ A
+    return shots * xbar, LA @ LA.T + shots * np.outer(xbar, xbar)
 
 
 @dataclass(frozen=True)

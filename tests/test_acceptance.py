@@ -267,3 +267,34 @@ def test_9_sampler_calibration():
     ok = worst_sigma <= 4.0
     report("9 sampler calibration", ok, f"worst deviation {worst_sigma:.2f} sigma")
     assert ok
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_10_uncapped_completeness_soundness(m):
+    """No shot cap: the full Lemma-3 budgets (about 1e10 channel uses at
+    m = 4).  The honest prover of a random displaced target is accepted, and
+    an additive-noise prover whose true fidelity is below F_t is rejected,
+    each at a rate of at least 1 - delta over 40 repetitions."""
+    F_t, eps, delta, reps = 0.7, 0.05, 0.25, 40
+    rng = np.random.default_rng(100 + m)
+    target = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=rng)
+    cfg = VerificationConfig("unitary", lam=1.0, F_t=F_t, delta=delta, epsilon=eps,
+                             target=target)
+    honest = exact_unitary(target)
+    accept = np.mean([run_verification(honest, cfg, seed=s).accepted for s in range(reps)])
+
+    # against the identity, additive noise of variance v has fidelity (1+v)^-m
+    cfg_id = VerificationConfig("unitary", lam=1.0, F_t=F_t, delta=delta, epsilon=eps,
+                                target=sp.identity(m))
+    v = (F_t - 0.005) ** (-1.0 / m) - 1.0
+    noisy = ProverChannel("AdditiveNoise", variance=v, n_modes=m)
+    fbar, se = true_average_fidelity(noisy, sp.identity(m), 1.0, 20_000, seed=m)
+    assert fbar + 3 * se < F_t
+    reject = np.mean([not run_verification(noisy, cfg_id, seed=1000 + s).accepted
+                      for s in range(reps)])
+    uses = max(sample_budget_unitary(c).channel_uses for c in (cfg, cfg_id))
+    ok = accept >= 1 - delta and reject >= 1 - delta
+    report(f"10 uncapped completeness/soundness m={m}", ok,
+           f"accept {accept:.3f}, reject {reject:.3f} over {reps} reps, "
+           f"up to {uses:.2e} channel uses")
+    assert ok

@@ -123,6 +123,42 @@ def test_fidelity_seed_determinism():
     assert f1 == f2
 
 
+def _dense_fidelity(p, target, lam, mc_samples, seed):
+    """Reference Monte Carlo: two (N, m) normal draws, the full N x 2m target
+    and output means, slogdet and a dense solve."""
+    m, ch = p.n_modes, p.realize()
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(1.0 / (2.0 * lam))
+    alphas = sigma * (rng.standard_normal((mc_samples, m))
+                      + 1j * rng.standard_normal((mc_samples, m)))
+    mean_in = np.empty((mc_samples, 2 * m))
+    mean_in[:, 0::2] = np.sqrt(2.0) * alphas.real
+    mean_in[:, 1::2] = np.sqrt(2.0) * alphas.imag
+    mean_out = mean_in @ ch.X.T + ch.d
+    if isinstance(target, AmplificationTarget):
+        mean_tgt, V_tgt = target.g * mean_in, 0.5 * np.eye(2 * m)
+    else:
+        mean_tgt, V_tgt = mean_in @ target.S.T + target.d, 0.5 * target.S @ target.S.T
+    V_sum = V_tgt + 0.5 * ch.X @ ch.X.T + ch.Y
+    delta = mean_tgt - mean_out
+    _, logdet = np.linalg.slogdet(V_sum)
+    quad = np.einsum("ij,ij->i", delta, np.linalg.solve(V_sum, delta.T).T)
+    f = np.exp(-0.5 * quad - 0.5 * logdet)
+    return f.mean(), f.std(ddof=1) / np.sqrt(mc_samples)
+
+
+def test_fidelity_matches_dense_reference():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3):
+        for t in range(6):
+            p = random_prover(rng, m)
+            target = (AmplificationTarget(1.5) if t % 3 == 0 else
+                      sp.random_symplectic(m, r_max=0.5, d_scale=0.5, rng=rng))
+            got = true_average_fidelity(p, target, 0.7, 5000, seed=t)
+            np.testing.assert_allclose(got, _dense_fidelity(p, target, 0.7, 5000, t),
+                                       rtol=0, atol=1e-12)
+
+
 def test_elementary_factors_reproduce_channel():
     # compose the factors in phase space and compare with realize()
     provers = [

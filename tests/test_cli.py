@@ -114,6 +114,48 @@ def test_lemmas_cutoff_guard(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "65", 1), (1e-20, None, 2)])
+def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
+    # default_cutoff(0.05) is 284 (c^2 = 80656 > 4096), --cutoff 65 gives 4225,
+    # and lam = 1e-20 has no finite cutoff: each stops before the Monte Carlo
+    from cvverify import protocols
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("oracle_report ran before the cutoff check")
+
+    monkeypatch.setattr(protocols, "oracle_report", no_monte_carlo)
+    _, data = scenario
+    data["config"]["lam"] = lam
+    path = tmp_path / "small_lam.json"
+    path.write_text(json.dumps(data))
+    argv = ["oracle", "--config", str(path)] + (["--cutoff", cutoff] if cutoff else [])
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("command, d, prover, extra", [
+    ("oracle", 1e300, None, []),  # analytic omega -inf
+    ("oracle", 1e150, None, ["--cutoff", "6"]),  # analytic finite, Fock omega NaN
+    ("verify", 0.0, {"kind": "AdditiveNoise", "variance": 1e308}, []),  # omega* NaN
+])
+def test_non_finite_results_exit_2(scenario, tmp_path, capsys, command, d, prover, extra):
+    _, data = scenario
+    data["config"]["target"]["d"] = [d, 0]
+    data["prover"] = prover or data["prover"]
+    data["repetitions"], data["shot_cap"] = 1, 10
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)] + extra)
+    assert exc.value.code == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_sweep_csv(scenario, tmp_path, capsys):
     path, _ = scenario
     code = main([

@@ -10,7 +10,7 @@ from cvverify.channels import (
     random_prover,
     true_average_fidelity,
 )
-from cvverify.measurement import build_measurement_plan
+from cvverify.measurement import build_measurement_plan, sample_moment_sums, sample_quadratures
 from cvverify.protocols import (
     Batch,
     VerificationConfig,
@@ -266,6 +266,57 @@ def test_sampled_moments_converge_to_analytic():
     means = np.array([j is None for b in batches for _, j, _ in b.terms])
     np.testing.assert_allclose(got[means], ref[means], atol=0.05)
     np.testing.assert_allclose(got[~means], ref[~means], atol=0.1)
+
+
+def test_moment_sums_match_per_shot_sampler_in_distribution():
+    # every batch term of the m = 2 unitary plan at N = 50 shots, over 1000
+    # seeds per sampler (one draw per setting and seed serves all batches of
+    # that setting): term means agree within 4 standard errors of their
+    # difference and lie within 4 standard errors of the exact moment, and
+    # term variances agree within 25%
+    spec = sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(5))
+    cfg = cfg_unitary(spec, F_t=0.5, eps=0.02)
+    state = output_state(ProverChannel("NoisyUnitary", spec=spec, excess=0.1), cfg)
+    batches = unit_weights(plan_unitary(cfg)[0])
+    settings = list(dict.fromkeys(b.setting for b in batches))
+    shots, reps = 50, 1000
+
+    def per_shot_sums(setting, rng):
+        x = sample_quadratures(state, setting, rng, shots)
+        return x.sum(0), x.T @ x
+
+    def moment_sums(setting, rng):
+        return sample_moment_sums(state, setting, rng, shots)
+
+    def terms(draw, first_seed):
+        out = np.empty((reps, len(batches)))
+        for r in range(reps):
+            sums = {s: draw(s, np.random.default_rng([first_seed + r, n]))
+                    for n, s in enumerate(settings)}
+            for col, b in enumerate(batches):
+                (i, j, _), = b.terms
+                s1, s2 = sums[b.setting]
+                out[r, col] = (s1[i] if j is None else s2[i, j]) / shots
+        return out
+
+    new, ref = terms(moment_sums, 0), terms(per_shot_sums, reps)
+    exact = np.array(exact_terms(*raw_moments(state), batches))
+    se_new, se_ref = new.std(0, ddof=1) / np.sqrt(reps), ref.std(0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(new.mean(0) - ref.mean(0)) <= 4.0 * np.hypot(se_new, se_ref))
+    assert np.all(np.abs(new.mean(0) - exact) <= 4.0 * se_new)
+    assert np.all(np.abs(ref.mean(0) - exact) <= 4.0 * se_ref)
+    np.testing.assert_allclose(new.var(0, ddof=1) / ref.var(0, ddof=1), 1.0, atol=0.25)
+
+
+def test_uncapped_verdict_determinism():
+    # full Lemma-3 budgets (about 4e8 channel uses at m = 2): same seed, same omega*
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    p = ProverChannel("NoisyUnitary", spec=spec, excess=0.05)
+    v1, v2, v3 = (run_verification(p, cfg, seed=s) for s in (4, 4, 5))
+    assert v1.omega_star == v2.omega_star and v1.diagnostics == v2.diagnostics
+    assert v1.omega_star != v3.omega_star
+    assert v1.diagnostics["shots"] == [v1.budget.counts[b.key] for b in plan_unitary(cfg)[0]]
 
 
 def test_estimate_moments_honest_cross_block_sign():
