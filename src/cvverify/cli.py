@@ -98,16 +98,20 @@ def cmd_oracle(args) -> int:
         _check_cutoff(cutoff)
     report = protocols.oracle_report(prover, cfg, seed)
     if cfg.m == 1:
+        # t2: tanh^2 of the witness squeezer's angle
         if cfg.protocol == "amplification":
             W = fock.witness_fock_amp(cfg.g, cfg.lam, cutoff)
+            t2 = (cfg.lam + 1.0) / cfg.g**2
         else:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
+            t2 = 1.0 / (cfg.lam + 1.0)
         state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
         report["fock_omega"] = fock.expectation(W, state)
         if not np.isfinite(report["fock_omega"]):
             raise ValueError(f"Fock witness {report['fock_omega']} is not finite")
         report["fock_cutoff"] = cutoff
         report["fock_state_leakage"] = state.leakage
+        report["fock_squeezer_leakage"] = t2**cutoff
     _emit(report, args)
     return 0
 
@@ -164,7 +168,7 @@ def cmd_lemmas(args) -> int:
     lam = 1.0
     small = min(cutoff, 14)
     for g in (1.0, 2.0):
-        O = fock.canonical_observable(g, lam, small, check_convergence=False).matrix
+        O = fock.canonical_observable(g, lam, small).matrix
         C = fock.canonical_observable_closed_form(g, lam, small).matrix
         dev = float(np.max(np.abs(O - C)))
         passed = dev <= 1e-3

@@ -1,17 +1,24 @@
 """Truncated Fock-space oracle.
 
-Dense matrix representations of the operators that back the analytic
-phase-space results: photon number, the diagonal damping operator
-G_theta = sum_n tanh^{2n}(theta) |n><n|, two-mode squeezers, single-mode
-Gaussian unitaries, performance operators, the canonical benchmark
-observable, and both average-fidelity witnesses.
+Matrix representations of the operators that back the analytic phase-space
+results: photon number, the diagonal damping operator
+G_theta = sum_n tanh^{2n}(theta) |n><n|, two-mode squeezers and
+beamsplitters, single-mode Gaussian unitaries, the performance operator, the
+canonical benchmark observable, and both average-fidelity witnesses.
 
 Two-mode operators act on A' (x) R with index i * cutoff + j for
-|i>_{A'} |j>_R, i.e. plain ``np.kron`` ordering, but only the two-mode
-generators are ``kron`` products: a channel factor on A' contracts its Kraus
-operators (a unitary is a family of one) into one slot of the (c, c, c, c)
-view, and a diagonal core in a squeezer sandwich scales the squeezer's
-columns.  Truncation leakage is reported, never silently renormalized away.
+|i>_{A'} |j>_R (plain ``np.kron`` ordering) and are returned dense, but the
+costly ones are built from the photon number they conserve.  The two-mode
+squeezer conserves n1 - n2 and the beamsplitter n1 + n2, so each truncated
+generator is a direct sum of tridiagonal sector blocks, exponentiated one
+block at a time; a diagonal core inside a squeezer sandwich is conjugated
+block by block.  The performance operator is the closed-form Gaussian
+integral over the coherent prior, element by element.  A channel factor on A'
+contracts its Kraus operators (a unitary is a family of one) into one slot of
+the (c, c, c, c) view.  Every attenuator and amplifier Kraus operator moves
+photon number by a fixed amount, so those channels keep the difference of the
+two first-slot indices and act as one small block per diagonal of that pair.
+Truncation leakage is reported, never silently renormalized away.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
 
 from .symplectic import SymplecticSpec
@@ -73,6 +79,11 @@ class FockState:
         return float(1.0 - np.real(np.trace(self.rho)))
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
@@ -85,13 +96,14 @@ def g_theta(theta: float, cutoff: int) -> FockOperator:
     """Diagonal operator with entries tanh^{2n}(theta)."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
+    _check_finite("theta", theta)
     t2 = np.tanh(theta) ** 2
     return FockOperator(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
 
 
 def thermal_fock(nbar: float, cutoff: int) -> FockState:
-    if nbar < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0 <= nbar < np.inf:
+        raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
     n = np.arange(cutoff, dtype=float)
     p = nbar**n / (nbar + 1.0) ** (n + 1.0) if nbar > 0 else (n == 0).astype(float)
     return FockState(cutoff, 1, np.diag(p).astype(complex))
@@ -99,6 +111,7 @@ def thermal_fock(nbar: float, cutoff: int) -> FockState:
 
 def tmsv_vector(r: float, cutoff: int) -> np.ndarray:
     """State vector of the two-mode squeezed vacuum, sech(r) sum tanh^n r |nn>."""
+    _check_finite("r", r)
     amp = np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
     psi = np.zeros(cutoff * cutoff, dtype=complex)
     psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amp
@@ -120,13 +133,40 @@ def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
     return amp.astype(complex)
 
 
-def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
-    """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
+def _two_mode_sectors(theta: float, cutoff: int, step: int) -> list:
+    """Sector blocks of exp(theta (L - L+)) for L = a1+ a2+ (step=+1) or a1+ a2 (step=-1).
+
+    L moves |i, j> to |i+1, j+step>, so it conserves n1 - n2 (step=+1) or
+    n1 + n2 (step=-1), and the truncated generator is a direct sum of
+    tridiagonal blocks, one per chain of states that L links.  Each of the
+    2 cutoff - 1 chains starts where L+ leaves the truncated space.  Returns
+    (i, j, E) per chain: its photon numbers in order and its exponentiated block.
+
+    A block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
+    P = diag(i^k) and H the real symmetric tridiagonal matrix with
+    off-diagonals w, so exp(B) = P V e^{-i Lambda} V^T P^-1 from H = V Lambda V^T.
+    Diagonalizing keeps every block in numpy's LAPACK: with threaded BLAS,
+    SciPy's ``expm`` runs in a second thread pool, and many small calls
+    there contend with numpy's.
+    """
+    edge = 0 if step > 0 else cutoff - 1
+    sectors = []
+    for i0, j0 in [(0, j) for j in range(cutoff)] + [(i, edge) for i in range(1, cutoff)]:
+        length = min(cutoff - i0, cutoff - j0 if step > 0 else j0 + 1)
+        i = i0 + np.arange(length)
+        j = j0 + step * np.arange(length)
+        w = theta * np.sqrt(i[1:] * np.maximum(j[:-1], j[1:]))  # <i+1, j+step|L|i, j>
+        lam, V = np.linalg.eigh(np.diag(w, -1) + np.diag(w, 1))
+        phase = 1j ** np.arange(length)
+        E = (phase[:, None] * ((V * np.exp(-1j * lam)) @ V.T) * phase.conj()).real
+        sectors.append((i, j, E))
+    return sectors
+
+
+def _squeezer_sectors(theta: float, cutoff: int) -> list:
+    _check_finite("theta", theta)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    a = destroy(cutoff)
-    gen = theta * (np.kron(a.conj().T, a.conj().T) - np.kron(a, a))
-    U = expm(gen)
     # the truncated exponential is exactly unitary (anti-Hermitian generator),
     # so quantify leakage as the ideal TMSV tail mass beyond the cutoff
     leak = float(np.tanh(theta) ** (2 * cutoff))
@@ -134,17 +174,30 @@ def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
         warnings.warn(
             f"two-mode squeezer truncation leakage {leak:.2e} exceeds "
             f"{SQUEEZE_LEAKAGE_WARN:.0e} at theta={theta}, cutoff={cutoff}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return FockOperator(cutoff, 2, U)
+    return _two_mode_sectors(theta, cutoff, 1)
+
+
+def _assemble(sectors: list, cutoff: int) -> np.ndarray:
+    U = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for i, j, E in sectors:
+        idx = i * cutoff + j
+        U[np.ix_(idx, idx)] = E
+    return U
+
+
+def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
+    """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
+    return FockOperator(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff))
 
 
 def beamsplitter_fock(transmissivity: float, cutoff: int) -> FockOperator:
     """Beamsplitter with amplitude transmission sqrt(transmissivity)."""
+    if not 0 <= transmissivity <= 1:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
     t = np.arccos(np.sqrt(transmissivity))
-    a = destroy(cutoff)
-    gen = t * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
-    return FockOperator(cutoff, 2, expm(gen))
+    return FockOperator(cutoff, 2, _assemble(_two_mode_sectors(t, cutoff, -1), cutoff))
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
@@ -188,64 +241,32 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> FockOperator:
     return FockOperator(cutoff, 1, U)
 
 
-def _coherent_grid(lam: float, radial_points: int, n_angles: int):
-    """Quadrature nodes alpha_k and weights w_k for int d^2a/pi lam e^{-lam|a|^2} f(a)."""
-    u, wu = laggauss(radial_points)
-    radii = np.sqrt(u / lam)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    alpha = np.outer(radii, np.exp(1j * angles)).ravel()
-    weights = np.repeat(wu / n_angles, n_angles)
-    return alpha, weights
-
-
-def _performance_operator_matrix(
-    g: float, lam: float, cutoff: int, radial_points: int
-) -> np.ndarray:
-    n_angles = max(4 * cutoff, 8)
-    alpha, w = _coherent_grid(lam, radial_points, n_angles)
-    out = np.stack([coherent_vector(g * a, cutoff) for a in alpha])
-    ref = np.stack([coherent_vector(np.conj(a), cutoff) for a in alpha])
-    # kron of the per-node vectors, all nodes at once
-    u = (out[:, :, None] * ref[:, None, :]).reshape(alpha.size, cutoff * cutoff)
-    omega = (u.T * w) @ u.conj()
-    return 0.5 * (omega + omega.conj().T)
-
-
-def performance_operator_avg_fidelity(
-    g: float,
-    lam: float,
-    cutoff: int,
-    quad_points: int = 40,
-    check_convergence: bool = True,
-    convergence_tol: float = 1e-6,
-) -> FockOperator:
+def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> FockOperator:
     """Performance operator of the gain-g average-fidelity test on A' (x) A.
 
-    Numerically integrates the coherent-projector integrand over a polar grid:
-    Gauss-Laguerre in radius against the Gaussian prior of inverse variance
-    ``lam``, uniform in angle.
+    Omega = int d^2a/pi lam e^{-lam|a|^2} |g a><g a| (x) |a*><a*|, element by
+    element: the angle average keeps only m - n = m' - n', and the radial
+    integral is a Gamma function, so with s = m + n' and A = lam + 1 + g^2
+
+        <m n|Omega|m' n'> = lam g^(m+m') s! / (A^(s+1) sqrt(m! n! m'! n'!)),
+
+    evaluated in log space.
     """
-    if g <= 0 or lam <= 0:
-        raise ValueError("g and lam must be positive")
-    omega = _performance_operator_matrix(g, lam, cutoff, quad_points)
-    if check_convergence:
-        refined = _performance_operator_matrix(g, lam, cutoff, 2 * quad_points)
-        err = np.max(np.abs(refined - omega))
-        if err > convergence_tol:
-            raise RuntimeError(
-                f"performance-operator quadrature not converged: doubling the radial "
-                f"grid moves entries by {err:.2e} > {convergence_tol:.0e}"
-            )
-        omega = refined
-    return FockOperator(cutoff, 2, omega)
+    if not (0 < g < np.inf and 0 < lam < np.inf):
+        raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * cutoff - 1)))))
+    m, n, m2, n2 = np.ogrid[:cutoff, :cutoff, :cutoff, :cutoff]
+    s = m + n2
+    log_omega = (
+        np.log(lam) + (m + m2) * np.log(g) + log_fact[s] - (s + 1) * np.log(lam + 1.0 + g * g)
+        - 0.5 * (log_fact[m] + log_fact[n] + log_fact[m2] + log_fact[n2])
+    )
+    omega = np.where(m - n == m2 - n2, np.exp(log_omega), 0.0)
+    return FockOperator(cutoff, 2, omega.reshape(cutoff * cutoff, cutoff * cutoff))
 
 
 def canonical_observable(
-    g: float,
-    lam: float,
-    cutoff: int,
-    quad_points: int = 40,
-    check_convergence: bool = True,
+    g: float, lam: float, cutoff: int, check_convergence: bool = True
 ) -> FockOperator:
     """The single observable on A' (x) R whose mean equals the average fidelity.
 
@@ -254,6 +275,9 @@ def canonical_observable(
     of mean photon number 1/lam.  The performance operator here already
     carries the conjugated amplitude in its second slot, which in the Fock
     basis *is* the input-slot transpose, so only the sandwich remains.
+
+    ``check_convergence`` is accepted and ignored: the performance operator is
+    exact, so there is no quadrature left to check.
     """
     p = np.arange(cutoff, dtype=float)
     rho_r = (lam / (1.0 + lam)) * (1.0 / (1.0 + lam)) ** p
@@ -262,20 +286,32 @@ def canonical_observable(
             f"reference thermal state ill-conditioned: smallest retained eigenvalue "
             f"{rho_r.min():.2e} < 1e-12 (cutoff too large for lam={lam})"
         )
-    omega = performance_operator_avg_fidelity(
-        g, lam, cutoff, quad_points, check_convergence=check_convergence
-    ).matrix
+    omega = performance_operator_avg_fidelity(g, lam, cutoff).matrix
     inv_sqrt = np.tile(1.0 / np.sqrt(rho_r), cutoff)  # diagonal of 1 (x) rho_R^(-1/2)
     O = inv_sqrt[:, None] * omega * inv_sqrt
     return FockOperator(cutoff, 2, 0.5 * (O + O.conj().T))
 
 
-def _squeezed_diagonal(theta: float, v: np.ndarray, slot: int, cutoff: int) -> np.ndarray:
+def _squeezed_diagonal(
+    theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int | None = None
+) -> np.ndarray:
     """S_theta D S_theta+ for the diagonal D that is diag(v) on one slot (0 = A',
-    1 = R) and the identity on the other; D scales the columns of S_theta."""
-    S = squeeze2_fock(theta, cutoff).matrix
-    d = np.repeat(v, cutoff) if slot == 0 else np.tile(v, cutoff)
-    return (S * d) @ S.conj().T
+    1 = R) and the identity on the other, evaluated at ``cutoff`` and truncated
+    to photon numbers below ``keep`` (default ``cutoff``).
+
+    D is diagonal, so each sector block E of the squeezer gives E diag(d) E^T.
+    Photon numbers grow along a sector's chain, so the kept states of each
+    block are a prefix of it.
+    """
+    keep = cutoff if keep is None else keep
+    out = np.zeros((keep * keep, keep * keep))
+    for i, j, E in _squeezer_sectors(theta, cutoff):
+        kept = np.count_nonzero((i < keep) & (j < keep))
+        if kept:
+            d = v[i] if slot == 0 else v[j]
+            idx = i[:kept] * keep + j[:kept]
+            out[np.ix_(idx, idx)] = (E[:kept] * d) @ E[:kept].T
+    return out
 
 
 def canonical_observable_closed_form(
@@ -301,10 +337,9 @@ def canonical_observable_closed_form(
         raise ValueError("closed form diverges at g = sqrt(lam+1); use the integrated form")
     slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
     theta = np.arctanh(root / g if slot else g / root)
-    G = np.diag(g_theta(theta, big).matrix)
-    M = np.tanh(theta) ** (2 * slot) * _squeezed_diagonal(theta, G, slot, big)
-    M4 = M.reshape(big, big, big, big)[:cutoff, :cutoff, :cutoff, :cutoff]
-    return FockOperator(cutoff, 2, np.ascontiguousarray(M4).reshape(cutoff**2, cutoff**2))
+    G = np.diag(g_theta(theta, big).matrix).real
+    M = np.tanh(theta) ** (2 * slot) * _squeezed_diagonal(theta, G, slot, big, keep=cutoff)
+    return FockOperator(cutoff, 2, M)
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:
@@ -356,15 +391,41 @@ def amplifier_kraus(g: float, cutoff: int) -> list[np.ndarray]:
     return _dilation_kraus(squeeze2_fock(np.arccosh(g), cutoff).matrix, cutoff)
 
 
+def _fixed_shift(K: np.ndarray) -> bool:
+    """Whether K moves photon number by one fixed amount: all its nonzeros lie on one diagonal."""
+    rows, cols = np.nonzero(K)
+    return np.unique(cols - rows).size <= 1
+
+
 def apply_kraus_first_mode(rho: np.ndarray, kraus: list[np.ndarray], cutoff: int) -> np.ndarray:
     """sum_K (K (x) 1) rho (K (x) 1)+ for any two-mode matrix rho, without
-    forming K (x) 1: with rho[i, j, k, l] = <ij|rho|kl>, K contracts into i (the
-    rows of the (c, c^3) view) and conj(K) into k (the rows of each (k, l) block)."""
-    R = np.asarray(rho).reshape(cutoff, cutoff, cutoff, cutoff)
-    out = np.zeros(R.shape, dtype=complex)
-    for K in kraus:
-        out += K.conj() @ (K @ R.reshape(cutoff, -1)).reshape(R.shape)
-    return out.reshape(cutoff * cutoff, cutoff * cutoff)
+    forming K (x) 1.  With rho[i, j, k, l] = <ij|rho|kl>, K acts on the index
+    pair (i, k) and the reference pair (j, l) rides along.
+
+    When every K moves photon number by a fixed amount (every attenuator and
+    amplifier Kraus operator does), the channel keeps k - i: it is a direct sum
+    over the 2 cutoff - 1 diagonals of the (i, k) pair, and diagonal delta is
+    one n x n block S[a, b] = sum_K K[i_a, i_b] conj(K[i_a + delta, i_b + delta])
+    applied to the (n, cutoff^2) slab of rho on that diagonal.  Otherwise K
+    contracts into i (the rows of the (c, c^3) view) and conj(K) into k (the
+    rows of each (k, l) block).
+    """
+    c = cutoff
+    R = np.asarray(rho).reshape(c, c, c, c)
+    if not (kraus and all(_fixed_shift(K) for K in kraus)):
+        out = np.zeros(R.shape, dtype=complex)
+        for K in kraus:
+            out += K.conj() @ (K @ R.reshape(c, -1)).reshape(R.shape)
+        return out.reshape(c * c, c * c)
+    T = R.transpose(0, 2, 1, 3).reshape(c, c, c * c)  # rows (i, k), columns (j, l)
+    Ks = np.stack(kraus)
+    out = np.empty(T.shape, dtype=complex)
+    for delta in range(1 - c, c):
+        i = np.arange(max(0, -delta), min(c, c - delta))
+        k = i + delta
+        S = np.einsum("nab,nab->ab", Ks[:, i[:, None], i], Ks[:, k[:, None], k].conj())
+        out[i, k] = S @ T[i, k]
+    return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
 
 
 def apply_elementary_first_mode(
@@ -395,22 +456,16 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     return FockState(cutoff, 2, apply_elementary_first_mode(rho, ops, cutoff))
 
 
-def choi_fock(ops: list[tuple], cutoff: int) -> np.ndarray:
-    """Unnormalized Choi-type operator sum_ij E(|i><j|) (x) |i><j|."""
-    psi = np.zeros(cutoff * cutoff, dtype=complex)
-    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = 1.0
-    rho = np.outer(psi, psi.conj())
-    return apply_elementary_first_mode(rho, ops, cutoff)
-
-
 def expectation(op: FockOperator, state: FockState) -> float:
     if op.cutoff != state.cutoff or op.modes != state.modes:
         raise ValueError("operator/state dimension mismatch")
-    return float(np.real(np.trace(op.matrix @ state.rho)))
+    return float(np.real(np.sum(op.matrix * state.rho.T)))  # tr(A B) in O(d^2)
 
 
 def default_cutoff(lam: float, leakage: float = 1e-6) -> int:
     """Smallest cutoff keeping the TMSV input's truncation leakage below ``leakage``."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     nbar = 1.0 / lam
     x = nbar / (nbar + 1.0)
     if x >= 1.0:

@@ -67,7 +67,7 @@ def test_2_canonical_observable_closed_forms():
     lam, cutoff = 1.0, 14
     devs = {}
     for g in (1.0, 2.0):
-        O = fock.canonical_observable(g, lam, cutoff, check_convergence=True).matrix
+        O = fock.canonical_observable(g, lam, cutoff).matrix
         C = fock.canonical_observable_closed_form(g, lam, cutoff).matrix
         devs[g] = float(np.max(np.abs(O - C)))
     ok = all(d <= 1e-3 for d in devs.values())

@@ -203,6 +203,20 @@ def test_every_command_on_every_game_exits_cleanly(command, protocol, tmp_path, 
         assert code == 2 and "config error:" in err
 
 
+@pytest.mark.parametrize("protocol, t2", [("unitary", 1.0 / 2.0), ("amplification", 2.0 / 2.5**2)])
+def test_oracle_reports_squeezer_leakage(protocol, t2, tmp_path, capsys):
+    # tanh^2 of the witness squeezer's angle is 1/(lam+1) for the unitary
+    # witness and (lam+1)/g^2 for the amplification witness
+    data = {"config": GAME_CONFIGS[protocol],
+            "prover": {"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1}, "seed": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["oracle", "--config", str(path), "--cutoff", "14"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["fock_squeezer_leakage"] == pytest.approx(t2**14, rel=1e-12)
+
+
 def test_flags_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "3", "--reps", "2"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
+from scipy.linalg import expm
+from scipy.special import gammaln
 
 from cvverify import fock, gaussian as ga, symplectic as sp
 
@@ -52,39 +55,66 @@ def test_squeeze2_leakage_warning():
 
 
 def test_performance_operator_trace_is_one():
-    om = fock.performance_operator_avg_fidelity(1.0, 1.0, 12, check_convergence=False)
+    om = fock.performance_operator_avg_fidelity(1.0, 1.0, 12)
     assert np.real(np.trace(om.matrix)) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_performance_operator_vacuum_entry_radial_oracle():
     g, lam = 2.0, 1.0
-    om = fock.performance_operator_avg_fidelity(g, lam, 10, check_convergence=False)
+    om = fock.performance_operator_avg_fidelity(g, lam, 10)
     assert om.matrix[0, 0].real == pytest.approx(lam / (lam + g**2 + 1.0), rel=1e-8)
 
 
 def test_performance_operator_phase_symmetry():
     # phase averaging makes the operator commute with n_out - n_ref
     cutoff = 12
-    om = fock.performance_operator_avg_fidelity(1.0, 1.0, cutoff, check_convergence=False)
+    om = fock.performance_operator_avg_fidelity(1.0, 1.0, cutoff)
     n = fock.number_op(cutoff).matrix
     diff = np.kron(n, np.eye(cutoff)) - np.kron(np.eye(cutoff), n)
     comm = om.matrix @ diff - diff @ om.matrix
     assert np.max(np.abs(comm)) < 1e-10
 
 
-def test_performance_operator_convergence_check_passes():
-    fock.performance_operator_avg_fidelity(1.0, 1.0, 10, check_convergence=True)
+def _quadrature_performance_operator(g, lam, cutoff, radial_points):
+    """Omega by quadrature over the coherent prior: Gauss-Laguerre in radius
+    against lam e^{-lam|a|^2}, uniform in angle (exact for the angle average,
+    as |m - n - m' + n'| < 4 cutoff)."""
+    u, wu = laggauss(radial_points)
+    n_angles = max(4 * cutoff, 8)
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    alpha = np.outer(np.sqrt(u / lam), np.exp(1j * angles)).ravel()
+    w = np.repeat(wu / n_angles, n_angles)
+    n = np.arange(cutoff)
+    inv_sqrt_fact = np.exp(-0.5 * gammaln(n + 1.0))
+
+    def coherent_rows(beta):  # <n|beta> for every node at once
+        return np.exp(-0.5 * np.abs(beta[:, None]) ** 2) * beta[:, None] ** n * inv_sqrt_fact
+
+    out, ref = coherent_rows(g * alpha), coherent_rows(np.conj(alpha))
+    vec = (out[:, :, None] * ref[:, None, :]).reshape(alpha.size, cutoff * cutoff)
+    return (vec.T * w) @ vec.conj()
+
+
+@pytest.mark.parametrize("cutoff", [10, 14])
+def test_performance_operator_matches_quadrature(cutoff):
+    for g in (0.7, 1.0, 2.0):
+        om = fock.performance_operator_avg_fidelity(g, 1.0, cutoff).matrix
+        ref = _quadrature_performance_operator(g, 1.0, cutoff, 80)
+        assert np.max(np.abs(om - ref)) <= 1e-12, g
+    # the 40-point rule is short of convergence at g = 2; the closed form is not
+    coarse = _quadrature_performance_operator(2.0, 1.0, cutoff, 40)
+    assert np.max(np.abs(om - coarse)) > 1e-9
 
 
 def test_canonical_observable_ill_conditioning_guard():
     with pytest.raises(ValueError, match="ill-conditioned"):
-        fock.canonical_observable(1.0, 1.0, 80, check_convergence=False)
+        fock.canonical_observable(1.0, 1.0, 80)
 
 
 def test_canonical_observable_identity_channel_fidelity():
     # tr[O (I (x) I)(TMSV)] = 1 for the identity channel at g = 1
     lam, cutoff = 1.0, 16
-    O = fock.canonical_observable(1.0, lam, cutoff, check_convergence=False)
+    O = fock.canonical_observable(1.0, lam, cutoff)
     st = fock.entangled_output_fock([], lam, cutoff)
     assert fock.expectation(O, st) == pytest.approx(1.0, abs=1e-3)
 
@@ -93,7 +123,7 @@ def test_canonical_observable_large_lam_limit():
     # lam -> large at g = 1: theta -> 0 and G_theta -> vacuum projector,
     # so the observable approaches a rank-ish-1 vacuum test
     lam, cutoff = 40.0, 8
-    O = fock.canonical_observable(1.0, lam, cutoff, check_convergence=False).matrix
+    O = fock.canonical_observable(1.0, lam, cutoff).matrix
     C = fock.canonical_observable_closed_form(1.0, lam, cutoff).matrix
     np.testing.assert_allclose(O, C, atol=1e-4)
     theta = np.arctanh(1.0 / np.sqrt(lam + 1.0))
@@ -182,12 +212,15 @@ def test_choi_performance_operator_consistency():
     # s_E = tr(Omega C_E): equals 1 for the identity channel at g = 1 and the
     # directly integrated fidelity for an attenuator
     lam, cutoff = 1.0, 12
-    om = fock.performance_operator_avg_fidelity(1.0, lam, cutoff, check_convergence=False)
-    c_id = fock.choi_fock([], cutoff)
+    om = fock.performance_operator_avg_fidelity(1.0, lam, cutoff)
+    # unnormalized Choi-type operator sum_ij E(|i><j|) (x) |i><j|
+    psi = np.zeros(cutoff * cutoff, dtype=complex)
+    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = 1.0
+    c_id = np.outer(psi, psi.conj())
     assert np.real(np.trace(om.matrix @ c_id)) == pytest.approx(1.0, abs=1e-3)
 
     eta = 0.8
-    c_att = fock.choi_fock([("attenuator", eta)], cutoff)
+    c_att = fock.apply_elementary_first_mode(c_id, [("attenuator", eta)], cutoff)
     got = np.real(np.trace(om.matrix @ c_att))
     # direct integral: F(alpha) = exp(-(1-sqrt(eta))^2 |alpha|^2), averaged
     # over the prior lam exp(-lam |a|^2)/pi gives lam/(lam+(1-sqrt(eta))^2)
@@ -214,8 +247,28 @@ def test_hermiticity_flags():
     assert not fock.FockOperator(4, 1, np.diag([1j, 0, 0, 0])).is_hermitian()
 
 
-# Dense references: the one-mode operators as explicit products with the
-# identity, as the oracle wrote them before it contracted single slots.
+# Dense references: the two-mode generators as kron products exponentiated
+# whole, and the one-mode operators as explicit products with the identity,
+# as the oracle wrote them before it used photon-number sectors and
+# single-slot contractions.
+
+def _dense_squeeze2(theta, cutoff):
+    a = fock.destroy(cutoff).real
+    return expm(theta * (np.kron(a.conj().T, a.conj().T) - np.kron(a, a)))
+
+
+def _dense_beamsplitter(transmissivity, cutoff):
+    a = fock.destroy(cutoff).real
+    t = np.arccos(np.sqrt(transmissivity))
+    return expm(t * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T)))
+
+
+def _contract_kraus(rho, kraus, cutoff):
+    """Every K as a full matrix product on the first slot of the (c, c, c, c) view."""
+    R = rho.reshape(cutoff, cutoff, cutoff, cutoff)
+    out = sum(K.conj() @ (K @ R.reshape(cutoff, -1)).reshape(R.shape) for K in kraus)
+    return out.reshape(cutoff**2, cutoff**2)
+
 
 def _dense_kraus(rho, kraus, cutoff):
     out = np.zeros_like(rho)
@@ -227,7 +280,7 @@ def _dense_kraus(rho, kraus, cutoff):
 
 def _dense_witness_unitary(spec, lam, cutoff):
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    S = fock.squeeze2_fock(kappa, cutoff).matrix
+    S = _dense_squeeze2(kappa, cutoff)
     U = np.kron(fock.gaussian_unitary_fock(spec, cutoff).matrix, np.eye(cutoff))
     core = np.kron(fock.number_op(cutoff).matrix, np.eye(cutoff))
     W = np.eye(cutoff**2) - (lam / (lam + 1.0)) * (U @ S @ core @ S.conj().T @ U.conj().T)
@@ -236,7 +289,7 @@ def _dense_witness_unitary(spec, lam, cutoff):
 
 def _dense_witness_amp(g, lam, cutoff):
     theta_p = np.arctanh(np.sqrt(lam + 1.0) / g)
-    S = fock.squeeze2_fock(theta_p, cutoff).matrix
+    S = _dense_squeeze2(theta_p, cutoff)
     core = np.kron(np.eye(cutoff), fock.number_op(cutoff).matrix)
     W = ((lam + 1.0) / g**2) * (
         np.eye(cutoff**2) - ((g**2 - lam - 1.0) / g**2) * (S @ core @ S.conj().T)
@@ -253,8 +306,69 @@ def _dense_closed_form(g, lam, cutoff):
         theta = np.arctanh(root / g)
         scale = np.tanh(theta) ** 2
         core = np.kron(np.eye(cutoff), fock.g_theta(theta, cutoff).matrix)
-    S = fock.squeeze2_fock(theta, cutoff).matrix
+    S = _dense_squeeze2(theta, cutoff)
     return scale * (S @ core @ S.conj().T)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 20, 32])
+def test_sector_generators_match_dense_expm(cutoff):
+    S = fock.squeeze2_fock(0.6, cutoff).matrix
+    assert np.max(np.abs(S - _dense_squeeze2(0.6, cutoff))) <= 1e-12
+    B = fock.beamsplitter_fock(0.7, cutoff).matrix
+    assert np.max(np.abs(B - _dense_beamsplitter(0.7, cutoff))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_shifted_kraus_matches_dense_contraction():
+    cutoff = 12
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(cutoff**2, cutoff**2)) + 1j * rng.normal(size=(cutoff**2, cutoff**2))
+    spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
+    chains = {
+        "attenuator": [("attenuator", 0.7)],
+        "amplifier": [("amplifier", 1.3)],
+        "mixed": [("attenuator", 0.8), ("unitary", spec), ("amplifier", 1.2), ("attenuator", 0.9)],
+    }
+    kraus = {
+        "attenuator": lambda eta: fock.attenuator_kraus(eta, cutoff),
+        "amplifier": lambda g: fock.amplifier_kraus(g, cutoff),
+        "unitary": lambda s: [fock.gaussian_unitary_fock(s, cutoff).matrix],
+    }
+    for name, chain in chains.items():
+        ref = rho
+        for kind, param in chain:
+            ref = _contract_kraus(ref, kraus[kind](param), cutoff)
+        got = fock.apply_elementary_first_mode(rho, chain, cutoff)
+        assert np.max(np.abs(got - ref)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fock.beamsplitter_fock(1.5, 6), "transmissivity"),
+    (lambda: fock.beamsplitter_fock(-0.2, 6), "transmissivity"),
+    (lambda: fock.beamsplitter_fock(np.nan, 6), "transmissivity"),
+    (lambda: fock.squeeze2_fock(np.nan, 6), "theta must be finite"),
+    (lambda: fock.squeeze2_fock(np.inf, 6), "theta must be finite"),
+    (lambda: fock.tmsv_fock(np.nan, 6), "r must be finite"),
+    (lambda: fock.tmsv_fock(-np.inf, 6), "r must be finite"),
+    (lambda: fock.g_theta(np.nan, 6), "theta must be finite"),
+    (lambda: fock.g_theta(np.inf, 6), "theta must be finite"),
+    (lambda: fock.performance_operator_avg_fidelity(np.nan, 1.0, 6), "g and lam"),
+    (lambda: fock.performance_operator_avg_fidelity(1.0, np.nan, 6), "g and lam"),
+    (lambda: fock.performance_operator_avg_fidelity(np.inf, 1.0, 6), "g and lam"),
+    (lambda: fock.thermal_fock(np.nan, 6), "mean photon number"),
+    (lambda: fock.thermal_fock(np.inf, 6), "mean photon number"),
+    (lambda: fock.default_cutoff(0.0), "lam must be positive"),
+    (lambda: fock.default_cutoff(np.nan), "lam must be positive"),
+    (lambda: fock.default_cutoff(-1.0), "lam must be positive"),
+], ids=[
+    "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-nan", "tmsv-inf",
+    "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf",
+    "thermal-nan", "thermal-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
+])
+def test_fock_builders_reject_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
