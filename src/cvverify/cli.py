@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fock, protocols, symplectic
 from .channels import ProverChannel, elementary_factors
+from .gaussian import GaussianState
 from .measurement import build_measurement_plan, required_moments
 from .protocols import VerificationConfig
 
@@ -42,13 +43,14 @@ def _parse_scenario(data: dict):
     try:
         cfg = VerificationConfig.from_dict(data["config"])
         prover = ProverChannel.from_dict(data["prover"]) if "prover" in data else None
+        state = GaussianState.from_dict(data["state"]) if "state" in data else None
         reps = int(data.get("repetitions", 1))
         seed = int(data.get("seed", 0))
         shot_cap = data.get("shot_cap")
         shot_cap = int(shot_cap) if shot_cap is not None else None
     except MALFORMED as exc:
         raise SystemExit(f"error: malformed scenario: {exc}")
-    return cfg, prover, reps, seed, shot_cap
+    return cfg, prover, state, reps, seed, shot_cap
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -70,15 +72,20 @@ def _emit(report: dict, args) -> None:
 
 def cmd_verify(args) -> int:
     data = _load_json(args.config)
-    cfg, prover, reps, seed, shot_cap = _parse_scenario(data)
+    cfg, prover, state, reps, seed, shot_cap = _parse_scenario(data)
     seed = args.seed if args.seed is not None else seed
     reps = args.reps if args.reps is not None else reps
-    if prover is None:
+    if cfg.protocol == "state":
+        if state is None:
+            raise ValueError('the state game verifies the scenario\'s "state", which is missing')
+    elif prover is None:
         raise SystemExit("error: verify requires a prover in the scenario")
-    rate, verdicts = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
+    else:
+        state = protocols.output_state(prover, cfg)
+    verdicts = protocols._verdicts(state, cfg, range(seed, seed + reps), shot_cap)
     report = {
         "name": data.get("name", Path(args.config).stem),
-        "accept_rate": rate,
+        "accept_rate": sum(v.accepted for v in verdicts) / reps,
         "repetitions": reps,
         "seed": seed,
         "verdicts": [v.to_dict() for v in verdicts],
@@ -89,7 +96,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     data = _load_json(args.config)
-    cfg, prover, _, seed, _ = _parse_scenario(data)
+    cfg, prover, _, _, seed, _ = _parse_scenario(data)
     seed = args.seed if args.seed is not None else seed
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
@@ -221,15 +228,15 @@ def cmd_budget(args) -> int:
 
 def cmd_sweep(args) -> int:
     data = _load_json(args.config)
-    cfg, _, reps, seed, shot_cap = _parse_scenario(data)
+    cfg, _, _, reps, seed, shot_cap = _parse_scenario(data)
     seed = args.seed if args.seed is not None else seed
     reps = args.reps if args.reps is not None else reps
     variances = np.linspace(args.v_min, args.v_max, args.points)
     rows = []
     for v in variances:
         prover = ProverChannel("AdditiveNoise", variance=float(v), n_modes=cfg.m)
+        omega = protocols.witness_analytic(prover, cfg)  # before sampling: it says why a state game fails
         rate, _ = protocols.accept_rate(prover, cfg, reps, seed, shot_cap)
-        omega = protocols.witness_analytic(prover, cfg)
         rows.append({"variance": float(v), "accept_rate": rate, "analytic_omega": omega})
         print(f"v={v:.4f}  omega={omega:+.4f}  accept_rate={rate:.3f}")
     report = {"sweep": rows, "repetitions": reps, "seed": seed}

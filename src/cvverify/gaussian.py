@@ -195,12 +195,6 @@ def apply_channel(
     )
 
 
-def reduce(state: GaussianState, modes: Sequence[int]) -> GaussianState:
-    """Partial trace down to the given modes."""
-    idx = _embed_indices(modes, state.n_modes)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
-
-
 def overlap_pure(target_pure: GaussianState, rho: GaussianState) -> float:
     """tr(rho1 rho2); equals the fidelity when one argument is pure.
 

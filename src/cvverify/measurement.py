@@ -107,11 +107,16 @@ def sample_moment_sums(
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    mean, L = _marginal(state, setting)
+    return _moment_sums(*_marginal(state, setting), _rng(seed), shots)
+
+
+def _moment_sums(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator,
+                 shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_moment_sums`` from a marginal's mean and Cholesky factor, so
+    that batches sharing a setting factor it once."""
     k = mean.size
     if shots == 0:
         return np.zeros(k), np.zeros((k, k))
-    rng = _rng(seed)
     xbar = mean + L @ rng.standard_normal(k) / np.sqrt(shots)
     dof = shots - 1
     if dof >= k:

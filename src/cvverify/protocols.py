@@ -18,7 +18,8 @@ fresh shots, ``exact_terms`` from exact moments (the infinite-shot witness).
 A batch's estimate reads only the sum and the scatter sum of its i.i.d.
 Gaussian shots, and these sufficient statistics are drawn exactly
 (``measurement.sample_moment_sums``), so the paper's uncapped budgets run
-at a cost independent of the shot count.
+at a cost independent of the shot count.  All three games reach a verdict
+through one core on the state the verifier homodynes.
 
 All additive constants are derived under the fixed vacuum-variance-1/2
 convention and pinned by the exact identities "honest prover gives
@@ -40,10 +41,11 @@ from .channels import AmplificationTarget, ProverChannel, true_average_fidelity
 from .gaussian import GaussianState, tmsv_pairs
 from .measurement import (
     HomodyneSetting,
+    _marginal,
+    _moment_sums,
     build_measurement_plan,
     required_moments,
     rotated_quadrature_projector,
-    sample_moment_sums,
 )
 from .symplectic import SymplecticSpec, inverse, spectral_norm
 
@@ -435,16 +437,20 @@ def estimate_terms(state: GaussianState, batches, counts: dict, seed) -> list[fl
 
     A term reads only the shot sum and the scatter sum of its batch, so these
     sufficient statistics are drawn directly (``sample_moment_sums``): the
-    cost does not grow with the shot count.  Batch i draws from stream i of
+    cost does not grow with the shot count.  Each distinct setting's marginal
+    is factored once per call.  Batch i draws from stream i of
     SeedSequence(seed).spawn(len(batches)), so estimates are reproducible and
     order-independent.  A batch without shots contributes 0 if all its
     weights are 0 and is an error otherwise.
     """
+    marginals = {}
     out = []
     for b, stream in zip(batches, np.random.SeedSequence(seed).spawn(len(batches))):
         n, total = counts[b.key], 0.0
         if n > 0:
-            s1, s2 = sample_moment_sums(state, b.setting, np.random.default_rng(stream), n)
+            if b.setting not in marginals:
+                marginals[b.setting] = _marginal(state, b.setting)
+            s1, s2 = _moment_sums(*marginals[b.setting], np.random.default_rng(stream), n)
             for i, j, w in b.terms:
                 total += w * (s1[i] if j is None else s2[i, j])
             total /= n
@@ -490,7 +496,7 @@ def witness_estimate_state(
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one protocol run; pure function of (prover, config, seed)."""
+    """Outcome of one protocol run; pure function of (measured state, config, seed)."""
 
     accepted: bool
     omega_star: float
@@ -516,20 +522,33 @@ def _decide(omega_star: float, cfg: VerificationConfig) -> bool:
     return omega_star >= cfg.F_t + cfg.epsilon
 
 
-def _run(state: GaussianState, cfg: VerificationConfig, seed: int, shot_cap: int | None) -> Verdict:
-    """Budget, sampled terms and verdict; diagnostics hold c0, the shots and
-    the term of every batch, with omega* = c0 + sum(terms)."""
+def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
+              shot_cap: int | None) -> list[Verdict]:
+    """One verdict per seed on the measured ``state``: the supplied m modes in
+    the state game, else the 2m modes of ``output_state``.  Diagnostics hold
+    c0, the shots and the term of every batch, with omega* = c0 + sum(terms)."""
+    n_modes = cfg.m if cfg.protocol == "state" else 2 * cfg.m
+    if state.n_modes != n_modes:
+        raise ValueError(f"state has {state.n_modes} modes, the {cfg.protocol} game measures {n_modes}")
+    if cfg.protocol == "state" and not state.is_physical():
+        raise ValueError("the supplied state violates the uncertainty relation")
+    if not seeds:
+        raise ValueError("repetitions must be at least 1")
     budget = sample_budget(cfg)
     counts = budget.counts
     if shot_cap is not None:
         counts = {k: min(c, shot_cap) for k, c in counts.items()}
     batches, c0 = witness_plan(cfg)
-    terms = estimate_terms(state, batches, counts, seed)
-    omega = c0 + sum(terms)
-    if not math.isfinite(omega):
-        raise ValueError(f"omega* = {omega} is not finite")
-    diag = {"shot_cap": shot_cap, "c0": c0, "shots": [counts[b.key] for b in batches], "terms": terms}
-    return Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag)
+    verdicts = []
+    for seed in seeds:
+        terms = estimate_terms(state, batches, counts, seed)
+        omega = c0 + sum(terms)
+        if not math.isfinite(omega):
+            raise ValueError(f"omega* = {omega} is not finite")
+        diag = {"shot_cap": shot_cap, "c0": c0, "shots": [counts[b.key] for b in batches],
+                "terms": terms}
+        verdicts.append(Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag))
+    return verdicts
 
 
 def run_verification(
@@ -546,10 +565,7 @@ def run_verification(
     the per-observable shot count below the worst-case budget, to study the
     protocol at fewer shots than Lemma 3 prescribes.
     """
-    cfg.validate()
-    if cfg.protocol == "state":
-        raise ValueError("use run_state_verification for the state protocol")
-    return _run(output_state(prover, cfg), cfg, seed, shot_cap)
+    return _verdicts(output_state(prover, cfg), cfg, [seed], shot_cap)[0]
 
 
 def run_state_verification(
@@ -559,13 +575,9 @@ def run_state_verification(
     shot_cap: int | None = None,
 ) -> Verdict:
     """Verify a prover-supplied Gaussian state against the pure target
-    U_{S,d}|0>^m by homodyne moment estimation on the state alone."""
-    cfg.validate()
-    if cfg.protocol != "state":
-        raise ValueError("config is not for the state protocol")
-    if state.n_modes != cfg.m:
-        raise ValueError(f"state has {state.n_modes} modes, target has {cfg.m}")
-    return _run(state, cfg, seed, shot_cap)
+    U_{S,d}|0>^m by homodyne moment estimation on the state alone.  Under a
+    channel-game config the state is the 2m-mode ``output_state`` instead."""
+    return _verdicts(state, cfg, [seed], shot_cap)[0]
 
 
 def accept_rate(
@@ -576,14 +588,8 @@ def accept_rate(
     shot_cap: int | None = None,
 ) -> tuple[float, list[Verdict]]:
     """Run the protocol ``repetitions`` times with independent seeds."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    verdicts = [
-        run_verification(prover, cfg, s, shot_cap)
-        for s in range(seed, seed + repetitions)
-    ]
-    rate = sum(v.accepted for v in verdicts) / repetitions
-    return rate, verdicts
+    verdicts = _verdicts(output_state(prover, cfg), cfg, range(seed, seed + repetitions), shot_cap)
+    return sum(v.accepted for v in verdicts) / repetitions, verdicts
 
 
 def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0,

@@ -117,27 +117,11 @@ def spectral_norm(spec: SymplecticSpec) -> float:
     return float(np.linalg.norm(spec.S, ord=2))
 
 
-def compose(a: SymplecticSpec, b: SymplecticSpec) -> SymplecticSpec:
-    """The unitary of ``b`` followed by ``a``: (S_a S_b, S_a d_b + d_a)."""
-    if a.n_modes != b.n_modes:
-        raise ValueError(f"mode mismatch: {a.n_modes} vs {b.n_modes}")
-    return SymplecticSpec(a.S @ b.S, a.S @ b.d + a.d)
-
-
 def inverse(a: SymplecticSpec) -> SymplecticSpec:
     """Inverse unitary: (S^-1, -S^-1 d), using S^-1 = -Omega S^T Omega."""
     omega = symplectic_form(a.n_modes)
     S_inv = -omega @ a.S.T @ omega
     return SymplecticSpec(S_inv, -S_inv @ a.d)
-
-
-def direct_sum(a: SymplecticSpec, b: SymplecticSpec) -> SymplecticSpec:
-    """Block embedding with interleaved ordering; modes of ``a`` first."""
-    na, nb = 2 * a.n_modes, 2 * b.n_modes
-    S = np.zeros((na + nb, na + nb))
-    S[:na, :na] = a.S
-    S[na:, na:] = b.S
-    return SymplecticSpec(S, np.concatenate([a.d, b.d]))
 
 
 def orthogonal_symplectic(m: int, rng: np.random.Generator) -> np.ndarray:

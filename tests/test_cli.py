@@ -203,6 +203,44 @@ def test_every_command_on_every_game_exits_cleanly(command, protocol, tmp_path, 
         assert code == 2 and "config error:" in err
 
 
+COHERENT = {"modes": 1, "mean": [0.3, 0.0], "cov": [0.5, 0.0, 0.0, 0.5]}
+
+
+@pytest.mark.parametrize("state, code, result", [
+    (COHERENT, 0, 1.0),  # the pure target U_{S,d}|0> itself: omega = 1
+    ({"modes": 1, "mean": [0.3, 0.0], "cov": [1.0, 0.0, 0.0, 1.0]}, 0, 0.0),  # thermal: omega = 1/2
+    ({"modes": 2, "mean": [0.3, 0.0, 0.0, 0.0], "cov": np.eye(4).ravel().tolist()}, 2,
+     "state has 2 modes, the state game measures 1"),
+    # below the vacuum variance: no quantum state, though its witness would exceed 1
+    ({"modes": 1, "mean": [0.3, 0.0], "cov": [0.1, 0.0, 0.0, 0.1]}, 2,
+     "the supplied state violates the uncertainty relation"),
+])
+def test_verify_runs_the_state_game(state, code, result, tmp_path, capsys):
+    from cvverify import protocols
+    from cvverify.gaussian import GaussianState
+
+    data = {"config": GAME_CONFIGS["state"], "state": state, "repetitions": 3, "seed": 5,
+            "shot_cap": 20_000}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    try:
+        got = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 2:
+        assert f"config error: {result}" in err
+        return
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["accept_rate"] == result
+    cfg = protocols.VerificationConfig.from_dict(data["config"])
+    for seed, verdict in zip(range(5, 8), report["verdicts"]):
+        lib = protocols.run_state_verification(GaussianState.from_dict(state), cfg, seed, 20_000)
+        assert verdict["omega_star"] == lib.omega_star
+
+
 @pytest.mark.parametrize("protocol, t2", [("unitary", 1.0 / 2.0), ("amplification", 2.0 / 2.5**2)])
 def test_oracle_reports_squeezer_leakage(protocol, t2, tmp_path, capsys):
     # tanh^2 of the witness squeezer's angle is 1/(lam+1) for the unitary
@@ -259,13 +297,16 @@ def test_damping_suite_matches_dense_eigenvalues(tmp_path, capsys):
 BAD = [math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 0, -1, "abc", None, [1], {}, True]
 RUN_BAD = [math.inf, -math.inf, math.nan, 0, -1, "abc", None, [1], {}]
 TWO_MODE_TARGET = {"m": 2, "S": np.eye(4).ravel().tolist(), "d": [0.0] * 4}
+TWO_MODE_STATE = {"modes": 2, "mean": [0.0] * 4, "cov": (0.5 * np.eye(4)).ravel().tolist()}
 FIELDS = [("config", k) for k in ("protocol", "lam", "F_t", "delta", "epsilon", "sigma1",
                                   "sigma2", "g", "target")]
 FIELDS += [("config", "target", k) for k in ("m", "S", "d")]
 FIELDS += [("prover", k) for k in ("kind", "g", "eta", "excess", "variance", "modes", "spec")]
+FIELDS += [("state",)] + [("state", k) for k in ("modes", "mean", "cov")]
 edit = st.one_of(
     st.tuples(st.sampled_from(FIELDS),
-              st.one_of(st.sampled_from(BAD + [TWO_MODE_TARGET]), st.floats(), st.integers(-3, 3))),
+              st.one_of(st.sampled_from(BAD + [TWO_MODE_TARGET, TWO_MODE_STATE]), st.floats(),
+                        st.integers(-3, 3))),
     st.tuples(st.sampled_from([("repetitions",), ("seed",), ("shot_cap",)]), st.sampled_from(RUN_BAD)),
 )
 PROVERS = [{"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1},
@@ -280,8 +321,8 @@ PROVERS = [{"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1},
        edits=st.lists(edit, min_size=1, max_size=3))
 def test_scenario_fuzz_exits_with_a_code(command, protocol, prover, edits):
     data = {"config": json.loads(json.dumps(GAME_CONFIGS[protocol])),
-            "prover": json.loads(json.dumps(prover)), "repetitions": 1, "seed": 3,
-            "shot_cap": 200}
+            "prover": json.loads(json.dumps(prover)), "state": json.loads(json.dumps(COHERENT)),
+            "repetitions": 1, "seed": 3, "shot_cap": 200}
     for path, value in edits:
         node = data
         for key in path[:-1]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvverify import fock, gaussian as ga, symplectic as sp
+from cvverify import fock, gaussian as ga, protocols, symplectic as sp
 from cvverify.channels import (
     ProverChannel,
     elementary_factors,
@@ -29,6 +29,7 @@ from cvverify.protocols import (
     sample_budget_unitary,
     witness_analytic,
     witness_estimate_state,
+    witness_plan,
 )
 
 
@@ -538,3 +539,96 @@ def test_verdict_terms_sum_to_omega_star():
         assert set(diag) == {"shot_cap", "c0", "shots", "terms"}
         assert len(diag["shots"]) == len(diag["terms"])
         assert diag["c0"] + sum(diag["terms"]) == v.omega_star
+
+
+# ------------------------------------------------ one verdict core
+
+def per_batch_terms(state, batches, counts, seed):
+    """The estimator as one public ``sample_moment_sums`` call per batch, each
+    factoring its own marginal: the reference ``estimate_terms`` must equal."""
+    out = []
+    for b, stream in zip(batches, np.random.SeedSequence(seed).spawn(len(batches))):
+        n, total = counts[b.key], 0.0
+        if n > 0:
+            s1, s2 = sample_moment_sums(state, b.setting, np.random.default_rng(stream), n)
+            for i, j, w in b.terms:
+                total += w * (s1[i] if j is None else s2[i, j])
+            total /= n
+        out.append(float(total))
+    return out
+
+
+def _games():
+    """(cfg, measured state, verdict at (seed, cap)) for the unitary and state
+    games at m = 1..4 and amplification at m = 1."""
+    for m in (1, 2, 3, 4):
+        spec = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(m))
+        prover = ProverChannel("NoisyUnitary", spec=spec, excess=0.05)
+        cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+        yield cfg, output_state(prover, cfg), lambda s, c, p=prover, g=cfg: run_verification(p, g, s, c)
+        scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03,
+                                  target=spec, k=2)
+        st = ga.GaussianState(spec.d, 0.5 * spec.S @ spec.S.T + 0.02 * np.eye(2 * m))
+        yield scfg, st, lambda s, c, x=st, g=scfg: run_state_verification(x, g, s, c)
+    acfg = cfg_amp(2.5)
+    amp = optimal_amplifier(2.5, 1.0)
+    yield acfg, output_state(amp, acfg), lambda s, c: run_verification(amp, acfg, s, c)
+
+
+@pytest.mark.parametrize("shot_cap", [None, 10_000])
+def test_estimate_terms_bit_identical_to_per_batch_sampling(shot_cap):
+    for cfg, state, verdict in _games():
+        batches, c0 = witness_plan(cfg)
+        counts = {k: c if shot_cap is None else min(c, shot_cap)
+                  for k, c in sample_budget(cfg).counts.items()}
+        for seed in (0, 7):
+            ref = per_batch_terms(state, batches, counts, seed)
+            assert estimate_terms(state, batches, counts, seed) == ref
+            v = verdict(seed, shot_cap)
+            assert v.diagnostics["terms"] == ref and v.omega_star == c0 + sum(ref)
+
+
+@pytest.mark.parametrize("shot_cap", [None, 2000])
+def test_accept_rate_verdicts_equal_single_runs(shot_cap):
+    for m in (1, 3):
+        spec = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(m))
+        cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+        prover = ProverChannel("NoisyUnitary", spec=spec, excess=0.05)
+        rate, verdicts = accept_rate(prover, cfg, 3, seed=11, shot_cap=shot_cap)
+        assert [v.to_dict() for v in verdicts] == [
+            run_verification(prover, cfg, s, shot_cap).to_dict() for s in (11, 12, 13)]
+        assert rate == sum(v.accepted for v in verdicts) / 3
+
+
+def test_verdict_factors_each_setting_once(monkeypatch):
+    calls = {"marginal": 0, "output_state": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocols, "_marginal", counting("marginal", protocols._marginal))
+    monkeypatch.setattr(protocols, "output_state", counting("output_state", protocols.output_state))
+    m = 4
+    spec = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    assert len(plan_unitary(cfg)[0]) == 108
+    run_verification(exact_unitary(spec), cfg, seed=0, shot_cap=1000)
+    assert calls["marginal"] <= m + 5
+    calls["output_state"] = 0
+    accept_rate(exact_unitary(spec), cfg, 5, seed=0, shot_cap=1000)
+    assert calls["output_state"] == 1
+
+
+def test_state_mode_count_checked_against_the_game():
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
+                              target=sp.identity(1))
+    with pytest.raises(ValueError, match="state has 2 modes, the state game measures 1"):
+        run_state_verification(ga.vacuum(2), scfg, seed=0, shot_cap=100)
+    with pytest.raises(ValueError, match="state has 1 modes, the unitary game measures 2"):
+        run_state_verification(ga.vacuum(1), cfg_unitary(sp.identity(1)), seed=0, shot_cap=100)
+    # a prover's output is 2m modes, so the state game never runs on one
+    with pytest.raises(ValueError, match="the state game measures 1"):
+        run_verification(exact_unitary(sp.identity(1)), scfg, seed=0, shot_cap=100)
