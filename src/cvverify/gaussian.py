@@ -34,8 +34,8 @@ class GaussianState:
     def __post_init__(self):
         mean = _readonly(self.mean)
         cov = _readonly(self.cov)
-        if mean.ndim != 1 or mean.size % 2:
-            raise ValueError(f"mean must have even length, got shape {mean.shape}")
+        if mean.ndim != 1 or mean.size % 2 or mean.size == 0:
+            raise ValueError(f"state mean must have positive even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
         if np.max(np.abs(cov - cov.T)) > 1e-10:

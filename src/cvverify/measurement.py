@@ -145,9 +145,6 @@ class MeasurementPlan:
     settings: tuple
     coverage: dict = field(repr=False)
 
-    def setting_index(self, key) -> int:
-        return self.coverage[key]
-
 
 def build_measurement_plan(m: int) -> MeasurementPlan:
     """The m+5 local homodyne settings covering gamma, Gamma1 and Gamma2.

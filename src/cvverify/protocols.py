@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +62,8 @@ class VerificationConfig:
     protocol: "unitary", "amplification" or "state".
     target: SymplecticSpec for unitary/state protocols; g: gain for
     amplification.  sigma1/sigma2 bound the homodyne outcome variances of the
-    first- and second-moment observables; k is the coupling number of the
-    state protocol (nu = 2 min(k^2, m) observable groups per mode pair).
+    first- and second-moment observables.  ``from_dict`` reads these nine
+    fields and rejects any other key.
     """
 
     protocol: str
@@ -75,7 +75,6 @@ class VerificationConfig:
     sigma2: float = 1.0
     target: SymplecticSpec | None = None
     g: float | None = None
-    k: int = 1
 
     def __post_init__(self):
         self.validate()
@@ -104,8 +103,6 @@ class VerificationConfig:
                 raise ValueError("threshold must lie in (0, 1)")
             if not 0 < self.epsilon < (1.0 - self.F_t) / 2.0:
                 raise ValueError("epsilon must lie in (0, (1 - F_t)/2)")
-            if self.protocol == "state" and self.k < 1:
-                raise ValueError("coupling number k must be positive")
         else:
             if self.g is None:
                 raise ValueError("amplification protocol requires a gain g")
@@ -145,12 +142,15 @@ class VerificationConfig:
             data["target"] = self.target.to_dict()
         if self.g is not None:
             data["g"] = self.g
-        if self.protocol == "state":
-            data["k"] = self.k
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationConfig":
+        if not isinstance(data, dict):
+            raise TypeError(f"config must be an object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(map(repr, sorted(unknown)))}")
         target = SymplecticSpec.from_dict(data["target"]) if "target" in data else None
         return cls(
             protocol=data["protocol"],
@@ -162,7 +162,6 @@ class VerificationConfig:
             sigma2=float(data.get("sigma2", 1.0)),
             target=target,
             g=float(data["g"]) if "g" in data else None,
-            k=int(data.get("k", 1)),
         )
 
 
@@ -198,8 +197,12 @@ def _split_delta(delta: float, groups: int) -> float:
 
 @dataclass(frozen=True)
 class SampleBudget:
-    """Per-observable shot counts.  ``raw`` keeps the un-ceiled values so that
-    exact scaling ratios of the underlying formulas can be checked."""
+    """Per-observable shot counts and what they cost.  ``raw`` keeps the
+    un-ceiled values so that exact scaling ratios of the underlying formulas
+    can be checked.  ``channel_uses`` is the number of shots the game's plan
+    draws at these counts (one channel use or state copy per shot), and
+    ``tmsv_copies`` the two-mode squeezed vacua they consume: m per shot in
+    the unitary game, one otherwise."""
 
     counts: dict
     raw: dict
@@ -215,93 +218,74 @@ class SampleBudget:
         }
 
 
-def _moment_groups(cfg: VerificationConfig, mean_key: str, second_key: str,
-                   extra_groups: int) -> tuple[dict, float, float, float]:
-    """Raw counts of the mean group (error bound (2m)^{3/2} |S|^2 |d| e1; none
-    when d = 0) and the A' second-moment group (m |S|^2 e2), with epsilon and
-    delta split evenly over them and ``extra_groups`` more groups.  Returns
-    (raw, epsilon share, delta share, |S|)."""
+def _lemma3_groups(cfg: VerificationConfig) -> list:
+    """The game's Lemma-3 groups (count key, sigma, l, epsilon share).  A share
+    of None means a count of 0.
+
+    unitary, state: the mean group (error bound (2m)^{3/2} |S|^2 |d| e; none
+    when d = 0) and the A' second-moment group (m |S|^2 e), then in the
+    unitary game the cross-moment group (2 m |S| e / sqrt(lam+1)); epsilon is
+    split evenly over the groups.
+    amplification: error terms ((lam+1)/g^2)^2 e6 and 2 ((lam+1)/g^2)^{3/2} e7
+    get shares a*epsilon and (1-a)*epsilon with a = sqrt(lam+1)/(sqrt(lam+1)+2),
+    a split chosen so that the un-ceiled counts obey c7/c6 = g^2 exactly.
+    """
+    if cfg.protocol == "amplification":
+        g, lam = cfg.g, cfg.lam
+        a = math.sqrt(lam + 1.0) / (math.sqrt(lam + 1.0) + 2.0)
+        return [("c6", cfg.sigma2, 2, a * cfg.epsilon * g**4 / (lam + 1.0) ** 2),
+                ("c7", cfg.sigma2, 2, (1.0 - a) * cfg.epsilon * g**3 / (2.0 * (lam + 1.0) ** 1.5))]
     m = cfg.m
+    unitary = cfg.protocol == "unitary"
     norm_s = spectral_norm(cfg.target)
     norm_d = float(np.linalg.norm(cfg.target.d))
-    groups = (2 if norm_d > 0 else 1) + extra_groups
-    dg = _split_delta(cfg.delta, groups)
-    share = cfg.epsilon / groups
-    raw = {mean_key: 0.0}
-    if norm_d > 0:
-        eps1 = share / ((2 * m) ** 1.5 * norm_s**2 * norm_d)
-        raw[mean_key] = _lemma3_raw(cfg.sigma1, 2 * m, eps1, dg)
-    eps2 = share / (m * norm_s**2)
-    raw[second_key] = _lemma3_raw(cfg.sigma2, m * (2 * m + 1), eps2, dg)
-    return raw, share, dg, norm_s
+    share = cfg.epsilon / ((2 if norm_d > 0 else 1) + unitary)
+    groups = [("c3" if unitary else "c1", cfg.sigma1, 2 * m,
+               share / ((2 * m) ** 1.5 * norm_s**2 * norm_d) if norm_d > 0 else None),
+              ("c4" if unitary else "c2", cfg.sigma2, m * (2 * m + 1), share / (m * norm_s**2))]
+    if unitary:
+        groups.append(("c5", cfg.sigma2, 4 * m * m,
+                       share * math.sqrt(cfg.lam + 1.0) / (2.0 * m * norm_s)))
+    return groups
 
 
-def sample_budget_unitary(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c3 (means), c4 (output second moments), c5 (cross moments).
-
-    The mean and output-moment groups are those of ``_moment_groups``; the
-    cross-moment term, bounded by 2 m |S| e3 / sqrt(lam+1), is one more group.
-    """
-    if cfg.protocol != "unitary":
-        raise ValueError("config is not for the unitary protocol")
-    m = cfg.m
-    raw, share, dg, norm_s = _moment_groups(cfg, "c3", "c4", extra_groups=1)
-    eps3 = share * math.sqrt(cfg.lam + 1.0) / (2.0 * m * norm_s)
-    raw["c5"] = _lemma3_raw(cfg.sigma2, 4 * m * m, eps3, dg)
-    counts = {k: _count(v) for k, v in raw.items()}
-    uses = 2 * m * counts["c3"] + m * (2 * m + 1) * counts["c4"] + 4 * m * m * counts["c5"]
-    return SampleBudget(counts, raw, uses, m * uses)
-
-
-def sample_budget_amplification(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c6 (A' second moments) and c7 (A'-R cross moments).
-
-    Error terms ((lam+1)/g^2)^2 e6 and 2 ((lam+1)/g^2)^{3/2} e7 get shares
-    a*epsilon and (1-a)*epsilon with a = sqrt(lam+1)/(sqrt(lam+1)+2), a split
-    chosen so that the un-ceiled counts obey c7/c6 = g^2 exactly.
-    """
-    if cfg.protocol != "amplification":
-        raise ValueError("config is not for the amplification protocol")
-    g, lam = cfg.g, cfg.lam
-    root = math.sqrt(lam + 1.0)
-    a = root / (root + 2.0)
-    dg = _split_delta(cfg.delta, 2)
-
-    eps6 = a * cfg.epsilon * g**4 / (lam + 1.0) ** 2
-    eps7 = (1.0 - a) * cfg.epsilon * g**3 / (2.0 * (lam + 1.0) ** 1.5)
-    raw = {
-        "c6": _lemma3_raw(cfg.sigma2, 2, eps6, dg),
-        "c7": _lemma3_raw(cfg.sigma2, 2, eps7, dg),
-    }
-    counts = {k: _count(v) for k, v in raw.items()}
-    uses = 2 * counts["c6"] + 2 * counts["c7"]
-    return SampleBudget(counts, raw, uses, uses)
-
-
-def sample_budget_state(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c1 (means) and c2 (second moments) for the pure-state protocol.
-
-    Constants instantiated by the same error-splitting scheme as the unitary
-    case (``_moment_groups``: epsilon halved across the two groups, failure
-    probability split as sqrt(1-delta) each); nu = 2 min(k^2, m) counts the
-    observable groups coupled per measurement round.
-    """
-    if cfg.protocol != "state":
-        raise ValueError("config is not for the state protocol")
-    m = cfg.m
-    nu = 2 * min(cfg.k**2, m)
-    raw, _, _, _ = _moment_groups(cfg, "c1", "c2", extra_groups=0)
-    counts = {k: _count(v) for k, v in raw.items()}
-    uses = 2 * m * counts["c1"] + 2 * nu * m * counts["c2"]
-    return SampleBudget(counts, raw, uses, uses)
+def _budget(cfg: VerificationConfig, batches) -> SampleBudget:
+    """Lemma-3 counts of the config's groups, with delta split evenly over
+    the groups that draw shots, and the channel uses of ``batches``, the
+    game's plan, at those counts."""
+    groups = _lemma3_groups(cfg)
+    dg = _split_delta(cfg.delta, sum(eps is not None for *_, eps in groups))
+    raw = {key: 0.0 if eps is None else _lemma3_raw(sigma, l, eps, dg)
+           for key, sigma, l, eps in groups}
+    counts = {key: _count(v) for key, v in raw.items()}
+    uses = sum(counts[b.key] for b in batches)
+    return SampleBudget(counts, raw, uses, cfg.m * uses if cfg.protocol == "unitary" else uses)
 
 
 def sample_budget(cfg: VerificationConfig) -> SampleBudget:
-    return {
-        "unitary": sample_budget_unitary,
-        "amplification": sample_budget_amplification,
-        "state": sample_budget_state,
-    }[cfg.protocol](cfg)
+    """Shot counts of the config's game and the channel uses its plan draws."""
+    return _budget(cfg, witness_plan(cfg)[0])
+
+
+def _game_budget(cfg: VerificationConfig, protocol: str) -> SampleBudget:
+    if cfg.protocol != protocol:
+        raise ValueError(f"config is not for the {protocol} protocol")
+    return sample_budget(cfg)
+
+
+def sample_budget_unitary(cfg: VerificationConfig) -> SampleBudget:
+    """Budgets c3 (means), c4 (output second moments), c5 (cross moments)."""
+    return _game_budget(cfg, "unitary")
+
+
+def sample_budget_amplification(cfg: VerificationConfig) -> SampleBudget:
+    """Budgets c6 (A' second moments) and c7 (A'-R cross moments)."""
+    return _game_budget(cfg, "amplification")
+
+
+def sample_budget_state(cfg: VerificationConfig) -> SampleBudget:
+    """Budgets c1 (means) and c2 (second moments) for the pure-state protocol."""
+    return _game_budget(cfg, "state")
 
 
 def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianState:
@@ -356,6 +340,7 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
     S_inv, A, Ad, dAd = _target_weights(cfg)
     B = (np.kron(np.eye(m), np.diag([1.0, -1.0])) @ S_inv / math.sqrt(cfg.lam + 1.0)).tolist()
     plan = build_measurement_plan(m)
+    settings, coverage = plan.settings, plan.coverage
     batches = []
     for key in required_moments(m):
         kind, u, v = key[0], key[1], key[-1]
@@ -369,7 +354,7 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
             count, term = "c4", (u // 2, v // 2, _second_weight(A, u, v))
         else:
             count, term = "c5", (u // 2, m + v // 2, B[v][u])
-        batches.append(Batch(plan.settings[plan.setting_index(key)], count, (term,)))
+        batches.append(Batch(settings[coverage[key]], count, (term,)))
     return batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd
 
 
@@ -534,11 +519,11 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
         raise ValueError("the supplied state violates the uncertainty relation")
     if not seeds:
         raise ValueError("repetitions must be at least 1")
-    budget = sample_budget(cfg)
+    batches, c0 = witness_plan(cfg)
+    budget = _budget(cfg, batches)
     counts = budget.counts
     if shot_cap is not None:
         counts = {k: min(c, shot_cap) for k, c in counts.items()}
-    batches, c0 = witness_plan(cfg)
     verdicts = []
     for seed in seeds:
         terms = estimate_terms(state, batches, counts, seed)

@@ -52,8 +52,8 @@ class SymplecticSpec:
     def __post_init__(self):
         S = _readonly(self.S)
         d = _readonly(self.d)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-            raise ValueError(f"S must be square with even dimension, got {S.shape}")
+        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 or S.size == 0:
+            raise ValueError(f"target S must be square with positive even dimension, got {S.shape}")
         if d.shape != (S.shape[0],):
             raise ValueError(f"d has shape {d.shape}, expected ({S.shape[0]},)")
         object.__setattr__(self, "S", S)

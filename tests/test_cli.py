@@ -77,6 +77,56 @@ def test_config_invariant_exit_code(scenario, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["budget", "verify"])
+def test_unknown_config_field_exit_code(scenario, tmp_path, command, capsys):
+    # a typo'd sigma2 used to be dropped, budgeting for sigma2 = 1
+    path, data = scenario
+    data["config"]["sigma_2"] = 50
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(bad)])
+    assert exc.value.code == 2
+    assert "config error: unknown config fields: 'sigma_2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["abc", [1], 3])
+def test_config_not_an_object_exit_code(scenario, tmp_path, config, capsys):
+    path, data = scenario
+    data["config"] = config
+    bad = tmp_path / "not_an_object.json"
+    bad.write_text(json.dumps(data))
+    assert main(["budget", "--config", str(bad)]) == 1
+    assert "config must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["unitary", "state"])
+def test_zero_mode_target_exit_code(scenario, tmp_path, protocol, capsys):
+    path, data = scenario
+    data["config"].update(protocol=protocol, target={"m": 0, "S": [], "d": []})
+    data["state"] = COHERENT
+    bad = tmp_path / "zero_modes.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(bad)])
+    assert exc.value.code == 2
+    assert "config error: target S must be square" in capsys.readouterr().err
+
+
+def test_schema_config_matches_the_config_fields():
+    from cvverify.protocols import VerificationConfig
+
+    schema_keys = set(SCHEMA["$defs"]["verdict"]["properties"]["config"]["properties"])
+    written = {game: VerificationConfig.from_dict(c).to_dict() for game, c in GAME_CONFIGS.items()}
+    assert schema_keys == set().union(*written.values())
+    # from_dict takes every schema key (a unitary config with a gain) and no other
+    every = {**written["amplification"], **written["unitary"]}
+    assert set(every) == schema_keys
+    VerificationConfig.from_dict(every)
+    with pytest.raises(ValueError, match="unknown config fields: 'k'"):
+        VerificationConfig.from_dict({**every, "k": 1})
+
+
 def test_plan_counts(capsys):
     code = main(["plan", "3"])
     assert code == 0
@@ -214,6 +264,7 @@ COHERENT = {"modes": 1, "mean": [0.3, 0.0], "cov": [0.5, 0.0, 0.0, 0.5]}
     # below the vacuum variance: no quantum state, though its witness would exceed 1
     ({"modes": 1, "mean": [0.3, 0.0], "cov": [0.1, 0.0, 0.0, 0.1]}, 2,
      "the supplied state violates the uncertainty relation"),
+    ({"modes": 0, "mean": [], "cov": []}, 2, "state mean must have positive even length"),
 ])
 def test_verify_runs_the_state_game(state, code, result, tmp_path, capsys):
     from cvverify import protocols
@@ -299,7 +350,7 @@ RUN_BAD = [math.inf, -math.inf, math.nan, 0, -1, "abc", None, [1], {}]
 TWO_MODE_TARGET = {"m": 2, "S": np.eye(4).ravel().tolist(), "d": [0.0] * 4}
 TWO_MODE_STATE = {"modes": 2, "mean": [0.0] * 4, "cov": (0.5 * np.eye(4)).ravel().tolist()}
 FIELDS = [("config", k) for k in ("protocol", "lam", "F_t", "delta", "epsilon", "sigma1",
-                                  "sigma2", "g", "target")]
+                                  "sigma2", "g", "target", "sigma_2", "k")]
 FIELDS += [("config", "target", k) for k in ("m", "S", "d")]
 FIELDS += [("prover", k) for k in ("kind", "g", "eta", "excess", "variance", "modes", "spec")]
 FIELDS += [("state",)] + [("state", k) for k in ("modes", "mean", "cov")]
@@ -341,3 +392,7 @@ def test_scenario_fuzz_exits_with_a_code(command, protocol, prover, edits):
     assert code in (0, 1, 2)
     if code == 2:
         assert "config error:" in err.getvalue()
+    unknown = sorted({"sigma_2", "k"} & set(data["config"]))
+    if unknown:  # named before any value is read
+        assert code == 2
+        assert f"unknown config fields: {', '.join(map(repr, unknown))}" in err.getvalue()

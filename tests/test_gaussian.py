@@ -160,3 +160,10 @@ def test_state_serialization_roundtrip():
     st = ga.tmsv(0.4)
     back = ga.GaussianState.from_dict(st.to_dict())
     np.testing.assert_array_equal(st.cov, back.cov)
+
+
+def test_zero_mode_state_rejected():
+    with pytest.raises(ValueError, match="state mean must have positive even length"):
+        ga.GaussianState(np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="state mean"):
+        ga.GaussianState.from_dict({"modes": 0, "mean": [], "cov": []})

@@ -111,12 +111,26 @@ def test_budget_amplification_exact_ratio():
 
 
 def test_budget_state_totals():
-    spec = sp.SymplecticSpec(np.eye(4), np.array([0.2, 0.0, 0.1, 0.0]))
-    cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
-                             target=spec, k=3)
-    b = sample_budget_state(cfg)
-    nu = 2 * min(9, 2)
-    assert b.channel_uses == 2 * 2 * b.counts["c1"] + 2 * nu * 2 * b.counts["c2"]
+    # c1 shots for the all-q and all-p means; c2 for the all-q, all-p and
+    # 45-degree second moments and, at m > 1, for each of the m mixed settings
+    for m, second_moment_batches in ((1, 3), (2, 5)):
+        spec = sp.SymplecticSpec(np.eye(2 * m), np.array([0.2, 0.0, 0.1, 0.0][:2 * m]))
+        cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
+                                 target=spec)
+        b = sample_budget_state(cfg)
+        assert b.counts["c1"] > 0
+        expected = 2 * b.counts["c1"] + second_moment_batches * b.counts["c2"]
+        assert b.channel_uses == b.tmsv_copies == expected
+
+
+def test_budget_reports_the_shots_a_verdict_draws():
+    for d_scale in (0.0, 0.3):
+        for cfg, _, verdict in _games(d_scale):
+            v = verdict(0, None)
+            b = v.budget
+            assert b == sample_budget(cfg)
+            assert b.channel_uses == sum(v.diagnostics["shots"])
+            assert b.tmsv_copies == (cfg.m if cfg.protocol == "unitary" else 1) * b.channel_uses
 
 
 # ---------------------------------------------------------------- config invariants
@@ -433,7 +447,7 @@ def test_amplification_run_accepts_optimal():
 def test_state_protocol_honest_accepts():
     spec = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.4, 0.1]))
     cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
-                             target=spec, k=1)
+                             target=spec)
     st = ga.apply_unitary(ga.vacuum(1), spec)
     v = run_state_verification(st, cfg, seed=3, shot_cap=20_000)
     assert v.omega_star == pytest.approx(1.0, abs=0.05)
@@ -443,7 +457,7 @@ def test_state_protocol_honest_accepts():
 def test_state_protocol_rejects_thermal_impostor():
     spec = sp.identity(1)
     cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
-                             target=spec, k=1)
+                             target=spec)
     v = run_state_verification(ga.thermal(0.5), cfg, seed=4, shot_cap=20_000)
     assert not v.accepted
 
@@ -558,16 +572,16 @@ def per_batch_terms(state, batches, counts, seed):
     return out
 
 
-def _games():
+def _games(d_scale=0.3):
     """(cfg, measured state, verdict at (seed, cap)) for the unitary and state
     games at m = 1..4 and amplification at m = 1."""
     for m in (1, 2, 3, 4):
-        spec = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(m))
+        spec = sp.random_symplectic(m, r_max=0.3, d_scale=d_scale, rng=np.random.default_rng(m))
         prover = ProverChannel("NoisyUnitary", spec=spec, excess=0.05)
         cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
         yield cfg, output_state(prover, cfg), lambda s, c, p=prover, g=cfg: run_verification(p, g, s, c)
         scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03,
-                                  target=spec, k=2)
+                                  target=spec)
         st = ga.GaussianState(spec.d, 0.5 * spec.S @ spec.S.T + 0.02 * np.eye(2 * m))
         yield scfg, st, lambda s, c, x=st, g=scfg: run_state_verification(x, g, s, c)
     acfg = cfg_amp(2.5)
@@ -620,6 +634,28 @@ def test_verdict_factors_each_setting_once(monkeypatch):
     calls["output_state"] = 0
     accept_rate(exact_unitary(spec), cfg, 5, seed=0, shot_cap=1000)
     assert calls["output_state"] == 1
+
+
+def test_each_verdict_call_builds_one_plan(monkeypatch):
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg.protocol)
+        return plan(cfg)
+
+    plan = protocols.witness_plan
+    monkeypatch.setattr(protocols, "witness_plan", counting)
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
+    honest = exact_unitary(spec)
+    for call in (lambda: run_verification(honest, cfg, seed=0),
+                 lambda: run_state_verification(ga.apply_unitary(ga.vacuum(2), spec), scfg, seed=0),
+                 lambda: accept_rate(honest, cfg, 5, seed=0, shot_cap=1000),
+                 lambda: accept_rate(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), 3, seed=0)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_state_mode_count_checked_against_the_game():

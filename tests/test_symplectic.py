@@ -106,3 +106,10 @@ def test_orthogonal_symplectic_is_orthogonal_and_symplectic():
     O = sp.orthogonal_symplectic(3, rng)
     np.testing.assert_allclose(O @ O.T, np.eye(6), atol=1e-12)
     assert sp.validate_symplectic(O)
+
+
+def test_zero_mode_target_rejected():
+    with pytest.raises(ValueError, match="target S must be square with positive even dimension"):
+        sp.SymplecticSpec(np.zeros((0, 0)), np.zeros(0))
+    with pytest.raises(ValueError, match="target S"):
+        sp.SymplecticSpec.from_dict({"m": 0, "S": [], "d": []})
