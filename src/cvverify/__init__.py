@@ -8,7 +8,7 @@ oracle that validates every operator identity the estimators rely on.
 
 from .channels import AmplificationTarget, ProverChannel, optimal_amplifier, true_average_fidelity
 from .gaussian import GaussianChannel, GaussianState
-from .measurement import HomodyneSetting, MeasurementPlan, build_measurement_plan
+from .measurement import HomodyneSetting, build_measurement_plan
 from .protocols import (
     SampleBudget,
     Verdict,
@@ -25,7 +25,6 @@ __all__ = [
     "GaussianChannel",
     "GaussianState",
     "HomodyneSetting",
-    "MeasurementPlan",
     "ProverChannel",
     "SampleBudget",
     "SymplecticSpec",

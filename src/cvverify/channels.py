@@ -8,12 +8,12 @@ Fock-space cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian, symplectic
-from .gaussian import GaussianChannel, coherent, overlap_pure
+from . import symplectic
+from .gaussian import GaussianChannel
 from .symplectic import SymplecticSpec
 
 KINDS = (
@@ -37,6 +37,9 @@ class ProverChannel:
       - NoisyAmplifier: g, excess >= 0
       - Attenuator: eta in (0, 1], excess >= 0
       - AdditiveNoise: variance >= 0 (classical Gaussian displacement noise)
+
+    ``from_dict`` reads kind, spec, g, eta, excess, variance and modes
+    (n_modes) and rejects any other key.
     """
 
     kind: str
@@ -97,14 +100,19 @@ class ProverChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProverChannel":
-        kind = data["kind"]
-        kwargs = {"kind": kind}
+        if not isinstance(data, dict):
+            raise TypeError(f"prover must be an object, got {type(data).__name__}")
+        params = {"g": ("g", float), "eta": ("eta", float), "excess": ("excess", float),
+                  "variance": ("variance", float), "modes": ("n_modes", int)}
+        unknown = set(data) - {"kind", "spec", *params}
+        if unknown:
+            raise ValueError(f"unknown prover fields: {', '.join(map(repr, sorted(unknown)))}")
+        kwargs = {"kind": data["kind"]}
         if "spec" in data:
             kwargs["spec"] = SymplecticSpec.from_dict(data["spec"])
-        for key, attr, kind in (("g", "g", float), ("eta", "eta", float), ("excess", "excess", float),
-                                ("variance", "variance", float), ("modes", "n_modes", int)):
+        for key, (attr, cast) in params.items():
             if key in data:
-                kwargs[attr] = kind(data[key])
+                kwargs[attr] = cast(data[key])
         return cls(**kwargs)
 
 
@@ -161,13 +169,6 @@ class AmplificationTarget:
     def __post_init__(self):
         if self.g <= 1:
             raise ValueError("amplification target gain must exceed 1")
-
-
-def _target_output(target, alpha: np.ndarray) -> gaussian.GaussianState:
-    if isinstance(target, AmplificationTarget):
-        return coherent(target.g * alpha)
-    out = coherent(alpha)
-    return gaussian.apply_unitary(out, target)
 
 
 def true_average_fidelity(

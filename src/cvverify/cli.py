@@ -21,7 +21,7 @@ import numpy as np
 from . import fock, protocols, symplectic
 from .channels import ProverChannel, elementary_factors
 from .gaussian import GaussianState
-from .measurement import build_measurement_plan, required_moments
+from .measurement import build_measurement_plan
 from .protocols import VerificationConfig
 
 MAX_TWO_MODE_DIM = 4096
@@ -42,6 +42,9 @@ def _load_json(path: str) -> dict:
 def _parse_scenario(data: dict):
     try:
         cfg = VerificationConfig.from_dict(data["config"])
+        unknown = set(data) - {"name", "config", "prover", "state", "repetitions", "seed", "shot_cap"}
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {', '.join(map(repr, sorted(unknown)))}")
         prover = ProverChannel.from_dict(data["prover"]) if "prover" in data else None
         state = GaussianState.from_dict(data["state"]) if "state" in data else None
         reps = int(data.get("repetitions", 1))
@@ -124,25 +127,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    plan = build_measurement_plan(args.m)
-    settings = []
-    for j, s in enumerate(plan.settings):
-        settings.append({
-            "id": j,
-            "label": s.label,
-            "angles": [None if a is None else float(a) for a in s.angles],
-        })
-    report = {
-        "m": args.m,
-        "n_settings": len(plan.settings),
-        "settings": settings,
-        "coverage": {str(k): v for k, v in plan.coverage.items()},
-        "n_required_moments": len(required_moments(args.m)),
-    }
+    settings = [{"id": j, "label": s.label,
+                 "angles": [None if a is None else float(a) for a in s.angles]}
+                for j, s in enumerate(build_measurement_plan(args.m))]
     for s in settings:
         angles = ", ".join("-" if a is None else f"{a:.3f}" for a in s["angles"])
         print(f"setting {s['id']:2d}  [{angles}]  {s['label']}")
-    _emit(report, args)
+    _emit({"m": args.m, "n_settings": len(settings), "settings": settings}, args)
     return 0
 
 

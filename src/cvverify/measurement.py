@@ -7,13 +7,13 @@ quadratures, so every moment estimate reads only the shot sum and the
 scatter sum; ``sample_moment_sums`` draws those two sufficient statistics
 exactly at a cost independent of the shot count, and ``sample_quadratures``
 draws the individual shots (its reference).  ``build_measurement_plan``
-produces the m+5 settings that jointly cover every moment the unitary
-witness estimator consumes.
+lists the m+5 settings of the unitary game; which moment each one measures
+is stated once, by ``protocols.plan_unitary``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,26 +128,8 @@ def _moment_sums(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator,
     return shots * xbar, LA @ LA.T + shots * np.outer(xbar, xbar)
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Ordered homodyne settings plus a moment -> setting coverage map.
-
-    Coverage keys (A' modes indexed 0..m-1, matching a 2m-mode state laid out
-    as A'_1..A'_m, R_1..R_m):
-      - ("gamma", u): first moment of A' quadrature u in 0..2m-1
-      - ("Gamma1", u, v), u <= v: A' second moment <x_u x_v>
-      - ("Gamma2", u, v): cross moment <x^A'_u x^R_v>
-      - ("rot45", j): the 45-degree quadrature on A' mode j, used to recover
-        the same-mode symmetrized q p moment
-    """
-
-    m: int
-    settings: tuple
-    coverage: dict = field(repr=False)
-
-
-def build_measurement_plan(m: int) -> MeasurementPlan:
-    """The m+5 local homodyne settings covering gamma, Gamma1 and Gamma2.
+def build_measurement_plan(m: int) -> tuple:
+    """The m+5 local homodyne settings of the unitary game.
 
     On a 2m-mode state (modes 0..m-1 = A', m..2m-1 = R):
       0: q on every A' and every R mode
@@ -156,8 +138,9 @@ def build_measurement_plan(m: int) -> MeasurementPlan:
       3: p on A', q on R
       4: 45-degree quadratures on all A' modes (same-mode q p symmetrized
          moments via (q+p)^2/2 - q^2/2 - p^2/2)
-      5..4+m: q on A' mode j, p on every other A' mode (off-diagonal
-         q q / q p entries of Gamma1 across distinct modes)
+      5..4+m: q on A' mode j, p on every other A' mode (q p moments across
+         distinct A' modes; unused at m = 1)
+    ``protocols.plan_unitary`` states which moment each setting measures.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -177,43 +160,4 @@ def build_measurement_plan(m: int) -> MeasurementPlan:
         settings.append(
             HomodyneSetting(tuple(angles) + (UNMEASURED,) * m, f"q(A'_{j})+p(A'_rest)")
         )
-
-    coverage: dict = {}
-
-    def assign(key, idx):
-        if key in coverage:
-            raise RuntimeError(f"moment {key} covered twice (settings {coverage[key]}, {idx})")
-        coverage[key] = idx
-
-    # first moments: q entries from setting 0, p entries from setting 1
-    for j in range(m):
-        assign(("gamma", 2 * j), 0)
-        assign(("gamma", 2 * j + 1), 1)
-    # Gamma1 diagonal + same-parity off-diagonals
-    for j in range(m):
-        assign(("Gamma1", 2 * j, 2 * j), 0)
-        assign(("Gamma1", 2 * j + 1, 2 * j + 1), 1)
-        assign(("rot45", j), 4)
-        assign(("Gamma1", 2 * j, 2 * j + 1), 4)
-    for j in range(m):
-        for k in range(j + 1, m):
-            assign(("Gamma1", 2 * j, 2 * k), 0)
-            assign(("Gamma1", 2 * j + 1, 2 * k + 1), 1)
-            assign(("Gamma1", 2 * j, 2 * k + 1), 5 + j)
-            assign(("Gamma1", 2 * j + 1, 2 * k), 5 + k)
-    # Gamma2: all 4m^2 A'-vs-R cross moments from the four global settings
-    parity_setting = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 3}
-    for u in range(2 * m):
-        for v in range(2 * m):
-            assign(("Gamma2", u, v), parity_setting[(u % 2, v % 2)])
-
-    return MeasurementPlan(m, tuple(settings), coverage)
-
-
-def required_moments(m: int) -> list:
-    """Every coverage key the unitary estimator consumes, in a canonical order."""
-    keys = [("gamma", u) for u in range(2 * m)]
-    keys += [("Gamma1", u, v) for u in range(2 * m) for v in range(u, 2 * m)]
-    keys += [("rot45", j) for j in range(m)]
-    keys += [("Gamma2", u, v) for u in range(2 * m) for v in range(2 * m)]
-    return keys
+    return tuple(settings)

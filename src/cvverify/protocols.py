@@ -5,7 +5,8 @@ simulator:
 
 * ``unitary`` — verify an m-mode Gaussian unitary target by sending halves of
   m two-mode squeezed vacua through the prover's channel and homodyning both
-  sides (measurement plan of m+5 settings).
+  sides in the m+5 settings of ``measurement.build_measurement_plan``;
+  ``plan_unitary`` states which setting measures which moment.
 * ``amplification`` — verify the gain-g coherent-state amplification test on
   a single mode with four quadrature second moments.
 * ``state`` — verify a Gaussian pure-state source from single-mode homodyne
@@ -44,7 +45,6 @@ from .measurement import (
     _marginal,
     _moment_sums,
     build_measurement_plan,
-    required_moments,
     rotated_quadrature_projector,
 )
 from .symplectic import SymplecticSpec, inverse, spectral_norm
@@ -267,27 +267,6 @@ def sample_budget(cfg: VerificationConfig) -> SampleBudget:
     return _budget(cfg, witness_plan(cfg)[0])
 
 
-def _game_budget(cfg: VerificationConfig, protocol: str) -> SampleBudget:
-    if cfg.protocol != protocol:
-        raise ValueError(f"config is not for the {protocol} protocol")
-    return sample_budget(cfg)
-
-
-def sample_budget_unitary(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c3 (means), c4 (output second moments), c5 (cross moments)."""
-    return _game_budget(cfg, "unitary")
-
-
-def sample_budget_amplification(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c6 (A' second moments) and c7 (A'-R cross moments)."""
-    return _game_budget(cfg, "amplification")
-
-
-def sample_budget_state(cfg: VerificationConfig) -> SampleBudget:
-    """Budgets c1 (means) and c2 (second moments) for the pure-state protocol."""
-    return _game_budget(cfg, "state")
-
-
 def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianState:
     """(E_p (x) I)(TMSV^(x)m): modes 0..m-1 are A' (through the channel),
     modes m..2m-1 the untouched reference halves."""
@@ -327,34 +306,39 @@ def _second_weight(A: list, u: int, v: int) -> float:
 
 
 def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
-    """One batch per estimated moment of the m+5 plan:
+    """One batch per estimated moment, in the settings of
+    ``build_measurement_plan``:
 
     omega = -1/2 tr[S^-T S^-1 (Gamma1 - 2 gamma d^T + d d^T)]
             + tr(Z^(+)m S^-1 Gamma2) / sqrt(lam+1) + 1 + m (lam-2) / (2 lam),
 
     with gamma, Gamma1 and Gamma2 the A' means, A' second moments and A'-R
-    cross moments.  Every setting of the plan measures a prefix of the modes
-    or all of them, so mode k is column k.
+    cross moments.  Batches come in that order: the 2m means (c3); the A'
+    second moments <x_u x_v>, u <= v, then the m 45-degree moments (c4); the
+    4m^2 cross moments (c5).  Quadratures u, v of equal parity are read in
+    the all-q or all-p setting, a q p pair on two A' modes in the mixed
+    setting of its q mode, and a cross moment in the global setting of its
+    parities.  Every setting measures a prefix of the modes or all of them,
+    so mode k is column k.
     """
     m = cfg.m
     S_inv, A, Ad, dAd = _target_weights(cfg)
     B = (np.kron(np.eye(m), np.diag([1.0, -1.0])) @ S_inv / math.sqrt(cfg.lam + 1.0)).tolist()
-    plan = build_measurement_plan(m)
-    settings, coverage = plan.settings, plan.coverage
-    batches = []
-    for key in required_moments(m):
-        kind, u, v = key[0], key[1], key[-1]
-        if kind == "Gamma1" and u % 2 == 0 and v == u + 1:
-            continue  # same-mode q p, folded into the rot45 and diagonal weights
-        if kind == "gamma":
-            count, term = "c3", (u // 2, None, Ad[u])
-        elif kind == "rot45":
-            count, term = "c4", (u, u, -A[2 * u][2 * u + 1])
-        elif kind == "Gamma1":
-            count, term = "c4", (u // 2, v // 2, _second_weight(A, u, v))
-        else:
-            count, term = "c5", (u // 2, m + v // 2, B[v][u])
-        batches.append(Batch(settings[coverage[key]], count, (term,)))
+    qq, pp, qp, pq, rot45, *mixed = build_measurement_plan(m)
+    same, cross = (qq, pp), ((qq, qp), (pq, pp))
+    batches = [Batch(same[u % 2], "c3", ((u // 2, None, Ad[u]),)) for u in range(2 * m)]
+    for u in range(2 * m):
+        for v in range(u, 2 * m):
+            if u % 2 == v % 2:
+                setting = same[u % 2]
+            elif u // 2 == v // 2:
+                continue  # same-mode q p, folded into the rot45 and diagonal weights
+            else:
+                setting = mixed[(v if u % 2 else u) // 2]
+            batches.append(Batch(setting, "c4", ((u // 2, v // 2, _second_weight(A, u, v)),)))
+    batches += [Batch(rot45, "c4", ((j, j, -A[2 * j][2 * j + 1]),)) for j in range(m)]
+    batches += [Batch(cross[u % 2][v % 2], "c5", ((u // 2, m + v // 2, B[v][u]),))
+                for u in range(2 * m) for v in range(2 * m)]
     return batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd
 
 

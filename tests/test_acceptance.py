@@ -18,10 +18,11 @@ from cvverify.channels import (
 )
 from cvverify.protocols import (
     VerificationConfig,
+    exact_terms,
     kappa_for,
+    plan_unitary,
     run_verification,
-    sample_budget_amplification,
-    sample_budget_unitary,
+    sample_budget,
     witness_analytic,
 )
 
@@ -200,7 +201,7 @@ def test_7_budget_scaling():
         spec = sp.SymplecticSpec(S, np.array([dlen, 0.0]))
         cfg = VerificationConfig("unitary", lam=1.0, F_t=0.5, delta=0.25,
                                  epsilon=0.02, target=spec)
-        return sample_budget_unitary(cfg)
+        return sample_budget(cfg)
 
     b0, bS, bd = unitary_budget(1.2, 0.5), unitary_budget(2.4, 0.5), unitary_budget(1.2, 1.0)
     checks = {
@@ -213,7 +214,7 @@ def test_7_budget_scaling():
         f_max = (lam + 1.0) / g**2
         cfg = VerificationConfig("amplification", lam=lam, F_t=0.5 * f_max,
                                  delta=0.25, epsilon=0.1 * f_max, g=g)
-        b = sample_budget_amplification(cfg)
+        b = sample_budget(cfg)
         checks[f"c7/c6 = g^2 (g={g})"] = (
             b.raw["c7"] / b.raw["c6"] == pytest.approx(g**2, rel=1e-12)
         )
@@ -224,15 +225,45 @@ def test_7_budget_scaling():
 
 
 def test_8_measurement_plan():
-    """m+5 settings with complete, exactly-once coverage for m = 1..6."""
-    ok = True
+    """For m = 1..6 the unitary plan reads m+5 settings (five at m = 1, where
+    no q p pair spans two A' modes), one batch per estimated moment, each term
+    on columns its setting measures; on generic symmetric moments its exact
+    path is the closed-form witness
+    -1/2 tr[S^-T S^-1 (Gamma1 - 2 gamma d^T + d d^T)] + tr(Z S^-1 Gamma2)/sqrt(lam+1)
+    + 1 + m (lam-2)/(2 lam)."""
+    rng = np.random.default_rng(8)
+    ok, worst = True, 0.0
     for m in range(1, 7):
-        plan = ms.build_measurement_plan(m)
-        ok &= len(plan.settings) == m + 5
-        required = ms.required_moments(m)
-        ok &= set(plan.coverage) == set(required) and len(plan.coverage) == len(required)
-        ok &= all(0 <= idx < len(plan.settings) for idx in plan.coverage.values())
-    report("8 measurement plan", ok, "m+5 settings, coverage complete, m = 1..6")
+        settings = ms.build_measurement_plan(m)
+        ok &= len(settings) == m + 5
+        spec = sp.random_symplectic(m, r_max=0.7, d_scale=0.5, rng=rng)
+        lam = float(rng.uniform(0.5, 2.0))
+        cfg = VerificationConfig("unitary", lam=lam, F_t=0.5, delta=0.25, epsilon=0.02,
+                                 target=spec)
+        batches, c0 = plan_unitary(cfg)
+        used = {b.setting for b in batches}
+        ok &= used <= set(settings) and len(used) == (5 if m == 1 else m + 5)
+        # 2m means, m(2m+1) A' second moments (the same-mode q p ones through
+        # the 45-degree setting), 4m^2 cross moments
+        ok &= len(batches) == 2 * m + m * (2 * m + 1) + 4 * m * m
+        ok &= all(max(i, -1 if j is None else j) < len(b.setting.measured_modes)
+                  for b in batches for i, j, _ in b.terms)
+
+        mean = rng.normal(size=4 * m)
+        X = rng.normal(size=(4 * m, 4 * m))
+        second = X + X.T
+        a, r = slice(0, 2 * m), slice(2 * m, 4 * m)
+        S_inv, d = sp.inverse(spec).S, spec.d
+        Z = np.kron(np.eye(m), np.diag([1.0, -1.0]))
+        M = second[a, a] - 2.0 * np.outer(mean[a], d) + np.outer(d, d)
+        ref = (-0.5 * np.trace(S_inv.T @ S_inv @ M)
+               + np.trace(Z @ S_inv @ second[a, r]) / np.sqrt(lam + 1.0)
+               + 1.0 + m * (lam - 2.0) / (2.0 * lam))
+        got = c0 + sum(exact_terms(mean, second, batches))
+        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    ok &= worst <= 1e-12
+    report("8 measurement plan", ok,
+           f"m+5 settings, one batch per moment, closed form to {worst:.1e}, m = 1..6")
     assert ok
 
 
@@ -292,7 +323,7 @@ def test_10_uncapped_completeness_soundness(m):
     assert fbar + 3 * se < F_t
     reject = np.mean([not run_verification(noisy, cfg_id, seed=1000 + s).accepted
                       for s in range(reps)])
-    uses = max(sample_budget_unitary(c).channel_uses for c in (cfg, cfg_id))
+    uses = max(sample_budget(c).channel_uses for c in (cfg, cfg_id))
     ok = accept >= 1 - delta and reject >= 1 - delta
     report(f"10 uncapped completeness/soundness m={m}", ok,
            f"accept {accept:.3f}, reject {reject:.3f} over {reps} reps, "

@@ -90,6 +90,22 @@ def test_unknown_config_field_exit_code(scenario, tmp_path, command, capsys):
     assert "config error: unknown config fields: 'sigma_2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("where, typo, value", [("prover", "excesss", 0.5), ("scenario", "shotcap", 100)])
+def test_unknown_prover_and_scenario_field_exit_code(scenario, tmp_path, command, where, typo, value,
+                                                     capsys):
+    # a typo'd excess used to run an honest prover, a typo'd shot_cap an uncapped run
+    path, data = scenario
+    data["prover"] = {"kind": "NoisyUnitary", "spec": data["prover"]["spec"]}
+    (data["prover"] if where == "prover" else data)[typo] = value
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(bad)])
+    assert exc.value.code == 2
+    assert f"config error: unknown {where} fields: '{typo}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", ["abc", [1], 3])
 def test_config_not_an_object_exit_code(scenario, tmp_path, config, capsys):
     path, data = scenario
@@ -132,7 +148,17 @@ def test_plan_counts(capsys):
     assert code == 0
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
-    assert report["n_settings"] == 8
+    assert set(report) == {"m", "n_settings", "settings"}  # no coverage table
+    assert report["m"] == 3 and report["n_settings"] == 8
+    q, p, h, none = 0.0, math.pi / 2, math.pi / 4, [None] * 3
+    expected = [([q] * 6, "q(A')+q(R)"), ([p] * 6, "p(A')+p(R)"),
+                ([q] * 3 + [p] * 3, "q(A')+p(R)"), ([p] * 3 + [q] * 3, "p(A')+q(R)"),
+                ([h] * 3 + none, "45deg(A')")]
+    expected += [([q if k == j else p for k in range(3)] + none, f"q(A'_{j})+p(A'_rest)")
+                 for j in range(3)]
+    assert [(s["angles"], s["label"]) for s in report["settings"]] == expected
+    assert [s["id"] for s in report["settings"]] == list(range(8))
+    assert "setting  4  [0.785, 0.785, 0.785, -, -, -]  45deg(A')" in out.splitlines()
 
 
 def test_budget_command(scenario, capsys):
@@ -352,13 +378,15 @@ TWO_MODE_STATE = {"modes": 2, "mean": [0.0] * 4, "cov": (0.5 * np.eye(4)).ravel(
 FIELDS = [("config", k) for k in ("protocol", "lam", "F_t", "delta", "epsilon", "sigma1",
                                   "sigma2", "g", "target", "sigma_2", "k")]
 FIELDS += [("config", "target", k) for k in ("m", "S", "d")]
-FIELDS += [("prover", k) for k in ("kind", "g", "eta", "excess", "variance", "modes", "spec")]
+FIELDS += [("prover", k) for k in ("kind", "g", "eta", "excess", "variance", "modes", "spec",
+                                   "excesss")]
 FIELDS += [("state",)] + [("state", k) for k in ("modes", "mean", "cov")]
 edit = st.one_of(
     st.tuples(st.sampled_from(FIELDS),
               st.one_of(st.sampled_from(BAD + [TWO_MODE_TARGET, TWO_MODE_STATE]), st.floats(),
                         st.integers(-3, 3))),
-    st.tuples(st.sampled_from([("repetitions",), ("seed",), ("shot_cap",)]), st.sampled_from(RUN_BAD)),
+    st.tuples(st.sampled_from([("repetitions",), ("seed",), ("shot_cap",), ("shotcap",)]),
+              st.sampled_from(RUN_BAD)),
 )
 PROVERS = [{"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1},
            {"kind": "Attenuator", "eta": 0.8, "excess": 0.05},
@@ -396,3 +424,11 @@ def test_scenario_fuzz_exits_with_a_code(command, protocol, prover, edits):
     if unknown:  # named before any value is read
         assert code == 2
         assert f"unknown config fields: {', '.join(map(repr, unknown))}" in err.getvalue()
+    typos = [(where, key) for where, key, node in (("scenario", "shotcap", data),
+                                                    ("prover", "excesss", data["prover"]))
+             if key in node]
+    if not unknown and typos and command != "budget" and all(p[0] != "config" for p, _ in edits):
+        # after a valid config, the scenario keys and then the prover keys are
+        # checked (budget reads only the config)
+        assert code == 2
+        assert "unknown {} fields: '{}'".format(*typos[0]) in err.getvalue()

@@ -4,28 +4,6 @@ import pytest
 from cvverify import gaussian as ga, measurement as ms
 
 
-def test_plan_sizes():
-    for m in range(1, 7):
-        plan = ms.build_measurement_plan(m)
-        assert len(plan.settings) == m + 5
-
-
-def test_plan_coverage_complete_and_unique():
-    for m in (1, 2, 3):
-        plan = ms.build_measurement_plan(m)
-        required = ms.required_moments(m)
-        assert set(plan.coverage) == set(required)
-        assert len(plan.coverage) == len(required)
-
-
-def test_plan_m2_moment_counts():
-    plan = ms.build_measurement_plan(2)
-    g1 = [k for k in plan.coverage if k[0] == "Gamma1"]
-    g2 = [k for k in plan.coverage if k[0] == "Gamma2"]
-    assert len(g1) == 10  # distinct entries of a symmetric 4x4 matrix
-    assert len(g2) == 16
-
-
 def test_setting_angle_validation():
     with pytest.raises(ValueError):
         ms.HomodyneSetting((np.pi,))

@@ -24,9 +24,6 @@ from cvverify.protocols import (
     run_state_verification,
     run_verification,
     sample_budget,
-    sample_budget_amplification,
-    sample_budget_state,
-    sample_budget_unitary,
     witness_analytic,
     witness_estimate_state,
     witness_plan,
@@ -65,7 +62,7 @@ def test_lemma3_diverges_as_delta_vanishes():
 
 def test_budget_unitary_zero_displacement_skips_means():
     cfg = cfg_unitary(sp.identity(1))
-    b = sample_budget_unitary(cfg)
+    b = sample_budget(cfg)
     assert b.counts["c3"] == 0
     assert b.counts["c4"] > 0 and b.counts["c5"] > 0
 
@@ -74,7 +71,7 @@ def test_budget_unitary_totals_formula():
     rng = np.random.default_rng(0)
     spec = sp.random_symplectic(2, r_max=0.5, d_scale=0.4, rng=rng)
     cfg = cfg_unitary(spec, lam=1.5, F_t=0.8, eps=0.05)
-    b = sample_budget_unitary(cfg)
+    b = sample_budget(cfg)
     m = 2
     expected = 2 * m * b.counts["c3"] + m * (2 * m + 1) * b.counts["c4"] + 4 * m * m * b.counts["c5"]
     assert b.channel_uses == expected
@@ -82,7 +79,7 @@ def test_budget_unitary_totals_formula():
 
 
 def test_budget_amplification_totals():
-    b = sample_budget_amplification(cfg_amp(2.5))
+    b = sample_budget(cfg_amp(2.5))
     assert b.channel_uses == 2 * b.counts["c6"] + 2 * b.counts["c7"]
 
 
@@ -90,7 +87,7 @@ def test_budget_scaling_laws():
     def budget_for(S_scale, d_scale):
         S = np.diag([S_scale, 1.0 / S_scale, S_scale, 1.0 / S_scale])
         spec = sp.SymplecticSpec(S, d_scale * np.ones(4))
-        return sample_budget_unitary(cfg_unitary(spec, F_t=0.5, eps=0.02))
+        return sample_budget(cfg_unitary(spec, F_t=0.5, eps=0.02))
 
     b1, b2 = budget_for(1.5, 0.5), budget_for(3.0, 0.5)
     assert b2.raw["c4"] / b1.raw["c4"] == pytest.approx(16.0, rel=1e-12)
@@ -106,7 +103,7 @@ def test_budget_amplification_exact_ratio():
         f_max = (lam + 1.0) / g**2
         cfg = VerificationConfig("amplification", lam=lam, F_t=0.5 * f_max,
                                  delta=0.25, epsilon=0.1 * f_max, g=g)
-        b = sample_budget_amplification(cfg)
+        b = sample_budget(cfg)
         assert b.raw["c7"] / b.raw["c6"] == pytest.approx(g**2, rel=1e-12)
 
 
@@ -117,7 +114,7 @@ def test_budget_state_totals():
         spec = sp.SymplecticSpec(np.eye(2 * m), np.array([0.2, 0.0, 0.1, 0.0][:2 * m]))
         cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                                  target=spec)
-        b = sample_budget_state(cfg)
+        b = sample_budget(cfg)
         assert b.counts["c1"] > 0
         expected = 2 * b.counts["c1"] + second_moment_batches * b.counts["c2"]
         assert b.channel_uses == b.tmsv_copies == expected
@@ -273,7 +270,7 @@ def test_sampled_moments_converge_to_analytic():
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.5, rng=rng)
     cfg = cfg_unitary(spec, F_t=0.5, eps=0.02)
     p = ProverChannel("NoisyUnitary", spec=spec, excess=0.1)
-    counts = {k: min(c, 40_000) for k, c in sample_budget_unitary(cfg).counts.items()}
+    counts = {k: min(c, 40_000) for k, c in sample_budget(cfg).counts.items()}
     batches = unit_weights(plan_unitary(cfg)[0])
     state = output_state(p, cfg)
     got = np.array(estimate_terms(state, batches, counts, seed=0))
@@ -337,10 +334,9 @@ def test_uncapped_verdict_determinism():
 def test_estimate_moments_honest_cross_block_sign():
     cfg = cfg_unitary(sp.identity(1))
     p = exact_unitary(sp.identity(1))
-    plan = build_measurement_plan(1)
+    all_q, all_p = build_measurement_plan(1)[:2]
     # <q_A' q_R> from the all-q setting, <p_A' p_R> from the all-p setting
-    batches = [Batch(plan.settings[0], "c5", ((0, 1, 1.0),)),
-               Batch(plan.settings[1], "c5", ((0, 1, 1.0),))]
+    batches = [Batch(all_q, "c5", ((0, 1, 1.0),)), Batch(all_p, "c5", ((0, 1, 1.0),))]
     qq, pp = estimate_terms(output_state(p, cfg), batches, {"c5": 30_000}, seed=1)
     s = np.sqrt(2.0)  # sinh(2 kappa)/2 at lam = 1
     assert qq == pytest.approx(s, abs=0.05)
