@@ -2,6 +2,60 @@ import numpy as np
 import pytest
 
 from cvverify import gaussian as ga, measurement as ms
+from cvverify import symplectic as sp
+from cvverify.protocols import VerificationConfig, plan_unitary
+
+
+def _unitary_moment_keys(m):
+    """The moment each batch of the unitary plan reads, as ("gamma", u),
+    ("Gamma1", u, v) with u <= v, or ("Gamma2", u, v): u, v index the
+    quadratures q_0, p_0, q_1, ... of A' (and of R for the second index of
+    Gamma2).  The 45-degree setting reads the same-mode q p moment."""
+    cfg = VerificationConfig("unitary", lam=1.0, F_t=0.5, delta=0.25, epsilon=0.02,
+                             target=sp.identity(m))
+    keys = []
+    for b in plan_unitary(cfg)[0]:
+        for i, j, _ in b.terms:
+            angles = b.setting.angles
+
+            def quad(k):
+                if np.isclose(angles[k], np.pi / 4):
+                    return None
+                return 2 * (k % m) + int(np.isclose(angles[k], np.pi / 2))
+
+            if j is None:
+                keys.append(("gamma", quad(i)))
+            elif j >= m:
+                keys.append(("Gamma2", quad(i), quad(j)))
+            elif quad(i) is None:
+                keys.append(("Gamma1", 2 * i, 2 * i + 1))
+            else:
+                keys.append(("Gamma1",) + tuple(sorted((quad(i), quad(j)))))
+    return keys
+
+
+def test_plan_sizes():
+    for m in range(1, 7):
+        assert len(ms.build_measurement_plan(m)) == m + 5
+
+
+def test_plan_coverage_complete_and_unique():
+    for m in (1, 2, 3):
+        n = 2 * m
+        required = ([("gamma", u) for u in range(n)]
+                    + [("Gamma1", u, v) for u in range(n) for v in range(u, n)]
+                    + [("Gamma2", u, v) for u in range(n) for v in range(n)])
+        keys = _unitary_moment_keys(m)
+        assert set(keys) == set(required)
+        assert len(keys) == len(required)
+
+
+def test_plan_m2_moment_counts():
+    keys = _unitary_moment_keys(2)
+    g1 = [k for k in keys if k[0] == "Gamma1"]
+    g2 = [k for k in keys if k[0] == "Gamma2"]
+    assert len(g1) == 10  # distinct entries of a symmetric 4x4 matrix
+    assert len(g2) == 16
 
 
 def test_setting_angle_validation():
