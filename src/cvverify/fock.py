@@ -55,8 +55,8 @@ class FockOperator:
             raise ValueError(f"matrix shape {matrix.shape}, expected ({dim}, {dim})")
         object.__setattr__(self, "matrix", matrix)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= 1e-10)
 
 
 @dataclass(frozen=True)
@@ -462,13 +462,13 @@ def expectation(op: FockOperator, state: FockState) -> float:
     return float(np.real(np.sum(op.matrix * state.rho.T)))  # tr(A B) in O(d^2)
 
 
-def default_cutoff(lam: float, leakage: float = 1e-6) -> int:
-    """Smallest cutoff keeping the TMSV input's truncation leakage below ``leakage``."""
+def default_cutoff(lam: float) -> int:
+    """Smallest cutoff keeping the TMSV input's truncation leakage below 1e-6."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     nbar = 1.0 / lam
     x = nbar / (nbar + 1.0)
     if x >= 1.0:
         raise ValueError(f"lam = {lam} is too small for a finite cutoff")
-    n = int(np.ceil(np.log(leakage) / np.log(x)))
+    n = int(np.ceil(np.log(1e-6) / np.log(x)))
     return max(n, 2)

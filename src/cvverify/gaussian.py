@@ -18,8 +18,8 @@ PURITY_TOL = 1e-8
 UNCERTAINTY_TOL = 1e-9
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -47,14 +47,14 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def is_physical(self, tol: float = UNCERTAINTY_TOL) -> bool:
+    def is_physical(self) -> bool:
         """Uncertainty relation: cov + (i/2) Omega is positive semidefinite."""
         omega = symplectic_form(self.n_modes)
         h = self.cov + 0.5j * omega
-        return bool(np.min(np.linalg.eigvalsh(h)) >= -tol)
+        return bool(np.min(np.linalg.eigvalsh(h)) >= -UNCERTAINTY_TOL)
 
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return bool(abs(np.linalg.det(2.0 * self.cov) - 1.0) <= tol)
+    def is_pure(self) -> bool:
+        return bool(abs(np.linalg.det(2.0 * self.cov) - 1.0) <= PURITY_TOL)
 
     def to_dict(self) -> dict:
         return {
@@ -101,11 +101,11 @@ class GaussianChannel:
     def n_modes_out(self) -> int:
         return self.X.shape[0] // 2
 
-    def is_cp(self, tol: float = UNCERTAINTY_TOL) -> bool:
+    def is_cp(self) -> bool:
         omega_in = symplectic_form(self.n_modes_in)
         omega_out = symplectic_form(self.n_modes_out)
         h = self.Y + 0.5j * (omega_out - self.X @ omega_in @ self.X.T)
-        return bool(np.min(np.linalg.eigvalsh(h)) >= -tol)
+        return bool(np.min(np.linalg.eigvalsh(h)) >= -UNCERTAINTY_TOL)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -193,20 +193,3 @@ def apply_channel(
     return GaussianState(
         X_full @ state.mean + d_full, X_full @ state.cov @ X_full.T + Y_full
     )
-
-
-def overlap_pure(target_pure: GaussianState, rho: GaussianState) -> float:
-    """tr(rho1 rho2); equals the fidelity when one argument is pure.
-
-    Computed as exp(-delta^T (V1+V2)^-1 delta / 2) / sqrt(det(V1+V2)).
-    """
-    if not target_pure.is_pure():
-        raise ValueError("first argument must be a pure state")
-    if target_pure.n_modes != rho.n_modes:
-        raise ValueError("mode count mismatch")
-    V = target_pure.cov + rho.cov
-    delta = target_pure.mean - rho.mean
-    sign, logdet = np.linalg.slogdet(V)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("V1 + V2 is not positive definite")
-    return float(np.exp(-0.5 * delta @ np.linalg.solve(V, delta) - 0.5 * logdet))

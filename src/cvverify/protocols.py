@@ -13,9 +13,12 @@ simulator:
   moments of the supplied state.
 
 Every witness is affine in homodyne moments, omega = c0 + sum_k w_k <O_k>.
-A game's plan builder returns ``(batches, c0)``, and one pipeline serves all
-three: ``estimate_terms`` turns each ``Batch`` into its share of omega from
-fresh shots, ``exact_terms`` from exact moments (the infinite-shot witness).
+A game's plan builder returns ``(batches, c0, shares)``, and one pipeline
+serves all three: ``estimate_terms`` turns each ``Batch`` into its share of
+omega from fresh shots, ``exact_terms`` from exact moments (the infinite-shot
+witness).  ``shares`` gives each count key its share of epsilon, and the
+budget reads the rest of Lemma 3 off the batches: a key sizes as many
+observables as its batches have terms.
 A batch's estimate reads only the sum and the scatter sum of its i.i.d.
 Gaussian shots, and these sufficient statistics are drawn exactly
 (``measurement.sample_moment_sums``), so the paper's uncapped budgets run
@@ -57,7 +60,7 @@ def kappa_for(lam: float) -> float:
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    """Inputs of one verification game; ``validate`` enforces the invariants.
+    """Inputs of one verification game; construction enforces the invariants.
 
     protocol: "unitary", "amplification" or "state".
     target: SymplecticSpec for unitary/state protocols; g: gain for
@@ -77,9 +80,6 @@ class VerificationConfig:
     g: float | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.protocol not in ("unitary", "amplification", "state"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         g2 = 0.0 if self.g is None else self.g * self.g  # inf also when g^2 leaves the float range
@@ -99,10 +99,7 @@ class VerificationConfig:
                 raise ValueError("target S and d must be finite")
             if not self.target.is_valid():
                 raise ValueError("target S is not symplectic")
-            if not 0 < self.F_t < 1:
-                raise ValueError("threshold must lie in (0, 1)")
-            if not 0 < self.epsilon < (1.0 - self.F_t) / 2.0:
-                raise ValueError("epsilon must lie in (0, (1 - F_t)/2)")
+            omega_max, bound = 1.0, "1"
         else:
             if self.g is None:
                 raise ValueError("amplification protocol requires a gain g")
@@ -116,13 +113,16 @@ class VerificationConfig:
                     f"gain g={self.g} is in (sqrt(lam+1), lam+1]; the witness is "
                     "well-defined but the sample-complexity analysis assumes "
                     "g > lam+1",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-            f_max = (self.lam + 1.0) / self.g**2
-            if not 0 < self.F_t < f_max:
-                raise ValueError(f"threshold must lie in (0, (lam+1)/g^2 = {f_max:.4f})")
-            if not 0 < self.epsilon < (self.lam + 1.0 - self.g**2 * self.F_t) / (2.0 * self.g**2):
-                raise ValueError("epsilon must lie in (0, (lam+1-g^2 F_t)/(2 g^2))")
+            omega_max = (self.lam + 1.0) / self.g**2
+            bound = f"(lam+1)/g^2 = {omega_max:.4f}"
+        # omega_max: the witness of the honest prover, or of the optimal amplifier
+        if not 0 < self.F_t < omega_max:
+            raise ValueError(f"threshold must lie in (0, {bound})")
+        half_gap = (omega_max - self.F_t) / 2.0
+        if not 0 < self.epsilon < half_gap:
+            raise ValueError(f"epsilon must lie in (0, {half_gap:.4g}), half the gap from F_t to {bound}")
 
     @property
     def m(self) -> int:
@@ -218,45 +218,20 @@ class SampleBudget:
         }
 
 
-def _lemma3_groups(cfg: VerificationConfig) -> list:
-    """The game's Lemma-3 groups (count key, sigma, l, epsilon share).  A share
-    of None means a count of 0.
-
-    unitary, state: the mean group (error bound (2m)^{3/2} |S|^2 |d| e; none
-    when d = 0) and the A' second-moment group (m |S|^2 e), then in the
-    unitary game the cross-moment group (2 m |S| e / sqrt(lam+1)); epsilon is
-    split evenly over the groups.
-    amplification: error terms ((lam+1)/g^2)^2 e6 and 2 ((lam+1)/g^2)^{3/2} e7
-    get shares a*epsilon and (1-a)*epsilon with a = sqrt(lam+1)/(sqrt(lam+1)+2),
-    a split chosen so that the un-ceiled counts obey c7/c6 = g^2 exactly.
-    """
-    if cfg.protocol == "amplification":
-        g, lam = cfg.g, cfg.lam
-        a = math.sqrt(lam + 1.0) / (math.sqrt(lam + 1.0) + 2.0)
-        return [("c6", cfg.sigma2, 2, a * cfg.epsilon * g**4 / (lam + 1.0) ** 2),
-                ("c7", cfg.sigma2, 2, (1.0 - a) * cfg.epsilon * g**3 / (2.0 * (lam + 1.0) ** 1.5))]
-    m = cfg.m
-    unitary = cfg.protocol == "unitary"
-    norm_s = spectral_norm(cfg.target)
-    norm_d = float(np.linalg.norm(cfg.target.d))
-    share = cfg.epsilon / ((2 if norm_d > 0 else 1) + unitary)
-    groups = [("c3" if unitary else "c1", cfg.sigma1, 2 * m,
-               share / ((2 * m) ** 1.5 * norm_s**2 * norm_d) if norm_d > 0 else None),
-              ("c4" if unitary else "c2", cfg.sigma2, m * (2 * m + 1), share / (m * norm_s**2))]
-    if unitary:
-        groups.append(("c5", cfg.sigma2, 4 * m * m,
-                       share * math.sqrt(cfg.lam + 1.0) / (2.0 * m * norm_s)))
-    return groups
-
-
-def _budget(cfg: VerificationConfig, batches) -> SampleBudget:
-    """Lemma-3 counts of the config's groups, with delta split evenly over
-    the groups that draw shots, and the channel uses of ``batches``, the
-    game's plan, at those counts."""
-    groups = _lemma3_groups(cfg)
-    dg = _split_delta(cfg.delta, sum(eps is not None for *_, eps in groups))
-    raw = {key: 0.0 if eps is None else _lemma3_raw(sigma, l, eps, dg)
-           for key, sigma, l, eps in groups}
+def _budget(cfg: VerificationConfig, batches, shares: dict) -> SampleBudget:
+    """Lemma-3 counts of the plan's count keys.  A key sizes l observables,
+    the terms of its batches, with variance bound sigma1 if they read means
+    and sigma2 otherwise; delta is split evenly over the keys whose epsilon
+    share is not None, and a None share is a count of 0.  ``channel_uses``
+    is the shots ``batches`` draw at those counts."""
+    l, sigma = dict.fromkeys(shares, 0), dict.fromkeys(shares, cfg.sigma2)
+    for b in batches:
+        l[b.key] += len(b.terms)
+        if any(j is None for _, j, _ in b.terms):
+            sigma[b.key] = cfg.sigma1
+    dg = _split_delta(cfg.delta, sum(eps is not None for eps in shares.values()))
+    raw = {key: 0.0 if eps is None else _lemma3_raw(sigma[key], l[key], eps, dg)
+           for key, eps in shares.items()}
     counts = {key: _count(v) for key, v in raw.items()}
     uses = sum(counts[b.key] for b in batches)
     return SampleBudget(counts, raw, uses, cfg.m * uses if cfg.protocol == "unitary" else uses)
@@ -264,7 +239,8 @@ def _budget(cfg: VerificationConfig, batches) -> SampleBudget:
 
 def sample_budget(cfg: VerificationConfig) -> SampleBudget:
     """Shot counts of the config's game and the channel uses its plan draws."""
-    return _budget(cfg, witness_plan(cfg)[0])
+    batches, _, shares = witness_plan(cfg)
+    return _budget(cfg, batches, shares)
 
 
 def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianState:
@@ -295,6 +271,22 @@ def _target_weights(cfg: VerificationConfig):
     return S_inv, A.tolist(), Ad.tolist(), float(cfg.target.d @ Ad)
 
 
+def _target_shares(cfg: VerificationConfig, mean: str, second: str, cross: str | None = None) -> dict:
+    """Epsilon shares of the mean, A' second-moment and (unitary game only)
+    cross-moment count keys.  Their error bounds are (2m)^{3/2} |S|^2 |d| e,
+    m |S|^2 e and 2 m |S| e / sqrt(lam+1); epsilon is split evenly over the
+    keys that draw shots, and the mean key draws none (None) when d = 0."""
+    m = cfg.m
+    norm_s = spectral_norm(cfg.target)
+    norm_d = float(np.linalg.norm(cfg.target.d))
+    share = cfg.epsilon / ((2 if norm_d > 0 else 1) + (cross is not None))
+    shares = {mean: share / ((2 * m) ** 1.5 * norm_s**2 * norm_d) if norm_d > 0 else None,
+              second: share / (m * norm_s**2)}
+    if cross is not None:
+        shares[cross] = share * math.sqrt(cfg.lam + 1.0) / (2.0 * m * norm_s)
+    return shares
+
+
 def _second_weight(A: list, u: int, v: int) -> float:
     """Weight of the raw moment <x_u x_v> (u <= v) in -1/2 tr(A M).
 
@@ -305,7 +297,7 @@ def _second_weight(A: list, u: int, v: int) -> float:
     return -0.5 * (A[u][u] - A[u][u ^ 1]) if u == v else -A[u][v]
 
 
-def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
+def plan_unitary(cfg: VerificationConfig) -> tuple[list, float, dict]:
     """One batch per estimated moment, in the settings of
     ``build_measurement_plan``:
 
@@ -339,16 +331,20 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float]:
     batches += [Batch(rot45, "c4", ((j, j, -A[2 * j][2 * j + 1]),)) for j in range(m)]
     batches += [Batch(cross[u % 2][v % 2], "c5", ((u // 2, m + v // 2, B[v][u]),))
                 for u in range(2 * m) for v in range(2 * m)]
-    return batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd
+    return (batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd,
+            _target_shares(cfg, "c3", "c4", "c5"))
 
 
-def plan_amplification(cfg: VerificationConfig) -> tuple[list, float]:
+def plan_amplification(cfg: VerificationConfig) -> tuple[list, float, dict]:
     """Four batches: c6 shots each for <q^2>, <p^2>; c7 each for <q q_R>, <p p_R>.
 
     omega = (lam+1)/g^2 [ K - (lam+1)/(2 g^2) (<q^2> + <p^2>)
                            + sqrt(lam+1)/g (<q q_R> - <p p_R>) ]
     with K = 1 + (g^2 - lam - 1)/(2 g^2) - (lam+2)/(2 lam), pinned by the
-    identity omega = (lam+1)/g^2 at the fidelity-optimal amplifier.
+    identity omega = (lam+1)/g^2 at the fidelity-optimal amplifier.  The
+    error terms ((lam+1)/g^2)^2 e6 and 2 ((lam+1)/g^2)^{3/2} e7 get shares
+    a*epsilon and (1-a)*epsilon with a = sqrt(lam+1)/(sqrt(lam+1)+2), a split
+    chosen so that the un-ceiled counts obey c7/c6 = g^2 exactly.
     """
     g, lam = cfg.g, cfg.lam
     f = (lam + 1.0) / g**2
@@ -362,10 +358,12 @@ def plan_amplification(cfg: VerificationConfig) -> tuple[list, float]:
         Batch(qq, "c7", ((0, 1, cross),)),
         Batch(pp, "c7", ((0, 1, -cross),)),
     ]
-    return batches, f * K
+    a = math.sqrt(lam + 1.0) / (math.sqrt(lam + 1.0) + 2.0)
+    return batches, f * K, {"c6": a * cfg.epsilon * g**4 / (lam + 1.0) ** 2,
+                            "c7": (1.0 - a) * cfg.epsilon * g**3 / (2.0 * (lam + 1.0) ** 1.5)}
 
 
-def plan_state(cfg: VerificationConfig) -> tuple[list, float]:
+def plan_state(cfg: VerificationConfig) -> tuple[list, float, dict]:
     """omega = 1 + m/2 - 1/2 tr[S^-T S^-1 (M - 2 x d^T + d d^T)] from the
     supplied state's means x and raw second moments M.
 
@@ -389,11 +387,11 @@ def plan_state(cfg: VerificationConfig) -> tuple[list, float]:
         angles[j] = Q
         batches.append(Batch(HomodyneSetting(tuple(angles)), "c2",
                              tuple((j, k, -A[2 * j][2 * k + 1]) for k in range(m) if k != j)))
-    return batches, 1.0 + 0.5 * m - 0.5 * dAd
+    return batches, 1.0 + 0.5 * m - 0.5 * dAd, _target_shares(cfg, "c1", "c2")
 
 
-def witness_plan(cfg: VerificationConfig) -> tuple[list, float]:
-    """(batches, c0) of the config's game."""
+def witness_plan(cfg: VerificationConfig) -> tuple[list, float, dict]:
+    """(batches, c0, shares) of the config's game."""
     return {
         "unitary": plan_unitary,
         "amplification": plan_amplification,
@@ -450,7 +448,7 @@ def witness_analytic(prover: ProverChannel, cfg: VerificationConfig) -> float:
     if cfg.protocol == "state":
         raise ValueError("the state game has no prover channel; use witness_estimate_state")
     state = output_state(prover, cfg)
-    batches, c0 = witness_plan(cfg)
+    batches, c0, _ = witness_plan(cfg)
     return c0 + sum(exact_terms(state.mean, state.cov + np.outer(state.mean, state.mean), batches))
 
 
@@ -459,7 +457,7 @@ def witness_estimate_state(
 ) -> float:
     """Pure-state witness from the means and the (symmetric) raw second-moment
     matrix of the supplied state."""
-    batches, c0 = plan_state(cfg)
+    batches, c0, _ = plan_state(cfg)
     return c0 + sum(exact_terms(np.asarray(mean_est), np.asarray(second_moments), batches))
 
 
@@ -493,18 +491,19 @@ def _decide(omega_star: float, cfg: VerificationConfig) -> bool:
 
 def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
               shot_cap: int | None) -> list[Verdict]:
-    """One verdict per seed on the measured ``state``: the supplied m modes in
-    the state game, else the 2m modes of ``output_state``.  Diagnostics hold
+    """One verdict per seed on the measured ``state``, which has the modes of
+    the plan's first setting: the supplied m modes in the state game, else the
+    2m modes of ``output_state``.  Diagnostics hold
     c0, the shots and the term of every batch, with omega* = c0 + sum(terms)."""
-    n_modes = cfg.m if cfg.protocol == "state" else 2 * cfg.m
+    batches, c0, shares = witness_plan(cfg)
+    n_modes = len(batches[0].setting.angles)
     if state.n_modes != n_modes:
         raise ValueError(f"state has {state.n_modes} modes, the {cfg.protocol} game measures {n_modes}")
     if cfg.protocol == "state" and not state.is_physical():
         raise ValueError("the supplied state violates the uncertainty relation")
     if not seeds:
         raise ValueError("repetitions must be at least 1")
-    batches, c0 = witness_plan(cfg)
-    budget = _budget(cfg, batches)
+    budget = _budget(cfg, batches, shares)
     counts = budget.counts
     if shot_cap is not None:
         counts = {k: min(c, shot_cap) for k, c in counts.items()}
@@ -561,8 +560,7 @@ def accept_rate(
     return sum(v.accepted for v in verdicts) / repetitions, verdicts
 
 
-def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0,
-                  mc_samples: int = 100_000) -> dict:
+def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0) -> dict:
     """True fidelity (Monte Carlo) vs analytic witness, with the gap flag."""
     if cfg.protocol == "amplification":
         target = AmplificationTarget(cfg.g)
@@ -571,7 +569,7 @@ def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0,
     omega = witness_analytic(prover, cfg)
     if not math.isfinite(omega):
         raise ValueError(f"analytic omega = {omega} is not finite")
-    fbar, stderr = true_average_fidelity(prover, target, cfg.lam, mc_samples, seed)
+    fbar, stderr = true_average_fidelity(prover, target, cfg.lam, 100_000, seed)
     return {
         "true_fidelity": fbar,
         "true_fidelity_std_error": stderr,

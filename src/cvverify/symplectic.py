@@ -23,17 +23,15 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def validate_symplectic(S: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max-norm of (S Omega S^T - Omega) is at most ``tol``."""
+def validate_symplectic(S: np.ndarray) -> bool:
+    """True iff max-norm of (S Omega S^T - Omega) is at most ``DEFAULT_TOL``."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"symplectic matrix must be square, got shape {S.shape}")
     if S.shape[0] % 2 != 0:
         raise ValueError(f"symplectic matrix must have even dimension, got {S.shape[0]}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     omega = symplectic_form(S.shape[0] // 2)
-    return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= tol)
+    return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= DEFAULT_TOL)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -63,8 +61,8 @@ class SymplecticSpec:
     def n_modes(self) -> int:
         return self.S.shape[0] // 2
 
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        return validate_symplectic(self.S, tol)
+    def is_valid(self) -> bool:
+        return validate_symplectic(self.S)
 
     def to_dict(self) -> dict:
         return {

@@ -240,7 +240,7 @@ def test_8_measurement_plan():
         lam = float(rng.uniform(0.5, 2.0))
         cfg = VerificationConfig("unitary", lam=lam, F_t=0.5, delta=0.25, epsilon=0.02,
                                  target=spec)
-        batches, c0 = plan_unitary(cfg)
+        batches, c0, _ = plan_unitary(cfg)
         used = {b.setting for b in batches}
         ok &= used <= set(settings) and len(used) == (5 if m == 1 else m + 5)
         # 2m means, m(2m+1) A' second moments (the same-mode q p ones through

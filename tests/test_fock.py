@@ -236,7 +236,7 @@ def test_entangled_output_identity_is_tmsv():
 
 
 def test_default_cutoff_policy():
-    c = fock.default_cutoff(1.0, leakage=1e-6)
+    c = fock.default_cutoff(1.0)
     nbar = 1.0
     tail = (nbar / (nbar + 1.0)) ** c
     assert tail <= 1e-6 < (nbar / (nbar + 1.0)) ** (c - 1)

@@ -121,35 +121,6 @@ def test_channel_on_subset_propagates_correlations():
     np.testing.assert_array_equal(out.cov[2:, 2:], st.cov[2:, 2:])
 
 
-def test_overlap_vacuum_vacuum():
-    assert ga.overlap_pure(ga.vacuum(1), ga.vacuum(1)) == pytest.approx(1.0)
-
-
-def test_overlap_coherent_states():
-    a, b = 0.9 + 0.2j, -0.3 + 1.1j
-    val = ga.overlap_pure(ga.coherent(a), ga.coherent(b))
-    assert val == pytest.approx(np.exp(-abs(a - b) ** 2), rel=1e-10)
-
-
-def test_overlap_coherent_fock_cross_check():
-    a, b = 0.5 + 0.3j, -0.2 + 0.6j
-    va = fock.coherent_vector(a, 40)
-    vb = fock.coherent_vector(b, 40)
-    brute = abs(np.vdot(va, vb)) ** 2
-    assert ga.overlap_pure(ga.coherent(a), ga.coherent(b)) == pytest.approx(brute, abs=1e-10)
-
-
-def test_overlap_vacuum_thermal():
-    nbar = 0.8
-    val = ga.overlap_pure(ga.vacuum(1), ga.thermal(nbar))
-    assert val == pytest.approx(1.0 / (1.0 + nbar), rel=1e-10)
-
-
-def test_overlap_rejects_mixed_first_argument():
-    with pytest.raises(ValueError):
-        ga.overlap_pure(ga.thermal(1.0), ga.vacuum(1))
-
-
 def test_physicality_check():
     assert ga.vacuum(2).is_physical()
     bad = ga.GaussianState(np.zeros(2), 0.1 * np.eye(2))

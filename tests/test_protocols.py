@@ -120,6 +120,50 @@ def test_budget_state_totals():
         assert b.channel_uses == b.tmsv_copies == expected
 
 
+def _lemma3_raw_reference(sigma, l, eps, delta_g):
+    return sigma**2 * (l + 1) / (eps**2 * np.log(1.0 / (1.0 - delta_g)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("protocol", ["unitary", "state"])
+@pytest.mark.parametrize("d_scale", [0.0, 0.4])
+def test_lemma3_groups_of_the_target_games(m, protocol, d_scale):
+    # groups (key, sigma, l, error bound per unit of its epsilon share): means,
+    # A' second moments and, in the unitary game, the A'-R cross moments
+    spec = sp.random_symplectic(m, r_max=0.6, d_scale=d_scale, rng=np.random.default_rng(m))
+    lam, eps, delta, s1, s2 = 1.3, 0.03, 0.2, 1.7, 0.6
+    cfg = VerificationConfig(protocol, lam=lam, F_t=0.8, delta=delta, epsilon=eps,
+                             sigma1=s1, sigma2=s2, target=spec)
+    norm_s, norm_d = np.linalg.norm(spec.S, 2), np.linalg.norm(spec.d)
+    unitary = protocol == "unitary"
+    groups = [("c3" if unitary else "c1", s1, 2 * m, (2 * m) ** 1.5 * norm_s**2 * norm_d),
+              ("c4" if unitary else "c2", s2, m * (2 * m + 1), m * norm_s**2)]
+    if unitary:
+        groups.append(("c5", s2, 4 * m * m, 2 * m * norm_s / np.sqrt(lam + 1.0)))
+    budget = sample_budget(cfg)
+    assert list(budget.raw) == [key for key, *_ in groups]
+    if d_scale == 0.0:  # no mean to estimate: the mean key draws no shots
+        mean_key = groups.pop(0)[0]
+        assert budget.raw[mean_key] == 0.0 and budget.counts[mean_key] == 0
+    delta_g = 1.0 - (1.0 - delta) ** (1.0 / len(groups))
+    for key, sigma, l, bound in groups:
+        expected = _lemma3_raw_reference(sigma, l, eps / len(groups) / bound, delta_g)
+        assert budget.raw[key] == pytest.approx(expected, rel=1e-12), key
+
+
+def test_lemma3_groups_of_the_amplification_game():
+    g, lam, eps, delta = 2.7, 1.2, 0.02, 0.3
+    f = (lam + 1.0) / g**2
+    cfg = VerificationConfig("amplification", lam=lam, F_t=0.5 * f, delta=delta, epsilon=eps,
+                             sigma1=1.7, sigma2=0.6, g=g)
+    a = np.sqrt(lam + 1.0) / (np.sqrt(lam + 1.0) + 2.0)
+    delta_g = 1.0 - (1.0 - delta) ** 0.5
+    raw = sample_budget(cfg).raw
+    assert raw["c6"] == pytest.approx(_lemma3_raw_reference(0.6, 2, a * eps / f**2, delta_g), rel=1e-12)
+    assert raw["c7"] == pytest.approx(
+        _lemma3_raw_reference(0.6, 2, (1.0 - a) * eps / (2.0 * f**1.5), delta_g), rel=1e-12)
+
+
 def test_budget_reports_the_shots_a_verdict_draws():
     for d_scale in (0.0, 0.3):
         for cfg, _, verdict in _games(d_scale):
@@ -133,13 +177,18 @@ def test_budget_reports_the_shots_a_verdict_draws():
 # ---------------------------------------------------------------- config invariants
 
 def test_config_epsilon_range_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 0.05\), half the gap from F_t to 1$"):
         cfg_unitary(sp.identity(1), F_t=0.9, eps=0.06)
 
 
 def test_config_threshold_range_amp():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, \(lam\+1\)/g\^2 = 0.3200\)"):
         cfg_amp(2.5, F_t=0.4)
+
+
+def test_config_epsilon_range_amp():
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 0.035\), half the gap from F_t to \(lam"):
+        cfg_amp(2.5, eps=0.04)
 
 
 def test_config_gain_below_witness_domain():
@@ -204,7 +253,7 @@ def test_state_plan_batches_all_have_terms():
     for m in (1, 2, 3):
         cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                                  target=sp.identity(m))
-        batches, _ = plan_state(cfg)
+        batches, _, _ = plan_state(cfg)
         assert all(b.terms for b in batches)
         assert len(batches) == 5 + (m if m > 1 else 0)
 
@@ -367,7 +416,7 @@ def test_gamma1_symmetric_by_construction():
     # each unordered A' pair <x_u x_v> is one estimate from one batch, so the
     # second-moment matrix the witness reads is symmetric by construction
     cfg = cfg_unitary(sp.identity(2).__class__(np.eye(4), np.zeros(4)))
-    batches, _ = plan_unitary(cfg)
+    batches, _, _ = plan_unitary(cfg)
     pairs = []
     for b in batches:
         for i, j, _ in b.terms:
@@ -460,7 +509,7 @@ def test_state_protocol_rejects_thermal_impostor():
 
 def test_witness_estimate_requires_complete_moments():
     cfg = cfg_unitary(sp.identity(1))
-    batches, c0 = plan_unitary(cfg)
+    batches, c0, _ = plan_unitary(cfg)
     # the plan reads A' and R quadratures: the A' moments alone do not cover it
     with pytest.raises(ValueError):
         exact_terms(np.zeros(2), np.eye(2), batches)
@@ -588,7 +637,7 @@ def _games(d_scale=0.3):
 @pytest.mark.parametrize("shot_cap", [None, 10_000])
 def test_estimate_terms_bit_identical_to_per_batch_sampling(shot_cap):
     for cfg, state, verdict in _games():
-        batches, c0 = witness_plan(cfg)
+        batches, c0, _ = witness_plan(cfg)
         counts = {k: c if shot_cap is None else min(c, shot_cap)
                   for k, c in sample_budget(cfg).counts.items()}
         for seed in (0, 7):

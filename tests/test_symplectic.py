@@ -88,7 +88,7 @@ def test_rotation_convention():
 def test_random_specs_are_symplectic(seed, m):
     rng = np.random.default_rng(seed)
     spec = sp.random_symplectic(m, r_max=1.5, d_scale=1.0, rng=rng)
-    assert spec.is_valid(tol=1e-9)
+    assert spec.is_valid()
 
 
 @given(st.integers(0, 2**32 - 1))
