@@ -123,16 +123,6 @@ def tmsv_fock(r: float, cutoff: int) -> FockState:
     return FockState(cutoff, 2, np.outer(psi, psi.conj()))
 
 
-def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff, dtype=float)
-    from scipy.special import gammaln
-
-    log_fact = gammaln(n + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
-    return amp.astype(complex)
-
-
 def _two_mode_sectors(theta: float, cutoff: int, step: int) -> list:
     """Sector blocks of exp(theta (L - L+)) for L = a1+ a2+ (step=+1) or a1+ a2 (step=-1).
 

@@ -4,9 +4,10 @@ A homodyne setting assigns a quadrature angle to a subset of modes (all
 selected quadratures commute since they live on distinct modes).  Shots are
 i.i.d. draws from the exact multivariate-Gaussian marginal of the rotated
 quadratures, so every moment estimate reads only the shot sum and the
-scatter sum; ``sample_moment_sums`` draws those two sufficient statistics
-exactly at a cost independent of the shot count, and ``sample_quadratures``
-draws the individual shots (its reference).  ``build_measurement_plan``
+scatter sum.  ``marginals`` stacks the exact marginals of many (setting,
+columns) pairs, and ``moment_sums`` draws those two sufficient statistics
+for all of them at once, at a cost independent of the shot count; the
+tests keep a per-shot sampler as its reference.  ``build_measurement_plan``
 lists the m+5 settings of the unitary game; which moment each one measures
 is stated once, by ``protocols.plan_unitary``.
 """
@@ -60,72 +61,67 @@ def rotated_quadrature_projector(setting: HomodyneSetting, n_modes: int) -> np.n
     return P
 
 
-def _marginal(state: GaussianState, setting: HomodyneSetting):
-    """Mean and Cholesky factor (with 1e-14 jitter) of the measured quadratures."""
-    P = rotated_quadrature_projector(setting, state.n_modes)
-    cov = P @ state.cov @ P.T
-    return P @ state.mean, np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
+def marginals(state: GaussianState, settings, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Gaussian marginals, one per (setting, columns) pair: the mean
+    P_b mu, shape (G, k), and a square root R_b of the covariance
+    P_b V P_b^T, shape (G, k, k), where P_b holds the projector rows of the
+    k listed columns of the setting's measured quadratures.
 
-
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def sample_quadratures(
-    state: GaussianState,
-    setting: HomodyneSetting,
-    seed,
-    shots: int = 1,
-) -> np.ndarray:
-    """Joint homodyne samples, shape (shots, n_measured).
-
-    ``seed`` may be an int or a numpy SeedSequence/Generator; identical seeds
-    reproduce identical shot records.  The protocols draw only the sums of
-    ``sample_moment_sums``; this per-shot sampler is its reference.
+    R_b = U diag(sqrt(l)) from the eigendecomposition U diag(l) U^T, so it is
+    exact also for a (near-)singular covariance, where a Cholesky factor
+    fails or needs jitter.  Eigenvalues within rounding of 0 (|l| at most
+    16 k eps max|V|, the error of forming P_b V P_b^T and of the
+    eigensolver) count as 0; a lower one is a ValueError naming the setting.
     """
-    mean, L = _marginal(state, setting)
-    z = _rng(seed).standard_normal((shots, mean.size))
-    return mean + z @ L.T
+    first_row, projectors, rows = {}, [], []  # keyed by identity: plans reuse their settings
+    for setting, cols in zip(settings, columns):
+        start = first_row.get(id(setting))
+        if start is None:
+            start = first_row[id(setting)] = sum(map(len, projectors))
+            projectors.append(rotated_quadrature_projector(setting, state.n_modes))
+        rows += [start + c for c in cols]
+    P = np.concatenate(projectors)[rows].reshape(len(settings), -1, 2 * state.n_modes)
+    lam, U = np.linalg.eigh(P @ state.cov @ P.transpose(0, 2, 1))
+    tol = 16 * P.shape[1] * np.finfo(float).eps * np.abs(state.cov).max()
+    bad = np.flatnonzero(lam[:, 0] < -tol)
+    if bad.size:
+        setting = settings[bad[0]]
+        raise ValueError(f"the covariance measured in setting {setting.label or setting.angles} "
+                         f"is not positive semidefinite (eigenvalue {lam[bad[0], 0]:.3g})")
+    return P @ state.mean, U * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
 
 
-def sample_moment_sums(
-    state: GaussianState,
-    setting: HomodyneSetting,
-    seed,
-    shots: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_n x_n, sum_n x_n x_n^T) of ``shots`` joint homodyne shots, drawn
-    exactly in O(k^3) for k measured modes whatever the shot count.
+def moment_sums(mean: np.ndarray, root: np.ndarray, rng: np.random.Generator,
+                shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_n x_n, sum_n x_n x_n^T), shapes (G, k) and (G, k, k), of ``shots``
+    i.i.d. shots x_n ~ N(mean_b, R_b R_b^T) for each of the G stacked
+    marginals of ``marginals``, drawn exactly in a few array calls whatever
+    the shot count N.
 
-    The shots x_n = mu + L z_n are i.i.d. Gaussian, so the two sums are
-    sufficient statistics: the sample mean is mu + L z / sqrt(N), and the
-    centred scatter is L W L^T with W ~ Wishart(I, N-1) independent of it.
-    W is drawn by the Bartlett decomposition W = A A^T (A lower triangular,
-    A_ii^2 ~ chi^2(N-1-i), A_ij ~ N(0, 1) below the diagonal; Smith &
-    Hocking 1972, AS 53) when N-1 >= k, and as A A^T from a k x (N-1)
-    normal block A otherwise.  Mean and L are those of ``sample_quadratures``.
+    The two sums are sufficient statistics: the sample mean is
+    mean_b + R_b z_b / sqrt(N), and the centred scatter is R_b W_b R_b^T with
+    W_b ~ Wishart(I, N-1) independent of it.  ``rng`` supplies, in order:
+    z, G x k normals; then, when N-1 >= k, the lower-triangular Bartlett
+    factors A of W_b = A A^T (Smith & Hocking 1972, AS 53): a G x k x k
+    normal block whose strictly lower triangles are their off-diagonal
+    entries, and for i = 0..k-1 G chi-squares with N-1-i degrees of freedom,
+    the squares of their i-th diagonal entries; when N-1 < k, a
+    G x k x (N-1) normal block A.
     """
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
-    return _moment_sums(*_marginal(state, setting), _rng(seed), shots)
-
-
-def _moment_sums(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator,
-                 shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_moment_sums`` from a marginal's mean and Cholesky factor, so
-    that batches sharing a setting factor it once."""
-    k = mean.size
-    if shots == 0:
-        return np.zeros(k), np.zeros((k, k))
-    xbar = mean + L @ rng.standard_normal(k) / np.sqrt(shots)
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    G, k = mean.shape
+    xbar = mean + (root @ rng.standard_normal((G, k, 1)))[:, :, 0] / np.sqrt(shots)
     dof = shots - 1
     if dof >= k:
-        A = np.tril(rng.standard_normal((k, k)), -1)
-        A.flat[:: k + 1] = np.sqrt(rng.chisquare(dof - np.arange(k)))
+        A = rng.standard_normal((G, k, k))
+        for i in range(k):
+            A[:, i, i + 1:] = 0.0
+            A[:, i, i] = np.sqrt(rng.chisquare(dof - i, G))
     else:
-        A = rng.standard_normal((k, dof))
-    LA = L @ A
-    return shots * xbar, LA @ LA.T + shots * np.outer(xbar, xbar)
+        A = rng.standard_normal((G, k, dof))
+    RA = root @ A
+    return shots * xbar, RA @ RA.transpose(0, 2, 1) + shots * xbar[:, :, None] * xbar[:, None, :]
 
 
 def build_measurement_plan(m: int) -> tuple:

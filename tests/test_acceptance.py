@@ -25,6 +25,7 @@ from cvverify.protocols import (
     sample_budget,
     witness_analytic,
 )
+from test_measurement import sample_quadratures
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -283,7 +284,7 @@ def test_9_sampler_calibration():
         P = ms.rotated_quadrature_projector(setting, 2)
         mean_true = P @ st.mean
         cov_true = P @ st.cov @ P.T
-        x = ms.sample_quadratures(st, setting, seed=idx, shots=shots)
+        x = sample_quadratures(st, setting, seed=idx, shots=shots)
         # first moments
         for j in range(x.shape[1]):
             sd = np.sqrt(cov_true[j, j] / shots)

@@ -77,6 +77,24 @@ def test_config_invariant_exit_code(scenario, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam, code", [
+    (1e-16, 2),  # infinite TMSV squeezing: a config error naming lam
+    (1e-14, 0),  # finite, with a near-singular measured covariance
+])
+def test_tiny_lam(scenario, tmp_path, capsys, lam, code):
+    _, data = scenario
+    data["config"]["lam"], data["repetitions"], data["shot_cap"] = lam, 1, 1000
+    path = tmp_path / "tiny_lam.json"
+    path.write_text(json.dumps(data))
+    try:
+        got = main(["verify", "--config", str(path)])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert capsys.readouterr().err == ("" if code == 0 else f"config error: lam = {lam:g} is too small: "
+                                       "the TMSV squeezing arctanh(1/sqrt(lam+1)) is infinite\n")
+
+
 @pytest.mark.parametrize("command", ["budget", "verify"])
 def test_unknown_config_field_exit_code(scenario, tmp_path, command, capsys):
     # a typo'd sigma2 used to be dropped, budgeting for sigma2 = 1

@@ -63,17 +63,30 @@ def test_setting_angle_validation():
         ms.HomodyneSetting((np.pi,))
 
 
+# ------------------------------------------------- per-shot reference
+
+
+def sample_quadratures(state, setting, seed, shots):
+    """Joint homodyne shots, shape (shots, n_measured), drawn one by one from
+    the Cholesky factor of the measured marginal: the reference for the
+    sufficient-statistic sampler.  ``seed`` may be an int or a Generator."""
+    P = ms.rotated_quadrature_projector(setting, state.n_modes)
+    L = np.linalg.cholesky(P @ state.cov @ P.T)
+    z = np.random.default_rng(seed).standard_normal((shots, len(L)))
+    return P @ state.mean + z @ L.T
+
+
 def test_sampler_vacuum_mean():
     st = ga.vacuum(1)
     setting = ms.HomodyneSetting((0.0,))
-    x = ms.sample_quadratures(st, setting, seed=0, shots=100_000)
+    x = sample_quadratures(st, setting, seed=0, shots=100_000)
     tol = 3.0 * np.sqrt(0.5) / np.sqrt(100_000)
     assert abs(x.mean()) < tol
 
 
 def test_sampler_coherent_mean():
     st = ga.coherent(1.0 + 0.0j)
-    x = ms.sample_quadratures(st, ms.HomodyneSetting((0.0,)), seed=1, shots=100_000)
+    x = sample_quadratures(st, ms.HomodyneSetting((0.0,)), seed=1, shots=100_000)
     tol = 3.0 * np.sqrt(0.5) / np.sqrt(100_000)
     assert abs(x.mean() - np.sqrt(2.0)) < tol
 
@@ -82,7 +95,7 @@ def test_sampler_tmsv_correlation():
     r = 0.6
     st = ga.tmsv(r)
     setting = ms.HomodyneSetting((0.0, 0.0))
-    x = ms.sample_quadratures(st, setting, seed=2, shots=100_000)
+    x = sample_quadratures(st, setting, seed=2, shots=100_000)
     corr = (x[:, 0] * x[:, 1]).mean()
     expected = 0.5 * np.sinh(2 * r)
     sd = (x[:, 0] * x[:, 1]).std(ddof=1) / np.sqrt(100_000)
@@ -95,7 +108,7 @@ def test_sampler_rotated_quadrature_variance():
 
     r = 0.5
     st = ga.apply_unitary(ga.vacuum(1), sp.single_mode_squeezer(r))
-    x = ms.sample_quadratures(st, ms.HomodyneSetting((np.pi / 4,)), seed=3, shots=100_000)
+    x = sample_quadratures(st, ms.HomodyneSetting((np.pi / 4,)), seed=3, shots=100_000)
     expected = 0.25 * (np.exp(2 * r) + np.exp(-2 * r))
     sd = (x[:, 0] ** 2).std(ddof=1) / np.sqrt(100_000)
     assert abs((x[:, 0] ** 2).mean() - expected) < 4.0 * sd
@@ -107,7 +120,7 @@ def test_joint_equals_marginal_with_cross_covariance():
     r = 0.7
     st = ga.tmsv(r)
     setting = ms.HomodyneSetting((0.0, np.pi / 2))
-    x = ms.sample_quadratures(st, setting, seed=4, shots=200_000)
+    x = sample_quadratures(st, setting, seed=4, shots=200_000)
     # q_A p_R covariance of the TMSV is zero; variances match the marginals
     assert abs((x[:, 0] * x[:, 1]).mean()) < 0.02
     assert (x[:, 0] ** 2).mean() == pytest.approx(0.5 * np.cosh(2 * r), rel=0.02)
@@ -116,15 +129,15 @@ def test_joint_equals_marginal_with_cross_covariance():
 def test_sampler_seed_determinism():
     st = ga.tmsv(0.4)
     setting = ms.HomodyneSetting((0.0, 0.0))
-    a = ms.sample_quadratures(st, setting, seed=5, shots=100)
-    b = ms.sample_quadratures(st, setting, seed=5, shots=100)
+    a = sample_quadratures(st, setting, seed=5, shots=100)
+    b = sample_quadratures(st, setting, seed=5, shots=100)
     np.testing.assert_array_equal(a, b)
 
 
 def test_unmeasured_modes_are_skipped():
     st = ga.tmsv(0.3)
     setting = ms.HomodyneSetting((0.0, None))
-    x = ms.sample_quadratures(st, setting, seed=6, shots=10)
+    x = sample_quadratures(st, setting, seed=6, shots=10)
     assert x.shape == (10, 1)
 
 
@@ -143,9 +156,12 @@ def _displaced_pairs():
     return st, setting, P @ st.mean, P @ st.cov @ P.T
 
 
-def _moment_sums(st, setting, shots, seeds):
-    sums = [ms.sample_moment_sums(st, setting, s, shots) for s in seeds]
-    return np.array([s1 for s1, _ in sums]), np.array([s2 for _, s2 in sums])
+def _moment_sums(shots, reps, seed):
+    """``reps`` independent draws of the shot and scatter sums of the dense
+    four-column marginal, as one stacked ``moment_sums`` call."""
+    st, setting, _, _ = _displaced_pairs()
+    mean, root = ms.marginals(st, [setting] * reps, [range(4)] * reps)
+    return ms.moment_sums(mean, root, np.random.default_rng(seed), shots)
 
 
 def test_moment_sums_single_shot_is_one_draw():
@@ -153,7 +169,7 @@ def test_moment_sums_single_shot_is_one_draw():
     # and that shot is distributed as N(mu, Sigma)
     st, setting, mu, cov = _displaced_pairs()
     reps = 4000
-    s1, s2 = _moment_sums(st, setting, 1, range(reps))
+    s1, s2 = _moment_sums(1, reps, 0)
     np.testing.assert_allclose(s2, s1[:, :, None] * s1[:, None, :], rtol=1e-12, atol=1e-12)
     assert np.all(np.abs(s1.mean(0) - mu) <= 4.0 * np.sqrt(np.diag(cov) / reps))
     np.testing.assert_allclose(np.cov(s1.T), cov, atol=0.1 * np.max(np.abs(cov)))
@@ -168,7 +184,7 @@ def test_moment_sums_scatter_is_wishart(shots):
     # (ratio within 25%), and W has rank min(N-1, k).
     st, setting, mu, cov = _displaced_pairs()
     k, reps = mu.size, 3000
-    s1, s2 = _moment_sums(st, setting, shots, range(reps))
+    s1, s2 = _moment_sums(shots, reps, shots)
     W = s2 - s1[:, :, None] * s1[:, None, :] / shots
     dof = shots - 1
     w_var = dof * (np.outer(np.diag(cov), np.diag(cov)) + cov**2)
@@ -180,12 +196,33 @@ def test_moment_sums_scatter_is_wishart(shots):
 
 def test_moment_sums_edge_counts_and_determinism():
     st, setting, _, _ = _displaced_pairs()
-    s1, s2 = ms.sample_moment_sums(st, setting, 0, 0)
-    assert not s1.any() and not s2.any() and s2.shape == (4, 4)
-    with pytest.raises(ValueError):
-        ms.sample_moment_sums(st, setting, 0, -1)
-    a = ms.sample_moment_sums(st, setting, 3, 10**9)
-    b = ms.sample_moment_sums(st, setting, 3, 10**9)
+    mean, root = ms.marginals(st, [setting], [range(4)])
+    for shots in (0, -1):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            ms.moment_sums(mean, root, np.random.default_rng(0), shots)
+    a = ms.moment_sums(mean, root, np.random.default_rng(3), 10**9)
+    b = ms.moment_sums(mean, root, np.random.default_rng(3), 10**9)
+    assert a[0].shape == (1, 4) and a[1].shape == (1, 4, 4)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    np.testing.assert_allclose(a[1], a[1].T, rtol=1e-12)
+    np.testing.assert_allclose(a[1], a[1].transpose(0, 2, 1), rtol=1e-12)
+
+
+def test_marginal_roots_are_exact_for_singular_covariances():
+    # a TMSV so squeezed (lam = 1e-14) that its q_A q_R covariance has
+    # eigenvalues of about 1e14 and 1e-14: a Cholesky factor fails, the
+    # eigen root reproduces the covariance to rounding, column by column too
+    from cvverify.protocols import kappa_for
+
+    st = ga.tmsv(kappa_for(1e-14))
+    setting = ms.HomodyneSetting((0.0, 0.0))
+    P = ms.rotated_quadrature_projector(setting, 2)
+    cov = P @ st.cov @ P.T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    mean, root = ms.marginals(st, [setting], [(0, 1)])
+    np.testing.assert_allclose(root[0] @ root[0].T, cov, rtol=1e-12)
+    np.testing.assert_array_equal(mean, [[0.0, 0.0]])
+    _, root = ms.marginals(st, [setting, setting], [(0,), (1,)])
+    np.testing.assert_allclose(root[:, 0, 0] ** 2, np.diag(cov), rtol=1e-12)
+

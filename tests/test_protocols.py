@@ -10,7 +10,7 @@ from cvverify.channels import (
     random_prover,
     true_average_fidelity,
 )
-from cvverify.measurement import build_measurement_plan, sample_moment_sums, sample_quadratures
+from cvverify.measurement import build_measurement_plan, marginals, moment_sums
 from cvverify.protocols import (
     Batch,
     VerificationConfig,
@@ -28,6 +28,7 @@ from cvverify.protocols import (
     witness_estimate_state,
     witness_plan,
 )
+from test_measurement import sample_quadratures
 
 
 def cfg_unitary(spec, lam=1.0, F_t=0.9, eps=0.04, delta=0.25, **kw):
@@ -213,6 +214,29 @@ def test_config_rejects_non_finite(field, value):
         cfg_unitary(sp.identity(1), **{"eps" if field == "epsilon" else field: value})
 
 
+def test_config_rejects_infinite_squeezing():
+    # lam + 1 rounds so close to 1 that arctanh(1/sqrt(lam+1)) is infinite
+    data = cfg_unitary(sp.identity(1)).to_dict()
+    for lam in (1e-16, 2.2e-16):
+        with pytest.raises(ValueError, match=f"lam = {lam:g} is too small"):
+            VerificationConfig.from_dict({**data, "lam": lam})
+    assert VerificationConfig.from_dict({**data, "lam": 1e-14}).lam == 1e-14
+
+
+def test_near_singular_marginals_give_a_verdict():
+    # at lam = 1e-14 the q_A q_R marginal of the identity channel's output has
+    # eigenvalues of about 1e14 and 1e-14; its exact root gives a verdict
+    cfg = cfg_unitary(sp.identity(1), lam=1e-14)
+    v = run_verification(exact_unitary(sp.identity(1)), cfg, seed=0, shot_cap=1000)
+    assert np.isfinite(v.omega_star) and len(v.diagnostics["terms"]) == 9
+
+
+def test_indefinite_measured_covariance_names_the_setting():
+    state = ga.GaussianState(np.zeros(4), np.diag([0.5, 0.5, -0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"setting q\(A'\)\+q\(R\) is not positive semidefinite"):
+        run_state_verification(state, cfg_unitary(sp.identity(1)), seed=0, shot_cap=100)
+
+
 def test_config_rejects_non_finite_target_and_gain():
     for S, d in ((np.diag([np.nan, 1.0]), np.zeros(2)), (np.eye(2), np.array([np.inf, 0.0]))):
         with pytest.raises(ValueError, match="target S and d must be finite"):
@@ -322,51 +346,85 @@ def test_sampled_moments_converge_to_analytic():
     counts = {k: min(c, 40_000) for k, c in sample_budget(cfg).counts.items()}
     batches = unit_weights(plan_unitary(cfg)[0])
     state = output_state(p, cfg)
-    got = np.array(estimate_terms(state, batches, counts, seed=0))
+    got = np.array(estimate_terms(state, batches, counts, [0])[0])
     ref = np.array(exact_terms(*raw_moments(state), batches))
     means = np.array([j is None for b in batches for _, j, _ in b.terms])
     np.testing.assert_allclose(got[means], ref[means], atol=0.05)
     np.testing.assert_allclose(got[~means], ref[~means], atol=0.1)
 
 
+def per_shot_terms(state, batches, counts, reps, seed):
+    """(reps, batches) terms from individual shots of the per-shot reference:
+    each batch draws reps x N fresh shots of its setting in one call, so
+    batches and repetitions are independent, as in a verdict."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((reps, len(batches)))
+    for col, b in enumerate(batches):
+        n = counts[b.key]
+        x = sample_quadratures(state, b.setting, rng, reps * n).reshape(reps, n, -1)
+        s1, s2 = x.sum(1), np.einsum("rni,rnj->rij", x, x)
+        out[:, col] = sum(w * (s1[:, i] if j is None else s2[:, i, j]) for i, j, w in b.terms) / n
+    return out
+
+
 def test_moment_sums_match_per_shot_sampler_in_distribution():
     # every batch term of the m = 2 unitary plan at N = 50 shots, over 1000
-    # seeds per sampler (one draw per setting and seed serves all batches of
-    # that setting): term means agree within 4 standard errors of their
-    # difference and lie within 4 standard errors of the exact moment, and
-    # term variances agree within 25%
+    # seeds of the compiled plan and 1000 per-shot repetitions: term means
+    # agree within 4 standard errors of their difference and lie within 4
+    # standard errors of the exact moment, and term variances agree within 25%
     spec = sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(5))
     cfg = cfg_unitary(spec, F_t=0.5, eps=0.02)
     state = output_state(ProverChannel("NoisyUnitary", spec=spec, excess=0.1), cfg)
     batches = unit_weights(plan_unitary(cfg)[0])
-    settings = list(dict.fromkeys(b.setting for b in batches))
-    shots, reps = 50, 1000
-
-    def per_shot_sums(setting, rng):
-        x = sample_quadratures(state, setting, rng, shots)
-        return x.sum(0), x.T @ x
-
-    def moment_sums(setting, rng):
-        return sample_moment_sums(state, setting, rng, shots)
-
-    def terms(draw, first_seed):
-        out = np.empty((reps, len(batches)))
-        for r in range(reps):
-            sums = {s: draw(s, np.random.default_rng([first_seed + r, n]))
-                    for n, s in enumerate(settings)}
-            for col, b in enumerate(batches):
-                (i, j, _), = b.terms
-                s1, s2 = sums[b.setting]
-                out[r, col] = (s1[i] if j is None else s2[i, j]) / shots
-        return out
-
-    new, ref = terms(moment_sums, 0), terms(per_shot_sums, reps)
+    counts, reps = dict.fromkeys(("c3", "c4", "c5"), 50), 1000
+    new = np.array(estimate_terms(state, batches, counts, range(reps)))
+    ref = per_shot_terms(state, batches, counts, reps, 0)
     exact = np.array(exact_terms(*raw_moments(state), batches))
     se_new, se_ref = new.std(0, ddof=1) / np.sqrt(reps), ref.std(0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(new.mean(0) - ref.mean(0)) <= 4.0 * np.hypot(se_new, se_ref))
     assert np.all(np.abs(new.mean(0) - exact) <= 4.0 * se_new)
     assert np.all(np.abs(ref.mean(0) - exact) <= 4.0 * se_ref)
     np.testing.assert_allclose(new.var(0, ddof=1) / ref.var(0, ddof=1), 1.0, atol=0.25)
+
+
+def _law_games():
+    """(cfg, measured state) of the unitary game at m = 2, the state game at
+    m = 3 and the amplification game, each with an imperfect prover."""
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.4, rng=np.random.default_rng(8))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    yield cfg, output_state(ProverChannel("NoisyUnitary", spec=spec, excess=0.1), cfg)
+    spec = sp.random_symplectic(3, r_max=0.3, d_scale=0.4, rng=np.random.default_rng(9))
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
+    yield scfg, ga.GaussianState(spec.d, 0.5 * spec.S @ spec.S.T + 0.05 * np.eye(6))
+    acfg = cfg_amp(2.5)
+    yield acfg, output_state(ProverChannel("NoisyAmplifier", g=1.5, excess=0.1), acfg)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 50])
+def test_omega_star_law_matches_per_shot_reference(shots):
+    # omega* of verdicts capped at N shots per observable, over 2000 seeds,
+    # against 2000 per-shot repetitions of the same plan: N = 1 has no
+    # scatter, N = 2 draws the normal-block Wishart for every group that
+    # reads two or more columns (all three state groups) and a chi-square
+    # for one-column groups, N = 50 the Bartlett factors.  Means and
+    # variances agree within 4 standard errors of their difference (the
+    # variance's from the fourth moments), both means lie within 4 standard
+    # errors of the exact witness, and a two-sample KS test does not reject.
+    from scipy.stats import ks_2samp
+
+    reps = 2000
+    for cfg, state in _law_games():
+        batches, c0, _ = witness_plan(cfg)
+        new = np.array([v.omega_star for v in protocols._verdicts(state, cfg, range(reps), shots)])
+        ref = c0 + per_shot_terms(state, batches, dict.fromkeys(sample_budget(cfg).counts, shots),
+                                  reps, 1).sum(1)
+        exact = c0 + sum(exact_terms(*raw_moments(state), batches))
+        se = [x.std(ddof=1) / np.sqrt(reps) for x in (new, ref)]
+        assert abs(new.mean() - ref.mean()) <= 4.0 * np.hypot(*se)
+        assert abs(new.mean() - exact) <= 4.0 * se[0] and abs(ref.mean() - exact) <= 4.0 * se[1]
+        var_se = [np.sqrt((((x - x.mean()) ** 2).var(ddof=1)) / reps) for x in (new, ref)]
+        assert abs(new.var(ddof=1) - ref.var(ddof=1)) <= 4.0 * np.hypot(*var_se)
+        assert ks_2samp(new, ref).pvalue > 1e-3
 
 
 def test_uncapped_verdict_determinism():
@@ -386,7 +444,7 @@ def test_estimate_moments_honest_cross_block_sign():
     all_q, all_p = build_measurement_plan(1)[:2]
     # <q_A' q_R> from the all-q setting, <p_A' p_R> from the all-p setting
     batches = [Batch(all_q, "c5", ((0, 1, 1.0),)), Batch(all_p, "c5", ((0, 1, 1.0),))]
-    qq, pp = estimate_terms(output_state(p, cfg), batches, {"c5": 30_000}, seed=1)
+    (qq, pp), = estimate_terms(output_state(p, cfg), batches, {"c5": 30_000}, [1])
     s = np.sqrt(2.0)  # sinh(2 kappa)/2 at lam = 1
     assert qq == pytest.approx(s, abs=0.05)
     assert pp == pytest.approx(-s, abs=0.05)
@@ -602,18 +660,29 @@ def test_verdict_terms_sum_to_omega_star():
 
 # ------------------------------------------------ one verdict core
 
-def per_batch_terms(state, batches, counts, seed):
-    """The estimator as one public ``sample_moment_sums`` call per batch, each
-    factoring its own marginal: the reference ``estimate_terms`` must equal."""
-    out = []
-    for b, stream in zip(batches, np.random.SeedSequence(seed).spawn(len(batches))):
-        n, total = counts[b.key], 0.0
-        if n > 0:
-            s1, s2 = sample_moment_sums(state, b.setting, np.random.default_rng(stream), n)
+def group_layout_terms(state, batches, counts, seed):
+    """The documented stream layout, written out batch by batch: the batches
+    with shots are grouped by (count key, number of columns their terms
+    read) in order of first appearance; one default_rng(seed) draws each
+    group with one ``marginals`` + ``moment_sums`` call, in that order; a
+    batch's term is its weighted sums, added in term order, over N."""
+    groups = {}
+    for pos, b in enumerate(batches):
+        cols = sorted({c for i, j, _ in b.terms for c in (i, j) if c is not None})
+        if counts[b.key] > 0:
+            groups.setdefault((b.key, len(cols)), []).append((pos, b, cols))
+    rng = np.random.default_rng(seed)
+    out = [0.0] * len(batches)
+    for (key, _), members in groups.items():
+        n = counts[key]
+        mean, root = marginals(state, [b.setting for _, b, _ in members], [c for _, _, c in members])
+        s1, s2 = moment_sums(mean, root, rng, n)
+        for g, (pos, b, cols) in enumerate(members):
+            total = 0.0
             for i, j, w in b.terms:
-                total += w * (s1[i] if j is None else s2[i, j])
-            total /= n
-        out.append(float(total))
+                i = cols.index(i)
+                total += w * (s1[g, i] if j is None else s2[g, i, cols.index(j)])
+            out[pos] = float(total / n)
     return out
 
 
@@ -635,14 +704,14 @@ def _games(d_scale=0.3):
 
 
 @pytest.mark.parametrize("shot_cap", [None, 10_000])
-def test_estimate_terms_bit_identical_to_per_batch_sampling(shot_cap):
+def test_verdict_terms_bit_identical_to_group_layout(shot_cap):
     for cfg, state, verdict in _games():
         batches, c0, _ = witness_plan(cfg)
         counts = {k: c if shot_cap is None else min(c, shot_cap)
                   for k, c in sample_budget(cfg).counts.items()}
-        for seed in (0, 7):
-            ref = per_batch_terms(state, batches, counts, seed)
-            assert estimate_terms(state, batches, counts, seed) == ref
+        refs = [group_layout_terms(state, batches, counts, seed) for seed in (0, 7)]
+        assert estimate_terms(state, batches, counts, (0, 7)) == refs
+        for seed, ref in zip((0, 7), refs):
             v = verdict(seed, shot_cap)
             assert v.diagnostics["terms"] == ref and v.omega_star == c0 + sum(ref)
 
@@ -659,26 +728,44 @@ def test_accept_rate_verdicts_equal_single_runs(shot_cap):
         assert rate == sum(v.accepted for v in verdicts) / 3
 
 
-def test_verdict_factors_each_setting_once(monkeypatch):
-    calls = {"marginal": 0, "output_state": 0}
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(owner, name)
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(protocols, "_marginal", counting("marginal", protocols._marginal))
-    monkeypatch.setattr(protocols, "output_state", counting("output_state", protocols.output_state))
-    m = 4
-    spec = sp.random_symplectic(m, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_verdict_call_compiles_once(monkeypatch):
+    compiles = _count_calls(monkeypatch, protocols, "_compile")
+    states = _count_calls(monkeypatch, protocols, "output_state")
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
     cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
-    assert len(plan_unitary(cfg)[0]) == 108
     run_verification(exact_unitary(spec), cfg, seed=0, shot_cap=1000)
-    assert calls["marginal"] <= m + 5
-    calls["output_state"] = 0
+    assert len(compiles) == 1
+    compiles.clear()
     accept_rate(exact_unitary(spec), cfg, 5, seed=0, shot_cap=1000)
-    assert calls["output_state"] == 1
+    assert len(compiles) == 1 and len(states) == 2
+
+
+def test_m4_unitary_verdict_draws_once_per_group(monkeypatch):
+    # 108 batches in four groups: c3 means and c4 diagonal and 45-degree
+    # moments read one column, the other c4 moments and the c5 cross
+    # moments two; a per-batch loop would draw and factor 108 times
+    draws = _count_calls(monkeypatch, protocols, "moment_sums")
+    factors = _count_calls(monkeypatch, protocols, "marginals")
+    spec = sp.random_symplectic(4, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    batches = plan_unitary(cfg)[0]
+    assert len(batches) == 108
+    v = run_verification(exact_unitary(spec), cfg, seed=0, shot_cap=1000)
+    assert len(draws) == len(factors) == 4
+    assert sum(len(mean) for mean, *_ in draws) == len(v.diagnostics["terms"]) == 108
+    assert [mean.shape[1] for mean, *_ in draws] == [1, 1, 2, 2]
 
 
 def test_each_verdict_call_builds_one_plan(monkeypatch):
