@@ -56,11 +56,16 @@ def _parse_scenario(data: dict):
     return cfg, prover, state, reps, seed, shot_cap
 
 
-def _check_cutoff(cutoff: int) -> None:
-    """Refuse a cutoff whose dense two-mode matrices exceed MAX_TWO_MODE_DIM."""
-    if cutoff * cutoff > MAX_TWO_MODE_DIM:
+def _check_cutoff(cutoff: int, sectors: bool) -> None:
+    """Refuse a cutoff whose two-mode matrices hold more entries than a dense
+    one of dimension MAX_TWO_MODE_DIM: c^4 when dense, or
+    sum_s (c - |s|)^2 = c (2 c^2 + 1) / 3 in n1 - n2 sectors."""
+    held = cutoff * (2 * cutoff * cutoff + 1) // 3 if sectors else cutoff**4
+    if held > MAX_TWO_MODE_DIM**2:
+        form = "sector" if sectors else "dense"
         raise SystemExit(
-            f"error: two-mode dimension {cutoff * cutoff} exceeds cap {MAX_TWO_MODE_DIM}"
+            f"error: cutoff {cutoff} gives {form} two-mode matrices of {held} entries, "
+            f"over the cap of {MAX_TWO_MODE_DIM}^2 = {MAX_TWO_MODE_DIM**2}"
         )
 
 
@@ -105,7 +110,10 @@ def cmd_oracle(args) -> int:
         raise SystemExit("error: oracle requires a prover in the scenario")
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
         cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
-        _check_cutoff(cutoff)
+        factors = elementary_factors(prover)
+        # the amplification witness and a phase-insensitive output are both held in sectors
+        in_sectors = all(kind in fock.PHASE_INSENSITIVE for kind, _ in factors)
+        _check_cutoff(cutoff, sectors=cfg.protocol == "amplification" and in_sectors)
     report = protocols.oracle_report(prover, cfg, seed)
     if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
@@ -115,7 +123,7 @@ def cmd_oracle(args) -> int:
         else:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
             t2 = 1.0 / (cfg.lam + 1.0)
-        state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
+        state = fock.entangled_output_fock(factors, cfg.lam, cutoff)
         report["fock_omega"] = fock.expectation(W, state)
         if not np.isfinite(report["fock_omega"]):
             raise ValueError(f"Fock witness {report['fock_omega']} is not finite")
@@ -139,7 +147,7 @@ def cmd_plan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cutoff = args.cutoff
-    _check_cutoff(cutoff)
+    _check_cutoff(cutoff, sectors=False)
     thetas = [float(t) for t in args.thetas.split(",")]
     results = []
     ok = True

@@ -7,24 +7,34 @@ beamsplitters, single-mode Gaussian unitaries, the performance operator, the
 canonical benchmark observable, and both average-fidelity witnesses.
 
 Two-mode operators act on A' (x) R with index i * cutoff + j for
-|i>_{A'} |j>_R (plain ``np.kron`` ordering) and are returned dense, but the
-costly ones are built from the photon number they conserve.  The two-mode
-squeezer conserves n1 - n2 and the beamsplitter n1 + n2, so each truncated
-generator is a direct sum of tridiagonal sector blocks, exponentiated one
-block at a time; a diagonal core inside a squeezer sandwich is conjugated
-block by block.  The performance operator is the closed-form Gaussian
-integral over the coherent prior, element by element.  A channel factor on A'
-contracts its Kraus operators (a unitary is a family of one) into one slot of
-the (c, c, c, c) view.  Every attenuator and amplifier Kraus operator moves
-photon number by a fixed amount, so those channels keep the difference of the
-two first-slot indices and act as one small block per diagonal of that pair.
-Truncation leakage is reported, never silently renormalized away.
+|i>_{A'} |j>_R (plain ``np.kron`` ordering), and the costly ones are built
+from the photon number they conserve.  The two-mode squeezer conserves
+n1 - n2 and the beamsplitter n1 + n2, so each truncated generator is a direct
+sum of tridiagonal blocks, one per chain of states the generator links, and
+the chains of each length are exponentiated in one stacked call; a diagonal
+core inside a squeezer sandwich is conjugated chain by chain.  The
+performance operator is the closed-form Gaussian integral over the coherent
+prior, element by element.
+
+Every attenuator and amplifier Kraus operator moves photon number by a fixed
+amount, so these phase-insensitive channels keep the difference delta of the
+two first-slot indices and act on each delta as one transfer block S_delta.
+The blocks are read off the dilation's sector chains, one diagonal per Kraus
+operator, and a run of such factors composes block by block.  The TMSV input
+sits in n1 = n2, so its image under such factors conserves n1 - n2 between
+bra and ket, as does the amplification witness: both are kept as their
+2c - 1 n1 - n2 sector blocks (about 2c^3/3 entries instead of c^4), and the
+dense ``rho`` or ``matrix`` is assembled only when read.  ``expectation``
+sums block traces, or gathers a dense operator at a sector state's entries.
+A unitary factor does not conserve n1 - n2, so a factor list with one runs
+on the dense state.  Truncation leakage is reported, never silently
+renormalized away.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,50 +42,63 @@ from scipy.linalg import expm
 from .symplectic import SymplecticSpec
 
 SQUEEZE_LEAKAGE_WARN = 1e-4
+PHASE_INSENSITIVE = ("attenuator", "amplifier")
 
 
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
+class _Fock:
+    """A dense complex matrix on ``modes`` truncated modes or, for two modes
+    that conserve n1 - n2, its sector blocks: a list of (i, j, block) over the
+    chains of :func:`_chains` (step +1), from which the dense matrix is
+    assembled on first read."""
 
+    _field = "matrix"
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on a truncated Fock space of ``modes`` modes."""
+    def __init__(self, cutoff: int, modes: int, matrix):
+        self._hold(cutoff, modes, np.array(matrix, dtype=complex), None)  # a caller's matrix is copied
 
-    cutoff: int
-    modes: int
-    matrix: np.ndarray
+    @classmethod
+    def _built(cls, cutoff: int, modes: int, matrix=None, sectors=None):
+        """Take over a matrix or sector list built in this module, without a copy."""
+        obj = cls.__new__(cls)
+        obj._hold(cutoff, modes, None if matrix is None else np.asarray(matrix, dtype=complex), sectors)
+        return obj
 
-    def __post_init__(self):
-        matrix = _readonly(self.matrix)
+    def _hold(self, cutoff, modes, matrix, sectors):
+        self.cutoff, self.modes, self._sectors = cutoff, modes, sectors
+        self._matrix = None if matrix is None else self._checked(matrix)
+
+    def _checked(self, matrix: np.ndarray) -> np.ndarray:
         dim = self.cutoff**self.modes
         if matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {matrix.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "matrix", matrix)
+            raise ValueError(f"{self._field} shape {matrix.shape}, expected ({dim}, {dim})")
+        matrix.setflags(write=False)
+        return matrix
+
+    def _dense(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._checked(_assemble(self._sectors, self.cutoff, complex))
+        return self._matrix
+
+
+class FockOperator(_Fock):
+    """Operator on a truncated Fock space of ``modes`` modes."""
+
+    matrix = property(_Fock._dense)
 
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= 1e-10)
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(_Fock):
     """Truncated density matrix; ``leakage`` reports the lost trace."""
 
-    cutoff: int
-    modes: int
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = _readonly(self.rho)
-        dim = self.cutoff**self.modes
-        if rho.shape != (dim, dim):
-            raise ValueError(f"rho shape {rho.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "rho", rho)
+    _field = "rho"
+    rho = property(_Fock._dense)
 
     @property
     def leakage(self) -> float:
+        if self._sectors is not None:
+            return float(1.0 - sum(np.trace(B) for _, _, B in self._sectors))
         return float(1.0 - np.real(np.trace(self.rho)))
 
 
@@ -89,7 +112,7 @@ def destroy(cutoff: int) -> np.ndarray:
 
 
 def number_op(cutoff: int) -> FockOperator:
-    return FockOperator(cutoff, 1, np.diag(np.arange(cutoff, dtype=complex)))
+    return FockOperator._built(cutoff, 1, np.diag(np.arange(cutoff, dtype=complex)))
 
 
 def g_theta(theta: float, cutoff: int) -> FockOperator:
@@ -98,7 +121,7 @@ def g_theta(theta: float, cutoff: int) -> FockOperator:
         raise ValueError("cutoff must be at least 2")
     _check_finite("theta", theta)
     t2 = np.tanh(theta) ** 2
-    return FockOperator(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
+    return FockOperator._built(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
 
 
 def thermal_fock(nbar: float, cutoff: int) -> FockState:
@@ -106,54 +129,82 @@ def thermal_fock(nbar: float, cutoff: int) -> FockState:
         raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
     n = np.arange(cutoff, dtype=float)
     p = nbar**n / (nbar + 1.0) ** (n + 1.0) if nbar > 0 else (n == 0).astype(float)
-    return FockState(cutoff, 1, np.diag(p).astype(complex))
+    return FockState._built(cutoff, 1, np.diag(p).astype(complex))
+
+
+def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
+    """sech(r) tanh^n(r), the amplitude of |nn> in the two-mode squeezed vacuum."""
+    _check_finite("r", r)
+    return np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
 
 
 def tmsv_vector(r: float, cutoff: int) -> np.ndarray:
     """State vector of the two-mode squeezed vacuum, sech(r) sum tanh^n r |nn>."""
-    _check_finite("r", r)
-    amp = np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
     psi = np.zeros(cutoff * cutoff, dtype=complex)
-    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amp
+    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = _tmsv_amplitudes(r, cutoff)
     return psi
 
 
 def tmsv_fock(r: float, cutoff: int) -> FockState:
     psi = tmsv_vector(r, cutoff)
-    return FockState(cutoff, 2, np.outer(psi, psi.conj()))
+    return FockState._built(cutoff, 2, np.outer(psi, psi.conj()))
 
 
-def _two_mode_sectors(theta: float, cutoff: int, step: int) -> list:
-    """Sector blocks of exp(theta (L - L+)) for L = a1+ a2+ (step=+1) or a1+ a2 (step=-1).
+def _chains(cutoff: int, step: int) -> list:
+    """Photon numbers (i, j) along each chain of states that L = a1+ a2+
+    (step=+1) or a1+ a2 (step=-1) links, in order.
 
     L moves |i, j> to |i+1, j+step>, so it conserves n1 - n2 (step=+1) or
-    n1 + n2 (step=-1), and the truncated generator is a direct sum of
-    tridiagonal blocks, one per chain of states that L links.  Each of the
-    2 cutoff - 1 chains starts where L+ leaves the truncated space.  Returns
-    (i, j, E) per chain: its photon numbers in order and its exponentiated block.
-
-    A block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
-    P = diag(i^k) and H the real symmetric tridiagonal matrix with
-    off-diagonals w, so exp(B) = P V e^{-i Lambda} V^T P^-1 from H = V Lambda V^T.
-    Diagonalizing keeps every block in numpy's LAPACK: with threaded BLAS,
-    SciPy's ``expm`` runs in a second thread pool, and many small calls
-    there contend with numpy's.
+    n1 + n2 (step=-1), and the 2 cutoff - 1 chains partition the truncated
+    two-mode space.  Each starts where L+ leaves it: at |0, j> for every j,
+    then at |i, 0> (step=+1) or |i, cutoff-1> (step=-1) for i >= 1.  For
+    step=+1 the chain starting at |0, j> has n1 - n2 = -j and the one at
+    |i, 0> has n1 - n2 = i.
     """
     edge = 0 if step > 0 else cutoff - 1
-    sectors = []
+    chains = []
     for i0, j0 in [(0, j) for j in range(cutoff)] + [(i, edge) for i in range(1, cutoff)]:
-        length = min(cutoff - i0, cutoff - j0 if step > 0 else j0 + 1)
-        i = i0 + np.arange(length)
-        j = j0 + step * np.arange(length)
-        w = theta * np.sqrt(i[1:] * np.maximum(j[:-1], j[1:]))  # <i+1, j+step|L|i, j>
-        lam, V = np.linalg.eigh(np.diag(w, -1) + np.diag(w, 1))
-        phase = 1j ** np.arange(length)
-        E = (phase[:, None] * ((V * np.exp(-1j * lam)) @ V.T) * phase.conj()).real
-        sectors.append((i, j, E))
-    return sectors
+        t = np.arange(min(cutoff - i0, cutoff - j0 if step > 0 else j0 + 1))
+        chains.append((i0 + t, j0 + step * t))
+    return chains
 
 
-def _squeezer_sectors(theta: float, cutoff: int) -> list:
+def _two_mode_sectors(theta: float, chains: list) -> list:
+    """Sector blocks of exp(theta (L - L+)) on the given chains of :func:`_chains`:
+    (i, j, E) per chain, E the exponentiated block over its states.
+
+    On a chain, L has the weights w_k = theta <i+1, j+step|L|i, j>, so the
+    block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
+    P = diag(i^k) and H the real symmetric tridiagonal matrix with
+    off-diagonals w.  From H = V Lambda V^T, exp(B) = Re(P V e^{-i Lambda} V^T P^-1),
+    whose entry (a, b) is (+-) (V cos(Lambda) V^T)[a, b] for even a - b and
+    (+-) (V sin(Lambda) V^T)[a, b] for odd a - b, the sign that of i^(a-b).
+    The chains of each length are diagonalized in one stacked call, in
+    numpy's LAPACK: with threaded BLAS, SciPy's ``expm`` runs in a second
+    thread pool, and many small calls there contend with numpy's.
+    """
+    lengths = np.array([i.size for i, _ in chains])
+    blocks = [None] * len(chains)
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        i = np.array([chains[k][0] for k in members])
+        j = np.array([chains[k][1] for k in members])
+        w = theta * np.sqrt(i[:, 1:] * np.maximum(j[:, :-1], j[:, 1:]))  # <i+1, j+step|L|i, j>
+        H = np.zeros((members.size, length, length))
+        r = np.arange(length - 1)
+        H[:, r + 1, r] = H[:, r, r + 1] = w
+        lam, V = np.linalg.eigh(H)
+        Vt = V.transpose(0, 2, 1)
+        t = np.arange(length)
+        quarter = (t[:, None] - t) % 4  # i^(a-b) = 1, i, -1, -i
+        cos, sin = (V * np.cos(lam)[:, None, :]) @ Vt, (V * np.sin(lam)[:, None, :]) @ Vt
+        part = np.where(quarter % 2, sin, cos)
+        for k, block in zip(members, np.where(quarter < 2, part, -part)):
+            blocks[k] = block
+    return [(i, j, E) for (i, j), E in zip(chains, blocks)]
+
+
+def _check_squeezer(theta: float, cutoff: int) -> None:
     _check_finite("theta", theta)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
@@ -164,13 +215,17 @@ def _squeezer_sectors(theta: float, cutoff: int) -> list:
         warnings.warn(
             f"two-mode squeezer truncation leakage {leak:.2e} exceeds "
             f"{SQUEEZE_LEAKAGE_WARN:.0e} at theta={theta}, cutoff={cutoff}",
-            stacklevel=3,
+            stacklevel=4,
         )
-    return _two_mode_sectors(theta, cutoff, 1)
 
 
-def _assemble(sectors: list, cutoff: int) -> np.ndarray:
-    U = np.zeros((cutoff * cutoff, cutoff * cutoff))
+def _squeezer_sectors(theta: float, cutoff: int) -> list:
+    _check_squeezer(theta, cutoff)
+    return _two_mode_sectors(theta, _chains(cutoff, 1))
+
+
+def _assemble(sectors: list, cutoff: int, dtype: type) -> np.ndarray:
+    U = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=dtype)
     for i, j, E in sectors:
         idx = i * cutoff + j
         U[np.ix_(idx, idx)] = E
@@ -179,15 +234,19 @@ def _assemble(sectors: list, cutoff: int) -> np.ndarray:
 
 def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
     """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
-    return FockOperator(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff))
+    return FockOperator._built(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff, complex))
+
+
+def _beamsplitter_angle(transmissivity: float) -> float:
+    if not 0 <= transmissivity <= 1:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    return float(np.arccos(np.sqrt(transmissivity)))
 
 
 def beamsplitter_fock(transmissivity: float, cutoff: int) -> FockOperator:
     """Beamsplitter with amplitude transmission sqrt(transmissivity)."""
-    if not 0 <= transmissivity <= 1:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    t = np.arccos(np.sqrt(transmissivity))
-    return FockOperator(cutoff, 2, _assemble(_two_mode_sectors(t, cutoff, -1), cutoff))
+    sectors = _two_mode_sectors(_beamsplitter_angle(transmissivity), _chains(cutoff, -1))
+    return FockOperator._built(cutoff, 2, _assemble(sectors, cutoff, complex))
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
@@ -228,7 +287,7 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> FockOperator:
         @ squeeze1_fock(r, cutoff)
         @ rotate_fock(phi2, cutoff)
     )
-    return FockOperator(cutoff, 1, U)
+    return FockOperator._built(cutoff, 1, U)
 
 
 def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -252,7 +311,7 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
         - 0.5 * (log_fact[m] + log_fact[n] + log_fact[m2] + log_fact[n2])
     )
     omega = np.where(m - n == m2 - n2, np.exp(log_omega), 0.0)
-    return FockOperator(cutoff, 2, omega.reshape(cutoff * cutoff, cutoff * cutoff))
+    return FockOperator._built(cutoff, 2, omega.reshape(cutoff * cutoff, cutoff * cutoff))
 
 
 def canonical_observable(
@@ -279,29 +338,30 @@ def canonical_observable(
     omega = performance_operator_avg_fidelity(g, lam, cutoff).matrix
     inv_sqrt = np.tile(1.0 / np.sqrt(rho_r), cutoff)  # diagonal of 1 (x) rho_R^(-1/2)
     O = inv_sqrt[:, None] * omega * inv_sqrt
-    return FockOperator(cutoff, 2, 0.5 * (O + O.conj().T))
+    return FockOperator._built(cutoff, 2, 0.5 * (O + O.conj().T))
 
 
-def _squeezed_diagonal(
+def _squeezed_sectors(
     theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int | None = None
-) -> np.ndarray:
-    """S_theta D S_theta+ for the diagonal D that is diag(v) on one slot (0 = A',
-    1 = R) and the identity on the other, evaluated at ``cutoff`` and truncated
-    to photon numbers below ``keep`` (default ``cutoff``).
+) -> list:
+    """Sector blocks of S_theta D S_theta+ for the diagonal D that is diag(v)
+    on one slot (0 = A', 1 = R) and the identity on the other, evaluated at
+    ``cutoff`` and truncated to photon numbers below ``keep`` (default
+    ``cutoff``).
 
     D is diagonal, so each sector block E of the squeezer gives E diag(d) E^T.
     Photon numbers grow along a sector's chain, so the kept states of each
-    block are a prefix of it.
+    block are a prefix of it, and the chains that keep any are those of
+    :func:`_chains` at ``keep``, in the same order.
     """
     keep = cutoff if keep is None else keep
-    out = np.zeros((keep * keep, keep * keep))
+    sectors = []
     for i, j, E in _squeezer_sectors(theta, cutoff):
         kept = np.count_nonzero((i < keep) & (j < keep))
         if kept:
             d = v[i] if slot == 0 else v[j]
-            idx = i[:kept] * keep + j[:kept]
-            out[np.ix_(idx, idx)] = (E[:kept] * d) @ E[:kept].T
-    return out
+            sectors.append((i[:kept], j[:kept], (E[:kept] * d) @ E[:kept].T))
+    return sectors
 
 
 def canonical_observable_closed_form(
@@ -328,63 +388,143 @@ def canonical_observable_closed_form(
     slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
     theta = np.arctanh(root / g if slot else g / root)
     G = np.diag(g_theta(theta, big).matrix).real
-    M = np.tanh(theta) ** (2 * slot) * _squeezed_diagonal(theta, G, slot, big, keep=cutoff)
-    return FockOperator(cutoff, 2, M)
+    M = _assemble(_squeezed_sectors(theta, G, slot, big, keep=cutoff), cutoff, complex)
+    M *= np.tanh(theta) ** (2 * slot)
+    return FockOperator._built(cutoff, 2, M)
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:
     """Average-fidelity witness for a single-mode Gaussian unitary target, on A' (x) R.
 
     1 - lam/(lam+1) (U (x) 1) S_kappa (n (x) 1) S_kappa+ (U+ (x) 1) with
-    kappa = arctanh(1 / sqrt(lam+1)).
+    kappa = arctanh(1 / sqrt(lam+1)).  U is not phase-insensitive, so the
+    witness is dense.
     """
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
     n = np.arange(cutoff, dtype=float)
     U = gaussian_unitary_fock(spec, cutoff).matrix
-    core = apply_kraus_first_mode(_squeezed_diagonal(kappa, n, 0, cutoff), [U], cutoff)
+    squeezed = _squeezed_sectors(kappa, n, 0, cutoff)
+    core = apply_kraus_first_mode(_assemble(squeezed, cutoff, float), [U], cutoff)
     W = np.eye(cutoff * cutoff) - (lam / (lam + 1.0)) * core
-    return FockOperator(cutoff, 2, 0.5 * (W + W.conj().T))
+    return FockOperator._built(cutoff, 2, 0.5 * (W + W.conj().T))
 
 
 def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     """Average-fidelity witness for the gain-g amplification test, on A' (x) R.
 
     (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 S_theta' (1 (x) n) S_theta'+) with
-    theta' = arctanh(sqrt(lam+1) / g).
+    theta' = arctanh(sqrt(lam+1) / g), held as its n1 - n2 sector blocks: the
+    squeezer's chain blocks E diag(n_R) E^T inside the identity's.
     """
     root = np.sqrt(lam + 1.0)
     if g <= root:
         raise ValueError(f"amplification witness requires g > sqrt(lam+1) = {root:.4f}")
     theta_p = np.arctanh(root / g)
-    core = _squeezed_diagonal(theta_p, np.arange(cutoff, dtype=float), 1, cutoff)
-    W = ((lam + 1.0) / g**2) * (np.eye(cutoff * cutoff) - ((g**2 - lam - 1.0) / g**2) * core)
-    return FockOperator(cutoff, 2, 0.5 * (W + W.conj().T))
+    scale, weight = (lam + 1.0) / g**2, (g**2 - lam - 1.0) / g**2
+    sectors = []
+    for i, j, core in _squeezed_sectors(theta_p, np.arange(cutoff, dtype=float), 1, cutoff):
+        W = scale * (np.eye(i.size) - weight * core)
+        sectors.append((i, j, 0.5 * (W + W.T)))
+    return FockOperator._built(cutoff, 2, sectors=sectors)
 
 
-def _dilation_kraus(U: np.ndarray, cutoff: int) -> list[np.ndarray]:
-    """Kraus operators <k|_E U |0>_E of a two-mode dilation U on system (x) environment."""
-    U4 = U.reshape(cutoff, cutoff, cutoff, cutoff)
-    return [np.ascontiguousarray(U4[:, k, :, 0]) for k in range(cutoff)]
+def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
+    """(shift, values) of each Kraus operator <k|_E U |0>_E of the dilation U of
+    an "attenuator" (a beamsplitter) or "amplifier" (a squeezer), read off U's sector
+    chains: K_k lies on the one diagonal K[p, p + shift], and ``values`` is
+    ``np.diagonal(K_k, shift)``.
+
+    The beamsplitter keeps n1 + n2, so K_k[i, i + k] = <i, k|U|i + k, 0> is the
+    last column of the chain of total i + k (shift k); the squeezer keeps
+    n1 - n2, so K_k[q + k, q] = <q + k, k|U|q, 0> is entry k of the first
+    column of the chain starting at |q, 0> (shift -k).
+    """
+    c = cutoff
+    table = np.zeros((c, c))
+    if kind == "attenuator":
+        if not 0 < param <= 1:
+            raise ValueError("transmissivity must lie in (0, 1]")
+        # the chains starting at |0, N>, N < c, hold |N, 0> last
+        sectors = _two_mode_sectors(_beamsplitter_angle(param), _chains(c, -1)[:c])
+        for total, (_, _, E) in enumerate(sectors):
+            table[total, : total + 1] = E[:, -1]  # table[i + k, i] = K_k[i, i + k]
+        return [(k, np.diagonal(table, -k)) for k in range(c)]
+    if param < 1:
+        raise ValueError("amplifier gain must be at least 1")
+    theta = np.arccosh(param)
+    _check_squeezer(theta, c)
+    chains = _chains(c, 1)
+    # the chains starting at |q, 0>, q < c, hold |q + k, k> at position k
+    for q, (_, _, E) in enumerate(_two_mode_sectors(theta, chains[:1] + chains[c:])):
+        table[q, : c - q] = E[:, 0]  # table[q, k] = K_k[q + k, q]
+    return [(-k, table[: c - k, k]) for k in range(c)]
 
 
 def attenuator_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
     """Kraus operators of the pure-loss channel from its beamsplitter dilation."""
-    if not 0 < eta <= 1:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    return _dilation_kraus(beamsplitter_fock(eta, cutoff).matrix, cutoff)
+    return [np.diag(d.astype(complex), s) for s, d in _kraus_diagonals("attenuator", eta, cutoff)]
 
 
 def amplifier_kraus(g: float, cutoff: int) -> list[np.ndarray]:
     """Kraus operators of the quantum-limited amplifier from its squeezer dilation."""
-    if g < 1:
-        raise ValueError("amplifier gain must be at least 1")
-    return _dilation_kraus(squeeze2_fock(np.arccosh(g), cutoff).matrix, cutoff)
+    return [np.diag(d.astype(complex), s) for s, d in _kraus_diagonals("amplifier", g, cutoff)]
 
 
-def _fixed_shift(K: np.ndarray) -> bool:
-    """Whether K moves photon number by one fixed amount: all its nonzeros lie on one diagonal."""
+def _transfer(diagonals: list, cutoff: int) -> np.ndarray:
+    """Transfer blocks of a channel whose every Kraus operator K lies on one
+    diagonal, given as (shift, ``np.diagonal(K, shift)``):
+
+        S[delta, p, q] = sum_K K[p, q] conj(K[p + delta, q + delta]),  delta = 0..c-1,
+
+    zero where p or q reaches c - delta.  The channel maps the entries
+    (q, q + delta) of rho's first-slot index pair to (p, p + delta) through
+    S_delta; for -delta it takes conj(S_delta) on indices shifted by delta.
+    Each K adds d[m] conj(d[m + delta]) along its own diagonal.
+    """
+    c = cutoff
+    S = np.zeros((c, c, c), dtype=np.result_type(*(d for _, d in diagonals)))
+    delta = np.arange(c)[:, None]
+    for shift, d in diagonals:
+        m = np.arange(d.size)
+        p = m + max(0, -shift)
+        S[:, p, p + shift] += d * np.concatenate([d, np.zeros(c)])[delta + m].conj()
+    return S
+
+
+def _run_transfer(ops: list[tuple], cutoff: int) -> np.ndarray:
+    """Composed transfer blocks of attenuator and amplifier factors applied
+    left to right (the identity's for none)."""
+    S = None
+    for kind, param in ops:
+        T = _transfer(_kraus_diagonals(kind, param, cutoff), cutoff)
+        S = T if S is None else T @ S
+    if S is None:
+        p = np.arange(cutoff)
+        S = np.eye(cutoff) * (p[:, None] + p < cutoff)[:, :, None]
+    return S
+
+
+def _apply_transfer(rho: np.ndarray, S: np.ndarray, cutoff: int) -> np.ndarray:
+    """The channel of transfer blocks S on the first slot of a dense two-mode rho:
+    with rho[i, j, k, l] = <ij|rho|kl>, diagonal delta = k - i of the (i, k)
+    pair is an (n, cutoff^2) slab that S_delta multiplies, the reference pair
+    (j, l) riding along."""
+    c = cutoff
+    T = np.asarray(rho).reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c, c, c * c)  # rows (i, k)
+    out = np.empty(T.shape, dtype=complex)
+    for delta in range(1 - c, c):
+        n = c - abs(delta)
+        i = np.arange(max(0, -delta), min(c, c - delta))
+        block = S[delta, :n, :n] if delta >= 0 else S[-delta, :n, :n].conj()
+        out[i, i + delta] = block @ T[i, i + delta]
+    return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
+
+
+def _shift(K: np.ndarray) -> int | None:
+    """The fixed amount K moves photon number by, q - p over its nonzeros K[p, q], or None."""
     rows, cols = np.nonzero(K)
-    return np.unique(cols - rows).size <= 1
+    shifts = np.unique(cols - rows)
+    return int(shifts[0]) if shifts.size == 1 else None
 
 
 def apply_kraus_first_mode(rho: np.ndarray, kraus: list[np.ndarray], cutoff: int) -> np.ndarray:
@@ -393,29 +533,21 @@ def apply_kraus_first_mode(rho: np.ndarray, kraus: list[np.ndarray], cutoff: int
     pair (i, k) and the reference pair (j, l) rides along.
 
     When every K moves photon number by a fixed amount (every attenuator and
-    amplifier Kraus operator does), the channel keeps k - i: it is a direct sum
-    over the 2 cutoff - 1 diagonals of the (i, k) pair, and diagonal delta is
-    one n x n block S[a, b] = sum_K K[i_a, i_b] conj(K[i_a + delta, i_b + delta])
-    applied to the (n, cutoff^2) slab of rho on that diagonal.  Otherwise K
+    amplifier Kraus operator does), the channel keeps k - i and acts through
+    its transfer blocks, one per diagonal of the (i, k) pair.  Otherwise K
     contracts into i (the rows of the (c, c^3) view) and conj(K) into k (the
     rows of each (k, l) block).
     """
     c = cutoff
+    shifts = [_shift(K) for K in kraus]
+    if kraus and None not in shifts:
+        diagonals = [(s, np.diagonal(K, s)) for s, K in zip(shifts, kraus)]
+        return _apply_transfer(rho, _transfer(diagonals, c), c)
     R = np.asarray(rho).reshape(c, c, c, c)
-    if not (kraus and all(_fixed_shift(K) for K in kraus)):
-        out = np.zeros(R.shape, dtype=complex)
-        for K in kraus:
-            out += K.conj() @ (K @ R.reshape(c, -1)).reshape(R.shape)
-        return out.reshape(c * c, c * c)
-    T = R.transpose(0, 2, 1, 3).reshape(c, c, c * c)  # rows (i, k), columns (j, l)
-    Ks = np.stack(kraus)
-    out = np.empty(T.shape, dtype=complex)
-    for delta in range(1 - c, c):
-        i = np.arange(max(0, -delta), min(c, c - delta))
-        k = i + delta
-        S = np.einsum("nab,nab->ab", Ks[:, i[:, None], i], Ks[:, k[:, None], k].conj())
-        out[i, k] = S @ T[i, k]
-    return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
+    out = np.zeros(R.shape, dtype=complex)
+    for K in kraus:
+        out += K.conj() @ (K @ R.reshape(c, -1)).reshape(R.shape)
+    return out.reshape(c * c, c * c)
 
 
 def apply_elementary_first_mode(
@@ -424,32 +556,60 @@ def apply_elementary_first_mode(
     """Apply a sequence of elementary single-mode channel factors to the first slot.
 
     Each factor is ("unitary", SymplecticSpec), ("attenuator", eta) or
-    ("amplifier", g); see :func:`cvverify.channels.elementary_factors`.
+    ("amplifier", g); see :func:`cvverify.channels.elementary_factors`.  A run
+    of consecutive attenuators and amplifiers is composed block by block and
+    applied to rho once.
     """
-    for kind, param in ops:
-        if kind == "unitary":
-            kraus = [gaussian_unitary_fock(param, cutoff).matrix]
-        elif kind == "attenuator":
-            kraus = attenuator_kraus(param, cutoff)
-        elif kind == "amplifier":
-            kraus = amplifier_kraus(param, cutoff)
-        else:
-            raise ValueError(f"unknown elementary channel factor {kind!r}")
-        rho = apply_kraus_first_mode(rho, kraus, cutoff)
+    for insensitive, run in itertools.groupby(ops, key=lambda op: op[0] in PHASE_INSENSITIVE):
+        run = list(run)
+        if insensitive:
+            rho = _apply_transfer(rho, _run_transfer(run, cutoff), cutoff)
+            continue
+        for kind, param in run:
+            if kind != "unitary":
+                raise ValueError(f"unknown elementary channel factor {kind!r}")
+            rho = apply_kraus_first_mode(rho, [gaussian_unitary_fock(param, cutoff).matrix], cutoff)
     return rho
 
 
 def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockState:
-    """(E (x) I) applied to the TMSV purification of the lam-prior, in Fock space."""
+    """(E (x) I) applied to the TMSV purification of the lam-prior, in Fock space.
+
+    With attenuators and amplifiers only (or no factor), the output keeps
+    n1 - n2 and is returned as its sector blocks: the TMSV's amplitudes a_n
+    sit on |nn>, so <i j|rho|i+delta j+delta> = S_delta[i, j] a_j a_(j+delta)
+    from the composed transfer blocks, and entry (t, u) of a chain's block
+    reads S_|u-t| at the chain's earlier state.
+    """
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    rho = tmsv_fock(kappa, cutoff).rho
-    return FockState(cutoff, 2, apply_elementary_first_mode(rho, ops, cutoff))
+    if not all(kind in PHASE_INSENSITIVE for kind, _ in ops):
+        rho = apply_elementary_first_mode(tmsv_fock(kappa, cutoff).rho, ops, cutoff)
+        return FockState._built(cutoff, 2, rho)
+    a = _tmsv_amplitudes(kappa, cutoff)
+    S = _run_transfer(ops, cutoff)
+    sectors = []
+    for i, j in _chains(cutoff, 1):
+        t = np.arange(i.size)
+        first = np.minimum.outer(t, t)
+        sectors.append((i, j, S[np.abs(t[:, None] - t), i[first], j[first]] * np.outer(a[j], a[j])))
+    return FockState._built(cutoff, 2, sectors=sectors)
+
+
+def _blocks(x: _Fock) -> list:
+    """x's blocks over the n1 - n2 chains: its own, or gathered from its dense matrix."""
+    if x._sectors is not None:
+        return [B for _, _, B in x._sectors]
+    M, c = x._dense(), x.cutoff
+    return [M[np.ix_(i * c + j, i * c + j)] for i, j in _chains(c, 1)]
 
 
 def expectation(op: FockOperator, state: FockState) -> float:
     if op.cutoff != state.cutoff or op.modes != state.modes:
         raise ValueError("operator/state dimension mismatch")
-    return float(np.real(np.sum(op.matrix * state.rho.T)))  # tr(A B) in O(d^2)
+    if op._sectors is None and state._sectors is None:
+        return float(np.real(np.sum(op.matrix * state.rho.T)))  # tr(A B) in O(d^2)
+    # one side is block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
+    return float(np.real(sum(np.sum(A * B.T) for A, B in zip(_blocks(op), _blocks(state)))))
 
 
 def default_cutoff(lam: float) -> int:

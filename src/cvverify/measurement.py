@@ -14,6 +14,7 @@ is stated once, by ``protocols.plan_unitary``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ def rotated_quadrature_projector(setting: HomodyneSetting, n_modes: int) -> np.n
     P = np.zeros((len(modes), 2 * n_modes))
     for row, j in enumerate(modes):
         phi = setting.angles[j]
-        P[row, 2 * j] = np.cos(phi)
-        P[row, 2 * j + 1] = np.sin(phi)
+        P[row, 2 * j] = math.cos(phi)
+        P[row, 2 * j + 1] = math.sin(phi)
     return P
 
 

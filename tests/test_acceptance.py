@@ -167,6 +167,22 @@ def test_5_dual_path_equality():
     assert ok
 
 
+@pytest.mark.parametrize("gain, cutoff", [(1.6, 64), (2.0, 96)])
+def test_5_dual_path_at_the_papers_gains(gain, cutoff):
+    """Dual-path equality for quantum-limited amplifiers of gain >= 1.6 under
+    the g = 2 witness, at cutoffs where the truncation error falls below the
+    tolerance (at cutoff 24 it is 3.7e-3 for g = 1.6 and 8.7e-2 for g = 2)."""
+    lam = 1.0
+    with pytest.warns(UserWarning):
+        cfg = VerificationConfig("amplification", lam=lam, F_t=0.3, delta=0.25, epsilon=0.04, g=2.0)
+    prover = ProverChannel("QuantumLimitedAmplifier", g=gain)
+    st = fock.entangled_output_fock(elementary_factors(prover), lam, cutoff)
+    dev = abs(witness_analytic(prover, cfg) - fock.expectation(fock.witness_fock_amp(2.0, lam, cutoff), st))
+    ok = dev <= 1e-3
+    report(f"5 dual-path equality at g = {gain}", ok, f"cutoff {cutoff}, deviation {dev:.2e}")
+    assert ok
+
+
 def test_6_completeness_soundness_rates():
     """Accept/reject rates at capped budgets over 200 repetitions each."""
     cfg = VerificationConfig("unitary", lam=1.0, F_t=0.9, delta=0.25,

@@ -231,6 +231,43 @@ def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutof
     capsys.readouterr()
 
 
+class _Started(Exception):
+    """Raised in place of the oracle's first piece of work."""
+
+
+QLA = {"kind": "QuantumLimitedAmplifier", "g": 1.25, "modes": 1}
+NOISY_UNITARY = {"kind": "NoisyUnitary", "spec": {"m": 1, "S": [1, 0, 0, 1], "d": [0, 0]}, "excess": 0.1}
+
+
+@pytest.mark.parametrize("protocol, prover, cutoff, accepted", [
+    # the amplification witness and a phase-insensitive output are held in
+    # n1 - n2 sectors, c (2 c^2 + 1) / 3 entries against the cap of
+    # 4096^2 = 16 777 216: 16 769 269 at c = 293, 16 941 554 at c = 294
+    ("amplification", QLA, 293, True),
+    ("amplification", QLA, 294, False),
+    # a unitary factor or the unitary witness keeps the dense c^4 <= 4096^2
+    ("amplification", NOISY_UNITARY, 65, False),
+    ("unitary", QLA, 65, False),
+], ids=["sectors-293", "sectors-294", "unitary-factor-65", "unitary-witness-65"])
+def test_oracle_cutoff_cap_follows_the_path(tmp_path, monkeypatch, capsys,
+                                            protocol, prover, cutoff, accepted):
+    from cvverify import protocols
+
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(protocols, "oracle_report", started)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"config": GAME_CONFIGS[protocol], "prover": prover, "seed": 3}))
+    argv = ["oracle", "--config", str(path), "--cutoff", str(cutoff)]
+    if accepted:
+        with pytest.raises(_Started):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert f"cutoff {cutoff} gives" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 @pytest.mark.parametrize("command, d, prover, extra", [
     ("oracle", 1e300, None, []),  # analytic omega -inf

@@ -253,6 +253,18 @@ def test_hermiticity_flags():
     assert not fock.FockOperator(4, 1, np.diag([1j, 0, 0, 0])).is_hermitian()
 
 
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_caller_matrices_are_copied_and_held_matrices_are_read_only():
+    M = np.diag([1.0, 2.0, 3.0]).astype(complex)  # already complex, so only a copy separates them
+    op = fock.FockOperator(3, 1, M)
+    M[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0 and op.matrix.dtype == complex
+    held = [op.matrix, fock.number_op(3).matrix, fock.tmsv_fock(0.5, 4).rho,
+            fock.witness_fock_amp(2.0, 1.0, 6).matrix,  # sector form, assembled on read
+            fock.entangled_output_fock([("attenuator", 0.9)], 1.0, 6).rho]
+    assert not any(a.flags.writeable for a in held)
+
+
 # Dense references: the two-mode generators as kron products exponentiated
 # whole, and the one-mode operators as explicit products with the identity,
 # as the oracle wrote them before it used photon-number sectors and
@@ -412,3 +424,69 @@ def test_structured_closed_form_matches_dense():
     for g in (1.0, 2.0):
         C = fock.canonical_observable_closed_form(g, 1.0, cutoff, embed_cutoff=cutoff).matrix
         assert np.max(np.abs(C - _dense_closed_form(g, 1.0, cutoff))) <= 1e-12
+
+
+# The dense path as the oracle ran it before the sector form: the TMSV as a
+# dense matrix, Kraus operators sliced from the assembled dilation unitary,
+# and each diagonal block summed from all of them.
+
+def _dilation_kraus(U, cutoff):
+    U4 = U.reshape(cutoff, cutoff, cutoff, cutoff)
+    return [U4[:, k, :, 0] for k in range(cutoff)]
+
+
+def _slab_kraus(rho, kraus, cutoff):
+    c = cutoff
+    T = rho.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c, c, c * c)
+    Ks = np.stack(kraus)
+    out = np.empty(T.shape, dtype=complex)
+    for delta in range(1 - c, c):
+        i = np.arange(max(0, -delta), min(c, c - delta))
+        k = i + delta
+        S = np.einsum("nab,nab->ab", Ks[:, i[:, None], i], Ks[:, k[:, None], k].conj())
+        out[i, k] = S @ T[i, k]
+    return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 20, 40])
+def test_sector_path_matches_dense_path(cutoff):
+    c, lam, eta, gain = cutoff, 1.0, 0.8, 1.3
+    kraus = {
+        "attenuator": _dilation_kraus(fock.beamsplitter_fock(eta, c).matrix, c),
+        "amplifier": _dilation_kraus(fock.squeeze2_fock(np.arccosh(gain), c).matrix, c),
+    }
+    for got, ref in ((fock.attenuator_kraus(eta, c), kraus["attenuator"]),
+                     (fock.amplifier_kraus(gain, c), kraus["amplifier"])):
+        assert max(np.max(np.abs(K - R)) for K, R in zip(got, ref)) <= 1e-12
+    params = {"attenuator": eta, "amplifier": gain}
+
+    theta_p = np.arctanh(np.sqrt(lam + 1.0) / 2.0)
+    S = fock.squeeze2_fock(theta_p, c).matrix.real
+    core = (S * np.tile(np.arange(c, dtype=float), c)) @ S.T  # S (1 (x) n) S^T
+    amp_ref = (lam + 1.0) / 4.0 * (np.eye(c * c) - (3.0 - lam) / 4.0 * core)
+    amp_ref = 0.5 * (amp_ref + amp_ref.T)
+    W_amp = fock.witness_fock_amp(2.0, lam, c)
+    assert W_amp._sectors is not None
+    assert np.max(np.abs(W_amp.matrix - amp_ref)) <= 1e-12
+    W_unitary = fock.witness_fock_unitary(sp.identity(1), lam, c)
+
+    kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
+    rho0 = fock.tmsv_fock(kappa, c).rho
+    refs = {(): rho0}
+    for kinds in [("attenuator",), ("amplifier",), ("attenuator", "amplifier"),
+                  ("amplifier", "attenuator"), ("amplifier", "attenuator", "amplifier")]:
+        refs[kinds] = _slab_kraus(refs[kinds[:-1]], kraus[kinds[-1]], c)
+    witnesses = [(W_amp, fock.FockOperator(c, 2, amp_ref)), (W_unitary, W_unitary)]  # (as built, dense)
+    for kinds, ref in refs.items():
+        st = fock.entangled_output_fock([(kind, params[kind]) for kind in kinds], lam, c)
+        assert st._sectors is not None, kinds
+        assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, kinds
+        dense_state = fock.FockState(c, 2, ref)
+        for W, W_dense in witnesses:
+            want = np.vdot(ref, W_dense.matrix).real  # tr(W rho) for Hermitian rho
+            assert abs(fock.expectation(W, st) - want) <= 1e-12, kinds
+            # a dense operator gathered at a sector state, and a sector operator on a dense state
+            assert abs(fock.expectation(W_dense, st) - want) <= 1e-12, kinds
+            assert abs(fock.expectation(W, dense_state) - want) <= 1e-12, kinds
+        assert np.max(np.abs(st.rho - ref)) <= 1e-12, kinds

@@ -1,8 +1,10 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
-package, and every parameter default is overridden by some caller."""
+package, every parameter default is overridden by some caller, and the Fock
+oracle imports no phase-space code."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -83,3 +85,20 @@ def test_every_parameter_default_is_overridden_by_a_caller():
              for func, param, index in _defaulted_parameters(tree)
              if not any(_overridden(call, param, index) for call in calls.get(func, []))]
     assert never == []
+
+
+def test_fock_oracle_imports_no_phase_space_code():
+    """The Fock oracle checks the phase-space code, so it may import only the
+    standard library, numpy, scipy and the target's ``SymplecticSpec``."""
+    allowed = {"numpy", "scipy"} | set(sys.stdlib_module_names)
+    borrowed = []
+    for node in ast.walk(TREES["fock.py"]):
+        if isinstance(node, ast.Import):
+            borrowed += [alias.name for alias in node.names if alias.name.split(".")[0] not in allowed]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                borrowed += [f"{'.' * node.level}{node.module}.{alias.name}" for alias in node.names
+                             if (node.level, node.module, alias.name) != (1, "symplectic", "SymplecticSpec")]
+            elif node.module.split(".")[0] not in allowed:
+                borrowed.append(node.module)
+    assert borrowed == []
