@@ -26,9 +26,15 @@ bra and ket, as does the amplification witness: both are kept as their
 2c - 1 n1 - n2 sector blocks (about 2c^3/3 entries instead of c^4), and the
 dense ``rho`` or ``matrix`` is assembled only when read.  ``expectation``
 sums block traces, or gathers a dense operator at a sector state's entries.
-A unitary factor does not conserve n1 - n2, so a factor list with one runs
-on the dense state.  Truncation leakage is reported, never silently
-renormalized away.
+
+A Gaussian unitary U on A' does not conserve n1 - n2 unless it is diagonal.
+The unitary witness is built from the sector blocks of its squeezed core
+either way: it stays in sectors for a diagonal U (the identity target, or a
+rotation), and is gathered from the blocks into one dense product otherwise.
+A leading run of unitary factors acts on the TMSV's c x c amplitude matrix
+before the dense state is formed once; the factors after it run on that
+dense state.  Truncation leakage is reported, never silently renormalized
+away.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class _Fock:
 
     def _dense(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._checked(_assemble(self._sectors, self.cutoff, complex))
+            self._matrix = self._checked(_assemble(self._sectors, self.cutoff))
         return self._matrix
 
 
@@ -86,7 +92,16 @@ class FockOperator(_Fock):
     matrix = property(_Fock._dense)
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= 1e-10)
+        return bool(max(np.max(np.abs(B - B.conj().T)) for B in _held_blocks(self)) <= 1e-10)
+
+    def __sub__(self, other: FockOperator) -> FockOperator:
+        """The difference, block by block when both sides are held in sectors."""
+        if (self.cutoff, self.modes) != (other.cutoff, other.modes):
+            raise ValueError("operator dimension mismatch")
+        if self._sectors is not None and other._sectors is not None:
+            sectors = [(i, j, A - B) for (i, j, A), (_, _, B) in zip(self._sectors, other._sectors)]
+            return FockOperator._built(self.cutoff, self.modes, sectors=sectors)
+        return FockOperator._built(self.cutoff, self.modes, self.matrix - other.matrix)
 
 
 class FockState(_Fock):
@@ -107,6 +122,16 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_lam(lam: float) -> None:
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
+
+
 def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
@@ -117,8 +142,7 @@ def number_op(cutoff: int) -> FockOperator:
 
 def g_theta(theta: float, cutoff: int) -> FockOperator:
     """Diagonal operator with entries tanh^{2n}(theta)."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    _check_cutoff(cutoff)
     _check_finite("theta", theta)
     t2 = np.tanh(theta) ** 2
     return FockOperator._built(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
@@ -206,8 +230,7 @@ def _two_mode_sectors(theta: float, chains: list) -> list:
 
 def _check_squeezer(theta: float, cutoff: int) -> None:
     _check_finite("theta", theta)
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    _check_cutoff(cutoff)
     # the truncated exponential is exactly unitary (anti-Hermitian generator),
     # so quantify leakage as the ideal TMSV tail mass beyond the cutoff
     leak = float(np.tanh(theta) ** (2 * cutoff))
@@ -224,8 +247,8 @@ def _squeezer_sectors(theta: float, cutoff: int) -> list:
     return _two_mode_sectors(theta, _chains(cutoff, 1))
 
 
-def _assemble(sectors: list, cutoff: int, dtype: type) -> np.ndarray:
-    U = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=dtype)
+def _assemble(sectors: list, cutoff: int) -> np.ndarray:
+    U = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for i, j, E in sectors:
         idx = i * cutoff + j
         U[np.ix_(idx, idx)] = E
@@ -234,7 +257,7 @@ def _assemble(sectors: list, cutoff: int, dtype: type) -> np.ndarray:
 
 def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
     """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
-    return FockOperator._built(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff, complex))
+    return FockOperator._built(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff))
 
 
 def _beamsplitter_angle(transmissivity: float) -> float:
@@ -246,7 +269,7 @@ def _beamsplitter_angle(transmissivity: float) -> float:
 def beamsplitter_fock(transmissivity: float, cutoff: int) -> FockOperator:
     """Beamsplitter with amplitude transmission sqrt(transmissivity)."""
     sectors = _two_mode_sectors(_beamsplitter_angle(transmissivity), _chains(cutoff, -1))
-    return FockOperator._built(cutoff, 2, _assemble(sectors, cutoff, complex))
+    return FockOperator._built(cutoff, 2, _assemble(sectors, cutoff))
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
@@ -377,7 +400,8 @@ def canonical_observable_closed_form(
     The squeezer conjugation is evaluated at ``embed_cutoff`` (default
     ``cutoff + 18``) and truncated back, because at the working cutoff the
     highest photon-number-difference sectors of a truncated squeezer
-    degenerate and corrupt the corner entries.
+    degenerate and corrupt the corner entries.  Both branches conserve
+    n1 - n2, so the result is held as its sector blocks.
     """
     big = cutoff + 18 if embed_cutoff is None else embed_cutoff
     if big < cutoff:
@@ -388,25 +412,47 @@ def canonical_observable_closed_form(
     slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
     theta = np.arctanh(root / g if slot else g / root)
     G = np.diag(g_theta(theta, big).matrix).real
-    M = _assemble(_squeezed_sectors(theta, G, slot, big, keep=cutoff), cutoff, complex)
-    M *= np.tanh(theta) ** (2 * slot)
-    return FockOperator._built(cutoff, 2, M)
+    scale = np.tanh(theta) ** (2 * slot)
+    sectors = [(i, j, B * scale) for i, j, B in _squeezed_sectors(theta, G, slot, big, keep=cutoff)]
+    return FockOperator._built(cutoff, 2, sectors=sectors)
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:
     """Average-fidelity witness for a single-mode Gaussian unitary target, on A' (x) R.
 
-    1 - lam/(lam+1) (U (x) 1) S_kappa (n (x) 1) S_kappa+ (U+ (x) 1) with
-    kappa = arctanh(1 / sqrt(lam+1)).  U is not phase-insensitive, so the
-    witness is dense.
+    1 - k (U (x) 1) C (U+ (x) 1) with k = lam/(lam+1) and the squeezed core
+    C = S_kappa (n (x) 1) S_kappa+, kappa = arctanh(1 / sqrt(lam+1)), built
+    as its n1 - n2 sector blocks C_s.  A diagonal U = diag(u) keeps n1 - n2,
+    so the witness is held as the blocks 1 - k diag(u_i) C_s diag(conj(u_i))
+    over each chain's first-slot photon numbers i.  Any other U gives a dense
+    witness: <ij|C (U+ (x) 1)|bl> = sum_m <ij|C|ml> conj(U[b, m]) has the
+    one term m = i - j + l, so it is gathered from the blocks and scaled,
+    with no product, and U (x) 1 multiplies it from the left as one GEMM.
     """
+    _check_lam(lam)
+    _check_cutoff(cutoff)
+    k = lam / (lam + 1.0)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    n = np.arange(cutoff, dtype=float)
     U = gaussian_unitary_fock(spec, cutoff).matrix
-    squeezed = _squeezed_sectors(kappa, n, 0, cutoff)
-    core = apply_kraus_first_mode(_assemble(squeezed, cutoff, float), [U], cutoff)
-    W = np.eye(cutoff * cutoff) - (lam / (lam + 1.0)) * core
-    return FockOperator._built(cutoff, 2, 0.5 * (W + W.conj().T))
+    core = [(i, j, 0.5 * (C + C.T)) for i, j, C in
+            _squeezed_sectors(kappa, np.arange(cutoff, dtype=float), 0, cutoff)]
+    u = np.diagonal(U)
+    if not np.count_nonzero(U - np.diag(u)):
+        sectors = []
+        for i, j, C in core:
+            W = -k * (u[i, None] * C * u[i].conj())
+            W[np.diag_indices(i.size)] += 1.0
+            sectors.append((i, j, W))
+        return FockOperator._built(cutoff, 2, sectors=sectors)
+    c = cutoff
+    Ubar = -k * U.conj()
+    R = np.zeros((c, c, c, c), dtype=complex)  # -k C (U+ (x) 1) as [i, j, b, l]
+    for i, j, C in core:
+        # a chain's columns are its own states |i_u j_u>, and i, j step by 1, so slices
+        R[i, j, :, j[0]:j[0] + i.size] = C[:, None, :] * Ubar[:, i[0]:i[0] + i.size]
+    W = (U @ R.reshape(c, c**3)).reshape(c * c, c * c)
+    W[np.diag_indices(c * c)] += 1.0
+    return FockOperator._built(cutoff, 2, W)
 
 
 def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -416,9 +462,10 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     theta' = arctanh(sqrt(lam+1) / g), held as its n1 - n2 sector blocks: the
     squeezer's chain blocks E diag(n_R) E^T inside the identity's.
     """
+    _check_lam(lam)
     root = np.sqrt(lam + 1.0)
-    if g <= root:
-        raise ValueError(f"amplification witness requires g > sqrt(lam+1) = {root:.4f}")
+    if not root < g < np.inf:
+        raise ValueError(f"amplification witness requires finite g > sqrt(lam+1) = {root:.4f}, got {g}")
     theta_p = np.arctanh(root / g)
     scale, weight = (lam + 1.0) / g**2, (g**2 - lam - 1.0) / g**2
     sectors = []
@@ -580,12 +627,23 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     sit on |nn>, so <i j|rho|i+delta j+delta> = S_delta[i, j] a_j a_(j+delta)
     from the composed transfer blocks, and entry (t, u) of a chain's block
     reads S_|u-t| at the chain's earlier state.
+
+    Otherwise the output is dense.  A leading run of unitary factors acts on
+    the TMSV as the c x c amplitude matrix psi[i, j] = <ij|psi>, from
+    diag(a) to U diag(a), and rho = |psi><psi| is formed once for the
+    factors after the run.
     """
+    _check_lam(lam)
+    _check_cutoff(cutoff)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    if not all(kind in PHASE_INSENSITIVE for kind, _ in ops):
-        rho = apply_elementary_first_mode(tmsv_fock(kappa, cutoff).rho, ops, cutoff)
-        return FockState._built(cutoff, 2, rho)
     a = _tmsv_amplitudes(kappa, cutoff)
+    if not all(kind in PHASE_INSENSITIVE for kind, _ in ops):
+        lead = len(list(itertools.takewhile(lambda op: op[0] == "unitary", ops)))
+        psi = np.diag(a).astype(complex)
+        for _, spec in ops[:lead]:
+            psi = gaussian_unitary_fock(spec, cutoff).matrix @ psi
+        rho = np.outer(psi, psi.conj())
+        return FockState._built(cutoff, 2, apply_elementary_first_mode(rho, ops[lead:], cutoff))
     S = _run_transfer(ops, cutoff)
     sectors = []
     for i, j in _chains(cutoff, 1):
@@ -593,6 +651,11 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
         first = np.minimum.outer(t, t)
         sectors.append((i, j, S[np.abs(t[:, None] - t), i[first], j[first]] * np.outer(a[j], a[j])))
     return FockState._built(cutoff, 2, sectors=sectors)
+
+
+def _held_blocks(x: _Fock) -> list:
+    """x's sector blocks, or its dense matrix as the only block."""
+    return [B for _, _, B in x._sectors] if x._sectors is not None else [x._dense()]
 
 
 def _blocks(x: _Fock) -> list:
@@ -612,10 +675,15 @@ def expectation(op: FockOperator, state: FockState) -> float:
     return float(np.real(sum(np.sum(A * B.T) for A, B in zip(_blocks(op), _blocks(state)))))
 
 
+def max_eigenvalue(op: FockOperator) -> float:
+    """Largest eigenvalue of a Hermitian operator, the largest over its n1 - n2
+    blocks when it is held in sectors."""
+    return float(max(np.linalg.eigvalsh(B)[-1] for B in _held_blocks(op)))
+
+
 def default_cutoff(lam: float) -> int:
     """Smallest cutoff keeping the TMSV input's truncation leakage below 1e-6."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_lam(lam)
     nbar = 1.0 / lam
     x = nbar / (nbar + 1.0)
     if x >= 1.0:

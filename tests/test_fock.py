@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
@@ -296,12 +298,24 @@ def _dense_kraus(rho, kraus, cutoff):
     return out
 
 
-def _dense_witness_unitary(spec, lam, cutoff):
+@functools.lru_cache(maxsize=4)
+def _dense_squeezed_number(lam, cutoff):
+    """S_kappa (n (x) 1) S_kappa+ as dense products, shared by every target.
+
+    Above cutoff 16, S is the assembled sector squeezer instead of the dense
+    expm: at kappa = arctanh(1/sqrt(2)) the expm is itself off orthogonality
+    by 7.6e-13 at cutoff 24 (the sector squeezer by 2.4e-15), and
+    test_sector_generators_match_dense_expm ties the two together.
+    """
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    S = _dense_squeeze2(kappa, cutoff)
-    U = np.kron(fock.gaussian_unitary_fock(spec, cutoff).matrix, np.eye(cutoff))
-    core = np.kron(fock.number_op(cutoff).matrix, np.eye(cutoff))
-    W = np.eye(cutoff**2) - (lam / (lam + 1.0)) * (U @ S @ core @ S.conj().T @ U.conj().T)
+    S = _dense_squeeze2(kappa, cutoff) if cutoff <= 16 else fock.squeeze2_fock(kappa, cutoff).matrix.real
+    return (S * np.repeat(np.arange(cutoff, dtype=float), cutoff)) @ S.T  # S (n (x) 1) S^T
+
+
+def _dense_witness_unitary(spec, lam, cutoff):
+    U = fock.gaussian_unitary_fock(spec, cutoff).matrix
+    core = _contract_kraus(_dense_squeezed_number(lam, cutoff), [U], cutoff)
+    W = np.eye(cutoff**2) - (lam / (lam + 1.0)) * core
     return 0.5 * (W + W.conj().T)
 
 
@@ -379,10 +393,19 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.default_cutoff(0.0), "lam must be positive"),
     (lambda: fock.default_cutoff(np.nan), "lam must be positive"),
     (lambda: fock.default_cutoff(-1.0), "lam must be positive"),
+    (lambda: fock.witness_fock_unitary(sp.identity(1), np.inf, 10), "lam must be positive"),
+    (lambda: fock.witness_fock_unitary(sp.identity(1), 1.0, 0), "cutoff must be at least 2"),
+    (lambda: fock.witness_fock_amp(np.inf, 1.0, 10), "requires finite g"),
+    (lambda: fock.witness_fock_amp(np.nan, 1.0, 10), "requires finite g"),
+    (lambda: fock.witness_fock_amp(2.0, -0.5, 10), "lam must be positive"),
+    (lambda: fock.entangled_output_fock([], 1.0, 0), "cutoff must be at least 2"),
+    (lambda: fock.entangled_output_fock([], np.nan, 10), "lam must be positive"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-nan", "tmsv-inf",
     "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf",
     "thermal-nan", "thermal-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
+    "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
+    "output-cutoff-0", "output-lam-nan",
 ])
 def test_fock_builders_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
@@ -477,7 +500,9 @@ def test_sector_path_matches_dense_path(cutoff):
     for kinds in [("attenuator",), ("amplifier",), ("attenuator", "amplifier"),
                   ("amplifier", "attenuator"), ("amplifier", "attenuator", "amplifier")]:
         refs[kinds] = _slab_kraus(refs[kinds[:-1]], kraus[kinds[-1]], c)
-    witnesses = [(W_amp, fock.FockOperator(c, 2, amp_ref)), (W_unitary, W_unitary)]  # (as built, dense)
+    assert W_unitary._sectors is not None
+    witnesses = [(W_amp, fock.FockOperator(c, 2, amp_ref)),  # (as built, dense)
+                 (W_unitary, fock.FockOperator(c, 2, W_unitary.matrix))]
     for kinds, ref in refs.items():
         st = fock.entangled_output_fock([(kind, params[kind]) for kind in kinds], lam, c)
         assert st._sectors is not None, kinds
@@ -490,3 +515,67 @@ def test_sector_path_matches_dense_path(cutoff):
             assert abs(fock.expectation(W_dense, st) - want) <= 1e-12, kinds
             assert abs(fock.expectation(W, dense_state) - want) <= 1e-12, kinds
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, kinds
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 12, 24, 40])
+def test_unitary_witness_matches_dense(cutoff):
+    c, lam = cutoff, 1.0
+    rng = np.random.default_rng(cutoff)
+    targets = {
+        "identity": sp.identity(1),
+        "rotation": sp.rotation(0.9),  # d = 0, and diagonal U when its Euler squeeze is exactly 0
+        "squeezer": sp.single_mode_squeezer(0.3),
+        "random-1": sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng),
+        "random-2": sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng),
+    }
+    sector_state = fock.entangled_output_fock([("attenuator", 0.8), ("amplifier", 1.2)], lam, c)
+    dense_state = fock.entangled_output_fock([("unitary", targets["random-1"])], lam, c)
+    assert sector_state._sectors is not None and dense_state._sectors is None
+    for name, spec in targets.items():
+        assert name.startswith("random") == bool(np.any(spec.d))
+        W = fock.witness_fock_unitary(spec, lam, c)
+        U = fock.gaussian_unitary_fock(spec, c).matrix
+        diagonal = not np.count_nonzero(U - np.diag(np.diagonal(U)))
+        assert (W._sectors is not None) == diagonal, name
+        assert diagonal == (name == "identity") or name == "rotation", name
+        assert W.is_hermitian(), name
+        ref = _dense_witness_unitary(spec, lam, c)
+        assert np.max(np.abs(W.matrix - ref)) <= 1e-12, name
+        for st in (sector_state, dense_state):
+            want = np.vdot(st.rho, ref).real  # tr(W rho) for Hermitian rho
+            assert abs(fock.expectation(W, st) - want) <= 1e-12, name
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 24])
+def test_leading_unitary_state_matches_dense_path(cutoff):
+    c, lam = cutoff, 1.0
+    rng = np.random.default_rng(7)
+    spec, spec2 = (sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng) for _ in range(2))
+    rho0 = fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c).rho
+    for ops in ([("unitary", spec)],
+                [("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],
+                [("unitary", spec), ("unitary", spec2), ("attenuator", 0.9)],
+                [("attenuator", 0.8), ("unitary", spec)]):  # the unitary is not first
+        st = fock.entangled_output_fock(ops, lam, c)
+        ref = fock.apply_elementary_first_mode(rho0, ops, c)
+        assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 16])
+def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
+    lam = 1.0
+    for g in (1.0, 2.0):
+        O = fock.canonical_observable_closed_form(g, lam, cutoff, embed_cutoff=cutoff)
+        if g > np.sqrt(lam + 1.0):
+            W = fock.witness_fock_amp(g, lam, cutoff)
+        else:
+            W = fock.witness_fock_unitary(sp.identity(1), lam, cutoff)
+        diff = W - O
+        assert diff._sectors is not None
+        dense = np.max(np.linalg.eigvalsh(W.matrix - O.matrix))
+        assert abs(fock.max_eigenvalue(diff) - dense) <= 1e-12, g
+        # a dense side falls back to the dense spectrum
+        assert abs(fock.max_eigenvalue(fock.FockOperator(cutoff, 2, W.matrix) - O) - dense) <= 1e-12, g
