@@ -10,11 +10,15 @@ Two-mode operators act on A' (x) R with index i * cutoff + j for
 |i>_{A'} |j>_R (plain ``np.kron`` ordering), and the costly ones are built
 from the photon number they conserve.  The two-mode squeezer conserves
 n1 - n2 and the beamsplitter n1 + n2, so each truncated generator is a direct
-sum of tridiagonal blocks, one per chain of states the generator links, and
-the chains of each length are exponentiated in one stacked call; a diagonal
-core inside a squeezer sandwich is conjugated chain by chain.  The
-performance operator is the closed-form Gaussian integral over the coherent
-prior, element by element.
+sum of tridiagonal blocks, one per chain of states the generator links.
+Every matrix exponential goes through one numpy kernel, exp(A) =
+V e^{-i Lambda} V+ from a stacked ``eigh`` of the Hermitian i A: the chain
+blocks, zero-padded into a few length classes, and the single-mode
+displacement and squeezer.  The squeezer's chains from |0, j> and |j, 0>
+have the same generator, so each such pair is exponentiated once, and a
+diagonal core inside a squeezer sandwich is conjugated in the same stacks.
+The performance operator is the closed-form Gaussian integral over the
+coherent prior, element by element.  The module needs numpy only.
 
 Every attenuator and amplifier Kraus operator moves photon number by a fixed
 amount, so these phase-insensitive channels keep the difference delta of the
@@ -32,9 +36,10 @@ The unitary witness is built from the sector blocks of its squeezed core
 either way: it stays in sectors for a diagonal U (the identity target, or a
 rotation), and is gathered from the blocks into one dense product otherwise.
 A leading run of unitary factors acts on the TMSV's c x c amplitude matrix
-before the dense state is formed once; the factors after it run on that
-dense state.  Truncation leakage is reported, never silently renormalized
-away.
+psi.  Attenuators and amplifiers after it act on psi's rows, one
+first-slot diagonal at a time, written straight into the dense state; after
+any other order of factors the dense state is formed once and the rest run
+on it.  Truncation leakage is reported, never silently renormalized away.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import itertools
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .symplectic import SymplecticSpec
 
@@ -185,46 +189,96 @@ def _chains(cutoff: int, step: int) -> list:
     step=+1 the chain starting at |0, j> has n1 - n2 = -j and the one at
     |i, 0> has n1 - n2 = i.
     """
-    edge = 0 if step > 0 else cutoff - 1
-    chains = []
-    for i0, j0 in [(0, j) for j in range(cutoff)] + [(i, edge) for i in range(1, cutoff)]:
-        t = np.arange(min(cutoff - i0, cutoff - j0 if step > 0 else j0 + 1))
-        chains.append((i0 + t, j0 + step * t))
-    return chains
+    i, j, lengths = _chain_grid(cutoff, step)
+    return [(a[:n], b[:n]) for a, b, n in zip(i, j, lengths)]
 
 
-def _two_mode_sectors(theta: float, chains: list) -> list:
-    """Sector blocks of exp(theta (L - L+)) on the given chains of :func:`_chains`:
-    (i, j, E) per chain, E the exponentiated block over its states.
+def _chain_grid(cutoff: int, step: int) -> tuple:
+    """(i, j, lengths): row k of i and j holds the photon numbers of chain k
+    of :func:`_chains` in its first lengths[k] entries, and runs on past them."""
+    c = cutoff
+    i0 = np.concatenate([np.zeros(c, dtype=int), np.arange(1, c)])
+    j0 = np.concatenate([np.arange(c), np.full(c - 1, 0 if step > 0 else c - 1)])
+    t = np.arange(c)
+    return i0[:, None] + t, j0[:, None] + step * t, np.minimum(c - i0, c - j0 if step > 0 else j0 + 1)
+
+
+def _exp_i(H: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i H) for a stack of Hermitian matrices H (..., n, n), as
+    V e^{-i Lambda} V+ from one stacked ``np.linalg.eigh``, or only column
+    col[r] of matrix r when ``col`` is given.  Every matrix exponential of
+    the oracle goes through here.
+
+    A real symmetric H has a real V, so V cos(Lambda) V^T - i V sin(Lambda) V^T
+    is one real product.  When max |lambda| eps >= 1, e^{-i lambda} keeps no
+    significant digit in double precision, and that is an error rather than
+    a result.
+    """
+    lam, V = np.linalg.eigh(H)
+    top = float(np.max(np.abs(lam), initial=0.0))
+    if not top * np.finfo(float).eps < 1.0:
+        raise ValueError(
+            f"matrix exponential of a generator with eigenvalue {top:.3g} is not finite in double precision"
+        )
+    real = np.isrealobj(V)
+    Vh = V.swapaxes(-1, -2) if real else V.conj().swapaxes(-1, -2)
+    if col is not None:
+        Vh = Vh[np.arange(col.size), :, col][..., None]  # column col[r] of V+ for matrix r
+    if not real:
+        X = (V * np.exp(-1j * lam)[..., None, :]) @ Vh
+    else:  # cos and -sin interleaved, so the real product is the complex one
+        W = np.empty(Vh.shape + (2,))
+        np.multiply(np.cos(lam)[..., None], Vh, out=W[..., 0])
+        np.multiply(-np.sin(lam)[..., None], Vh, out=W[..., 1])
+        X = (V @ W.reshape(*Vh.shape[:-1], -1)).view(complex)
+    return X if col is None else X[..., 0]
+
+
+_PAD = 12  # chains of up to 2 _PAD states are exponentiated padded to _PAD or 2 _PAD
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # Re(i^q x) = _SIGN[q] (Re x, Im x)[q % 2]
+
+
+def _chain_exps(theta: float, cutoff: int, step: int, count: int, cols: np.ndarray | None = None):
+    """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chains`, as
+    zero-padded stacks: yields (members, E), E[r] holding the block of chain
+    members[r] in its leading corner and the identity past its length, or
+    only its column cols[members[r]] when ``cols`` is given.
 
     On a chain, L has the weights w_k = theta <i+1, j+step|L|i, j>, so the
     block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
     P = diag(i^k) and H the real symmetric tridiagonal matrix with
-    off-diagonals w.  From H = V Lambda V^T, exp(B) = Re(P V e^{-i Lambda} V^T P^-1),
-    whose entry (a, b) is (+-) (V cos(Lambda) V^T)[a, b] for even a - b and
-    (+-) (V sin(Lambda) V^T)[a, b] for odd a - b, the sign that of i^(a-b).
-    The chains of each length are diagonalized in one stacked call, in
-    numpy's LAPACK: with threaded BLAS, SciPy's ``expm`` runs in a second
-    thread pool, and many small calls there contend with numpy's.
+    off-diagonals w, and exp(B) = Re(P exp(-i H) P^-1).  A chain padded with
+    zero weights leaves its padding uncoupled.  Short chains, whose
+    exponential costs less than a call, are padded to ``_PAD`` or
+    ``2 _PAD`` states; the longer ones run one length per stack.
     """
-    lengths = np.array([i.size for i, _ in chains])
-    blocks = [None] * len(chains)
-    for length in np.unique(lengths):
-        members = np.flatnonzero(lengths == length)
-        i = np.array([chains[k][0] for k in members])
-        j = np.array([chains[k][1] for k in members])
-        w = theta * np.sqrt(i[:, 1:] * np.maximum(j[:, :-1], j[:, 1:]))  # <i+1, j+step|L|i, j>
-        H = np.zeros((members.size, length, length))
-        r = np.arange(length - 1)
-        H[:, r + 1, r] = H[:, r, r + 1] = w
-        lam, V = np.linalg.eigh(H)
-        Vt = V.transpose(0, 2, 1)
+    i, j, lengths = (x[:count] for x in _chain_grid(cutoff, step))
+    short = -(-lengths // _PAD) * _PAD
+    padded = np.where(short <= 2 * _PAD, np.minimum(short, lengths.max()), lengths)
+    for length in np.unique(padded):
+        members = np.flatnonzero(padded == length)
         t = np.arange(length)
-        quarter = (t[:, None] - t) % 4  # i^(a-b) = 1, i, -1, -i
-        cos, sin = (V * np.cos(lam)[:, None, :]) @ Vt, (V * np.sin(lam)[:, None, :]) @ Vt
-        part = np.where(quarter % 2, sin, cos)
-        for k, block in zip(members, np.where(quarter < 2, part, -part)):
-            blocks[k] = block
+        linked = t[1:] < lengths[members, None]  # w_k links states k and k + 1 of the chain
+        im, jm = i[members, :length], j[members, :length]
+        w = theta * np.sqrt(np.where(linked, im[:, 1:] * np.maximum(jm[:, :-1], jm[:, 1:]), 0))
+        H = np.zeros((members.size, length, length))
+        H[:, t[1:], t[:-1]] = H[:, t[:-1], t[1:]] = w
+        if cols is None:
+            X, q = _exp_i(H), (t[:, None] - t) % 4
+        else:
+            X, q = _exp_i(H, cols[members]), (t - cols[members][:, None]) % 4
+        yield members, np.where(q % 2, X.imag, X.real) * _SIGN[q]
+
+
+def _two_mode_sectors(theta: float, cutoff: int, step: int, count: int) -> list:
+    """Sector blocks of exp(theta (L - L+)) on the first ``count`` chains of
+    :func:`_chains`: (i, j, E) per chain, E the exponentiated block over its states."""
+    chains = _chains(cutoff, step)[:count]
+    blocks = [None] * count
+    for members, E in _chain_exps(theta, cutoff, step, count):
+        for r, k in enumerate(members):
+            n = chains[k][0].size
+            blocks[k] = E[r, :n, :n]
     return [(i, j, E) for (i, j), E in zip(chains, blocks)]
 
 
@@ -243,8 +297,12 @@ def _check_squeezer(theta: float, cutoff: int) -> None:
 
 
 def _squeezer_sectors(theta: float, cutoff: int) -> list:
+    """The squeezer's sector blocks over every chain of :func:`_chains` (step +1).
+    L has the same weights on the chain from |j, 0> as on the one from |0, j>,
+    so each block is exponentiated once and read on both."""
     _check_squeezer(theta, cutoff)
-    return _two_mode_sectors(theta, _chains(cutoff, 1))
+    half = _two_mode_sectors(theta, cutoff, 1, cutoff)
+    return half + [(j, i, E) for i, j, E in half[1:]]
 
 
 def _assemble(sectors: list, cutoff: int) -> np.ndarray:
@@ -268,18 +326,20 @@ def _beamsplitter_angle(transmissivity: float) -> float:
 
 def beamsplitter_fock(transmissivity: float, cutoff: int) -> FockOperator:
     """Beamsplitter with amplitude transmission sqrt(transmissivity)."""
-    sectors = _two_mode_sectors(_beamsplitter_angle(transmissivity), _chains(cutoff, -1))
+    sectors = _two_mode_sectors(_beamsplitter_angle(transmissivity), cutoff, -1, 2 * cutoff - 1)
     return FockOperator._built(cutoff, 2, _assemble(sectors, cutoff))
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
+    """exp(beta a+ - conj(beta) a), the exponential of the Hermitian i (beta a+ - conj(beta) a)."""
     a = destroy(cutoff)
-    return expm(beta * a.conj().T - np.conj(beta) * a)
+    return _exp_i(1j * (beta * a.conj().T - np.conj(beta) * a))
 
 
 def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
+    """exp(r (a+^2 - a^2) / 2), the exponential of the Hermitian i r (a+^2 - a^2) / 2."""
     a = destroy(cutoff)
-    return expm(0.5 * r * (a.conj().T @ a.conj().T - a @ a))
+    return _exp_i(0.5j * r * (a.conj().T @ a.conj().T - a @ a))
 
 
 def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
@@ -369,22 +429,33 @@ def _squeezed_sectors(
 ) -> list:
     """Sector blocks of S_theta D S_theta+ for the diagonal D that is diag(v)
     on one slot (0 = A', 1 = R) and the identity on the other, evaluated at
-    ``cutoff`` and truncated to photon numbers below ``keep`` (default
-    ``cutoff``).
+    ``cutoff``, truncated to photon numbers below ``keep`` (default
+    ``cutoff``) and symmetrized.
 
     D is diagonal, so each sector block E of the squeezer gives E diag(d) E^T.
     Photon numbers grow along a sector's chain, so the kept states of each
     block are a prefix of it, and the chains that keep any are those of
-    :func:`_chains` at ``keep``, in the same order.
+    :func:`_chains` at ``keep``, in the same order: the chains from |0, k>
+    and from |k, 0>, k < keep.  The two share their block E and swap the
+    slots, so d along the first is v[t] on slot 0 and v[k + t] on slot 1,
+    and the reverse along the second; both products run in one stack.
     """
     keep = cutoff if keep is None else keep
-    sectors = []
-    for i, j, E in _squeezer_sectors(theta, cutoff):
-        kept = np.count_nonzero((i < keep) & (j < keep))
-        if kept:
-            d = v[i] if slot == 0 else v[j]
-            sectors.append((i[:kept], j[:kept], (E[:kept] * d) @ E[:kept].T))
-    return sectors
+    _check_squeezer(theta, cutoff)
+    chains = _chains(cutoff, 1)[:keep]  # chain k runs over (t, k + t)
+    cores = [None] * keep
+    for members, E in _chain_exps(theta, cutoff, 1, keep):
+        t = np.arange(E.shape[-1])
+        near = np.broadcast_to(v[t], (members.size, t.size))
+        far = np.take(v, members[:, None] + t, mode="clip")  # clipped only where E is padding
+        d = np.stack([near, far] if slot == 0 else [far, near], axis=1)  # (chain, mirror)
+        A = E[:, None, : min(t.size, keep)]
+        C = (A * d[:, :, None, :]) @ A.swapaxes(-1, -2)
+        C = 0.5 * (C + C.swapaxes(-1, -2))
+        for r, k in enumerate(members):
+            cores[k] = C[r, :, : keep - k, : keep - k]
+    return ([(i[: keep - k], j[: keep - k], cores[k][0]) for k, (i, j) in enumerate(chains)]
+            + [(j[: keep - k], i[: keep - k], cores[k][1]) for k, (i, j) in enumerate(chains) if k])
 
 
 def canonical_observable_closed_form(
@@ -434,8 +505,7 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     k = lam / (lam + 1.0)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
     U = gaussian_unitary_fock(spec, cutoff).matrix
-    core = [(i, j, 0.5 * (C + C.T)) for i, j, C in
-            _squeezed_sectors(kappa, np.arange(cutoff, dtype=float), 0, cutoff)]
+    core = _squeezed_sectors(kappa, np.arange(cutoff, dtype=float), 0, cutoff)
     u = np.diagonal(U)
     if not np.count_nonzero(U - np.diag(u)):
         sectors = []
@@ -470,8 +540,7 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     scale, weight = (lam + 1.0) / g**2, (g**2 - lam - 1.0) / g**2
     sectors = []
     for i, j, core in _squeezed_sectors(theta_p, np.arange(cutoff, dtype=float), 1, cutoff):
-        W = scale * (np.eye(i.size) - weight * core)
-        sectors.append((i, j, 0.5 * (W + W.T)))
+        sectors.append((i, j, scale * (np.eye(i.size) - weight * core)))
     return FockOperator._built(cutoff, 2, sectors=sectors)
 
 
@@ -484,26 +553,24 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
     The beamsplitter keeps n1 + n2, so K_k[i, i + k] = <i, k|U|i + k, 0> is the
     last column of the chain of total i + k (shift k); the squeezer keeps
     n1 - n2, so K_k[q + k, q] = <q + k, k|U|q, 0> is entry k of the first
-    column of the chain starting at |q, 0> (shift -k).
+    column of the chain starting at |q, 0> (shift -k), whose block is that
+    of the chain from |0, q>.  Past a chain's length, a padded column is zero.
     """
     c = cutoff
     table = np.zeros((c, c))
     if kind == "attenuator":
         if not 0 < param <= 1:
             raise ValueError("transmissivity must lie in (0, 1]")
-        # the chains starting at |0, N>, N < c, hold |N, 0> last
-        sectors = _two_mode_sectors(_beamsplitter_angle(param), _chains(c, -1)[:c])
-        for total, (_, _, E) in enumerate(sectors):
-            table[total, : total + 1] = E[:, -1]  # table[i + k, i] = K_k[i, i + k]
+        # the chain starting at |0, N>, N < c, holds |N, 0> last, at position N
+        for N, E in _chain_exps(_beamsplitter_angle(param), c, -1, c, cols=np.arange(c)):
+            table[N, : E.shape[-1]] = E  # table[i + k, i] = K_k[i, i + k]
         return [(k, np.diagonal(table, -k)) for k in range(c)]
     if param < 1:
         raise ValueError("amplifier gain must be at least 1")
     theta = np.arccosh(param)
     _check_squeezer(theta, c)
-    chains = _chains(c, 1)
-    # the chains starting at |q, 0>, q < c, hold |q + k, k> at position k
-    for q, (_, _, E) in enumerate(_two_mode_sectors(theta, chains[:1] + chains[c:])):
-        table[q, : c - q] = E[:, 0]  # table[q, k] = K_k[q + k, q]
+    for q, E in _chain_exps(theta, c, 1, c, cols=np.zeros(c, dtype=int)):
+        table[q, : E.shape[-1]] = E  # table[q, k] = K_k[q + k, q]
     return [(-k, table[: c - k, k]) for k in range(c)]
 
 
@@ -565,6 +632,29 @@ def _apply_transfer(rho: np.ndarray, S: np.ndarray, cutoff: int) -> np.ndarray:
         block = S[delta, :n, :n] if delta >= 0 else S[-delta, :n, :n].conj()
         out[i, i + delta] = block @ T[i, i + delta]
     return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
+
+
+def _transfer_pure(psi: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The channel of real transfer blocks S on the first slot of the pure
+    state with amplitude matrix psi[i, j] = <ij|psi>, as a dense rho.
+
+    Diagonal delta >= 0 of the (i, k) pair is the (n, c, c) slab
+    psi[q, j] conj(psi[q + delta, l]), which S_delta multiplies and writes
+    straight into rho[p, :, p + delta, :]; diagonal -delta is its conjugate
+    transpose.  S is real, so it multiplies a slab's real and imaginary
+    parts as one real product.
+    """
+    c = psi.shape[0]
+    rho = np.empty((c, c, c, c), dtype=complex)  # rho[i, j, k, l] = <ij|rho|kl>
+    for delta in range(c):
+        n = c - delta
+        p = np.arange(n)
+        slab = psi[:n, :, None] * psi[delta:, None, :].conj()
+        out = (S[delta, :n, :n] @ slab.view(float).reshape(n, -1)).view(complex).reshape(n, c, c)
+        rho[p, :, p + delta, :] = out
+        if delta:
+            rho[p + delta, :, p, :] = out.conj().transpose(0, 2, 1)
+    return rho.reshape(c * c, c * c)
 
 
 def _shift(K: np.ndarray) -> int | None:
@@ -630,8 +720,10 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
 
     Otherwise the output is dense.  A leading run of unitary factors acts on
     the TMSV as the c x c amplitude matrix psi[i, j] = <ij|psi>, from
-    diag(a) to U diag(a), and rho = |psi><psi| is formed once for the
-    factors after the run.
+    diag(a) to U diag(a).  When only attenuators and amplifiers follow, their
+    composed transfer blocks act on psi's rows (:func:`_transfer_pure`);
+    after any other order, rho = |psi><psi| is formed once for the factors
+    after the run.
     """
     _check_lam(lam)
     _check_cutoff(cutoff)
@@ -642,8 +734,11 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
         psi = np.diag(a).astype(complex)
         for _, spec in ops[:lead]:
             psi = gaussian_unitary_fock(spec, cutoff).matrix @ psi
+        rest = ops[lead:]
+        if rest and all(kind in PHASE_INSENSITIVE for kind, _ in rest):
+            return FockState._built(cutoff, 2, _transfer_pure(psi, _run_transfer(rest, cutoff)))
         rho = np.outer(psi, psi.conj())
-        return FockState._built(cutoff, 2, apply_elementary_first_mode(rho, ops[lead:], cutoff))
+        return FockState._built(cutoff, 2, apply_elementary_first_mode(rho, rest, cutoff))
     S = _run_transfer(ops, cutoff)
     sectors = []
     for i, j in _chains(cutoff, 1):

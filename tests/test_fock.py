@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
-from scipy.linalg import expm
+from scipy.linalg import expm, polar
 from scipy.special import gammaln
 
 from cvverify import fock, gaussian as ga, symplectic as sp
@@ -579,3 +579,108 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
         assert abs(fock.max_eigenvalue(diff) - dense) <= 1e-12, g
         # a dense side falls back to the dense spectrum
         assert abs(fock.max_eigenvalue(fock.FockOperator(cutoff, 2, W.matrix) - O) - dense) <= 1e-12, g
+
+
+# The eigh kernel against SciPy's expm, chain by chain: each chain's block is
+# exponentiated on its own, with the generator written from the ladder
+# matrix elements <i+1, j+1|a1+ a2+|i, j> = sqrt((i+1)(j+1)) and
+# <i+1, j-1|a1+ a2|i, j> = sqrt((i+1) j).  The generator is antisymmetric,
+# so the exact block is orthogonal, and the reference is the orthogonal
+# polar factor of expm: on the short beamsplitter chains of large weight
+# (norm ~130 at cutoff 64, theta = arccosh 2) expm's scaling and squaring is
+# itself off orthogonality by 3e-12 and off a 40-digit exponential by
+# 1.5e-12, while its polar factor is within 1e-14 of it.
+
+KERNEL_THETAS = [0.0, 0.3, np.arctanh(1.0 / np.sqrt(2.0)), np.arccosh(2.0)]
+
+
+def _chain_expm(theta, i, j, step):
+    w = theta * np.sqrt((i[:-1] + 1.0) * (j[:-1] + 1.0 if step > 0 else j[:-1]))
+    return polar(expm(np.diag(w, -1) - np.diag(w, 1)))[0]
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [2, 3, 20, 33, 64])
+@pytest.mark.parametrize("step", [1, -1])
+def test_stacked_chain_blocks_match_per_chain_expm(cutoff, step):
+    c = cutoff
+    chains = fock._chains(c, step)
+    for theta in KERNEL_THETAS:
+        refs = [_chain_expm(theta, i, j, step) for i, j in chains]
+        built = [fock._two_mode_sectors(theta, c, step, 2 * c - 1)]
+        if step > 0:  # exponentiated on the chains from |0, j>, read on their mirrors from |j, 0>
+            built.append(fock._squeezer_sectors(theta, c))
+        for sectors in built:
+            assert len(sectors) == len(chains)
+            assert all(np.array_equal(i, a) and np.array_equal(j, b) for (i, j, _), (a, b) in zip(sectors, chains))
+            dev = max(np.max(np.abs(E - ref)) for (_, _, E), ref in zip(sectors, refs))
+            assert dev <= 1e-12, (theta, dev)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [2, 3, 20, 33, 64])
+def test_kraus_diagonals_match_per_chain_expm(cutoff):
+    """The single columns _kraus_diagonals reads: the last column of the
+    beamsplitter chain from |0, N> and the first column of the squeezer chain
+    from |q, 0>."""
+    c = cutoff
+    chains = {step: fock._chains(c, step) for step in (1, -1)}
+    for theta in KERNEL_THETAS:
+        att = dict(fock._kraus_diagonals("attenuator", np.cos(theta) ** 2, c))
+        amp = dict(fock._kraus_diagonals("amplifier", np.cosh(theta), c))
+        last = [_chain_expm(theta, i, j, -1)[:, -1] for i, j in chains[-1][:c]]
+        first = [_chain_expm(theta, i, j, 1)[:, 0] for i, j in chains[1][:1] + chains[1][c:]]
+        for k in range(c):
+            # K_k[i, i + k] = <i, k|U|i + k, 0>, position i of the chain of total i + k
+            want = np.array([last[i + k][i] for i in range(c - k)])
+            assert np.max(np.abs(att[k] - want)) <= 1e-12, (theta, k)
+            # K_k[q + k, q] = <q + k, k|U|q, 0>, position k of the chain from |q, 0>
+            want = np.array([first[q][k] for q in range(c - k)])
+            assert np.max(np.abs(amp[-k] - want)) <= 1e-12, (theta, k)
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 20, 48])
+def test_single_mode_exponentials_match_expm(cutoff):
+    a = fock.destroy(cutoff)
+    ad = a.conj().T
+    for beta in (0.3 - 0.2j, 1.5j, 2.0, -0.7 + 1.1j):
+        ref = expm(beta * ad - np.conj(beta) * a)
+        assert np.max(np.abs(fock.displace_fock(beta, cutoff) - ref)) <= 1e-12, beta
+    for r in (-0.5, 0.3, 1.0):
+        ref = expm(0.5 * r * (ad @ ad - a @ a))
+        assert np.max(np.abs(fock.squeeze1_fock(r, cutoff) - ref)) <= 1e-12, r
+
+
+def test_exponential_without_a_significant_digit_is_an_error():
+    """At |beta| ~ 7e149 the generator's eigenvalues exceed 1/eps, so
+    e^{-i lambda} has no significant digit: an error, not a finite matrix."""
+    with pytest.raises(ValueError, match="is not finite"):
+        fock.displace_fock(1e150 / np.sqrt(2.0), 6)
+    with pytest.raises(ValueError, match="is not finite"):
+        fock.gaussian_unitary_fock(sp.SymplecticSpec(np.eye(2), np.array([1e150, 0.0])), 6)
+    assert np.all(np.isfinite(fock.displace_fock(1e3, 6)))
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [6, 20, 40])
+def test_pure_state_transfer_matches_dense_channel(cutoff, monkeypatch):
+    """Attenuators and amplifiers after a leading unitary act on the rows of
+    the amplitude matrix; any other order keeps the dense path."""
+    c, lam = cutoff, 1.0
+    rng = np.random.default_rng(17)
+    spec, spec2 = (sp.random_symplectic(1, r_max=0.3, d_scale=0.4, rng=rng) for _ in range(2))
+    psi = fock.tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
+    calls, pure = [], fock._transfer_pure
+
+    def spy(*args):
+        calls.append(args)
+        return pure(*args)
+
+    monkeypatch.setattr(fock, "_transfer_pure", spy)
+    for ops, on_rows in (([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)], True),
+                         ([("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)], False)):
+        calls.clear()
+        st = fock.entangled_output_fock(ops, lam, c)
+        assert len(calls) == on_rows, ops
+        ref = fock.apply_elementary_first_mode(np.outer(psi, psi.conj()), ops, c)
+        assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops

@@ -1,11 +1,16 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
 package, every parameter default is overridden by some caller, and the Fock
-oracle imports no phase-space code."""
+oracle imports no phase-space code.  One check runs the package's imports in
+a fresh interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "cvverify"
@@ -89,8 +94,8 @@ def test_every_parameter_default_is_overridden_by_a_caller():
 
 def test_fock_oracle_imports_no_phase_space_code():
     """The Fock oracle checks the phase-space code, so it may import only the
-    standard library, numpy, scipy and the target's ``SymplecticSpec``."""
-    allowed = {"numpy", "scipy"} | set(sys.stdlib_module_names)
+    standard library, numpy and the target's ``SymplecticSpec``."""
+    allowed = {"numpy"} | set(sys.stdlib_module_names)
     borrowed = []
     for node in ast.walk(TREES["fock.py"]):
         if isinstance(node, ast.Import):
@@ -102,3 +107,14 @@ def test_fock_oracle_imports_no_phase_space_code():
             elif node.module.split(".")[0] not in allowed:
                 borrowed.append(node.module)
     assert borrowed == []
+
+
+@pytest.mark.parametrize("module", ["cvverify", "cvverify.cli"])
+def test_import_loads_no_scipy(module):
+    """SciPy is a test dependency only: importing the package or its CLI,
+    as every command does, loads no ``scipy`` module."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
