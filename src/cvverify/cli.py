@@ -56,15 +56,20 @@ def _parse_scenario(data: dict):
     return cfg, prover, state, reps, seed, shot_cap
 
 
-def _check_cutoff(cutoff: int, sectors: bool) -> None:
-    """Refuse a cutoff whose two-mode matrices hold more entries than a dense
-    one of dimension MAX_TWO_MODE_DIM: c^4 when dense, or
-    sum_s (c - |s|)^2 = c (2 c^2 + 1) / 3 in n1 - n2 sectors."""
-    held = cutoff * (2 * cutoff * cutoff + 1) // 3 if sectors else cutoff**4
+HELD = {  # entries a Fock path holds at cutoff c
+    "dense": lambda c: c**4,
+    "sector": lambda c: c * (2 * c * c + 1) // 3,  # sum_s (c - |s|)^2 over the n1 - n2 sectors
+    "amplitude-form": lambda c: c**3,  # a stack of c amplitude matrices, or the c delta-diagonals
+}
+
+
+def _check_cutoff(cutoff: int, form: str) -> None:
+    """Refuse a cutoff whose two-mode arrays in the given form (a key of
+    HELD) hold more entries than a dense matrix of dimension MAX_TWO_MODE_DIM."""
+    held = HELD[form](cutoff)
     if held > MAX_TWO_MODE_DIM**2:
-        form = "sector" if sectors else "dense"
         raise SystemExit(
-            f"error: cutoff {cutoff} gives {form} two-mode matrices of {held} entries, "
+            f"error: cutoff {cutoff} gives {form} two-mode arrays of {held} entries, "
             f"over the cap of {MAX_TWO_MODE_DIM}^2 = {MAX_TWO_MODE_DIM**2}"
         )
 
@@ -111,9 +116,10 @@ def cmd_oracle(args) -> int:
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
         cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
         factors = elementary_factors(prover)
-        # the amplification witness and a phase-insensitive output are both held in sectors
+        # the amplification witness and a phase-insensitive output are both held in
+        # sectors; the unitary witness's frame or a unitary factor adds c^3 arrays
         in_sectors = all(kind in fock.PHASE_INSENSITIVE for kind, _ in factors)
-        _check_cutoff(cutoff, sectors=cfg.protocol == "amplification" and in_sectors)
+        _check_cutoff(cutoff, "sector" if cfg.protocol == "amplification" and in_sectors else "amplitude-form")
     report = protocols.oracle_report(prover, cfg, seed)
     if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
@@ -147,7 +153,7 @@ def cmd_plan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cutoff = args.cutoff
-    _check_cutoff(cutoff, sectors=False)
+    _check_cutoff(cutoff, "dense")
     thetas = [float(t) for t in args.thetas.split(",")]
     results = []
     ok = True

@@ -20,31 +20,28 @@ diagonal core inside a squeezer sandwich is conjugated in the same stacks.
 The performance operator is the closed-form Gaussian integral over the
 coherent prior, element by element.  The module needs numpy only.
 
-Every attenuator and amplifier Kraus operator moves photon number by a fixed
-amount, so these phase-insensitive channels keep the difference delta of the
-two first-slot indices and act on each delta as one transfer block S_delta.
-The blocks are read off the dilation's sector chains, one diagonal per Kraus
-operator, and a run of such factors composes block by block.  The TMSV input
-sits in n1 = n2, so its image under such factors conserves n1 - n2 between
-bra and ket, as does the amplification witness: both are kept as their
-2c - 1 n1 - n2 sector blocks (about 2c^3/3 entries instead of c^4), and the
-dense ``rho`` or ``matrix`` is assembled only when read.  ``expectation``
-sums block traces, or gathers a dense operator at a sector state's entries.
-
-A Gaussian unitary U on A' does not conserve n1 - n2 unless it is diagonal.
-The unitary witness is built from the sector blocks of its squeezed core
-either way: it stays in sectors for a diagonal U (the identity target, or a
-rotation), and is gathered from the blocks into one dense product otherwise.
-A leading run of unitary factors acts on the TMSV's c x c amplitude matrix
-psi.  Attenuators and amplifiers after it act on psi's rows, one
-first-slot diagonal at a time, written straight into the dense state; after
-any other order of factors the dense state is formed once and the rest run
-on it.  Truncation leakage is reported, never silently renormalized away.
+Attenuator and amplifier Kraus operators are each one diagonal, so these
+channels act on each difference delta of the two first-slot indices as one
+transfer block S_delta, and a run of them composes block by block.  The TMSV
+sits in n1 = n2, so its image under them conserves n1 - n2, as does the
+amplification witness: both are kept as 2c - 1 sector blocks (about 2c^3/3
+entries instead of c^4).  The unitary witness is kept as the blocks of
+1 - k C in the frame U (x) 1 of the target's unitary U (folded into the
+blocks when U is diagonal), and an output with a unitary factor in amplitude
+form: psi, the TMSV's c x c amplitudes after the leading unitaries, and the
+later factors, so rho = sum_n phi_n phi_n+ over terms phi_n with one Kraus
+operator (a shift and scale of rows) per attenuator or amplifier.
+``expectation`` contracts these forms without a dense c^4 array: block
+traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
+block's states (c^3 per term in O(c^3) memory), or the shared photon-number
+shifts of a framed operator and a sector state (c^4).  ``rho`` and ``matrix``
+are assembled only when read.  Truncation leakage is reported, never
+silently renormalized away.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import warnings
 
 import numpy as np
@@ -53,13 +50,14 @@ from .symplectic import SymplecticSpec
 
 SQUEEZE_LEAKAGE_WARN = 1e-4
 PHASE_INSENSITIVE = ("attenuator", "amplifier")
+_TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
 
 
 class _Fock:
-    """A dense complex matrix on ``modes`` truncated modes or, for two modes
-    that conserve n1 - n2, its sector blocks: a list of (i, j, block) over the
-    chains of :func:`_chains` (step +1), from which the dense matrix is
-    assembled on first read."""
+    """A complex matrix on ``modes`` truncated modes, held dense or, on two
+    modes, as its n1 - n2 sector blocks (a list of (i, j, block) over the
+    chains of :func:`_chains`, step +1) or in a factored ``_form`` that the
+    subclass defines.  The dense matrix is assembled on first read."""
 
     _field = "matrix"
 
@@ -67,14 +65,14 @@ class _Fock:
         self._hold(cutoff, modes, np.array(matrix, dtype=complex), None)  # a caller's matrix is copied
 
     @classmethod
-    def _built(cls, cutoff: int, modes: int, matrix=None, sectors=None):
-        """Take over a matrix or sector list built in this module, without a copy."""
+    def _built(cls, cutoff: int, modes: int, matrix=None, sectors=None, form=None):
+        """Take over a matrix, sector list or form built in this module, without a copy."""
         obj = cls.__new__(cls)
-        obj._hold(cutoff, modes, None if matrix is None else np.asarray(matrix, dtype=complex), sectors)
+        obj._hold(cutoff, modes, None if matrix is None else np.asarray(matrix, dtype=complex), sectors, form)
         return obj
 
-    def _hold(self, cutoff, modes, matrix, sectors):
-        self.cutoff, self.modes, self._sectors = cutoff, modes, sectors
+    def _hold(self, cutoff, modes, matrix, sectors, form=None):
+        self.cutoff, self.modes, self._sectors, self._form = cutoff, modes, sectors, form
         self._matrix = None if matrix is None else self._checked(matrix)
 
     def _checked(self, matrix: np.ndarray) -> np.ndarray:
@@ -86,14 +84,23 @@ class _Fock:
 
     def _dense(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._checked(_assemble(self._sectors, self.cutoff))
+            dense = _assemble(self._sectors, self.cutoff) if self._sectors is not None else self._unform()
+            self._matrix = self._checked(dense)
         return self._matrix
 
 
 class FockOperator(_Fock):
-    """Operator on a truncated Fock space of ``modes`` modes."""
+    """Operator on a truncated Fock space of ``modes`` modes.  Its ``_form``,
+    if any, is (U, sectors): sector blocks B in the frame of a unitary U on
+    the first mode, the operator (U (x) 1) B (U+ (x) 1)."""
 
     matrix = property(_Fock._dense)
+
+    def _unform(self) -> np.ndarray:
+        U, sectors = self._form
+        c = self.cutoff
+        M = _pairs(_assemble(sectors, c), c)
+        return _pairs(U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape), c)
 
     def is_hermitian(self) -> bool:
         return bool(max(np.max(np.abs(B - B.conj().T)) for B in _held_blocks(self)) <= 1e-10)
@@ -109,15 +116,36 @@ class FockOperator(_Fock):
 
 
 class FockState(_Fock):
-    """Truncated density matrix; ``leakage`` reports the lost trace."""
+    """Truncated density matrix; ``leakage`` reports the lost trace.  Its
+    ``_form``, if any, is the amplitude form (psi, factors) of
+    :func:`entangled_output_fock`."""
 
     _field = "rho"
     rho = property(_Fock._dense)
+
+    def _unform(self) -> np.ndarray:
+        psi, factors = self._form
+        c = self.cutoff
+        rho = _pairs(np.outer(psi, psi.conj()), c)
+        for kind, f in factors:
+            if kind == "unitary":  # see _pairs
+                rho = f.conj() @ (f @ rho.reshape(c, -1)).reshape(rho.shape)
+                continue
+            S, out = _transfer(f, c), np.empty_like(rho)
+            for delta in range(1 - c, c):  # the real S_|delta| maps the pairs (q, q + delta) to (p, p + delta)
+                i = np.arange(max(0, -delta), min(c, c - delta))
+                out[i, i + delta] = (S[abs(delta), :i.size, :i.size] @ rho[i, i + delta].view(float)).view(complex)
+            rho = out
+        return _pairs(rho, c)
 
     @property
     def leakage(self) -> float:
         if self._sectors is not None:
             return float(1.0 - sum(np.trace(B) for _, _, B in self._sectors))
+        if self._form is not None:  # the terms' squared norms: sum_n tr(B_n+ P B_n), P = sum_m A_m+ A_m
+            A, B = _term_stacks(self._form)
+            flat = A.reshape(-1, self.cutoff)
+            return float(1.0 - np.vdot(B, (flat.conj().T @ flat) @ B).real)
         return float(1.0 - np.real(np.trace(self.rho)))
 
 
@@ -313,6 +341,14 @@ def _assemble(sectors: list, cutoff: int) -> np.ndarray:
     return U
 
 
+def _pairs(M: np.ndarray, cutoff: int) -> np.ndarray:
+    """A two-mode matrix between its (c^2, c^2) form and the (c, c, c^2) array
+    M[i, k, (j, l)] = <ij|M|kl>, on whose first two indices U (x) 1 acts as
+    U @ M @ U+: ``U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape)``."""
+    c = cutoff
+    return M.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape((c, c, c * c) if M.ndim == 2 else (c * c, c * c))
+
+
 def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
     """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
     return FockOperator._built(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff))
@@ -492,56 +528,40 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     """Average-fidelity witness for a single-mode Gaussian unitary target, on A' (x) R.
 
     1 - k (U (x) 1) C (U+ (x) 1) with k = lam/(lam+1) and the squeezed core
-    C = S_kappa (n (x) 1) S_kappa+, kappa = arctanh(1 / sqrt(lam+1)), built
-    as its n1 - n2 sector blocks C_s.  A diagonal U = diag(u) keeps n1 - n2,
-    so the witness is held as the blocks 1 - k diag(u_i) C_s diag(conj(u_i))
-    over each chain's first-slot photon numbers i.  Any other U gives a dense
-    witness: <ij|C (U+ (x) 1)|bl> = sum_m <ij|C|ml> conj(U[b, m]) has the
-    one term m = i - j + l, so it is gathered from the blocks and scaled,
-    with no product, and U (x) 1 multiplies it from the left as one GEMM.
+    C = S_kappa (n (x) 1) S_kappa+, kappa = arctanh(1 / sqrt(lam+1)).  The
+    truncated U and S_kappa are unitary, so this is (U (x) 1) B (U+ (x) 1)
+    with B = S_kappa ((1 - k n) (x) 1) S_kappa+: B's n1 - n2 sector blocks in
+    the frame U, with no dense matrix.  A diagonal U = diag(u) keeps n1 - n2,
+    so the frame folds into the blocks as diag(u_i) B_s diag(conj(u_i)) over
+    each chain's first-slot photon numbers i.
     """
     _check_lam(lam)
     _check_cutoff(cutoff)
     k = lam / (lam + 1.0)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
     U = gaussian_unitary_fock(spec, cutoff).matrix
-    core = _squeezed_sectors(kappa, np.arange(cutoff, dtype=float), 0, cutoff)
+    sectors = _squeezed_sectors(kappa, 1.0 - k * np.arange(cutoff, dtype=float), 0, cutoff)
     u = np.diagonal(U)
-    if not np.count_nonzero(U - np.diag(u)):
-        sectors = []
-        for i, j, C in core:
-            W = -k * (u[i, None] * C * u[i].conj())
-            W[np.diag_indices(i.size)] += 1.0
-            sectors.append((i, j, W))
-        return FockOperator._built(cutoff, 2, sectors=sectors)
-    c = cutoff
-    Ubar = -k * U.conj()
-    R = np.zeros((c, c, c, c), dtype=complex)  # -k C (U+ (x) 1) as [i, j, b, l]
-    for i, j, C in core:
-        # a chain's columns are its own states |i_u j_u>, and i, j step by 1, so slices
-        R[i, j, :, j[0]:j[0] + i.size] = C[:, None, :] * Ubar[:, i[0]:i[0] + i.size]
-    W = (U @ R.reshape(c, c**3)).reshape(c * c, c * c)
-    W[np.diag_indices(c * c)] += 1.0
-    return FockOperator._built(cutoff, 2, W)
+    if np.count_nonzero(U - np.diag(u)):
+        return FockOperator._built(cutoff, 2, form=(U, sectors))
+    return FockOperator._built(cutoff, 2, sectors=[(i, j, u[i, None] * B * u[i].conj()) for i, j, B in sectors])
 
 
 def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     """Average-fidelity witness for the gain-g amplification test, on A' (x) R.
 
     (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 S_theta' (1 (x) n) S_theta'+) with
-    theta' = arctanh(sqrt(lam+1) / g), held as its n1 - n2 sector blocks: the
-    squeezer's chain blocks E diag(n_R) E^T inside the identity's.
+    theta' = arctanh(sqrt(lam+1) / g).  S_theta' is unitary, so this is
+    S_theta' (1 (x) d) S_theta'+ with d = (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 n),
+    held as its n1 - n2 sector blocks E diag(d_R) E^T.
     """
     _check_lam(lam)
     root = np.sqrt(lam + 1.0)
     if not root < g < np.inf:
         raise ValueError(f"amplification witness requires finite g > sqrt(lam+1) = {root:.4f}, got {g}")
     theta_p = np.arctanh(root / g)
-    scale, weight = (lam + 1.0) / g**2, (g**2 - lam - 1.0) / g**2
-    sectors = []
-    for i, j, core in _squeezed_sectors(theta_p, np.arange(cutoff, dtype=float), 1, cutoff):
-        sectors.append((i, j, scale * (np.eye(i.size) - weight * core)))
-    return FockOperator._built(cutoff, 2, sectors=sectors)
+    d = (lam + 1.0) / g**2 * (1.0 - (g**2 - lam - 1.0) / g**2 * np.arange(cutoff, dtype=float))
+    return FockOperator._built(cutoff, 2, sectors=_squeezed_sectors(theta_p, d, 1, cutoff))
 
 
 def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
@@ -565,6 +585,8 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
         for N, E in _chain_exps(_beamsplitter_angle(param), c, -1, c, cols=np.arange(c)):
             table[N, : E.shape[-1]] = E  # table[i + k, i] = K_k[i, i + k]
         return [(k, np.diagonal(table, -k)) for k in range(c)]
+    if kind != "amplifier":
+        raise ValueError(f"unknown elementary channel factor {kind!r}")
     if param < 1:
         raise ValueError("amplifier gain must be at least 1")
     theta = np.arccosh(param)
@@ -605,112 +627,82 @@ def _transfer(diagonals: list, cutoff: int) -> np.ndarray:
     return S
 
 
-def _run_transfer(ops: list[tuple], cutoff: int) -> np.ndarray:
-    """Composed transfer blocks of attenuator and amplifier factors applied
-    left to right (the identity's for none)."""
-    S = None
-    for kind, param in ops:
-        T = _transfer(_kraus_diagonals(kind, param, cutoff), cutoff)
-        S = T if S is None else T @ S
-    if S is None:
-        p = np.arange(cutoff)
-        S = np.eye(cutoff) * (p[:, None] + p < cutoff)[:, :, None]
-    return S
+def _kraus_stack(X: np.ndarray, diagonals: list, right: bool = False) -> np.ndarray:
+    """K X, or X K when ``right``, for each one-diagonal K of ``diagonals`` and
+    each matrix of the stack X (..., c, c): a shift and scale of X's rows
+    (columns), stacked K-major on one leading axis."""
+    out = np.zeros((len(diagonals),) + X.shape, dtype=complex)
+    for k, (shift, d) in enumerate(diagonals):
+        p, q, n = max(0, -shift), max(0, shift), d.size  # K[p + m, q + m] = d[m]
+        if right:
+            out[k, ..., q:q + n] = X[..., p:p + n] * d
+        else:
+            out[k, ..., p:p + n, :] = d[:, None] * X[..., q:q + n, :]
+    return out.reshape((-1,) + X.shape[-2:])
 
 
-def _apply_transfer(rho: np.ndarray, S: np.ndarray, cutoff: int) -> np.ndarray:
-    """The channel of transfer blocks S on the first slot of a dense two-mode rho:
-    with rho[i, j, k, l] = <ij|rho|kl>, diagonal delta = k - i of the (i, k)
-    pair is an (n, cutoff^2) slab that S_delta multiplies, the reference pair
-    (j, l) riding along."""
-    c = cutoff
-    T = np.asarray(rho).reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c, c, c * c)  # rows (i, k)
-    out = np.empty(T.shape, dtype=complex)
-    for delta in range(1 - c, c):
-        n = c - abs(delta)
-        i = np.arange(max(0, -delta), min(c, c - delta))
-        block = S[delta, :n, :n] if delta >= 0 else S[-delta, :n, :n].conj()
-        out[i, i + delta] = block @ T[i, i + delta]
-    return out.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape(c * c, c * c)
+def _term_stacks(form: tuple, frame: np.ndarray | None = None) -> tuple:
+    """Stacks A and B whose products A[m] @ B[n] are the terms of the
+    amplitude form (psi, factors), left-multiplied by U+ for a frame U: B is
+    psi under the first factor (a Kraus list, as the leading unitaries are in
+    psi) and A is U+ times the others, so a unitary-attenuator-amplifier
+    output has c^2 terms from two stacks of c."""
+    psi, factors = form
+    B, rest = (_kraus_stack(psi, factors[0][1]), factors[1:]) if factors else (psi[None], [])
+    A = (np.eye(psi.shape[0]) if frame is None else frame.conj().T)[None]
+    for kind, f in reversed(rest):
+        A = A @ f if kind == "unitary" else _kraus_stack(A, f, right=True)
+    return A, B
 
 
-def _transfer_pure(psi: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The channel of real transfer blocks S on the first slot of the pure
-    state with amplitude matrix psi[i, j] = <ij|psi>, as a dense rho.
-
-    Diagonal delta >= 0 of the (i, k) pair is the (n, c, c) slab
-    psi[q, j] conj(psi[q + delta, l]), which S_delta multiplies and writes
-    straight into rho[p, :, p + delta, :]; diagonal -delta is its conjugate
-    transpose.  S is real, so it multiplies a slab's real and imaginary
-    parts as one real product.
-    """
-    c = psi.shape[0]
-    rho = np.empty((c, c, c, c), dtype=complex)  # rho[i, j, k, l] = <ij|rho|kl>
-    for delta in range(c):
-        n = c - delta
-        p = np.arange(n)
-        slab = psi[:n, :, None] * psi[delta:, None, :].conj()
-        out = (S[delta, :n, :n] @ slab.view(float).reshape(n, -1)).view(complex).reshape(n, c, c)
-        rho[p, :, p + delta, :] = out
-        if delta:
-            rho[p + delta, :, p, :] = out.conj().transpose(0, 2, 1)
-    return rho.reshape(c * c, c * c)
+def _term_trace(A: np.ndarray, B: np.ndarray, sectors: list) -> float:
+    """sum over the terms X = A[m] @ B[n] of <X|O|X> for O of sector blocks O_s:
+    sum_s f+ O_s f, f the terms' entries at chain s's states.  One matrix
+    product per chunk of B forms at most max(_TERM_ENTRIES, c^2 M) entries,
+    so the memory stays O(c^3) for stacks of c."""
+    M, c = A.shape[:2]
+    rows = A.transpose(1, 0, 2).reshape(c * M, c)
+    step = max(1, _TERM_ENTRIES // (M * c * c))
+    total = 0.0
+    for n in range(0, B.shape[0], step):
+        X = (rows @ B[n:n + step].transpose(1, 2, 0).reshape(c, -1)).reshape(c, M, c, -1)  # [i, m, j, n]
+        for i, j, O in sectors:
+            F = X[i, :, j].reshape(i.size, -1)
+            if np.isrealobj(O):  # Re f+ O f = Re(f) O Re(f) + Im(f) O Im(f): one real product
+                F = F.view(float)
+            total += np.vdot(F, O @ F).real
+    return total
 
 
-def _shift(K: np.ndarray) -> int | None:
-    """The fixed amount K moves photon number by, q - p over its nonzeros K[p, q], or None."""
-    rows, cols = np.nonzero(K)
-    shifts = np.unique(cols - rows)
-    return int(shifts[0]) if shifts.size == 1 else None
+def _diagonals(sectors: list, cutoff: int) -> np.ndarray:
+    """D[delta, p, q] = <p + delta, q + delta|M|p, q>, delta >= 0, for M of n1 - n2
+    sector blocks (zero where p + delta or q + delta reaches the cutoff)."""
+    D = np.zeros((cutoff,) * 3, dtype=np.result_type(*(B for _, _, B in sectors)))
+    for i, j, B in sectors:
+        t, u = np.tril_indices(i.size)
+        D[t - u, i[u], j[u]] = B[t, u]
+    return D
 
 
-def apply_kraus_first_mode(rho: np.ndarray, kraus: list[np.ndarray], cutoff: int) -> np.ndarray:
-    """sum_K (K (x) 1) rho (K (x) 1)+ for any two-mode matrix rho, without
-    forming K (x) 1.  With rho[i, j, k, l] = <ij|rho|kl>, K acts on the index
-    pair (i, k) and the reference pair (j, l) rides along.
-
-    When every K moves photon number by a fixed amount (every attenuator and
-    amplifier Kraus operator does), the channel keeps k - i and acts through
-    its transfer blocks, one per diagonal of the (i, k) pair.  Otherwise K
-    contracts into i (the rows of the (c, c^3) view) and conj(K) into k (the
-    rows of each (k, l) block).
-    """
-    c = cutoff
-    shifts = [_shift(K) for K in kraus]
-    if kraus and None not in shifts:
-        diagonals = [(s, np.diagonal(K, s)) for s, K in zip(shifts, kraus)]
-        return _apply_transfer(rho, _transfer(diagonals, c), c)
-    R = np.asarray(rho).reshape(c, c, c, c)
-    out = np.zeros(R.shape, dtype=complex)
-    for K in kraus:
-        out += K.conj() @ (K @ R.reshape(c, -1)).reshape(R.shape)
-    return out.reshape(c * c, c * c)
-
-
-def apply_elementary_first_mode(
-    rho: np.ndarray, ops: list[tuple], cutoff: int
-) -> np.ndarray:
-    """Apply a sequence of elementary single-mode channel factors to the first slot.
-
-    Each factor is ("unitary", SymplecticSpec), ("attenuator", eta) or
-    ("amplifier", g); see :func:`cvverify.channels.elementary_factors`.  A run
-    of consecutive attenuators and amplifiers is composed block by block and
-    applied to rho once.
-    """
-    for insensitive, run in itertools.groupby(ops, key=lambda op: op[0] in PHASE_INSENSITIVE):
-        run = list(run)
-        if insensitive:
-            rho = _apply_transfer(rho, _run_transfer(run, cutoff), cutoff)
-            continue
-        for kind, param in run:
-            if kind != "unitary":
-                raise ValueError(f"unknown elementary channel factor {kind!r}")
-            rho = apply_kraus_first_mode(rho, [gaussian_unitary_fock(param, cutoff).matrix], cutoff)
-    return rho
+def _framed_trace(U: np.ndarray, op_sectors: list, state_sectors: list, cutoff: int) -> float:
+    """tr((U (x) 1) O (U+ (x) 1) rho) for Hermitian O and rho held in n1 - n2
+    sectors, in c^4.  An entry of either links |p, q> to |p + delta, q + delta>,
+    and the two meet only on a shared delta: with X_delta of :func:`_diagonals`,
+    the delta term is sum_{p, r} U+[p + delta, r + delta] conj(U+[p, r])
+    (conj(O_delta) rho_delta^T)[p, r], and the -delta term its conjugate."""
+    Ud = U.conj().T
+    DO, Dr = _diagonals(op_sectors, cutoff).conj(), _diagonals(state_sectors, cutoff)
+    total = 0.0
+    for delta in range(cutoff):
+        n = cutoff - delta
+        H = Ud[delta:, delta:] * Ud[:n, :n].conj()
+        total += (1 + (delta > 0)) * np.sum(H * (DO[delta, :n, :n] @ Dr[delta, :n, :n].T)).real
+    return total
 
 
 def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockState:
-    """(E (x) I) applied to the TMSV purification of the lam-prior, in Fock space.
+    """(E (x) I) applied to the TMSV purification of the lam-prior, in Fock
+    space, for the factors of :func:`cvverify.channels.elementary_factors`.
 
     With attenuators and amplifiers only (or no factor), the output keeps
     n1 - n2 and is returned as its sector blocks: the TMSV's amplitudes a_n
@@ -718,28 +710,25 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     from the composed transfer blocks, and entry (t, u) of a chain's block
     reads S_|u-t| at the chain's earlier state.
 
-    Otherwise the output is dense.  A leading run of unitary factors acts on
-    the TMSV as the c x c amplitude matrix psi[i, j] = <ij|psi>, from
-    diag(a) to U diag(a).  When only attenuators and amplifiers follow, their
-    composed transfer blocks act on psi's rows (:func:`_transfer_pure`);
-    after any other order, rho = |psi><psi| is formed once for the factors
-    after the run.
+    Otherwise the output is returned in amplitude form (psi, factors), with
+    no dense matrix: psi[i, j] = <ij|psi> is the TMSV's diag(a) under the
+    leading unitaries, and ``factors`` are the rest, each ("unitary", U) or
+    ("kraus", the Kraus diagonals of :func:`_kraus_diagonals`).
     """
     _check_lam(lam)
     _check_cutoff(cutoff)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
     a = _tmsv_amplitudes(kappa, cutoff)
-    if not all(kind in PHASE_INSENSITIVE for kind, _ in ops):
-        lead = len(list(itertools.takewhile(lambda op: op[0] == "unitary", ops)))
+    factors = [("unitary", gaussian_unitary_fock(p, cutoff).matrix) if kind == "unitary"
+               else ("kraus", _kraus_diagonals(kind, p, cutoff)) for kind, p in ops]
+    if any(kind == "unitary" for kind, _ in factors):
         psi = np.diag(a).astype(complex)
-        for _, spec in ops[:lead]:
-            psi = gaussian_unitary_fock(spec, cutoff).matrix @ psi
-        rest = ops[lead:]
-        if rest and all(kind in PHASE_INSENSITIVE for kind, _ in rest):
-            return FockState._built(cutoff, 2, _transfer_pure(psi, _run_transfer(rest, cutoff)))
-        rho = np.outer(psi, psi.conj())
-        return FockState._built(cutoff, 2, apply_elementary_first_mode(rho, rest, cutoff))
-    S = _run_transfer(ops, cutoff)
+        while factors and factors[0][0] == "unitary":
+            psi = factors.pop(0)[1] @ psi
+        return FockState._built(cutoff, 2, form=(psi, factors))
+    # the factors' transfer blocks composed left to right (the identity channel's for none)
+    blocks = [_transfer(f, cutoff) for _, f in factors] or [_transfer([(0, np.ones(cutoff))], cutoff)]
+    S = functools.reduce(lambda S, T: T @ S, blocks)
     sectors = []
     for i, j in _chains(cutoff, 1):
         t = np.arange(i.size)
@@ -748,26 +737,27 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     return FockState._built(cutoff, 2, sectors=sectors)
 
 
-def _held_blocks(x: _Fock) -> list:
-    """x's sector blocks, or its dense matrix as the only block."""
-    return [B for _, _, B in x._sectors] if x._sectors is not None else [x._dense()]
-
-
-def _blocks(x: _Fock) -> list:
-    """x's blocks over the n1 - n2 chains: its own, or gathered from its dense matrix."""
-    if x._sectors is not None:
-        return [B for _, _, B in x._sectors]
-    M, c = x._dense(), x.cutoff
-    return [M[np.ix_(i * c + j, i * c + j)] for i, j in _chains(c, 1)]
+def _held_blocks(op: FockOperator) -> list:
+    """op's sector blocks, in its frame if it has one (a unitary frame keeps
+    the spectrum), or its dense matrix as the only block."""
+    sectors = op._form[1] if op._form is not None else op._sectors
+    return [B for _, _, B in sectors] if sectors is not None else [op._dense()]
 
 
 def expectation(op: FockOperator, state: FockState) -> float:
+    """tr(op state) from the forms the two hold; a dense side is assembled
+    only when no structured contraction applies."""
     if op.cutoff != state.cutoff or op.modes != state.modes:
         raise ValueError("operator/state dimension mismatch")
-    if op._sectors is None and state._sectors is None:
-        return float(np.real(np.sum(op.matrix * state.rho.T)))  # tr(A B) in O(d^2)
-    # one side is block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
-    return float(np.real(sum(np.sum(A * B.T) for A, B in zip(_blocks(op), _blocks(state)))))
+    frame, sectors = op._form if op._form is not None else (None, op._sectors)
+    if sectors is not None and state._form is not None:
+        return float(_term_trace(*_term_stacks(state._form, frame), sectors))
+    if sectors is not None and state._sectors is not None:
+        if frame is not None:
+            return float(_framed_trace(frame, sectors, state._sectors, op.cutoff))
+        # both are block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
+        return float(np.real(sum(np.sum(A * B.T) for (_, _, A), (_, _, B) in zip(sectors, state._sectors))))
+    return float(np.real(np.einsum("ij,ji->", op.matrix, state.rho)))
 
 
 def max_eigenvalue(op: FockOperator) -> float:

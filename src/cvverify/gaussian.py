@@ -14,7 +14,6 @@ import numpy as np
 
 from .symplectic import SymplecticSpec, symplectic_form
 
-PURITY_TOL = 1e-8
 UNCERTAINTY_TOL = 1e-9
 
 
@@ -52,9 +51,6 @@ class GaussianState:
         omega = symplectic_form(self.n_modes)
         h = self.cov + 0.5j * omega
         return bool(np.min(np.linalg.eigvalsh(h)) >= -UNCERTAINTY_TOL)
-
-    def is_pure(self) -> bool:
-        return bool(abs(np.linalg.det(2.0 * self.cov) - 1.0) <= PURITY_TOL)
 
     def to_dict(self) -> dict:
         return {

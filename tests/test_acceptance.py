@@ -183,6 +183,29 @@ def test_5_dual_path_at_the_papers_gains(gain, cutoff):
     assert ok
 
 
+@pytest.mark.parametrize("r, excess, cutoff", [(0.8, None, 96), (1.0, None, 128), (0.8, 0.1, 64)])
+def test_5_dual_path_on_strong_squeezers(r, excess, cutoff):
+    """Dual-path equality for squeezed targets of r >= 0.8, at cutoffs above
+    the 64 that a dense c^2 x c^2 witness allowed: the honest ExactUnitary
+    prover and one rotated by 0.1 and displaced by 0.1 (at r = 1.0 its
+    truncation error is 9e-4 at cutoff 96 and 7e-5 at 128), or NoisyUnitary
+    with excess 0.1 (at cutoff 24 its error is 7e-2)."""
+    lam = 1.0
+    target = sp.single_mode_squeezer(r)
+    cfg = VerificationConfig("unitary", lam=lam, F_t=0.5, delta=0.25, epsilon=0.02, target=target)
+    if excess is None:
+        off = sp.SymplecticSpec(sp.rotation(0.1).S @ target.S, np.array([0.1, 0.0]))
+        provers = [exact_unitary(target), exact_unitary(off)]
+    else:
+        provers = [ProverChannel("NoisyUnitary", spec=target, excess=excess)]
+    W = fock.witness_fock_unitary(target, lam, cutoff)
+    dev = max(abs(witness_analytic(p, cfg) - fock.expectation(W, fock.entangled_output_fock(
+        elementary_factors(p), lam, cutoff))) for p in provers)
+    ok = dev <= 1e-3
+    report(f"5 dual-path equality at r = {r}", ok, f"cutoff {cutoff}, deviation {dev:.2e}")
+    assert ok
+
+
 def test_6_completeness_soundness_rates():
     """Accept/reject rates at capped budgets over 200 repetitions each."""
     cfg = VerificationConfig("unitary", lam=1.0, F_t=0.9, delta=0.25,

@@ -196,6 +196,24 @@ def test_oracle_command(scenario, capsys):
     assert report["witness_below_fidelity"]
 
 
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_oracle_above_the_dense_cap(tmp_path, capsys):
+    """A squeezed, displaced target at cutoff 96, past the c <= 64 a dense
+    c^2 x c^2 witness allowed: the Fock witness meets the analytic one."""
+    target = {"m": 1, "S": [float(np.exp(0.8)), 0, 0, float(np.exp(-0.8))], "d": [0.3, -0.2]}
+    prover = {"m": 1, "S": [float(np.exp(0.7)), 0, 0, float(np.exp(-0.7))], "d": [0.3, -0.2]}
+    data = {"config": {"protocol": "unitary", "lam": 1.0, "F_t": 0.5, "delta": 0.25, "epsilon": 0.02,
+                       "target": target},
+            "prover": {"kind": "ExactUnitary", "spec": prover}, "seed": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["oracle", "--config", str(path), "--cutoff", "96"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["fock_cutoff"] == 96
+    assert abs(report["fock_omega"] - report["analytic_omega"]) <= 1e-3
+
+
 def test_lemmas_command_small(capsys):
     code = main(["lemmas", "--cutoff", "16", "--thetas", "0.3,0.8"])
     assert code == 0
@@ -208,10 +226,11 @@ def test_lemmas_cutoff_guard(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "65", 1), (1e-20, None, 2)])
+@pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "257", 1), (1e-20, None, 2)])
 def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
-    # default_cutoff(0.05) is 284 (c^2 = 80656 > 4096), --cutoff 65 gives 4225,
-    # and lam = 1e-20 has no finite cutoff: each stops before the Monte Carlo
+    # the unitary game holds c^3 entries against the cap of 4096^2 = 256^3:
+    # default_cutoff(0.05) is 284, --cutoff 257 is one over, and lam = 1e-20
+    # has no finite cutoff: each stops before the Monte Carlo
     from cvverify import protocols
 
     def no_monte_carlo(*args, **kwargs):
@@ -245,10 +264,14 @@ NOISY_UNITARY = {"kind": "NoisyUnitary", "spec": {"m": 1, "S": [1, 0, 0, 1], "d"
     # 4096^2 = 16 777 216: 16 769 269 at c = 293, 16 941 554 at c = 294
     ("amplification", QLA, 293, True),
     ("amplification", QLA, 294, False),
-    # a unitary factor or the unitary witness keeps the dense c^4 <= 4096^2
-    ("amplification", NOISY_UNITARY, 65, False),
-    ("unitary", QLA, 65, False),
-], ids=["sectors-293", "sectors-294", "unitary-factor-65", "unitary-witness-65"])
+    # a unitary factor's amplitude form or the unitary witness's frame holds
+    # c^3 entries: 16 777 216 at c = 256, 16 974 593 at c = 257
+    ("amplification", NOISY_UNITARY, 256, True),
+    ("amplification", NOISY_UNITARY, 257, False),
+    ("unitary", QLA, 256, True),
+    ("unitary", QLA, 257, False),
+], ids=["sectors-293", "sectors-294", "unitary-factor-256", "unitary-factor-257",
+        "unitary-witness-256", "unitary-witness-257"])
 def test_oracle_cutoff_cap_follows_the_path(tmp_path, monkeypatch, capsys,
                                             protocol, prover, cutoff, accepted):
     from cvverify import protocols

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm, polar
 from scipy.special import gammaln
 
 from cvverify import fock, gaussian as ga, symplectic as sp
+from cvverify.channels import ProverChannel, elementary_factors
 
 
 def test_g_theta_vacuum_entry():
@@ -228,7 +230,7 @@ def test_choi_performance_operator_consistency():
     assert np.real(np.trace(om.matrix @ c_id)) == pytest.approx(1.0, abs=1e-3)
 
     eta = 0.8
-    c_att = fock.apply_elementary_first_mode(c_id, [("attenuator", eta)], cutoff)
+    c_att = _contract_kraus(c_id, fock.attenuator_kraus(eta, cutoff), cutoff)
     got = np.real(np.trace(om.matrix @ c_att))
     # direct integral: F(alpha) = exp(-(1-sqrt(eta))^2 |alpha|^2), averaged
     # over the prior lam exp(-lam |a|^2)/pi gives lam/(lam+(1-sqrt(eta))^2)
@@ -353,9 +355,11 @@ def test_sector_generators_match_dense_expm(cutoff):
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_shifted_kraus_matches_dense_contraction():
-    cutoff = 12
+    """Each factor order's output, held in sectors or amplitude form, against
+    every factor contracted in full into the dense TMSV: its dense read, its
+    leakage and a framed witness's expectation on it."""
+    cutoff, lam = 12, 1.0
     rng = np.random.default_rng(5)
-    rho = rng.normal(size=(cutoff**2, cutoff**2)) + 1j * rng.normal(size=(cutoff**2, cutoff**2))
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
     chains = {
         "attenuator": [("attenuator", 0.7)],
@@ -367,12 +371,17 @@ def test_shifted_kraus_matches_dense_contraction():
         "amplifier": lambda g: fock.amplifier_kraus(g, cutoff),
         "unitary": lambda s: [fock.gaussian_unitary_fock(s, cutoff).matrix],
     }
+    rho0 = fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff).rho
+    W = fock.witness_fock_unitary(spec, lam, cutoff)
+    W_ref = _dense_witness_unitary(spec, lam, cutoff)
     for name, chain in chains.items():
-        ref = rho
+        ref = rho0
         for kind, param in chain:
             ref = _contract_kraus(ref, kraus[kind](param), cutoff)
-        got = fock.apply_elementary_first_mode(rho, chain, cutoff)
-        assert np.max(np.abs(got - ref)) <= 1e-12, name
+        st = fock.entangled_output_fock(chain, lam, cutoff)
+        assert np.max(np.abs(st.rho - ref)) <= 1e-12, name
+        assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, name
+        assert abs(fock.expectation(W, st) - np.vdot(ref, W_ref).real) <= 1e-12, name
 
 
 @pytest.mark.parametrize("call, match", [
@@ -414,18 +423,22 @@ def test_fock_builders_reject_malformed_input(call, match):
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_structured_kraus_matches_dense():
-    cutoff = 10
+    """Each family's Kraus operators as shifts of the amplitude matrix's rows,
+    against K (x) 1 formed in full on the dense output of a unitary."""
+    cutoff, lam = 10, 1.0
     rng = np.random.default_rng(11)
-    rho = rng.normal(size=(cutoff**2, cutoff**2)) + 1j * rng.normal(size=(cutoff**2, cutoff**2))
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
+    U = fock.gaussian_unitary_fock(spec, cutoff).matrix
+    rho_u = _dense_kraus(fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff).rho, [U], cutoff)
     families = {
-        "unitary": [fock.gaussian_unitary_fock(spec, cutoff).matrix],
-        "attenuator": fock.attenuator_kraus(0.7, cutoff),
-        "amplifier": fock.amplifier_kraus(1.3, cutoff),
+        "unitary": ([], None),
+        "attenuator": ([("attenuator", 0.7)], fock.attenuator_kraus(0.7, cutoff)),
+        "amplifier": ([("amplifier", 1.3)], fock.amplifier_kraus(1.3, cutoff)),
     }
-    for name, kraus in families.items():
-        got = fock.apply_kraus_first_mode(rho, kraus, cutoff)
-        dev = np.max(np.abs(got - _dense_kraus(rho, kraus, cutoff)))
+    for name, (ops, kraus) in families.items():
+        st = fock.entangled_output_fock([("unitary", spec)] + ops, lam, cutoff)
+        ref = rho_u if kraus is None else _dense_kraus(rho_u, kraus, cutoff)
+        dev = np.max(np.abs(st.rho - ref))
         assert dev <= 1e-12, (name, dev)
 
 
@@ -511,7 +524,7 @@ def test_sector_path_matches_dense_path(cutoff):
         for W, W_dense in witnesses:
             want = np.vdot(ref, W_dense.matrix).real  # tr(W rho) for Hermitian rho
             assert abs(fock.expectation(W, st) - want) <= 1e-12, kinds
-            # a dense operator gathered at a sector state, and a sector operator on a dense state
+            # a dense operator on a sector state, and a sector operator on a dense state
             assert abs(fock.expectation(W_dense, st) - want) <= 1e-12, kinds
             assert abs(fock.expectation(W, dense_state) - want) <= 1e-12, kinds
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, kinds
@@ -538,6 +551,7 @@ def test_unitary_witness_matches_dense(cutoff):
         U = fock.gaussian_unitary_fock(spec, c).matrix
         diagonal = not np.count_nonzero(U - np.diag(np.diagonal(U)))
         assert (W._sectors is not None) == diagonal, name
+        assert (W._form is not None) != diagonal and W._matrix is None, name  # a frame, never dense
         assert diagonal == (name == "identity") or name == "rotation", name
         assert W.is_hermitian(), name
         ref = _dense_witness_unitary(spec, lam, c)
@@ -547,20 +561,43 @@ def test_unitary_witness_matches_dense(cutoff):
             assert abs(fock.expectation(W, st) - want) <= 1e-12, name
 
 
+def _dense_channel(rho, ops, cutoff):
+    """The factors applied one by one to a dense two-mode rho: a unitary
+    contracted in full, an attenuator or amplifier summed from its Kraus
+    operators diagonal block by diagonal block."""
+    kraus = {"attenuator": fock.attenuator_kraus, "amplifier": fock.amplifier_kraus}
+    for kind, param in ops:
+        if kind == "unitary":
+            rho = _contract_kraus(rho, [fock.gaussian_unitary_fock(param, cutoff).matrix], cutoff)
+        else:
+            rho = _slab_kraus(rho, kraus[kind](param, cutoff), cutoff)
+    return rho
+
+
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
-@pytest.mark.parametrize("cutoff", [6, 24])
+@pytest.mark.parametrize("cutoff", [6, 24, 40])
 def test_leading_unitary_state_matches_dense_path(cutoff):
+    """Outputs with a unitary factor, held in amplitude form: the dense read
+    and each witness's expectation against the dense state and witness."""
     c, lam = cutoff, 1.0
     rng = np.random.default_rng(7)
     spec, spec2 = (sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng) for _ in range(2))
     rho0 = fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c).rho
+    witnesses = [(fock.witness_fock_unitary(t, lam, c), _dense_witness_unitary(t, lam, c))
+                 for t in (sp.identity(1), spec, spec2)]
+    W_amp = fock.witness_fock_amp(2.0, lam, c)  # its dense read is tied to the expm reference at cutoff 12
+    witnesses.append((W_amp, W_amp.matrix))
     for ops in ([("unitary", spec)],
                 [("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],
                 [("unitary", spec), ("unitary", spec2), ("attenuator", 0.9)],
                 [("attenuator", 0.8), ("unitary", spec)]):  # the unitary is not first
         st = fock.entangled_output_fock(ops, lam, c)
-        ref = fock.apply_elementary_first_mode(rho0, ops, c)
+        assert st._sectors is None and st._matrix is None, ops
+        for W, W_ref in witnesses:
+            assert abs(fock.expectation(W, st) - np.vdot(st.rho, W_ref).real) <= 1e-12, ops
+        ref = _dense_channel(rho0, ops, c)
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
+        assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, ops
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -663,24 +700,41 @@ def test_exponential_without_a_significant_digit_is_an_error():
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [6, 20, 40])
-def test_pure_state_transfer_matches_dense_channel(cutoff, monkeypatch):
+def test_pure_state_transfer_matches_dense_channel(cutoff):
     """Attenuators and amplifiers after a leading unitary act on the rows of
-    the amplitude matrix; any other order keeps the dense path."""
+    the amplitude matrix, and so do those between later unitaries: the
+    expectation under a framed witness and the dense read match the dense
+    channel."""
     c, lam = cutoff, 1.0
     rng = np.random.default_rng(17)
     spec, spec2 = (sp.random_symplectic(1, r_max=0.3, d_scale=0.4, rng=rng) for _ in range(2))
     psi = fock.tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
-    calls, pure = [], fock._transfer_pure
-
-    def spy(*args):
-        calls.append(args)
-        return pure(*args)
-
-    monkeypatch.setattr(fock, "_transfer_pure", spy)
-    for ops, on_rows in (([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)], True),
-                         ([("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)], False)):
-        calls.clear()
+    W = fock.witness_fock_unitary(spec2, lam, c)
+    assert W._sectors is None and W._matrix is None
+    for ops in ([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],
+                [("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)]):
         st = fock.entangled_output_fock(ops, lam, c)
-        assert len(calls) == on_rows, ops
-        ref = fock.apply_elementary_first_mode(np.outer(psi, psi.conj()), ops, c)
+        ref = _dense_channel(np.outer(psi, psi.conj()), ops, c)
+        assert abs(fock.expectation(W, st) - fock.expectation(W, fock.FockState(c, 2, ref))) <= 1e-12, ops
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_unitary_dual_path_holds_no_dense_two_mode_array():
+    """The unitary dual path at cutoff 64 (witness, output, expectation and
+    leakage) peaks below 64 MB under tracemalloc for a noisy unitary's
+    amplitude form and for an additive-noise output in sectors under the
+    framed witness; one complex c^4 array would take 268 MB."""
+    c, target = 64, sp.SymplecticSpec(sp.single_mode_squeezer(0.8).S, np.array([0.3, -0.2]))
+    for prover in (ProverChannel("NoisyUnitary", spec=target, excess=0.1),
+                   ProverChannel("AdditiveNoise", variance=0.1)):
+        tracemalloc.start()
+        try:
+            st = fock.entangled_output_fock(elementary_factors(prover), 1.0, c)
+            omega = fock.expectation(fock.witness_fock_unitary(target, 1.0, c), st)
+            leakage = st.leakage
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(omega) and abs(leakage) < 1e-10, prover.kind
+        assert peak < 64 * 2**20, (prover.kind, peak)

@@ -70,13 +70,6 @@ def test_displacement_shifts_coherent():
     np.testing.assert_allclose(out.mean, ga.coherent(alpha).mean, atol=1e-12)
 
 
-def test_apply_unitary_preserves_purity():
-    rng = np.random.default_rng(2)
-    spec = sp.random_symplectic(2, r_max=1.0, rng=rng)
-    out = ga.apply_unitary(ga.vacuum(2), spec)
-    assert out.is_pure()
-
-
 def test_identity_channel():
     ch = ga.GaussianChannel(np.eye(2), np.zeros((2, 2)), np.zeros(2))
     st = ga.coherent(0.7j)
