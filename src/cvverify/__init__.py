@@ -6,7 +6,7 @@ estimators with rigorous sample budgets, and an independent truncated-Fock
 oracle that validates every operator identity the estimators rely on.
 """
 
-from .channels import AmplificationTarget, ProverChannel, optimal_amplifier, true_average_fidelity
+from .channels import AmplificationTarget, ProverChannel, average_fidelity, optimal_amplifier
 from .gaussian import GaussianChannel, GaussianState
 from .measurement import HomodyneSetting, build_measurement_plan
 from .protocols import (
@@ -30,12 +30,12 @@ __all__ = [
     "SymplecticSpec",
     "Verdict",
     "VerificationConfig",
+    "average_fidelity",
     "build_measurement_plan",
     "lemma3_sample_count",
     "optimal_amplifier",
     "run_state_verification",
     "run_verification",
-    "true_average_fidelity",
     "witness_analytic",
 ]
 

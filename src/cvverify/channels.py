@@ -1,9 +1,8 @@
 """Prover channel model library.
 
 Honest and dishonest single/multi-mode Gaussian channels fed to the
-verification protocols, a Monte-Carlo oracle for their true average
-fidelity, and the decomposition into elementary factors used by the
-Fock-space cross-check.
+verification protocols, their exact average fidelity, and the
+decomposition into elementary factors used by the Fock-space cross-check.
 """
 
 from __future__ import annotations
@@ -171,51 +170,36 @@ class AmplificationTarget:
             raise ValueError("amplification target gain must exceed 1")
 
 
-def true_average_fidelity(
-    p: ProverChannel,
-    target,
-    lam: float,
-    mc_samples: int = 100_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the average fidelity of ``p`` against ``target``.
+def average_fidelity(p: ProverChannel, target, lam: float) -> float:
+    """Exact average fidelity of ``p`` against ``target`` under the lam-prior.
 
     ``target`` is a SymplecticSpec (Gaussian unitary test) or an
-    AmplificationTarget.  Coherent amplitudes are drawn from the Gaussian
-    prior with density proportional to exp(-lam |alpha|^2) per mode; returns
-    (estimate, standard error of the mean).
+    AmplificationTarget.  Coherent amplitudes follow the Gaussian prior with
+    density proportional to exp(-lam |alpha|^2) per mode, so the input mean
+    mu has covariance 1/lam.  The target output is pure, so each input's
+    fidelity is det(V)^-1/2 exp(-1/2 delta^T V^-1 delta) (Scutaru, J. Phys. A
+    31, 3659 (1998)) with V = V_T + V_E and delta = (T - X) mu + d_T - d affine
+    in mu.  The Gaussian average over mu is then closed (the benchmark setting
+    of Hammerer, Wolf, Polzik & Cirac, PRL 94, 150503 (2005)):
+
+        F = det(W)^-1/2 exp(-1/2 b^T W^-1 b),
+        W = V_T + V_E + (T - X)(T - X)^T / lam,  b = d_T - d,
+
+    with V_E = X X^T / 2 + Y from ``p.realize()``, and V_T = S S^T / 2, T = S
+    for a unitary target (1/2 and g for an amplification target).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    m = p.n_modes
     ch = p.realize()
-    rng = np.random.default_rng(seed)
-    # Re and Im of the amplitudes as one (2, N, m) block, interleaved into the
-    # input means sqrt(2) (Re alpha, Im alpha) of variance 1/(2 lam) each
-    mean_in = rng.standard_normal((2, mc_samples, m)).transpose(1, 2, 0).reshape(mc_samples, 2 * m)
-    mean_in *= np.sqrt(1.0 / lam)
-
-    # Channel output moments are affine in the input mean, so the target
-    # output minus the channel output is (T - X) mean_in + d_t - d.  The
-    # covariance sum V = L L^T is sample-independent and the fidelity
-    # exponent is |L^-1 (target - output)|^2; no more than two N x 2m
-    # arrays are alive at once.
-    X, Y, d = ch.X, ch.Y, ch.d
-    V_out = X @ (0.5 * np.eye(2 * m)) @ X.T + Y
+    X, eye = ch.X, np.eye(2 * p.n_modes)
     if isinstance(target, AmplificationTarget):
-        T, d_t = target.g * np.eye(2 * m), np.zeros(2 * m)
-        V_tgt = 0.5 * np.eye(2 * m)
+        T, d_t, V_t = target.g * eye, np.zeros(2 * p.n_modes), 0.5 * eye
     else:
-        T, d_t = target.S, target.d
-        V_tgt = 0.5 * target.S @ target.S.T
-    L = np.linalg.cholesky(V_tgt + V_out)  # LinAlgError unless positive definite
-    y = mean_in @ (T - X).T
-    y += d_t - d
-    del mean_in
-    y = y @ np.linalg.inv(L).T
-    quad = np.einsum("ij,ij->i", y, y)
-    f = np.exp(-0.5 * quad - np.log(np.diag(L)).sum())
-    return float(f.mean()), float(f.std(ddof=1) / np.sqrt(mc_samples))
+        T, d_t, V_t = target.S, target.d, 0.5 * target.S @ target.S.T
+    A, b = T - X, d_t - ch.d
+    W = V_t + 0.5 * X @ X.T + ch.Y + A @ A.T / lam
+    _, logdet = np.linalg.slogdet(W)
+    return float(np.exp(-0.5 * (logdet + b @ np.linalg.solve(W, b))))
 
 
 def random_prover(rng: np.random.Generator, n_modes: int = 1) -> ProverChannel:

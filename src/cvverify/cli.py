@@ -109,8 +109,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     data = _load_json(args.config)
-    cfg, prover, _, _, seed, _ = _parse_scenario(data)
-    seed = args.seed if args.seed is not None else seed
+    cfg, prover, _, _, _, _ = _parse_scenario(data)
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
@@ -120,7 +119,7 @@ def cmd_oracle(args) -> int:
         # sectors; the unitary witness's frame or a unitary factor adds c^3 arrays
         in_sectors = all(kind in fock.PHASE_INSENSITIVE for kind, _ in factors)
         _check_cutoff(cutoff, "sector" if cfg.protocol == "amplification" and in_sectors else "amplitude-form")
-    report = protocols.oracle_report(prover, cfg, seed)
+    report = protocols.oracle_report(prover, cfg)
     if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
         if cfg.protocol == "amplification":
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="true fidelity vs analytic witness")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff for m=1 cross-check")
     p.set_defaults(func=cmd_oracle)
 

@@ -123,19 +123,11 @@ def thermal(nbar: float) -> GaussianState:
     return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 
-def tmsv(r: float) -> GaussianState:
-    """Two-mode squeezed vacuum; each reduced mode is thermal with nbar = sinh^2 r."""
+def tmsv_pairs(r: float, m: int) -> GaussianState:
+    """m two-mode squeezed vacua laid out as modes (A_1..A_m, R_1..R_m) with
+    A_j paired to R_j; each reduced mode is thermal with nbar = sinh^2 r."""
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
-    c, s = np.cosh(2 * r), np.sinh(2 * r)
-    eye2 = np.eye(2)
-    Z = np.diag([1.0, -1.0])
-    cov = 0.5 * np.block([[c * eye2, s * Z], [s * Z, c * eye2]])
-    return GaussianState(np.zeros(4), cov)
-
-
-def tmsv_pairs(r: float, m: int) -> GaussianState:
-    """m TMSV pairs laid out as modes (A_1..A_m, R_1..R_m) with A_j paired to R_j."""
     c, s = np.cosh(2 * r), np.sinh(2 * r)
     Zm = np.kron(np.eye(m), np.diag([1.0, -1.0]))
     cov = 0.5 * np.block(

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gaussian
-from .channels import AmplificationTarget, ProverChannel, true_average_fidelity
+from .channels import AmplificationTarget, ProverChannel, average_fidelity
 from .gaussian import GaussianState, tmsv_pairs
 from .measurement import (
     HomodyneSetting,
@@ -609,7 +609,16 @@ def accept_rate(
 
 
 def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0) -> dict:
-    """True fidelity (Monte Carlo) vs analytic witness, with the gap flag."""
+    """Exact average fidelity vs analytic witness, with the gap flag.
+
+    ``seed`` is ignored: the report draws nothing, and the parameter stays
+    only for callers that pass it positionally.  The flag allows omega to
+    exceed the fidelity by the rounding of the witness, 64 eps (1 + 1/lam)^2:
+    its moments grow like the TMSV quadrature variance (lam + 2)/(2 lam), so
+    its rounding grows like eps/lam^2.  The largest excess measured, over
+    honest and random provers at m = 1..4 and lam from 1e-4 to 3, was
+    7.3 eps (1 + 1/lam)^2.
+    """
     if cfg.protocol == "amplification":
         target = AmplificationTarget(cfg.g)
     else:
@@ -617,10 +626,10 @@ def oracle_report(prover: ProverChannel, cfg: VerificationConfig, seed: int = 0)
     omega = witness_analytic(prover, cfg)
     if not math.isfinite(omega):
         raise ValueError(f"analytic omega = {omega} is not finite")
-    fbar, stderr = true_average_fidelity(prover, target, cfg.lam, 100_000, seed)
+    fbar = average_fidelity(prover, target, cfg.lam)
+    slack = 64.0 * np.finfo(float).eps * (1.0 + 1.0 / cfg.lam) ** 2
     return {
         "true_fidelity": fbar,
-        "true_fidelity_std_error": stderr,
         "analytic_omega": omega,
-        "witness_below_fidelity": bool(omega <= fbar + 3.0 * stderr),
+        "witness_below_fidelity": bool(omega <= fbar + slack),
     }

@@ -196,6 +196,25 @@ def test_oracle_command(scenario, capsys):
     assert report["witness_below_fidelity"]
 
 
+def test_oracle_report_ignores_the_seed(scenario, tmp_path, capsys):
+    """The oracle draws nothing: scenarios that differ only in their seed
+    print the same bytes, and the command takes no --seed."""
+    _, data = scenario
+    data["prover"] = {"kind": "AdditiveNoise", "variance": 0.2}
+    outs = []
+    for seed in (0, 12345):
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(json.dumps({**data, "seed": seed}))
+        assert main(["oracle", "--config", str(path), "--cutoff", "14"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["true_fidelity"] == pytest.approx(1.0 / 1.2, abs=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(path), "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_oracle_above_the_dense_cap(tmp_path, capsys):
     """A squeezed, displaced target at cutoff 96, past the c <= 64 a dense
@@ -230,13 +249,13 @@ def test_lemmas_cutoff_guard(capsys):
 def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
     # the unitary game holds c^3 entries against the cap of 4096^2 = 256^3:
     # default_cutoff(0.05) is 284, --cutoff 257 is one over, and lam = 1e-20
-    # has no finite cutoff: each stops before the Monte Carlo
+    # has no finite cutoff: each stops before the oracle report
     from cvverify import protocols
 
-    def no_monte_carlo(*args, **kwargs):
+    def no_report(*args, **kwargs):
         raise AssertionError("oracle_report ran before the cutoff check")
 
-    monkeypatch.setattr(protocols, "oracle_report", no_monte_carlo)
+    monkeypatch.setattr(protocols, "oracle_report", no_report)
     _, data = scenario
     data["config"]["lam"] = lam
     path = tmp_path / "small_lam.json"

@@ -27,12 +27,17 @@ def test_thermal_rejects_negative():
 
 
 def test_tmsv_zero_is_vacuum():
-    np.testing.assert_array_equal(ga.tmsv(0.0).cov, ga.vacuum(2).cov)
+    np.testing.assert_array_equal(ga.tmsv_pairs(0.0, 1).cov, ga.vacuum(2).cov)
+
+
+def test_tmsv_rejects_negative_squeezing():
+    with pytest.raises(ValueError):
+        ga.tmsv_pairs(-0.1, 1)
 
 
 def test_tmsv_reduced_is_thermal():
     r = 0.8
-    reduced_cov = ga.tmsv(r).cov[:2, :2]  # mode 0 alone
+    reduced_cov = ga.tmsv_pairs(r, 1).cov[:2, :2]  # mode 0 alone
     np.testing.assert_allclose(reduced_cov, ga.thermal(np.sinh(r) ** 2).cov, atol=1e-12)
 
 
@@ -52,7 +57,7 @@ def test_tmsv_reduced_matches_fock_oracle():
 
 
 def test_apply_unitary_identity():
-    st = ga.tmsv(0.5)
+    st = ga.tmsv_pairs(0.5, 1)
     out = ga.apply_unitary(st, sp.identity(2))
     np.testing.assert_array_equal(out.cov, st.cov)
 
@@ -60,7 +65,7 @@ def test_apply_unitary_identity():
 def test_two_mode_squeezer_makes_tmsv():
     r = 0.5
     out = ga.apply_unitary(ga.vacuum(2), sp.two_mode_squeezer(r))
-    np.testing.assert_allclose(out.cov, ga.tmsv(r).cov, atol=1e-12)
+    np.testing.assert_allclose(out.cov, ga.tmsv_pairs(r, 1).cov, atol=1e-12)
 
 
 def test_displacement_shifts_coherent():
@@ -105,7 +110,7 @@ def test_cp_violation_rejected():
 def test_channel_on_subset_propagates_correlations():
     # attenuating one half of a TMSV scales the cross block by sqrt(eta)
     eta = 0.49
-    st = ga.tmsv(0.7)
+    st = ga.tmsv_pairs(0.7, 1)
     ch = ga.GaussianChannel(
         np.sqrt(eta) * np.eye(2), 0.5 * (1 - eta) * np.eye(2), np.zeros(2)
     )
@@ -121,7 +126,7 @@ def test_physicality_check():
 
 
 def test_state_serialization_roundtrip():
-    st = ga.tmsv(0.4)
+    st = ga.tmsv_pairs(0.4, 1)
     back = ga.GaussianState.from_dict(st.to_dict())
     np.testing.assert_array_equal(st.cov, back.cov)
 

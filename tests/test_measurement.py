@@ -93,7 +93,7 @@ def test_sampler_coherent_mean():
 
 def test_sampler_tmsv_correlation():
     r = 0.6
-    st = ga.tmsv(r)
+    st = ga.tmsv_pairs(r, 1)
     setting = ms.HomodyneSetting((0.0, 0.0))
     x = sample_quadratures(st, setting, seed=2, shots=100_000)
     corr = (x[:, 0] * x[:, 1]).mean()
@@ -118,7 +118,7 @@ def test_joint_equals_marginal_with_cross_covariance():
     # sampling two modes jointly must reproduce the cross covariance that
     # marginal sampling alone cannot
     r = 0.7
-    st = ga.tmsv(r)
+    st = ga.tmsv_pairs(r, 1)
     setting = ms.HomodyneSetting((0.0, np.pi / 2))
     x = sample_quadratures(st, setting, seed=4, shots=200_000)
     # q_A p_R covariance of the TMSV is zero; variances match the marginals
@@ -127,7 +127,7 @@ def test_joint_equals_marginal_with_cross_covariance():
 
 
 def test_sampler_seed_determinism():
-    st = ga.tmsv(0.4)
+    st = ga.tmsv_pairs(0.4, 1)
     setting = ms.HomodyneSetting((0.0, 0.0))
     a = sample_quadratures(st, setting, seed=5, shots=100)
     b = sample_quadratures(st, setting, seed=5, shots=100)
@@ -135,7 +135,7 @@ def test_sampler_seed_determinism():
 
 
 def test_unmeasured_modes_are_skipped():
-    st = ga.tmsv(0.3)
+    st = ga.tmsv_pairs(0.3, 1)
     setting = ms.HomodyneSetting((0.0, None))
     x = sample_quadratures(st, setting, seed=6, shots=10)
     assert x.shape == (10, 1)
@@ -214,7 +214,7 @@ def test_marginal_roots_are_exact_for_singular_covariances():
     # eigen root reproduces the covariance to rounding, column by column too
     from cvverify.protocols import kappa_for
 
-    st = ga.tmsv(kappa_for(1e-14))
+    st = ga.tmsv_pairs(kappa_for(1e-14), 1)
     setting = ms.HomodyneSetting((0.0, 0.0))
     P = ms.rotated_quadrature_projector(setting, 2)
     cov = P @ st.cov @ P.T

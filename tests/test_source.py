@@ -1,7 +1,8 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
-package, every parameter default is overridden by some caller, and the Fock
-oracle imports no phase-space code.  One check runs the package's imports in
+package, every parameter default is overridden by some caller, only the
+verdict path draws random numbers, and the Fock oracle imports no
+phase-space code.  One check runs the package's imports in
 a fresh interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
@@ -90,6 +91,18 @@ def test_every_parameter_default_is_overridden_by_a_caller():
              for func, param, index in _defaulted_parameters(tree)
              if not any(_overridden(call, param, index) for call in calls.get(func, []))]
     assert never == []
+
+
+def test_only_the_verdict_path_calls_np_random():
+    """Every report but a verdict is deterministic: no library module calls
+    ``np.random`` except ``protocols.py``, whose verdicts draw their shots,
+    and ``symplectic.py``, whose ``random_symplectic`` makes a default
+    Generator."""
+    calls = [f"{name}: {ast.unparse(node.func)}" for name, tree in TREES.items()
+             if name not in ("protocols.py", "symplectic.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.random.")]
+    assert calls == []
 
 
 def test_fock_oracle_imports_no_phase_space_code():
