@@ -64,8 +64,11 @@ HELD = {  # entries a Fock path holds at cutoff c
 
 
 def _check_cutoff(cutoff: int, form: str) -> None:
-    """Refuse a cutoff whose two-mode arrays in the given form (a key of
-    HELD) hold more entries than a dense matrix of dimension MAX_TWO_MODE_DIM."""
+    """Refuse a cutoff below 2, or one whose two-mode arrays in the given form
+    (a key of HELD) hold more entries than a dense matrix of dimension
+    MAX_TWO_MODE_DIM."""
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be at least 2, got {cutoff}")
     held = HELD[form](cutoff)
     if held > MAX_TWO_MODE_DIM**2:
         raise SystemExit(
@@ -113,7 +116,7 @@ def cmd_oracle(args) -> int:
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
-        cutoff = args.cutoff or fock.default_cutoff(cfg.lam)
+        cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff
         factors = elementary_factors(prover)
         # the amplification witness and a phase-insensitive output are both held in
         # sectors; the unitary witness's frame or a unitary factor adds c^3 arrays

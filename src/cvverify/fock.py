@@ -2,15 +2,16 @@
 
 Matrix representations of the operators that back the analytic phase-space
 results: photon number, the diagonal damping operator
-G_theta = sum_n tanh^{2n}(theta) |n><n|, two-mode squeezers and
-beamsplitters, single-mode Gaussian unitaries, the performance operator, the
-canonical benchmark observable, and both average-fidelity witnesses.
+G_theta = sum_n tanh^{2n}(theta) |n><n|, the two-mode squeezer's sector
+blocks, single-mode Gaussian unitaries, attenuator and amplifier Kraus
+operators, the performance operator, the canonical benchmark observable, and
+both average-fidelity witnesses.
 
 Two-mode operators act on A' (x) R with index i * cutoff + j for
 |i>_{A'} |j>_R (plain ``np.kron`` ordering), and the costly ones are built
 from the photon number they conserve.  The two-mode squeezer conserves
-n1 - n2 and the beamsplitter n1 + n2, so each truncated generator is a direct
-sum of tridiagonal blocks, one per chain of states the generator links.
+n1 - n2, so its truncated generator is a direct sum of tridiagonal blocks,
+one per chain of states it links; this is the module's one chain family.
 Every matrix exponential goes through one numpy kernel, exp(A) =
 V e^{-i Lambda} V+ from a stacked ``eigh`` of the Hermitian i A: the chain
 blocks, zero-padded into a few length classes, and the single-mode
@@ -20,23 +21,25 @@ diagonal core inside a squeezer sandwich is conjugated in the same stacks.
 The performance operator is the closed-form Gaussian integral over the
 coherent prior, element by element.  The module needs numpy only.
 
-Attenuator and amplifier Kraus operators are each one diagonal, so these
-channels act on each difference delta of the two first-slot indices as one
-transfer block S_delta, and a run of them composes block by block.  The TMSV
-sits in n1 = n2, so its image under them conserves n1 - n2, as does the
-amplification witness: both are kept as 2c - 1 sector blocks (about 2c^3/3
-entries instead of c^4).  The unitary witness is kept as the blocks of
-1 - k C in the frame U (x) 1 of the target's unitary U (folded into the
-blocks when U is diagonal), and an output with a unitary factor in amplitude
-form: psi, the TMSV's c x c amplitudes after the leading unitaries, and the
-later factors, so rho = sum_n phi_n phi_n+ over terms phi_n with one Kraus
-operator (a shift and scale of rows) per attenuator or amplifier.
+The attenuator's Kraus operators are in closed form; the amplifier's are read
+off its truncated squeezer dilation, which is unitary on the truncated space
+and so keeps the trace (see :func:`_kraus_diagonals`).  Each Kraus operator
+is one diagonal, so these channels act on each difference delta of the two
+first-slot indices as one transfer block S_delta, and a run of them composes
+block by block.  The TMSV sits in n1 = n2, so its image under them conserves
+n1 - n2, as does the amplification witness: both are kept as 2c - 1 sector
+blocks (about 2c^3/3 entries instead of c^4).  The unitary witness is kept as
+the blocks of 1 - k C in the frame U (x) 1 of the target's unitary U (folded
+into the blocks when U is diagonal), and an output with a unitary factor in
+amplitude form: psi, the TMSV's c x c amplitudes after the leading unitaries,
+and the later factors, so rho = sum_n phi_n phi_n+ over terms phi_n with one
+Kraus operator (a shift and scale of rows) per attenuator or amplifier.
 ``expectation`` contracts these forms without a dense c^4 array: block
 traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
 block's states (c^3 per term in O(c^3) memory), or the shared photon-number
 shifts of a framed operator and a sector state (c^4).  ``rho`` and ``matrix``
-are assembled only when read.  Truncation leakage is reported, never
-silently renormalized away.
+are assembled only when read.  Truncation leakage is reported, never silently
+renormalized away.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
 class _Fock:
     """A complex matrix on ``modes`` truncated modes, held dense or, on two
     modes, as its n1 - n2 sector blocks (a list of (i, j, block) over the
-    chains of :func:`_chains`, step +1) or in a factored ``_form`` that the
+    chains of :func:`_chains`) or in a factored ``_form`` that the
     subclass defines.  The dense matrix is assembled on first read."""
 
     _field = "matrix"
@@ -180,61 +183,40 @@ def g_theta(theta: float, cutoff: int) -> FockOperator:
     return FockOperator._built(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
 
 
-def thermal_fock(nbar: float, cutoff: int) -> FockState:
-    if not 0 <= nbar < np.inf:
-        raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
-    n = np.arange(cutoff, dtype=float)
-    p = nbar**n / (nbar + 1.0) ** (n + 1.0) if nbar > 0 else (n == 0).astype(float)
-    return FockState._built(cutoff, 1, np.diag(p).astype(complex))
-
-
 def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
     """sech(r) tanh^n(r), the amplitude of |nn> in the two-mode squeezed vacuum."""
     _check_finite("r", r)
     return np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
 
 
-def tmsv_vector(r: float, cutoff: int) -> np.ndarray:
-    """State vector of the two-mode squeezed vacuum, sech(r) sum tanh^n r |nn>."""
-    psi = np.zeros(cutoff * cutoff, dtype=complex)
-    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = _tmsv_amplitudes(r, cutoff)
-    return psi
-
-
-def tmsv_fock(r: float, cutoff: int) -> FockState:
-    psi = tmsv_vector(r, cutoff)
-    return FockState._built(cutoff, 2, np.outer(psi, psi.conj()))
-
-
-def _chains(cutoff: int, step: int) -> list:
+def _chains(cutoff: int) -> list:
     """Photon numbers (i, j) along each chain of states that L = a1+ a2+
-    (step=+1) or a1+ a2 (step=-1) links, in order.
+    links, in order.
 
-    L moves |i, j> to |i+1, j+step>, so it conserves n1 - n2 (step=+1) or
-    n1 + n2 (step=-1), and the 2 cutoff - 1 chains partition the truncated
-    two-mode space.  Each starts where L+ leaves it: at |0, j> for every j,
-    then at |i, 0> (step=+1) or |i, cutoff-1> (step=-1) for i >= 1.  For
-    step=+1 the chain starting at |0, j> has n1 - n2 = -j and the one at
-    |i, 0> has n1 - n2 = i.
+    L moves |i, j> to |i+1, j+1>, so it conserves n1 - n2, and the
+    2 cutoff - 1 chains partition the truncated two-mode space.  Each starts
+    where L+ leaves it: at |0, j> for every j, then at |i, 0> for i >= 1.
+    The chain starting at |0, j> has n1 - n2 = -j and the one at |i, 0> has
+    n1 - n2 = i.
     """
-    i, j, lengths = _chain_grid(cutoff, step)
+    i, j, lengths = _chain_grid(cutoff)
     return [(a[:n], b[:n]) for a, b, n in zip(i, j, lengths)]
 
 
-def _chain_grid(cutoff: int, step: int) -> tuple:
+def _chain_grid(cutoff: int) -> tuple:
     """(i, j, lengths): row k of i and j holds the photon numbers of chain k
     of :func:`_chains` in its first lengths[k] entries, and runs on past them."""
     c = cutoff
     i0 = np.concatenate([np.zeros(c, dtype=int), np.arange(1, c)])
-    j0 = np.concatenate([np.arange(c), np.full(c - 1, 0 if step > 0 else c - 1)])
+    j0 = np.concatenate([np.arange(c), np.zeros(c - 1, dtype=int)])
     t = np.arange(c)
-    return i0[:, None] + t, j0[:, None] + step * t, np.minimum(c - i0, c - j0 if step > 0 else j0 + 1)
+    return i0[:, None] + t, j0[:, None] + t, c - np.maximum(i0, j0)
 
 
-def _exp_i(H: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+def _exp_i(H: np.ndarray, first_column: bool = False) -> np.ndarray:
     """exp(-i H) for a stack of Hermitian matrices H (..., n, n), as
-    V e^{-i Lambda} V+ from one stacked ``np.linalg.eigh``, or only column
-    col[r] of matrix r when ``col`` is given.  Every matrix exponential of
+    V e^{-i Lambda} V+ from one stacked ``np.linalg.eigh``, or only the
+    first column of each when ``first_column``.  Every matrix exponential of
     the oracle goes through here.
 
     A real symmetric H has a real V, so V cos(Lambda) V^T - i V sin(Lambda) V^T
@@ -250,8 +232,8 @@ def _exp_i(H: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
         )
     real = np.isrealobj(V)
     Vh = V.swapaxes(-1, -2) if real else V.conj().swapaxes(-1, -2)
-    if col is not None:
-        Vh = Vh[np.arange(col.size), :, col][..., None]  # column col[r] of V+ for matrix r
+    if first_column:
+        Vh = Vh[..., :1]
     if not real:
         X = (V * np.exp(-1j * lam)[..., None, :]) @ Vh
     else:  # cos and -sin interleaved, so the real product is the complex one
@@ -259,20 +241,20 @@ def _exp_i(H: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
         np.multiply(np.cos(lam)[..., None], Vh, out=W[..., 0])
         np.multiply(-np.sin(lam)[..., None], Vh, out=W[..., 1])
         X = (V @ W.reshape(*Vh.shape[:-1], -1)).view(complex)
-    return X if col is None else X[..., 0]
+    return X[..., 0] if first_column else X
 
 
 _PAD = 12  # chains of up to 2 _PAD states are exponentiated padded to _PAD or 2 _PAD
 _SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # Re(i^q x) = _SIGN[q] (Re x, Im x)[q % 2]
 
 
-def _chain_exps(theta: float, cutoff: int, step: int, count: int, cols: np.ndarray | None = None):
+def _chain_exps(theta: float, cutoff: int, count: int, first_column: bool = False):
     """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chains`, as
     zero-padded stacks: yields (members, E), E[r] holding the block of chain
     members[r] in its leading corner and the identity past its length, or
-    only its column cols[members[r]] when ``cols`` is given.
+    only its first column when ``first_column``.
 
-    On a chain, L has the weights w_k = theta <i+1, j+step|L|i, j>, so the
+    On a chain, L has the weights w_k = theta <i+1, j+1|L|i, j>, so the
     block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
     P = diag(i^k) and H the real symmetric tridiagonal matrix with
     off-diagonals w, and exp(B) = Re(P exp(-i H) P^-1).  A chain padded with
@@ -280,34 +262,18 @@ def _chain_exps(theta: float, cutoff: int, step: int, count: int, cols: np.ndarr
     exponential costs less than a call, are padded to ``_PAD`` or
     ``2 _PAD`` states; the longer ones run one length per stack.
     """
-    i, j, lengths = (x[:count] for x in _chain_grid(cutoff, step))
+    i, j, lengths = (x[:count] for x in _chain_grid(cutoff))
     short = -(-lengths // _PAD) * _PAD
     padded = np.where(short <= 2 * _PAD, np.minimum(short, lengths.max()), lengths)
     for length in np.unique(padded):
         members = np.flatnonzero(padded == length)
         t = np.arange(length)
         linked = t[1:] < lengths[members, None]  # w_k links states k and k + 1 of the chain
-        im, jm = i[members, :length], j[members, :length]
-        w = theta * np.sqrt(np.where(linked, im[:, 1:] * np.maximum(jm[:, :-1], jm[:, 1:]), 0))
+        w = theta * np.sqrt(np.where(linked, i[members, 1:length] * j[members, 1:length], 0))
         H = np.zeros((members.size, length, length))
         H[:, t[1:], t[:-1]] = H[:, t[:-1], t[1:]] = w
-        if cols is None:
-            X, q = _exp_i(H), (t[:, None] - t) % 4
-        else:
-            X, q = _exp_i(H, cols[members]), (t - cols[members][:, None]) % 4
+        X, q = _exp_i(H, first_column), (t if first_column else t[:, None] - t) % 4
         yield members, np.where(q % 2, X.imag, X.real) * _SIGN[q]
-
-
-def _two_mode_sectors(theta: float, cutoff: int, step: int, count: int) -> list:
-    """Sector blocks of exp(theta (L - L+)) on the first ``count`` chains of
-    :func:`_chains`: (i, j, E) per chain, E the exponentiated block over its states."""
-    chains = _chains(cutoff, step)[:count]
-    blocks = [None] * count
-    for members, E in _chain_exps(theta, cutoff, step, count):
-        for r, k in enumerate(members):
-            n = chains[k][0].size
-            blocks[k] = E[r, :n, :n]
-    return [(i, j, E) for (i, j), E in zip(chains, blocks)]
 
 
 def _check_squeezer(theta: float, cutoff: int) -> None:
@@ -324,15 +290,6 @@ def _check_squeezer(theta: float, cutoff: int) -> None:
         )
 
 
-def _squeezer_sectors(theta: float, cutoff: int) -> list:
-    """The squeezer's sector blocks over every chain of :func:`_chains` (step +1).
-    L has the same weights on the chain from |j, 0> as on the one from |0, j>,
-    so each block is exponentiated once and read on both."""
-    _check_squeezer(theta, cutoff)
-    half = _two_mode_sectors(theta, cutoff, 1, cutoff)
-    return half + [(j, i, E) for i, j, E in half[1:]]
-
-
 def _assemble(sectors: list, cutoff: int) -> np.ndarray:
     U = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for i, j, E in sectors:
@@ -347,23 +304,6 @@ def _pairs(M: np.ndarray, cutoff: int) -> np.ndarray:
     U @ M @ U+: ``U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape)``."""
     c = cutoff
     return M.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape((c, c, c * c) if M.ndim == 2 else (c * c, c * c))
-
-
-def squeeze2_fock(theta: float, cutoff: int) -> FockOperator:
-    """Two-mode squeezer exp(theta (a1+ a2+ - a1 a2)); S_theta |00> = TMSV(theta)."""
-    return FockOperator._built(cutoff, 2, _assemble(_squeezer_sectors(theta, cutoff), cutoff))
-
-
-def _beamsplitter_angle(transmissivity: float) -> float:
-    if not 0 <= transmissivity <= 1:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    return float(np.arccos(np.sqrt(transmissivity)))
-
-
-def beamsplitter_fock(transmissivity: float, cutoff: int) -> FockOperator:
-    """Beamsplitter with amplitude transmission sqrt(transmissivity)."""
-    sectors = _two_mode_sectors(_beamsplitter_angle(transmissivity), cutoff, -1, 2 * cutoff - 1)
-    return FockOperator._built(cutoff, 2, _assemble(sectors, cutoff))
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
@@ -478,9 +418,9 @@ def _squeezed_sectors(
     """
     keep = cutoff if keep is None else keep
     _check_squeezer(theta, cutoff)
-    chains = _chains(cutoff, 1)[:keep]  # chain k runs over (t, k + t)
+    chains = _chains(cutoff)[:keep]  # chain k runs over (t, k + t)
     cores = [None] * keep
-    for members, E in _chain_exps(theta, cutoff, 1, keep):
+    for members, E in _chain_exps(theta, cutoff, keep):
         t = np.arange(E.shape[-1])
         near = np.broadcast_to(v[t], (members.size, t.size))
         far = np.take(v, members[:, None] + t, mode="clip")  # clipped only where E is padding
@@ -565,45 +505,47 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
 
 
 def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
-    """(shift, values) of each Kraus operator <k|_E U |0>_E of the dilation U of
-    an "attenuator" (a beamsplitter) or "amplifier" (a squeezer), read off U's sector
-    chains: K_k lies on the one diagonal K[p, p + shift], and ``values`` is
-    ``np.diagonal(K_k, shift)``.
+    """(shift, values) of each Kraus operator K_k of an "attenuator" or
+    "amplifier": K_k lies on the one diagonal K[p, p + shift], and ``values``
+    is ``np.diagonal(K_k, shift)``.
 
-    The beamsplitter keeps n1 + n2, so K_k[i, i + k] = <i, k|U|i + k, 0> is the
-    last column of the chain of total i + k (shift k); the squeezer keeps
-    n1 - n2, so K_k[q + k, q] = <q + k, k|U|q, 0> is entry k of the first
-    column of the chain starting at |q, 0> (shift -k), whose block is that
-    of the chain from |0, q>.  Past a chain's length, a padded column is zero.
+    The attenuator's are in closed form (Ivan, Sabapathy & Simon, PRA 84,
+    042311 (2011)), K_k[i, i + k] = (-1)^k sqrt(C(i + k, k) eta^i (1 - eta)^k)
+    (shift k), the sign that of its beamsplitter dilation.  That dilation
+    conserves n1 + n2, so each chain of total i + k < c lies whole inside the
+    truncation, and the closed form is the truncated dilation's to rounding.
+
+    The amplifier's are read off its truncated squeezer dilation U:
+    K_k[q + k, q] = <q + k, k|U|q, 0> is entry k of the first column of the
+    chain starting at |q, 0> (shift -k), whose block is that of the chain from
+    |0, q>; past a chain's length, a padded column is zero.  The squeezer's
+    chains run on past the cutoff, so no truncation is exact, but the
+    truncated U is unitary on the truncated space, so these K_k keep the
+    trace.  The closed-form amplifier operators, truncated, do not, and they
+    move the dual-path check further from the phase-space value at c = 20:
+    a QLA of gain 1.3 under the g = 2 witness deviates by 7.4e-4 with
+    leakage 9.0e-4 (1.5e-4 and 9.5e-7 from the dilation), and one of gain
+    1.2 in the unitary game by 5.8e-4 (1.8e-4).
     """
     c = cutoff
-    table = np.zeros((c, c))
     if kind == "attenuator":
         if not 0 < param <= 1:
-            raise ValueError("transmissivity must lie in (0, 1]")
-        # the chain starting at |0, N>, N < c, holds |N, 0> last, at position N
-        for N, E in _chain_exps(_beamsplitter_angle(param), c, -1, c, cols=np.arange(c)):
-            table[N, : E.shape[-1]] = E  # table[i + k, i] = K_k[i, i + k]
-        return [(k, np.diagonal(table, -k)) for k in range(c)]
+            raise ValueError(f"transmissivity must lie in (0, 1], got {param}")
+        i, k = np.ogrid[:c, :c]
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * c - 1)))))
+        log_binom = log_fact[i + k] - log_fact[i] - log_fact[k]
+        table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + i * np.log(param)))
+        return [(s, table[: c - s, s]) for s in range(c)]  # table[i, k] = K_k[i, i + k]
     if kind != "amplifier":
         raise ValueError(f"unknown elementary channel factor {kind!r}")
     if param < 1:
         raise ValueError("amplifier gain must be at least 1")
     theta = np.arccosh(param)
     _check_squeezer(theta, c)
-    for q, E in _chain_exps(theta, c, 1, c, cols=np.zeros(c, dtype=int)):
+    table = np.zeros((c, c))
+    for q, E in _chain_exps(theta, c, c, first_column=True):
         table[q, : E.shape[-1]] = E  # table[q, k] = K_k[q + k, q]
     return [(-k, table[: c - k, k]) for k in range(c)]
-
-
-def attenuator_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
-    """Kraus operators of the pure-loss channel from its beamsplitter dilation."""
-    return [np.diag(d.astype(complex), s) for s, d in _kraus_diagonals("attenuator", eta, cutoff)]
-
-
-def amplifier_kraus(g: float, cutoff: int) -> list[np.ndarray]:
-    """Kraus operators of the quantum-limited amplifier from its squeezer dilation."""
-    return [np.diag(d.astype(complex), s) for s, d in _kraus_diagonals("amplifier", g, cutoff)]
 
 
 def _transfer(diagonals: list, cutoff: int) -> np.ndarray:
@@ -730,7 +672,7 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     blocks = [_transfer(f, cutoff) for _, f in factors] or [_transfer([(0, np.ones(cutoff))], cutoff)]
     S = functools.reduce(lambda S, T: T @ S, blocks)
     sectors = []
-    for i, j in _chains(cutoff, 1):
+    for i, j in _chains(cutoff):
         t = np.arange(i.size)
         first = np.minimum.outer(t, t)
         sectors.append((i, j, S[np.abs(t[:, None] - t), i[first], j[first]] * np.outer(a[j], a[j])))

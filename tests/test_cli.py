@@ -269,6 +269,22 @@ def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutof
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cutoff", ["0", "1", "-3"])
+def test_oracle_rejects_cutoff_below_two(scenario, monkeypatch, capsys, cutoff):
+    # --cutoff 0 once read as unset and ran at the default cutoff (20 at lam = 1)
+    from cvverify import protocols
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("oracle_report ran before the cutoff check")
+
+    monkeypatch.setattr(protocols, "oracle_report", no_report)
+    path, _ = scenario
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(path), "--cutoff", cutoff])
+    assert exc.value.code == 2
+    assert f"cutoff must be at least 2, got {cutoff}" in capsys.readouterr().err
+
+
 class _Started(Exception):
     """Raised in place of the oracle's first piece of work."""
 

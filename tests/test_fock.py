@@ -20,42 +20,77 @@ def test_g_theta_first_entry():
     assert fock.g_theta(theta, 8).matrix[1, 1].real == pytest.approx(0.5, rel=1e-12)
 
 
+# Test-side builders: the TMSV, the thermal state and the library's
+# one-diagonal Kraus operators as full matrices.
+
+def tmsv_vector(r, cutoff):
+    """sech(r) sum_n tanh^n(r) |nn>, the two-mode squeezed vacuum."""
+    psi = np.zeros(cutoff * cutoff, dtype=complex)
+    psi[np.arange(cutoff) * (cutoff + 1)] = np.tanh(r) ** np.arange(cutoff) / np.cosh(r)
+    return psi
+
+
+def tmsv_rho(r, cutoff):
+    psi = tmsv_vector(r, cutoff)
+    return np.outer(psi, psi.conj())
+
+
+def thermal_rho(nbar, cutoff):
+    n = np.arange(cutoff, dtype=float)
+    return np.diag(nbar**n / (nbar + 1.0) ** (n + 1.0)).astype(complex)
+
+
+def kraus_matrices(kind, param, cutoff):
+    """The Kraus operators of an attenuator or amplifier factor, as full matrices."""
+    return [np.diag(d.astype(complex), s) for s, d in fock._kraus_diagonals(kind, param, cutoff)]
+
+
 def test_thermal_fock_trace():
-    st = fock.thermal_fock(1.0, 40)
+    st = fock.FockState(40, 1, thermal_rho(1.0, 40))
     assert st.leakage == pytest.approx(0.0, abs=1e-6)
 
 
+# The two-mode squeezer S_theta = exp(theta (a1+ a2+ - a1 a2)) as the oracle
+# holds it: the stacked chain blocks of fock._chain_exps, and the amplifier's
+# Kraus operators K_k = <k|_E S |0>_E read off their first columns.
+
 def test_squeeze2_identity_at_zero():
-    np.testing.assert_allclose(fock.squeeze2_fock(0.0, 6).matrix, np.eye(36), atol=1e-14)
+    for _, E in fock._chain_exps(0.0, 6, 6):
+        np.testing.assert_allclose(E, np.broadcast_to(np.eye(E.shape[-1]), E.shape), atol=1e-14)
+    diagonals = fock._kraus_diagonals("amplifier", 1.0, 6)
+    assert np.array_equal(diagonals[0][1], np.ones(6)) and not any(np.any(d) for _, d in diagonals[1:])
 
 
 def test_squeeze2_vacuum_amplitude_is_sech():
     theta, cutoff = 0.7, 30
-    S = fock.squeeze2_fock(theta, cutoff).matrix
-    assert S[0, 0].real == pytest.approx(1.0 / np.cosh(theta), rel=1e-8)
+    K0 = fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)[0][1]  # K_0[q, q] = <q, 0|S|q, 0>
+    assert K0[0] == pytest.approx(1.0 / np.cosh(theta), rel=1e-8)
 
 
 def test_squeeze2_makes_tmsv():
+    # S |00> = TMSV: K_k[k, 0] = <k, k|S|0, 0>
     theta, cutoff = 0.6, 30
-    S = fock.squeeze2_fock(theta, cutoff).matrix
-    psi = S[:, 0]
-    np.testing.assert_allclose(psi, fock.tmsv_vector(theta, cutoff), atol=1e-8)
+    column = [d[0] for _, d in fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)]
+    np.testing.assert_allclose(column, np.tanh(theta) ** np.arange(cutoff) / np.cosh(theta), atol=1e-8)
 
 
 def test_squeeze2_unitary_on_interior():
+    """The truncated squeezer is orthogonal on the whole truncated space, not
+    only its interior: every stacked block, padding included, and so the
+    amplifier's Kraus operators keep the trace."""
     theta, cutoff = 0.5, 24
-    S = fock.squeeze2_fock(theta, cutoff).matrix
-    prod = (S @ S.conj().T).reshape(cutoff, cutoff, cutoff, cutoff)
-    half = cutoff // 2
-    interior = prod[:half, :half, :half, :half].reshape(half * half, half * half)
-    eye = np.eye(cutoff * cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
-    eye_int = eye[:half, :half, :half, :half].reshape(half * half, half * half)
-    np.testing.assert_allclose(interior, eye_int, atol=1e-8)
+    for _, E in fock._chain_exps(theta, cutoff, cutoff):
+        eye = np.broadcast_to(np.eye(E.shape[-1]), E.shape)
+        assert np.max(np.abs(E @ E.swapaxes(-1, -2) - eye)) <= 1e-12
+    total = sum(K.conj().T @ K for K in kraus_matrices("amplifier", np.cosh(theta), cutoff))
+    assert np.max(np.abs(total - np.eye(cutoff))) <= 1e-12
 
 
 def test_squeeze2_leakage_warning():
     with pytest.warns(UserWarning, match="leakage"):
-        fock.squeeze2_fock(2.0, 6)
+        fock.entangled_output_fock([("amplifier", np.cosh(2.0))], 1.0, 6)
+    with pytest.warns(UserWarning, match="leakage"):
+        fock.witness_fock_amp(1.5, 1.0, 6)  # theta' = arctanh(sqrt(2) / 1.5)
 
 
 def test_performance_operator_trace_is_one():
@@ -199,22 +234,38 @@ def test_gaussian_unitary_fock_rotation_and_squeezer():
 
 
 def test_attenuator_kraus_trace_preserving():
-    cutoff = 16
-    ks = fock.attenuator_kraus(0.7, cutoff)
-    total = sum(K.conj().T @ K for K in ks)
-    half = cutoff // 2
-    np.testing.assert_allclose(total[:half, :half], np.eye(half), atol=1e-8)
+    """The closed-form Kraus operators keep the trace on the whole truncated
+    space: K_k+ K_k is diag over n of C(n, k) eta^(n - k) (1 - eta)^k, and
+    every n < c sums all of its k <= n."""
+    total = sum(K.conj().T @ K for K in kraus_matrices("attenuator", 0.7, 20))
+    assert np.max(np.abs(total - np.eye(20))) <= 1e-12
+    for cutoff in (2, 3, 20, 64, 96, 200):
+        for eta in (1e-6, 0.3, 0.7, 0.999):
+            total = np.zeros(cutoff)
+            for shift, d in fock._kraus_diagonals("attenuator", eta, cutoff):
+                total[shift:] += np.abs(d) ** 2  # d[m] = K[m, m + shift]
+            assert np.max(np.abs(total - 1.0)) <= 1e-12, (cutoff, eta)
+
+
+def test_attenuator_kraus_at_the_edges_of_the_transmissivity():
+    diagonals = fock._kraus_diagonals("attenuator", 1.0, 8)
+    assert np.array_equal(diagonals[0][1], np.ones(8)) and not any(np.any(d) for _, d in diagonals[1:])
+    lossless = fock.entangled_output_fock([("attenuator", 1.0)], 1.0, 8)
+    assert np.array_equal(lossless.rho, fock.entangled_output_fock([], 1.0, 8).rho)
+    for eta in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="transmissivity must lie in"):
+            fock._kraus_diagonals("attenuator", eta, 8)
 
 
 def test_amplifier_kraus_attenuates_trace_only_by_truncation():
     cutoff = 20
-    ks = fock.amplifier_kraus(1.2, cutoff)
+    ks = kraus_matrices("amplifier", 1.2, cutoff)
     rho = np.zeros((cutoff, cutoff), dtype=complex)
     rho[0, 0] = 1.0
     out = sum(K @ rho @ K.conj().T for K in ks)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-6)
     # vacuum through a gain-g amplifier is thermal with nbar = g^2 - 1
-    expected = fock.thermal_fock(1.2**2 - 1.0, cutoff).rho
+    expected = thermal_rho(1.2**2 - 1.0, cutoff)
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
@@ -230,7 +281,7 @@ def test_choi_performance_operator_consistency():
     assert np.real(np.trace(om.matrix @ c_id)) == pytest.approx(1.0, abs=1e-3)
 
     eta = 0.8
-    c_att = _contract_kraus(c_id, fock.attenuator_kraus(eta, cutoff), cutoff)
+    c_att = _contract_kraus(c_id, kraus_matrices("attenuator", eta, cutoff), cutoff)
     got = np.real(np.trace(om.matrix @ c_att))
     # direct integral: F(alpha) = exp(-(1-sqrt(eta))^2 |alpha|^2), averaged
     # over the prior lam exp(-lam |a|^2)/pi gives lam/(lam+(1-sqrt(eta))^2)
@@ -242,7 +293,7 @@ def test_entangled_output_identity_is_tmsv():
     lam, cutoff = 1.0, 20
     st = fock.entangled_output_fock([], lam, cutoff)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    np.testing.assert_allclose(st.rho, fock.tmsv_fock(kappa, cutoff).rho, atol=1e-7)
+    np.testing.assert_allclose(st.rho, tmsv_rho(kappa, cutoff), atol=1e-7)
 
 
 def test_default_cutoff_policy():
@@ -263,7 +314,7 @@ def test_caller_matrices_are_copied_and_held_matrices_are_read_only():
     op = fock.FockOperator(3, 1, M)
     M[0, 0] = 5.0
     assert op.matrix[0, 0] == 1.0 and op.matrix.dtype == complex
-    held = [op.matrix, fock.number_op(3).matrix, fock.tmsv_fock(0.5, 4).rho,
+    held = [op.matrix, fock.number_op(3).matrix, fock.FockState(4, 2, tmsv_rho(0.5, 4)).rho,
             fock.witness_fock_amp(2.0, 1.0, 6).matrix,  # sector form, assembled on read
             fock.entangled_output_fock([("attenuator", 0.9)], 1.0, 6).rho]
     assert not any(a.flags.writeable for a in held)
@@ -272,7 +323,8 @@ def test_caller_matrices_are_copied_and_held_matrices_are_read_only():
 # Dense references: the two-mode generators as kron products exponentiated
 # whole, and the one-mode operators as explicit products with the identity,
 # as the oracle wrote them before it used photon-number sectors and
-# single-slot contractions.
+# single-slot contractions.  Above cutoff 16 the two-mode squeezer is
+# assembled from per-chain blocks (_sector_squeeze2, below) instead.
 
 def _dense_squeeze2(theta, cutoff):
     a = fock.destroy(cutoff).real
@@ -304,13 +356,13 @@ def _dense_kraus(rho, kraus, cutoff):
 def _dense_squeezed_number(lam, cutoff):
     """S_kappa (n (x) 1) S_kappa+ as dense products, shared by every target.
 
-    Above cutoff 16, S is the assembled sector squeezer instead of the dense
-    expm: at kappa = arctanh(1/sqrt(2)) the expm is itself off orthogonality
-    by 7.6e-13 at cutoff 24 (the sector squeezer by 2.4e-15), and
-    test_sector_generators_match_dense_expm ties the two together.
+    Above cutoff 16, S is assembled from per-chain polar(expm) blocks instead
+    of the dense expm: at kappa = arctanh(1/sqrt(2)) the expm is itself off
+    orthogonality by 7.6e-13 at cutoff 24 (the per-chain squeezer by
+    1.3e-15), and test_sector_generators_match_dense_expm ties the two together.
     """
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    S = _dense_squeeze2(kappa, cutoff) if cutoff <= 16 else fock.squeeze2_fock(kappa, cutoff).matrix.real
+    S = _dense_squeeze2(kappa, cutoff) if cutoff <= 16 else _sector_squeeze2(kappa, cutoff)
     return (S * np.repeat(np.arange(cutoff, dtype=float), cutoff)) @ S.T  # S (n (x) 1) S^T
 
 
@@ -347,10 +399,14 @@ def _dense_closed_form(g, lam, cutoff):
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [6, 20, 32])
 def test_sector_generators_match_dense_expm(cutoff):
-    S = fock.squeeze2_fock(0.6, cutoff).matrix
-    assert np.max(np.abs(S - _dense_squeeze2(0.6, cutoff))) <= 1e-12
-    B = fock.beamsplitter_fock(0.7, cutoff).matrix
-    assert np.max(np.abs(B - _dense_beamsplitter(0.7, cutoff))) <= 1e-12
+    """The per-chain squeezer reference against the dense expm, and the
+    attenuator's and amplifier's Kraus operators against those sliced from
+    the dense beamsplitter and squeezer dilations."""
+    S = _dense_squeeze2(0.6, cutoff)
+    assert np.max(np.abs(_sector_squeeze2(0.6, cutoff) - S)) <= 1e-12
+    for got, ref in ((kraus_matrices("attenuator", 0.7, cutoff), _dense_beamsplitter(0.7, cutoff)),
+                     (kraus_matrices("amplifier", np.cosh(0.6), cutoff), S)):
+        assert max(np.max(np.abs(K - R)) for K, R in zip(got, _dilation_kraus(ref, cutoff))) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -367,11 +423,11 @@ def test_shifted_kraus_matches_dense_contraction():
         "mixed": [("attenuator", 0.8), ("unitary", spec), ("amplifier", 1.2), ("attenuator", 0.9)],
     }
     kraus = {
-        "attenuator": lambda eta: fock.attenuator_kraus(eta, cutoff),
-        "amplifier": lambda g: fock.amplifier_kraus(g, cutoff),
+        "attenuator": lambda eta: kraus_matrices("attenuator", eta, cutoff),
+        "amplifier": lambda g: kraus_matrices("amplifier", g, cutoff),
         "unitary": lambda s: [fock.gaussian_unitary_fock(s, cutoff).matrix],
     }
-    rho0 = fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff).rho
+    rho0 = tmsv_rho(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff)
     W = fock.witness_fock_unitary(spec, lam, cutoff)
     W_ref = _dense_witness_unitary(spec, lam, cutoff)
     for name, chain in chains.items():
@@ -385,20 +441,18 @@ def test_shifted_kraus_matches_dense_contraction():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: fock.beamsplitter_fock(1.5, 6), "transmissivity"),
-    (lambda: fock.beamsplitter_fock(-0.2, 6), "transmissivity"),
-    (lambda: fock.beamsplitter_fock(np.nan, 6), "transmissivity"),
-    (lambda: fock.squeeze2_fock(np.nan, 6), "theta must be finite"),
-    (lambda: fock.squeeze2_fock(np.inf, 6), "theta must be finite"),
-    (lambda: fock.tmsv_fock(np.nan, 6), "r must be finite"),
-    (lambda: fock.tmsv_fock(-np.inf, 6), "r must be finite"),
+    (lambda: fock.entangled_output_fock([("attenuator", 1.5)], 1.0, 6), "transmissivity"),
+    (lambda: fock.entangled_output_fock([("attenuator", -0.2)], 1.0, 6), "transmissivity"),
+    (lambda: fock.entangled_output_fock([("attenuator", np.nan)], 1.0, 6), "transmissivity"),
+    (lambda: fock.entangled_output_fock([("amplifier", np.nan)], 1.0, 6), "theta must be finite"),
+    (lambda: fock.entangled_output_fock([("amplifier", np.inf)], 1.0, 6), "theta must be finite"),
+    (lambda: fock._tmsv_amplitudes(np.nan, 6), "r must be finite"),
+    (lambda: fock._tmsv_amplitudes(-np.inf, 6), "r must be finite"),
     (lambda: fock.g_theta(np.nan, 6), "theta must be finite"),
     (lambda: fock.g_theta(np.inf, 6), "theta must be finite"),
     (lambda: fock.performance_operator_avg_fidelity(np.nan, 1.0, 6), "g and lam"),
     (lambda: fock.performance_operator_avg_fidelity(1.0, np.nan, 6), "g and lam"),
     (lambda: fock.performance_operator_avg_fidelity(np.inf, 1.0, 6), "g and lam"),
-    (lambda: fock.thermal_fock(np.nan, 6), "mean photon number"),
-    (lambda: fock.thermal_fock(np.inf, 6), "mean photon number"),
     (lambda: fock.default_cutoff(0.0), "lam must be positive"),
     (lambda: fock.default_cutoff(np.nan), "lam must be positive"),
     (lambda: fock.default_cutoff(-1.0), "lam must be positive"),
@@ -411,8 +465,7 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.entangled_output_fock([], np.nan, 10), "lam must be positive"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-nan", "tmsv-inf",
-    "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf",
-    "thermal-nan", "thermal-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
+    "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
     "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
     "output-cutoff-0", "output-lam-nan",
 ])
@@ -429,11 +482,11 @@ def test_structured_kraus_matches_dense():
     rng = np.random.default_rng(11)
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
     U = fock.gaussian_unitary_fock(spec, cutoff).matrix
-    rho_u = _dense_kraus(fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff).rho, [U], cutoff)
+    rho_u = _dense_kraus(tmsv_rho(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff), [U], cutoff)
     families = {
         "unitary": ([], None),
-        "attenuator": ([("attenuator", 0.7)], fock.attenuator_kraus(0.7, cutoff)),
-        "amplifier": ([("amplifier", 1.3)], fock.amplifier_kraus(1.3, cutoff)),
+        "attenuator": ([("attenuator", 0.7)], kraus_matrices("attenuator", 0.7, cutoff)),
+        "amplifier": ([("amplifier", 1.3)], kraus_matrices("amplifier", 1.3, cutoff)),
     }
     for name, (ops, kraus) in families.items():
         st = fock.entangled_output_fock([("unitary", spec)] + ops, lam, cutoff)
@@ -463,8 +516,9 @@ def test_structured_closed_form_matches_dense():
 
 
 # The dense path as the oracle ran it before the sector form: the TMSV as a
-# dense matrix, Kraus operators sliced from the assembled dilation unitary,
-# and each diagonal block summed from all of them.
+# dense matrix, Kraus operators sliced from the assembled dilation unitary
+# (or read off its per-chain blocks), and each diagonal block summed from all
+# of them.
 
 def _dilation_kraus(U, cutoff):
     U4 = U.reshape(cutoff, cutoff, cutoff, cutoff)
@@ -489,16 +543,16 @@ def _slab_kraus(rho, kraus, cutoff):
 def test_sector_path_matches_dense_path(cutoff):
     c, lam, eta, gain = cutoff, 1.0, 0.8, 1.3
     kraus = {
-        "attenuator": _dilation_kraus(fock.beamsplitter_fock(eta, c).matrix, c),
-        "amplifier": _dilation_kraus(fock.squeeze2_fock(np.arccosh(gain), c).matrix, c),
+        "attenuator": _beamsplitter_kraus(eta, c),
+        "amplifier": _dilation_kraus(_sector_squeeze2(np.arccosh(gain), c), c),
     }
-    for got, ref in ((fock.attenuator_kraus(eta, c), kraus["attenuator"]),
-                     (fock.amplifier_kraus(gain, c), kraus["amplifier"])):
-        assert max(np.max(np.abs(K - R)) for K, R in zip(got, ref)) <= 1e-12
     params = {"attenuator": eta, "amplifier": gain}
+    for kind, ref in kraus.items():
+        got = kraus_matrices(kind, params[kind], c)
+        assert max(np.max(np.abs(K - R)) for K, R in zip(got, ref)) <= 1e-12, kind
 
     theta_p = np.arctanh(np.sqrt(lam + 1.0) / 2.0)
-    S = fock.squeeze2_fock(theta_p, c).matrix.real
+    S = _sector_squeeze2(theta_p, c)
     core = (S * np.tile(np.arange(c, dtype=float), c)) @ S.T  # S (1 (x) n) S^T
     amp_ref = (lam + 1.0) / 4.0 * (np.eye(c * c) - (3.0 - lam) / 4.0 * core)
     amp_ref = 0.5 * (amp_ref + amp_ref.T)
@@ -508,7 +562,7 @@ def test_sector_path_matches_dense_path(cutoff):
     W_unitary = fock.witness_fock_unitary(sp.identity(1), lam, c)
 
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    rho0 = fock.tmsv_fock(kappa, c).rho
+    rho0 = tmsv_rho(kappa, c)
     refs = {(): rho0}
     for kinds in [("attenuator",), ("amplifier",), ("attenuator", "amplifier"),
                   ("amplifier", "attenuator"), ("amplifier", "attenuator", "amplifier")]:
@@ -565,12 +619,11 @@ def _dense_channel(rho, ops, cutoff):
     """The factors applied one by one to a dense two-mode rho: a unitary
     contracted in full, an attenuator or amplifier summed from its Kraus
     operators diagonal block by diagonal block."""
-    kraus = {"attenuator": fock.attenuator_kraus, "amplifier": fock.amplifier_kraus}
     for kind, param in ops:
         if kind == "unitary":
             rho = _contract_kraus(rho, [fock.gaussian_unitary_fock(param, cutoff).matrix], cutoff)
         else:
-            rho = _slab_kraus(rho, kraus[kind](param, cutoff), cutoff)
+            rho = _slab_kraus(rho, kraus_matrices(kind, param, cutoff), cutoff)
     return rho
 
 
@@ -582,7 +635,7 @@ def test_leading_unitary_state_matches_dense_path(cutoff):
     c, lam = cutoff, 1.0
     rng = np.random.default_rng(7)
     spec, spec2 = (sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng) for _ in range(2))
-    rho0 = fock.tmsv_fock(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c).rho
+    rho0 = tmsv_rho(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
     witnesses = [(fock.witness_fock_unitary(t, lam, c), _dense_witness_unitary(t, lam, c))
                  for t in (sp.identity(1), spec, spec2)]
     W_amp = fock.witness_fock_amp(2.0, lam, c)  # its dense read is tied to the expm reference at cutoff 12
@@ -620,13 +673,14 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
 
 # The eigh kernel against SciPy's expm, chain by chain: each chain's block is
 # exponentiated on its own, with the generator written from the ladder
-# matrix elements <i+1, j+1|a1+ a2+|i, j> = sqrt((i+1)(j+1)) and
-# <i+1, j-1|a1+ a2|i, j> = sqrt((i+1) j).  The generator is antisymmetric,
-# so the exact block is orthogonal, and the reference is the orthogonal
-# polar factor of expm: on the short beamsplitter chains of large weight
-# (norm ~130 at cutoff 64, theta = arccosh 2) expm's scaling and squaring is
-# itself off orthogonality by 3e-12 and off a 40-digit exponential by
-# 1.5e-12, while its polar factor is within 1e-14 of it.
+# matrix elements <i+1, j+1|a1+ a2+|i, j> = sqrt((i+1)(j+1)) of the squeezer
+# and <i+1, j-1|a1+ a2|i, j> = sqrt((i+1) j) of the beamsplitter, whose
+# chains of total N = i + j are the attenuator's reference.  The generator
+# is antisymmetric, so the exact block is orthogonal, and the reference is
+# the orthogonal polar factor of expm: on the short beamsplitter chains of
+# large weight (norm ~130 at cutoff 64, theta = arccosh 2) expm's scaling
+# and squaring is itself off orthogonality by 3e-12 and off a 40-digit
+# exponential by 1.5e-12, while its polar factor is within 1e-14 of it.
 
 KERNEL_THETAS = [0.0, 0.3, np.arctanh(1.0 / np.sqrt(2.0)), np.arccosh(2.0)]
 
@@ -636,41 +690,67 @@ def _chain_expm(theta, i, j, step):
     return polar(expm(np.diag(w, -1) - np.diag(w, 1)))[0]
 
 
-@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
-@pytest.mark.parametrize("cutoff", [2, 3, 20, 33, 64])
-@pytest.mark.parametrize("step", [1, -1])
-def test_stacked_chain_blocks_match_per_chain_expm(cutoff, step):
+def _sector_squeeze2(theta, cutoff):
+    """The two-mode squeezer, each chain of fock._chains a polar(expm) block."""
     c = cutoff
-    chains = fock._chains(c, step)
-    for theta in KERNEL_THETAS:
-        refs = [_chain_expm(theta, i, j, step) for i, j in chains]
-        built = [fock._two_mode_sectors(theta, c, step, 2 * c - 1)]
-        if step > 0:  # exponentiated on the chains from |0, j>, read on their mirrors from |j, 0>
-            built.append(fock._squeezer_sectors(theta, c))
-        for sectors in built:
-            assert len(sectors) == len(chains)
-            assert all(np.array_equal(i, a) and np.array_equal(j, b) for (i, j, _), (a, b) in zip(sectors, chains))
-            dev = max(np.max(np.abs(E - ref)) for (_, _, E), ref in zip(sectors, refs))
-            assert dev <= 1e-12, (theta, dev)
+    S = np.zeros((c * c, c * c))
+    for i, j in fock._chains(c):
+        S[np.ix_(i * c + j, i * c + j)] = _chain_expm(theta, i, j, 1)
+    return S
+
+
+def _beamsplitter_kraus(eta, cutoff):
+    """K_k[i, i + k] = <i, k|U|i + k, 0> of the beamsplitter dilation U of
+    angle arccos(sqrt(eta)): entry i of the last column of the chain of
+    total N = i + k, which runs from |0, N> to |N, 0>."""
+    theta = np.arccos(np.sqrt(eta))
+    last = [_chain_expm(theta, np.arange(N + 1), N - np.arange(N + 1), -1)[:, -1] for N in range(cutoff)]
+    return [np.diag([last[i + k][i] for i in range(cutoff - k)], k) for k in range(cutoff)]
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 20, 33, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stacked_chain_blocks_match_per_chain_expm(cutoff, sign):
+    """The stacked, zero-padded squeezer blocks of fock._chain_exps at
+    +-theta, in full and as first columns, against per-chain expm.  They are
+    exponentiated on the chains from |0, j>, and the library reads each also
+    on its mirror from |j, 0>, whose generator is the same."""
+    c = cutoff
+    chains = fock._chains(c)
+    states = np.concatenate([i * c + j for i, j in chains])
+    assert len(chains) == 2 * c - 1 and np.array_equal(np.sort(states), np.arange(c * c))
+    assert all(np.array_equal(i, b) and np.array_equal(j, a) for (i, j), (a, b) in zip(chains[c:], chains[1:c]))
+    for theta in sign * np.array(KERNEL_THETAS):
+        refs = [_chain_expm(theta, i, j, 1) for i, j in chains]
+        assert all(np.array_equal(refs[c - 1 + k], refs[k]) for k in range(1, c))
+        seen = []
+        for (members, E), (same, X) in zip(fock._chain_exps(theta, c, c), fock._chain_exps(theta, c, c, first_column=True)):
+            assert np.array_equal(members, same)
+            seen += list(members)
+            for r, k in enumerate(members):
+                n = refs[k].shape[0]
+                padded = np.eye(E.shape[-1])
+                padded[:n, :n] = refs[k]
+                assert np.max(np.abs(E[r] - padded)) <= 1e-12, (theta, k)
+                assert np.max(np.abs(X[r] - padded[:, 0])) <= 1e-12, (theta, k)
+        assert sorted(seen) == list(range(c))
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [2, 3, 20, 33, 64])
 def test_kraus_diagonals_match_per_chain_expm(cutoff):
-    """The single columns _kraus_diagonals reads: the last column of the
-    beamsplitter chain from |0, N> and the first column of the squeezer chain
-    from |q, 0>."""
+    """The attenuator's closed form against the last column of each
+    beamsplitter chain from |0, N>, and the amplifier's Kraus operators
+    against the first column of each squeezer chain from |q, 0>."""
     c = cutoff
-    chains = {step: fock._chains(c, step) for step in (1, -1)}
+    chains = fock._chains(c)
     for theta in KERNEL_THETAS:
-        att = dict(fock._kraus_diagonals("attenuator", np.cos(theta) ** 2, c))
+        att = kraus_matrices("attenuator", np.cos(theta) ** 2, c)
+        dev = max(np.max(np.abs(K - R)) for K, R in zip(att, _beamsplitter_kraus(np.cos(theta) ** 2, c)))
+        assert dev <= 1e-12, (theta, dev)
         amp = dict(fock._kraus_diagonals("amplifier", np.cosh(theta), c))
-        last = [_chain_expm(theta, i, j, -1)[:, -1] for i, j in chains[-1][:c]]
-        first = [_chain_expm(theta, i, j, 1)[:, 0] for i, j in chains[1][:1] + chains[1][c:]]
+        first = [_chain_expm(theta, i, j, 1)[:, 0] for i, j in chains[:1] + chains[c:]]
         for k in range(c):
-            # K_k[i, i + k] = <i, k|U|i + k, 0>, position i of the chain of total i + k
-            want = np.array([last[i + k][i] for i in range(c - k)])
-            assert np.max(np.abs(att[k] - want)) <= 1e-12, (theta, k)
             # K_k[q + k, q] = <q + k, k|U|q, 0>, position k of the chain from |q, 0>
             want = np.array([first[q][k] for q in range(c - k)])
             assert np.max(np.abs(amp[-k] - want)) <= 1e-12, (theta, k)
@@ -708,7 +788,7 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
     c, lam = cutoff, 1.0
     rng = np.random.default_rng(17)
     spec, spec2 = (sp.random_symplectic(1, r_max=0.3, d_scale=0.4, rng=rng) for _ in range(2))
-    psi = fock.tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
+    psi = tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
     W = fock.witness_fock_unitary(spec2, lam, c)
     assert W._sectors is None and W._matrix is None
     for ops in ([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvverify import fock, gaussian as ga, symplectic as sp
+from test_fock import thermal_rho
 
 
 def test_thermal_zero_is_vacuum():
@@ -49,10 +50,11 @@ def test_tmsv_purifies_thermal_prior():
 
 
 def test_tmsv_reduced_matches_fock_oracle():
+    # the oracle's TMSV probe at lam = 1/sinh^2(r) has kappa = r
     r, cutoff = 0.6, 30
-    rho = fock.tmsv_fock(r, cutoff).rho.reshape(cutoff, cutoff, cutoff, cutoff)
+    rho = fock.entangled_output_fock([], 1.0 / np.sinh(r) ** 2, cutoff).rho.reshape(cutoff, cutoff, cutoff, cutoff)
     reduced = np.einsum("ikjk->ij", rho)
-    expected = fock.thermal_fock(np.sinh(r) ** 2, cutoff).rho
+    expected = thermal_rho(np.sinh(r) ** 2, cutoff)
     np.testing.assert_allclose(reduced, expected, atol=1e-10)
 
 

@@ -1,8 +1,8 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
-package, every parameter default is overridden by some caller, only the
-verdict path draws random numbers, and the Fock oracle imports no
-phase-space code.  One check runs the package's imports in
+package, every public Fock-oracle function has a caller outside the tests,
+every parameter default is overridden by some caller, only the verdict path
+draws random numbers, and the Fock oracle imports no phase-space code.  One check runs the package's imports in
 a fresh interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
@@ -16,8 +16,20 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "cvverify"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-CALLERS = [ast.parse(path.read_text()) for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
-           for path in sorted(folder.rglob("*.py"))]
+SHIPPED = [ast.parse(path.read_text()) for folder in (PACKAGE, ROOT / "perfbench")
+           for path in sorted(folder.rglob("*.py"))]  # the library and its benchmark
+CALLERS = SHIPPED + [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").rglob("*.py"))]
+
+
+def _calls(trees) -> dict:
+    """Each call in the trees, by the name or attribute it calls."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
 
 
 def _read_names(tree) -> set:
@@ -55,6 +67,16 @@ def test_no_unreferenced_private_functions():
     assert dead == []
 
 
+def test_every_public_fock_function_has_a_caller_outside_the_tests():
+    """A public builder that only tests call belongs in the tests: every
+    public module-level function of ``fock.py`` is called from the library
+    or the benchmark."""
+    called = _calls(SHIPPED)
+    uncalled = [node.name for node in TREES["fock.py"].body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in called]
+    assert uncalled == []
+
+
 def _defaulted_parameters(tree):
     """(function name, parameter, positional index or None) for each parameter
     default of a module-level function or method; a method's index skips its
@@ -81,12 +103,7 @@ def _overridden(call: ast.Call, param: str, index) -> bool:
 
 
 def test_every_parameter_default_is_overridden_by_a_caller():
-    calls = {}
-    for tree in CALLERS:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls.setdefault(name, []).append(node)
+    calls = _calls(CALLERS)
     never = [f"{module}: {func}({param})" for module, tree in TREES.items()
              for func, param, index in _defaulted_parameters(tree)
              if not any(_overridden(call, param, index) for call in calls.get(func, []))]
