@@ -57,7 +57,7 @@ def _parse_scenario(data: dict):
 
 
 HELD = {  # entries a Fock path holds at cutoff c
-    "dense": lambda c: c**4,
+    "diagonal": lambda c: c * c,  # the m = 2 damping table of ``lemmas``
     "sector": lambda c: c * (2 * c * c + 1) // 3,  # sum_s (c - |s|)^2 over the n1 - n2 sectors
     "amplitude-form": lambda c: c**3,  # a stack of c amplitude matrices, or the c delta-diagonals
 }
@@ -155,16 +155,16 @@ def cmd_plan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cutoff = args.cutoff
-    _check_cutoff(cutoff, "dense")
+    _check_cutoff(cutoff, "diagonal")
     thetas = [float(t) for t in args.thetas.split(",")]
     results = []
     ok = True
 
     # damping-operator inequality: G^(x)m >= 1 - sum n_i / cosh^2(theta); both
     # sides are diagonal, so the least diagonal entry is the least eigenvalue
-    n = np.diag(fock.number_op(cutoff).matrix).real
+    n = np.arange(cutoff, dtype=float)
     for theta in thetas:
-        g = np.diag(fock.g_theta(theta, cutoff).matrix).real
+        g = fock.g_theta(theta, cutoff)
         for m in (1, 2):
             if m == 1:
                 lhs = g - (1.0 - n / np.cosh(theta) ** 2)

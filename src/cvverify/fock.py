@@ -1,17 +1,16 @@
 """Truncated Fock-space oracle.
 
-Matrix representations of the operators that back the analytic phase-space
-results: photon number, the diagonal damping operator
-G_theta = sum_n tanh^{2n}(theta) |n><n|, the two-mode squeezer's sector
-blocks, single-mode Gaussian unitaries, attenuator and amplifier Kraus
-operators, the performance operator, the canonical benchmark observable, and
-both average-fidelity witnesses.
+The operators that back the analytic phase-space results: the diagonal of
+the damping operator G_theta = sum_n tanh^{2n}(theta) |n><n|, the two-mode
+squeezer's sector blocks, single-mode Gaussian unitaries, attenuator and
+amplifier Kraus operators, the performance operator, the canonical benchmark
+observable, and both average-fidelity witnesses.
 
 Two-mode operators act on A' (x) R with index i * cutoff + j for
-|i>_{A'} |j>_R (plain ``np.kron`` ordering), and the costly ones are built
-from the photon number they conserve.  The two-mode squeezer conserves
-n1 - n2, so its truncated generator is a direct sum of tridiagonal blocks,
-one per chain of states it links; this is the module's one chain family.
+|i>_{A'} |j>_R (plain ``np.kron`` ordering), and are held by the photon
+number they conserve.  The two-mode squeezer conserves n1 - n2, so its
+truncated generator is a direct sum of tridiagonal blocks, one per chain of
+states it links; this is the module's one chain family.
 Every matrix exponential goes through one numpy kernel, exp(A) =
 V e^{-i Lambda} V+ from a stacked ``eigh`` of the Hermitian i A: the chain
 blocks, zero-padded into a few length classes, and the single-mode
@@ -19,7 +18,8 @@ displacement and squeezer.  The squeezer's chains from |0, j> and |j, 0>
 have the same generator, so each such pair is exponentiated once, and a
 diagonal core inside a squeezer sandwich is conjugated in the same stacks.
 The performance operator is the closed-form Gaussian integral over the
-coherent prior, element by element.  The module needs numpy only.
+coherent prior, element by element; it conserves n1 - n2 too, so it and the
+canonical observable are built as sector blocks.  The module needs numpy only.
 
 The attenuator's Kraus operators are in closed form; the amplifier's are read
 off its truncated squeezer dilation, which is unitary on the truncated space
@@ -38,14 +38,15 @@ Kraus operator (a shift and scale of rows) per attenuator or amplifier.
 traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
 block's states (c^3 per term in O(c^3) memory), or the shared photon-number
 shifts of a framed operator and a sector state (c^4).  ``rho`` and ``matrix``
-are assembled only when read.  Truncation leakage is reported, never silently
-renormalized away.
+are assembled, read-only, only when read.  Truncation leakage is reported,
+never silently renormalized away.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,78 +57,59 @@ PHASE_INSENSITIVE = ("attenuator", "amplifier")
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
 
 
+@dataclass(eq=False, repr=False)
 class _Fock:
-    """A complex matrix on ``modes`` truncated modes, held dense or, on two
-    modes, as its n1 - n2 sector blocks (a list of (i, j, block) over the
-    chains of :func:`_chains`) or in a factored ``_form`` that the
-    subclass defines.  The dense matrix is assembled on first read."""
+    """A two-mode matrix at photon-number cutoff ``cutoff`` on each mode,
+    held as its n1 - n2 ``sectors`` (a list of (i, j, block) over the chains
+    of :func:`_chains`) or in a factored ``form`` that the subclass defines.
+    The dense matrix is assembled, read-only, on first read."""
 
-    _field = "matrix"
+    cutoff: int
+    sectors: list | None = None
+    form: tuple | None = None
 
-    def __init__(self, cutoff: int, modes: int, matrix):
-        self._hold(cutoff, modes, np.array(matrix, dtype=complex), None)  # a caller's matrix is copied
-
-    @classmethod
-    def _built(cls, cutoff: int, modes: int, matrix=None, sectors=None, form=None):
-        """Take over a matrix, sector list or form built in this module, without a copy."""
-        obj = cls.__new__(cls)
-        obj._hold(cutoff, modes, None if matrix is None else np.asarray(matrix, dtype=complex), sectors, form)
-        return obj
-
-    def _hold(self, cutoff, modes, matrix, sectors, form=None):
-        self.cutoff, self.modes, self._sectors, self._form = cutoff, modes, sectors, form
-        self._matrix = None if matrix is None else self._checked(matrix)
-
-    def _checked(self, matrix: np.ndarray) -> np.ndarray:
-        dim = self.cutoff**self.modes
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"{self._field} shape {matrix.shape}, expected ({dim}, {dim})")
-        matrix.setflags(write=False)
-        return matrix
+    def __post_init__(self):
+        if (self.sectors is None) == (self.form is None):
+            raise ValueError("a Fock object holds either its sector blocks or a form")
+        self._matrix = None
 
     def _dense(self) -> np.ndarray:
         if self._matrix is None:
-            dense = _assemble(self._sectors, self.cutoff) if self._sectors is not None else self._unform()
-            self._matrix = self._checked(dense)
+            self._matrix = _assemble(self.sectors, self.cutoff) if self.sectors is not None else self._unform()
+            self._matrix.setflags(write=False)
         return self._matrix
 
 
 class FockOperator(_Fock):
-    """Operator on a truncated Fock space of ``modes`` modes.  Its ``_form``,
-    if any, is (U, sectors): sector blocks B in the frame of a unitary U on
-    the first mode, the operator (U (x) 1) B (U+ (x) 1)."""
+    """Two-mode operator.  Its ``form``, if any, is (U, sectors): sector
+    blocks B in the frame of a unitary U on the first mode, the operator
+    (U (x) 1) B (U+ (x) 1)."""
 
     matrix = property(_Fock._dense)
 
     def _unform(self) -> np.ndarray:
-        U, sectors = self._form
+        U, sectors = self.form
         c = self.cutoff
         M = _pairs(_assemble(sectors, c), c)
         return _pairs(U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape), c)
 
-    def is_hermitian(self) -> bool:
-        return bool(max(np.max(np.abs(B - B.conj().T)) for B in _held_blocks(self)) <= 1e-10)
-
     def __sub__(self, other: FockOperator) -> FockOperator:
-        """The difference, block by block when both sides are held in sectors."""
-        if (self.cutoff, self.modes) != (other.cutoff, other.modes):
-            raise ValueError("operator dimension mismatch")
-        if self._sectors is not None and other._sectors is not None:
-            sectors = [(i, j, A - B) for (i, j, A), (_, _, B) in zip(self._sectors, other._sectors)]
-            return FockOperator._built(self.cutoff, self.modes, sectors=sectors)
-        return FockOperator._built(self.cutoff, self.modes, self.matrix - other.matrix)
+        """The difference, block by block, of two operators held in sectors."""
+        held = isinstance(other, FockOperator) and self.sectors is not None and other.sectors is not None
+        if not held or self.cutoff != other.cutoff:
+            raise ValueError("a difference is taken only between operators held in sectors at one cutoff")
+        return FockOperator(self.cutoff, [(i, j, A - B) for (i, j, A), (_, _, B) in zip(self.sectors, other.sectors)])
 
 
 class FockState(_Fock):
-    """Truncated density matrix; ``leakage`` reports the lost trace.  Its
-    ``_form``, if any, is the amplitude form (psi, factors) of
+    """Truncated two-mode density matrix; ``leakage`` reports the lost trace.
+    Its ``form``, if any, is the amplitude form (psi, factors) of
     :func:`entangled_output_fock`."""
 
-    _field = "rho"
     rho = property(_Fock._dense)
 
     def _unform(self) -> np.ndarray:
-        psi, factors = self._form
+        psi, factors = self.form
         c = self.cutoff
         rho = _pairs(np.outer(psi, psi.conj()), c)
         for kind, f in factors:
@@ -143,13 +125,12 @@ class FockState(_Fock):
 
     @property
     def leakage(self) -> float:
-        if self._sectors is not None:
-            return float(1.0 - sum(np.trace(B) for _, _, B in self._sectors))
-        if self._form is not None:  # the terms' squared norms: sum_n tr(B_n+ P B_n), P = sum_m A_m+ A_m
-            A, B = _term_stacks(self._form)
-            flat = A.reshape(-1, self.cutoff)
-            return float(1.0 - np.vdot(B, (flat.conj().T @ flat) @ B).real)
-        return float(1.0 - np.real(np.trace(self.rho)))
+        if self.sectors is not None:
+            return float(1.0 - sum(np.trace(B) for _, _, B in self.sectors))
+        # the terms' squared norms: sum_n tr(B_n+ P B_n), P = sum_m A_m+ A_m
+        A, B = _term_stacks(self.form)
+        flat = A.reshape(-1, self.cutoff)
+        return float(1.0 - np.vdot(B, (flat.conj().T @ flat) @ B).real)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -167,25 +148,35 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError("cutoff must be at least 2")
 
 
+def _kappa(lam: float) -> float:
+    """arctanh(1 / sqrt(lam + 1)), the squeezing of the TMSV that purifies the lam-prior."""
+    _check_lam(lam)
+    with np.errstate(divide="ignore"):
+        kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
+    if not np.isfinite(kappa):  # 1/sqrt(lam+1) rounds to 1
+        raise ValueError(f"lam = {lam:g} is too small: the TMSV squeezing arctanh(1/sqrt(lam+1)) is infinite")
+    return kappa
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0 .. n - 1."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
+
+
 def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def number_op(cutoff: int) -> FockOperator:
-    return FockOperator._built(cutoff, 1, np.diag(np.arange(cutoff, dtype=complex)))
-
-
-def g_theta(theta: float, cutoff: int) -> FockOperator:
-    """Diagonal operator with entries tanh^{2n}(theta)."""
+def g_theta(theta: float, cutoff: int) -> np.ndarray:
+    """The diagonal tanh^{2n}(theta) of the damping operator G_theta."""
     _check_cutoff(cutoff)
     _check_finite("theta", theta)
     t2 = np.tanh(theta) ** 2
-    return FockOperator._built(cutoff, 1, np.diag(t2 ** np.arange(cutoff, dtype=float)).astype(complex))
+    return t2 ** np.arange(cutoff, dtype=float)
 
 
 def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
     """sech(r) tanh^n(r), the amplitude of |nn> in the two-mode squeezed vacuum."""
-    _check_finite("r", r)
     return np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
 
 
@@ -322,7 +313,7 @@ def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
     return np.diag(np.exp(1j * phi * np.arange(cutoff)))
 
 
-def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> FockOperator:
+def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     """Single-mode Gaussian unitary via Euler decomposition S = R(a) diag(e^r, e^-r) R(b).
 
     Conventions chosen so that the induced phase-space action on means matches
@@ -340,13 +331,12 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> FockOperator:
     phi2 = np.arctan2(Vh[1, 0], Vh[0, 0])
     r = np.log(sig[0])
     beta = (spec.d[0] + 1j * spec.d[1]) / np.sqrt(2.0)
-    U = (
+    return (
         displace_fock(beta, cutoff)
         @ rotate_fock(phi1, cutoff)
         @ squeeze1_fock(r, cutoff)
         @ rotate_fock(phi2, cutoff)
     )
-    return FockOperator._built(cutoff, 1, U)
 
 
 def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -358,19 +348,23 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
 
         <m n|Omega|m' n'> = lam g^(m+m') s! / (A^(s+1) sqrt(m! n! m'! n'!)),
 
-    evaluated in log space.
+    evaluated in log space.  Both states of an entry lie on one chain of
+    :func:`_chains`, so the blocks are built over the chain grid at once.
     """
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * cutoff - 1)))))
-    m, n, m2, n2 = np.ogrid[:cutoff, :cutoff, :cutoff, :cutoff]
+    i, j, lengths = _chain_grid(cutoff)
+    live = np.arange(cutoff) < lengths[:, None]
+    m, n = np.where(live, i, 0), np.where(live, j, 0)  # past a chain's end the vacuum stands in
+    m, n, m2, n2 = m[:, :, None], n[:, :, None], m[:, None, :], n[:, None, :]
+    log_fact = _log_factorials(2 * cutoff - 1)
     s = m + n2
     log_omega = (
         np.log(lam) + (m + m2) * np.log(g) + log_fact[s] - (s + 1) * np.log(lam + 1.0 + g * g)
         - 0.5 * (log_fact[m] + log_fact[n] + log_fact[m2] + log_fact[n2])
     )
-    omega = np.where(m - n == m2 - n2, np.exp(log_omega), 0.0)
-    return FockOperator._built(cutoff, 2, omega.reshape(cutoff * cutoff, cutoff * cutoff))
+    omega = np.exp(log_omega)
+    return FockOperator(cutoff, [(a[:k], b[:k], B[:k, :k]) for a, b, k, B in zip(i, j, lengths, omega)])
 
 
 def canonical_observable(
@@ -382,7 +376,8 @@ def canonical_observable(
     slot and an inverse-square-root sandwich with the thermal reference state
     of mean photon number 1/lam.  The performance operator here already
     carries the conjugated amplitude in its second slot, which in the Fock
-    basis *is* the input-slot transpose, so only the sandwich remains.
+    basis *is* the input-slot transpose, so only the sandwich remains.  The
+    sandwich is diagonal, so it and the symmetrisation act block by block.
 
     ``check_convergence`` is accepted and ignored: the performance operator is
     exact, so there is no quadrature left to check.
@@ -394,10 +389,12 @@ def canonical_observable(
             f"reference thermal state ill-conditioned: smallest retained eigenvalue "
             f"{rho_r.min():.2e} < 1e-12 (cutoff too large for lam={lam})"
         )
-    omega = performance_operator_avg_fidelity(g, lam, cutoff).matrix
-    inv_sqrt = np.tile(1.0 / np.sqrt(rho_r), cutoff)  # diagonal of 1 (x) rho_R^(-1/2)
-    O = inv_sqrt[:, None] * omega * inv_sqrt
-    return FockOperator._built(cutoff, 2, 0.5 * (O + O.conj().T))
+    inv_sqrt = 1.0 / np.sqrt(rho_r)  # rho_R^(-1/2) on R's photon number j
+    sectors = []
+    for i, j, B in performance_operator_avg_fidelity(g, lam, cutoff).sectors:
+        O = inv_sqrt[j, None] * B * inv_sqrt[j]
+        sectors.append((i, j, 0.5 * (O + O.T)))
+    return FockOperator(cutoff, sectors)
 
 
 def _squeezed_sectors(
@@ -458,10 +455,9 @@ def canonical_observable_closed_form(
         raise ValueError("closed form diverges at g = sqrt(lam+1); use the integrated form")
     slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
     theta = np.arctanh(root / g if slot else g / root)
-    G = np.diag(g_theta(theta, big).matrix).real
     scale = np.tanh(theta) ** (2 * slot)
-    sectors = [(i, j, B * scale) for i, j, B in _squeezed_sectors(theta, G, slot, big, keep=cutoff)]
-    return FockOperator._built(cutoff, 2, sectors=sectors)
+    sectors = _squeezed_sectors(theta, g_theta(theta, big), slot, big, keep=cutoff)
+    return FockOperator(cutoff, [(i, j, B * scale) for i, j, B in sectors])
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:
@@ -475,16 +471,15 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     so the frame folds into the blocks as diag(u_i) B_s diag(conj(u_i)) over
     each chain's first-slot photon numbers i.
     """
-    _check_lam(lam)
+    kappa = _kappa(lam)
     _check_cutoff(cutoff)
     k = lam / (lam + 1.0)
-    kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    U = gaussian_unitary_fock(spec, cutoff).matrix
+    U = gaussian_unitary_fock(spec, cutoff)
     sectors = _squeezed_sectors(kappa, 1.0 - k * np.arange(cutoff, dtype=float), 0, cutoff)
     u = np.diagonal(U)
     if np.count_nonzero(U - np.diag(u)):
-        return FockOperator._built(cutoff, 2, form=(U, sectors))
-    return FockOperator._built(cutoff, 2, sectors=[(i, j, u[i, None] * B * u[i].conj()) for i, j, B in sectors])
+        return FockOperator(cutoff, form=(U, sectors))
+    return FockOperator(cutoff, [(i, j, u[i, None] * B * u[i].conj()) for i, j, B in sectors])
 
 
 def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -501,7 +496,7 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
         raise ValueError(f"amplification witness requires finite g > sqrt(lam+1) = {root:.4f}, got {g}")
     theta_p = np.arctanh(root / g)
     d = (lam + 1.0) / g**2 * (1.0 - (g**2 - lam - 1.0) / g**2 * np.arange(cutoff, dtype=float))
-    return FockOperator._built(cutoff, 2, sectors=_squeezed_sectors(theta_p, d, 1, cutoff))
+    return FockOperator(cutoff, _squeezed_sectors(theta_p, d, 1, cutoff))
 
 
 def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
@@ -532,7 +527,7 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
         if not 0 < param <= 1:
             raise ValueError(f"transmissivity must lie in (0, 1], got {param}")
         i, k = np.ogrid[:c, :c]
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * c - 1)))))
+        log_fact = _log_factorials(2 * c - 1)
         log_binom = log_fact[i + k] - log_fact[i] - log_fact[k]
         table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + i * np.log(param)))
         return [(s, table[: c - s, s]) for s in range(c)]  # table[i, k] = K_k[i, i + k]
@@ -657,17 +652,16 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     leading unitaries, and ``factors`` are the rest, each ("unitary", U) or
     ("kraus", the Kraus diagonals of :func:`_kraus_diagonals`).
     """
-    _check_lam(lam)
+    kappa = _kappa(lam)
     _check_cutoff(cutoff)
-    kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
     a = _tmsv_amplitudes(kappa, cutoff)
-    factors = [("unitary", gaussian_unitary_fock(p, cutoff).matrix) if kind == "unitary"
+    factors = [("unitary", gaussian_unitary_fock(p, cutoff)) if kind == "unitary"
                else ("kraus", _kraus_diagonals(kind, p, cutoff)) for kind, p in ops]
     if any(kind == "unitary" for kind, _ in factors):
         psi = np.diag(a).astype(complex)
         while factors and factors[0][0] == "unitary":
             psi = factors.pop(0)[1] @ psi
-        return FockState._built(cutoff, 2, form=(psi, factors))
+        return FockState(cutoff, form=(psi, factors))
     # the factors' transfer blocks composed left to right (the identity channel's for none)
     blocks = [_transfer(f, cutoff) for _, f in factors] or [_transfer([(0, np.ones(cutoff))], cutoff)]
     S = functools.reduce(lambda S, T: T @ S, blocks)
@@ -676,36 +670,27 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
         t = np.arange(i.size)
         first = np.minimum.outer(t, t)
         sectors.append((i, j, S[np.abs(t[:, None] - t), i[first], j[first]] * np.outer(a[j], a[j])))
-    return FockState._built(cutoff, 2, sectors=sectors)
-
-
-def _held_blocks(op: FockOperator) -> list:
-    """op's sector blocks, in its frame if it has one (a unitary frame keeps
-    the spectrum), or its dense matrix as the only block."""
-    sectors = op._form[1] if op._form is not None else op._sectors
-    return [B for _, _, B in sectors] if sectors is not None else [op._dense()]
+    return FockState(cutoff, sectors)
 
 
 def expectation(op: FockOperator, state: FockState) -> float:
-    """tr(op state) from the forms the two hold; a dense side is assembled
-    only when no structured contraction applies."""
-    if op.cutoff != state.cutoff or op.modes != state.modes:
-        raise ValueError("operator/state dimension mismatch")
-    frame, sectors = op._form if op._form is not None else (None, op._sectors)
-    if sectors is not None and state._form is not None:
-        return float(_term_trace(*_term_stacks(state._form, frame), sectors))
-    if sectors is not None and state._sectors is not None:
-        if frame is not None:
-            return float(_framed_trace(frame, sectors, state._sectors, op.cutoff))
-        # both are block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
-        return float(np.real(sum(np.sum(A * B.T) for (_, _, A), (_, _, B) in zip(sectors, state._sectors))))
-    return float(np.real(np.einsum("ij,ji->", op.matrix, state.rho)))
+    """tr(op state), contracted from the forms the two hold."""
+    if op.cutoff != state.cutoff:
+        raise ValueError("operator/state cutoff mismatch")
+    frame, sectors = op.form if op.form is not None else (None, op.sectors)
+    if state.form is not None:
+        return float(_term_trace(*_term_stacks(state.form, frame), sectors))
+    if frame is not None:
+        return float(_framed_trace(frame, sectors, state.sectors, op.cutoff))
+    # both are block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
+    return float(np.real(sum(np.sum(A * B.T) for (_, _, A), (_, _, B) in zip(sectors, state.sectors))))
 
 
 def max_eigenvalue(op: FockOperator) -> float:
     """Largest eigenvalue of a Hermitian operator, the largest over its n1 - n2
-    blocks when it is held in sectors."""
-    return float(max(np.linalg.eigvalsh(B)[-1] for B in _held_blocks(op)))
+    blocks (in its frame, if it has one: a unitary frame keeps the spectrum)."""
+    sectors = op.form[1] if op.form is not None else op.sectors
+    return float(max(np.linalg.eigvalsh(B)[-1] for _, _, B in sectors))
 
 
 def default_cutoff(lam: float) -> int:

@@ -12,15 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .symplectic import SymplecticSpec, symplectic_form
+from .symplectic import SymplecticSpec, _readonly, symplectic_form
 
 UNCERTAINTY_TOL = 1e-9
-
-
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

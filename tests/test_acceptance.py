@@ -52,7 +52,7 @@ def test_1_damping_operator_inequality():
         sech2 = 1.0 / np.cosh(theta) ** 2
         for m in (1, 2):
             cutoff = 30
-            g = np.diag(fock.g_theta(theta, cutoff).matrix).real
+            g = fock.g_theta(theta, cutoff)
             n = np.arange(cutoff)
             if m == 1:
                 diag = g - (1.0 - n * sech2)

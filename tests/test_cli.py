@@ -240,9 +240,19 @@ def test_lemmas_command_small(capsys):
     assert "FAIL" not in out
 
 
-def test_lemmas_cutoff_guard(capsys):
-    assert main(["lemmas", "--cutoff", "100"]) == 1
-    capsys.readouterr()
+def test_lemmas_cutoff_guard(monkeypatch, capsys):
+    # the largest array lemmas forms at --cutoff is the m = 2 damping table,
+    # c^2 entries against the cap of 4096^2: c = 4096 passes the guard, 4097 not
+    from cvverify import fock
+
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(fock, "g_theta", started)
+    with pytest.raises(_Started):
+        main(["lemmas", "--cutoff", "4096"])
+    assert main(["lemmas", "--cutoff", "4097"]) == 1
+    assert "cutoff 4097 gives" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "257", 1), (1e-20, None, 2)])

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,12 @@ from cvverify.channels import ProverChannel, elementary_factors
 
 
 def test_g_theta_vacuum_entry():
-    assert fock.g_theta(1.3, 8).matrix[0, 0] == pytest.approx(1.0)
+    assert fock.g_theta(1.3, 8)[0] == pytest.approx(1.0)
 
 
 def test_g_theta_first_entry():
     theta = np.arctanh(1.0 / np.sqrt(2.0))
-    assert fock.g_theta(theta, 8).matrix[1, 1].real == pytest.approx(0.5, rel=1e-12)
+    assert fock.g_theta(theta, 8)[1] == pytest.approx(0.5, rel=1e-12)
 
 
 # Test-side builders: the TMSV, the thermal state and the library's
@@ -43,11 +44,6 @@ def thermal_rho(nbar, cutoff):
 def kraus_matrices(kind, param, cutoff):
     """The Kraus operators of an attenuator or amplifier factor, as full matrices."""
     return [np.diag(d.astype(complex), s) for s, d in fock._kraus_diagonals(kind, param, cutoff)]
-
-
-def test_thermal_fock_trace():
-    st = fock.FockState(40, 1, thermal_rho(1.0, 40))
-    assert st.leakage == pytest.approx(0.0, abs=1e-6)
 
 
 # The two-mode squeezer S_theta = exp(theta (a1+ a2+ - a1 a2)) as the oracle
@@ -108,10 +104,42 @@ def test_performance_operator_phase_symmetry():
     # phase averaging makes the operator commute with n_out - n_ref
     cutoff = 12
     om = fock.performance_operator_avg_fidelity(1.0, 1.0, cutoff)
-    n = fock.number_op(cutoff).matrix
+    n = np.diag(np.arange(cutoff, dtype=float))
     diff = np.kron(n, np.eye(cutoff)) - np.kron(np.eye(cutoff), n)
     comm = om.matrix @ diff - diff @ om.matrix
     assert np.max(np.abs(comm)) < 1e-10
+
+
+def _dense_performance_operator(g, lam, cutoff):
+    """<m n|Omega|m' n'> over the whole c^4 grid, zero off m - n = m' - n':
+    the closed form as the oracle evaluated it before it built sector blocks."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * cutoff - 1)))))
+    m, n, m2, n2 = np.ogrid[:cutoff, :cutoff, :cutoff, :cutoff]
+    s = m + n2
+    log_omega = (
+        np.log(lam) + (m + m2) * np.log(g) + log_fact[s] - (s + 1) * np.log(lam + 1.0 + g * g)
+        - 0.5 * (log_fact[m] + log_fact[n] + log_fact[m2] + log_fact[n2])
+    )
+    omega = np.where(m - n == m2 - n2, np.exp(log_omega), 0.0)
+    return omega.reshape(cutoff * cutoff, cutoff * cutoff)
+
+
+def _dense_canonical_observable(g, lam, cutoff):
+    """(1 (x) rho_R^(-1/2)) Omega (1 (x) rho_R^(-1/2)), symmetrized, in full."""
+    rho_r = (lam / (1.0 + lam)) * (1.0 / (1.0 + lam)) ** np.arange(cutoff, dtype=float)
+    inv_sqrt = np.tile(1.0 / np.sqrt(rho_r), cutoff)
+    O = inv_sqrt[:, None] * _dense_performance_operator(g, lam, cutoff) * inv_sqrt
+    return 0.5 * (O + O.conj().T)
+
+
+@pytest.mark.parametrize("cutoff", [6, 14, 30])
+def test_sector_performance_operator_matches_dense_formula(cutoff):
+    for g in (1.0, 2.0):
+        for got, ref in ((fock.performance_operator_avg_fidelity(g, 1.0, cutoff), _dense_performance_operator),
+                         (fock.canonical_observable(g, 1.0, cutoff), _dense_canonical_observable)):
+            ref = ref(g, 1.0, cutoff)
+            assert got.sectors is not None and got._matrix is None
+            assert np.max(np.abs(got.matrix - ref)) <= 1e-15 * np.max(np.abs(ref)), (g, cutoff)
 
 
 def _quadrature_performance_operator(g, lam, cutoff, radial_points):
@@ -166,7 +194,7 @@ def test_canonical_observable_large_lam_limit():
     C = fock.canonical_observable_closed_form(1.0, lam, cutoff).matrix
     np.testing.assert_allclose(O, C, atol=1e-4)
     theta = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    assert fock.g_theta(theta, cutoff).matrix[1, 1].real < 0.03
+    assert fock.g_theta(theta, cutoff)[1] < 0.03
 
 
 def test_closed_form_rejects_transition_point():
@@ -191,9 +219,8 @@ def test_closed_form_branches_continuous_near_transition():
 
 def test_damping_inequality_small():
     theta, cutoff = 0.5, 20
-    G = fock.g_theta(theta, cutoff).matrix
-    n = np.diag(fock.number_op(cutoff).matrix).real
-    lhs = np.diag(G).real - (1.0 - n / np.cosh(theta) ** 2)
+    n = np.arange(cutoff, dtype=float)
+    lhs = fock.g_theta(theta, cutoff) - (1.0 - n / np.cosh(theta) ** 2)
     assert lhs.min() >= -1e-12
     # equality exactly at photon numbers 0 and 1
     np.testing.assert_allclose(lhs[:2], 0.0, atol=1e-12)
@@ -213,7 +240,7 @@ def test_gaussian_unitary_fock_matches_phase_space_moments():
     spec = sp.random_symplectic(1, r_max=0.5, d_scale=0.5, rng=rng)
     cutoff = 40
     alpha = 0.4 - 0.3j
-    U = fock.gaussian_unitary_fock(spec, cutoff).matrix
+    U = fock.gaussian_unitary_fock(spec, cutoff)
     psi = U @ coherent_vector(alpha, cutoff)
 
     a = fock.destroy(cutoff)
@@ -227,9 +254,9 @@ def test_gaussian_unitary_fock_matches_phase_space_moments():
 
 def test_gaussian_unitary_fock_rotation_and_squeezer():
     cutoff = 30
-    U = fock.gaussian_unitary_fock(sp.rotation(0.9), cutoff).matrix
+    U = fock.gaussian_unitary_fock(sp.rotation(0.9), cutoff)
     np.testing.assert_allclose(U, fock.rotate_fock(0.9, cutoff), atol=1e-10)
-    U2 = fock.gaussian_unitary_fock(sp.single_mode_squeezer(0.4), cutoff).matrix
+    U2 = fock.gaussian_unitary_fock(sp.single_mode_squeezer(0.4), cutoff)
     np.testing.assert_allclose(U2, fock.squeeze1_fock(0.4, cutoff), atol=1e-8)
 
 
@@ -303,21 +330,35 @@ def test_default_cutoff_policy():
     assert tail <= 1e-6 < (nbar / (nbar + 1.0)) ** (c - 1)
 
 
-def test_hermiticity_flags():
-    assert fock.number_op(6).is_hermitian()
-    assert not fock.FockOperator(4, 1, np.diag([1j, 0, 0, 0])).is_hermitian()
-
-
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
-def test_caller_matrices_are_copied_and_held_matrices_are_read_only():
-    M = np.diag([1.0, 2.0, 3.0]).astype(complex)  # already complex, so only a copy separates them
-    op = fock.FockOperator(3, 1, M)
-    M[0, 0] = 5.0
-    assert op.matrix[0, 0] == 1.0 and op.matrix.dtype == complex
-    held = [op.matrix, fock.number_op(3).matrix, fock.FockState(4, 2, tmsv_rho(0.5, 4)).rho,
-            fock.witness_fock_amp(2.0, 1.0, 6).matrix,  # sector form, assembled on read
-            fock.entangled_output_fock([("attenuator", 0.9)], 1.0, 6).rho]
-    assert not any(a.flags.writeable for a in held)
+def test_builders_hold_no_dense_matrix_until_it_is_read():
+    """Every public builder that returns a FockOperator or FockState returns
+    one that holds sector blocks or a form and no dense matrix; the matrix is
+    assembled on first read, kept, and read-only."""
+    spec = sp.random_symplectic(1, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
+    W = fock.witness_fock_unitary(sp.identity(1), 1.0, 6)
+    O = fock.canonical_observable_closed_form(1.0, 1.0, 6)
+    objects = [
+        ("performance_operator_avg_fidelity", fock.performance_operator_avg_fidelity(2.0, 1.0, 6)),
+        ("canonical_observable", fock.canonical_observable(2.0, 1.0, 6)),
+        ("canonical_observable_closed_form", O),
+        ("witness_fock_unitary", W),
+        ("witness_fock_unitary", fock.witness_fock_unitary(spec, 1.0, 6)),  # in a frame
+        ("witness_fock_amp", fock.witness_fock_amp(2.0, 1.0, 6)),
+        ("entangled_output_fock", fock.entangled_output_fock([("attenuator", 0.9)], 1.0, 6)),
+        ("entangled_output_fock", fock.entangled_output_fock([("unitary", spec)], 1.0, 6)),  # amplitude form
+        ("__sub__", W - O),
+    ]
+    builders = {name for name, f in vars(fock).items() if inspect.isfunction(f) and not name.startswith("_")
+                and inspect.signature(f).return_annotation in ("FockOperator", "FockState")}
+    assert builders == {name for name, _ in objects} - {"__sub__"}
+    for name, obj in objects:
+        assert obj._matrix is None and (obj.sectors is None) != (obj.form is None), name
+        dense = obj.matrix if isinstance(obj, fock.FockOperator) else obj.rho
+        assert dense.shape == (36, 36) and not dense.flags.writeable, name
+        assert obj._matrix is dense, name
+    with pytest.raises(ValueError, match="either its sector blocks or a form"):
+        fock.FockOperator(6)
 
 
 # Dense references: the two-mode generators as kron products exponentiated
@@ -367,7 +408,7 @@ def _dense_squeezed_number(lam, cutoff):
 
 
 def _dense_witness_unitary(spec, lam, cutoff):
-    U = fock.gaussian_unitary_fock(spec, cutoff).matrix
+    U = fock.gaussian_unitary_fock(spec, cutoff)
     core = _contract_kraus(_dense_squeezed_number(lam, cutoff), [U], cutoff)
     W = np.eye(cutoff**2) - (lam / (lam + 1.0)) * core
     return 0.5 * (W + W.conj().T)
@@ -376,7 +417,7 @@ def _dense_witness_unitary(spec, lam, cutoff):
 def _dense_witness_amp(g, lam, cutoff):
     theta_p = np.arctanh(np.sqrt(lam + 1.0) / g)
     S = _dense_squeeze2(theta_p, cutoff)
-    core = np.kron(np.eye(cutoff), fock.number_op(cutoff).matrix)
+    core = np.kron(np.eye(cutoff), np.diag(np.arange(cutoff, dtype=float)))
     W = ((lam + 1.0) / g**2) * (
         np.eye(cutoff**2) - ((g**2 - lam - 1.0) / g**2) * (S @ core @ S.conj().T)
     )
@@ -387,11 +428,11 @@ def _dense_closed_form(g, lam, cutoff):
     root = np.sqrt(lam + 1.0)
     if g < root:
         theta, scale = np.arctanh(g / root), 1.0
-        core = np.kron(fock.g_theta(theta, cutoff).matrix, np.eye(cutoff))
+        core = np.kron(np.diag(fock.g_theta(theta, cutoff)), np.eye(cutoff))
     else:
         theta = np.arctanh(root / g)
         scale = np.tanh(theta) ** 2
-        core = np.kron(np.eye(cutoff), fock.g_theta(theta, cutoff).matrix)
+        core = np.kron(np.eye(cutoff), np.diag(fock.g_theta(theta, cutoff)))
     S = _dense_squeeze2(theta, cutoff)
     return scale * (S @ core @ S.conj().T)
 
@@ -425,7 +466,7 @@ def test_shifted_kraus_matches_dense_contraction():
     kraus = {
         "attenuator": lambda eta: kraus_matrices("attenuator", eta, cutoff),
         "amplifier": lambda g: kraus_matrices("amplifier", g, cutoff),
-        "unitary": lambda s: [fock.gaussian_unitary_fock(s, cutoff).matrix],
+        "unitary": lambda s: [fock.gaussian_unitary_fock(s, cutoff)],
     }
     rho0 = tmsv_rho(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff)
     W = fock.witness_fock_unitary(spec, lam, cutoff)
@@ -446,8 +487,8 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.entangled_output_fock([("attenuator", np.nan)], 1.0, 6), "transmissivity"),
     (lambda: fock.entangled_output_fock([("amplifier", np.nan)], 1.0, 6), "theta must be finite"),
     (lambda: fock.entangled_output_fock([("amplifier", np.inf)], 1.0, 6), "theta must be finite"),
-    (lambda: fock._tmsv_amplitudes(np.nan, 6), "r must be finite"),
-    (lambda: fock._tmsv_amplitudes(-np.inf, 6), "r must be finite"),
+    (lambda: fock.entangled_output_fock([], 1e-20, 10), "lam = 1e-20 is too small"),
+    (lambda: fock.witness_fock_unitary(sp.identity(1), 1e-20, 10), "lam = 1e-20 is too small"),
     (lambda: fock.g_theta(np.nan, 6), "theta must be finite"),
     (lambda: fock.g_theta(np.inf, 6), "theta must be finite"),
     (lambda: fock.performance_operator_avg_fidelity(np.nan, 1.0, 6), "g and lam"),
@@ -464,7 +505,7 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.entangled_output_fock([], 1.0, 0), "cutoff must be at least 2"),
     (lambda: fock.entangled_output_fock([], np.nan, 10), "lam must be positive"),
 ], ids=[
-    "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-nan", "tmsv-inf",
+    "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-inf", "w-unitary-lam-tiny",
     "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
     "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
     "output-cutoff-0", "output-lam-nan",
@@ -475,13 +516,21 @@ def test_fock_builders_reject_malformed_input(call, match):
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_amplification_witness_needs_no_tmsv_squeezing():
+    """At a lam too small for the TMSV, the amplification witness, whose
+    squeezer is arctanh(sqrt(lam+1) / g), is still built."""
+    W = fock.witness_fock_amp(1.5, 1e-20, 10)
+    assert all(np.all(np.isfinite(B)) for _, _, B in W.sectors)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_structured_kraus_matches_dense():
     """Each family's Kraus operators as shifts of the amplitude matrix's rows,
     against K (x) 1 formed in full on the dense output of a unitary."""
     cutoff, lam = 10, 1.0
     rng = np.random.default_rng(11)
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng)
-    U = fock.gaussian_unitary_fock(spec, cutoff).matrix
+    U = fock.gaussian_unitary_fock(spec, cutoff)
     rho_u = _dense_kraus(tmsv_rho(np.arctanh(1.0 / np.sqrt(lam + 1.0)), cutoff), [U], cutoff)
     families = {
         "unitary": ([], None),
@@ -557,7 +606,7 @@ def test_sector_path_matches_dense_path(cutoff):
     amp_ref = (lam + 1.0) / 4.0 * (np.eye(c * c) - (3.0 - lam) / 4.0 * core)
     amp_ref = 0.5 * (amp_ref + amp_ref.T)
     W_amp = fock.witness_fock_amp(2.0, lam, c)
-    assert W_amp._sectors is not None
+    assert W_amp.sectors is not None
     assert np.max(np.abs(W_amp.matrix - amp_ref)) <= 1e-12
     W_unitary = fock.witness_fock_unitary(sp.identity(1), lam, c)
 
@@ -567,20 +616,15 @@ def test_sector_path_matches_dense_path(cutoff):
     for kinds in [("attenuator",), ("amplifier",), ("attenuator", "amplifier"),
                   ("amplifier", "attenuator"), ("amplifier", "attenuator", "amplifier")]:
         refs[kinds] = _slab_kraus(refs[kinds[:-1]], kraus[kinds[-1]], c)
-    assert W_unitary._sectors is not None
-    witnesses = [(W_amp, fock.FockOperator(c, 2, amp_ref)),  # (as built, dense)
-                 (W_unitary, fock.FockOperator(c, 2, W_unitary.matrix))]
+    assert W_unitary.sectors is not None
+    witnesses = [(W_amp, amp_ref), (W_unitary, W_unitary.matrix)]  # (as built, dense)
     for kinds, ref in refs.items():
         st = fock.entangled_output_fock([(kind, params[kind]) for kind in kinds], lam, c)
-        assert st._sectors is not None, kinds
+        assert st.sectors is not None, kinds
         assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, kinds
-        dense_state = fock.FockState(c, 2, ref)
         for W, W_dense in witnesses:
-            want = np.vdot(ref, W_dense.matrix).real  # tr(W rho) for Hermitian rho
+            want = np.vdot(ref, W_dense).real  # tr(W rho) for Hermitian rho
             assert abs(fock.expectation(W, st) - want) <= 1e-12, kinds
-            # a dense operator on a sector state, and a sector operator on a dense state
-            assert abs(fock.expectation(W_dense, st) - want) <= 1e-12, kinds
-            assert abs(fock.expectation(W, dense_state) - want) <= 1e-12, kinds
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, kinds
 
 
@@ -598,16 +642,15 @@ def test_unitary_witness_matches_dense(cutoff):
     }
     sector_state = fock.entangled_output_fock([("attenuator", 0.8), ("amplifier", 1.2)], lam, c)
     dense_state = fock.entangled_output_fock([("unitary", targets["random-1"])], lam, c)
-    assert sector_state._sectors is not None and dense_state._sectors is None
+    assert sector_state.sectors is not None and dense_state.sectors is None
     for name, spec in targets.items():
         assert name.startswith("random") == bool(np.any(spec.d))
         W = fock.witness_fock_unitary(spec, lam, c)
-        U = fock.gaussian_unitary_fock(spec, c).matrix
+        U = fock.gaussian_unitary_fock(spec, c)
         diagonal = not np.count_nonzero(U - np.diag(np.diagonal(U)))
-        assert (W._sectors is not None) == diagonal, name
-        assert (W._form is not None) != diagonal and W._matrix is None, name  # a frame, never dense
+        assert (W.sectors is not None) == diagonal, name
+        assert (W.form is not None) != diagonal and W._matrix is None, name  # a frame, never dense
         assert diagonal == (name == "identity") or name == "rotation", name
-        assert W.is_hermitian(), name
         ref = _dense_witness_unitary(spec, lam, c)
         assert np.max(np.abs(W.matrix - ref)) <= 1e-12, name
         for st in (sector_state, dense_state):
@@ -621,7 +664,7 @@ def _dense_channel(rho, ops, cutoff):
     operators diagonal block by diagonal block."""
     for kind, param in ops:
         if kind == "unitary":
-            rho = _contract_kraus(rho, [fock.gaussian_unitary_fock(param, cutoff).matrix], cutoff)
+            rho = _contract_kraus(rho, [fock.gaussian_unitary_fock(param, cutoff)], cutoff)
         else:
             rho = _slab_kraus(rho, kraus_matrices(kind, param, cutoff), cutoff)
     return rho
@@ -645,7 +688,7 @@ def test_leading_unitary_state_matches_dense_path(cutoff):
                 [("unitary", spec), ("unitary", spec2), ("attenuator", 0.9)],
                 [("attenuator", 0.8), ("unitary", spec)]):  # the unitary is not first
         st = fock.entangled_output_fock(ops, lam, c)
-        assert st._sectors is None and st._matrix is None, ops
+        assert st.sectors is None and st._matrix is None, ops
         for W, W_ref in witnesses:
             assert abs(fock.expectation(W, st) - np.vdot(st.rho, W_ref).real) <= 1e-12, ops
         ref = _dense_channel(rho0, ops, c)
@@ -664,11 +707,14 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
         else:
             W = fock.witness_fock_unitary(sp.identity(1), lam, cutoff)
         diff = W - O
-        assert diff._sectors is not None
+        assert diff.sectors is not None
         dense = np.max(np.linalg.eigvalsh(W.matrix - O.matrix))
         assert abs(fock.max_eigenvalue(diff) - dense) <= 1e-12, g
-        # a dense side falls back to the dense spectrum
-        assert abs(fock.max_eigenvalue(fock.FockOperator(cutoff, 2, W.matrix) - O) - dense) <= 1e-12, g
+    # a framed operator has no blocks to subtract, and neither has a state
+    framed = fock.witness_fock_unitary(sp.single_mode_squeezer(0.3), lam, cutoff)
+    for other in (framed, fock.entangled_output_fock([], lam, cutoff)):
+        with pytest.raises(ValueError, match="held in sectors"):
+            O - other
 
 
 # The eigh kernel against SciPy's expm, chain by chain: each chain's block is
@@ -790,12 +836,12 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
     spec, spec2 = (sp.random_symplectic(1, r_max=0.3, d_scale=0.4, rng=rng) for _ in range(2))
     psi = tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
     W = fock.witness_fock_unitary(spec2, lam, c)
-    assert W._sectors is None and W._matrix is None
+    assert W.sectors is None and W._matrix is None
     for ops in ([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],
                 [("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)]):
         st = fock.entangled_output_fock(ops, lam, c)
         ref = _dense_channel(np.outer(psi, psi.conj()), ops, c)
-        assert abs(fock.expectation(W, st) - fock.expectation(W, fock.FockState(c, 2, ref))) <= 1e-12, ops
+        assert abs(fock.expectation(W, st) - np.vdot(ref, W.matrix).real) <= 1e-12, ops
         assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
 
 

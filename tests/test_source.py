@@ -1,9 +1,10 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
-package, every public Fock-oracle function has a caller outside the tests,
-every parameter default is overridden by some caller, only the verdict path
-draws random numbers, and the Fock oracle imports no phase-space code.  One check runs the package's imports in
-a fresh interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
+package, every public Fock-oracle function and method has a caller outside
+the tests, every parameter default is overridden by some caller,
+only the verdict path draws random numbers, and the Fock oracle imports no
+phase-space code.  One check runs the package's imports in a fresh
+interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
 import os
@@ -70,10 +71,15 @@ def test_no_unreferenced_private_functions():
 def test_every_public_fock_function_has_a_caller_outside_the_tests():
     """A public builder that only tests call belongs in the tests: every
     public module-level function of ``fock.py`` is called from the library
-    or the benchmark."""
+    or the benchmark, and every public method of its classes (``leakage``, a
+    property, among them) is read there as an attribute."""
     called = _calls(SHIPPED)
-    uncalled = [node.name for node in TREES["fock.py"].body
+    read = {node.attr for tree in SHIPPED for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    body = TREES["fock.py"].body
+    uncalled = [node.name for node in body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in called]
+    uncalled += [f"{cls.name}.{node.name}" for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read]
     assert uncalled == []
 
 
