@@ -3,42 +3,47 @@
 Honest and dishonest single/multi-mode Gaussian channels fed to the
 verification protocols, their exact average fidelity, and the
 decomposition into elementary factors used by the Fock-space cross-check.
+``PARAMS`` is the one table of the fields each channel kind sets; the
+constructor refuses any other field off its default, so the phase-space
+map, the serialization and the Fock factors all read the fields alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import symplectic
 from .gaussian import GaussianChannel
-from .symplectic import SymplecticSpec
+from .symplectic import SymplecticSpec, _as_int
 
-KINDS = (
-    "ExactUnitary",
-    "NoisyUnitary",
-    "QuantumLimitedAmplifier",
-    "NoisyAmplifier",
-    "Attenuator",
-    "AdditiveNoise",
-)
+# The fields each kind sets.  Every other field stays at its default, so
+# ``realize`` and ``elementary_factors`` read the fields alone.
+PARAMS = {
+    "ExactUnitary": ("spec",),
+    "NoisyUnitary": ("spec", "excess"),
+    "QuantumLimitedAmplifier": ("g", "n_modes"),
+    "NoisyAmplifier": ("g", "excess", "n_modes"),
+    "Attenuator": ("eta", "excess", "n_modes"),
+    "AdditiveNoise": ("variance", "n_modes"),
+}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
 class ProverChannel:
     """Tagged channel model; ``realize`` turns it into a GaussianChannel.
 
-    kind / params:
-      - ExactUnitary: spec (SymplecticSpec)
-      - NoisyUnitary: spec, excess >= 0 (isotropic added noise)
-      - QuantumLimitedAmplifier: g >= 1
-      - NoisyAmplifier: g, excess >= 0
-      - Attenuator: eta in (0, 1], excess >= 0
-      - AdditiveNoise: variance >= 0 (classical Gaussian displacement noise)
-
-    ``from_dict`` reads kind, spec, g, eta, excess, variance and modes
-    (n_modes) and rejects any other key.
+    ``PARAMS[kind]`` names the fields a kind sets: a unitary's spec
+    (SymplecticSpec), an amplifier's gain g >= 1, an attenuator's
+    transmissivity eta in (0, 1], isotropic added noise excess >= 0,
+    AdditiveNoise's classical displacement noise variance >= 0, and n_modes
+    (a unitary's comes from its spec).  Any other field set off its default
+    is a ValueError that names it, so every kind is the one affine map
+    X = S or sqrt(g^2 eta) 1, Y = (|g^2 eta - 1|/2 + excess + variance) 1.
+    ``to_dict`` writes the kind's fields and ``from_dict`` reads back just
+    those, n_modes as "modes".
     """
 
     kind: str
@@ -52,7 +57,10 @@ class ProverChannel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown prover channel kind {self.kind!r}")
-        if self.kind in ("ExactUnitary", "NoisyUnitary"):
+        for f in fields(self):
+            if f.name not in ("kind", *PARAMS[self.kind]) and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} takes no {f.name!r}")
+        if "spec" in PARAMS[self.kind]:
             if self.spec is None:
                 raise ValueError(f"{self.kind} requires a SymplecticSpec")
             object.__setattr__(self, "n_modes", self.spec.n_modes)
@@ -61,58 +69,52 @@ class ProverChannel:
             raise ValueError("channel parameters g^2, eta, excess and variance must be finite")
         if self.excess < 0 or self.variance < 0:
             raise ValueError("noise parameters must be nonnegative")
-        if self.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier") and self.g < 1:
+        if self.g < 1:
             raise ValueError("amplifier gain must be at least 1")
-        if self.kind == "Attenuator" and not 0 < self.eta <= 1:
+        if not 0 < self.eta <= 1:
             raise ValueError("transmissivity must lie in (0, 1]")
 
     def realize(self) -> GaussianChannel:
-        n = self.n_modes
-        eye = np.eye(2 * n)
-        zero_d = np.zeros(2 * n)
-        if self.kind in ("ExactUnitary", "NoisyUnitary"):
-            return GaussianChannel(self.spec.S, self.excess * eye, self.spec.d)
-        if self.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier"):
-            Y = (0.5 * (self.g**2 - 1.0) + self.excess) * eye
-            return GaussianChannel(self.g * eye, Y, zero_d)
-        if self.kind == "Attenuator":
-            Y = (0.5 * (1.0 - self.eta) + self.excess) * eye
-            return GaussianChannel(np.sqrt(self.eta) * eye, Y, zero_d)
-        # AdditiveNoise: identity plus classical displacement noise
-        return GaussianChannel(eye, self.variance * eye, zero_d)
+        eye = np.eye(2 * self.n_modes)
+        Y = (0.5 * abs(self.g**2 * self.eta - 1.0) + self.excess + self.variance) * eye
+        if self.spec is not None:
+            return GaussianChannel(self.spec.S, Y, self.spec.d)
+        return GaussianChannel(self.g * np.sqrt(self.eta) * eye, Y, np.zeros(2 * self.n_modes))
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind}
-        if self.spec is not None:
-            data["spec"] = self.spec.to_dict()
-        if self.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier"):
-            data["g"] = self.g
-        if self.kind == "Attenuator":
-            data["eta"] = self.eta
-        if self.kind in ("NoisyUnitary", "NoisyAmplifier", "Attenuator"):
-            data["excess"] = self.excess
-        if self.kind == "AdditiveNoise":
-            data["variance"] = self.variance
-        if self.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier", "Attenuator", "AdditiveNoise"):
-            data["modes"] = self.n_modes
+        for name in PARAMS[self.kind]:
+            value = getattr(self, name)
+            data[_key(name)] = value.to_dict() if name == "spec" else value
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProverChannel":
         if not isinstance(data, dict):
             raise TypeError(f"prover must be an object, got {type(data).__name__}")
-        params = {"g": ("g", float), "eta": ("eta", float), "excess": ("excess", float),
-                  "variance": ("variance", float), "modes": ("n_modes", int)}
-        unknown = set(data) - {"kind", "spec", *params}
+        unknown = set(data) - {_key(f.name) for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown prover fields: {', '.join(map(repr, sorted(unknown)))}")
-        kwargs = {"kind": data["kind"]}
-        if "spec" in data:
-            kwargs["spec"] = SymplecticSpec.from_dict(data["spec"])
-        for key, (attr, cast) in params.items():
-            if key in data:
-                kwargs[attr] = cast(data[key])
-        return cls(**kwargs)
+        kind = data["kind"]
+        if kind not in KINDS:
+            raise ValueError(f"unknown prover channel kind {kind!r}")
+        names = {_key(name): name for name in PARAMS[kind]}
+        unread = sorted(set(data) - {"kind", *names})
+        if unread:
+            raise ValueError(f"{kind} takes no {', '.join(map(repr, unread))}")
+        return cls(kind, **{names[key]: _read(key, value) for key, value in data.items() if key != "kind"})
+
+
+def _key(name: str) -> str:
+    """A prover field's key in ``to_dict``/``from_dict``."""
+    return "modes" if name == "n_modes" else name
+
+
+def _read(key: str, value):
+    """A prover field's value from its key in ``from_dict``."""
+    if key == "spec":
+        return SymplecticSpec.from_dict(value)
+    return _as_int(value, key) if key == "modes" else float(value)
 
 
 def exact_unitary(spec: SymplecticSpec) -> ProverChannel:
@@ -140,23 +142,15 @@ def elementary_factors(p: ProverChannel) -> list[tuple]:
     """
     if p.n_modes != 1:
         raise ValueError("elementary decomposition supports single-mode channels only")
-
-    def noise_factors(v: float) -> list[tuple]:
-        if v <= 0:
-            return []
-        return [("attenuator", 1.0 / (1.0 + v)), ("amplifier", np.sqrt(1.0 + v))]
-
-    if p.kind == "ExactUnitary":
-        return [("unitary", p.spec)]
-    if p.kind == "NoisyUnitary":
-        return [("unitary", p.spec)] + noise_factors(p.excess)
-    if p.kind in ("QuantumLimitedAmplifier", "NoisyAmplifier"):
-        ops: list[tuple] = [] if p.g == 1.0 else [("amplifier", p.g)]
-        return ops + noise_factors(p.excess)
-    if p.kind == "Attenuator":
-        ops = [] if p.eta == 1.0 else [("attenuator", p.eta)]
-        return ops + noise_factors(p.excess)
-    return noise_factors(p.variance)  # AdditiveNoise
+    ops: list[tuple] = [] if p.spec is None else [("unitary", p.spec)]
+    if p.g != 1.0:
+        ops.append(("amplifier", p.g))
+    if p.eta != 1.0:
+        ops.append(("attenuator", p.eta))
+    v = p.excess + p.variance
+    if v > 0:
+        ops += [("attenuator", 1.0 / (1.0 + v)), ("amplifier", np.sqrt(1.0 + v))]
+    return ops
 
 
 @dataclass(frozen=True)

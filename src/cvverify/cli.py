@@ -23,9 +23,10 @@ from .channels import ProverChannel, elementary_factors
 from .gaussian import GaussianState
 from .measurement import build_measurement_plan
 from .protocols import VerificationConfig
+from .symplectic import _as_int
 
 MAX_TWO_MODE_DIM = 4096
-MALFORMED = (KeyError, TypeError, OverflowError)  # OverflowError: int(inf)
+MALFORMED = (KeyError, TypeError, OverflowError)  # OverflowError: a JSON integer past the float range
 
 
 def _load_json(path: str) -> dict:
@@ -47,17 +48,17 @@ def _parse_scenario(data: dict):
             raise ValueError(f"unknown scenario fields: {', '.join(map(repr, sorted(unknown)))}")
         prover = ProverChannel.from_dict(data["prover"]) if "prover" in data else None
         state = GaussianState.from_dict(data["state"]) if "state" in data else None
-        reps = int(data.get("repetitions", 1))
-        seed = int(data.get("seed", 0))
+        reps = _as_int(data.get("repetitions", 1), "repetitions")
+        seed = _as_int(data.get("seed", 0), "seed")
         shot_cap = data.get("shot_cap")
-        shot_cap = int(shot_cap) if shot_cap is not None else None
+        shot_cap = _as_int(shot_cap, "shot_cap") if shot_cap is not None else None
     except MALFORMED as exc:
         raise SystemExit(f"error: malformed scenario: {exc}")
     return cfg, prover, state, reps, seed, shot_cap
 
 
 HELD = {  # entries a Fock path holds at cutoff c
-    "diagonal": lambda c: c * c,  # the m = 2 damping table of ``lemmas``
+    "diagonal": lambda c: 3 * c * c,  # the m = 2 damping table of ``lemmas``: three c^2 arrays at once
     "sector": lambda c: c * (2 * c * c + 1) // 3,  # sum_s (c - |s|)^2 over the n1 - n2 sectors
     "amplitude-form": lambda c: c**3,  # a stack of c amplitude matrices, or the c delta-diagonals
 }

@@ -37,9 +37,9 @@ Kraus operator (a shift and scale of rows) per attenuator or amplifier.
 ``expectation`` contracts these forms without a dense c^4 array: block
 traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
 block's states (c^3 per term in O(c^3) memory), or the shared photon-number
-shifts of a framed operator and a sector state (c^4).  ``rho`` and ``matrix``
-are assembled, read-only, only when read.  Truncation leakage is reported,
-never silently renormalized away.
+shifts of a framed operator and a sector state (c^4).  An operator's
+``matrix`` is assembled, read-only, only when read; a state has no dense
+form.  Truncation leakage is reported, never silently renormalized away.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
 class _Fock:
     """A two-mode matrix at photon-number cutoff ``cutoff`` on each mode,
     held as its n1 - n2 ``sectors`` (a list of (i, j, block) over the chains
-    of :func:`_chains`) or in a factored ``form`` that the subclass defines.
-    The dense matrix is assembled, read-only, on first read."""
+    of :func:`_chains`) or in a factored ``form`` that the subclass defines."""
 
     cutoff: int
     sectors: list | None = None
@@ -71,27 +70,24 @@ class _Fock:
     def __post_init__(self):
         if (self.sectors is None) == (self.form is None):
             raise ValueError("a Fock object holds either its sector blocks or a form")
-        self._matrix = None
-
-    def _dense(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _assemble(self.sectors, self.cutoff) if self.sectors is not None else self._unform()
-            self._matrix.setflags(write=False)
-        return self._matrix
 
 
 class FockOperator(_Fock):
     """Two-mode operator.  Its ``form``, if any, is (U, sectors): sector
     blocks B in the frame of a unitary U on the first mode, the operator
-    (U (x) 1) B (U+ (x) 1)."""
+    (U (x) 1) B (U+ (x) 1).  ``matrix`` is assembled, read-only, on first read."""
 
-    matrix = property(_Fock._dense)
-
-    def _unform(self) -> np.ndarray:
-        U, sectors = self.form
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
         c = self.cutoff
-        M = _pairs(_assemble(sectors, c), c)
-        return _pairs(U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape), c)
+        if self.sectors is not None:
+            M = _assemble(self.sectors, c)
+        else:
+            U, sectors = self.form
+            M = _pairs(_assemble(sectors, c), c)
+            M = _pairs(U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape), c)
+        M.setflags(write=False)
+        return M
 
     def __sub__(self, other: FockOperator) -> FockOperator:
         """The difference, block by block, of two operators held in sectors."""
@@ -105,23 +101,6 @@ class FockState(_Fock):
     """Truncated two-mode density matrix; ``leakage`` reports the lost trace.
     Its ``form``, if any, is the amplitude form (psi, factors) of
     :func:`entangled_output_fock`."""
-
-    rho = property(_Fock._dense)
-
-    def _unform(self) -> np.ndarray:
-        psi, factors = self.form
-        c = self.cutoff
-        rho = _pairs(np.outer(psi, psi.conj()), c)
-        for kind, f in factors:
-            if kind == "unitary":  # see _pairs
-                rho = f.conj() @ (f @ rho.reshape(c, -1)).reshape(rho.shape)
-                continue
-            S, out = _transfer(f, c), np.empty_like(rho)
-            for delta in range(1 - c, c):  # the real S_|delta| maps the pairs (q, q + delta) to (p, p + delta)
-                i = np.arange(max(0, -delta), min(c, c - delta))
-                out[i, i + delta] = (S[abs(delta), :i.size, :i.size] @ rho[i, i + delta].view(float)).view(complex)
-            rho = out
-        return _pairs(rho, c)
 
     @property
     def leakage(self) -> float:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symplectic import SymplecticSpec, _readonly, symplectic_form
+from .symplectic import SymplecticSpec, _as_int, _readonly, symplectic_form
 
 UNCERTAINTY_TOL = 1e-9
 
@@ -55,7 +55,7 @@ class GaussianState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianState":
-        n = int(data["modes"])
+        n = _as_int(data["modes"], "modes")
         mean = np.asarray(data["mean"], dtype=float)
         cov = np.asarray(data["cov"], dtype=float).reshape(2 * n, 2 * n)
         return cls(mean, cov)

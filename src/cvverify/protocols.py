@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -62,15 +62,21 @@ def kappa_for(lam: float) -> float:
     return float(np.arctanh(1.0 / np.sqrt(lam + 1.0)))
 
 
+# The game-specific field each protocol sets; the other one stays None.
+GAME_FIELDS = {"unitary": ("target",), "amplification": ("g",), "state": ("target",)}
+
+
 @dataclass(frozen=True)
 class VerificationConfig:
     """Inputs of one verification game; construction enforces the invariants.
 
     protocol: "unitary", "amplification" or "state".
-    target: SymplecticSpec for unitary/state protocols; g: gain for
-    amplification.  sigma1/sigma2 bound the homodyne outcome variances of the
-    first- and second-moment observables.  ``from_dict`` reads these nine
-    fields and rejects any other key.
+    ``GAME_FIELDS[protocol]`` names the game-specific field it sets: target,
+    a SymplecticSpec, for the unitary and state protocols; g, the gain, for
+    amplification.  Setting the other one is a ValueError that names it.
+    sigma1/sigma2 bound the homodyne outcome variances of the first- and
+    second-moment observables.  ``from_dict`` reads these nine fields and
+    rejects any other key.
     """
 
     protocol: str
@@ -84,8 +90,11 @@ class VerificationConfig:
     g: float | None = None
 
     def __post_init__(self):
-        if self.protocol not in ("unitary", "amplification", "state"):
+        if self.protocol not in tuple(GAME_FIELDS):  # a tuple: a JSON list is no protocol, not a TypeError
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        for f in fields(self):  # the game-specific fields are those that default to None
+            if f.default is None and f.name not in GAME_FIELDS[self.protocol] and getattr(self, f.name) is not None:
+                raise ValueError(f"{self.protocol} protocol takes no {f.name!r}")
         g2 = 0.0 if self.g is None else self.g * self.g  # inf also when g^2 leaves the float range
         values = (self.lam, self.F_t, self.delta, self.epsilon, self.sigma1, self.sigma2, g2)
         if not all(map(math.isfinite, values)):
@@ -101,7 +110,7 @@ class VerificationConfig:
             raise ValueError("delta must lie in (0, 1/2]")
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValueError("variance bounds must be positive")
-        if self.protocol in ("unitary", "state"):
+        if "target" in GAME_FIELDS[self.protocol]:
             if self.target is None:
                 raise ValueError(f"{self.protocol} protocol requires a target spec")
             if not (np.all(np.isfinite(self.target.S)) and np.all(np.isfinite(self.target.d))):
@@ -138,19 +147,9 @@ class VerificationConfig:
         return self.target.n_modes if self.target is not None else 1
 
     def to_dict(self) -> dict:
-        data = {
-            "protocol": self.protocol,
-            "lam": self.lam,
-            "F_t": self.F_t,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.target is not None:
             data["target"] = self.target.to_dict()
-        if self.g is not None:
-            data["g"] = self.g
         return data
 
     @classmethod
@@ -160,18 +159,9 @@ class VerificationConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(map(repr, sorted(unknown)))}")
-        target = SymplecticSpec.from_dict(data["target"]) if "target" in data else None
-        return cls(
-            protocol=data["protocol"],
-            lam=float(data["lam"]),
-            F_t=float(data["F_t"]),
-            delta=float(data["delta"]),
-            epsilon=float(data["epsilon"]),
-            sigma1=float(data.get("sigma1", 1.0)),
-            sigma2=float(data.get("sigma2", 1.0)),
-            target=target,
-            g=float(data["g"]) if "g" in data else None,
-        )
+        read = {"protocol": lambda value: value, "target": SymplecticSpec.from_dict}  # the rest are floats
+        return cls(**{f.name: read.get(f.name, float)(data[f.name]) for f in fields(cls)
+                      if f.name in data or f.default is MISSING})  # a missing required key: KeyError
 
 
 def lemma3_sample_count(sigma: float, l: int, epsilon: float, delta: float) -> int:

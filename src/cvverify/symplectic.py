@@ -7,6 +7,7 @@ in this package.  A Gaussian unitary acts affinely on phase space,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _as_int(value, name: str) -> int:
+    """A count read from JSON: an integral number or a numeric string.  A bool
+    or a fraction is a ValueError that names the field, not a truncation."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except ValueError:  # a string that is no number
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,7 @@ class SymplecticSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymplecticSpec":
-        m = int(data["m"])
+        m = _as_int(data["m"], "m")
         S = np.asarray(data["S"], dtype=float).reshape(2 * m, 2 * m)
         d = np.asarray(data["d"], dtype=float)
         return cls(S, d)

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cvverify import gaussian as ga, symplectic as sp
 from cvverify.channels import (
+    KINDS,
+    PARAMS,
     AmplificationTarget,
     ProverChannel,
     average_fidelity,
@@ -55,8 +59,9 @@ def test_non_finite_channel_parameters_rejected(params):
 
 
 def test_from_dict_coerces_numbers():
-    p = ProverChannel.from_dict({"kind": "QuantumLimitedAmplifier", "g": "1.5", "modes": "2"})
-    assert (p.g, p.n_modes) == (1.5, 2)
+    for modes in ("2", 2.0, "2.0", np.int64(2)):
+        p = ProverChannel.from_dict({"kind": "QuantumLimitedAmplifier", "g": "1.5", "modes": modes})
+        assert (p.g, p.n_modes) == (1.5, 2)
     with pytest.raises(ValueError):
         ProverChannel.from_dict({"kind": "AdditiveNoise", "variance": "abc"})
 
@@ -131,15 +136,21 @@ def test_fidelity_matches_dense_reference():
             assert abs(average_fidelity(p, target, 0.7) - mc) <= 4.0 * se + 1e-12
 
 
+# One single-mode prover of each kind, every field it sets off its default.
+SIX = [
+    ProverChannel("ExactUnitary", spec=sp.SymplecticSpec(sp.single_mode_squeezer(0.2).S, np.array([0.3, -0.1]))),
+    ProverChannel("NoisyUnitary", spec=sp.single_mode_squeezer(0.3), excess=0.15),
+    ProverChannel("QuantumLimitedAmplifier", g=1.3),
+    ProverChannel("NoisyAmplifier", g=1.4, excess=0.2),
+    ProverChannel("Attenuator", eta=0.7, excess=0.1),
+    ProverChannel("AdditiveNoise", variance=0.3),
+]
+
+
 def test_elementary_factors_reproduce_channel():
     # compose the factors in phase space and compare with realize()
-    provers = [
-        ProverChannel("AdditiveNoise", variance=0.3),
-        ProverChannel("Attenuator", eta=0.7, excess=0.1),
-        ProverChannel("NoisyAmplifier", g=1.4, excess=0.2),
-        ProverChannel("NoisyUnitary", spec=sp.single_mode_squeezer(0.3), excess=0.15),
-    ]
-    for p in provers:
+    assert [p.kind for p in SIX] == list(KINDS)
+    for p in SIX:
         X, Y, d = np.eye(2), np.zeros((2, 2)), np.zeros(2)
         for kind, param in elementary_factors(p):
             if kind == "unitary":
@@ -160,15 +171,40 @@ def test_elementary_factors_reproduce_channel():
 
 
 def test_serialization_roundtrip():
-    provers = [
-        ProverChannel("NoisyUnitary", spec=sp.rotation(0.4), excess=0.2),
-        ProverChannel("NoisyAmplifier", g=1.5, excess=0.1),
-        ProverChannel("AdditiveNoise", variance=0.25, n_modes=2),
+    provers = SIX + [
+        ProverChannel("NoisyUnitary", spec=sp.two_mode_squeezer(0.3), excess=0.2),
+        ProverChannel("Attenuator", eta=0.6, excess=0.05, n_modes=2),
     ]
     for p in provers:
-        back = ProverChannel.from_dict(p.to_dict())
-        np.testing.assert_allclose(back.realize().X, p.realize().X)
-        np.testing.assert_allclose(back.realize().Y, p.realize().Y)
+        data = p.to_dict()
+        assert set(data) == {"kind", *("modes" if name == "n_modes" else name for name in PARAMS[p.kind])}
+        back = ProverChannel.from_dict(data)
+        assert back.to_dict() == data
+        for a, b in zip(dataclasses.astuple(back.realize()), dataclasses.astuple(p.realize())):  # X, Y, d
+            np.testing.assert_array_equal(a, b)
+
+
+# A value off each field's default, as a constructor argument and as JSON.
+OFF_DEFAULT = {"spec": (sp.rotation(0.4), sp.rotation(0.4).to_dict()), "g": (1.5, 1.5), "eta": (0.5, 0.5),
+               "excess": (0.1, 0.1), "variance": (0.2, 0.2), "n_modes": (2, 2)}
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProverChannel)}
+
+
+@pytest.mark.parametrize("p", SIX, ids=KINDS)
+def test_each_kind_rejects_the_fields_it_does_not_set(p):
+    # an ExactUnitary with excess used to be noisy in realize() but noiseless
+    # in elementary_factors() and to_dict()
+    unset = [name for name in OFF_DEFAULT if name not in PARAMS[p.kind]]
+    assert unset
+    for name in unset:
+        value, written = OFF_DEFAULT[name]
+        with pytest.raises(ValueError, match=f"^{p.kind} takes no '{name}'$"):
+            dataclasses.replace(p, **{name: value})
+        key = "modes" if name == "n_modes" else name
+        # from_dict refuses the key even at its default value
+        for given in (written, DEFAULTS[name]):
+            with pytest.raises(ValueError, match=f"^{p.kind} takes no '{key}'$"):
+                ProverChannel.from_dict({**p.to_dict(), key: given})
 
 
 def test_random_prover_always_realizable():

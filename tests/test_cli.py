@@ -124,6 +124,41 @@ def test_unknown_prover_and_scenario_field_exit_code(scenario, tmp_path, command
     assert f"config error: unknown {where} fields: '{typo}'" in capsys.readouterr().err
 
 
+def test_prover_field_its_kind_does_not_set_exit_code(scenario, tmp_path, capsys):
+    # an ExactUnitary with excess 0.3 used to give analytic_omega 0.7 against
+    # fock_omega 1.0, its noise read by realize() and dropped by the Fock factors
+    path, data = scenario
+    data["prover"]["excess"] = 0.3
+    bad = tmp_path / "unread.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(bad), "--cutoff", "6"])
+    assert exc.value.code == 2
+    assert "config error: ExactUnitary takes no 'excess'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("prover", "modes"), 1.9), (("prover", "modes"), True), (("prover", "modes"), "1.5"),
+    (("prover", "modes"), "two"), (("prover", "modes"), math.inf), (("config", "target", "m"), 1.7),
+    (("state", "modes"), 1.5), (("repetitions",), 2.9), (("seed",), 0.5), (("shot_cap",), True),
+])
+def test_non_integer_count_exit_code(scenario, tmp_path, where, value, capsys):
+    # each used to be truncated: 1.9 modes to one, 2.9 repetitions to two
+    path, data = scenario
+    data["prover"] = {"kind": "AdditiveNoise", "variance": 0.1, "modes": 1}
+    data["state"] = dict(COHERENT)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    bad = tmp_path / "count.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(bad)])
+    assert exc.value.code == 2
+    assert f"config error: '{where[-1]}' must be an integer, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", ["abc", [1], 3])
 def test_config_not_an_object_exit_code(scenario, tmp_path, config, capsys):
     path, data = scenario
@@ -153,12 +188,11 @@ def test_schema_config_matches_the_config_fields():
     schema_keys = set(SCHEMA["$defs"]["verdict"]["properties"]["config"]["properties"])
     written = {game: VerificationConfig.from_dict(c).to_dict() for game, c in GAME_CONFIGS.items()}
     assert schema_keys == set().union(*written.values())
-    # from_dict takes every schema key (a unitary config with a gain) and no other
-    every = {**written["amplification"], **written["unitary"]}
-    assert set(every) == schema_keys
-    VerificationConfig.from_dict(every)
-    with pytest.raises(ValueError, match="unknown config fields: 'k'"):
-        VerificationConfig.from_dict({**every, "k": 1})
+    # each game's config reads back from its own keys, and from no other key
+    for game, data in written.items():
+        assert VerificationConfig.from_dict(data).to_dict() == data, game
+        with pytest.raises(ValueError, match="unknown config fields: 'k'"):
+            VerificationConfig.from_dict({**data, "k": 1})
 
 
 def test_plan_counts(capsys):
@@ -241,8 +275,9 @@ def test_lemmas_command_small(capsys):
 
 
 def test_lemmas_cutoff_guard(monkeypatch, capsys):
-    # the largest array lemmas forms at --cutoff is the m = 2 damping table,
-    # c^2 entries against the cap of 4096^2: c = 4096 passes the guard, 4097 not
+    # the largest arrays lemmas forms at --cutoff are the m = 2 damping table's,
+    # three c^2 arrays at once against the cap of 4096^2: c = 2364 passes the
+    # guard, 2365 not
     from cvverify import fock
 
     def started(*args, **kwargs):
@@ -250,9 +285,9 @@ def test_lemmas_cutoff_guard(monkeypatch, capsys):
 
     monkeypatch.setattr(fock, "g_theta", started)
     with pytest.raises(_Started):
-        main(["lemmas", "--cutoff", "4096"])
-    assert main(["lemmas", "--cutoff", "4097"]) == 1
-    assert "cutoff 4097 gives" in capsys.readouterr().err
+        main(["lemmas", "--cutoff", "2364"])
+    assert main(["lemmas", "--cutoff", "2365"]) == 1
+    assert "cutoff 2365 gives" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "257", 1), (1e-20, None, 2)])

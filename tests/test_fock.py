@@ -41,6 +41,16 @@ def thermal_rho(nbar, cutoff):
     return np.diag(nbar**n / (nbar + 1.0) ** (n + 1.0)).astype(complex)
 
 
+def density(state):
+    """The dense rho of a FockState: its sector blocks assembled, or, for the
+    amplitude form, sum vec(X) vec(X)+ over its terms X = A[m] @ B[n]."""
+    if state.sectors is not None:
+        return fock._assemble(state.sectors, state.cutoff)
+    A, B = fock._term_stacks(state.form)
+    X = (A[:, None] @ B[None]).reshape(-1, state.cutoff**2)
+    return X.T @ X.conj()
+
+
 def kraus_matrices(kind, param, cutoff):
     """The Kraus operators of an attenuator or amplifier factor, as full matrices."""
     return [np.diag(d.astype(complex), s) for s, d in fock._kraus_diagonals(kind, param, cutoff)]
@@ -138,7 +148,7 @@ def test_sector_performance_operator_matches_dense_formula(cutoff):
         for got, ref in ((fock.performance_operator_avg_fidelity(g, 1.0, cutoff), _dense_performance_operator),
                          (fock.canonical_observable(g, 1.0, cutoff), _dense_canonical_observable)):
             ref = ref(g, 1.0, cutoff)
-            assert got.sectors is not None and got._matrix is None
+            assert got.sectors is not None and "matrix" not in vars(got)
             assert np.max(np.abs(got.matrix - ref)) <= 1e-15 * np.max(np.abs(ref)), (g, cutoff)
 
 
@@ -278,7 +288,7 @@ def test_attenuator_kraus_at_the_edges_of_the_transmissivity():
     diagonals = fock._kraus_diagonals("attenuator", 1.0, 8)
     assert np.array_equal(diagonals[0][1], np.ones(8)) and not any(np.any(d) for _, d in diagonals[1:])
     lossless = fock.entangled_output_fock([("attenuator", 1.0)], 1.0, 8)
-    assert np.array_equal(lossless.rho, fock.entangled_output_fock([], 1.0, 8).rho)
+    assert np.array_equal(density(lossless), density(fock.entangled_output_fock([], 1.0, 8)))
     for eta in (0.0, 1.5, np.nan):
         with pytest.raises(ValueError, match="transmissivity must lie in"):
             fock._kraus_diagonals("attenuator", eta, 8)
@@ -320,7 +330,7 @@ def test_entangled_output_identity_is_tmsv():
     lam, cutoff = 1.0, 20
     st = fock.entangled_output_fock([], lam, cutoff)
     kappa = np.arctanh(1.0 / np.sqrt(lam + 1.0))
-    np.testing.assert_allclose(st.rho, tmsv_rho(kappa, cutoff), atol=1e-7)
+    np.testing.assert_allclose(density(st), tmsv_rho(kappa, cutoff), atol=1e-7)
 
 
 def test_default_cutoff_policy():
@@ -333,8 +343,9 @@ def test_default_cutoff_policy():
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_builders_hold_no_dense_matrix_until_it_is_read():
     """Every public builder that returns a FockOperator or FockState returns
-    one that holds sector blocks or a form and no dense matrix; the matrix is
-    assembled on first read, kept, and read-only."""
+    one that holds sector blocks or a form and no dense matrix; an operator's
+    matrix is assembled on first read, kept, and read-only, and a state has
+    none."""
     spec = sp.random_symplectic(1, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
     W = fock.witness_fock_unitary(sp.identity(1), 1.0, 6)
     O = fock.canonical_observable_closed_form(1.0, 1.0, 6)
@@ -353,10 +364,14 @@ def test_builders_hold_no_dense_matrix_until_it_is_read():
                 and inspect.signature(f).return_annotation in ("FockOperator", "FockState")}
     assert builders == {name for name, _ in objects} - {"__sub__"}
     for name, obj in objects:
-        assert obj._matrix is None and (obj.sectors is None) != (obj.form is None), name
-        dense = obj.matrix if isinstance(obj, fock.FockOperator) else obj.rho
+        assert (obj.sectors is None) != (obj.form is None), name
+        if isinstance(obj, fock.FockState):
+            assert not hasattr(obj, "matrix") and not hasattr(obj, "rho"), name
+            continue
+        assert "matrix" not in vars(obj), name
+        dense = obj.matrix
         assert dense.shape == (36, 36) and not dense.flags.writeable, name
-        assert obj._matrix is dense, name
+        assert obj.matrix is dense, name
     with pytest.raises(ValueError, match="either its sector blocks or a form"):
         fock.FockOperator(6)
 
@@ -476,7 +491,7 @@ def test_shifted_kraus_matches_dense_contraction():
         for kind, param in chain:
             ref = _contract_kraus(ref, kraus[kind](param), cutoff)
         st = fock.entangled_output_fock(chain, lam, cutoff)
-        assert np.max(np.abs(st.rho - ref)) <= 1e-12, name
+        assert np.max(np.abs(density(st) - ref)) <= 1e-12, name
         assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, name
         assert abs(fock.expectation(W, st) - np.vdot(ref, W_ref).real) <= 1e-12, name
 
@@ -540,7 +555,7 @@ def test_structured_kraus_matches_dense():
     for name, (ops, kraus) in families.items():
         st = fock.entangled_output_fock([("unitary", spec)] + ops, lam, cutoff)
         ref = rho_u if kraus is None else _dense_kraus(rho_u, kraus, cutoff)
-        dev = np.max(np.abs(st.rho - ref))
+        dev = np.max(np.abs(density(st) - ref))
         assert dev <= 1e-12, (name, dev)
 
 
@@ -625,7 +640,7 @@ def test_sector_path_matches_dense_path(cutoff):
         for W, W_dense in witnesses:
             want = np.vdot(ref, W_dense).real  # tr(W rho) for Hermitian rho
             assert abs(fock.expectation(W, st) - want) <= 1e-12, kinds
-        assert np.max(np.abs(st.rho - ref)) <= 1e-12, kinds
+        assert np.max(np.abs(density(st) - ref)) <= 1e-12, kinds
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -649,12 +664,12 @@ def test_unitary_witness_matches_dense(cutoff):
         U = fock.gaussian_unitary_fock(spec, c)
         diagonal = not np.count_nonzero(U - np.diag(np.diagonal(U)))
         assert (W.sectors is not None) == diagonal, name
-        assert (W.form is not None) != diagonal and W._matrix is None, name  # a frame, never dense
+        assert (W.form is not None) != diagonal and "matrix" not in vars(W), name  # a frame, never dense
         assert diagonal == (name == "identity") or name == "rotation", name
         ref = _dense_witness_unitary(spec, lam, c)
         assert np.max(np.abs(W.matrix - ref)) <= 1e-12, name
         for st in (sector_state, dense_state):
-            want = np.vdot(st.rho, ref).real  # tr(W rho) for Hermitian rho
+            want = np.vdot(density(st), ref).real  # tr(W rho) for Hermitian rho
             assert abs(fock.expectation(W, st) - want) <= 1e-12, name
 
 
@@ -688,11 +703,11 @@ def test_leading_unitary_state_matches_dense_path(cutoff):
                 [("unitary", spec), ("unitary", spec2), ("attenuator", 0.9)],
                 [("attenuator", 0.8), ("unitary", spec)]):  # the unitary is not first
         st = fock.entangled_output_fock(ops, lam, c)
-        assert st.sectors is None and st._matrix is None, ops
+        assert st.sectors is None, ops
         for W, W_ref in witnesses:
-            assert abs(fock.expectation(W, st) - np.vdot(st.rho, W_ref).real) <= 1e-12, ops
+            assert abs(fock.expectation(W, st) - np.vdot(density(st), W_ref).real) <= 1e-12, ops
         ref = _dense_channel(rho0, ops, c)
-        assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
+        assert np.max(np.abs(density(st) - ref)) <= 1e-12, ops
         assert abs(st.leakage - (1.0 - np.trace(ref).real)) <= 1e-12, ops
 
 
@@ -836,13 +851,13 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
     spec, spec2 = (sp.random_symplectic(1, r_max=0.3, d_scale=0.4, rng=rng) for _ in range(2))
     psi = tmsv_vector(np.arctanh(1.0 / np.sqrt(lam + 1.0)), c)
     W = fock.witness_fock_unitary(spec2, lam, c)
-    assert W.sectors is None and W._matrix is None
+    assert W.sectors is None and "matrix" not in vars(W)
     for ops in ([("unitary", spec), ("attenuator", 0.8), ("amplifier", 1.2)],
                 [("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)]):
         st = fock.entangled_output_fock(ops, lam, c)
         ref = _dense_channel(np.outer(psi, psi.conj()), ops, c)
         assert abs(fock.expectation(W, st) - np.vdot(ref, W.matrix).real) <= 1e-12, ops
-        assert np.max(np.abs(st.rho - ref)) <= 1e-12, ops
+        assert np.max(np.abs(density(st) - ref)) <= 1e-12, ops
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

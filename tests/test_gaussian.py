@@ -52,7 +52,8 @@ def test_tmsv_purifies_thermal_prior():
 def test_tmsv_reduced_matches_fock_oracle():
     # the oracle's TMSV probe at lam = 1/sinh^2(r) has kappa = r
     r, cutoff = 0.6, 30
-    rho = fock.entangled_output_fock([], 1.0 / np.sinh(r) ** 2, cutoff).rho.reshape(cutoff, cutoff, cutoff, cutoff)
+    st = fock.entangled_output_fock([], 1.0 / np.sinh(r) ** 2, cutoff)
+    rho = fock._assemble(st.sectors, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
     reduced = np.einsum("ikjk->ij", rho)
     expected = thermal_rho(np.sinh(r) ** 2, cutoff)
     np.testing.assert_allclose(reduced, expected, atol=1e-10)

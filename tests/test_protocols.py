@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,20 @@ def test_config_rejects_non_finite_target_and_gain():
             cfg_unitary(sp.SymplecticSpec(S, d))
     with pytest.raises(ValueError, match="finite"):
         cfg_amp(np.inf)
+
+
+def test_config_rejects_the_other_games_field():
+    # an amplification config's m used to come from a target it does not read
+    amp, unitary = cfg_amp(2.5), cfg_unitary(sp.identity(1))
+    with pytest.raises(ValueError, match="amplification protocol takes no 'target'"):
+        dataclasses.replace(amp, target=sp.identity(2))
+    with pytest.raises(ValueError, match="amplification protocol takes no 'target'"):
+        VerificationConfig.from_dict({**amp.to_dict(), "target": sp.identity(2).to_dict()})
+    for protocol in ("unitary", "state"):
+        with pytest.raises(ValueError, match=f"{protocol} protocol takes no 'g'"):
+            dataclasses.replace(unitary, protocol=protocol, g=2.5)
+        with pytest.raises(ValueError, match=f"{protocol} protocol takes no 'g'"):
+            VerificationConfig.from_dict({**unitary.to_dict(), "protocol": protocol, "g": 2.5})
 
 
 def test_budget_out_of_float_range_is_value_error():

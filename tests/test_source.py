@@ -72,14 +72,19 @@ def test_every_public_fock_function_has_a_caller_outside_the_tests():
     """A public builder that only tests call belongs in the tests: every
     public module-level function of ``fock.py`` is called from the library
     or the benchmark, and every public method of its classes (``leakage``, a
-    property, among them) is read there as an attribute."""
+    property, among them, and a ``name = property(...)`` assignment) is read
+    there as an attribute."""
     called = _calls(SHIPPED)
     read = {node.attr for tree in SHIPPED for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     body = TREES["fock.py"].body
     uncalled = [node.name for node in body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in called]
-    uncalled += [f"{cls.name}.{node.name}" for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body
-                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read]
+    for cls in (node for node in body if isinstance(node, ast.ClassDef)):
+        methods = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+        methods += [target.id for node in cls.body if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "property"
+                    for target in node.targets if isinstance(target, ast.Name)]
+        uncalled += [f"{cls.name}.{name}" for name in methods if not name.startswith("_") and name not in read]
     assert uncalled == []
 
 
