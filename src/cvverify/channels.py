@@ -64,6 +64,8 @@ class ProverChannel:
             if self.spec is None:
                 raise ValueError(f"{self.kind} requires a SymplecticSpec")
             object.__setattr__(self, "n_modes", self.spec.n_modes)
+        if self.n_modes < 1:
+            raise ValueError(f'n_modes ("modes") must be at least 1, got {self.n_modes}')
         # g * g is inf also when g^2 leaves the float range
         if not all(map(np.isfinite, (self.g * self.g, self.eta, self.excess, self.variance))):
             raise ValueError("channel parameters g^2, eta, excess and variance must be finite")

@@ -25,7 +25,6 @@ from .measurement import build_measurement_plan
 from .protocols import VerificationConfig
 from .symplectic import _as_int
 
-MAX_TWO_MODE_DIM = 4096
 MALFORMED = (KeyError, TypeError, OverflowError)  # OverflowError: a JSON integer past the float range
 
 
@@ -55,27 +54,6 @@ def _parse_scenario(data: dict):
     except MALFORMED as exc:
         raise SystemExit(f"error: malformed scenario: {exc}")
     return cfg, prover, state, reps, seed, shot_cap
-
-
-HELD = {  # entries a Fock path holds at cutoff c
-    "diagonal": lambda c: 3 * c * c,  # the m = 2 damping table of ``lemmas``: three c^2 arrays at once
-    "sector": lambda c: c * (2 * c * c + 1) // 3,  # sum_s (c - |s|)^2 over the n1 - n2 sectors
-    "amplitude-form": lambda c: c**3,  # a stack of c amplitude matrices, or the c delta-diagonals
-}
-
-
-def _check_cutoff(cutoff: int, form: str) -> None:
-    """Refuse a cutoff below 2, or one whose two-mode arrays in the given form
-    (a key of HELD) hold more entries than a dense matrix of dimension
-    MAX_TWO_MODE_DIM."""
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    held = HELD[form](cutoff)
-    if held > MAX_TWO_MODE_DIM**2:
-        raise SystemExit(
-            f"error: cutoff {cutoff} gives {form} two-mode arrays of {held} entries, "
-            f"over the cap of {MAX_TWO_MODE_DIM}^2 = {MAX_TWO_MODE_DIM**2}"
-        )
 
 
 def _emit(report: dict, args) -> None:
@@ -114,17 +92,13 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     data = _load_json(args.config)
     cfg, prover, _, _, _, _ = _parse_scenario(data)
+    if cfg.protocol == "state":
+        raise ValueError("oracle checks a prover channel's witness, and the state game has no prover channel")
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
+    # the Fock forms come before the report, so a cutoff that fock refuses costs no work
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
         cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff
-        factors = elementary_factors(prover)
-        # the amplification witness and a phase-insensitive output are both held in
-        # sectors; the unitary witness's frame or a unitary factor adds c^3 arrays
-        in_sectors = all(kind in fock.PHASE_INSENSITIVE for kind, _ in factors)
-        _check_cutoff(cutoff, "sector" if cfg.protocol == "amplification" and in_sectors else "amplitude-form")
-    report = protocols.oracle_report(prover, cfg)
-    if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
         if cfg.protocol == "amplification":
             W = fock.witness_fock_amp(cfg.g, cfg.lam, cutoff)
@@ -132,7 +106,9 @@ def cmd_oracle(args) -> int:
         else:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
             t2 = 1.0 / (cfg.lam + 1.0)
-        state = fock.entangled_output_fock(factors, cfg.lam, cutoff)
+        state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
+    report = protocols.oracle_report(prover, cfg)
+    if cfg.m == 1:
         report["fock_omega"] = fock.expectation(W, state)
         if not np.isfinite(report["fock_omega"]):
             raise ValueError(f"Fock witness {report['fock_omega']} is not finite")
@@ -156,16 +132,15 @@ def cmd_plan(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cutoff = args.cutoff
-    _check_cutoff(cutoff, "diagonal")
     thetas = [float(t) for t in args.thetas.split(",")]
+    damping = [(theta, fock.g_theta(theta, cutoff)) for theta in thetas]  # fock refuses the cutoff first
     results = []
     ok = True
 
     # damping-operator inequality: G^(x)m >= 1 - sum n_i / cosh^2(theta); both
     # sides are diagonal, so the least diagonal entry is the least eigenvalue
     n = np.arange(cutoff, dtype=float)
-    for theta in thetas:
-        g = fock.g_theta(theta, cutoff)
+    for theta, g in damping:
         for m in (1, 2):
             if m == 1:
                 lhs = g - (1.0 - n / np.cosh(theta) ** 2)
@@ -236,6 +211,8 @@ def cmd_budget(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     data = _load_json(args.config)
     cfg, _, _, reps, seed, shot_cap = _parse_scenario(data)
     seed = args.seed if args.seed is not None else seed

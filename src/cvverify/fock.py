@@ -40,6 +40,12 @@ block's states (c^3 per term in O(c^3) memory), or the shared photon-number
 shifts of a framed operator and a sector state (c^4).  An operator's
 ``matrix`` is assembled, read-only, only when read; a state has no dense
 form.  Truncation leakage is reported, never silently renormalized away.
+
+One cutoff rule holds everywhere: each public function with a ``cutoff``
+refuses, on entry and before it forms any array, a cutoff outside
+[2, MAX_CUTOFF = 256].  The largest arrays of a two-mode path (the transfer
+blocks, the amplitude-form stacks, the framed trace's shift diagonals) hold
+about c^3 entries, and 256^3 = 4096^2, a dense matrix of dimension 4096.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import numpy as np
 from .symplectic import SymplecticSpec
 
 SQUEEZE_LEAKAGE_WARN = 1e-4
-PHASE_INSENSITIVE = ("attenuator", "amplifier")
+MAX_CUTOFF = 256
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
 
 
@@ -122,9 +128,9 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+def _check_cutoff(cutoff: int, name: str = "cutoff") -> None:
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"{name} must lie in [2, {MAX_CUTOFF}], got {cutoff}")
 
 
 def _kappa(lam: float) -> float:
@@ -143,6 +149,7 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def destroy(cutoff: int) -> np.ndarray:
+    _check_cutoff(cutoff)
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
@@ -289,6 +296,7 @@ def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
 
 
 def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
+    _check_cutoff(cutoff)
     return np.diag(np.exp(1j * phi * np.arange(cutoff)))
 
 
@@ -300,6 +308,7 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     q -> q cos(phi) - p sin(phi), the squeezer scales (q, p) -> (e^r q, e^-r p),
     and the displacement shifts the mean by ``spec.d``.
     """
+    _check_cutoff(cutoff)
     if spec.n_modes != 1:
         raise ValueError("Fock oracle supports single-mode Gaussian unitaries only")
     W, sig, Vh = np.linalg.svd(spec.S)
@@ -330,6 +339,7 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
     evaluated in log space.  Both states of an entry lie on one chain of
     :func:`_chains`, so the blocks are built over the chain grid at once.
     """
+    _check_cutoff(cutoff)
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
     i, j, lengths = _chain_grid(cutoff)
@@ -361,6 +371,7 @@ def canonical_observable(
     ``check_convergence`` is accepted and ignored: the performance operator is
     exact, so there is no quadrature left to check.
     """
+    _check_cutoff(cutoff)
     p = np.arange(cutoff, dtype=float)
     rho_r = (lam / (1.0 + lam)) * (1.0 / (1.0 + lam)) ** p
     if rho_r.min() < 1e-12:
@@ -426,9 +437,14 @@ def canonical_observable_closed_form(
     degenerate and corrupt the corner entries.  Both branches conserve
     n1 - n2, so the result is held as its sector blocks.
     """
+    _check_cutoff(cutoff)
     big = cutoff + 18 if embed_cutoff is None else embed_cutoff
+    _check_cutoff(big, "embed_cutoff")
     if big < cutoff:
         raise ValueError("embed_cutoff must be at least cutoff")
+    _check_lam(lam)
+    if not 0 < g < np.inf:
+        raise ValueError(f"g must be positive and finite, got {g}")
     root = np.sqrt(lam + 1.0)
     if not (g < root or g > root):
         raise ValueError("closed form diverges at g = sqrt(lam+1); use the integrated form")
@@ -450,8 +466,8 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     so the frame folds into the blocks as diag(u_i) B_s diag(conj(u_i)) over
     each chain's first-slot photon numbers i.
     """
-    kappa = _kappa(lam)
     _check_cutoff(cutoff)
+    kappa = _kappa(lam)
     k = lam / (lam + 1.0)
     U = gaussian_unitary_fock(spec, cutoff)
     sectors = _squeezed_sectors(kappa, 1.0 - k * np.arange(cutoff, dtype=float), 0, cutoff)
@@ -469,6 +485,7 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     S_theta' (1 (x) d) S_theta'+ with d = (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 n),
     held as its n1 - n2 sector blocks E diag(d_R) E^T.
     """
+    _check_cutoff(cutoff)
     _check_lam(lam)
     root = np.sqrt(lam + 1.0)
     if not root < g < np.inf:
@@ -631,8 +648,8 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     leading unitaries, and ``factors`` are the rest, each ("unitary", U) or
     ("kraus", the Kraus diagonals of :func:`_kraus_diagonals`).
     """
-    kappa = _kappa(lam)
     _check_cutoff(cutoff)
+    kappa = _kappa(lam)
     a = _tmsv_amplitudes(kappa, cutoff)
     factors = [("unitary", gaussian_unitary_fock(p, cutoff)) if kind == "unitary"
                else ("kraus", _kraus_diagonals(kind, p, cutoff)) for kind, p in ops]

@@ -200,8 +200,9 @@ class SampleBudget:
     un-ceiled values so that exact scaling ratios of the underlying formulas
     can be checked.  ``channel_uses`` is the number of shots the game's plan
     draws at these counts (one channel use or state copy per shot), and
-    ``tmsv_copies`` the two-mode squeezed vacua they consume: m per shot in
-    the unitary game, one otherwise."""
+    ``tmsv_copies`` the two-mode squeezed vacua the verifier prepares for
+    them: m per shot in the unitary game, one in the amplification game, and
+    none in the state game, whose copies the prover supplies."""
 
     counts: dict
     raw: dict
@@ -233,7 +234,8 @@ def _budget(cfg: VerificationConfig, batches, shares: dict) -> SampleBudget:
            for key, eps in shares.items()}
     counts = {key: _count(v) for key, v in raw.items()}
     uses = sum(counts[b.key] for b in batches)
-    return SampleBudget(counts, raw, uses, cfg.m * uses if cfg.protocol == "unitary" else uses)
+    copies = {"unitary": cfg.m, "amplification": 1, "state": 0}[cfg.protocol]
+    return SampleBudget(counts, raw, uses, copies * uses)
 
 
 def sample_budget(cfg: VerificationConfig) -> SampleBudget:

@@ -66,6 +66,16 @@ def test_from_dict_coerces_numbers():
         ProverChannel.from_dict({"kind": "AdditiveNoise", "variance": "abc"})
 
 
+@pytest.mark.parametrize("modes", [0, -1])
+def test_prover_on_fewer_than_one_mode_rejected(modes):
+    # -1 modes used to fail only in realize(), with numpy's "negative dimensions"
+    match = rf'^n_modes \("modes"\) must be at least 1, got {modes}$'
+    with pytest.raises(ValueError, match=match):
+        ProverChannel("AdditiveNoise", variance=0.1, n_modes=modes)
+    with pytest.raises(ValueError, match=match):
+        ProverChannel.from_dict({"kind": "QuantumLimitedAmplifier", "g": 1.5, "modes": modes})
+
+
 def test_honest_prover_unit_fidelity():
     rng = np.random.default_rng(0)
     for m in (1, 2, 3, 4):

@@ -274,60 +274,75 @@ def test_lemmas_command_small(capsys):
     assert "FAIL" not in out
 
 
-def test_lemmas_cutoff_guard(monkeypatch, capsys):
-    # the largest arrays lemmas forms at --cutoff are the m = 2 damping table's,
-    # three c^2 arrays at once against the cap of 4096^2: c = 2364 passes the
-    # guard, 2365 not
+def _start_after_the_cutoff_check(monkeypatch):
+    """Make fock's cutoff check raise _Started once a cutoff passes it, so an
+    accepted cutoff is seen without any Fock work."""
     from cvverify import fock
 
-    def started(*args, **kwargs):
+    check = fock._check_cutoff
+
+    def checked(cutoff, name="cutoff"):
+        check(cutoff, name)
         raise _Started
 
-    monkeypatch.setattr(fock, "g_theta", started)
+    monkeypatch.setattr(fock, "_check_cutoff", checked)
+
+
+def _assert_refused(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no report
+    assert f"config error: {message}" in err
+
+
+def test_lemmas_cutoff_guard(monkeypatch, capsys):
+    # fock.g_theta, the first Fock call of lemmas, refuses a cutoff outside
+    # [2, 256] before any array is formed (np.arange(10^12) among them); the
+    # damping suite once ran up to c = 2364
+    _start_after_the_cutoff_check(monkeypatch)
     with pytest.raises(_Started):
-        main(["lemmas", "--cutoff", "2364"])
-    assert main(["lemmas", "--cutoff", "2365"]) == 1
-    assert "cutoff 2365 gives" in capsys.readouterr().err
+        main(["lemmas", "--cutoff", "256"])
+    for cutoff in ("257", "300", "2364", "1000000000000"):
+        _assert_refused(["lemmas", "--cutoff", cutoff], f"cutoff must lie in [2, 256], got {cutoff}", capsys)
 
 
-@pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 1), (1.0, "257", 1), (1e-20, None, 2)])
-def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
-    # the unitary game holds c^3 entries against the cap of 4096^2 = 256^3:
-    # default_cutoff(0.05) is 284, --cutoff 257 is one over, and lam = 1e-20
-    # has no finite cutoff: each stops before the oracle report
+def _no_report(monkeypatch):
     from cvverify import protocols
 
     def no_report(*args, **kwargs):
-        raise AssertionError("oracle_report ran before the cutoff check")
+        raise AssertionError("oracle_report ran for a refused input")
 
     monkeypatch.setattr(protocols, "oracle_report", no_report)
+
+
+@pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 2), (1.0, "257", 2), (1e-20, None, 2)])
+def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
+    # default_cutoff(0.05) is 284 and --cutoff 257 is one over the bound of
+    # 256, and lam = 1e-20 has no finite cutoff: each stops before the oracle
+    # report
+    _no_report(monkeypatch)
     _, data = scenario
     data["config"]["lam"] = lam
     path = tmp_path / "small_lam.json"
     path.write_text(json.dumps(data))
     argv = ["oracle", "--config", str(path)] + (["--cutoff", cutoff] if cutoff else [])
-    try:
-        got = main(argv)
-    except SystemExit as exc:
-        got = exc.code
-    assert got == code
-    capsys.readouterr()
+    message = "lam = 1e-20 is too small" if lam == 1e-20 else f"cutoff must lie in [2, 256], got {cutoff or 284}"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out == "" and f"config error: {message}" in err
 
 
 @pytest.mark.parametrize("cutoff", ["0", "1", "-3"])
 def test_oracle_rejects_cutoff_below_two(scenario, monkeypatch, capsys, cutoff):
     # --cutoff 0 once read as unset and ran at the default cutoff (20 at lam = 1)
-    from cvverify import protocols
-
-    def no_report(*args, **kwargs):
-        raise AssertionError("oracle_report ran before the cutoff check")
-
-    monkeypatch.setattr(protocols, "oracle_report", no_report)
+    _no_report(monkeypatch)
     path, _ = scenario
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--config", str(path), "--cutoff", cutoff])
-    assert exc.value.code == 2
-    assert f"cutoff must be at least 2, got {cutoff}" in capsys.readouterr().err
+    _assert_refused(["oracle", "--config", str(path), "--cutoff", cutoff],
+                    f"cutoff must lie in [2, 256], got {cutoff}", capsys)
 
 
 class _Started(Exception):
@@ -339,27 +354,24 @@ NOISY_UNITARY = {"kind": "NoisyUnitary", "spec": {"m": 1, "S": [1, 0, 0, 1], "d"
 
 
 @pytest.mark.parametrize("protocol, prover, cutoff, accepted", [
-    # the amplification witness and a phase-insensitive output are held in
-    # n1 - n2 sectors, c (2 c^2 + 1) / 3 entries against the cap of
-    # 4096^2 = 16 777 216: 16 769 269 at c = 293, 16 941 554 at c = 294
-    ("amplification", QLA, 293, True),
+    # one bound, c <= 256, whichever form the path holds: the amplification
+    # game in n1 - n2 sectors once ran to c = 293, though its transfer blocks
+    # hold c^3 entries
+    ("amplification", QLA, 256, True),
+    ("amplification", QLA, 257, False),
+    ("amplification", QLA, 293, False),
     ("amplification", QLA, 294, False),
-    # a unitary factor's amplitude form or the unitary witness's frame holds
-    # c^3 entries: 16 777 216 at c = 256, 16 974 593 at c = 257
+    # a unitary factor's amplitude form or the unitary witness's frame
     ("amplification", NOISY_UNITARY, 256, True),
     ("amplification", NOISY_UNITARY, 257, False),
     ("unitary", QLA, 256, True),
     ("unitary", QLA, 257, False),
-], ids=["sectors-293", "sectors-294", "unitary-factor-256", "unitary-factor-257",
-        "unitary-witness-256", "unitary-witness-257"])
+], ids=["sectors-256", "sectors-257", "sectors-293", "sectors-294", "unitary-factor-256",
+        "unitary-factor-257", "unitary-witness-256", "unitary-witness-257"])
 def test_oracle_cutoff_cap_follows_the_path(tmp_path, monkeypatch, capsys,
                                             protocol, prover, cutoff, accepted):
-    from cvverify import protocols
-
-    def started(*args, **kwargs):
-        raise _Started
-
-    monkeypatch.setattr(protocols, "oracle_report", started)
+    _no_report(monkeypatch)
+    _start_after_the_cutoff_check(monkeypatch)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"config": GAME_CONFIGS[protocol], "prover": prover, "seed": 3}))
     argv = ["oracle", "--config", str(path), "--cutoff", str(cutoff)]
@@ -367,8 +379,34 @@ def test_oracle_cutoff_cap_follows_the_path(tmp_path, monkeypatch, capsys,
         with pytest.raises(_Started):
             main(argv)
     else:
-        assert main(argv) == 1
-        assert f"cutoff {cutoff} gives" in capsys.readouterr().err
+        _assert_refused(argv, f"cutoff must lie in [2, 256], got {cutoff}", capsys)
+
+
+@pytest.mark.parametrize("prover", [None, QLA], ids=["no-prover", "prover"])
+def test_oracle_refuses_the_state_game(tmp_path, monkeypatch, capsys, prover):
+    # without a prover this exited 1 ("oracle requires a prover")
+    _no_report(monkeypatch)
+    data = {"config": GAME_CONFIGS["state"], "state": COHERENT, **({"prover": prover} if prover else {})}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    _assert_refused(["oracle", "--config", str(path)], "oracle checks a prover channel's witness", capsys)
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_sweep_refuses_fewer_than_one_point(scenario, capsys, points):
+    # --points 0 once printed an empty sweep and exited 0
+    path, _ = scenario
+    _assert_refused(["sweep", "--config", str(path), "--points", points],
+                    f"--points must be at least 1, got {points}", capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_prover_on_zero_modes_exit_code(scenario, tmp_path, capsys, command):
+    # refused where the prover is read, not where its modes are first used
+    path, data = scenario
+    data["prover"] = {"kind": "AdditiveNoise", "variance": 0.1, "modes": 0}
+    path.write_text(json.dumps(data))
+    _assert_refused([command, "--config", str(path)], 'n_modes ("modes") must be at least 1, got 0', capsys)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")

@@ -513,21 +513,68 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.default_cutoff(np.nan), "lam must be positive"),
     (lambda: fock.default_cutoff(-1.0), "lam must be positive"),
     (lambda: fock.witness_fock_unitary(sp.identity(1), np.inf, 10), "lam must be positive"),
-    (lambda: fock.witness_fock_unitary(sp.identity(1), 1.0, 0), "cutoff must be at least 2"),
+    (lambda: fock.witness_fock_unitary(sp.identity(1), 1.0, 0), r"^cutoff must lie in \[2, 256\], got 0$"),
     (lambda: fock.witness_fock_amp(np.inf, 1.0, 10), "requires finite g"),
     (lambda: fock.witness_fock_amp(np.nan, 1.0, 10), "requires finite g"),
     (lambda: fock.witness_fock_amp(2.0, -0.5, 10), "lam must be positive"),
-    (lambda: fock.entangled_output_fock([], 1.0, 0), "cutoff must be at least 2"),
+    (lambda: fock.entangled_output_fock([], 1.0, 0), r"^cutoff must lie in \[2, 256\], got 0$"),
     (lambda: fock.entangled_output_fock([], np.nan, 10), "lam must be positive"),
+    # lam = -1 once gave an operator, and g = NaN the message for g = sqrt(lam+1)
+    (lambda: fock.canonical_observable_closed_form(2.0, -1.0, 6), "lam must be positive"),
+    (lambda: fock.canonical_observable_closed_form(np.nan, 1.0, 6), "g must be positive and finite, got nan"),
+    (lambda: fock.canonical_observable_closed_form(-2.0, 1.0, 6), "g must be positive and finite"),
+    # the default embed_cutoff is cutoff + 18
+    (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 250), r"^embed_cutoff must lie in \[2, 256\], got 268$"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-inf", "w-unitary-lam-tiny",
     "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
     "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
-    "output-cutoff-0", "output-lam-nan",
+    "output-cutoff-0", "output-lam-nan", "closed-form-lam-negative", "closed-form-g-nan",
+    "closed-form-g-negative", "closed-form-embed-257-plus",
 ])
 def test_fock_builders_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# Valid values of the other arguments of each public fock function with a
+# cutoff; a new one fails the test below until it has an entry here.
+CUTOFF_ARGS = {
+    "destroy": {},
+    "g_theta": {"theta": 0.5},
+    "displace_fock": {"beta": 0.3 - 0.1j},
+    "squeeze1_fock": {"r": 0.2},
+    "rotate_fock": {"phi": 0.4},
+    "gaussian_unitary_fock": {"spec": sp.single_mode_squeezer(0.2)},
+    "performance_operator_avg_fidelity": {"g": 1.5, "lam": 1.0},
+    "canonical_observable": {"g": 1.0, "lam": 1.0},
+    "canonical_observable_closed_form": {"g": 2.0, "lam": 1.0},
+    "witness_fock_unitary": {"spec": sp.single_mode_squeezer(0.2), "lam": 1.0},
+    "witness_fock_amp": {"g": 2.0, "lam": 1.0},
+    "entangled_output_fock": {"ops": [("attenuator", 0.8), ("amplifier", 1.2)], "lam": 1.0},
+}
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} ran before the cutoff check")
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_every_cutoff_builder_holds_the_one_cutoff_rule(monkeypatch):
+    """Every public function with a ``cutoff`` accepts 2 and refuses 1 and 257
+    with one message, on entry: numpy is not touched before the refusal."""
+    builders = {name: f for name, f in vars(fock).items()
+                if inspect.isfunction(f) and f.__module__ == fock.__name__ and not name.startswith("_")
+                and "cutoff" in inspect.signature(f).parameters}
+    assert sorted(builders) == sorted(CUTOFF_ARGS)
+    for name, f in builders.items():
+        f(**CUTOFF_ARGS[name], cutoff=2)
+    monkeypatch.setattr(fock, "np", _NoNumpy())
+    for name, f in builders.items():
+        for cutoff in (1, 257):
+            with pytest.raises(ValueError, match=rf"^cutoff must lie in \[2, 256\], got {cutoff}$"):
+                f(**CUTOFF_ARGS[name], cutoff=cutoff)
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

@@ -122,7 +122,8 @@ def test_budget_state_totals():
         b = sample_budget(cfg)
         assert b.counts["c1"] > 0
         expected = 2 * b.counts["c1"] + second_moment_batches * b.counts["c2"]
-        assert b.channel_uses == b.tmsv_copies == expected
+        assert b.channel_uses == expected
+        assert b.tmsv_copies == 0  # the prover supplies the state; the verifier prepares no TMSV
 
 
 def _lemma3_raw_reference(sigma, l, eps, delta_g):
@@ -176,7 +177,8 @@ def test_budget_reports_the_shots_a_verdict_draws():
             b = v.budget
             assert b == sample_budget(cfg)
             assert b.channel_uses == sum(v.diagnostics["shots"])
-            assert b.tmsv_copies == (cfg.m if cfg.protocol == "unitary" else 1) * b.channel_uses
+            copies = {"unitary": cfg.m, "amplification": 1, "state": 0}[cfg.protocol]
+            assert b.tmsv_copies == copies * b.channel_uses
 
 
 # ---------------------------------------------------------------- config invariants
