@@ -96,6 +96,10 @@ def cmd_oracle(args) -> int:
         raise ValueError("oracle checks a prover channel's witness, and the state game has no prover channel")
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
+    if cfg.m != 1 and args.cutoff is not None:
+        raise ValueError(
+            f"--cutoff sets the Fock cross-check, which runs at m = 1 only; this scenario has m = {cfg.m}"
+        )
     # the Fock forms come before the report, so a cutoff that fock refuses costs no work
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
         cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff

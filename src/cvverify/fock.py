@@ -46,12 +46,29 @@ refuses, on entry and before it forms any array, a cutoff outside
 [2, MAX_CUTOFF = 256].  The largest arrays of a two-mode path (the transfer
 blocks, the amplitude-form stacks, the framed trace's shift diagonals) hold
 about c^3 entries, and 256^3 = 4096^2, a dense matrix of dimension 4096.
+A cutoff that is not an integer is refused the same way.
+
+The squeezed cores S_theta D S_theta+ of a specification (the unitary
+witness's core, the amplification witness and the closed-form observable's
+branches) depend on theta, D and the cutoff only, not on the prover, so
+``_squeezed_sectors`` keeps them in a least-recently-used cache keyed on
+(theta, the bytes of D's diagonal, its slot, the cutoff, the kept cutoff).
+The cache is bounded by its total block entries, _CORE_ENTRIES = 2^22
+(32 MB of float64), and drops the least recently used cores first.  A core
+kept to cutoff c holds about 2c^3/3 entries, so one at c >= 185 exceeds the
+bound alone and is never kept.  Cached blocks are read-only, and each call
+returns a fresh list of them.  Argument checks and the squeezer's leakage
+warning run on every call, before the lookup; the prover's Kraus
+operators, outputs and unitaries are built per call.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +78,12 @@ from .symplectic import SymplecticSpec
 SQUEEZE_LEAKAGE_WARN = 1e-4
 MAX_CUTOFF = 256
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
+_CORE_ENTRIES = 1 << 22  # block entries the squeezed-core cache may hold (32 MB of float64)
+
+# (sectors, block entries) of each squeezed core of _squeezed_sectors, least
+# recently used first; a core of more than _CORE_ENTRIES entries is never kept.
+_CORES: OrderedDict = OrderedDict()
+_CORES_LOCK = threading.Lock()
 
 
 @dataclass(eq=False, repr=False)
@@ -129,6 +152,10 @@ def _check_lam(lam: float) -> None:
 
 
 def _check_cutoff(cutoff: int, name: str = "cutoff") -> None:
+    try:
+        operator.index(cutoff)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {cutoff!r}") from None
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"{name} must lie in [2, {MAX_CUTOFF}], got {cutoff}")
 
@@ -393,7 +420,37 @@ def _squeezed_sectors(
     """Sector blocks of S_theta D S_theta+ for the diagonal D that is diag(v)
     on one slot (0 = A', 1 = R) and the identity on the other, evaluated at
     ``cutoff``, truncated to photon numbers below ``keep`` (default
-    ``cutoff``) and symmetrized.
+    ``cutoff``) and symmetrized.  :func:`_build_squeezed_sectors` builds
+    them once per key while the cache holds the key; cached blocks are
+    read-only, and each call gets a fresh list of them.  The squeezer check,
+    and so its leakage warning, runs first on every call.
+    """
+    keep = cutoff if keep is None else keep
+    _check_squeezer(theta, cutoff)
+    key = (float(theta), v.tobytes(), slot, cutoff, keep)
+    with _CORES_LOCK:
+        held = _CORES.pop(key, None)
+        if held is not None:
+            _CORES[key] = held  # the most recently used sits last
+            return list(held[0])
+    core = _build_squeezed_sectors(theta, v, slot, cutoff, keep)
+    size = sum(B.size for _, _, B in core)
+    if size > _CORE_ENTRIES:
+        return core
+    # copies: a view would keep its whole padded stack alive, uncounted by the bound
+    core = [(i, j, B.copy()) for i, j, B in core]
+    for arrays in core:
+        for x in arrays:
+            x.setflags(write=False)
+    with _CORES_LOCK:
+        _CORES[key] = core, size
+        while sum(n for _, n in _CORES.values()) > _CORE_ENTRIES:
+            _CORES.popitem(last=False)
+    return list(core)
+
+
+def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> list:
+    """Build the blocks that :func:`_squeezed_sectors` caches.
 
     D is diagonal, so each sector block E of the squeezer gives E diag(d) E^T.
     Photon numbers grow along a sector's chain, so the kept states of each
@@ -403,8 +460,6 @@ def _squeezed_sectors(
     slots, so d along the first is v[t] on slot 0 and v[k + t] on slot 1,
     and the reverse along the second; both products run in one stack.
     """
-    keep = cutoff if keep is None else keep
-    _check_squeezer(theta, cutoff)
     chains = _chains(cutoff)[:keep]  # chain k runs over (t, k + t)
     cores = [None] * keep
     for members, E in _chain_exps(theta, cutoff, keep):

@@ -345,6 +345,22 @@ def test_oracle_rejects_cutoff_below_two(scenario, monkeypatch, capsys, cutoff):
                     f"cutoff must lie in [2, 256], got {cutoff}", capsys)
 
 
+@pytest.mark.parametrize("cutoff", ["0", "14", "9999"])
+def test_oracle_refuses_cutoff_on_two_modes(scenario, tmp_path, monkeypatch, capsys, cutoff):
+    # the Fock check runs at m = 1 only, so --cutoff on m = 2 once passed unread
+    _no_report(monkeypatch)
+    _, data = scenario
+    spec = {"m": 2, "S": np.eye(4).ravel().tolist(), "d": [0.0] * 4}
+    data["config"]["target"], data["prover"]["spec"] = spec, spec
+    path = tmp_path / "two_modes.json"
+    path.write_text(json.dumps(data))
+    _assert_refused(["oracle", "--config", str(path), "--cutoff", cutoff],
+                    "--cutoff sets the Fock cross-check, which runs at m = 1 only; this scenario has m = 2", capsys)
+    monkeypatch.undo()
+    assert main(["oracle", "--config", str(path)]) == 0
+    assert "fock_omega" not in json.loads(capsys.readouterr().out)
+
+
 class _Started(Exception):
     """Raised in place of the oracle's first piece of work."""
 

@@ -95,8 +95,11 @@ def test_squeeze2_unitary_on_interior():
 def test_squeeze2_leakage_warning():
     with pytest.warns(UserWarning, match="leakage"):
         fock.entangled_output_fock([("amplifier", np.cosh(2.0))], 1.0, 6)
-    with pytest.warns(UserWarning, match="leakage"):
-        fock.witness_fock_amp(1.5, 1.0, 6)  # theta' = arctanh(sqrt(2) / 1.5)
+    fock._CORES.clear()
+    for _ in range(2):  # the second build reads the cached core, and warns all the same
+        with pytest.warns(UserWarning, match="leakage"):
+            fock.witness_fock_amp(1.5, 1.0, 6)  # theta' = arctanh(sqrt(2) / 1.5)
+    assert len(fock._CORES) == 1
 
 
 def test_performance_operator_trace_is_one():
@@ -525,12 +528,13 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.canonical_observable_closed_form(-2.0, 1.0, 6), "g must be positive and finite"),
     # the default embed_cutoff is cutoff + 18
     (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 250), r"^embed_cutoff must lie in \[2, 256\], got 268$"),
+    (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 6, 8.5), r"^embed_cutoff must be an integer, got 8.5$"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-inf", "w-unitary-lam-tiny",
     "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
     "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
     "output-cutoff-0", "output-lam-nan", "closed-form-lam-negative", "closed-form-g-nan",
-    "closed-form-g-negative", "closed-form-embed-257-plus",
+    "closed-form-g-negative", "closed-form-embed-257-plus", "closed-form-embed-not-integral",
 ])
 def test_fock_builders_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
@@ -562,18 +566,23 @@ class _NoNumpy:
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_every_cutoff_builder_holds_the_one_cutoff_rule(monkeypatch):
-    """Every public function with a ``cutoff`` accepts 2 and refuses 1 and 257
-    with one message, on entry: numpy is not touched before the refusal."""
+    """Every public function with a ``cutoff`` accepts 2 and an integral numpy
+    3, and refuses 1 and 257 with one message and 2.5 with another, on entry:
+    numpy is not touched before the refusal.  A non-integral cutoff once
+    passed (g_theta(0.5, 2.5) had three entries) or ended in numpy's TypeError."""
     builders = {name: f for name, f in vars(fock).items()
                 if inspect.isfunction(f) and f.__module__ == fock.__name__ and not name.startswith("_")
                 and "cutoff" in inspect.signature(f).parameters}
     assert sorted(builders) == sorted(CUTOFF_ARGS)
     for name, f in builders.items():
-        f(**CUTOFF_ARGS[name], cutoff=2)
+        for cutoff in (2, np.int64(3)):
+            f(**CUTOFF_ARGS[name], cutoff=cutoff)
     monkeypatch.setattr(fock, "np", _NoNumpy())
+    refusals = [(1, r"must lie in \[2, 256\], got 1"), (257, r"must lie in \[2, 256\], got 257"),
+                (2.5, r"must be an integer, got 2.5")]
     for name, f in builders.items():
-        for cutoff in (1, 257):
-            with pytest.raises(ValueError, match=rf"^cutoff must lie in \[2, 256\], got {cutoff}$"):
+        for cutoff, message in refusals:
+            with pytest.raises(ValueError, match=rf"^cutoff {message}$"):
                 f(**CUTOFF_ARGS[name], cutoff=cutoff)
 
 
@@ -926,3 +935,137 @@ def test_unitary_dual_path_holds_no_dense_two_mode_array():
             tracemalloc.stop()
         assert np.isfinite(omega) and abs(leakage) < 1e-10, prover.kind
         assert peak < 64 * 2**20, (prover.kind, peak)
+
+
+# The squeezed-core cache of fock._squeezed_sectors: the config-side cores
+# (the unitary witness's, the amplification witness, the closed-form
+# branches) are built once per key; prover-side data is built per call.
+
+def _count_chain_exps(monkeypatch):
+    """Count the calls of fock._chain_exps, the squeezer's exponentials."""
+    calls = []
+    chain_exps = fock._chain_exps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chain_exps(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "_chain_exps", counted)
+    return calls
+
+
+def _core_blocks(op):
+    return op.sectors if op.sectors is not None else op.form[1]
+
+
+_FRAMED_SPEC = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.2, -0.1]))
+CORE_BUILDS = {
+    "unitary-framed": lambda: fock.witness_fock_unitary(_FRAMED_SPEC, 0.8, 12),
+    "unitary-folded": lambda: fock.witness_fock_unitary(sp.identity(1), 0.8, 12),
+    "amplification": lambda: fock.witness_fock_amp(2.0, 1.0, 12),
+    "closed-form-below": lambda: fock.canonical_observable_closed_form(1.0, 1.0, 10),
+    "closed-form-above": lambda: fock.canonical_observable_closed_form(2.0, 1.0, 10),
+    "closed-form-below-embed": lambda: fock.canonical_observable_closed_form(1.0, 1.0, 10, embed_cutoff=10),
+    "closed-form-above-embed": lambda: fock.canonical_observable_closed_form(2.0, 1.0, 10, embed_cutoff=10),
+}
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("name", sorted(CORE_BUILDS))
+def test_cached_core_matches_a_cold_build(name):
+    build = CORE_BUILDS[name]
+    fock._CORES.clear()
+    cold = build()
+    assert len(fock._CORES) == 1
+    hit = build()
+    assert len(_core_blocks(cold)) == len(_core_blocks(hit))
+    for x, y in zip(_core_blocks(cold), _core_blocks(hit)):
+        assert all(np.array_equal(a, b) for a, b in zip(x, y))
+    if cold.form is not None:
+        assert np.array_equal(cold.form[0], hit.form[0])
+    assert np.array_equal(cold.matrix, hit.matrix)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_cached_core_is_read_only_and_each_call_gets_its_own_list():
+    fock._CORES.clear()
+    for _ in range(2):  # the list of a miss, then of a hit
+        W = fock.witness_fock_amp(2.0, 1.0, 8)
+        assert not any(x.flags.writeable for block in W.sectors for x in block)
+        with pytest.raises(ValueError, match="read-only"):
+            W.sectors[0][2][0, 0] = 1.0
+        W.sectors.append(W.sectors[0])
+        W.sectors.pop(1)
+    again = fock.witness_fock_amp(2.0, 1.0, 8)
+    assert len(again.sectors) == 2 * 8 - 1
+    assert all(s[2] is t[2] for s, t in zip(again.sectors, fock.witness_fock_amp(2.0, 1.0, 8).sectors))
+    assert again.sectors[1][2].shape == (7, 7)  # the chain from |0, 1>, not the one popped above
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_a_different_core_misses_the_cache(monkeypatch):
+    """One ulp of theta, of D or of lam, the other slot or another kept cutoff
+    is another core; only the same key is a hit."""
+    calls = _count_chain_exps(monkeypatch)
+    fock._CORES.clear()
+    theta, v = 0.4, fock.g_theta(0.4, 10)
+    nudged = v.copy()
+    nudged[3] = np.nextafter(v[3], 1.0)
+    lam = np.nextafter(1.0, 2.0)  # kappa rounds to the same angle, k = lam / (lam + 1) does not
+    for build in (lambda: fock._squeezed_sectors(theta, v, 0, 10),
+                  lambda: fock._squeezed_sectors(np.nextafter(theta, 1.0), v, 0, 10),
+                  lambda: fock._squeezed_sectors(theta, nudged, 0, 10),
+                  lambda: fock._squeezed_sectors(theta, v, 1, 10),
+                  lambda: fock._squeezed_sectors(theta, v, 0, 10, keep=8),
+                  lambda: fock.witness_fock_unitary(sp.identity(1), 1.0, 10),
+                  lambda: fock.witness_fock_unitary(sp.identity(1), lam, 10)):
+        before = len(calls)
+        build()
+        assert len(calls) == before + 1
+        build()
+        assert len(calls) == before + 1
+    assert len(fock._CORES) == 7
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_core_cache_keeps_its_entry_bound_in_lru_order(monkeypatch):
+    """The cached block entries never exceed the bound; a core above it is
+    never kept, and a hit moves its core to the back of the eviction order."""
+    bound = 5000  # the core at cutoff c holds c^2 + 2 sum_{n<c} n^2 entries: 4579 at 19, 5340 at 20
+    monkeypatch.setattr(fock, "_CORE_ENTRIES", bound)
+    fock._CORES.clear()
+
+    def core(c):
+        return fock._squeezed_sectors(0.3, fock.g_theta(0.3, c), 0, c)
+
+    def held():
+        return {key[3] for key in fock._CORES}
+
+    for c in list(range(2, 24)) + [8, 4, 20, 6]:
+        core(c)
+        assert sum(size for _, size in fock._CORES.values()) <= bound
+        assert c in held() or c >= 20
+    assert held() == {8, 4, 6}  # 19's 4579 entries made way for 6; 20 was never kept
+    core(18)  # 3894 entries
+    core(4)  # a hit: 4 becomes the most recently used
+    core(15)  # 2255 entries: 8, 6 and 18 go, oldest use first, and 4 stays
+    assert held() == {4, 15}
+    assert sum(size for _, size in fock._CORES.values()) == 44 + 2255
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_repeated_config_side_builds_exponentiate_nothing(monkeypatch):
+    """A repeated witness or closed form makes no call of fock._chain_exps;
+    the prover's Kraus operators are built on every call."""
+    calls = _count_chain_exps(monkeypatch)
+    for build in (lambda: fock.witness_fock_unitary(_FRAMED_SPEC, 1.0, 20),
+                  lambda: fock.canonical_observable_closed_form(2.0, 1.0, 14),
+                  lambda: fock.canonical_observable_closed_form(1.0, 1.0, 16, embed_cutoff=16)):
+        build()
+        before = len(calls)
+        build()
+        assert len(calls) == before
+    before = len(calls)
+    fock._kraus_diagonals("amplifier", 1.2, 20)
+    fock._kraus_diagonals("amplifier", 1.2, 20)
+    assert len(calls) == before + 2
