@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import symplectic
 from .gaussian import GaussianChannel
 from .symplectic import SymplecticSpec, _as_int
 
@@ -197,21 +196,3 @@ def average_fidelity(p: ProverChannel, target, lam: float) -> float:
     _, logdet = np.linalg.slogdet(W)
     return float(np.exp(-0.5 * (logdet + b @ np.linalg.solve(W, b))))
 
-
-def random_prover(rng: np.random.Generator, n_modes: int = 1) -> ProverChannel:
-    """Random prover channel for property tests: random kind, moderate noise."""
-    kind = rng.choice(KINDS)
-    if kind in ("ExactUnitary", "NoisyUnitary"):
-        spec = symplectic.random_symplectic(n_modes, r_max=0.5, d_scale=0.3, rng=rng)
-        excess = float(rng.uniform(0, 0.5)) if kind == "NoisyUnitary" else 0.0
-        return ProverChannel(kind, spec=spec, excess=excess)
-    if kind in ("QuantumLimitedAmplifier", "NoisyAmplifier"):
-        g = float(rng.uniform(1.0, 2.0))
-        excess = float(rng.uniform(0, 0.5)) if kind == "NoisyAmplifier" else 0.0
-        return ProverChannel(kind, g=g, excess=excess, n_modes=n_modes)
-    if kind == "Attenuator":
-        return ProverChannel(
-            kind, eta=float(rng.uniform(0.3, 1.0)), excess=float(rng.uniform(0, 0.3)),
-            n_modes=n_modes,
-        )
-    return ProverChannel(kind, variance=float(rng.uniform(0, 0.8)), n_modes=n_modes)

@@ -158,13 +158,12 @@ def cmd_lemmas(args) -> int:
                 "min_eigenvalue": min_eig, "passed": passed,
             })
 
-    # canonical observable vs closed forms at lam = 1
+    # canonical observable vs closed forms at lam = 1, block by block
     lam = 1.0
     small = min(cutoff, 14)
     for g in (1.0, 2.0):
-        O = fock.canonical_observable(g, lam, small).matrix
-        C = fock.canonical_observable_closed_form(g, lam, small).matrix
-        dev = float(np.max(np.abs(O - C)))
+        diff = fock.canonical_observable(g, lam, small) - fock.canonical_observable_closed_form(g, lam, small)
+        dev = float(max(np.max(np.abs(B)) for _, _, B in diff.sectors))
         passed = dev <= 1e-3
         ok &= passed
         results.append({
@@ -217,6 +216,8 @@ def cmd_budget(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv writes sweep.csv into the --out directory, and no --out is given")
     data = _load_json(args.config)
     cfg, _, _, reps, seed, shot_cap = _parse_scenario(data)
     seed = args.seed if args.seed is not None else seed
@@ -230,7 +231,7 @@ def cmd_sweep(args) -> int:
         rows.append({"variance": float(v), "accept_rate": rate, "analytic_omega": omega})
         print(f"v={v:.4f}  omega={omega:+.4f}  accept_rate={rate:.3f}")
     report = {"sweep": rows, "repetitions": reps, "seed": seed}
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["variance,accept_rate,analytic_omega"]

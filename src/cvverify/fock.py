@@ -37,9 +37,10 @@ Kraus operator (a shift and scale of rows) per attenuator or amplifier.
 ``expectation`` contracts these forms without a dense c^4 array: block
 traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
 block's states (c^3 per term in O(c^3) memory), or the shared photon-number
-shifts of a framed operator and a sector state (c^4).  An operator's
-``matrix`` is assembled, read-only, only when read; a state has no dense
-form.  Truncation leakage is reported, never silently renormalized away.
+shifts of a framed operator and a sector state (c^4).  The ``matrix`` of an
+operator held in sectors is assembled, read-only, only when read; a framed
+operator and a state have no dense form.  Truncation leakage is reported,
+never silently renormalized away.
 
 One cutoff rule holds everywhere: each public function with a ``cutoff``
 refuses, on entry and before it forms any array, a cutoff outside
@@ -104,17 +105,14 @@ class _Fock:
 class FockOperator(_Fock):
     """Two-mode operator.  Its ``form``, if any, is (U, sectors): sector
     blocks B in the frame of a unitary U on the first mode, the operator
-    (U (x) 1) B (U+ (x) 1).  ``matrix`` is assembled, read-only, on first read."""
+    (U (x) 1) B (U+ (x) 1).  The ``matrix`` of an operator held in sectors
+    is assembled, read-only, on first read; a framed operator has none."""
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        c = self.cutoff
-        if self.sectors is not None:
-            M = _assemble(self.sectors, c)
-        else:
-            U, sectors = self.form
-            M = _pairs(_assemble(sectors, c), c)
-            M = _pairs(U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape), c)
+        if self.sectors is None:
+            raise ValueError("a dense matrix is assembled only from an operator held in sectors")
+        M = _assemble(self.sectors, self.cutoff)
         M.setflags(write=False)
         return M
 
@@ -302,14 +300,6 @@ def _assemble(sectors: list, cutoff: int) -> np.ndarray:
     return U
 
 
-def _pairs(M: np.ndarray, cutoff: int) -> np.ndarray:
-    """A two-mode matrix between its (c^2, c^2) form and the (c, c, c^2) array
-    M[i, k, (j, l)] = <ij|M|kl>, on whose first two indices U (x) 1 acts as
-    U @ M @ U+: ``U.conj() @ (U @ M.reshape(c, -1)).reshape(M.shape)``."""
-    c = cutoff
-    return M.reshape(c, c, c, c).transpose(0, 2, 1, 3).reshape((c, c, c * c) if M.ndim == 2 else (c * c, c * c))
-
-
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
     """exp(beta a+ - conj(beta) a), the exponential of the Hermitian i (beta a+ - conj(beta) a)."""
     a = destroy(cutoff)
@@ -330,8 +320,8 @@ def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
 def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     """Single-mode Gaussian unitary via Euler decomposition S = R(a) diag(e^r, e^-r) R(b).
 
-    Conventions chosen so that the induced phase-space action on means matches
-    :func:`cvverify.gaussian.apply_unitary` exactly: R(phi) rotates
+    Conventions chosen so that the induced phase-space action on means is
+    x -> S x + d, as in :func:`cvverify.gaussian.apply_channel`: R(phi) rotates
     q -> q cos(phi) - p sin(phi), the squeezer scales (q, p) -> (e^r q, e^-r p),
     and the displacement shifts the mean by ``spec.d``.
     """
@@ -486,17 +476,18 @@ def canonical_observable_closed_form(
     tanh^2(theta') S_theta' (1 (x) G_theta') S_theta'+ with
     theta' = arctanh(sqrt(lam+1) / g).
 
-    The squeezer conjugation is evaluated at ``embed_cutoff`` (default
-    ``cutoff + 18``) and truncated back, because at the working cutoff the
-    highest photon-number-difference sectors of a truncated squeezer
-    degenerate and corrupt the corner entries.  Both branches conserve
-    n1 - n2, so the result is held as its sector blocks.
+    The squeezer conjugation is evaluated at ``embed_cutoff`` and truncated
+    back, because at the working cutoff the highest photon-number-difference
+    sectors of a truncated squeezer degenerate and corrupt the corner
+    entries.  The default embedding is derived from the angle and the cutoff
+    by :func:`_embedding`.  Both branches conserve n1 - n2, so the result is
+    held as its sector blocks.
     """
     _check_cutoff(cutoff)
-    big = cutoff + 18 if embed_cutoff is None else embed_cutoff
-    _check_cutoff(big, "embed_cutoff")
-    if big < cutoff:
-        raise ValueError("embed_cutoff must be at least cutoff")
+    if embed_cutoff is not None:
+        _check_cutoff(embed_cutoff, "embed_cutoff")
+        if embed_cutoff < cutoff:
+            raise ValueError("embed_cutoff must be at least cutoff")
     _check_lam(lam)
     if not 0 < g < np.inf:
         raise ValueError(f"g must be positive and finite, got {g}")
@@ -506,8 +497,34 @@ def canonical_observable_closed_form(
     slot = int(g > root)  # G_theta sits on A' below the transition, on R above it
     theta = np.arctanh(root / g if slot else g / root)
     scale = np.tanh(theta) ** (2 * slot)
+    big = _embedding(theta, cutoff) if embed_cutoff is None else embed_cutoff
     sectors = _squeezed_sectors(theta, g_theta(theta, big), slot, big, keep=cutoff)
     return FockOperator(cutoff, [(i, j, B * scale) for i, j, B in sectors])
+
+
+def _embedding(theta: float, cutoff: int) -> int:
+    """The embedding c + k of the closed-form observable at cutoff c: the
+    least k at which two estimates of the truncation error, both taken at
+    the corner state |0, c - 1>, are below the double-precision epsilon, or
+    MAX_CUTOFF if no k up to it is.
+
+    The tail: the squeezer takes photon number n to n + k with an amplitude
+    of order tanh^k(theta) C(n + k, k)^(1/2), and G_theta weighs n + k by
+    tanh^(2(n + k))(theta), so the states past c + k add about
+    tanh^(4k)(theta) C(c + k, k).  The path: the truncated exponential first
+    differs from the full one through the missing link past state k of the
+    chain, a return path of 2k + 2 steps whose Taylor term is
+    theta^(2k + 2) (k + 1)! (c + k)! / ((c - 1)! (2k + 2)!).  The path term
+    dominates at small theta, the tail near the transition, where
+    tanh(theta) -> 1 and no embedding up to MAX_CUTOFF meets it.
+    """
+    k = np.arange(MAX_CUTOFF - cutoff + 1)
+    log_fact = _log_factorials(2 * MAX_CUTOFF + 1)
+    tail = 4 * k * np.log(np.tanh(theta)) + log_fact[cutoff + k] - log_fact[cutoff] - log_fact[k]
+    path = ((2 * k + 2) * np.log(theta) + log_fact[k + 1] + log_fact[cutoff + k] - log_fact[cutoff - 1]
+            - log_fact[2 * k + 2])
+    fits = np.flatnonzero(np.maximum(tail, path) <= np.log(np.finfo(float).eps))
+    return cutoff + int(fits[0]) if fits.size else MAX_CUTOFF
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symplectic import SymplecticSpec, _as_int, _readonly, symplectic_form
+from .symplectic import _as_int, _readonly, symplectic_form
 
 UNCERTAINTY_TOL = 1e-9
 
@@ -63,7 +63,7 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Affine Gaussian CP map: mean -> X mean + d, cov -> X cov X^T + Y."""
+    """Affine Gaussian CP map on N modes: mean -> X mean + d, cov -> X cov X^T + Y."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -73,9 +73,9 @@ class GaussianChannel:
         X = _readonly(self.X)
         Y = _readonly(self.Y)
         d = _readonly(self.d)
-        if X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2:
-            raise ValueError(f"X must be 2N_out x 2N_in, got shape {X.shape}")
-        if Y.shape != (X.shape[0], X.shape[0]) or d.shape != (X.shape[0],):
+        if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2:
+            raise ValueError(f"X must be 2N x 2N, got shape {X.shape}")
+        if Y.shape != X.shape or d.shape != (X.shape[0],):
             raise ValueError("Y/d shapes incompatible with X")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -84,37 +84,13 @@ class GaussianChannel:
             raise ValueError("channel violates complete positivity")
 
     @property
-    def n_modes_in(self) -> int:
-        return self.X.shape[1] // 2
-
-    @property
-    def n_modes_out(self) -> int:
+    def n_modes(self) -> int:
         return self.X.shape[0] // 2
 
     def is_cp(self) -> bool:
-        omega_in = symplectic_form(self.n_modes_in)
-        omega_out = symplectic_form(self.n_modes_out)
-        h = self.Y + 0.5j * (omega_out - self.X @ omega_in @ self.X.T)
+        omega = symplectic_form(self.n_modes)
+        h = self.Y + 0.5j * (omega - self.X @ omega @ self.X.T)
         return bool(np.min(np.linalg.eigvalsh(h)) >= -UNCERTAINTY_TOL)
-
-
-def vacuum(n_modes: int) -> GaussianState:
-    return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
-
-
-def coherent(alpha) -> GaussianState:
-    """Coherent state(s) with mean (sqrt(2) Re a_j, sqrt(2) Im a_j) per mode."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    mean = np.empty(2 * alpha.size)
-    mean[0::2] = np.sqrt(2.0) * alpha.real
-    mean[1::2] = np.sqrt(2.0) * alpha.imag
-    return GaussianState(mean, 0.5 * np.eye(2 * alpha.size))
-
-
-def thermal(nbar: float) -> GaussianState:
-    if nbar < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 
 def tmsv_pairs(r: float, m: int) -> GaussianState:
@@ -139,33 +115,15 @@ def _embed_indices(modes: Sequence[int], n_total: int) -> np.ndarray:
     return np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
 
 
-def apply_unitary(
-    state: GaussianState, u: SymplecticSpec, modes: Sequence[int] | None = None
-) -> GaussianState:
-    """Apply a Gaussian unitary to the given mode subset (all modes by default)."""
-    n = state.n_modes
-    modes = range(n) if modes is None else modes
-    idx = _embed_indices(modes, n)
-    if idx.size != u.S.shape[0]:
-        raise ValueError(f"subset size {idx.size // 2} does not match {u.n_modes}-mode unitary")
-    S_full = np.eye(2 * n)
-    S_full[np.ix_(idx, idx)] = u.S
-    d_full = np.zeros(2 * n)
-    d_full[idx] = u.d
-    return GaussianState(S_full @ state.mean + d_full, S_full @ state.cov @ S_full.T)
-
-
 def apply_channel(
     state: GaussianState, ch: GaussianChannel, modes: Sequence[int] | None = None
 ) -> GaussianState:
     """Apply a Gaussian channel to a mode subset; spectator correlations follow X."""
-    if ch.n_modes_in != ch.n_modes_out:
-        raise ValueError("only mode-preserving channels can act on a subset")
     n = state.n_modes
     modes = range(n) if modes is None else modes
     idx = _embed_indices(modes, n)
     if idx.size != ch.X.shape[1]:
-        raise ValueError(f"subset size {idx.size // 2} does not match {ch.n_modes_in}-mode channel")
+        raise ValueError(f"subset size {idx.size // 2} does not match {ch.n_modes}-mode channel")
     X_full = np.eye(2 * n)
     X_full[np.ix_(idx, idx)] = ch.X
     Y_full = np.zeros((2 * n, 2 * n))

@@ -496,10 +496,24 @@ def witness_analytic(prover: ProverChannel, cfg: VerificationConfig) -> float:
 def witness_estimate_state(
     mean_est: np.ndarray, second_moments: np.ndarray, cfg: VerificationConfig
 ) -> float:
-    """Pure-state witness from the means and the (symmetric) raw second-moment
-    matrix of the supplied state."""
+    """Pure-state witness from the means and the symmetric raw second-moment
+    matrix of the supplied state.  A config of another game, means that are
+    not 2m long, a second-moment matrix that is not 2m x 2m or not symmetric,
+    and a witness that is not finite (NaN moments, say) are ValueErrors."""
+    if cfg.protocol != "state":
+        raise ValueError(f"witness_estimate_state scores the state game, not the {cfg.protocol} game")
+    mean, second = np.asarray(mean_est, dtype=float), np.asarray(second_moments, dtype=float)
+    n = 2 * cfg.m
+    if mean.shape != (n,) or second.shape != (n, n):
+        raise ValueError(f"a {cfg.m}-mode target takes means of shape ({n},) and second moments of "
+                         f"shape ({n}, {n}), got {mean.shape} and {second.shape}")
+    if np.max(np.abs(second - second.T)) > 1e-10:
+        raise ValueError("the second-moment matrix must be symmetric")
     batches, c0, _ = plan_state(cfg)
-    return c0 + sum(exact_terms(np.asarray(mean_est), np.asarray(second_moments), batches))
+    omega = c0 + sum(exact_terms(mean, second, batches))
+    if not math.isfinite(omega):
+        raise ValueError(f"state witness {omega} is not finite")
+    return omega
 
 
 @dataclass(frozen=True)

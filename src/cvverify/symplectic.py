@@ -98,33 +98,6 @@ def identity(n_modes: int) -> SymplecticSpec:
     return SymplecticSpec(np.eye(2 * n_modes), np.zeros(2 * n_modes))
 
 
-def rotation(phi: float) -> SymplecticSpec:
-    """Single-mode phase rotation: q -> q cos(phi) - p sin(phi)."""
-    c, s = np.cos(phi), np.sin(phi)
-    return SymplecticSpec(np.array([[c, -s], [s, c]]), np.zeros(2))
-
-
-def single_mode_squeezer(r: float) -> SymplecticSpec:
-    """Single-mode squeezer diag(e^r, e^-r)."""
-    return SymplecticSpec(np.diag([np.exp(r), np.exp(-r)]), np.zeros(2))
-
-
-def displacement(d: np.ndarray) -> SymplecticSpec:
-    d = np.asarray(d, dtype=float)
-    return SymplecticSpec(np.eye(d.size), d)
-
-
-def two_mode_squeezer(theta: float) -> SymplecticSpec:
-    """Two-mode squeezer, cosh(theta) on the diagonal blocks and sinh(theta) Z off-diagonal."""
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    c, s = np.cosh(theta), np.sinh(theta)
-    eye2 = np.eye(2)
-    Z = np.diag([1.0, -1.0])
-    S = np.block([[c * eye2, s * Z], [s * Z, c * eye2]])
-    return SymplecticSpec(S, np.zeros(4))
-
-
 def spectral_norm(spec: SymplecticSpec) -> float:
     """Largest singular value of S; equals exp(r_max) for a symplectic matrix."""
     return float(np.linalg.norm(spec.S, ord=2))

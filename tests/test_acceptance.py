@@ -6,6 +6,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 import numpy as np
 import pytest
 
+from builders import random_prover
 from cvverify import fock, gaussian as ga, measurement as ms, symplectic as sp
 from cvverify.channels import (
     AmplificationTarget,
@@ -14,7 +15,6 @@ from cvverify.channels import (
     elementary_factors,
     exact_unitary,
     optimal_amplifier,
-    random_prover,
 )
 from cvverify.protocols import (
     VerificationConfig,
@@ -138,12 +138,14 @@ def test_5_dual_path_equality():
     lam, cutoff = 1.0, 24
     provers_unitary = [
         exact_unitary(sp.identity(1)),
-        exact_unitary(sp.rotation(0.4)),
-        ProverChannel("NoisyUnitary", spec=sp.single_mode_squeezer(0.25), excess=0.15),
+        exact_unitary(sp.SymplecticSpec(np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]),
+                                        np.zeros(2))),
+        ProverChannel("NoisyUnitary", spec=sp.SymplecticSpec(np.diag([np.exp(0.25), np.exp(-0.25)]), np.zeros(2)),
+                      excess=0.15),
         ProverChannel("AdditiveNoise", variance=0.2),
         ProverChannel("Attenuator", eta=0.8, excess=0.05),
         ProverChannel("QuantumLimitedAmplifier", g=1.2),
-        exact_unitary(sp.displacement(np.array([0.4, -0.2]))),
+        exact_unitary(sp.SymplecticSpec(np.eye(2), np.array([0.4, -0.2]))),
     ]
     provers_amp = [
         optimal_amplifier(2.0, lam),  # identity at lam=1, g=2: IS the optimum
@@ -194,10 +196,11 @@ def test_5_dual_path_on_strong_squeezers(r, excess, cutoff):
     truncation error is 9e-4 at cutoff 96 and 7e-5 at 128), or NoisyUnitary
     with excess 0.1 (at cutoff 24 its error is 7e-2)."""
     lam = 1.0
-    target = sp.single_mode_squeezer(r)
+    target = sp.SymplecticSpec(np.diag([np.exp(r), np.exp(-r)]), np.zeros(2))
     cfg = VerificationConfig("unitary", lam=lam, F_t=0.5, delta=0.25, epsilon=0.02, target=target)
     if excess is None:
-        off = sp.SymplecticSpec(sp.rotation(0.1).S @ target.S, np.array([0.1, 0.0]))
+        rotation = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        off = sp.SymplecticSpec(rotation @ target.S, np.array([0.1, 0.0]))
         provers = [exact_unitary(target), exact_unitary(off)]
     else:
         provers = [ProverChannel("NoisyUnitary", spec=target, excess=excess)]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from builders import random_prover
 from cvverify import gaussian as ga, symplectic as sp
 from cvverify.channels import (
     KINDS,
@@ -13,7 +14,6 @@ from cvverify.channels import (
     elementary_factors,
     exact_unitary,
     optimal_amplifier,
-    random_prover,
 )
 
 
@@ -31,7 +31,7 @@ def test_quantum_limited_amplifier_g1_is_identity():
 
 def test_attenuator_keeps_vacuum_on_vacuum():
     ch = ProverChannel("Attenuator", eta=0.5).realize()
-    out = ga.apply_channel(ga.vacuum(1), ch)
+    out = ga.apply_channel(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), ch)
     np.testing.assert_allclose(out.cov, 0.5 * np.eye(2))
 
 
@@ -148,8 +148,9 @@ def test_fidelity_matches_dense_reference():
 
 # One single-mode prover of each kind, every field it sets off its default.
 SIX = [
-    ProverChannel("ExactUnitary", spec=sp.SymplecticSpec(sp.single_mode_squeezer(0.2).S, np.array([0.3, -0.1]))),
-    ProverChannel("NoisyUnitary", spec=sp.single_mode_squeezer(0.3), excess=0.15),
+    ProverChannel("ExactUnitary", spec=sp.SymplecticSpec(np.diag([np.exp(0.2), np.exp(-0.2)]), np.array([0.3, -0.1]))),
+    ProverChannel("NoisyUnitary", spec=sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2)),
+                  excess=0.15),
     ProverChannel("QuantumLimitedAmplifier", g=1.3),
     ProverChannel("NoisyAmplifier", g=1.4, excess=0.2),
     ProverChannel("Attenuator", eta=0.7, excess=0.1),
@@ -182,7 +183,7 @@ def test_elementary_factors_reproduce_channel():
 
 def test_serialization_roundtrip():
     provers = SIX + [
-        ProverChannel("NoisyUnitary", spec=sp.two_mode_squeezer(0.3), excess=0.2),
+        ProverChannel("NoisyUnitary", spec=sp.random_symplectic(2, 0.3, 0.2, np.random.default_rng(1)), excess=0.2),
         ProverChannel("Attenuator", eta=0.6, excess=0.05, n_modes=2),
     ]
     for p in provers:
@@ -195,7 +196,8 @@ def test_serialization_roundtrip():
 
 
 # A value off each field's default, as a constructor argument and as JSON.
-OFF_DEFAULT = {"spec": (sp.rotation(0.4), sp.rotation(0.4).to_dict()), "g": (1.5, 1.5), "eta": (0.5, 0.5),
+ROTATION = sp.SymplecticSpec(np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]), np.zeros(2))
+OFF_DEFAULT = {"spec": (ROTATION, ROTATION.to_dict()), "g": (1.5, 1.5), "eta": (0.5, 0.5),
                "excess": (0.1, 0.1), "variance": (0.2, 0.2), "n_modes": (2, 2)}
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProverChannel)}
 

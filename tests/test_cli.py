@@ -457,6 +457,16 @@ def test_sweep_csv(scenario, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_csv_without_out_is_refused(scenario, monkeypatch, capsys):
+    # the CSV asked for was silently replaced by the JSON report on stdout
+    from cvverify import protocols
+
+    monkeypatch.setattr(protocols, "accept_rate", lambda *args, **kwargs: pytest.fail("a verdict ran"))
+    path, _ = scenario
+    _assert_refused(["sweep", "--config", str(path), "--format", "csv"],
+                    "--format csv writes sweep.csv into the --out directory, and no --out is given", capsys)
+
+
 GAME_CONFIGS = {
     "unitary": {"protocol": "unitary", "lam": 1.0, "F_t": 0.9, "delta": 0.25, "epsilon": 0.04,
                 "target": {"m": 1, "S": [1, 0, 0, 1], "d": [0.3, 0]}},
@@ -558,6 +568,26 @@ def test_invalid_argument_values_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_closed_form_suite_compares_blocks_to_the_dense_maximum(tmp_path, monkeypatch, capsys):
+    """The closed-form suite reads no dense matrix (it read two c^2 x c^2
+    matrices per gain), and its block maximum is the dense maximum."""
+    from cvverify import fock
+
+    def no_dense(op):
+        raise AssertionError("lemmas read a dense matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fock.FockOperator, "matrix", property(no_dense))
+        assert main(["lemmas", "--cutoff", "14", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = [r for r in json.loads((tmp_path / "lemmas.json").read_text())["results"] if r["suite"] == "closed-form"]
+    assert [(r["g"], r["cutoff"]) for r in rows] == [(1.0, 14), (2.0, 14)]
+    for r in rows:
+        O = fock.canonical_observable(r["g"], r["lam"], 14).matrix
+        C = fock.canonical_observable_closed_form(r["g"], r["lam"], 14).matrix
+        assert r["max_deviation"] == float(np.max(np.abs(O - C))), r
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

@@ -8,8 +8,9 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm, polar
 from scipy.special import gammaln
 
+from builders import coherent, dense_matrix
 from cvverify import fock, gaussian as ga, symplectic as sp
-from cvverify.channels import ProverChannel, elementary_factors
+from cvverify.channels import ProverChannel, elementary_factors, exact_unitary
 
 
 def test_g_theta_vacuum_entry():
@@ -230,6 +231,27 @@ def test_closed_form_branches_continuous_near_transition():
     assert np.max(np.abs(below[np.ix_(low, low)] - above[np.ix_(low, low)])) < 0.05
 
 
+@pytest.mark.parametrize("cutoff", [14, 20, 30, 39])
+def test_closed_form_at_its_default_embedding_matches_the_observable(cutoff):
+    """Both branches at lam = 1 within 1e-10 of the canonical observable, at
+    small angles (g = 0.1 and 10), where the path term sets the embedding,
+    and at larger ones, where the tail does.  At g = 1 the embedding
+    cutoff + 18 missed by 9.8e-5 at cutoff 14 and by 4.1e-2 at 39."""
+    for g in (0.1, 0.5, 1.0, 2.0, 3.0, 10.0):
+        diff = fock.canonical_observable(g, 1.0, cutoff) - fock.canonical_observable_closed_form(g, 1.0, cutoff)
+        assert max(np.max(np.abs(B)) for _, _, B in diff.sectors) <= 1e-10, g
+
+
+def test_default_embedding_grows_with_the_angle_up_to_the_cutoff_bound():
+    """The embedding grows with tanh(theta) and the cutoff, and stops at
+    MAX_CUTOFF: near the transition, and at a cutoff of 250 on a g = 2 branch
+    (where cutoff + 18 was refused)."""
+    embeddings = [fock._embedding(np.arctanh(t), 14) for t in (0.35, 0.5, 0.71, 0.9, 0.995)]
+    assert embeddings == sorted(embeddings) and 14 < embeddings[0] and embeddings[-1] == fock.MAX_CUTOFF
+    assert fock._embedding(np.arctanh(0.71), 20) > embeddings[2]
+    assert fock._embedding(np.arctanh(1.0 / np.sqrt(2.0)), 250) == fock.MAX_CUTOFF
+
+
 def test_damping_inequality_small():
     theta, cutoff = 0.5, 20
     n = np.arange(cutoff, dtype=float)
@@ -261,15 +283,16 @@ def test_gaussian_unitary_fock_matches_phase_space_moments():
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
     mean_fock = np.array([np.vdot(psi, q @ psi).real, np.vdot(psi, p @ psi).real])
 
-    out = ga.apply_unitary(ga.coherent(alpha), spec)
+    out = ga.apply_channel(coherent(alpha), exact_unitary(spec).realize())
     np.testing.assert_allclose(mean_fock, out.mean, atol=1e-6)
 
 
 def test_gaussian_unitary_fock_rotation_and_squeezer():
     cutoff = 30
-    U = fock.gaussian_unitary_fock(sp.rotation(0.9), cutoff)
+    c, s = np.cos(0.9), np.sin(0.9)
+    U = fock.gaussian_unitary_fock(sp.SymplecticSpec(np.array([[c, -s], [s, c]]), np.zeros(2)), cutoff)
     np.testing.assert_allclose(U, fock.rotate_fock(0.9, cutoff), atol=1e-10)
-    U2 = fock.gaussian_unitary_fock(sp.single_mode_squeezer(0.4), cutoff)
+    U2 = fock.gaussian_unitary_fock(sp.SymplecticSpec(np.diag([np.exp(0.4), np.exp(-0.4)]), np.zeros(2)), cutoff)
     np.testing.assert_allclose(U2, fock.squeeze1_fock(0.4, cutoff), atol=1e-8)
 
 
@@ -346,9 +369,9 @@ def test_default_cutoff_policy():
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_builders_hold_no_dense_matrix_until_it_is_read():
     """Every public builder that returns a FockOperator or FockState returns
-    one that holds sector blocks or a form and no dense matrix; an operator's
-    matrix is assembled on first read, kept, and read-only, and a state has
-    none."""
+    one that holds sector blocks or a form and no dense matrix; the matrix of
+    an operator held in sectors is assembled on first read, kept, and
+    read-only, a framed operator's is a ValueError, and a state has none."""
     spec = sp.random_symplectic(1, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
     W = fock.witness_fock_unitary(sp.identity(1), 1.0, 6)
     O = fock.canonical_observable_closed_form(1.0, 1.0, 6)
@@ -372,9 +395,13 @@ def test_builders_hold_no_dense_matrix_until_it_is_read():
             assert not hasattr(obj, "matrix") and not hasattr(obj, "rho"), name
             continue
         assert "matrix" not in vars(obj), name
-        dense = obj.matrix
-        assert dense.shape == (36, 36) and not dense.flags.writeable, name
-        assert obj.matrix is dense, name
+        if obj.form is not None:
+            with pytest.raises(ValueError, match="only from an operator held in sectors"):
+                obj.matrix
+            continue
+        M = obj.matrix
+        assert M.shape == (36, 36) and not M.flags.writeable, name
+        assert obj.matrix is M, name
     with pytest.raises(ValueError, match="either its sector blocks or a form"):
         fock.FockOperator(6)
 
@@ -526,8 +553,8 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.canonical_observable_closed_form(2.0, -1.0, 6), "lam must be positive"),
     (lambda: fock.canonical_observable_closed_form(np.nan, 1.0, 6), "g must be positive and finite, got nan"),
     (lambda: fock.canonical_observable_closed_form(-2.0, 1.0, 6), "g must be positive and finite"),
-    # the default embed_cutoff is cutoff + 18
-    (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 250), r"^embed_cutoff must lie in \[2, 256\], got 268$"),
+    (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 250, 257),
+     r"^embed_cutoff must lie in \[2, 256\], got 257$"),
     (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 6, 8.5), r"^embed_cutoff must be an integer, got 8.5$"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-inf", "w-unitary-lam-tiny",
@@ -549,11 +576,11 @@ CUTOFF_ARGS = {
     "displace_fock": {"beta": 0.3 - 0.1j},
     "squeeze1_fock": {"r": 0.2},
     "rotate_fock": {"phi": 0.4},
-    "gaussian_unitary_fock": {"spec": sp.single_mode_squeezer(0.2)},
+    "gaussian_unitary_fock": {"spec": sp.SymplecticSpec(np.diag([np.exp(0.2), np.exp(-0.2)]), np.zeros(2))},
     "performance_operator_avg_fidelity": {"g": 1.5, "lam": 1.0},
     "canonical_observable": {"g": 1.0, "lam": 1.0},
     "canonical_observable_closed_form": {"g": 2.0, "lam": 1.0},
-    "witness_fock_unitary": {"spec": sp.single_mode_squeezer(0.2), "lam": 1.0},
+    "witness_fock_unitary": {"spec": sp.SymplecticSpec(np.diag([np.exp(0.2), np.exp(-0.2)]), np.zeros(2)), "lam": 1.0},
     "witness_fock_amp": {"g": 2.0, "lam": 1.0},
     "entangled_output_fock": {"ops": [("attenuator", 0.8), ("amplifier", 1.2)], "lam": 1.0},
 }
@@ -620,7 +647,7 @@ def test_structured_witnesses_match_dense():
     cutoff = 12
     spec = sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=np.random.default_rng(3))
     for lam in (0.8, 1.0):
-        W = fock.witness_fock_unitary(spec, lam, cutoff).matrix
+        W = dense_matrix(fock.witness_fock_unitary(spec, lam, cutoff))
         assert np.max(np.abs(W - _dense_witness_unitary(spec, lam, cutoff))) <= 1e-12
         for g in (2.0, 2.5):
             W = fock.witness_fock_amp(g, lam, cutoff).matrix
@@ -706,8 +733,10 @@ def test_unitary_witness_matches_dense(cutoff):
     rng = np.random.default_rng(cutoff)
     targets = {
         "identity": sp.identity(1),
-        "rotation": sp.rotation(0.9),  # d = 0, and diagonal U when its Euler squeeze is exactly 0
-        "squeezer": sp.single_mode_squeezer(0.3),
+        # d = 0, and diagonal U when its Euler squeeze is exactly 0
+        "rotation": sp.SymplecticSpec(np.array([[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]]),
+                                      np.zeros(2)),
+        "squeezer": sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2)),
         "random-1": sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng),
         "random-2": sp.random_symplectic(1, r_max=0.4, d_scale=0.4, rng=rng),
     }
@@ -723,7 +752,7 @@ def test_unitary_witness_matches_dense(cutoff):
         assert (W.form is not None) != diagonal and "matrix" not in vars(W), name  # a frame, never dense
         assert diagonal == (name == "identity") or name == "rotation", name
         ref = _dense_witness_unitary(spec, lam, c)
-        assert np.max(np.abs(W.matrix - ref)) <= 1e-12, name
+        assert np.max(np.abs(dense_matrix(W) - ref)) <= 1e-12, name
         for st in (sector_state, dense_state):
             want = np.vdot(density(st), ref).real  # tr(W rho) for Hermitian rho
             assert abs(fock.expectation(W, st) - want) <= 1e-12, name
@@ -782,7 +811,8 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
         dense = np.max(np.linalg.eigvalsh(W.matrix - O.matrix))
         assert abs(fock.max_eigenvalue(diff) - dense) <= 1e-12, g
     # a framed operator has no blocks to subtract, and neither has a state
-    framed = fock.witness_fock_unitary(sp.single_mode_squeezer(0.3), lam, cutoff)
+    squeezer = sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2))
+    framed = fock.witness_fock_unitary(squeezer, lam, cutoff)
     for other in (framed, fock.entangled_output_fock([], lam, cutoff)):
         with pytest.raises(ValueError, match="held in sectors"):
             O - other
@@ -912,7 +942,7 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
                 [("unitary", spec), ("amplifier", 1.2), ("unitary", spec2), ("attenuator", 0.9)]):
         st = fock.entangled_output_fock(ops, lam, c)
         ref = _dense_channel(np.outer(psi, psi.conj()), ops, c)
-        assert abs(fock.expectation(W, st) - np.vdot(ref, W.matrix).real) <= 1e-12, ops
+        assert abs(fock.expectation(W, st) - np.vdot(ref, dense_matrix(W)).real) <= 1e-12, ops
         assert np.max(np.abs(density(st) - ref)) <= 1e-12, ops
 
 
@@ -922,7 +952,7 @@ def test_unitary_dual_path_holds_no_dense_two_mode_array():
     leakage) peaks below 64 MB under tracemalloc for a noisy unitary's
     amplitude form and for an additive-noise output in sectors under the
     framed witness; one complex c^4 array would take 268 MB."""
-    c, target = 64, sp.SymplecticSpec(sp.single_mode_squeezer(0.8).S, np.array([0.3, -0.2]))
+    c, target = 64, sp.SymplecticSpec(np.diag([np.exp(0.8), np.exp(-0.8)]), np.array([0.3, -0.2]))
     for prover in (ProverChannel("NoisyUnitary", spec=target, excess=0.1),
                    ProverChannel("AdditiveNoise", variance=0.1)):
         tracemalloc.start()
@@ -958,7 +988,7 @@ def _core_blocks(op):
     return op.sectors if op.sectors is not None else op.form[1]
 
 
-_FRAMED_SPEC = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.2, -0.1]))
+_FRAMED_SPEC = sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.array([0.2, -0.1]))
 CORE_BUILDS = {
     "unitary-framed": lambda: fock.witness_fock_unitary(_FRAMED_SPEC, 0.8, 12),
     "unitary-folded": lambda: fock.witness_fock_unitary(sp.identity(1), 0.8, 12),
@@ -983,7 +1013,7 @@ def test_cached_core_matches_a_cold_build(name):
         assert all(np.array_equal(a, b) for a, b in zip(x, y))
     if cold.form is not None:
         assert np.array_equal(cold.form[0], hit.form[0])
-    assert np.array_equal(cold.matrix, hit.matrix)
+    assert np.array_equal(dense_matrix(cold), dense_matrix(hit))
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

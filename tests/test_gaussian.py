@@ -1,34 +1,26 @@
 import numpy as np
 import pytest
 
+from builders import coherent
 from cvverify import fock, gaussian as ga, symplectic as sp
+from cvverify.channels import exact_unitary
+from cvverify.protocols import kappa_for
 from test_fock import thermal_rho
 
 
-def test_thermal_zero_is_vacuum():
-    t = ga.thermal(0.0)
-    v = ga.vacuum(1)
-    np.testing.assert_array_equal(t.mean, v.mean)
-    np.testing.assert_array_equal(t.cov, v.cov)
-
-
 def test_coherent_mean():
-    st = ga.coherent(1.0 + 0.0j)
+    st = coherent(1.0 + 0.0j)
     np.testing.assert_allclose(st.mean, [np.sqrt(2.0), 0.0])
 
 
 def test_thermal_cov_lambda_one():
-    # prior inverse variance lam = 1 corresponds to nbar = 1/lam = 1
-    np.testing.assert_allclose(ga.thermal(1.0).cov, 1.5 * np.eye(2))
-
-
-def test_thermal_rejects_negative():
-    with pytest.raises(ValueError):
-        ga.thermal(-0.1)
+    # prior inverse variance lam = 1 corresponds to nbar = 1/lam = 1: the
+    # reduced TMSV probe is thermal with covariance (nbar + 1/2) 1
+    np.testing.assert_allclose(ga.tmsv_pairs(kappa_for(1.0), 1).cov[:2, :2], 1.5 * np.eye(2), atol=1e-12)
 
 
 def test_tmsv_zero_is_vacuum():
-    np.testing.assert_array_equal(ga.tmsv_pairs(0.0, 1).cov, ga.vacuum(2).cov)
+    np.testing.assert_array_equal(ga.tmsv_pairs(0.0, 1).cov, 0.5 * np.eye(4))
 
 
 def test_tmsv_rejects_negative_squeezing():
@@ -39,7 +31,7 @@ def test_tmsv_rejects_negative_squeezing():
 def test_tmsv_reduced_is_thermal():
     r = 0.8
     reduced_cov = ga.tmsv_pairs(r, 1).cov[:2, :2]  # mode 0 alone
-    np.testing.assert_allclose(reduced_cov, ga.thermal(np.sinh(r) ** 2).cov, atol=1e-12)
+    np.testing.assert_allclose(reduced_cov, (np.sinh(r) ** 2 + 0.5) * np.eye(2), atol=1e-12)
 
 
 def test_tmsv_purifies_thermal_prior():
@@ -61,26 +53,31 @@ def test_tmsv_reduced_matches_fock_oracle():
 
 def test_apply_unitary_identity():
     st = ga.tmsv_pairs(0.5, 1)
-    out = ga.apply_unitary(st, sp.identity(2))
+    out = ga.apply_channel(st, exact_unitary(sp.identity(2)).realize())
     np.testing.assert_array_equal(out.cov, st.cov)
 
 
 def test_two_mode_squeezer_makes_tmsv():
+    # S = [[cosh r, sinh r Z], [sinh r Z, cosh r]] takes the vacuum to the TMSV
     r = 0.5
-    out = ga.apply_unitary(ga.vacuum(2), sp.two_mode_squeezer(r))
+    c, s = np.cosh(r), np.sinh(r)
+    Z = np.diag([1.0, -1.0])
+    squeezer = sp.SymplecticSpec(np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]]), np.zeros(4))
+    vacuum = ga.GaussianState(np.zeros(4), 0.5 * np.eye(4))
+    out = ga.apply_channel(vacuum, exact_unitary(squeezer).realize())
     np.testing.assert_allclose(out.cov, ga.tmsv_pairs(r, 1).cov, atol=1e-12)
 
 
 def test_displacement_shifts_coherent():
     d = np.array([0.3, -0.4])
-    out = ga.apply_unitary(ga.coherent(1.0 + 0.5j), sp.displacement(d))
+    out = ga.apply_channel(coherent(1.0 + 0.5j), exact_unitary(sp.SymplecticSpec(np.eye(2), d)).realize())
     alpha = 1.0 + 0.5j + (d[0] + 1j * d[1]) / np.sqrt(2.0)
-    np.testing.assert_allclose(out.mean, ga.coherent(alpha).mean, atol=1e-12)
+    np.testing.assert_allclose(out.mean, coherent(alpha).mean, atol=1e-12)
 
 
 def test_identity_channel():
     ch = ga.GaussianChannel(np.eye(2), np.zeros((2, 2)), np.zeros(2))
-    st = ga.coherent(0.7j)
+    st = coherent(0.7j)
     out = ga.apply_channel(st, ch)
     np.testing.assert_array_equal(out.mean, st.mean)
 
@@ -88,7 +85,7 @@ def test_identity_channel():
 def test_quantum_limited_amplifier_on_vacuum():
     g = 1.5
     ch = ga.GaussianChannel(g * np.eye(2), 0.5 * (g**2 - 1) * np.eye(2), np.zeros(2))
-    out = ga.apply_channel(ga.vacuum(1), ch)
+    out = ga.apply_channel(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), ch)
     np.testing.assert_allclose(out.cov, (g**2 - 0.5) * np.eye(2))
 
 
@@ -97,8 +94,8 @@ def test_pure_loss_on_coherent():
     ch = ga.GaussianChannel(
         np.sqrt(eta) * np.eye(2), 0.5 * (1 - eta) * np.eye(2), np.zeros(2)
     )
-    out = ga.apply_channel(ga.coherent(1.0 - 0.5j), ch)
-    exp = ga.coherent(np.sqrt(eta) * (1.0 - 0.5j))
+    out = ga.apply_channel(coherent(1.0 - 0.5j), ch)
+    exp = coherent(np.sqrt(eta) * (1.0 - 0.5j))
     np.testing.assert_allclose(out.mean, exp.mean, atol=1e-12)
     np.testing.assert_allclose(out.cov, exp.cov, atol=1e-12)
 
@@ -108,6 +105,15 @@ def test_cp_violation_rejected():
     g = 2.0
     with pytest.raises(ValueError):
         ga.GaussianChannel(g * np.eye(2), 0.1 * np.eye(2), np.zeros(2))
+
+
+def test_channel_maps_n_modes_to_n_modes():
+    """A channel acts on one set of N modes: a 2N_out x 2N_in X with
+    N_out != N_in is refused, whatever Y and d."""
+    for X, Y, d in ((np.ones((2, 4)), np.eye(2), np.zeros(2)), (np.ones((4, 2)), np.eye(4), np.zeros(4))):
+        with pytest.raises(ValueError, match=r"X must be 2N x 2N, got shape"):
+            ga.GaussianChannel(X, Y, d)
+    assert ga.GaussianChannel(np.eye(4), np.zeros((4, 4)), np.zeros(4)).n_modes == 2
 
 
 def test_channel_on_subset_propagates_correlations():
@@ -123,7 +129,7 @@ def test_channel_on_subset_propagates_correlations():
 
 
 def test_physicality_check():
-    assert ga.vacuum(2).is_physical()
+    assert ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)).is_physical()
     bad = ga.GaussianState(np.zeros(2), 0.1 * np.eye(2))
     assert not bad.is_physical()
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from builders import coherent
 from cvverify import gaussian as ga, measurement as ms
 from cvverify import symplectic as sp
+from cvverify.channels import exact_unitary
 from cvverify.protocols import VerificationConfig, plan_unitary
 
 
@@ -77,7 +79,7 @@ def sample_quadratures(state, setting, seed, shots):
 
 
 def test_sampler_vacuum_mean():
-    st = ga.vacuum(1)
+    st = ga.GaussianState(np.zeros(2), 0.5 * np.eye(2))
     setting = ms.HomodyneSetting((0.0,))
     x = sample_quadratures(st, setting, seed=0, shots=100_000)
     tol = 3.0 * np.sqrt(0.5) / np.sqrt(100_000)
@@ -85,7 +87,7 @@ def test_sampler_vacuum_mean():
 
 
 def test_sampler_coherent_mean():
-    st = ga.coherent(1.0 + 0.0j)
+    st = coherent(1.0 + 0.0j)
     x = sample_quadratures(st, ms.HomodyneSetting((0.0,)), seed=1, shots=100_000)
     tol = 3.0 * np.sqrt(0.5) / np.sqrt(100_000)
     assert abs(x.mean() - np.sqrt(2.0)) < tol
@@ -104,10 +106,9 @@ def test_sampler_tmsv_correlation():
 
 def test_sampler_rotated_quadrature_variance():
     # 45-degree quadrature of a squeezed vacuum mixes both variances
-    from cvverify import symplectic as sp
-
     r = 0.5
-    st = ga.apply_unitary(ga.vacuum(1), sp.single_mode_squeezer(r))
+    squeezer = sp.SymplecticSpec(np.diag([np.exp(r), np.exp(-r)]), np.zeros(2))
+    st = ga.apply_channel(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), exact_unitary(squeezer).realize())
     x = sample_quadratures(st, ms.HomodyneSetting((np.pi / 4,)), seed=3, shots=100_000)
     expected = 0.25 * (np.exp(2 * r) + np.exp(-2 * r))
     sd = (x[:, 0] ** 2).std(ddof=1) / np.sqrt(100_000)
@@ -147,10 +148,8 @@ def test_unmeasured_modes_are_skipped():
 def _displaced_pairs():
     """Two correlated pairs with a displacement; the setting reads all four
     modes at mixed angles, so the measured covariance is dense."""
-    from cvverify import symplectic as sp
-
     spec = sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(7))
-    st = ga.apply_unitary(ga.tmsv_pairs(0.6, 2), spec, modes=(0, 1))
+    st = ga.apply_channel(ga.tmsv_pairs(0.6, 2), exact_unitary(spec).realize(), modes=(0, 1))
     setting = ms.HomodyneSetting((0.0, np.pi / 4, np.pi / 2, 0.0))
     P = ms.rotated_quadrature_projector(setting, 4)
     return st, setting, P @ st.mean, P @ st.cov @ P.T

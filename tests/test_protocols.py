@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from builders import random_prover
 from cvverify import fock, gaussian as ga, protocols, symplectic as sp
 from cvverify.channels import (
     ProverChannel,
@@ -10,7 +11,6 @@ from cvverify.channels import (
     elementary_factors,
     exact_unitary,
     optimal_amplifier,
-    random_prover,
 )
 from cvverify.measurement import build_measurement_plan, marginals, moment_sums
 from cvverify.protocols import (
@@ -270,7 +270,7 @@ def test_budget_out_of_float_range_is_value_error():
     # OverflowError / ZeroDivisionError
     state = dict(lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04, target=sp.identity(2))
     amp = dict(lam=1.0, F_t=0.25, delta=0.25, epsilon=0.03, g=2.5)
-    for cfg in (cfg_unitary(sp.displacement([0.3, 0.0]), sigma1=1e200),
+    for cfg in (cfg_unitary(sp.SymplecticSpec(np.eye(2), np.array([0.3, 0.0])), sigma1=1e200),
                 cfg_unitary(sp.identity(1), sigma2=1e200),
                 cfg_unitary(sp.identity(1), eps=1e-170),
                 VerificationConfig("amplification", sigma2=1e200, **amp),
@@ -303,7 +303,8 @@ def test_state_plan_batches_all_have_terms():
 
 
 def test_config_serialization_roundtrip():
-    cfg = cfg_unitary(sp.rotation(0.2), lam=1.3)
+    rotation = np.array([[np.cos(0.2), -np.sin(0.2)], [np.sin(0.2), np.cos(0.2)]])
+    cfg = cfg_unitary(sp.SymplecticSpec(rotation, np.zeros(2)), lam=1.3)
     back = VerificationConfig.from_dict(cfg.to_dict())
     assert back.lam == cfg.lam
     np.testing.assert_array_equal(back.target.S, cfg.target.S)
@@ -337,7 +338,7 @@ def test_additive_noise_analytic_omega_linear():
 
 
 def test_wrong_displacement_lowers_omega():
-    target = sp.displacement(np.array([0.5, 0.0]))
+    target = sp.SymplecticSpec(np.eye(2), np.array([0.5, 0.0]))
     cfg = cfg_unitary(target, F_t=0.5, eps=0.02)
     dishonest = exact_unitary(sp.identity(1))  # omits the displacement
     omega = witness_analytic(dishonest, cfg)
@@ -480,7 +481,7 @@ def test_zero_budget_rejected():
     scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                               target=sp.identity(1))
     with pytest.raises(ValueError):
-        run_state_verification(ga.vacuum(1), scfg, seed=0, shot_cap=0)
+        run_state_verification(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), scfg, seed=0, shot_cap=0)
 
 
 def _quadrature(setting, col):
@@ -581,10 +582,10 @@ def test_amplification_run_accepts_optimal():
 
 
 def test_state_protocol_honest_accepts():
-    spec = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.4, 0.1]))
+    spec = sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.array([0.4, 0.1]))
     cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                              target=spec)
-    st = ga.apply_unitary(ga.vacuum(1), spec)
+    st = ga.apply_channel(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), exact_unitary(spec).realize())
     v = run_state_verification(st, cfg, seed=3, shot_cap=20_000)
     assert v.omega_star == pytest.approx(1.0, abs=0.05)
     assert v.accepted
@@ -594,7 +595,7 @@ def test_state_protocol_rejects_thermal_impostor():
     spec = sp.identity(1)
     cfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                              target=spec)
-    v = run_state_verification(ga.thermal(0.5), cfg, seed=4, shot_cap=20_000)
+    v = run_state_verification(ga.GaussianState(np.zeros(2), np.eye(2)), cfg, seed=4, shot_cap=20_000)  # nbar = 0.5
     assert not v.accepted
 
 
@@ -675,14 +676,35 @@ def test_exact_path_matches_closed_forms():
             assert abs(witness_analytic(prover, cfg) - ref) <= 1e-12
 
 
+_STATE_CFG = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04, target=sp.identity(1))
+_VACUUM_MOMENTS = (np.zeros(2), 0.5 * np.eye(2))
+
+
+@pytest.mark.parametrize("cfg, mean, second, match", [
+    # an AttributeError on cfg.target
+    (cfg_amp(2.5), *_VACUUM_MOMENTS, "scores the state game, not the amplification game"),
+    # the state game's witness, 1.0 for the vacuum
+    (cfg_unitary(sp.identity(1)), *_VACUUM_MOMENTS, "scores the state game, not the unitary game"),
+    (_STATE_CFG, np.array([np.nan, 0.0]), _VACUUM_MOMENTS[1], "state witness nan is not finite"),
+    (_STATE_CFG, _VACUUM_MOMENTS[0], np.array([[0.5, 0.1], [0.0, 0.5]]), "must be symmetric"),
+    (_STATE_CFG, np.zeros(4), _VACUUM_MOMENTS[1], r"means of shape \(2,\) .* got \(4,\) and \(2, 2\)"),
+    (_STATE_CFG, _VACUUM_MOMENTS[0], 0.5 * np.eye(4), r"second moments of shape \(2, 2\), got \(2,\) and \(4, 4\)"),
+], ids=["amplification", "unitary", "nan", "asymmetric", "mean-length", "second-shape"])
+def test_witness_estimate_state_refuses_malformed_input(cfg, mean, second, match):
+    assert witness_estimate_state(*_VACUUM_MOMENTS, _STATE_CFG) == 1.0
+    with pytest.raises(ValueError, match=match):
+        witness_estimate_state(mean, second, cfg)
+
+
 def test_verdict_terms_sum_to_omega_star():
-    spec = sp.SymplecticSpec(sp.single_mode_squeezer(0.3).S, np.array([0.4, 0.1]))
+    spec = sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.array([0.4, 0.1]))
     scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04, target=spec)
     verdicts = [
         run_verification(exact_unitary(spec), cfg_unitary(spec, F_t=0.5, eps=0.02), seed=1,
                          shot_cap=1000),
         run_verification(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), seed=1, shot_cap=1000),
-        run_state_verification(ga.apply_unitary(ga.vacuum(1), spec), scfg, seed=1, shot_cap=1000),
+        run_state_verification(ga.apply_channel(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)),
+                                                exact_unitary(spec).realize()), scfg, seed=1, shot_cap=1000),
     ]
     for v in verdicts:
         diag = v.diagnostics
@@ -815,7 +837,8 @@ def test_each_verdict_call_builds_one_plan(monkeypatch):
     scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
     honest = exact_unitary(spec)
     for call in (lambda: run_verification(honest, cfg, seed=0),
-                 lambda: run_state_verification(ga.apply_unitary(ga.vacuum(2), spec), scfg, seed=0),
+                 lambda: run_state_verification(ga.apply_channel(ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)),
+                                                                 honest.realize()), scfg, seed=0),
                  lambda: accept_rate(honest, cfg, 5, seed=0, shot_cap=1000),
                  lambda: accept_rate(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), 3, seed=0)):
         calls.clear()
@@ -827,9 +850,10 @@ def test_state_mode_count_checked_against_the_game():
     scfg = VerificationConfig("state", lam=1.0, F_t=0.9, delta=0.25, epsilon=0.04,
                               target=sp.identity(1))
     with pytest.raises(ValueError, match="state has 2 modes, the state game measures 1"):
-        run_state_verification(ga.vacuum(2), scfg, seed=0, shot_cap=100)
+        run_state_verification(ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)), scfg, seed=0, shot_cap=100)
     with pytest.raises(ValueError, match="state has 1 modes, the unitary game measures 2"):
-        run_state_verification(ga.vacuum(1), cfg_unitary(sp.identity(1)), seed=0, shot_cap=100)
+        run_state_verification(ga.GaussianState(np.zeros(2), 0.5 * np.eye(2)), cfg_unitary(sp.identity(1)), seed=0,
+                               shot_cap=100)
     # a prover's output is 2m modes, so the state game never runs on one
     with pytest.raises(ValueError, match="the state game measures 1"):
         run_verification(exact_unitary(sp.identity(1)), scfg, seed=0, shot_cap=100)

@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 from cvverify import symplectic as sp
 
 
+def two_mode_squeezer(theta):
+    """cosh(theta) on the diagonal blocks and sinh(theta) Z off them."""
+    c, s, Z = np.cosh(theta), np.sinh(theta), np.diag([1.0, -1.0])
+    return sp.SymplecticSpec(np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]]), np.zeros(4))
+
+
 def test_symplectic_form_properties():
     omega = sp.symplectic_form(3)
     np.testing.assert_array_equal(omega, -omega.T)
@@ -17,7 +23,7 @@ def test_validate_identity():
 
 
 def test_validate_two_mode_squeezer():
-    assert sp.validate_symplectic(sp.two_mode_squeezer(0.5).S)
+    assert sp.validate_symplectic(two_mode_squeezer(0.5).S)
 
 
 def test_validate_rejects_uniform_scaling():
@@ -30,29 +36,18 @@ def test_validate_rejects_odd_dimension():
         sp.validate_symplectic(np.eye(3))
 
 
-def test_two_mode_squeezer_zero_theta():
-    np.testing.assert_array_equal(sp.two_mode_squeezer(0.0).S, np.eye(4))
-
-
-def test_two_mode_squeezer_structure():
-    theta = np.arctanh(1.0 / np.sqrt(2.0))
-    S = sp.two_mode_squeezer(theta).S
-    c, s = np.cosh(theta), np.sinh(theta)
-    np.testing.assert_allclose(S[:2, :2], c * np.eye(2))
-    np.testing.assert_allclose(S[:2, 2:], s * np.diag([1.0, -1.0]))
-
-
 def test_spectral_norm_identity():
     assert sp.spectral_norm(sp.identity(2)) == pytest.approx(1.0)
 
 
 def test_spectral_norm_squeezer():
-    assert sp.spectral_norm(sp.single_mode_squeezer(1.0)) == pytest.approx(np.e)
+    squeezer = sp.SymplecticSpec(np.diag([np.e, 1.0 / np.e]), np.zeros(2))
+    assert sp.spectral_norm(squeezer) == pytest.approx(np.e)
 
 
 def test_spectral_norm_two_mode_squeezer():
     # singular values are cosh(theta) +- sinh(theta) = e^{+-theta}
-    assert sp.spectral_norm(sp.two_mode_squeezer(0.7)) == pytest.approx(np.exp(0.7))
+    assert sp.spectral_norm(two_mode_squeezer(0.7)) == pytest.approx(np.exp(0.7))
 
 
 def test_compose_with_inverse():
@@ -65,8 +60,8 @@ def test_compose_with_inverse():
 
 
 def test_inverse_of_two_mode_squeezer():
-    inv = sp.inverse(sp.two_mode_squeezer(0.4))
-    np.testing.assert_allclose(inv.S, sp.two_mode_squeezer(-0.4).S, atol=1e-12)
+    inv = sp.inverse(two_mode_squeezer(0.4))
+    np.testing.assert_allclose(inv.S, two_mode_squeezer(-0.4).S, atol=1e-12)
 
 
 def test_serialization_roundtrip():
@@ -78,9 +73,10 @@ def test_serialization_roundtrip():
 
 
 def test_rotation_convention():
-    # q -> q cos(phi) - p sin(phi)
-    S = sp.rotation(np.pi / 2).S
-    np.testing.assert_allclose(S @ np.array([1.0, 0.0]), [0.0, 1.0], atol=1e-15)
+    # a one-mode passive unitary e^{i phi} rotates q -> q cos(phi) - p sin(phi)
+    S = sp.orthogonal_symplectic(1, np.random.default_rng(3))
+    phi = np.arctan2(S[1, 0], S[0, 0])
+    np.testing.assert_allclose(S, [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]], atol=1e-15)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
