@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .gaussian import GaussianChannel
-from .symplectic import SymplecticSpec, _as_int
+from .symplectic import SymplecticSpec, _as_float, _as_int, _as_str, _read_object
 
 # The fields each kind sets.  Every other field stays at its default, so
 # ``realize`` and ``elementary_factors`` read the fields alone.
@@ -42,7 +42,7 @@ class ProverChannel:
     is a ValueError that names it, so every kind is the one affine map
     X = S or sqrt(g^2 eta) 1, Y = (|g^2 eta - 1|/2 + excess + variance) 1.
     ``to_dict`` writes the kind's fields and ``from_dict`` reads back just
-    those, n_modes as "modes".
+    those, n_modes as "modes", by the package's one object reader.
     """
 
     kind: str
@@ -86,36 +86,28 @@ class ProverChannel:
         data = {"kind": self.kind}
         for name in PARAMS[self.kind]:
             value = getattr(self, name)
-            data[_key(name)] = value.to_dict() if name == "spec" else value
+            data["modes" if name == "n_modes" else name] = value.to_dict() if name == "spec" else value
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ProverChannel":
-        if not isinstance(data, dict):
-            raise TypeError(f"prover must be an object, got {type(data).__name__}")
-        unknown = set(data) - {_key(f.name) for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown prover fields: {', '.join(map(repr, sorted(unknown)))}")
-        kind = data["kind"]
-        if kind not in KINDS:
-            raise ValueError(f"unknown prover channel kind {kind!r}")
-        names = {_key(name): name for name in PARAMS[kind]}
-        unread = sorted(set(data) - {"kind", *names})
-        if unread:
-            raise ValueError(f"{kind} takes no {', '.join(map(repr, unread))}")
-        return cls(kind, **{names[key]: _read(key, value) for key, value in data.items() if key != "kind"})
+    def from_dict(cls, data, what: str = "prover") -> "ProverChannel":
+        read = _read_object(data, what, READERS, _check_kind)
+        return cls(**{"n_modes" if key == "modes" else key: value for key, value in read.items()})
 
 
-def _key(name: str) -> str:
-    """A prover field's key in ``to_dict``/``from_dict``."""
-    return "modes" if name == "n_modes" else name
+# The reader of each key of a prover object; the field n_modes is the key "modes".
+READERS = {"kind": _as_str, "spec": SymplecticSpec.from_dict, "g": _as_float, "eta": _as_float,
+           "excess": _as_float, "variance": _as_float, "modes": _as_int}
 
 
-def _read(key: str, value):
-    """A prover field's value from its key in ``from_dict``."""
-    if key == "spec":
-        return SymplecticSpec.from_dict(value)
-    return _as_int(value, key) if key == "modes" else float(value)
+def _check_kind(data: dict) -> None:
+    """The kind, and that it sets each key, even one at its default value."""
+    kind = data["kind"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown prover channel kind {kind!r}")
+    unread = sorted(set(data) - {"kind", *("modes" if name == "n_modes" else name for name in PARAMS[kind])})
+    if unread:
+        raise ValueError(f"{kind} takes no {', '.join(map(repr, unread))}")
 
 
 def exact_unitary(spec: SymplecticSpec) -> ProverChannel:

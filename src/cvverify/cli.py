@@ -23,7 +23,7 @@ from .channels import ProverChannel, elementary_factors
 from .gaussian import GaussianState
 from .measurement import build_measurement_plan
 from .protocols import VerificationConfig
-from .symplectic import _as_int
+from .symplectic import _as_int, _as_str, _read_object
 
 MALFORMED = (KeyError, TypeError, OverflowError)  # OverflowError: a JSON integer past the float range
 
@@ -39,21 +39,18 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _parse_scenario(data: dict):
+# The reader of each scenario key; "config" is read first, so the game's errors come before the run's.
+RUN = {"name": _as_str, "prover": ProverChannel.from_dict, "state": GaussianState.from_dict,
+       "repetitions": _as_int, "seed": _as_int, "shot_cap": _as_int}
+
+
+def _parse_scenario(data: dict) -> dict:
     try:
         cfg = VerificationConfig.from_dict(data["config"])
-        unknown = set(data) - {"name", "config", "prover", "state", "repetitions", "seed", "shot_cap"}
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {', '.join(map(repr, sorted(unknown)))}")
-        prover = ProverChannel.from_dict(data["prover"]) if "prover" in data else None
-        state = GaussianState.from_dict(data["state"]) if "state" in data else None
-        reps = _as_int(data.get("repetitions", 1), "repetitions")
-        seed = _as_int(data.get("seed", 0), "seed")
-        shot_cap = data.get("shot_cap")
-        shot_cap = _as_int(shot_cap, "shot_cap") if shot_cap is not None else None
+        read = _read_object(data, "scenario", {"config": lambda value, key: cfg, **RUN})
     except MALFORMED as exc:
         raise SystemExit(f"error: malformed scenario: {exc}")
-    return cfg, prover, state, reps, seed, shot_cap
+    return {"prover": None, "state": None, "repetitions": 1, "seed": 0, "shot_cap": None, **read}
 
 
 def _emit(report: dict, args) -> None:
@@ -66,10 +63,10 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    data = _load_json(args.config)
-    cfg, prover, state, reps, seed, shot_cap = _parse_scenario(data)
-    seed = args.seed if args.seed is not None else seed
-    reps = args.reps if args.reps is not None else reps
+    run = _parse_scenario(_load_json(args.config))
+    cfg, prover, state = run["config"], run["prover"], run["state"]
+    seed = args.seed if args.seed is not None else run["seed"]
+    reps = args.reps if args.reps is not None else run["repetitions"]
     if cfg.protocol == "state":
         if state is None:
             raise ValueError('the state game verifies the scenario\'s "state", which is missing')
@@ -77,9 +74,9 @@ def cmd_verify(args) -> int:
         raise SystemExit("error: verify requires a prover in the scenario")
     else:
         state = protocols.output_state(prover, cfg)
-    verdicts = protocols._verdicts(state, cfg, range(seed, seed + reps), shot_cap)
+    verdicts = protocols._verdicts(state, cfg, range(seed, seed + reps), run["shot_cap"])
     report = {
-        "name": data.get("name", Path(args.config).stem),
+        "name": run.get("name", Path(args.config).stem),
         "accept_rate": sum(v.accepted for v in verdicts) / reps,
         "repetitions": reps,
         "seed": seed,
@@ -90,8 +87,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    data = _load_json(args.config)
-    cfg, prover, _, _, _, _ = _parse_scenario(data)
+    run = _parse_scenario(_load_json(args.config))
+    cfg, prover = run["config"], run["prover"]
     if cfg.protocol == "state":
         raise ValueError("oracle checks a prover channel's witness, and the state game has no prover channel")
     if prover is None:
@@ -198,11 +195,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    data = _load_json(args.config)
-    try:
-        cfg = VerificationConfig.from_dict(data.get("config", data))
-    except MALFORMED as exc:
-        raise SystemExit(f"error: malformed scenario: {exc}")
+    cfg = _parse_scenario(_load_json(args.config))["config"]
     budget = protocols.sample_budget(cfg)
     report = {"config": cfg.to_dict(), "budget": budget.to_dict()}
     for name, count in sorted(budget.counts.items()):
@@ -218,10 +211,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv writes sweep.csv into the --out directory, and no --out is given")
-    data = _load_json(args.config)
-    cfg, _, _, reps, seed, shot_cap = _parse_scenario(data)
-    seed = args.seed if args.seed is not None else seed
-    reps = args.reps if args.reps is not None else reps
+    run = _parse_scenario(_load_json(args.config))
+    cfg, shot_cap = run["config"], run["shot_cap"]
+    seed = args.seed if args.seed is not None else run["seed"]
+    reps = args.reps if args.reps is not None else run["repetitions"]
     variances = np.linspace(args.v_min, args.v_max, args.points)
     rows = []
     for v in variances:

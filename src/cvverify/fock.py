@@ -480,8 +480,8 @@ def canonical_observable_closed_form(
     back, because at the working cutoff the highest photon-number-difference
     sectors of a truncated squeezer degenerate and corrupt the corner
     entries.  The default embedding is derived from the angle and the cutoff
-    by :func:`_embedding`.  Both branches conserve n1 - n2, so the result is
-    held as its sector blocks.
+    by :func:`_embedding`, a ValueError near the transition, where none is
+    enough.  Both branches conserve n1 - n2: the result is held as sectors.
     """
     _check_cutoff(cutoff)
     if embed_cutoff is not None:
@@ -498,15 +498,18 @@ def canonical_observable_closed_form(
     theta = np.arctanh(root / g if slot else g / root)
     scale = np.tanh(theta) ** (2 * slot)
     big = _embedding(theta, cutoff) if embed_cutoff is None else embed_cutoff
+    if big is None:
+        raise ValueError(f"no embedding up to {MAX_CUTOFF} gives the closed form at g = {g}, lam = {lam}, "
+                         f"cutoff {cutoff}: g is too near the transition sqrt(lam+1) = {root:.4f}")
     sectors = _squeezed_sectors(theta, g_theta(theta, big), slot, big, keep=cutoff)
     return FockOperator(cutoff, [(i, j, B * scale) for i, j, B in sectors])
 
 
-def _embedding(theta: float, cutoff: int) -> int:
+def _embedding(theta: float, cutoff: int) -> int | None:
     """The embedding c + k of the closed-form observable at cutoff c: the
     least k at which two estimates of the truncation error, both taken at
     the corner state |0, c - 1>, are below the double-precision epsilon, or
-    MAX_CUTOFF if no k up to it is.
+    None if no k up to MAX_CUTOFF - c is.
 
     The tail: the squeezer takes photon number n to n + k with an amplitude
     of order tanh^k(theta) C(n + k, k)^(1/2), and G_theta weighs n + k by
@@ -524,7 +527,7 @@ def _embedding(theta: float, cutoff: int) -> int:
     path = ((2 * k + 2) * np.log(theta) + log_fact[k + 1] + log_fact[cutoff + k] - log_fact[cutoff - 1]
             - log_fact[2 * k + 2])
     fits = np.flatnonzero(np.maximum(tail, path) <= np.log(np.finfo(float).eps))
-    return cutoff + int(fits[0]) if fits.size else MAX_CUTOFF
+    return cutoff + int(fits[0]) if fits.size else None
 
 
 def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockOperator:

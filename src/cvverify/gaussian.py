@@ -8,11 +8,9 @@ package-wide; every derived constant in :mod:`cvverify.protocols` assumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .symplectic import _as_int, _readonly, symplectic_form
+from .symplectic import _as_floats, _as_int, _read_object, _readonly, symplectic_form
 
 UNCERTAINTY_TOL = 1e-9
 
@@ -46,19 +44,11 @@ class GaussianState:
         h = self.cov + 0.5j * omega
         return bool(np.min(np.linalg.eigvalsh(h)) >= -UNCERTAINTY_TOL)
 
-    def to_dict(self) -> dict:
-        return {
-            "modes": self.n_modes,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.ravel().tolist(),
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "GaussianState":
-        n = _as_int(data["modes"], "modes")
-        mean = np.asarray(data["mean"], dtype=float)
-        cov = np.asarray(data["cov"], dtype=float).reshape(2 * n, 2 * n)
-        return cls(mean, cov)
+    def from_dict(cls, data, what: str = "state") -> "GaussianState":
+        read = _read_object(data, what, {"modes": _as_int, "mean": _as_floats, "cov": _as_floats})
+        n = read["modes"]
+        return cls(read["mean"], read["cov"].reshape(2 * n, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -106,30 +96,16 @@ def tmsv_pairs(r: float, m: int) -> GaussianState:
     return GaussianState(np.zeros(4 * m), cov)
 
 
-def _embed_indices(modes: Sequence[int], n_total: int) -> np.ndarray:
-    modes = np.asarray(modes, dtype=int)
-    if modes.size and (modes.min() < 0 or modes.max() >= n_total):
-        raise ValueError(f"mode subset {modes.tolist()} out of range for {n_total} modes")
-    if len(set(modes.tolist())) != modes.size:
-        raise ValueError("mode subset contains duplicates")
-    return np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
-
-
-def apply_channel(
-    state: GaussianState, ch: GaussianChannel, modes: Sequence[int] | None = None
-) -> GaussianState:
-    """Apply a Gaussian channel to a mode subset; spectator correlations follow X."""
-    n = state.n_modes
-    modes = range(n) if modes is None else modes
-    idx = _embed_indices(modes, n)
-    if idx.size != ch.X.shape[1]:
-        raise ValueError(f"subset size {idx.size // 2} does not match {ch.n_modes}-mode channel")
+def apply_channel(state: GaussianState, ch: GaussianChannel) -> GaussianState:
+    """Apply a Gaussian channel to the state's leading ``ch.n_modes`` modes;
+    the other modes' correlations with them follow X."""
+    n, k = state.n_modes, 2 * ch.n_modes
+    if ch.n_modes > n:
+        raise ValueError(f"a {ch.n_modes}-mode channel cannot act on a {n}-mode state")
     X_full = np.eye(2 * n)
-    X_full[np.ix_(idx, idx)] = ch.X
+    X_full[:k, :k] = ch.X
     Y_full = np.zeros((2 * n, 2 * n))
-    Y_full[np.ix_(idx, idx)] = ch.Y
+    Y_full[:k, :k] = ch.Y
     d_full = np.zeros(2 * n)
-    d_full[idx] = ch.d
-    return GaussianState(
-        X_full @ state.mean + d_full, X_full @ state.cov @ X_full.T + Y_full
-    )
+    d_full[:k] = ch.d
+    return GaussianState(X_full @ state.mean + d_full, X_full @ state.cov @ X_full.T + Y_full)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,7 @@ from .measurement import (
     moment_sums,
     rotated_quadrature_projector,
 )
-from .symplectic import SymplecticSpec, inverse, spectral_norm
+from .symplectic import SymplecticSpec, _as_float, _as_str, _read_object, inverse, spectral_norm
 
 
 def kappa_for(lam: float) -> float:
@@ -90,7 +90,7 @@ class VerificationConfig:
     g: float | None = None
 
     def __post_init__(self):
-        if self.protocol not in tuple(GAME_FIELDS):  # a tuple: a JSON list is no protocol, not a TypeError
+        if self.protocol not in tuple(GAME_FIELDS):  # a tuple: an unhashable protocol is unknown, not a TypeError
             raise ValueError(f"unknown protocol {self.protocol!r}")
         for f in fields(self):  # the game-specific fields are those that default to None
             if f.default is None and f.name not in GAME_FIELDS[self.protocol] and getattr(self, f.name) is not None:
@@ -153,15 +153,13 @@ class VerificationConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "VerificationConfig":
-        if not isinstance(data, dict):
-            raise TypeError(f"config must be an object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(map(repr, sorted(unknown)))}")
-        read = {"protocol": lambda value: value, "target": SymplecticSpec.from_dict}  # the rest are floats
-        return cls(**{f.name: read.get(f.name, float)(data[f.name]) for f in fields(cls)
-                      if f.name in data or f.default is MISSING})  # a missing required key: KeyError
+    def from_dict(cls, data, what: str = "config") -> "VerificationConfig":
+        return cls(**_read_object(data, what, READERS))
+
+
+# The reader of each key of a config object, in field order.
+READERS = {"protocol": _as_str, **dict.fromkeys(("lam", "F_t", "delta", "epsilon", "sigma1", "sigma2"), _as_float),
+           "target": SymplecticSpec.from_dict, "g": _as_float}
 
 
 def lemma3_sample_count(sigma: float, l: int, epsilon: float, delta: float) -> int:
@@ -250,8 +248,7 @@ def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianStat
     m = prover.n_modes
     if m != cfg.m:
         raise ValueError(f"prover acts on {m} modes but the config's target has {cfg.m}")
-    state = tmsv_pairs(kappa_for(cfg.lam), m)
-    return gaussian.apply_channel(state, prover.realize(), modes=range(m))
+    return gaussian.apply_channel(tmsv_pairs(kappa_for(cfg.lam), m), prover.realize())
 
 
 class Batch(NamedTuple):
@@ -558,6 +555,8 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
         raise ValueError("the supplied state violates the uncertainty relation")
     if not seeds:
         raise ValueError("repetitions must be at least 1")
+    if shot_cap is not None and shot_cap < 1:
+        raise ValueError(f"shot_cap must be at least 1, got {shot_cap}")
     budget = _budget(cfg, batches, shares)
     counts = budget.counts
     if shot_cap is not None:

@@ -55,6 +55,41 @@ def _as_int(value, name: str) -> int:
     return int(number)
 
 
+def _as_float(value, name: str) -> float:
+    """A number or a numeric string; a bool is a ValueError, as in ``_as_int``."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except ValueError:  # a string that is no number
+        pass
+    raise ValueError(f"{name!r} must be a number, got {value!r}")
+
+
+def _as_floats(value, name: str) -> np.ndarray:
+    """An array read from JSON, each of its entries by ``_as_float``."""
+    entries = np.array(value, dtype=object)
+    return np.array([_as_float(x, name) for x in entries.flat]).reshape(entries.shape)
+
+
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a string, got {value!r}")
+    return value
+
+
+def _read_object(data, what: str, readers: dict, check=None) -> dict:
+    """A scenario object's keys, read by ``readers[key](value, key)`` after ``check(data)``: a
+    value that is not an object is a TypeError, a key without a reader a ValueError naming it."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(readers))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {', '.join(map(repr, unknown))}")
+    if check is not None:
+        check(data)
+    return {key: read(data[key], key) for key, read in readers.items() if key in data}
+
+
 @dataclass(frozen=True)
 class SymplecticSpec:
     """A Gaussian unitary target: symplectic matrix ``S`` plus displacement ``d``."""
@@ -87,11 +122,10 @@ class SymplecticSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SymplecticSpec":
-        m = _as_int(data["m"], "m")
-        S = np.asarray(data["S"], dtype=float).reshape(2 * m, 2 * m)
-        d = np.asarray(data["d"], dtype=float)
-        return cls(S, d)
+    def from_dict(cls, data, what: str = "target") -> "SymplecticSpec":
+        read = _read_object(data, what, {"m": _as_int, "S": _as_floats, "d": _as_floats})
+        m = read["m"]
+        return cls(read["S"].reshape(2 * m, 2 * m), read["d"])
 
 
 def identity(n_modes: int) -> SymplecticSpec:

@@ -159,6 +159,58 @@ def test_non_integer_count_exit_code(scenario, tmp_path, where, value, capsys):
     assert f"config error: '{where[-1]}' must be an integer, got {value!r}" in capsys.readouterr().err
 
 
+# Each object of a scenario: where it sits, a typo'd key in it, and a number
+# field of it given a bool.
+OBJECTS = [
+    ("config", ("config",), "sigma_2", "lam", True),
+    ("target", ("config", "target"), "dd", "d", [True, 0]),
+    ("prover", ("prover",), "excesss", "eta", True),
+    ("state", ("state",), "covv", "mean", [0.3, True]),
+    ("scenario", (), "shotcap", "seed", True),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "budget"])
+@pytest.mark.parametrize("what, where, typo, number, value", OBJECTS, ids=[o[0] for o in OBJECTS])
+def test_every_scenario_object_is_read_by_one_rule(scenario, tmp_path, command, what, where, typo, number, value,
+                                                   capsys):
+    # budget used to read only the config, and every object but the config, a
+    # prover and the scenario itself dropped an unknown key; a bool number was
+    # read as 0 or 1, so "eta": true verified the identity channel
+    _, data = scenario
+    data["prover"] = {"kind": "Attenuator", "eta": 0.8, "excess": 0.05}
+    data["state"] = dict(COHERENT)
+    for key, bad, message in ((typo, 0.5, f"unknown {what} fields: '{typo}'"),
+                              (number, value, f"'{number}' must be ")):
+        edited = json.loads(json.dumps(data))
+        node = edited
+        for step in where:
+            node = node[step]
+        node[key] = bad
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps(edited))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("name", 5, "'name' must be a string, got 5"),  # gave a report that fails the schema
+    ("shot_cap", 0, "shot_cap must be at least 1, got 0"),  # ended in "shot budget c4 must be positive"
+    ("shot_cap", -3, "shot_cap must be at least 1, got -3"),
+])
+def test_scenario_run_value_exit_code(scenario, tmp_path, key, value, message, capsys):
+    _, data = scenario
+    data[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("config", ["abc", [1], 3])
 def test_config_not_an_object_exit_code(scenario, tmp_path, config, capsys):
     path, data = scenario
@@ -669,8 +721,8 @@ def test_scenario_fuzz_exits_with_a_code(command, protocol, prover, edits):
     typos = [(where, key) for where, key, node in (("scenario", "shotcap", data),
                                                     ("prover", "excesss", data["prover"]))
              if key in node]
-    if not unknown and typos and command != "budget" and all(p[0] != "config" for p, _ in edits):
+    if not unknown and typos and all(p[0] != "config" for p, _ in edits):
         # after a valid config, the scenario keys and then the prover keys are
-        # checked (budget reads only the config)
+        # checked, in every command
         assert code == 2
         assert "unknown {} fields: '{}'".format(*typos[0]) in err.getvalue()

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -216,19 +217,21 @@ def test_closed_form_rejects_transition_point():
         fock.canonical_observable_closed_form(np.sqrt(2.0), 1.0, 10)
 
 
-def test_closed_form_branches_continuous_near_transition():
-    # just below vs just above g = sqrt(lam+1): the two branches approach
-    # each other on the low-photon block
-    lam, cutoff = 1.0, 10
-    root = np.sqrt(lam + 1.0)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        below = fock.canonical_observable_closed_form(root * 0.995, lam, cutoff).matrix
-        above = fock.canonical_observable_closed_form(root * 1.005, lam, cutoff).matrix
-    low = [i * cutoff + j for i in range(2) for j in range(2)]
-    assert np.max(np.abs(below[np.ix_(low, low)] - above[np.ix_(low, low)])) < 0.05
+@pytest.mark.parametrize("cutoff, band", [(10, (0.93, 1.08)), (39, (0.85, 1.17))], ids=["c10", "c39"])
+def test_closed_form_matches_the_observable_outside_the_transition_band_and_refuses_inside(cutoff, band):
+    """At lam = 1 each branch just outside the band of g / sqrt(2) that no
+    embedding up to MAX_CUTOFF serves matches the canonical observable within
+    1e-10; inside the band, where an embedding of 256 missed by 0.55 at
+    c = 10, the closed form is a ValueError naming g, lam and the cutoff."""
+    root = np.sqrt(2.0)
+    for x in (band[0] - 0.01, band[1] + 0.01):
+        diff = fock.canonical_observable(x * root, 1.0, cutoff) - fock.canonical_observable_closed_form(
+            x * root, 1.0, cutoff)
+        assert max(np.max(np.abs(B)) for _, _, B in diff.sectors) <= 1e-10, x
+    for x in (*band, 0.995, 1.005):
+        message = f"no embedding up to 256 gives the closed form at g = {x * root}, lam = 1.0, cutoff {cutoff}:"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            fock.canonical_observable_closed_form(x * root, 1.0, cutoff)
 
 
 @pytest.mark.parametrize("cutoff", [14, 20, 30, 39])
@@ -243,13 +246,16 @@ def test_closed_form_at_its_default_embedding_matches_the_observable(cutoff):
 
 
 def test_default_embedding_grows_with_the_angle_up_to_the_cutoff_bound():
-    """The embedding grows with tanh(theta) and the cutoff, and stops at
-    MAX_CUTOFF: near the transition, and at a cutoff of 250 on a g = 2 branch
-    (where cutoff + 18 was refused)."""
-    embeddings = [fock._embedding(np.arctanh(t), 14) for t in (0.35, 0.5, 0.71, 0.9, 0.995)]
-    assert embeddings == sorted(embeddings) and 14 < embeddings[0] and embeddings[-1] == fock.MAX_CUTOFF
+    """The embedding grows with tanh(theta) and the cutoff up to MAX_CUTOFF,
+    and past it there is none: near the transition, and at a cutoff of 250
+    on a g = 2 branch (where cutoff + 18 was refused)."""
+    embeddings = [fock._embedding(np.arctanh(t), 14) for t in (0.35, 0.5, 0.71, 0.9)]
+    assert embeddings == sorted(embeddings) and 14 < embeddings[0] and embeddings[-1] <= fock.MAX_CUTOFF
     assert fock._embedding(np.arctanh(0.71), 20) > embeddings[2]
-    assert fock._embedding(np.arctanh(1.0 / np.sqrt(2.0)), 250) == fock.MAX_CUTOFF
+    assert fock._embedding(np.arctanh(0.995), 14) is None
+    assert fock._embedding(np.arctanh(1.0 / np.sqrt(2.0)), 250) is None
+    with pytest.raises(ValueError, match="^no embedding up to 256 gives the closed form at g = 2.0, lam = 1.0, cutoff 250"):
+        fock.canonical_observable_closed_form(2.0, 1.0, 250)
 
 
 def test_damping_inequality_small():

@@ -117,15 +117,22 @@ def test_channel_maps_n_modes_to_n_modes():
 
 
 def test_channel_on_subset_propagates_correlations():
-    # attenuating one half of a TMSV scales the cross block by sqrt(eta)
+    # attenuating the leading half of a TMSV scales the cross block by sqrt(eta)
     eta = 0.49
     st = ga.tmsv_pairs(0.7, 1)
     ch = ga.GaussianChannel(
         np.sqrt(eta) * np.eye(2), 0.5 * (1 - eta) * np.eye(2), np.zeros(2)
     )
-    out = ga.apply_channel(st, ch, modes=[0])
+    out = ga.apply_channel(st, ch)
     np.testing.assert_allclose(out.cov[:2, 2:], np.sqrt(eta) * st.cov[:2, 2:], atol=1e-12)
     np.testing.assert_array_equal(out.cov[2:, 2:], st.cov[2:, 2:])
+
+
+def test_channel_on_more_modes_than_the_state_rejected():
+    vacuum = ga.GaussianState(np.zeros(2), 0.5 * np.eye(2))
+    wide = ga.GaussianChannel(np.eye(4), np.zeros((4, 4)), np.zeros(4))
+    with pytest.raises(ValueError, match="^a 2-mode channel cannot act on a 1-mode state$"):
+        ga.apply_channel(vacuum, wide)
 
 
 def test_physicality_check():
@@ -135,8 +142,10 @@ def test_physicality_check():
 
 
 def test_state_serialization_roundtrip():
+    # the scenario form: the mode count, the mean and the row-major covariance
     st = ga.tmsv_pairs(0.4, 1)
-    back = ga.GaussianState.from_dict(st.to_dict())
+    back = ga.GaussianState.from_dict({"modes": 2, "mean": st.mean.tolist(), "cov": st.cov.ravel().tolist()})
+    np.testing.assert_array_equal(st.mean, back.mean)
     np.testing.assert_array_equal(st.cov, back.cov)
 
 

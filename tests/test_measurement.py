@@ -149,7 +149,7 @@ def _displaced_pairs():
     """Two correlated pairs with a displacement; the setting reads all four
     modes at mixed angles, so the measured covariance is dense."""
     spec = sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(7))
-    st = ga.apply_channel(ga.tmsv_pairs(0.6, 2), exact_unitary(spec).realize(), modes=(0, 1))
+    st = ga.apply_channel(ga.tmsv_pairs(0.6, 2), exact_unitary(spec).realize())
     setting = ms.HomodyneSetting((0.0, np.pi / 4, np.pi / 2, 0.0))
     P = ms.rotated_quadrature_projector(setting, 4)
     return st, setting, P @ st.mean, P @ st.cov @ P.T

@@ -72,6 +72,17 @@ def test_serialization_roundtrip():
     np.testing.assert_array_equal(a.d, b.d)
 
 
+def test_from_dict_names_the_object_it_reads():
+    # a config's target and a prover's spec are both read here, each named by its key
+    data = {"m": 1, "S": [1, 0, 0, 1], "d": [0, 0], "dd": [0, 0]}
+    with pytest.raises(ValueError, match=r"^unknown target fields: 'dd'$"):
+        sp.SymplecticSpec.from_dict(data)
+    with pytest.raises(ValueError, match=r"^unknown spec fields: 'dd'$"):
+        sp.SymplecticSpec.from_dict(data, "spec")
+    with pytest.raises(TypeError, match=r"^spec must be an object, got list$"):
+        sp.SymplecticSpec.from_dict([1, 0, 0, 1], "spec")
+
+
 def test_rotation_convention():
     # a one-mode passive unitary e^{i phi} rotates q -> q cos(phi) - p sin(phi)
     S = sp.orthogonal_symplectic(1, np.random.default_rng(3))
