@@ -11,12 +11,17 @@ Two-mode operators act on A' (x) R with index i * cutoff + j for
 number they conserve.  The two-mode squeezer conserves n1 - n2, so its
 truncated generator is a direct sum of tridiagonal blocks, one per chain of
 states it links; this is the module's one chain family.
-Every matrix exponential goes through one numpy kernel, exp(A) =
-V e^{-i Lambda} V+ from a stacked ``eigh`` of the Hermitian i A: the chain
-blocks, zero-padded into a few length classes, and the single-mode
-displacement and squeezer.  The squeezer's chains from |0, j> and |j, 0>
-have the same generator, so each such pair is exponentiated once, and a
-diagonal core inside a squeezer sandwich is conjugated in the same stacks.
+Every matrix exponential is an angle theta times a fixed unit generator made
+of real antisymmetric tridiagonal blocks: the squeezer's chain blocks,
+zero-padded into a few length classes; the displacement's a+ - a, in the
+phase frame of beta; and the single-mode squeezer's even and odd chains.
+Each unit generator's spectrum (Lambda, V) comes from one stacked ``eigh``
+per (generator, cutoff, chain count), and a call only scales it:
+exp(-i theta H) = V e^{-i theta Lambda} V+, through one numpy kernel
+(:func:`_exp_tridiagonal`), which returns the identity exactly at theta = 0.
+The squeezer's chains from |0, j> and |j, 0> have the same generator, so
+each such pair is exponentiated once, and a diagonal core inside a squeezer
+sandwich is conjugated in the same stacks.
 The performance operator is the closed-form Gaussian integral over the
 coherent prior, element by element; it conserves n1 - n2 too, so it and the
 canonical observable are built as sector blocks.  The module needs numpy only.
@@ -25,12 +30,14 @@ The attenuator's Kraus operators are in closed form; the amplifier's are read
 off its truncated squeezer dilation, which is unitary on the truncated space
 and so keeps the trace (see :func:`_kraus_diagonals`).  Each Kraus operator
 is one diagonal, so these channels act on each difference delta of the two
-first-slot indices as one transfer block S_delta, and a run of them composes
-block by block.  The TMSV sits in n1 = n2, so its image under them conserves
-n1 - n2, as does the amplification witness: both are kept as 2c - 1 sector
-blocks (about 2c^3/3 entries instead of c^4).  The unitary witness is kept as
-the blocks of 1 - k C in the frame U (x) 1 of the target's unitary U (folded
-into the blocks when U is diagonal), and an output with a unitary factor in
+first-slot indices as one transfer block S_delta, all of them read off the
+Kraus operators' sum in one gather, and a run of them composes block by
+block.  The TMSV sits in n1 = n2, so its image under them conserves n1 - n2,
+as does the amplification witness: both are kept as 2c - 1 sector blocks
+(about 2c^3/3 entries instead of c^4), the output's gathered at once as
+slices of one c^3 array.  The unitary witness is kept as the blocks of
+1 - k C in the frame U (x) 1 of the target's unitary U (folded into the
+blocks when U is diagonal), and an output with a unitary factor in
 amplitude form: psi, the TMSV's c x c amplitudes after the leading unitaries,
 and the later factors, so rho = sum_n phi_n phi_n+ over terms phi_n with one
 Kraus operator (a shift and scale of rows) per attenuator or amplifier.
@@ -45,22 +52,28 @@ never silently renormalized away.
 One cutoff rule holds everywhere: each public function with a ``cutoff``
 refuses, on entry and before it forms any array, a cutoff outside
 [2, MAX_CUTOFF = 256].  The largest arrays of a two-mode path (the transfer
-blocks, the amplitude-form stacks, the framed trace's shift diagonals) hold
-about c^3 entries, and 256^3 = 4096^2, a dense matrix of dimension 4096.
+blocks, the output's gathered blocks, the amplitude-form stacks, the framed
+trace's shift diagonals) hold about c^3 entries, and 256^3 = 4096^2, a dense
+matrix of dimension 4096.
 A cutoff that is not an integer is refused the same way.
 
-The squeezed cores S_theta D S_theta+ of a specification (the unitary
-witness's core, the amplification witness and the closed-form observable's
-branches) depend on theta, D and the cutoff only, not on the prover, so
-``_squeezed_sectors`` keeps them in a least-recently-used cache keyed on
-(theta, the bytes of D's diagonal, its slot, the cutoff, the kept cutoff).
-The cache is bounded by its total block entries, _CORE_ENTRIES = 2^22
-(32 MB of float64), and drops the least recently used cores first.  A core
-kept to cutoff c holds about 2c^3/3 entries, so one at c >= 185 exceeds the
-bound alone and is never kept.  Cached blocks are read-only, and each call
+Two least-recently-used caches keep what does not depend on the prover, by
+one rule (:func:`_cached`).  The squeezed cores S_theta D S_theta+ of a
+specification (the unitary witness's core, the amplification witness and
+the closed-form observable's branches) depend on theta, D and the cutoff
+only, so ``_squeezed_sectors`` keeps them keyed on (theta, the bytes of D's
+diagonal, its slot, the cutoff, the kept cutoff).  The unit generators'
+spectra are kept keyed on (generator, cutoff, chain count).  Each cache is
+bounded by its total entries (block entries, eigenvector entries),
+_CORE_ENTRIES = 2^22 (32 MB of float64), drops the least recently used
+values first, and never keeps one above the bound alone: a core kept to
+cutoff c holds about 2c^3/3 entries, so one at c >= 185 is never kept, and
+the squeezer's chain spectra about c^3/3, so theirs at c >= 233 are not
+(5.6e6 entries at c = 256).  Cached arrays are read-only, and each call
 returns a fresh list of them.  Argument checks and the squeezer's leakage
 warning run on every call, before the lookup; the prover's Kraus
-operators, outputs and unitaries are built per call.
+operators, outputs and unitaries are built per call, by scaling the cached
+spectra.
 """
 
 from __future__ import annotations
@@ -79,12 +92,14 @@ from .symplectic import SymplecticSpec
 SQUEEZE_LEAKAGE_WARN = 1e-4
 MAX_CUTOFF = 256
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
-_CORE_ENTRIES = 1 << 22  # block entries the squeezed-core cache may hold (32 MB of float64)
+_CORE_ENTRIES = 1 << 22  # entries each cache of _cached may hold (32 MB of float64)
 
-# (sectors, block entries) of each squeezed core of _squeezed_sectors, least
-# recently used first; a core of more than _CORE_ENTRIES entries is never kept.
+# The caches of _cached, each value (a list of tuples of arrays, its entries),
+# least recently used first: the squeezed cores of _squeezed_sectors, and the
+# spectra of the unit generators that every exponential scales.
 _CORES: OrderedDict = OrderedDict()
-_CORES_LOCK = threading.Lock()
+_SPECTRA: OrderedDict = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(eq=False, repr=False)
@@ -207,75 +222,125 @@ def _chains(cutoff: int) -> list:
 
 def _chain_grid(cutoff: int) -> tuple:
     """(i, j, lengths): row k of i and j holds the photon numbers of chain k
-    of :func:`_chains` in its first lengths[k] entries, and runs on past them."""
+    of :func:`_chains` in its first lengths[k] entries, and 0, the vacuum,
+    past them."""
     c = cutoff
     i0 = np.concatenate([np.zeros(c, dtype=int), np.arange(1, c)])
     j0 = np.concatenate([np.arange(c), np.zeros(c - 1, dtype=int)])
     t = np.arange(c)
-    return i0[:, None] + t, j0[:, None] + t, c - np.maximum(i0, j0)
+    lengths = c - np.maximum(i0, j0)
+    live = t < lengths[:, None]
+    return np.where(live, i0[:, None] + t, 0), np.where(live, j0[:, None] + t, 0), lengths
 
 
-def _exp_i(H: np.ndarray, first_column: bool = False) -> np.ndarray:
-    """exp(-i H) for a stack of Hermitian matrices H (..., n, n), as
-    V e^{-i Lambda} V+ from one stacked ``np.linalg.eigh``, or only the
-    first column of each when ``first_column``.  Every matrix exponential of
-    the oracle goes through here.
+def _cached(store: OrderedDict, key: tuple, build) -> list:
+    """``build()``, a list of tuples of arrays, kept in ``store`` under ``key``.
 
-    A real symmetric H has a real V, so V cos(Lambda) V^T - i V sin(Lambda) V^T
-    is one real product.  When max |lambda| eps >= 1, e^{-i lambda} keeps no
-    significant digit in double precision, and that is an error rather than
-    a result.
+    Each store is a least-recently-used cache bounded by the entries of the
+    last array of each tuple (a core's blocks, a spectrum's eigenvectors),
+    _CORE_ENTRIES in all: it drops the least recently used values first and
+    never keeps one above the bound alone.  Kept arrays are read-only, and
+    each call returns a fresh list of them.
     """
-    lam, V = np.linalg.eigh(H)
-    top = float(np.max(np.abs(lam), initial=0.0))
+    with _CACHE_LOCK:
+        held = store.pop(key, None)
+        if held is not None:
+            store[key] = held  # the most recently used sits last
+            return list(held[0])
+    value = build()
+    size = sum(arrays[-1].size for arrays in value)
+    if size > _CORE_ENTRIES:
+        return value
+    # copies: a view would keep its whole padded stack alive, uncounted by the bound
+    value = [tuple(x.copy() for x in arrays) for arrays in value]
+    for arrays in value:
+        for x in arrays:
+            x.setflags(write=False)
+    with _CACHE_LOCK:
+        store[key] = value, size
+        while sum(n for _, n in store.values()) > _CORE_ENTRIES:
+            store.popitem(last=False)
+    return list(value)
+
+
+def _spectrum(w: np.ndarray) -> tuple:
+    """(Lambda, V) from one stacked ``np.linalg.eigh`` of the real symmetric
+    tridiagonal matrices H with zero diagonal and off-diagonals w (..., n - 1)."""
+    n = w.shape[-1] + 1
+    t = np.arange(n)
+    H = np.zeros(w.shape[:-1] + (n, n))
+    H[..., t[1:], t[:-1]] = H[..., t[:-1], t[1:]] = w
+    return np.linalg.eigh(H)
+
+
+_QUARTER = np.array([1.0, 1.0, -1.0, -1.0])  # exp(theta B)[k, l] = _QUARTER[(k - l) % 4] X[k, l]
+
+
+def _exp_tridiagonal(spectrum: tuple, theta: float, first_column: bool = False) -> np.ndarray:
+    """exp(theta B) for a stack of real antisymmetric tridiagonal B with
+    B[k+1, k] = w_k = -B[k, k+1], from the ``spectrum`` (Lambda, V) of
+    :func:`_spectrum` of the off-diagonals w, or only the first column of
+    each when ``first_column``.  Every matrix exponential of the oracle
+    goes through here; theta only scales the cached spectrum.
+
+    B = P (-i H) P^-1 with P = diag(i^k), so exp(theta B)[k, l] =
+    i^(k - l) (V e^{-i theta Lambda} V^T)[k, l].  H links only states of
+    opposite parity, so V cos(theta Lambda) V^T vanishes where k - l is odd
+    and V sin(theta Lambda) V^T where it is even, and exp(theta B) is
+    X = V (cos + sin)(theta Lambda) V^T with the signs _QUARTER[(k - l) % 4]:
+    one real product per stack.  At theta = 0 it is the identity exactly,
+    which V V^T is only to rounding.  When |theta| max |lambda| eps >= 1,
+    e^{-i theta lambda} keeps no significant digit in double precision, and
+    that is an error rather than a result.
+    """
+    lam, V = spectrum
+    top = abs(theta) * float(np.max(np.abs(lam), initial=0.0))
     if not top * np.finfo(float).eps < 1.0:
         raise ValueError(
             f"matrix exponential of a generator with eigenvalue {top:.3g} is not finite in double precision"
         )
-    real = np.isrealobj(V)
-    Vh = V.swapaxes(-1, -2) if real else V.conj().swapaxes(-1, -2)
+    t = np.arange(V.shape[-1])
+    if theta == 0:
+        E = np.zeros(V.shape)
+        E[..., t, t] = 1.0
+        return E[..., 0] if first_column else E
+    f = np.cos(theta * lam) + np.sin(theta * lam)
     if first_column:
-        Vh = Vh[..., :1]
-    if not real:
-        X = (V * np.exp(-1j * lam)[..., None, :]) @ Vh
-    else:  # cos and -sin interleaved, so the real product is the complex one
-        W = np.empty(Vh.shape + (2,))
-        np.multiply(np.cos(lam)[..., None], Vh, out=W[..., 0])
-        np.multiply(-np.sin(lam)[..., None], Vh, out=W[..., 1])
-        X = (V @ W.reshape(*Vh.shape[:-1], -1)).view(complex)
-    return X[..., 0] if first_column else X
+        return _QUARTER[t % 4] * (V @ (f * V[..., 0, :])[..., None])[..., 0]
+    return _QUARTER[(t[:, None] - t) % 4] * ((V * f[..., None, :]) @ V.swapaxes(-1, -2))
 
 
-_PAD = 12  # chains of up to 2 _PAD states are exponentiated padded to _PAD or 2 _PAD
-_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # Re(i^q x) = _SIGN[q] (Re x, Im x)[q % 2]
+_PAD = 12  # chains of up to 2 _PAD states are stacked padded to _PAD or 2 _PAD
 
 
 def _chain_exps(theta: float, cutoff: int, count: int, first_column: bool = False):
     """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chains`, as
     zero-padded stacks: yields (members, E), E[r] holding the block of chain
     members[r] in its leading corner and the identity past its length, or
-    only its first column when ``first_column``.
+    only its first column when ``first_column``.  The spectra of the unit
+    blocks, theta = 1, are built once per (cutoff, count) while the cache
+    of :func:`_cached` holds them (:func:`_chain_spectra`)."""
+    spectra = _cached(_SPECTRA, ("chains", cutoff, count), lambda: _chain_spectra(cutoff, count))
+    for members, lam, V in spectra:
+        yield members, _exp_tridiagonal((lam, V), theta, first_column)
 
-    On a chain, L has the weights w_k = theta <i+1, j+1|L|i, j>, so the
-    block B (B[k+1, k] = w_k = -B[k, k+1]) is P (-i H) P^-1 with
-    P = diag(i^k) and H the real symmetric tridiagonal matrix with
-    off-diagonals w, and exp(B) = Re(P exp(-i H) P^-1).  A chain padded with
-    zero weights leaves its padding uncoupled.  Short chains, whose
-    exponential costs less than a call, are padded to ``_PAD`` or
-    ``2 _PAD`` states; the longer ones run one length per stack.
-    """
+
+def _chain_spectra(cutoff: int, count: int) -> list:
+    """(members, Lambda, V) per stack of the unit chain blocks of
+    :func:`_chain_exps`.  On a chain, L has the weights
+    w_k = <i+1, j+1|L|i, j>, the off-diagonals of :func:`_exp_tridiagonal`;
+    past a chain's end the grid's vacuum gives zero weights, which leave
+    the padding uncoupled.  Short chains, whose spectrum costs less than a
+    call, are padded to ``_PAD`` or ``2 _PAD`` states; the longer ones run
+    one length per stack."""
     i, j, lengths = (x[:count] for x in _chain_grid(cutoff))
     short = -(-lengths // _PAD) * _PAD
     padded = np.where(short <= 2 * _PAD, np.minimum(short, lengths.max()), lengths)
+    spectra = []
     for length in np.unique(padded):
         members = np.flatnonzero(padded == length)
-        t = np.arange(length)
-        linked = t[1:] < lengths[members, None]  # w_k links states k and k + 1 of the chain
-        w = theta * np.sqrt(np.where(linked, i[members, 1:length] * j[members, 1:length], 0))
-        H = np.zeros((members.size, length, length))
-        H[:, t[1:], t[:-1]] = H[:, t[:-1], t[1:]] = w
-        X, q = _exp_i(H, first_column), (t if first_column else t[:, None] - t) % 4
-        yield members, np.where(q % 2, X.imag, X.real) * _SIGN[q]
+        spectra.append((members, *_spectrum(np.sqrt(i[members, 1:length] * j[members, 1:length]))))
+    return spectra
 
 
 def _check_squeezer(theta: float, cutoff: int) -> None:
@@ -301,15 +366,35 @@ def _assemble(sectors: list, cutoff: int) -> np.ndarray:
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
-    """exp(beta a+ - conj(beta) a), the exponential of the Hermitian i (beta a+ - conj(beta) a)."""
-    a = destroy(cutoff)
-    return _exp_i(1j * (beta * a.conj().T - np.conj(beta) * a))
+    """exp(beta a+ - conj(beta) a) = R exp(|beta| (a+ - a)) R+ in the phase
+    frame R = e^{i phi n} of beta = |beta| e^{i phi}.  a+ - a is one
+    antisymmetric tridiagonal chain with the weights of a's off-diagonal,
+    whose spectrum is kept per cutoff (:func:`_cached`)."""
+    _check_cutoff(cutoff)
+    (spectrum,) = _cached(_SPECTRA, ("displace", cutoff),
+                          lambda: [_spectrum(np.diagonal(destroy(cutoff), 1).real)])
+    u = np.exp(1j * np.angle(beta) * np.arange(cutoff))
+    return u[:, None] * _exp_tridiagonal(spectrum, abs(beta)) * u.conj()
 
 
 def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
-    """exp(r (a+^2 - a^2) / 2), the exponential of the Hermitian i r (a+^2 - a^2) / 2."""
-    a = destroy(cutoff)
-    return _exp_i(0.5j * r * (a.conj().T @ a.conj().T - a @ a))
+    """exp(r (a+^2 - a^2) / 2).  a+^2 - a^2 links n only to n + 2, so it is
+    two antisymmetric tridiagonal chains, the even and the odd photon
+    numbers, with the weights of a^2's second off-diagonal halved; their
+    spectra are kept per cutoff as one stack, the odd chain zero-padded to
+    the even one's length (:func:`_cached`)."""
+    _check_cutoff(cutoff)
+
+    def build():
+        a = destroy(cutoff)
+        w = np.diagonal(a @ a, 2).real / 2  # w[n] links n and n + 2
+        return [_spectrum(np.append(w, np.zeros(cutoff % 2)).reshape(-1, 2).T)]
+
+    (spectrum,) = _cached(_SPECTRA, ("squeeze1", cutoff), build)
+    E, odd = _exp_tridiagonal(spectrum, r), cutoff // 2
+    U = np.zeros((cutoff, cutoff), dtype=complex)
+    U[::2, ::2], U[1::2, 1::2] = E[0], E[1, :odd, :odd]
+    return U
 
 
 def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
@@ -360,9 +445,7 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
     i, j, lengths = _chain_grid(cutoff)
-    live = np.arange(cutoff) < lengths[:, None]
-    m, n = np.where(live, i, 0), np.where(live, j, 0)  # past a chain's end the vacuum stands in
-    m, n, m2, n2 = m[:, :, None], n[:, :, None], m[:, None, :], n[:, None, :]
+    m, n, m2, n2 = i[:, :, None], j[:, :, None], i[:, None, :], j[:, None, :]
     log_fact = _log_factorials(2 * cutoff - 1)
     s = m + n2
     log_omega = (
@@ -411,32 +494,13 @@ def _squeezed_sectors(
     on one slot (0 = A', 1 = R) and the identity on the other, evaluated at
     ``cutoff``, truncated to photon numbers below ``keep`` (default
     ``cutoff``) and symmetrized.  :func:`_build_squeezed_sectors` builds
-    them once per key while the cache holds the key; cached blocks are
-    read-only, and each call gets a fresh list of them.  The squeezer check,
-    and so its leakage warning, runs first on every call.
+    them once per key while the cache of :func:`_cached` holds the key.  The
+    squeezer check, and so its leakage warning, runs first on every call.
     """
     keep = cutoff if keep is None else keep
     _check_squeezer(theta, cutoff)
     key = (float(theta), v.tobytes(), slot, cutoff, keep)
-    with _CORES_LOCK:
-        held = _CORES.pop(key, None)
-        if held is not None:
-            _CORES[key] = held  # the most recently used sits last
-            return list(held[0])
-    core = _build_squeezed_sectors(theta, v, slot, cutoff, keep)
-    size = sum(B.size for _, _, B in core)
-    if size > _CORE_ENTRIES:
-        return core
-    # copies: a view would keep its whole padded stack alive, uncounted by the bound
-    core = [(i, j, B.copy()) for i, j, B in core]
-    for arrays in core:
-        for x in arrays:
-            x.setflags(write=False)
-    with _CORES_LOCK:
-        _CORES[key] = core, size
-        while sum(n for _, n in _CORES.values()) > _CORE_ENTRIES:
-            _CORES.popitem(last=False)
-    return list(core)
+    return _cached(_CORES, key, lambda: _build_squeezed_sectors(theta, v, slot, cutoff, keep))
 
 
 def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> list:
@@ -615,24 +679,30 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
 
 
 def _transfer(diagonals: list, cutoff: int) -> np.ndarray:
-    """Transfer blocks of a channel whose every Kraus operator K lies on one
-    diagonal, given as (shift, ``np.diagonal(K, shift)``):
+    """Transfer blocks of a channel whose every Kraus operator K lies on a
+    diagonal of its own, given as (shift, ``np.diagonal(K, shift)``) with
+    distinct shifts, as :func:`_kraus_diagonals` gives them:
 
         S[delta, p, q] = sum_K K[p, q] conj(K[p + delta, q + delta]),  delta = 0..c-1,
 
     zero where p or q reaches c - delta.  The channel maps the entries
     (q, q + delta) of rho's first-slot index pair to (p, p + delta) through
     S_delta; for -delta it takes conj(S_delta) on indices shifted by delta.
-    Each K adds d[m] conj(d[m + delta]) along its own diagonal.
+    Both entries of a term lie on K's diagonal, so with M = sum_K K, one
+    scatter of every diagonal into a zero-padded 2c x 2c array, the sum has
+    the one term M[p, q] conj(M[p + delta, q + delta]): one gather.
     """
     c = cutoff
-    S = np.zeros((c, c, c), dtype=np.result_type(*(d for _, d in diagonals)))
-    delta = np.arange(c)[:, None]
-    for shift, d in diagonals:
-        m = np.arange(d.size)
-        p = m + max(0, -shift)
-        S[:, p, p + shift] += d * np.concatenate([d, np.zeros(c)])[delta + m].conj()
-    return S
+    shifts = np.array([shift for shift, _ in diagonals])
+    sizes = [d.size for _, d in diagonals]
+    k = np.repeat(np.arange(shifts.size), sizes)  # the Kraus operator of each entry
+    m = np.arange(k.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its place on the diagonal
+    p = m + np.maximum(0, -shifts)[k]
+    values = np.concatenate([d for _, d in diagonals])
+    M = np.zeros((2 * c, 2 * c), dtype=values.dtype)
+    M[p, p + shifts[k]] = values
+    t, delta = np.arange(c), np.arange(c)[:, None, None]
+    return M[:c, :c] * M[delta + t[:, None], delta + t].conj()
 
 
 def _kraus_stack(X: np.ndarray, diagonals: list, right: bool = False) -> np.ndarray:
@@ -736,12 +806,17 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     # the factors' transfer blocks composed left to right (the identity channel's for none)
     blocks = [_transfer(f, cutoff) for _, f in factors] or [_transfer([(0, np.ones(cutoff))], cutoff)]
     S = functools.reduce(lambda S, T: T @ S, blocks)
-    sectors = []
-    for i, j in _chains(cutoff):
-        t = np.arange(i.size)
-        first = np.minimum.outer(t, t)
-        sectors.append((i, j, S[np.abs(t[:, None] - t), i[first], j[first]] * np.outer(a[j], a[j])))
-    return FockState(cutoff, sectors)
+    # The wrapped diagonal s, the states |x, (x + s) mod c> for x < c, holds the chain from
+    # |0, s> and, from x = c - s on, the one from |c - s, 0>, each state at x = its first-slot
+    # photon number; so one gather over the c wrapped diagonals, as many entries as S, gives
+    # every chain's block as a slice.
+    x = np.arange(cutoff)
+    first = np.minimum.outer(x, x)
+    j = (x[:, None] + x) % cutoff  # j[s, x], the second-slot photon number
+    G = np.take(S, np.abs(x[:, None] - x) * cutoff**2 + (x * cutoff + j)[:, first])
+    G *= a[j][:, :, None] * a[j][:, None, :]
+    return FockState(cutoff, [(p, q, G[(q[0] - p[0]) % cutoff, p[0]:p[-1] + 1, p[0]:p[-1] + 1])
+                              for p, q in _chains(cutoff)])
 
 
 def expectation(op: FockOperator, state: FockState) -> float:

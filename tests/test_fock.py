@@ -562,12 +562,16 @@ def test_shifted_kraus_matches_dense_contraction():
     (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 250, 257),
      r"^embed_cutoff must lie in \[2, 256\], got 257$"),
     (lambda: fock.canonical_observable_closed_form(2.0, 1.0, 6, 8.5), r"^embed_cutoff must be an integer, got 8.5$"),
+    # NaN and infinite angles once ended in LinAlgError from eigh
+    (lambda: fock.displace_fock(np.nan, 6), "eigenvalue nan is not finite"),
+    (lambda: fock.squeeze1_fock(np.inf, 6), "eigenvalue inf is not finite"),
 ], ids=[
     "bs-above-1", "bs-negative", "bs-nan", "sq-nan", "sq-inf", "tmsv-inf", "w-unitary-lam-tiny",
     "g-theta-nan", "g-theta-inf", "omega-g-nan", "omega-lam-nan", "omega-g-inf", "cutoff-lam-0", "cutoff-lam-nan", "cutoff-lam-negative",
     "w-unitary-lam-inf", "w-unitary-cutoff-0", "w-amp-g-inf", "w-amp-g-nan", "w-amp-lam-negative",
     "output-cutoff-0", "output-lam-nan", "closed-form-lam-negative", "closed-form-g-nan",
     "closed-form-g-negative", "closed-form-embed-257-plus", "closed-form-embed-not-integral",
+    "displace-nan", "squeeze1-inf",
 ])
 def test_fock_builders_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
@@ -824,7 +828,7 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
             O - other
 
 
-# The eigh kernel against SciPy's expm, chain by chain: each chain's block is
+# The scaled-spectrum kernel against SciPy's expm, chain by chain: each chain's block is
 # exponentiated on its own, with the generator written from the ladder
 # matrix elements <i+1, j+1|a1+ a2+|i, j> = sqrt((i+1)(j+1)) of the squeezer
 # and <i+1, j-1|a1+ a2|i, j> = sqrt((i+1) j) of the beamsplitter, whose
@@ -921,6 +925,17 @@ def test_single_mode_exponentials_match_expm(cutoff):
         assert np.max(np.abs(fock.squeeze1_fock(r, cutoff) - ref)) <= 1e-12, r
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 20])
+def test_single_mode_exponentials_at_zero_are_the_identity_exactly(cutoff):
+    """A scaled spectrum at zero angle would give V V^T, the identity only to
+    rounding; the identity target's unitary must stay exactly diagonal, so
+    that the unitary witness folds its frame into the blocks."""
+    for U in (fock.displace_fock(0, cutoff), fock.displace_fock(-0.0j, cutoff),
+              fock.squeeze1_fock(0.0, cutoff), fock.squeeze1_fock(-0.0, cutoff),
+              fock.gaussian_unitary_fock(sp.identity(1), cutoff)):
+        assert np.array_equal(U, np.eye(cutoff))
+
+
 def test_exponential_without_a_significant_digit_is_an_error():
     """At |beta| ~ 7e149 the generator's eigenvalues exceed 1/eps, so
     e^{-i lambda} has no significant digit: an error, not a finite matrix."""
@@ -950,6 +965,33 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
         ref = _dense_channel(np.outer(psi, psi.conj()), ops, c)
         assert abs(fock.expectation(W, st) - np.vdot(ref, dense_matrix(W)).real) <= 1e-12, ops
         assert np.max(np.abs(density(st) - ref)) <= 1e-12, ops
+
+
+def _transfer_loop(diagonals, cutoff):
+    """fock._transfer's blocks, one Kraus diagonal at a time: each adds
+    d[m] conj(d[m + delta]) along its own diagonal."""
+    c = cutoff
+    S = np.zeros((c, c, c), dtype=np.result_type(*(d for _, d in diagonals)))
+    delta = np.arange(c)[:, None]
+    for shift, d in diagonals:
+        m = np.arange(d.size)
+        p = m + max(0, -shift)
+        S[:, p, p + shift] += d * np.concatenate([d, np.zeros(c)])[delta + m].conj()
+    return S
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [2, 3, 20, 33])
+def test_transfer_matches_the_per_diagonal_loop(cutoff):
+    """The one-scatter transfer blocks equal the per-diagonal loop, on the
+    attenuator's and the amplifier's Kraus lists, the unit channel, and an
+    attenuator list with complex phases, which the conjugation must see."""
+    att = fock._kraus_diagonals("attenuator", 0.7, cutoff)
+    for diagonals in (att, fock._kraus_diagonals("amplifier", 1.3, cutoff), [(0, np.ones(cutoff))],
+                      [(s, d * np.exp(0.4j * np.arange(d.size))) for s, d in att]):
+        got, ref = fock._transfer(diagonals, cutoff), _transfer_loop(diagonals, cutoff)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)  # the same products, each written once
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1105,3 +1147,71 @@ def test_repeated_config_side_builds_exponentiate_nothing(monkeypatch):
     fock._kraus_diagonals("amplifier", 1.2, 20)
     fock._kraus_diagonals("amplifier", 1.2, 20)
     assert len(calls) == before + 2
+
+
+# The unit generators' spectra: each exponential of the oracle is an angle
+# times a fixed generator, diagonalised once per (generator, cutoff, chain
+# count) and kept in the same bounded cache rule as the squeezed cores.
+
+def _count_eigh(monkeypatch):
+    """Count the calls of np.linalg.eigh."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+PROVER_SIDE_BUILDS = {  # a builder of each generator, and parameters to build it at
+    "amplifier": (lambda g, c: fock._kraus_diagonals("amplifier", g, c), (1.2, 1.5, 2.0)),
+    "displace": (fock.displace_fock, (0.3, -0.4 + 0.9j, 1.5j)),
+    "squeeze1": (fock.squeeze1_fock, (0.2, -0.5, 0.8)),
+}
+
+
+def _arrays(built):
+    return [d for _, d in built] if isinstance(built, list) else [built]
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [5, 20])
+def test_repeated_prover_side_builds_diagonalise_nothing(monkeypatch, cutoff):
+    """After one build per cutoff, the amplifier's Kraus operators, a
+    displacement (at a complex beta too) and a single-mode squeezer at new
+    parameters call np.linalg.eigh zero times: they scale the cached
+    spectra, which are read-only, and match a cold build."""
+    calls = _count_eigh(monkeypatch)
+    fock._SPECTRA.clear()
+    for build, params in PROVER_SIDE_BUILDS.values():
+        build(params[0], cutoff)
+    built = len(calls)
+    assert built > 0 and len(fock._SPECTRA) == 3
+    hits = [(build, x, build(x, cutoff)) for build, params in PROVER_SIDE_BUILDS.values() for x in params[1:]]
+    assert len(calls) == built
+    assert not any(x.flags.writeable for value, _ in fock._SPECTRA.values() for arrays in value for x in arrays)
+    for build, x, hit in hits:
+        fock._SPECTRA.clear()
+        cold = build(x, cutoff)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(_arrays(hit), _arrays(cold))) <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_spectrum_cache_keeps_its_entry_bound(monkeypatch):
+    """A spectrum above the bound is rebuilt on every call and never kept.
+    The squeezer's chain spectra at cutoff c hold the eigenvector entries of
+    their padded stacks: 12 * 12^2 + 8 * 20^2 = 4928 at c = 20 and
+    12 * 12^2 + 9 * 21^2 = 5697 at 21 (and about 5.6e6 at c = 256, above
+    the real bound of 2^22)."""
+    monkeypatch.setattr(fock, "_CORE_ENTRIES", 5000)
+    calls = _count_eigh(monkeypatch)
+    fock._SPECTRA.clear()
+    for c in (20, 21):
+        for g in (1.2, 1.3):
+            fock._kraus_diagonals("amplifier", g, c)
+    assert list(fock._SPECTRA) == [("chains", 20, 20)]
+    assert sum(size for _, size in fock._SPECTRA.values()) == 4928
+    assert len(calls) == 2 + 2 * 2  # two stacks each: once at c = 20, on both calls at c = 21
