@@ -2,7 +2,7 @@
 
 The operators that back the analytic phase-space results: the diagonal of
 the damping operator G_theta = sum_n tanh^{2n}(theta) |n><n|, the two-mode
-squeezer's sector blocks, single-mode Gaussian unitaries, attenuator and
+squeezer's chain blocks, single-mode Gaussian unitaries, attenuator and
 amplifier Kraus operators, the performance operator, the canonical benchmark
 observable, and both average-fidelity witnesses.
 
@@ -24,7 +24,18 @@ each such pair is exponentiated once, and a diagonal core inside a squeezer
 sandwich is conjugated in the same stacks.
 The performance operator is the closed-form Gaussian integral over the
 coherent prior, element by element; it conserves n1 - n2 too, so it and the
-canonical observable are built as sector blocks.  The module needs numpy only.
+canonical observable are built over the wrapped grid below at once.  The
+module needs numpy only.
+
+Every object that conserves n1 - n2 is held as one (c, c, c) array W, its
+wrapped stack: row x of wrapped diagonal s is the state |x, (x + s) mod c>,
+which holds the chain from |0, s> (rows x < c - s) and the one from
+|c - s, 0> (rows x >= c - s), and W[s] is block diagonal over the two, with
+exact zeros between them (c^3 entries instead of c^4).  So each operation
+on the chains is one array operation: a difference or a frame fold is one
+expression, the dense matrix one scatter, a trace of a product one
+``einsum``, and the largest eigenvalue one stacked ``eigvalsh`` (a two-block
+diagonal has exactly its chains' eigenvalues).
 
 The attenuator's Kraus operators are in closed form; the amplifier's are read
 off its truncated squeezer dilation, which is unitary on the truncated space
@@ -32,29 +43,30 @@ and so keeps the trace (see :func:`_kraus_diagonals`).  Each Kraus operator
 is one diagonal, so these channels act on each difference delta of the two
 first-slot indices as one transfer block S_delta, all of them read off the
 Kraus operators' sum in one gather, and a run of them composes block by
-block.  The TMSV sits in n1 = n2, so its image under them conserves n1 - n2,
-as does the amplification witness: both are kept as 2c - 1 sector blocks
-(about 2c^3/3 entries instead of c^4), the output's gathered at once as
-slices of one c^3 array.  The unitary witness is kept as the blocks of
-1 - k C in the frame U (x) 1 of the target's unitary U (folded into the
-blocks when U is diagonal), and an output with a unitary factor in
-amplitude form: psi, the TMSV's c x c amplitudes after the leading unitaries,
-and the later factors, so rho = sum_n phi_n phi_n+ over terms phi_n with one
-Kraus operator (a shift and scale of rows) per attenuator or amplifier.
-``expectation`` contracts these forms without a dense c^4 array: block
-traces, f+ B_s f over an operator's blocks for f the terms' U+ phi_n at the
-block's states (c^3 per term in O(c^3) memory), or the shared photon-number
-shifts of a framed operator and a sector state (c^4).  The ``matrix`` of an
-operator held in sectors is assembled, read-only, only when read; a framed
-operator and a state have no dense form.  Truncation leakage is reported,
-never silently renormalized away.
+block.  A channel factor is held as one Kraus table, T[k, m] entry m of K_k's
+diagonal, so its action on a stack of matrices is one padded gather.  The
+TMSV sits in n1 = n2, so its image under them conserves n1 - n2, as does the
+amplification witness: both are kept as wrapped stacks, the output gathered
+at once.  The unitary witness is kept as the stack of 1 - k C in the frame
+U (x) 1 of the target's unitary U (folded into the stack when U is
+diagonal), and an output with a unitary factor in amplitude form: psi, the
+TMSV's c x c amplitudes after the leading unitaries, and the later factors,
+so rho = sum_n phi_n phi_n+ over terms phi_n with one Kraus operator (a shift
+and scale of rows) per attenuator or amplifier.  ``expectation`` contracts
+these forms without a dense c^4 array: the trace of two stacks, F_s+ W[s] F_s
+over an operator's wrapped diagonals for F_s the terms' U+ phi_n at the
+diagonal's states (c^3 per term in O(c^3) memory), or the shared
+photon-number shifts of a framed operator and a stacked state (c^4).  The
+``matrix`` of an operator held in sectors is assembled, read-only, only when
+read; a framed operator and a state have no dense form.  Truncation leakage
+is reported, never silently renormalized away.
 
 One cutoff rule holds everywhere: each public function with a ``cutoff``
 refuses, on entry and before it forms any array, a cutoff outside
 [2, MAX_CUTOFF = 256].  The largest arrays of a two-mode path (the transfer
-blocks, the output's gathered blocks, the amplitude-form stacks, the framed
-trace's shift diagonals) hold about c^3 entries, and 256^3 = 4096^2, a dense
-matrix of dimension 4096.
+blocks, the wrapped stacks, the amplitude-form stacks, the framed trace's
+shift diagonals) hold about c^3 entries, and 256^3 = 4096^2, a dense matrix
+of dimension 4096.
 A cutoff that is not an integer is refused the same way.
 
 Two least-recently-used caches keep what does not depend on the prover, by
@@ -64,13 +76,15 @@ the closed-form observable's branches) depend on theta, D and the cutoff
 only, so ``_squeezed_sectors`` keeps them keyed on (theta, the bytes of D's
 diagonal, its slot, the cutoff, the kept cutoff).  The unit generators'
 spectra are kept keyed on (generator, cutoff, chain count).  Each cache is
-bounded by its total entries (block entries, eigenvector entries),
+bounded by its total entries (stack entries, eigenvector entries),
 _CORE_ENTRIES = 2^22 (32 MB of float64), drops the least recently used
 values first, and never keeps one above the bound alone: a core kept to
-cutoff c holds about 2c^3/3 entries, so one at c >= 185 is never kept, and
-the squeezer's chain spectra about c^3/3, so theirs at c >= 233 are not
-(5.6e6 entries at c = 256).  Cached arrays are read-only, and each call
-returns a fresh list of them.  Argument checks and the squeezer's leakage
+cutoff c is one c^3 stack, so one at c >= 162 is never kept, and the
+squeezer's chain spectra hold about c^3/3 entries, so theirs at c >= 233 are
+not (5.6e6 entries at c = 256).  Cached arrays are read-only: a core is
+returned as the kept array itself, which every use copies as it folds,
+scales or subtracts, and the spectra as a fresh list of kept arrays each
+call.  Argument checks and the squeezer's leakage
 warning run on every call, before the lookup; the prover's Kraus
 operators, outputs and unitaries are built per call, by scaling the cached
 spectra.
@@ -104,22 +118,29 @@ _CACHE_LOCK = threading.Lock()
 
 @dataclass(eq=False, repr=False)
 class _Fock:
-    """A two-mode matrix at photon-number cutoff ``cutoff`` on each mode,
-    held as its n1 - n2 ``sectors`` (a list of (i, j, block) over the chains
-    of :func:`_chains`) or in a factored ``form`` that the subclass defines."""
+    """A two-mode matrix M at photon-number cutoff ``cutoff`` = c on each
+    mode, held as its wrapped n1 - n2 stack ``sectors`` or in a factored
+    ``form`` that the subclass defines.
+
+    The stack is one (c, c, c) array W: row x of wrapped diagonal s is the
+    state |x, (x + s) mod c>, and W[s, x, y] = <x, (x + s) mod c|M|y, (y + s) mod c>.
+    Diagonal s holds the chain from |0, s> (rows x < c - s) and the one from
+    |c - s, 0> (rows x >= c - s), each state at x = its first-slot photon
+    number; M conserves n1 - n2, so W[s] is block diagonal over the two,
+    with exact zeros between them (see :func:`_wrapped_grid`)."""
 
     cutoff: int
-    sectors: list | None = None
+    sectors: np.ndarray | None = None
     form: tuple | None = None
 
     def __post_init__(self):
         if (self.sectors is None) == (self.form is None):
-            raise ValueError("a Fock object holds either its sector blocks or a form")
+            raise ValueError("a Fock object holds either its sector stack or a form")
 
 
 class FockOperator(_Fock):
-    """Two-mode operator.  Its ``form``, if any, is (U, sectors): sector
-    blocks B in the frame of a unitary U on the first mode, the operator
+    """Two-mode operator.  Its ``form``, if any, is (U, sectors): the wrapped
+    stack of B in the frame of a unitary U on the first mode, the operator
     (U (x) 1) B (U+ (x) 1).  The ``matrix`` of an operator held in sectors
     is assembled, read-only, on first read; a framed operator has none."""
 
@@ -127,16 +148,16 @@ class FockOperator(_Fock):
     def matrix(self) -> np.ndarray:
         if self.sectors is None:
             raise ValueError("a dense matrix is assembled only from an operator held in sectors")
-        M = _assemble(self.sectors, self.cutoff)
+        M = _assemble(self.sectors)
         M.setflags(write=False)
         return M
 
     def __sub__(self, other: FockOperator) -> FockOperator:
-        """The difference, block by block, of two operators held in sectors."""
+        """The difference of two operators held in sectors, one stack minus the other."""
         held = isinstance(other, FockOperator) and self.sectors is not None and other.sectors is not None
         if not held or self.cutoff != other.cutoff:
             raise ValueError("a difference is taken only between operators held in sectors at one cutoff")
-        return FockOperator(self.cutoff, [(i, j, A - B) for (i, j, A), (_, _, B) in zip(self.sectors, other.sectors)])
+        return FockOperator(self.cutoff, self.sectors - other.sectors)
 
 
 class FockState(_Fock):
@@ -147,7 +168,7 @@ class FockState(_Fock):
     @property
     def leakage(self) -> float:
         if self.sectors is not None:
-            return float(1.0 - sum(np.trace(B) for _, _, B in self.sectors))
+            return float(1.0 - np.einsum("sxx->", self.sectors).real)
         # the terms' squared norms: sum_n tr(B_n+ P B_n), P = sum_m A_m+ A_m
         A, B = _term_stacks(self.form)
         flat = A.reshape(-1, self.cutoff)
@@ -206,24 +227,16 @@ def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
     return np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
 
 
-def _chains(cutoff: int) -> list:
-    """Photon numbers (i, j) along each chain of states that L = a1+ a2+
-    links, in order.
+def _chain_grid(cutoff: int) -> tuple:
+    """(i, j, lengths) of the chains of states that L = a1+ a2+ links: row k
+    of i and j holds the photon numbers along chain k, in order, in its first
+    lengths[k] entries, and 0, the vacuum, past them.
 
     L moves |i, j> to |i+1, j+1>, so it conserves n1 - n2, and the
     2 cutoff - 1 chains partition the truncated two-mode space.  Each starts
-    where L+ leaves it: at |0, j> for every j, then at |i, 0> for i >= 1.
-    The chain starting at |0, j> has n1 - n2 = -j and the one at |i, 0> has
-    n1 - n2 = i.
+    where L+ leaves it: at |0, j> for every j (chain j), then at |i, 0> for
+    i >= 1 (chain cutoff - 1 + i), the same length as the one from |0, i>.
     """
-    i, j, lengths = _chain_grid(cutoff)
-    return [(a[:n], b[:n]) for a, b, n in zip(i, j, lengths)]
-
-
-def _chain_grid(cutoff: int) -> tuple:
-    """(i, j, lengths): row k of i and j holds the photon numbers of chain k
-    of :func:`_chains` in its first lengths[k] entries, and 0, the vacuum,
-    past them."""
     c = cutoff
     i0 = np.concatenate([np.zeros(c, dtype=int), np.arange(1, c)])
     j0 = np.concatenate([np.arange(c), np.zeros(c - 1, dtype=int)])
@@ -233,11 +246,20 @@ def _chain_grid(cutoff: int) -> tuple:
     return np.where(live, i0[:, None] + t, 0), np.where(live, j0[:, None] + t, 0), lengths
 
 
+def _wrapped_grid(cutoff: int) -> tuple:
+    """(j, same) of the wrapped stacks of :class:`_Fock`: j[s, x] = (x + s) mod c,
+    the second-slot photon number of row x of diagonal s, and same[s, x, y],
+    whether rows x and y of diagonal s lie on one chain."""
+    x = np.arange(cutoff)
+    far = x >= cutoff - x[:, None]  # row x of diagonal s lies on the chain from |c - s, 0>
+    return (x + x[:, None]) % cutoff, far[:, :, None] == far[:, None, :]
+
+
 def _cached(store: OrderedDict, key: tuple, build) -> list:
     """``build()``, a list of tuples of arrays, kept in ``store`` under ``key``.
 
     Each store is a least-recently-used cache bounded by the entries of the
-    last array of each tuple (a core's blocks, a spectrum's eigenvectors),
+    last array of each tuple (a core's stack, a spectrum's eigenvectors),
     _CORE_ENTRIES in all: it drops the least recently used values first and
     never keeps one above the bound alone.  Kept arrays are read-only, and
     each call returns a fresh list of them.
@@ -314,7 +336,7 @@ _PAD = 12  # chains of up to 2 _PAD states are stacked padded to _PAD or 2 _PAD
 
 
 def _chain_exps(theta: float, cutoff: int, count: int, first_column: bool = False):
-    """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chains`, as
+    """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chain_grid`, as
     zero-padded stacks: yields (members, E), E[r] holding the block of chain
     members[r] in its leading corner and the identity past its length, or
     only its first column when ``first_column``.  The spectra of the unit
@@ -357,12 +379,14 @@ def _check_squeezer(theta: float, cutoff: int) -> None:
         )
 
 
-def _assemble(sectors: list, cutoff: int) -> np.ndarray:
-    U = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    for i, j, E in sectors:
-        idx = i * cutoff + j
-        U[np.ix_(idx, idx)] = E
-    return U
+def _assemble(sectors: np.ndarray) -> np.ndarray:
+    """The dense c^2 x c^2 matrix of a wrapped stack, in one scatter: the
+    diagonals partition the states, so each entry of the stack lands once."""
+    c = sectors.shape[0]
+    state = np.arange(c) * c + _wrapped_grid(c)[0]  # state[s, x], the index i c + j of row x of diagonal s
+    M = np.zeros((c * c, c * c), dtype=complex)
+    M[state[:, :, None], state[:, None, :]] = sectors
+    return M
 
 
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
@@ -397,18 +421,16 @@ def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
     return U
 
 
-def rotate_fock(phi: float, cutoff: int) -> np.ndarray:
-    _check_cutoff(cutoff)
-    return np.diag(np.exp(1j * phi * np.arange(cutoff)))
-
-
 def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     """Single-mode Gaussian unitary via Euler decomposition S = R(a) diag(e^r, e^-r) R(b).
 
     Conventions chosen so that the induced phase-space action on means is
     x -> S x + d, as in :func:`cvverify.gaussian.apply_channel`: R(phi) rotates
     q -> q cos(phi) - p sin(phi), the squeezer scales (q, p) -> (e^r q, e^-r p),
-    and the displacement shifts the mean by ``spec.d``.
+    and the displacement shifts the mean by ``spec.d``.  The rotations
+    R(phi) = e^{i phi n} are diagonal, so they scale the squeezer's rows and
+    columns, and the displacement at beta = 0 is the identity, so it is
+    skipped: the identity target's unitary is np.eye exactly.
     """
     _check_cutoff(cutoff)
     if spec.n_modes != 1:
@@ -421,12 +443,9 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     phi2 = np.arctan2(Vh[1, 0], Vh[0, 0])
     r = np.log(sig[0])
     beta = (spec.d[0] + 1j * spec.d[1]) / np.sqrt(2.0)
-    return (
-        displace_fock(beta, cutoff)
-        @ rotate_fock(phi1, cutoff)
-        @ squeeze1_fock(r, cutoff)
-        @ rotate_fock(phi2, cutoff)
-    )
+    n = 1j * np.arange(cutoff)
+    U = np.exp(phi1 * n)[:, None] * squeeze1_fock(r, cutoff) * np.exp(phi2 * n)
+    return displace_fock(beta, cutoff) @ U if beta else U
 
 
 def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -438,22 +457,22 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
 
         <m n|Omega|m' n'> = lam g^(m+m') s! / (A^(s+1) sqrt(m! n! m'! n'!)),
 
-    evaluated in log space.  Both states of an entry lie on one chain of
-    :func:`_chains`, so the blocks are built over the chain grid at once.
+    evaluated in log space.  Both states of an entry lie on one n1 - n2
+    chain, so the stack is built over the wrapped grid at once.
     """
     _check_cutoff(cutoff)
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
-    i, j, lengths = _chain_grid(cutoff)
-    m, n, m2, n2 = i[:, :, None], j[:, :, None], i[:, None, :], j[:, None, :]
+    j, same = _wrapped_grid(cutoff)
+    x = np.arange(cutoff)
+    m, n, m2, n2 = x[:, None], j[:, :, None], x, j[:, None, :]
     log_fact = _log_factorials(2 * cutoff - 1)
     s = m + n2
     log_omega = (
         np.log(lam) + (m + m2) * np.log(g) + log_fact[s] - (s + 1) * np.log(lam + 1.0 + g * g)
         - 0.5 * (log_fact[m] + log_fact[n] + log_fact[m2] + log_fact[n2])
     )
-    omega = np.exp(log_omega)
-    return FockOperator(cutoff, [(a[:k], b[:k], B[:k, :k]) for a, b, k, B in zip(i, j, lengths, omega)])
+    return FockOperator(cutoff, np.where(same, np.exp(log_omega), 0.0))
 
 
 def canonical_observable(
@@ -466,7 +485,7 @@ def canonical_observable(
     of mean photon number 1/lam.  The performance operator here already
     carries the conjugated amplitude in its second slot, which in the Fock
     basis *is* the input-slot transpose, so only the sandwich remains.  The
-    sandwich is diagonal, so it and the symmetrisation act block by block.
+    sandwich is diagonal, so it and the symmetrisation act on the stack.
 
     ``check_convergence`` is accepted and ignored: the performance operator is
     exact, so there is no quadrature left to check.
@@ -479,43 +498,41 @@ def canonical_observable(
             f"reference thermal state ill-conditioned: smallest retained eigenvalue "
             f"{rho_r.min():.2e} < 1e-12 (cutoff too large for lam={lam})"
         )
-    inv_sqrt = 1.0 / np.sqrt(rho_r)  # rho_R^(-1/2) on R's photon number j
-    sectors = []
-    for i, j, B in performance_operator_avg_fidelity(g, lam, cutoff).sectors:
-        O = inv_sqrt[j, None] * B * inv_sqrt[j]
-        sectors.append((i, j, 0.5 * (O + O.T)))
-    return FockOperator(cutoff, sectors)
+    r = (1.0 / np.sqrt(rho_r))[_wrapped_grid(cutoff)[0]]  # rho_R^(-1/2) on R's photon number j
+    O = r[:, :, None] * performance_operator_avg_fidelity(g, lam, cutoff).sectors * r[:, None, :]
+    return FockOperator(cutoff, 0.5 * (O + O.swapaxes(1, 2)))
 
 
 def _squeezed_sectors(
     theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int | None = None
-) -> list:
-    """Sector blocks of S_theta D S_theta+ for the diagonal D that is diag(v)
-    on one slot (0 = A', 1 = R) and the identity on the other, evaluated at
-    ``cutoff``, truncated to photon numbers below ``keep`` (default
-    ``cutoff``) and symmetrized.  :func:`_build_squeezed_sectors` builds
-    them once per key while the cache of :func:`_cached` holds the key.  The
-    squeezer check, and so its leakage warning, runs first on every call.
+) -> np.ndarray:
+    """The wrapped stack of S_theta D S_theta+ for the diagonal D that is
+    diag(v) on one slot (0 = A', 1 = R) and the identity on the other,
+    evaluated at ``cutoff``, truncated to photon numbers below ``keep``
+    (default ``cutoff``) and symmetrized.  :func:`_build_squeezed_sectors`
+    builds it once per key while the cache of :func:`_cached` holds the key,
+    read-only.  The squeezer check, and so its leakage warning, runs first
+    on every call.
     """
     keep = cutoff if keep is None else keep
     _check_squeezer(theta, cutoff)
     key = (float(theta), v.tobytes(), slot, cutoff, keep)
-    return _cached(_CORES, key, lambda: _build_squeezed_sectors(theta, v, slot, cutoff, keep))
+    [(core,)] = _cached(_CORES, key, lambda: [(_build_squeezed_sectors(theta, v, slot, cutoff, keep),)])
+    return core
 
 
-def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> list:
-    """Build the blocks that :func:`_squeezed_sectors` caches.
+def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> np.ndarray:
+    """Build the stack that :func:`_squeezed_sectors` caches.
 
-    D is diagonal, so each sector block E of the squeezer gives E diag(d) E^T.
-    Photon numbers grow along a sector's chain, so the kept states of each
-    block are a prefix of it, and the chains that keep any are those of
-    :func:`_chains` at ``keep``, in the same order: the chains from |0, k>
-    and from |k, 0>, k < keep.  The two share their block E and swap the
-    slots, so d along the first is v[t] on slot 0 and v[k + t] on slot 1,
+    D is diagonal, so each chain block E of the squeezer gives E diag(d) E^T.
+    Photon numbers grow along a chain, so the kept states of each block are
+    a prefix of it, and the chains that keep any are those from |0, k> and
+    from |k, 0>, k < keep: at ``keep`` they fill wrapped diagonal k from row 0
+    and diagonal keep - k from row k.  The two share their block E and swap
+    the slots, so d along the first is v[t] on slot 0 and v[k + t] on slot 1,
     and the reverse along the second; both products run in one stack.
     """
-    chains = _chains(cutoff)[:keep]  # chain k runs over (t, k + t)
-    cores = [None] * keep
+    core = np.zeros((keep,) * 3)
     for members, E in _chain_exps(theta, cutoff, keep):
         t = np.arange(E.shape[-1])
         near = np.broadcast_to(v[t], (members.size, t.size))
@@ -525,9 +542,11 @@ def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int,
         C = (A * d[:, :, None, :]) @ A.swapaxes(-1, -2)
         C = 0.5 * (C + C.swapaxes(-1, -2))
         for r, k in enumerate(members):
-            cores[k] = C[r, :, : keep - k, : keep - k]
-    return ([(i[: keep - k], j[: keep - k], cores[k][0]) for k, (i, j) in enumerate(chains)]
-            + [(j[: keep - k], i[: keep - k], cores[k][1]) for k, (i, j) in enumerate(chains) if k])
+            n = keep - k
+            core[k, :n, :n] = C[r, 0, :n, :n]
+            if k:
+                core[n, k:, k:] = C[r, 1, :n, :n]
+    return core
 
 
 def canonical_observable_closed_form(
@@ -545,7 +564,7 @@ def canonical_observable_closed_form(
     sectors of a truncated squeezer degenerate and corrupt the corner
     entries.  The default embedding is derived from the angle and the cutoff
     by :func:`_embedding`, a ValueError near the transition, where none is
-    enough.  Both branches conserve n1 - n2: the result is held as sectors.
+    enough.  Both branches conserve n1 - n2: the result is held as a stack.
     """
     _check_cutoff(cutoff)
     if embed_cutoff is not None:
@@ -565,8 +584,7 @@ def canonical_observable_closed_form(
     if big is None:
         raise ValueError(f"no embedding up to {MAX_CUTOFF} gives the closed form at g = {g}, lam = {lam}, "
                          f"cutoff {cutoff}: g is too near the transition sqrt(lam+1) = {root:.4f}")
-    sectors = _squeezed_sectors(theta, g_theta(theta, big), slot, big, keep=cutoff)
-    return FockOperator(cutoff, [(i, j, B * scale) for i, j, B in sectors])
+    return FockOperator(cutoff, _squeezed_sectors(theta, g_theta(theta, big), slot, big, keep=cutoff) * scale)
 
 
 def _embedding(theta: float, cutoff: int) -> int | None:
@@ -600,20 +618,20 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     1 - k (U (x) 1) C (U+ (x) 1) with k = lam/(lam+1) and the squeezed core
     C = S_kappa (n (x) 1) S_kappa+, kappa = arctanh(1 / sqrt(lam+1)).  The
     truncated U and S_kappa are unitary, so this is (U (x) 1) B (U+ (x) 1)
-    with B = S_kappa ((1 - k n) (x) 1) S_kappa+: B's n1 - n2 sector blocks in
+    with B = S_kappa ((1 - k n) (x) 1) S_kappa+: B's wrapped n1 - n2 stack in
     the frame U, with no dense matrix.  A diagonal U = diag(u) keeps n1 - n2,
-    so the frame folds into the blocks as diag(u_i) B_s diag(conj(u_i)) over
-    each chain's first-slot photon numbers i.
+    so the frame folds into the stack as u[x] B[s, x, y] conj(u[y]), x and y
+    being first-slot photon numbers.
     """
     _check_cutoff(cutoff)
     kappa = _kappa(lam)
     k = lam / (lam + 1.0)
     U = gaussian_unitary_fock(spec, cutoff)
-    sectors = _squeezed_sectors(kappa, 1.0 - k * np.arange(cutoff, dtype=float), 0, cutoff)
+    core = _squeezed_sectors(kappa, 1.0 - k * np.arange(cutoff, dtype=float), 0, cutoff)
     u = np.diagonal(U)
     if np.count_nonzero(U - np.diag(u)):
-        return FockOperator(cutoff, form=(U, sectors))
-    return FockOperator(cutoff, [(i, j, u[i, None] * B * u[i].conj()) for i, j, B in sectors])
+        return FockOperator(cutoff, form=(U, core))
+    return FockOperator(cutoff, u[:, None] * core * u.conj())
 
 
 def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
@@ -622,7 +640,7 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 S_theta' (1 (x) n) S_theta'+) with
     theta' = arctanh(sqrt(lam+1) / g).  S_theta' is unitary, so this is
     S_theta' (1 (x) d) S_theta'+ with d = (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 n),
-    held as its n1 - n2 sector blocks E diag(d_R) E^T.
+    held as the wrapped stack of its n1 - n2 chain blocks E diag(d_R) E^T.
     """
     _check_cutoff(cutoff)
     _check_lam(lam)
@@ -634,20 +652,21 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     return FockOperator(cutoff, _squeezed_sectors(theta_p, d, 1, cutoff))
 
 
-def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
-    """(shift, values) of each Kraus operator K_k of an "attenuator" or
-    "amplifier": K_k lies on the one diagonal K[p, p + shift], and ``values``
-    is ``np.diagonal(K_k, shift)``.
+def _kraus_diagonals(kind: str, param: float, cutoff: int) -> tuple:
+    """The Kraus table (sign, T) of an "attenuator" (sign +1) or "amplifier"
+    (sign -1): each Kraus operator K_k, k < c, lies on the one diagonal at
+    offset sign k, and T[k, m] is entry m of ``np.diagonal(K_k, sign k)``,
+    zero past its end (m >= c - k).
 
     The attenuator's are in closed form (Ivan, Sabapathy & Simon, PRA 84,
     042311 (2011)), K_k[i, i + k] = (-1)^k sqrt(C(i + k, k) eta^i (1 - eta)^k)
-    (shift k), the sign that of its beamsplitter dilation.  That dilation
+    (offset k), the sign that of its beamsplitter dilation.  That dilation
     conserves n1 + n2, so each chain of total i + k < c lies whole inside the
     truncation, and the closed form is the truncated dilation's to rounding.
 
     The amplifier's are read off its truncated squeezer dilation U:
     K_k[q + k, q] = <q + k, k|U|q, 0> is entry k of the first column of the
-    chain starting at |q, 0> (shift -k), whose block is that of the chain from
+    chain starting at |q, 0> (offset -k), whose block is that of the chain from
     |0, q>; past a chain's length, a padded column is zero.  The squeezer's
     chains run on past the cutoff, so no truncation is exact, but the
     truncated U is unitary on the truncated space, so these K_k keep the
@@ -661,62 +680,66 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> list:
     if kind == "attenuator":
         if not 0 < param <= 1:
             raise ValueError(f"transmissivity must lie in (0, 1], got {param}")
-        i, k = np.ogrid[:c, :c]
+        k, m = np.arange(c)[:, None], np.arange(c)
         log_fact = _log_factorials(2 * c - 1)
-        log_binom = log_fact[i + k] - log_fact[i] - log_fact[k]
-        table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + i * np.log(param)))
-        return [(s, table[: c - s, s]) for s in range(c)]  # table[i, k] = K_k[i, i + k]
+        log_binom = log_fact[m + k] - log_fact[m] - log_fact[k]
+        table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + m * np.log(param)))
+        return 1, np.where(m < c - k, table, 0.0)  # T[k, m] = K_k[m, m + k]
     if kind != "amplifier":
         raise ValueError(f"unknown elementary channel factor {kind!r}")
     if param < 1:
         raise ValueError("amplifier gain must be at least 1")
     theta = np.arccosh(param)
     _check_squeezer(theta, c)
-    table = np.zeros((c, c))
+    T = np.zeros((c, c))
     for q, E in _chain_exps(theta, c, c, first_column=True):
-        table[q, : E.shape[-1]] = E  # table[q, k] = K_k[q + k, q]
-    return [(-k, table[: c - k, k]) for k in range(c)]
+        T[: E.shape[-1], q] = E.T  # T[k, q] = K_k[q + k, q]
+    return -1, T
 
 
-def _transfer(diagonals: list, cutoff: int) -> np.ndarray:
-    """Transfer blocks of a channel whose every Kraus operator K lies on a
-    diagonal of its own, given as (shift, ``np.diagonal(K, shift)``) with
-    distinct shifts, as :func:`_kraus_diagonals` gives them:
+def _transfer(kraus: tuple) -> np.ndarray:
+    """Transfer blocks of a channel whose Kraus operators K_k lie on the
+    diagonals at offsets sign k, from its table (sign, T) (n, c) as
+    :func:`_kraus_diagonals` gives it:
 
         S[delta, p, q] = sum_K K[p, q] conj(K[p + delta, q + delta]),  delta = 0..c-1,
 
     zero where p or q reaches c - delta.  The channel maps the entries
     (q, q + delta) of rho's first-slot index pair to (p, p + delta) through
     S_delta; for -delta it takes conj(S_delta) on indices shifted by delta.
-    Both entries of a term lie on K's diagonal, so with M = sum_K K, one
-    scatter of every diagonal into a zero-padded 2c x 2c array, the sum has
-    the one term M[p, q] conj(M[p + delta, q + delta]): one gather.
+    Both entries of a term lie on K's diagonal, so with M = sum_K K, the
+    whole table written into a zero-padded 2c x 2c array at once (its zeros
+    past each diagonal's end land in the padding), the sum has the one term
+    M[p, q] conj(M[p + delta, q + delta]): one gather.
     """
-    c = cutoff
-    shifts = np.array([shift for shift, _ in diagonals])
-    sizes = [d.size for _, d in diagonals]
-    k = np.repeat(np.arange(shifts.size), sizes)  # the Kraus operator of each entry
-    m = np.arange(k.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its place on the diagonal
-    p = m + np.maximum(0, -shifts)[k]
-    values = np.concatenate([d for _, d in diagonals])
-    M = np.zeros((2 * c, 2 * c), dtype=values.dtype)
-    M[p, p + shifts[k]] = values
+    sign, T = kraus
+    c = T.shape[1]
+    k, m = np.arange(T.shape[0])[:, None], np.arange(c)
+    p = m + k * (sign < 0)  # the row of entry m of K_k
+    M = np.zeros((2 * c, 2 * c), dtype=T.dtype)
+    M[p, p + sign * k] = T
     t, delta = np.arange(c), np.arange(c)[:, None, None]
     return M[:c, :c] * M[delta + t[:, None], delta + t].conj()
 
 
-def _kraus_stack(X: np.ndarray, diagonals: list, right: bool = False) -> np.ndarray:
-    """K X, or X K when ``right``, for each one-diagonal K of ``diagonals`` and
-    each matrix of the stack X (..., c, c): a shift and scale of X's rows
-    (columns), stacked K-major on one leading axis."""
-    out = np.zeros((len(diagonals),) + X.shape, dtype=complex)
-    for k, (shift, d) in enumerate(diagonals):
-        p, q, n = max(0, -shift), max(0, shift), d.size  # K[p + m, q + m] = d[m]
-        if right:
-            out[k, ..., q:q + n] = X[..., p:p + n] * d
-        else:
-            out[k, ..., p:p + n, :] = d[:, None] * X[..., q:q + n, :]
-    return out.reshape((-1,) + X.shape[-2:])
+def _kraus_stack(X: np.ndarray, kraus: tuple, right: bool = False) -> np.ndarray:
+    """K X, or X K when ``right``, for each Kraus operator K of the table
+    (sign, T) of :func:`_kraus_diagonals` and each matrix of the stack X
+    (n, c, c), stacked K-major on one leading axis: one gather of rows.
+
+    Row dest of K_k X is T[k, min(dest, src)] X[src] with src = dest + sign k,
+    and zero where src leaves [0, c): there min(dest, src) mod c lies past
+    the end of K_k's diagonal, where T is zero, so src is read mod c.  X K
+    is (K^T X^T)^T, and K_k^T has the same entries at offset -sign k.
+    """
+    sign, T = kraus
+    if right:
+        return _kraus_stack(X.swapaxes(-1, -2), (-sign, T)).swapaxes(-1, -2)
+    n, c = X.shape[0], X.shape[-1]
+    k, dest = np.arange(T.shape[0])[:, None], np.arange(c)
+    src = dest + sign * k
+    rows = X[np.arange(n)[:, None], src[:, None] % c]  # (K, n, c, c)
+    return (T[k, np.minimum(dest, src) % c][:, None, :, None] * rows).reshape(-1, c, c)
 
 
 def _term_stacks(form: tuple, frame: np.ndarray | None = None) -> tuple:
@@ -726,50 +749,57 @@ def _term_stacks(form: tuple, frame: np.ndarray | None = None) -> tuple:
     psi) and A is U+ times the others, so a unitary-attenuator-amplifier
     output has c^2 terms from two stacks of c."""
     psi, factors = form
-    B, rest = (_kraus_stack(psi, factors[0][1]), factors[1:]) if factors else (psi[None], [])
+    B, rest = (_kraus_stack(psi[None], factors[0][1]), factors[1:]) if factors else (psi[None], [])
     A = (np.eye(psi.shape[0]) if frame is None else frame.conj().T)[None]
     for kind, f in reversed(rest):
         A = A @ f if kind == "unitary" else _kraus_stack(A, f, right=True)
     return A, B
 
 
-def _term_trace(A: np.ndarray, B: np.ndarray, sectors: list) -> float:
-    """sum over the terms X = A[m] @ B[n] of <X|O|X> for O of sector blocks O_s:
-    sum_s f+ O_s f, f the terms' entries at chain s's states.  One matrix
-    product per chunk of B forms at most max(_TERM_ENTRIES, c^2 M) entries,
-    so the memory stays O(c^3) for stacks of c."""
+def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray) -> float:
+    """sum over the terms X = A[m] @ B[n] of <X|O|X> for O of the wrapped
+    stack W: sum_s F_s+ W[s] F_s, F_s[x] the terms' entries at
+    |x, (x + s) mod c>, one product per wrapped diagonal.  The terms are
+    formed as X[i, j, (n, m)], so each F_s is a gather on the leading axes.
+    One matrix product per chunk of B forms at most max(_TERM_ENTRIES, c^2 M)
+    entries, so the memory stays O(c^3) for stacks of c."""
     M, c = A.shape[:2]
-    rows = A.transpose(1, 0, 2).reshape(c * M, c)
+    cols = A.transpose(1, 2, 0)  # [i, l, m]
     step = max(1, _TERM_ENTRIES // (M * c * c))
+    x, j = np.arange(c), _wrapped_grid(c)[0]
     total = 0.0
     for n in range(0, B.shape[0], step):
-        X = (rows @ B[n:n + step].transpose(1, 2, 0).reshape(c, -1)).reshape(c, M, c, -1)  # [i, m, j, n]
-        for i, j, O in sectors:
-            F = X[i, :, j].reshape(i.size, -1)
-            if np.isrealobj(O):  # Re f+ O f = Re(f) O Re(f) + Im(f) O Im(f): one real product
+        X = (B[n:n + step].transpose(2, 0, 1).reshape(-1, c) @ cols).reshape(c, c, -1)  # [i, j, (n, m)]
+        for s in range(c):
+            F = X[x, j[s]]
+            if np.isrealobj(sectors):  # Re f+ W f = Re(f) W Re(f) + Im(f) W Im(f): one real product
                 F = F.view(float)
-            total += np.vdot(F, O @ F).real
+            total += np.vdot(F, sectors[s] @ F).real
     return total
 
 
-def _diagonals(sectors: list, cutoff: int) -> np.ndarray:
-    """D[delta, p, q] = <p + delta, q + delta|M|p, q>, delta >= 0, for M of n1 - n2
-    sector blocks (zero where p + delta or q + delta reaches the cutoff)."""
-    D = np.zeros((cutoff,) * 3, dtype=np.result_type(*(B for _, _, B in sectors)))
-    for i, j, B in sectors:
-        t, u = np.tril_indices(i.size)
-        D[t - u, i[u], j[u]] = B[t, u]
-    return D
+def _diagonals(sectors: np.ndarray) -> np.ndarray:
+    """D[delta, p, q] = <p + delta, q + delta|M|p, q>, delta >= 0, for M held as a
+    wrapped stack (zero where p + delta or q + delta reaches the cutoff), in
+    one gather: |p, q> is row p of wrapped diagonal (q - p) mod c, and
+    |p + delta, q + delta> row p + delta of the same diagonal, on the other
+    chain, where the stack is zero, when q + delta reaches the cutoff."""
+    c = sectors.shape[0]
+    t = np.arange(c)
+    delta, p, q = t[:, None, None], t[:, None], t
+    row = p + delta
+    return np.where(row < c, sectors[(q - p) % c, np.minimum(row, c - 1), p], 0)
 
 
-def _framed_trace(U: np.ndarray, op_sectors: list, state_sectors: list, cutoff: int) -> float:
-    """tr((U (x) 1) O (U+ (x) 1) rho) for Hermitian O and rho held in n1 - n2
-    sectors, in c^4.  An entry of either links |p, q> to |p + delta, q + delta>,
+def _framed_trace(U: np.ndarray, op_sectors: np.ndarray, state_sectors: np.ndarray) -> float:
+    """tr((U (x) 1) O (U+ (x) 1) rho) for Hermitian O and rho held as wrapped
+    n1 - n2 stacks, in c^4.  An entry of either links |p, q> to |p + delta, q + delta>,
     and the two meet only on a shared delta: with X_delta of :func:`_diagonals`,
     the delta term is sum_{p, r} U+[p + delta, r + delta] conj(U+[p, r])
     (conj(O_delta) rho_delta^T)[p, r], and the -delta term its conjugate."""
+    cutoff = U.shape[0]
     Ud = U.conj().T
-    DO, Dr = _diagonals(op_sectors, cutoff).conj(), _diagonals(state_sectors, cutoff)
+    DO, Dr = _diagonals(op_sectors).conj(), _diagonals(state_sectors)
     total = 0.0
     for delta in range(cutoff):
         n = cutoff - delta
@@ -783,15 +813,15 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     space, for the factors of :func:`cvverify.channels.elementary_factors`.
 
     With attenuators and amplifiers only (or no factor), the output keeps
-    n1 - n2 and is returned as its sector blocks: the TMSV's amplitudes a_n
+    n1 - n2 and is returned as its wrapped stack: the TMSV's amplitudes a_n
     sit on |nn>, so <i j|rho|i+delta j+delta> = S_delta[i, j] a_j a_(j+delta)
-    from the composed transfer blocks, and entry (t, u) of a chain's block
-    reads S_|u-t| at the chain's earlier state.
+    from the composed transfer blocks, and entry (x, y) of wrapped diagonal s
+    reads S_|x-y| at its earlier state, |min(x, y), (min(x, y) + s) mod c>.
 
     Otherwise the output is returned in amplitude form (psi, factors), with
     no dense matrix: psi[i, j] = <ij|psi> is the TMSV's diag(a) under the
     leading unitaries, and ``factors`` are the rest, each ("unitary", U) or
-    ("kraus", the Kraus diagonals of :func:`_kraus_diagonals`).
+    ("kraus", the Kraus table of :func:`_kraus_diagonals`).
     """
     _check_cutoff(cutoff)
     kappa = _kappa(lam)
@@ -804,19 +834,17 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
             psi = factors.pop(0)[1] @ psi
         return FockState(cutoff, form=(psi, factors))
     # the factors' transfer blocks composed left to right (the identity channel's for none)
-    blocks = [_transfer(f, cutoff) for _, f in factors] or [_transfer([(0, np.ones(cutoff))], cutoff)]
+    blocks = [_transfer(f) for _, f in factors] or [_transfer((1, np.ones((1, cutoff))))]
     S = functools.reduce(lambda S, T: T @ S, blocks)
-    # The wrapped diagonal s, the states |x, (x + s) mod c> for x < c, holds the chain from
-    # |0, s> and, from x = c - s on, the one from |c - s, 0>, each state at x = its first-slot
-    # photon number; so one gather over the c wrapped diagonals, as many entries as S, gives
-    # every chain's block as a slice.
+    # one gather over the wrapped grid, as many entries as S; an entry between the two chains
+    # of diagonal s, rows x < c - s <= y, reads S_(y - x)[x, x + s] with x + s >= c - (y - x),
+    # where every transfer block, and so their product, is zero
     x = np.arange(cutoff)
     first = np.minimum.outer(x, x)
-    j = (x[:, None] + x) % cutoff  # j[s, x], the second-slot photon number
+    j = _wrapped_grid(cutoff)[0]
     G = np.take(S, np.abs(x[:, None] - x) * cutoff**2 + (x * cutoff + j)[:, first])
     G *= a[j][:, :, None] * a[j][:, None, :]
-    return FockState(cutoff, [(p, q, G[(q[0] - p[0]) % cutoff, p[0]:p[-1] + 1, p[0]:p[-1] + 1])
-                              for p, q in _chains(cutoff)])
+    return FockState(cutoff, G)
 
 
 def expectation(op: FockOperator, state: FockState) -> float:
@@ -827,16 +855,18 @@ def expectation(op: FockOperator, state: FockState) -> float:
     if state.form is not None:
         return float(_term_trace(*_term_stacks(state.form, frame), sectors))
     if frame is not None:
-        return float(_framed_trace(frame, sectors, state.sectors, op.cutoff))
-    # both are block diagonal over the n1 - n2 chains, so tr(A B) sums block traces
-    return float(np.real(sum(np.sum(A * B.T) for (_, _, A), (_, _, B) in zip(sectors, state.sectors))))
+        return float(_framed_trace(frame, sectors, state.sectors))
+    # both are block diagonal over the wrapped diagonals, so tr(A B) sums their traces
+    return float(np.einsum("sxy,syx->", sectors, state.sectors).real)
 
 
 def max_eigenvalue(op: FockOperator) -> float:
-    """Largest eigenvalue of a Hermitian operator, the largest over its n1 - n2
-    blocks (in its frame, if it has one: a unitary frame keeps the spectrum)."""
+    """Largest eigenvalue of a Hermitian operator, the largest over its wrapped
+    diagonals in one stacked ``eigvalsh`` (in its frame, if it has one: a
+    unitary frame keeps the spectrum).  A diagonal's two chain blocks, with
+    exact zeros between them, have exactly the chains' eigenvalues."""
     sectors = op.form[1] if op.form is not None else op.sectors
-    return float(max(np.linalg.eigvalsh(B)[-1] for _, _, B in sectors))
+    return float(np.linalg.eigvalsh(sectors)[:, -1].max())
 
 
 def default_cutoff(lam: float) -> int:

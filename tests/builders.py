@@ -1,6 +1,7 @@
 """Builders that several test files share and the library does not need:
-random prover channels for property tests, coherent states, and the dense
-matrix of a Fock operator held in a frame."""
+random prover channels for property tests, coherent states, the dense
+matrix of a Fock operator held in a frame, and the per-chain view of the
+oracle's wrapped n1 - n2 stacks."""
 
 import numpy as np
 
@@ -39,10 +40,27 @@ def coherent(alpha) -> GaussianState:
 
 def dense_matrix(op: fock.FockOperator) -> np.ndarray:
     """The (c^2, c^2) matrix of a FockOperator: its ``matrix`` when it is held
-    in sectors, else (U (x) 1) B (U+ (x) 1) for its form (U, sectors of B),
+    in sectors, else (U (x) 1) B (U+ (x) 1) for its form (U, the stack of B),
     with U acting on the first index of the (c, c, c, c) view of B."""
     if op.form is None:
         return op.matrix
     c, (U, sectors) = op.cutoff, op.form
-    UB = np.tensordot(U, fock._assemble(sectors, c).reshape((c,) * 4), axes=(1, 0))
+    UB = np.tensordot(U, fock._assemble(sectors).reshape((c,) * 4), axes=(1, 0))
     return np.tensordot(UB, U.conj(), axes=(2, 1)).transpose(0, 1, 3, 2).reshape(c * c, c * c)
+
+
+def chains(cutoff: int) -> list:
+    """Photon numbers (i, j) along each chain of states that a1+ a2+ links,
+    in the order of ``fock._chain_grid``: from |0, j> for every j, then from
+    |i, 0> for i >= 1."""
+    i, j, lengths = fock._chain_grid(cutoff)
+    return [(a[:n], b[:n]) for a, b, n in zip(i, j, lengths)]
+
+
+def chain_blocks(W: np.ndarray) -> list:
+    """(i, j, B) per chain of :func:`chains` for a wrapped (c, c, c) stack W:
+    the chain from |0, k> is rows x < c - k of diagonal k, and the one from
+    |k, 0> rows x >= k of diagonal c - k."""
+    c = W.shape[0]
+    blocks = [(i, j, W[k, : c - k, : c - k]) for k, (i, j) in enumerate(chains(c)[:c])]
+    return blocks + [(i, j, W[c - k, k:, k:]) for k, (i, j) in enumerate(chains(c)[c:], start=1)]

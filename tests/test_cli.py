@@ -613,6 +613,21 @@ def test_flags_only_where_read(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_per_process_and_the_command_read_at_call_time(monkeypatch, capsys):
+    """Two commands build one parser; a command replaced on the module (as
+    a tracer or a test replaces it) is the one that runs."""
+    from cvverify import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["plan", "1"]) == 0 and main(["plan", "2"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_plan", lambda args: ran.append(args.m) or 7)
+    assert main(["plan", "3"]) == 7 and ran == [3]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("argv", [["plan", "0"], ["lemmas", "--cutoff", "1"],
                                   ["lemmas", "--thetas", "abc"]])
 def test_invalid_argument_values_exit_2(argv, capsys):

@@ -9,7 +9,7 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm, polar
 from scipy.special import gammaln
 
-from builders import coherent, dense_matrix
+from builders import chain_blocks, chains, coherent, dense_matrix
 from cvverify import fock, gaussian as ga, symplectic as sp
 from cvverify.channels import ProverChannel, elementary_factors, exact_unitary
 
@@ -24,7 +24,7 @@ def test_g_theta_first_entry():
 
 
 # Test-side builders: the TMSV, the thermal state and the library's
-# one-diagonal Kraus operators as full matrices.
+# one-diagonal Kraus operators as diagonals and as full matrices.
 
 def tmsv_vector(r, cutoff):
     """sech(r) sum_n tanh^n(r) |nn>, the two-mode squeezed vacuum."""
@@ -44,18 +44,26 @@ def thermal_rho(nbar, cutoff):
 
 
 def density(state):
-    """The dense rho of a FockState: its sector blocks assembled, or, for the
+    """The dense rho of a FockState: its wrapped stack assembled, or, for the
     amplitude form, sum vec(X) vec(X)+ over its terms X = A[m] @ B[n]."""
     if state.sectors is not None:
-        return fock._assemble(state.sectors, state.cutoff)
+        return fock._assemble(state.sectors)
     A, B = fock._term_stacks(state.form)
     X = (A[:, None] @ B[None]).reshape(-1, state.cutoff**2)
     return X.T @ X.conj()
 
 
+def kraus_diagonals(kind, param, cutoff):
+    """(offset, np.diagonal(K_k, offset)) of each Kraus operator of an
+    attenuator or amplifier factor, read off the library's table (sign, T):
+    row k of T up to its end, at offset sign k."""
+    sign, T = fock._kraus_diagonals(kind, param, cutoff)
+    return [(sign * k, T[k, : cutoff - k]) for k in range(cutoff)]
+
+
 def kraus_matrices(kind, param, cutoff):
     """The Kraus operators of an attenuator or amplifier factor, as full matrices."""
-    return [np.diag(d.astype(complex), s) for s, d in fock._kraus_diagonals(kind, param, cutoff)]
+    return [np.diag(d.astype(complex), s) for s, d in kraus_diagonals(kind, param, cutoff)]
 
 
 # The two-mode squeezer S_theta = exp(theta (a1+ a2+ - a1 a2)) as the oracle
@@ -65,20 +73,20 @@ def kraus_matrices(kind, param, cutoff):
 def test_squeeze2_identity_at_zero():
     for _, E in fock._chain_exps(0.0, 6, 6):
         np.testing.assert_allclose(E, np.broadcast_to(np.eye(E.shape[-1]), E.shape), atol=1e-14)
-    diagonals = fock._kraus_diagonals("amplifier", 1.0, 6)
-    assert np.array_equal(diagonals[0][1], np.ones(6)) and not any(np.any(d) for _, d in diagonals[1:])
+    sign, T = fock._kraus_diagonals("amplifier", 1.0, 6)
+    assert sign == -1 and np.array_equal(T[0], np.ones(6)) and not np.any(T[1:])
 
 
 def test_squeeze2_vacuum_amplitude_is_sech():
     theta, cutoff = 0.7, 30
-    K0 = fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)[0][1]  # K_0[q, q] = <q, 0|S|q, 0>
+    K0 = fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)[1][0]  # K_0[q, q] = <q, 0|S|q, 0>
     assert K0[0] == pytest.approx(1.0 / np.cosh(theta), rel=1e-8)
 
 
 def test_squeeze2_makes_tmsv():
     # S |00> = TMSV: K_k[k, 0] = <k, k|S|0, 0>
     theta, cutoff = 0.6, 30
-    column = [d[0] for _, d in fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)]
+    column = fock._kraus_diagonals("amplifier", np.cosh(theta), cutoff)[1][:, 0]
     np.testing.assert_allclose(column, np.tanh(theta) ** np.arange(cutoff) / np.cosh(theta), atol=1e-8)
 
 
@@ -227,7 +235,7 @@ def test_closed_form_matches_the_observable_outside_the_transition_band_and_refu
     for x in (band[0] - 0.01, band[1] + 0.01):
         diff = fock.canonical_observable(x * root, 1.0, cutoff) - fock.canonical_observable_closed_form(
             x * root, 1.0, cutoff)
-        assert max(np.max(np.abs(B)) for _, _, B in diff.sectors) <= 1e-10, x
+        assert np.max(np.abs(diff.sectors)) <= 1e-10, x
     for x in (*band, 0.995, 1.005):
         message = f"no embedding up to 256 gives the closed form at g = {x * root}, lam = 1.0, cutoff {cutoff}:"
         with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -242,7 +250,7 @@ def test_closed_form_at_its_default_embedding_matches_the_observable(cutoff):
     cutoff + 18 missed by 9.8e-5 at cutoff 14 and by 4.1e-2 at 39."""
     for g in (0.1, 0.5, 1.0, 2.0, 3.0, 10.0):
         diff = fock.canonical_observable(g, 1.0, cutoff) - fock.canonical_observable_closed_form(g, 1.0, cutoff)
-        assert max(np.max(np.abs(B)) for _, _, B in diff.sectors) <= 1e-10, g
+        assert np.max(np.abs(diff.sectors)) <= 1e-10, g
 
 
 def test_default_embedding_grows_with_the_angle_up_to_the_cutoff_bound():
@@ -297,9 +305,43 @@ def test_gaussian_unitary_fock_rotation_and_squeezer():
     cutoff = 30
     c, s = np.cos(0.9), np.sin(0.9)
     U = fock.gaussian_unitary_fock(sp.SymplecticSpec(np.array([[c, -s], [s, c]]), np.zeros(2)), cutoff)
-    np.testing.assert_allclose(U, fock.rotate_fock(0.9, cutoff), atol=1e-10)
+    np.testing.assert_allclose(U, np.diag(np.exp(0.9j * np.arange(cutoff))), atol=1e-10)
     U2 = fock.gaussian_unitary_fock(sp.SymplecticSpec(np.diag([np.exp(0.4), np.exp(-0.4)]), np.zeros(2)), cutoff)
     np.testing.assert_allclose(U2, fock.squeeze1_fock(0.4, cutoff), atol=1e-8)
+
+
+def _four_factor_unitary(spec, cutoff):
+    """D R(phi1) S(r) R(phi2) as three dense matrix products, with the Euler
+    angles read off the SVD of spec.S as the library reads them."""
+    W, sig, Vh = np.linalg.svd(spec.S)
+    if np.linalg.det(W) < 0:
+        F = np.diag([1.0, -1.0])
+        W, Vh = W @ F, F @ Vh
+    n = np.arange(cutoff)
+    R1, R2 = (np.diag(np.exp(1j * np.arctan2(X[1, 0], X[0, 0]) * n)) for X in (W, Vh))
+    D = fock.displace_fock((spec.d[0] + 1j * spec.d[1]) / np.sqrt(2.0), cutoff)
+    return D @ R1 @ fock.squeeze1_fock(np.log(sig[0]), cutoff) @ R2
+
+
+@pytest.mark.parametrize("cutoff", [2, 20, 33])
+def test_gaussian_unitary_matches_the_four_factor_product(cutoff):
+    """The rotations as row and column scalings, and no displacement product
+    at beta = 0, against D R S R in full, on specs with and without the SVD's
+    reflection fold; the identity target's unitary is np.eye exactly."""
+    rotation = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    specs = {
+        "identity": sp.identity(1),
+        "squeezer": sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2)),
+        "rotated-squeezer": sp.SymplecticSpec(rotation @ np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2)),
+        "displaced": sp.SymplecticSpec(rotation @ np.diag([np.exp(-0.2), np.exp(0.2)]), np.array([0.3, -0.5])),
+        "random": sp.random_symplectic(1, r_max=0.5, d_scale=0.4, rng=np.random.default_rng(0)),
+    }
+    folds = {name for name, spec in specs.items() if np.linalg.det(np.linalg.svd(spec.S)[0]) < 0}
+    assert {"rotated-squeezer", "random"} <= folds and "identity" not in folds
+    for name, spec in specs.items():
+        dev = np.max(np.abs(fock.gaussian_unitary_fock(spec, cutoff) - _four_factor_unitary(spec, cutoff)))
+        assert dev <= 1e-13, (name, dev)
+    assert np.array_equal(fock.gaussian_unitary_fock(sp.identity(1), cutoff), np.eye(cutoff))
 
 
 def test_attenuator_kraus_trace_preserving():
@@ -311,14 +353,14 @@ def test_attenuator_kraus_trace_preserving():
     for cutoff in (2, 3, 20, 64, 96, 200):
         for eta in (1e-6, 0.3, 0.7, 0.999):
             total = np.zeros(cutoff)
-            for shift, d in fock._kraus_diagonals("attenuator", eta, cutoff):
+            for shift, d in kraus_diagonals("attenuator", eta, cutoff):
                 total[shift:] += np.abs(d) ** 2  # d[m] = K[m, m + shift]
             assert np.max(np.abs(total - 1.0)) <= 1e-12, (cutoff, eta)
 
 
 def test_attenuator_kraus_at_the_edges_of_the_transmissivity():
-    diagonals = fock._kraus_diagonals("attenuator", 1.0, 8)
-    assert np.array_equal(diagonals[0][1], np.ones(8)) and not any(np.any(d) for _, d in diagonals[1:])
+    sign, T = fock._kraus_diagonals("attenuator", 1.0, 8)
+    assert sign == 1 and np.array_equal(T[0], np.ones(8)) and not np.any(T[1:])
     lossless = fock.entangled_output_fock([("attenuator", 1.0)], 1.0, 8)
     assert np.array_equal(density(lossless), density(fock.entangled_output_fock([], 1.0, 8)))
     for eta in (0.0, 1.5, np.nan):
@@ -375,7 +417,7 @@ def test_default_cutoff_policy():
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_builders_hold_no_dense_matrix_until_it_is_read():
     """Every public builder that returns a FockOperator or FockState returns
-    one that holds sector blocks or a form and no dense matrix; the matrix of
+    one that holds a wrapped stack or a form and no dense matrix; the matrix of
     an operator held in sectors is assembled on first read, kept, and
     read-only, a framed operator's is a ValueError, and a state has none."""
     spec = sp.random_symplectic(1, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
@@ -408,7 +450,7 @@ def test_builders_hold_no_dense_matrix_until_it_is_read():
         M = obj.matrix
         assert M.shape == (36, 36) and not M.flags.writeable, name
         assert obj.matrix is M, name
-    with pytest.raises(ValueError, match="either its sector blocks or a form"):
+    with pytest.raises(ValueError, match="either its sector stack or a form"):
         fock.FockOperator(6)
 
 
@@ -585,7 +627,6 @@ CUTOFF_ARGS = {
     "g_theta": {"theta": 0.5},
     "displace_fock": {"beta": 0.3 - 0.1j},
     "squeeze1_fock": {"r": 0.2},
-    "rotate_fock": {"phi": 0.4},
     "gaussian_unitary_fock": {"spec": sp.SymplecticSpec(np.diag([np.exp(0.2), np.exp(-0.2)]), np.zeros(2))},
     "performance_operator_avg_fidelity": {"g": 1.5, "lam": 1.0},
     "canonical_observable": {"g": 1.0, "lam": 1.0},
@@ -628,7 +669,7 @@ def test_amplification_witness_needs_no_tmsv_squeezing():
     """At a lam too small for the TMSV, the amplification witness, whose
     squeezer is arctanh(sqrt(lam+1) / g), is still built."""
     W = fock.witness_fock_amp(1.5, 1e-20, 10)
-    assert all(np.all(np.isfinite(B)) for _, _, B in W.sectors)
+    assert np.all(np.isfinite(W.sectors))
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -807,9 +848,17 @@ def test_leading_unitary_state_matches_dense_path(cutoff):
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
-@pytest.mark.parametrize("cutoff", [6, 16])
+@pytest.mark.parametrize("cutoff", [2, 3, 6, 16])
 def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
+    """One stacked eigvalsh over the wrapped diagonals, each with its two
+    chain blocks, against the dense spectrum: a witness minus a closed form,
+    real and complex stacks, and a framed witness."""
     lam = 1.0
+    rng = np.random.default_rng(cutoff)
+    for op in [fock.FockOperator(cutoff, random_stack(rng, cutoff, real) - 2.0 * np.eye(cutoff)) for real in (True, False)
+               ] + [fock.witness_fock_unitary(_FRAMED_SPEC, lam, cutoff)]:
+        dense = np.linalg.eigvalsh(dense_matrix(op))[-1]
+        assert abs(fock.max_eigenvalue(op) - dense) <= 1e-12 * max(1.0, abs(dense)), op.form is None
     for g in (1.0, 2.0):
         O = fock.canonical_observable_closed_form(g, lam, cutoff, embed_cutoff=cutoff)
         if g > np.sqrt(lam + 1.0):
@@ -821,11 +870,93 @@ def test_max_eigenvalue_by_blocks_matches_dense(cutoff):
         dense = np.max(np.linalg.eigvalsh(W.matrix - O.matrix))
         assert abs(fock.max_eigenvalue(diff) - dense) <= 1e-12, g
     # a framed operator has no blocks to subtract, and neither has a state
-    squeezer = sp.SymplecticSpec(np.diag([np.exp(0.3), np.exp(-0.3)]), np.zeros(2))
-    framed = fock.witness_fock_unitary(squeezer, lam, cutoff)
+    framed = fock.witness_fock_unitary(_FRAMED_SPEC, lam, cutoff)
+    assert framed.form is not None
     for other in (framed, fock.entangled_output_fock([], lam, cutoff)):
         with pytest.raises(ValueError, match="held in sectors"):
             O - other
+
+
+# The wrapped stacks: row x of diagonal s is the state |x, (x + s) mod c>,
+# and an operator that conserves n1 - n2 links only rows of one chain.
+
+def off_chain(cutoff):
+    """off[s, x, y]: rows x and y of wrapped diagonal s differ in n1 - n2."""
+    x = np.arange(cutoff)
+    d = x - (x + x[:, None]) % cutoff  # n1 - n2 of row x of diagonal s
+    return d[:, :, None] != d[:, None, :]
+
+
+def random_stack(rng, cutoff, real):
+    """A positive semidefinite wrapped stack G G+, G zero off the chains."""
+    G = rng.normal(size=(cutoff,) * 3) + (0 if real else 1j * rng.normal(size=(cutoff,) * 3))
+    G[off_chain(cutoff)] = 0
+    return G @ G.conj().swapaxes(1, 2)
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [2, 3, 12])
+def test_every_stack_is_exactly_zero_off_its_chains(cutoff):
+    c, lam = cutoff, 1.0
+    rotation = sp.SymplecticSpec(np.array([[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]]), np.zeros(2))
+    W = fock.witness_fock_unitary(sp.identity(1), lam, c)
+    O = fock.canonical_observable_closed_form(1.0, lam, c, embed_cutoff=c)
+    stacks = {
+        "performance-operator": fock.performance_operator_avg_fidelity(2.0, lam, c).sectors,
+        "canonical-observable": fock.canonical_observable(1.0, lam, c).sectors,
+        "closed-form-below": O.sectors,
+        "closed-form-above": fock.canonical_observable_closed_form(2.0, lam, c).sectors,
+        "witness-identity": W.sectors,
+        "witness-rotation": fock.witness_fock_unitary(rotation, lam, c).sectors,
+        "witness-framed-core": fock.witness_fock_unitary(_FRAMED_SPEC, lam, c).form[1],
+        "witness-amp": fock.witness_fock_amp(2.0, lam, c).sectors,
+        "difference": (W - O).sectors,
+    }
+    for ops in ([], [("attenuator", 0.7)], [("amplifier", 1.3)], [("amplifier", 1.2), ("attenuator", 0.8)]):
+        stacks[f"output-{ops}"] = fock.entangled_output_fock(ops, lam, c).sectors
+    off = off_chain(c)
+    for name, stack in stacks.items():
+        assert stack.shape == (c, c, c) and not np.any(stack[off]), name
+        assert np.any(stack[~off]), name
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 12])
+def test_assemble_matches_the_per_chain_scatter(cutoff):
+    c = cutoff
+    W = random_stack(np.random.default_rng(c), c, real=False)
+    ref = np.zeros((c * c, c * c), dtype=complex)
+    for i, j, B in chain_blocks(W):
+        ref[np.ix_(i * c + j, i * c + j)] = B
+    assert np.array_equal(fock._assemble(W), ref)
+
+
+def _term_trace_per_chain(A, B, W):
+    """fock._term_trace as it ran before the wrapped stacks: one product per
+    chain of builders.chain_blocks, f+ O f with f the terms' entries at the
+    chain's states, over all terms X = A[m] @ B[n] at once."""
+    X = np.einsum("mil,nlj->imjn", A, B)  # [i, m, j, n]
+    total = 0.0
+    for i, j, O in chain_blocks(W):
+        F = X[i, :, j].reshape(i.size, -1)
+        if np.isrealobj(O):  # Re f+ O f = Re(f) O Re(f) + Im(f) O Im(f)
+            F = F.view(float)
+        total += np.vdot(F, O @ F).real
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 20, 33])
+def test_term_trace_matches_the_per_chain_loop(cutoff):
+    """One product per wrapped diagonal against one per chain, for one term
+    and for c^2 (in chunks of _TERM_ENTRIES at c = 33), on real and complex
+    positive stacks."""
+    c = cutoff
+    rng = np.random.default_rng(c)
+    for real in (True, False):
+        W = random_stack(rng, c, real)
+        for terms in (1, c):
+            A, B = (rng.normal(size=(terms, c, c)) + 1j * rng.normal(size=(terms, c, c)) for _ in range(2))
+            got, ref = fock._term_trace(A, B, W), _term_trace_per_chain(A, B, W)
+            assert abs(got - ref) <= 1e-12 * ref, (real, terms)
 
 
 # The scaled-spectrum kernel against SciPy's expm, chain by chain: each chain's block is
@@ -848,10 +979,10 @@ def _chain_expm(theta, i, j, step):
 
 
 def _sector_squeeze2(theta, cutoff):
-    """The two-mode squeezer, each chain of fock._chains a polar(expm) block."""
+    """The two-mode squeezer, each chain of builders.chains a polar(expm) block."""
     c = cutoff
     S = np.zeros((c * c, c * c))
-    for i, j in fock._chains(c):
+    for i, j in chains(c):
         S[np.ix_(i * c + j, i * c + j)] = _chain_expm(theta, i, j, 1)
     return S
 
@@ -873,12 +1004,12 @@ def test_stacked_chain_blocks_match_per_chain_expm(cutoff, sign):
     exponentiated on the chains from |0, j>, and the library reads each also
     on its mirror from |j, 0>, whose generator is the same."""
     c = cutoff
-    chains = fock._chains(c)
-    states = np.concatenate([i * c + j for i, j in chains])
-    assert len(chains) == 2 * c - 1 and np.array_equal(np.sort(states), np.arange(c * c))
-    assert all(np.array_equal(i, b) and np.array_equal(j, a) for (i, j), (a, b) in zip(chains[c:], chains[1:c]))
+    grid = chains(c)
+    states = np.concatenate([i * c + j for i, j in grid])
+    assert len(grid) == 2 * c - 1 and np.array_equal(np.sort(states), np.arange(c * c))
+    assert all(np.array_equal(i, b) and np.array_equal(j, a) for (i, j), (a, b) in zip(grid[c:], grid[1:c]))
     for theta in sign * np.array(KERNEL_THETAS):
-        refs = [_chain_expm(theta, i, j, 1) for i, j in chains]
+        refs = [_chain_expm(theta, i, j, 1) for i, j in grid]
         assert all(np.array_equal(refs[c - 1 + k], refs[k]) for k in range(1, c))
         seen = []
         for (members, E), (same, X) in zip(fock._chain_exps(theta, c, c), fock._chain_exps(theta, c, c, first_column=True)):
@@ -898,15 +1029,19 @@ def test_stacked_chain_blocks_match_per_chain_expm(cutoff, sign):
 def test_kraus_diagonals_match_per_chain_expm(cutoff):
     """The attenuator's closed form against the last column of each
     beamsplitter chain from |0, N>, and the amplifier's Kraus operators
-    against the first column of each squeezer chain from |q, 0>."""
+    against the first column of each squeezer chain from |q, 0>.  Both
+    tables are exactly zero past each diagonal's end."""
     c = cutoff
-    chains = fock._chains(c)
+    grid = chains(c)
+    past = np.add.outer(np.arange(c), np.arange(c)) >= c  # T[k, m] with m >= c - k
     for theta in KERNEL_THETAS:
+        for kind, param in (("attenuator", np.cos(theta) ** 2), ("amplifier", np.cosh(theta))):
+            assert not np.any(fock._kraus_diagonals(kind, param, c)[1][past]), (kind, theta)
         att = kraus_matrices("attenuator", np.cos(theta) ** 2, c)
         dev = max(np.max(np.abs(K - R)) for K, R in zip(att, _beamsplitter_kraus(np.cos(theta) ** 2, c)))
         assert dev <= 1e-12, (theta, dev)
-        amp = dict(fock._kraus_diagonals("amplifier", np.cosh(theta), c))
-        first = [_chain_expm(theta, i, j, 1)[:, 0] for i, j in chains[:1] + chains[c:]]
+        amp = dict(kraus_diagonals("amplifier", np.cosh(theta), c))
+        first = [_chain_expm(theta, i, j, 1)[:, 0] for i, j in grid[:1] + grid[c:]]
         for k in range(c):
             # K_k[q + k, q] = <q + k, k|U|q, 0>, position k of the chain from |q, 0>
             want = np.array([first[q][k] for q in range(c - k)])
@@ -967,13 +1102,15 @@ def test_pure_state_transfer_matches_dense_channel(cutoff):
         assert np.max(np.abs(density(st) - ref)) <= 1e-12, ops
 
 
-def _transfer_loop(diagonals, cutoff):
+def _transfer_loop(kraus):
     """fock._transfer's blocks, one Kraus diagonal at a time: each adds
     d[m] conj(d[m + delta]) along its own diagonal."""
-    c = cutoff
-    S = np.zeros((c, c, c), dtype=np.result_type(*(d for _, d in diagonals)))
+    sign, T = kraus
+    c = T.shape[1]
+    S = np.zeros((c, c, c), dtype=T.dtype)
     delta = np.arange(c)[:, None]
-    for shift, d in diagonals:
+    for k in range(T.shape[0]):
+        shift, d = sign * k, T[k, : c - k]
         m = np.arange(d.size)
         p = m + max(0, -shift)
         S[:, p, p + shift] += d * np.concatenate([d, np.zeros(c)])[delta + m].conj()
@@ -983,13 +1120,13 @@ def _transfer_loop(diagonals, cutoff):
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [2, 3, 20, 33])
 def test_transfer_matches_the_per_diagonal_loop(cutoff):
-    """The one-scatter transfer blocks equal the per-diagonal loop, on the
-    attenuator's and the amplifier's Kraus lists, the unit channel, and an
-    attenuator list with complex phases, which the conjugation must see."""
-    att = fock._kraus_diagonals("attenuator", 0.7, cutoff)
-    for diagonals in (att, fock._kraus_diagonals("amplifier", 1.3, cutoff), [(0, np.ones(cutoff))],
-                      [(s, d * np.exp(0.4j * np.arange(d.size))) for s, d in att]):
-        got, ref = fock._transfer(diagonals, cutoff), _transfer_loop(diagonals, cutoff)
+    """The one-assignment transfer blocks equal the per-diagonal loop, on the
+    attenuator's and the amplifier's Kraus tables, the unit channel, and an
+    attenuator table with complex phases, which the conjugation must see."""
+    sign, T = fock._kraus_diagonals("attenuator", 0.7, cutoff)
+    for kraus in ((sign, T), fock._kraus_diagonals("amplifier", 1.3, cutoff), (1, np.ones((1, cutoff))),
+                  (sign, T * np.exp(0.4j * np.arange(cutoff)))):
+        got, ref = fock._transfer(kraus), _transfer_loop(kraus)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.array_equal(got, ref)  # the same products, each written once
 
@@ -1032,7 +1169,7 @@ def _count_chain_exps(monkeypatch):
     return calls
 
 
-def _core_blocks(op):
+def _core(op):
     return op.sectors if op.sectors is not None else op.form[1]
 
 
@@ -1056,28 +1193,38 @@ def test_cached_core_matches_a_cold_build(name):
     cold = build()
     assert len(fock._CORES) == 1
     hit = build()
-    assert len(_core_blocks(cold)) == len(_core_blocks(hit))
-    for x, y in zip(_core_blocks(cold), _core_blocks(hit)):
-        assert all(np.array_equal(a, b) for a, b in zip(x, y))
+    assert np.array_equal(_core(cold), _core(hit))
     if cold.form is not None:
         assert np.array_equal(cold.form[0], hit.form[0])
     assert np.array_equal(dense_matrix(cold), dense_matrix(hit))
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
-def test_cached_core_is_read_only_and_each_call_gets_its_own_list():
+def test_cached_core_is_one_read_only_array_and_every_use_makes_a_new_one():
+    """A cached core is one read-only (c, c, c) array, the same object on a
+    miss and on every hit, and a write to it raises; the diagonal frame's
+    fold, the closed form's scale and a difference each return a new,
+    writeable array, so nothing built from a core writes into it."""
     fock._CORES.clear()
-    for _ in range(2):  # the list of a miss, then of a hit
+    cores = []
+    for _ in range(2):  # a miss, then a hit
         W = fock.witness_fock_amp(2.0, 1.0, 8)
-        assert not any(x.flags.writeable for block in W.sectors for x in block)
+        assert isinstance(W.sectors, np.ndarray) and W.sectors.shape == (8, 8, 8)
+        assert not W.sectors.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            W.sectors[0][2][0, 0] = 1.0
-        W.sectors.append(W.sectors[0])
-        W.sectors.pop(1)
-    again = fock.witness_fock_amp(2.0, 1.0, 8)
-    assert len(again.sectors) == 2 * 8 - 1
-    assert all(s[2] is t[2] for s, t in zip(again.sectors, fock.witness_fock_amp(2.0, 1.0, 8).sectors))
-    assert again.sectors[1][2].shape == (7, 7)  # the chain from |0, 1>, not the one popped above
+            W.sectors[0, 0, 0] = 1.0
+        cores.append(W.sectors)
+    assert cores[0] is cores[1]
+    held = fock.witness_fock_amp(2.0, 1.0, 8).sectors
+    folded = fock.witness_fock_unitary(sp.identity(1), 1.0, 8)  # the identity frame folds in
+    framed = fock.witness_fock_unitary(_FRAMED_SPEC, 1.0, 8)  # the same core, in a frame
+    assert framed.form[1] is fock._squeezed_sectors(np.arctanh(1.0 / np.sqrt(2.0)), 1.0 - 0.5 * np.arange(8), 0, 8)
+    scaled = fock.canonical_observable_closed_form(2.0, 1.0, 8, embed_cutoff=8)  # tanh^2 times its core
+    for made, core in ((folded.sectors, framed.form[1]), (scaled.sectors, None),
+                       ((fock.witness_fock_amp(2.0, 1.0, 8) - scaled).sectors, held)):
+        assert made.flags.writeable and made is not core and not np.shares_memory(made, held), made.shape
+        assert core is None or not np.shares_memory(made, core)
+    assert not held.flags.writeable and np.array_equal(held, cores[0])
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1109,7 +1256,7 @@ def test_a_different_core_misses_the_cache(monkeypatch):
 def test_core_cache_keeps_its_entry_bound_in_lru_order(monkeypatch):
     """The cached block entries never exceed the bound; a core above it is
     never kept, and a hit moves its core to the back of the eviction order."""
-    bound = 5000  # the core at cutoff c holds c^2 + 2 sum_{n<c} n^2 entries: 4579 at 19, 5340 at 20
+    bound = 5000  # the core at cutoff c is one c^3 stack: 4913 entries at 17, 5832 at 18
     monkeypatch.setattr(fock, "_CORE_ENTRIES", bound)
     fock._CORES.clear()
 
@@ -1119,16 +1266,16 @@ def test_core_cache_keeps_its_entry_bound_in_lru_order(monkeypatch):
     def held():
         return {key[3] for key in fock._CORES}
 
-    for c in list(range(2, 24)) + [8, 4, 20, 6]:
+    for c in list(range(2, 20)) + [8, 4, 18, 6]:
         core(c)
         assert sum(size for _, size in fock._CORES.values()) <= bound
-        assert c in held() or c >= 20
-    assert held() == {8, 4, 6}  # 19's 4579 entries made way for 6; 20 was never kept
-    core(18)  # 3894 entries
+        assert c in held() or c >= 18
+    assert held() == {8, 4, 6}  # 17's 4913 entries made way for 8; 18 was never kept
+    core(16)  # 4096 entries
     core(4)  # a hit: 4 becomes the most recently used
-    core(15)  # 2255 entries: 8, 6 and 18 go, oldest use first, and 4 stays
-    assert held() == {4, 15}
-    assert sum(size for _, size in fock._CORES.values()) == 44 + 2255
+    core(12)  # 1728 entries: 8, 6 and 16 go, oldest use first, and 4 stays
+    assert held() == {4, 12}
+    assert sum(size for _, size in fock._CORES.values()) == 64 + 1728
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1167,14 +1314,10 @@ def _count_eigh(monkeypatch):
 
 
 PROVER_SIDE_BUILDS = {  # a builder of each generator, and parameters to build it at
-    "amplifier": (lambda g, c: fock._kraus_diagonals("amplifier", g, c), (1.2, 1.5, 2.0)),
+    "amplifier": (lambda g, c: fock._kraus_diagonals("amplifier", g, c)[1], (1.2, 1.5, 2.0)),
     "displace": (fock.displace_fock, (0.3, -0.4 + 0.9j, 1.5j)),
     "squeeze1": (fock.squeeze1_fock, (0.2, -0.5, 0.8)),
 }
-
-
-def _arrays(built):
-    return [d for _, d in built] if isinstance(built, list) else [built]
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1196,7 +1339,7 @@ def test_repeated_prover_side_builds_diagonalise_nothing(monkeypatch, cutoff):
     for build, x, hit in hits:
         fock._SPECTRA.clear()
         cold = build(x, cutoff)
-        assert max(np.max(np.abs(a - b)) for a, b in zip(_arrays(hit), _arrays(cold))) <= 1e-14
+        assert np.max(np.abs(hit - cold)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

@@ -45,7 +45,7 @@ def test_tmsv_reduced_matches_fock_oracle():
     # the oracle's TMSV probe at lam = 1/sinh^2(r) has kappa = r
     r, cutoff = 0.6, 30
     st = fock.entangled_output_fock([], 1.0 / np.sinh(r) ** 2, cutoff)
-    rho = fock._assemble(st.sectors, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
+    rho = fock._assemble(st.sectors).reshape(cutoff, cutoff, cutoff, cutoff)
     reduced = np.einsum("ikjk->ij", rho)
     expected = thermal_rho(np.sinh(r) ** 2, cutoff)
     np.testing.assert_allclose(reduced, expected, atol=1e-10)
