@@ -246,13 +246,11 @@ def _chain_grid(cutoff: int) -> tuple:
     return np.where(live, i0[:, None] + t, 0), np.where(live, j0[:, None] + t, 0), lengths
 
 
-def _wrapped_grid(cutoff: int) -> tuple:
-    """(j, same) of the wrapped stacks of :class:`_Fock`: j[s, x] = (x + s) mod c,
-    the second-slot photon number of row x of diagonal s, and same[s, x, y],
-    whether rows x and y of diagonal s lie on one chain."""
+def _wrapped_grid(cutoff: int) -> np.ndarray:
+    """j[s, x] = (x + s) mod c, the second-slot photon number of row x of
+    diagonal s of the wrapped stacks of :class:`_Fock`."""
     x = np.arange(cutoff)
-    far = x >= cutoff - x[:, None]  # row x of diagonal s lies on the chain from |c - s, 0>
-    return (x + x[:, None]) % cutoff, far[:, :, None] == far[:, None, :]
+    return (x + x[:, None]) % cutoff
 
 
 def _cached(store: OrderedDict, key: tuple, build) -> list:
@@ -383,7 +381,7 @@ def _assemble(sectors: np.ndarray) -> np.ndarray:
     """The dense c^2 x c^2 matrix of a wrapped stack, in one scatter: the
     diagonals partition the states, so each entry of the stack lands once."""
     c = sectors.shape[0]
-    state = np.arange(c) * c + _wrapped_grid(c)[0]  # state[s, x], the index i c + j of row x of diagonal s
+    state = np.arange(c) * c + _wrapped_grid(c)  # state[s, x], the index i c + j of row x of diagonal s
     M = np.zeros((c * c, c * c), dtype=complex)
     M[state[:, :, None], state[:, None, :]] = sectors
     return M
@@ -463,8 +461,9 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
     _check_cutoff(cutoff)
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
-    j, same = _wrapped_grid(cutoff)
-    x = np.arange(cutoff)
+    j, x = _wrapped_grid(cutoff), np.arange(cutoff)
+    far = x >= cutoff - x[:, None]  # row x of diagonal s lies on the chain from |c - s, 0>
+    same = far[:, :, None] == far[:, None, :]  # rows x and y of diagonal s share a chain
     m, n, m2, n2 = x[:, None], j[:, :, None], x, j[:, None, :]
     log_fact = _log_factorials(2 * cutoff - 1)
     s = m + n2
@@ -498,7 +497,7 @@ def canonical_observable(
             f"reference thermal state ill-conditioned: smallest retained eigenvalue "
             f"{rho_r.min():.2e} < 1e-12 (cutoff too large for lam={lam})"
         )
-    r = (1.0 / np.sqrt(rho_r))[_wrapped_grid(cutoff)[0]]  # rho_R^(-1/2) on R's photon number j
+    r = (1.0 / np.sqrt(rho_r))[_wrapped_grid(cutoff)]  # rho_R^(-1/2) on R's photon number j
     O = r[:, :, None] * performance_operator_avg_fidelity(g, lam, cutoff).sectors * r[:, None, :]
     return FockOperator(cutoff, 0.5 * (O + O.swapaxes(1, 2)))
 
@@ -766,7 +765,7 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray) -> float:
     M, c = A.shape[:2]
     cols = A.transpose(1, 2, 0)  # [i, l, m]
     step = max(1, _TERM_ENTRIES // (M * c * c))
-    x, j = np.arange(c), _wrapped_grid(c)[0]
+    x, j = np.arange(c), _wrapped_grid(c)
     total = 0.0
     for n in range(0, B.shape[0], step):
         X = (B[n:n + step].transpose(2, 0, 1).reshape(-1, c) @ cols).reshape(c, c, -1)  # [i, j, (n, m)]
@@ -841,7 +840,7 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     # where every transfer block, and so their product, is zero
     x = np.arange(cutoff)
     first = np.minimum.outer(x, x)
-    j = _wrapped_grid(cutoff)[0]
+    j = _wrapped_grid(cutoff)
     G = np.take(S, np.abs(x[:, None] - x) * cutoff**2 + (x * cutoff + j)[:, first])
     G *= a[j][:, :, None] * a[j][:, None, :]
     return FockState(cutoff, G)

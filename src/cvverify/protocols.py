@@ -15,19 +15,24 @@ simulator:
 Every witness is affine in homodyne moments, omega = c0 + sum_k w_k <O_k>.
 A game's plan builder returns ``(batches, c0, shares)``, and one pipeline
 serves all three: ``estimate_terms`` turns each ``Batch`` into its share of
-omega from fresh shots, ``exact_terms`` from exact moments (the infinite-shot
-witness).  ``shares`` gives each count key its share of epsilon, and the
+omega from fresh shots.  The exact (infinite-shot) witness is one affine
+form per config, omega = c0 + a^T mu + <C, M> on the means mu and raw
+second moments M of the measured state, read off the same batches through
+each term's projector rows and weight; the config builds it, and the TMSV
+the verifier prepares, on first use and keeps both, so a config that
+serves several witness evaluations or verdicts pays for them once.
+``shares`` gives each count key its share of epsilon, and the
 budget reads the rest of Lemma 3 off the batches: a key sizes as many
 observables as its batches have terms.
 A batch's estimate reads only the sum and the scatter sum of its i.i.d.
 Gaussian shots, and these sufficient statistics are drawn exactly, so the
 paper's uncapped budgets run at a cost independent of the shot count.  All
 three games reach a verdict through one core on the state the verifier
-homodynes, which compiles the plan once per call: the batches are grouped
-by count key and number of columns read, each group keeps the stacked
-exact marginals of just those columns (``measurement.marginals``), and
-each seed's one Generator draws every group, in plan order, in a few array
-calls (``measurement.moment_sums``).
+homodynes, which builds and compiles the plan once per call: the batches
+are grouped by count key and number of columns read, each group keeps the
+stacked exact marginals of just those columns (``measurement.marginals``),
+and each seed's one Generator draws every group, in plan order, in a few
+array calls (``measurement.moment_sums``).
 
 All additive constants are derived under the fixed vacuum-variance-1/2
 convention and pinned by the exact identities "honest prover gives
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +152,22 @@ class VerificationConfig:
     def m(self) -> int:
         return self.target.n_modes if self.target is not None else 1
 
+    @cached_property
+    def tmsv(self) -> GaussianState:
+        """The m two-mode squeezed vacua the verifier prepares, built on first use."""
+        return tmsv_pairs(kappa_for(self.lam), self.m)
+
+    @cached_property
+    def witness_form(self) -> WitnessForm:
+        """The game's exact witness as one affine form, read off ``witness_plan``
+        on first use; the TMSV and the form are built independently."""
+        batches, c0, _ = witness_plan(self)
+        return _affine_form(batches, c0)
+
+    def __getstate__(self) -> dict:
+        # only the fields: a pickle never carries the built TMSV or form
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.target is not None:
@@ -248,7 +270,7 @@ def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianStat
     m = prover.n_modes
     if m != cfg.m:
         raise ValueError(f"prover acts on {m} modes but the config's target has {cfg.m}")
-    return gaussian.apply_channel(tmsv_pairs(kappa_for(cfg.lam), m), prover.realize())
+    return gaussian.apply_channel(cfg.tmsv, prover.realize())
 
 
 class Batch(NamedTuple):
@@ -313,7 +335,9 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float, dict]:
     """
     m = cfg.m
     S_inv, A, Ad, dAd = _target_weights(cfg)
-    B = (np.kron(np.eye(m), np.diag([1.0, -1.0])) @ S_inv / math.sqrt(cfg.lam + 1.0)).tolist()
+    B = S_inv / math.sqrt(cfg.lam + 1.0)
+    B[1::2] *= -1.0  # Z^(+)m S^-1: Z negates the p rows
+    B = B.tolist()
     qq, pp, qp, pq, rot45, *mixed = build_measurement_plan(m)
     same, cross = (qq, pp), ((qq, qp), (pq, pp))
     batches = [Batch(same[u % 2], "c3", ((u // 2, None, Ad[u]),)) for u in range(2 * m)]
@@ -465,38 +489,65 @@ def estimate_terms(state: GaussianState, batches, counts: dict, seeds) -> list[l
     return out
 
 
-def exact_terms(mean: np.ndarray, second: np.ndarray, batches) -> list[float]:
-    """Each batch's contribution to omega from exact means and raw second
-    moments <x x^T> of the measured state (the infinite-shot limit)."""
-    n_modes = len(mean) // 2
-    moments = {}
-    out = []
+class WitnessForm(NamedTuple):
+    """omega = c0 + a^T mu + <C, M>, the exact witness of a plan on the means
+    mu and the raw second moments M = <x x^T> of the measured state, with
+    <C, M> = sum C * M.  ``a`` and ``C`` are read-only."""
+
+    c0: float
+    a: np.ndarray
+    C: np.ndarray
+
+    def value(self, mean: np.ndarray, second: np.ndarray) -> float:
+        return float(self.c0 + self.a @ mean + np.vdot(self.C, second))
+
+
+def _affine_form(batches, c0: float) -> WitnessForm:
+    """The plan's witness in the infinite-shot limit as one affine form: a
+    term w <x_i> of a batch whose setting has projector P adds w P[i] to a,
+    and a term w <x_i x_j> adds w P[i]^T P[j] to C.  Each distinct setting
+    is projected once.  The projectors are stacked with one more column, and
+    below them a row that is 1 only there, which a mean term takes as its
+    second row; so one gather of every term's two rows and one product
+    over all terms give [C a]."""
+    n = 2 * len(batches[0].setting.angles)
+    first_row, projectors, rows, starts = {}, [], 0, []
     for b in batches:
-        stats = moments.get(b.setting)
-        if stats is None:
-            P = rotated_quadrature_projector(b.setting, n_modes)
-            stats = moments[b.setting] = ((P @ mean).tolist(), (P @ second @ P.T).tolist())
-        mu, M = stats
-        out.append(float(sum(w * (mu[i] if j is None else M[i][j]) for i, j, w in b.terms)))
-    return out
+        start = first_row.get(id(b.setting))  # keyed by identity: plans reuse their settings
+        if start is None:
+            start = first_row[id(b.setting)] = rows
+            projectors.append(rotated_quadrature_projector(b.setting, n // 2))
+            rows += len(projectors[-1])
+        starts += [start] * len(b.terms)
+    i, j, w = zip(*(t for b in batches for t in b.terms))
+    P = np.zeros((rows + 1, n + 1))
+    P[:rows, :n] = np.concatenate(projectors)
+    P[-1, n] = 1.0
+    right = [-1 if jt is None else at + jt for at, jt in zip(starts, j)]
+    L, R = P[np.array([np.add(starts, i), right])]
+    form = (np.array(w)[:, None] * L).T @ R
+    a, C = np.ascontiguousarray(form[:n, n]), np.ascontiguousarray(form[:n, :n])
+    a.flags.writeable = C.flags.writeable = False
+    return WitnessForm(c0, a, C)
 
 
 def witness_analytic(prover: ProverChannel, cfg: VerificationConfig) -> float:
-    """Infinite-shot witness value for a prover channel under the config."""
+    """Infinite-shot witness value for a prover channel under the config:
+    the config's ``witness_form`` on the moments of ``output_state``."""
     if cfg.protocol == "state":
         raise ValueError("the state game has no prover channel; use witness_estimate_state")
     state = output_state(prover, cfg)
-    batches, c0, _ = witness_plan(cfg)
-    return c0 + sum(exact_terms(state.mean, state.cov + np.outer(state.mean, state.mean), batches))
+    return cfg.witness_form.value(state.mean, state.cov + np.outer(state.mean, state.mean))
 
 
 def witness_estimate_state(
     mean_est: np.ndarray, second_moments: np.ndarray, cfg: VerificationConfig
 ) -> float:
     """Pure-state witness from the means and the symmetric raw second-moment
-    matrix of the supplied state.  A config of another game, means that are
-    not 2m long, a second-moment matrix that is not 2m x 2m or not symmetric,
-    and a witness that is not finite (NaN moments, say) are ValueErrors."""
+    matrix of the supplied state, through the config's ``witness_form``.  A
+    config of another game, means that are not 2m long, a second-moment
+    matrix that is not 2m x 2m or not symmetric, and a witness that is not
+    finite (NaN moments, say) are ValueErrors."""
     if cfg.protocol != "state":
         raise ValueError(f"witness_estimate_state scores the state game, not the {cfg.protocol} game")
     mean, second = np.asarray(mean_est, dtype=float), np.asarray(second_moments, dtype=float)
@@ -506,8 +557,7 @@ def witness_estimate_state(
                          f"shape ({n}, {n}), got {mean.shape} and {second.shape}")
     if np.max(np.abs(second - second.T)) > 1e-10:
         raise ValueError("the second-moment matrix must be symmetric")
-    batches, c0, _ = plan_state(cfg)
-    omega = c0 + sum(exact_terms(mean, second, batches))
+    omega = cfg.witness_form.value(mean, second)
     if not math.isfinite(omega):
         raise ValueError(f"state witness {omega} is not finite")
     return omega

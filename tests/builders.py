@@ -1,18 +1,21 @@
 """Builders that several test files share and the library does not need:
-random prover channels for property tests, coherent states, the dense
-matrix of a Fock operator held in a frame, and the per-chain view of the
-oracle's wrapped n1 - n2 stacks."""
+random prover channels for property tests, coherent states, each plan
+batch's exact share of the witness, the dense matrix of a Fock operator
+held in a frame, and the per-chain view of the oracle's wrapped n1 - n2
+stacks."""
 
 import numpy as np
 
 from cvverify import fock, symplectic as sp
 from cvverify.channels import KINDS, ProverChannel
 from cvverify.gaussian import GaussianState
+from cvverify.measurement import rotated_quadrature_projector
 
 
-def random_prover(rng: np.random.Generator, n_modes: int = 1) -> ProverChannel:
-    """Random prover channel: random kind, moderate noise."""
-    kind = rng.choice(KINDS)
+def random_prover(rng: np.random.Generator, n_modes: int = 1, kind: str | None = None) -> ProverChannel:
+    """Random prover channel of the given kind (a random kind by default),
+    moderate noise."""
+    kind = rng.choice(KINDS) if kind is None else kind
     if kind in ("ExactUnitary", "NoisyUnitary"):
         spec = sp.random_symplectic(n_modes, r_max=0.5, d_scale=0.3, rng=rng)
         excess = float(rng.uniform(0, 0.5)) if kind == "NoisyUnitary" else 0.0
@@ -36,6 +39,19 @@ def coherent(alpha) -> GaussianState:
     mean[0::2] = np.sqrt(2.0) * alpha.real
     mean[1::2] = np.sqrt(2.0) * alpha.imag
     return GaussianState(mean, 0.5 * np.eye(2 * alpha.size))
+
+
+def exact_terms(mean: np.ndarray, second: np.ndarray, batches) -> list[float]:
+    """Each batch's contribution to omega from exact means and raw second
+    moments <x x^T> of the measured state, batch by batch: the reference
+    that the library's one affine form per config is pinned to."""
+    n_modes = len(mean) // 2
+    out = []
+    for b in batches:
+        P = rotated_quadrature_projector(b.setting, n_modes)
+        mu, M = P @ mean, P @ second @ P.T
+        out.append(float(sum(w * (mu[i] if j is None else M[i, j]) for i, j, w in b.terms)))
+    return out
 
 
 def dense_matrix(op: fock.FockOperator) -> np.ndarray:

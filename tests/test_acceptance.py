@@ -18,7 +18,6 @@ from cvverify.channels import (
 )
 from cvverify.protocols import (
     VerificationConfig,
-    exact_terms,
     kappa_for,
     plan_unitary,
     run_verification,
@@ -272,8 +271,8 @@ def test_7_budget_scaling():
 def test_8_measurement_plan():
     """For m = 1..6 the unitary plan reads m+5 settings (five at m = 1, where
     no q p pair spans two A' modes), one batch per estimated moment, each term
-    on columns its setting measures; on generic symmetric moments its exact
-    path is the closed-form witness
+    on columns its setting measures; on generic symmetric moments the
+    config's affine form, its exact path, is the closed-form witness
     -1/2 tr[S^-T S^-1 (Gamma1 - 2 gamma d^T + d d^T)] + tr(Z S^-1 Gamma2)/sqrt(lam+1)
     + 1 + m (lam-2)/(2 lam)."""
     rng = np.random.default_rng(8)
@@ -285,7 +284,7 @@ def test_8_measurement_plan():
         lam = float(rng.uniform(0.5, 2.0))
         cfg = VerificationConfig("unitary", lam=lam, F_t=0.5, delta=0.25, epsilon=0.02,
                                  target=spec)
-        batches, c0, _ = plan_unitary(cfg)
+        batches = plan_unitary(cfg)[0]
         used = {b.setting for b in batches}
         ok &= used <= set(settings) and len(used) == (5 if m == 1 else m + 5)
         # 2m means, m(2m+1) A' second moments (the same-mode q p ones through
@@ -304,7 +303,7 @@ def test_8_measurement_plan():
         ref = (-0.5 * np.trace(S_inv.T @ S_inv @ M)
                + np.trace(Z @ S_inv @ second[a, r]) / np.sqrt(lam + 1.0)
                + 1.0 + m * (lam - 2.0) / (2.0 * lam))
-        got = c0 + sum(exact_terms(mean, second, batches))
+        got = cfg.witness_form.value(mean, second)
         worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     ok &= worst <= 1e-12
     report("8 measurement plan", ok,

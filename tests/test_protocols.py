@@ -1,11 +1,13 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from builders import random_prover
+from builders import exact_terms, random_prover
 from cvverify import fock, gaussian as ga, protocols, symplectic as sp
 from cvverify.channels import (
+    KINDS,
     ProverChannel,
     average_fidelity,
     elementary_factors,
@@ -17,7 +19,6 @@ from cvverify.protocols import (
     Batch,
     VerificationConfig,
     estimate_terms,
-    exact_terms,
     accept_rate,
     lemma3_sample_count,
     oracle_report,
@@ -600,12 +601,13 @@ def test_state_protocol_rejects_thermal_impostor():
 
 
 def test_witness_estimate_requires_complete_moments():
-    cfg = cfg_unitary(sp.identity(1))
-    batches, c0, _ = plan_unitary(cfg)
-    # the plan reads A' and R quadratures: the A' moments alone do not cover it
+    form = cfg_unitary(sp.identity(1)).witness_form
+    # the plan reads A' and R quadratures: its form spans both, and the A'
+    # moments alone do not cover it
+    assert form.a.shape == (4,) and form.C.shape == (4, 4) and np.any(form.C[:2, 2:])
     with pytest.raises(ValueError):
-        exact_terms(np.zeros(2), np.eye(2), batches)
-    assert np.isfinite(c0 + sum(exact_terms(np.zeros(4), np.eye(4), batches)))
+        form.value(np.zeros(2), np.eye(2))
+    assert np.isfinite(form.value(np.zeros(4), np.eye(4)))
 
 
 # ------------------------------------------------ closed-form references
@@ -857,3 +859,80 @@ def test_state_mode_count_checked_against_the_game():
     # a prover's output is 2m modes, so the state game never runs on one
     with pytest.raises(ValueError, match="the state game measures 1"):
         run_verification(exact_unitary(sp.identity(1)), scfg, seed=0, shot_cap=100)
+
+
+# ------------------------------------------------ one affine form per config
+
+def _channel_games(rng):
+    """(cfg, prover) for random unitary configs at m = 1..4 and random
+    amplification configs, each with every prover kind."""
+    for m in (1, 2, 3, 4):
+        for _ in range(3):
+            spec = sp.random_symplectic(m, r_max=0.6, d_scale=0.5, rng=rng)
+            cfg = cfg_unitary(spec, lam=float(rng.uniform(0.2, 3.0)), F_t=0.5, eps=0.02)
+            yield from ((cfg, random_prover(rng, m, kind)) for kind in KINDS)
+    for _ in range(4):
+        lam = float(rng.uniform(0.2, 2.0))
+        g = float(rng.uniform(1.1, 2.0)) * (lam + 1.0)
+        f = (lam + 1.0) / g**2
+        cfg = VerificationConfig("amplification", lam=lam, F_t=0.5 * f, delta=0.25, epsilon=0.1 * f, g=g)
+        yield from ((cfg, random_prover(rng, 1, kind)) for kind in KINDS)
+
+
+def test_witness_form_equals_the_plan_batch_by_batch():
+    # the config's one affine form against c0 plus each batch's exact share,
+    # projected batch by batch, on the moments of output_state
+    kinds = set()
+    for cfg, prover in _channel_games(np.random.default_rng(28)):
+        batches, c0, _ = witness_plan(cfg)
+        ref = c0 + sum(exact_terms(*raw_moments(output_state(prover, cfg)), batches))
+        assert abs(witness_analytic(prover, cfg) - ref) <= 1e-13
+        kinds.add((cfg.protocol, prover.kind))
+    assert kinds == {(game, kind) for game in ("unitary", "amplification") for kind in KINDS}
+
+
+def test_state_form_equals_the_plan_batch_by_batch():
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3):
+        for _ in range(10):
+            spec = sp.random_symplectic(m, r_max=0.6, d_scale=0.5, rng=rng)
+            cfg = VerificationConfig("state", lam=1.0, F_t=0.5, delta=0.25, epsilon=0.02, target=spec)
+            X = rng.normal(size=(2 * m, 2 * m))
+            state = ga.GaussianState(spec.d + rng.normal(scale=0.3, size=2 * m),
+                                     0.5 * spec.S @ spec.S.T + 0.2 * X @ X.T)  # a mixed state
+            batches, c0, _ = plan_state(cfg)
+            mean, second = raw_moments(state)
+            ref = c0 + sum(exact_terms(mean, second, batches))
+            assert abs(witness_estimate_state(mean, second, cfg) - ref) <= 1e-13
+
+
+def test_witness_form_and_tmsv_are_built_once_per_config(monkeypatch):
+    plans = _count_calls(monkeypatch, protocols, "witness_plan")
+    vacua = _count_calls(monkeypatch, protocols, "tmsv_pairs")
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    prover = ProverChannel("NoisyUnitary", spec=spec, excess=0.05)
+    omega = witness_analytic(prover, cfg)
+    assert witness_analytic(prover, cfg) == omega and len(plans) == len(vacua) == 1
+    assert vacua == [(protocols.kappa_for(cfg.lam), 2)]
+    fresh = dataclasses.replace(cfg)
+    assert fresh == cfg and not {"witness_form", "tmsv"} & set(vars(fresh))
+    assert witness_analytic(prover, fresh) == omega and len(plans) == len(vacua) == 2
+    assert fresh.witness_form is not cfg.witness_form and fresh.tmsv is not cfg.tmsv
+
+
+def test_built_form_leaves_the_config_unchanged():
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(1))
+    for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5)):
+        twin, data, pickled = dataclasses.replace(cfg), cfg.to_dict(), pickle.dumps(cfg)
+        form, tmsv = cfg.witness_form, cfg.tmsv
+        assert cfg == twin and cfg.to_dict() == data and pickle.dumps(cfg) == pickled
+        back = pickle.loads(pickled)
+        assert back.to_dict() == data and not {"witness_form", "tmsv"} & set(vars(back))
+        np.testing.assert_array_equal(back.witness_form.C, form.C)
+        for array in (form.a, form.C, tmsv.mean, tmsv.cov):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            form.C[0, 0] = 1.0
+        if cfg.target is None:  # a target's arrays do not compare by value
+            assert back == cfg
