@@ -69,25 +69,31 @@ shift diagonals) hold about c^3 entries, and 256^3 = 4096^2, a dense matrix
 of dimension 4096.
 A cutoff that is not an integer is refused the same way.
 
-Two least-recently-used caches keep what does not depend on the prover, by
-one rule (:func:`_cached`).  The squeezed cores S_theta D S_theta+ of a
-specification (the unitary witness's core, the amplification witness and
-the closed-form observable's branches) depend on theta, D and the cutoff
-only, so ``_squeezed_sectors`` keeps them keyed on (theta, the bytes of D's
-diagonal, its slot, the cutoff, the kept cutoff).  The unit generators'
-spectra are kept keyed on (generator, cutoff, chain count).  Each cache is
-bounded by its total entries (stack entries, eigenvector entries),
-_CORE_ENTRIES = 2^22 (32 MB of float64), drops the least recently used
-values first, and never keeps one above the bound alone: a core kept to
-cutoff c is one c^3 stack, so one at c >= 162 is never kept, and the
-squeezer's chain spectra hold about c^3/3 entries, so theirs at c >= 233 are
-not (5.6e6 entries at c = 256).  Cached arrays are read-only: a core is
-returned as the kept array itself, which every use copies as it folds,
-scales or subtracts, and the spectra as a fresh list of kept arrays each
-call.  Argument checks and the squeezer's leakage
-warning run on every call, before the lookup; the prover's Kraus
-operators, outputs and unitaries are built per call, by scaling the cached
-spectra.
+Four least-recently-used caches keep what depends only on a specification
+or a cutoff, by one rule (:func:`_cached`).  The squeezed cores
+S_theta D S_theta+ of a specification (the unitary witness's core, the
+amplification witness and the closed-form observable's branches) depend on
+theta, D and the cutoff only, so ``_squeezed_sectors`` keeps them keyed on
+(theta, the bytes of D's diagonal, its slot, the cutoff, the kept cutoff).
+The unit generators' spectra are kept keyed on (generator, cutoff, chain
+count).  ``gaussian_unitary_fock`` keeps a spec's matrix keyed on (the bytes
+of S, the bytes of d, the cutoff), so a target and a prover on that target
+build it once.  The per-cutoff gather tables (:func:`_tables`: the wrapped
+grid and its flat rows, the transfer blocks' flat indices, the output
+stack's gather, the attenuator's log-binomial table) are kept keyed on
+(table, cutoff).  Each cache is bounded by every array of its values, in
+8-byte words, _CORE_ENTRIES = 2^22 (32 MB) in all, drops the least recently
+used values first, and never keeps one above the bound alone: a core kept to
+cutoff c is one c^3 stack, so one at c >= 162 is never kept, the squeezer's
+chain spectra hold about c^3/3 words, so theirs at c >= 232 are not (5.7e6
+at c = 256), and the transfer tables hold c^3 + 2 c^2, so theirs at
+c >= 161 are not.  Cached arrays are read-only: a core is returned as the
+kept array itself, which every use copies as it folds, scales or subtracts,
+the spectra and tables as a fresh list of kept arrays each call, and a
+unitary as a writeable copy.  Argument checks and the squeezer's leakage
+warning run on every call, before the lookup; the prover's Kraus operators
+and outputs are built per call, by scaling the cached spectra and gathering
+through the cached tables.
 """
 
 from __future__ import annotations
@@ -106,13 +112,16 @@ from .symplectic import SymplecticSpec
 SQUEEZE_LEAKAGE_WARN = 1e-4
 MAX_CUTOFF = 256
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
-_CORE_ENTRIES = 1 << 22  # entries each cache of _cached may hold (32 MB of float64)
+_CORE_ENTRIES = 1 << 22  # 8-byte words each cache of _cached may hold (32 MB)
 
-# The caches of _cached, each value (a list of tuples of arrays, its entries),
-# least recently used first: the squeezed cores of _squeezed_sectors, and the
-# spectra of the unit generators that every exponential scales.
+# The caches of _cached, each value (a list of tuples of arrays, its size),
+# least recently used first: the squeezed cores of _squeezed_sectors, the
+# spectra of the unit generators that every exponential scales, the Gaussian
+# unitaries of the specs, and the per-cutoff gather tables.
 _CORES: OrderedDict = OrderedDict()
 _SPECTRA: OrderedDict = OrderedDict()
+_UNITARIES: OrderedDict = OrderedDict()  # gaussian_unitary_fock's matrices
+_TABLES: OrderedDict = OrderedDict()  # the per-cutoff index tables of _tables
 _CACHE_LOCK = threading.Lock()
 
 
@@ -256,11 +265,11 @@ def _wrapped_grid(cutoff: int) -> np.ndarray:
 def _cached(store: OrderedDict, key: tuple, build) -> list:
     """``build()``, a list of tuples of arrays, kept in ``store`` under ``key``.
 
-    Each store is a least-recently-used cache bounded by the entries of the
-    last array of each tuple (a core's stack, a spectrum's eigenvectors),
-    _CORE_ENTRIES in all: it drops the least recently used values first and
-    never keeps one above the bound alone.  Kept arrays are read-only, and
-    each call returns a fresh list of them.
+    Each store is a least-recently-used cache bounded by the size of every
+    array of its values in 8-byte words (an entry of a float64 or int64
+    array, half of a complex one), _CORE_ENTRIES in all: it drops the least
+    recently used values first and never keeps one above the bound alone.
+    Kept arrays are read-only, and each call returns a fresh list of them.
     """
     with _CACHE_LOCK:
         held = store.pop(key, None)
@@ -268,7 +277,7 @@ def _cached(store: OrderedDict, key: tuple, build) -> list:
             store[key] = held  # the most recently used sits last
             return list(held[0])
     value = build()
-    size = sum(arrays[-1].size for arrays in value)
+    size = sum(x.nbytes for arrays in value for x in arrays) // 8
     if size > _CORE_ENTRIES:
         return value
     # copies: a view would keep its whole padded stack alive, uncounted by the bound
@@ -281,6 +290,21 @@ def _cached(store: OrderedDict, key: tuple, build) -> list:
         while sum(n for _, n in store.values()) > _CORE_ENTRIES:
             store.popitem(last=False)
     return list(value)
+
+
+def _tables(build, cutoff: int) -> tuple:
+    """The index tables ``build(cutoff)``, a tuple of arrays that depend on
+    the cutoff only, kept by :func:`_cached` under (build, cutoff)."""
+    [tables] = _cached(_TABLES, (build, cutoff), lambda: [build(cutoff)])
+    return tables
+
+
+def _grid_tables(cutoff: int) -> tuple:
+    """(j, rows): the wrapped grid j of :func:`_wrapped_grid` and rows[s, x] =
+    x c + j[s, x], the flat index in a c x c amplitude array (or a c^2
+    two-mode index) of row x of wrapped diagonal s."""
+    j = _wrapped_grid(cutoff)
+    return j, np.arange(cutoff) * cutoff + j
 
 
 def _spectrum(w: np.ndarray) -> tuple:
@@ -381,7 +405,7 @@ def _assemble(sectors: np.ndarray) -> np.ndarray:
     """The dense c^2 x c^2 matrix of a wrapped stack, in one scatter: the
     diagonals partition the states, so each entry of the stack lands once."""
     c = sectors.shape[0]
-    state = np.arange(c) * c + _wrapped_grid(c)  # state[s, x], the index i c + j of row x of diagonal s
+    _, state = _tables(_grid_tables, c)  # state[s, x], the index i c + j of row x of diagonal s
     M = np.zeros((c * c, c * c), dtype=complex)
     M[state[:, :, None], state[:, None, :]] = sectors
     return M
@@ -429,10 +453,21 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     R(phi) = e^{i phi n} are diagonal, so they scale the squeezer's rows and
     columns, and the displacement at beta = 0 is the identity, so it is
     skipped: the identity target's unitary is np.eye exactly.
+
+    The matrix is built once per (the bytes of S, the bytes of d, cutoff)
+    while the cache of :func:`_cached` holds the key, and each call returns
+    a writeable copy of it.
     """
     _check_cutoff(cutoff)
     if spec.n_modes != 1:
         raise ValueError("Fock oracle supports single-mode Gaussian unitaries only")
+    key = (spec.S.tobytes(), spec.d.tobytes(), cutoff)
+    [(U,)] = _cached(_UNITARIES, key, lambda: [(_build_gaussian_unitary(spec, cutoff),)])
+    return U.copy()
+
+
+def _build_gaussian_unitary(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
+    """Build the matrix that :func:`gaussian_unitary_fock` caches."""
     W, sig, Vh = np.linalg.svd(spec.S)
     if np.linalg.det(W) < 0:  # fold reflections into the squeeze axis
         F = np.diag([1.0, -1.0])
@@ -620,7 +655,8 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     with B = S_kappa ((1 - k n) (x) 1) S_kappa+: B's wrapped n1 - n2 stack in
     the frame U, with no dense matrix.  A diagonal U = diag(u) keeps n1 - n2,
     so the frame folds into the stack as u[x] B[s, x, y] conj(u[y]), x and y
-    being first-slot photon numbers.
+    being first-slot photon numbers; a real u, as the identity target's,
+    folds into a real stack.
     """
     _check_cutoff(cutoff)
     kappa = _kappa(lam)
@@ -630,6 +666,8 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     u = np.diagonal(U)
     if np.count_nonzero(U - np.diag(u)):
         return FockOperator(cutoff, form=(U, core))
+    if not np.any(u.imag):
+        u = u.real
     return FockOperator(cutoff, u[:, None] * core * u.conj())
 
 
@@ -679,11 +717,10 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> tuple:
     if kind == "attenuator":
         if not 0 < param <= 1:
             raise ValueError(f"transmissivity must lie in (0, 1], got {param}")
+        (log_binom,) = _tables(_log_binomials, c)
         k, m = np.arange(c)[:, None], np.arange(c)
-        log_fact = _log_factorials(2 * c - 1)
-        log_binom = log_fact[m + k] - log_fact[m] - log_fact[k]
         table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + m * np.log(param)))
-        return 1, np.where(m < c - k, table, 0.0)  # T[k, m] = K_k[m, m + k]
+        return 1, table  # T[k, m] = K_k[m, m + k]
     if kind != "amplifier":
         raise ValueError(f"unknown elementary channel factor {kind!r}")
     if param < 1:
@@ -694,6 +731,14 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> tuple:
     for q, E in _chain_exps(theta, c, c, first_column=True):
         T[: E.shape[-1], q] = E.T  # T[k, q] = K_k[q + k, q]
     return -1, T
+
+
+def _log_binomials(cutoff: int) -> tuple:
+    """(log C(m + k, k),), the attenuator's table at [k, m], -inf past the
+    end of K_k's diagonal (m >= c - k), where its entries are zero."""
+    k, m = np.arange(cutoff)[:, None], np.arange(cutoff)
+    log_fact = _log_factorials(2 * cutoff - 1)
+    return (np.where(m < cutoff - k, log_fact[m + k] - log_fact[m] - log_fact[k], -np.inf),)
 
 
 def _transfer(kraus: tuple) -> np.ndarray:
@@ -709,16 +754,25 @@ def _transfer(kraus: tuple) -> np.ndarray:
     Both entries of a term lie on K's diagonal, so with M = sum_K K, the
     whole table written into a zero-padded 2c x 2c array at once (its zeros
     past each diagonal's end land in the padding), the sum has the one term
-    M[p, q] conj(M[p + delta, q + delta]): one gather.
+    M[p, q] conj(M[p + delta, q + delta]): one gather, through the flat
+    indices of :func:`_transfer_tables`.
     """
     sign, T = kraus
     c = T.shape[1]
-    k, m = np.arange(T.shape[0])[:, None], np.arange(c)
-    p = m + k * (sign < 0)  # the row of entry m of K_k
-    M = np.zeros((2 * c, 2 * c), dtype=T.dtype)
-    M[p, p + sign * k] = T
+    put_up, put_down, take = _tables(_transfer_tables, c)
+    M = np.zeros(4 * c * c, dtype=T.dtype)
+    M[(put_up if sign > 0 else put_down)[: T.size]] = T.ravel()
+    return M.reshape(2 * c, 2 * c)[:c, :c] * M.take(take).conj()
+
+
+def _transfer_tables(cutoff: int) -> tuple:
+    """(put_up, put_down, take) of :func:`_transfer` at cutoff c: the flat
+    index in the 2c x 2c array M of entry T[k, m] (k-major) of a table at
+    offsets +k and at -k, and take[delta, p, q], that of M[p + delta, q + delta]."""
+    c, n = cutoff, 2 * cutoff
+    k, m = np.arange(c)[:, None], np.arange(c)
     t, delta = np.arange(c), np.arange(c)[:, None, None]
-    return M[:c, :c] * M[delta + t[:, None], delta + t].conj()
+    return (m * n + m + k).ravel(), ((m + k) * n + m).ravel(), (delta + t[:, None]) * n + delta + t
 
 
 def _kraus_stack(X: np.ndarray, kraus: tuple, right: bool = False) -> np.ndarray:
@@ -765,12 +819,12 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray) -> float:
     M, c = A.shape[:2]
     cols = A.transpose(1, 2, 0)  # [i, l, m]
     step = max(1, _TERM_ENTRIES // (M * c * c))
-    x, j = np.arange(c), _wrapped_grid(c)
+    _, rows = _tables(_grid_tables, c)
     total = 0.0
     for n in range(0, B.shape[0], step):
-        X = (B[n:n + step].transpose(2, 0, 1).reshape(-1, c) @ cols).reshape(c, c, -1)  # [i, j, (n, m)]
+        X = (B[n:n + step].transpose(2, 0, 1).reshape(-1, c) @ cols).reshape(c * c, -1)  # [i c + j, (n, m)]
         for s in range(c):
-            F = X[x, j[s]]
+            F = X.take(rows[s], axis=0)
             if np.isrealobj(sectors):  # Re f+ W f = Re(f) W Re(f) + Im(f) W Im(f): one real product
                 F = F.view(float)
             total += np.vdot(F, sectors[s] @ F).real
@@ -835,15 +889,23 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     # the factors' transfer blocks composed left to right (the identity channel's for none)
     blocks = [_transfer(f) for _, f in factors] or [_transfer((1, np.ones((1, cutoff))))]
     S = functools.reduce(lambda S, T: T @ S, blocks)
-    # one gather over the wrapped grid, as many entries as S; an entry between the two chains
-    # of diagonal s, rows x < c - s <= y, reads S_(y - x)[x, x + s] with x + s >= c - (y - x),
-    # where every transfer block, and so their product, is zero
-    x = np.arange(cutoff)
-    first = np.minimum.outer(x, x)
-    j = _wrapped_grid(cutoff)
-    G = np.take(S, np.abs(x[:, None] - x) * cutoff**2 + (x * cutoff + j)[:, first])
+    j, _ = _tables(_grid_tables, cutoff)
+    (gather,) = _tables(_output_gather, cutoff)
+    G = S.take(gather)
     G *= a[j][:, :, None] * a[j][:, None, :]
     return FockState(cutoff, G)
+
+
+def _output_gather(cutoff: int) -> tuple:
+    """The flat index into the (c, c, c) transfer blocks S of each entry of
+    :func:`entangled_output_fock`'s wrapped stack, as many entries as S:
+    (x, y) of diagonal s reads S_|x - y| at |min(x, y), (min(x, y) + s) mod c>.
+    An entry between the two chains of diagonal s, rows x < c - s <= y,
+    reads S_(y - x)[x, x + s] with x + s >= c - (y - x), where every transfer
+    block, and so their product, is zero."""
+    x = np.arange(cutoff)
+    _, rows = _tables(_grid_tables, cutoff)
+    return (np.abs(x[:, None] - x) * cutoff**2 + rows[:, np.minimum.outer(x, x)],)
 
 
 def expectation(op: FockOperator, state: FockState) -> float:

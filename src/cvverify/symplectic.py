@@ -92,7 +92,11 @@ def _read_object(data, what: str, readers: dict, check=None) -> dict:
 
 @dataclass(frozen=True)
 class SymplecticSpec:
-    """A Gaussian unitary target: symplectic matrix ``S`` plus displacement ``d``."""
+    """A Gaussian unitary target: symplectic matrix ``S`` plus displacement ``d``.
+
+    Two specs are equal when their S and d are equal by value, and the hash
+    reads their bytes (with -0.0 as 0.0), so a spec, and a config that holds
+    one, compares and hashes after a ``to_dict`` or pickle round trip."""
 
     S: np.ndarray
     d: np.ndarray
@@ -106,6 +110,18 @@ class SymplecticSpec:
             raise ValueError(f"d has shape {d.shape}, expected ({S.shape[0]},)")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "d", d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymplecticSpec):
+            return NotImplemented
+        return np.array_equal(self.S, other.S) and np.array_equal(self.d, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.S.shape, (self.S + 0.0).tobytes(), (self.d + 0.0).tobytes()))
+
+    def __reduce__(self):
+        # unpickled through __init__, so S and d are read-only again
+        return type(self), (self.S, self.d)
 
     @property
     def n_modes(self) -> int:

@@ -2,6 +2,7 @@ import functools
 import inspect
 import re
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -1345,16 +1346,156 @@ def test_repeated_prover_side_builds_diagonalise_nothing(monkeypatch, cutoff):
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_spectrum_cache_keeps_its_entry_bound(monkeypatch):
     """A spectrum above the bound is rebuilt on every call and never kept.
-    The squeezer's chain spectra at cutoff c hold the eigenvector entries of
-    their padded stacks: 12 * 12^2 + 8 * 20^2 = 4928 at c = 20 and
-    12 * 12^2 + 9 * 21^2 = 5697 at 21 (and about 5.6e6 at c = 256, above
-    the real bound of 2^22)."""
-    monkeypatch.setattr(fock, "_CORE_ENTRIES", 5000)
+    The squeezer's chain spectra at cutoff c count every array of their
+    padded stacks, the members, eigenvalues and eigenvectors:
+    (12 + 12^2 + 12^3) + (8 + 8 * 20 + 8 * 20^2) = 5252 at c = 20 and
+    (12 + 12^2 + 12^3) + (9 + 9 * 21 + 9 * 21^2) = 6051 at 21 (and about
+    5.7e6 at c = 256, above the real bound of 2^22)."""
+    monkeypatch.setattr(fock, "_CORE_ENTRIES", 5500)
     calls = _count_eigh(monkeypatch)
     fock._SPECTRA.clear()
     for c in (20, 21):
         for g in (1.2, 1.3):
             fock._kraus_diagonals("amplifier", g, c)
     assert list(fock._SPECTRA) == [("chains", 20, 20)]
-    assert sum(size for _, size in fock._SPECTRA.values()) == 4928
+    assert sum(size for _, size in fock._SPECTRA.values()) == 5252
     assert len(calls) == 2 + 2 * 2  # two stacks each: once at c = 20, on both calls at c = 21
+
+
+# The Gaussian unitaries of the specs and the per-cutoff gather tables, kept
+# by the same cache rule as the cores and the spectra, and the real fold of a
+# real diagonal frame.
+
+UNITARY_SPECS = {
+    "identity": sp.identity(1),
+    "squeezed-displaced": _FRAMED_SPEC,
+    "random": sp.random_symplectic(1, r_max=0.5, d_scale=0.4, rng=np.random.default_rng(5)),
+}
+
+
+def _count_unitary_builds(monkeypatch):
+    """Count the calls of fock._build_gaussian_unitary."""
+    calls = []
+    build = fock._build_gaussian_unitary
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fock, "_build_gaussian_unitary", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_SPECS))
+def test_cached_unitary_matches_a_cold_build_and_returns_a_copy(name):
+    """A hit is the cold build bit for bit; the kept matrix is read-only, and
+    every call returns a writeable copy, so a write to one reaches no other."""
+    spec = UNITARY_SPECS[name]
+    fock._UNITARIES.clear()
+    cold = fock.gaussian_unitary_fock(spec, 12)
+    [([(kept,)], size)] = fock._UNITARIES.values()
+    hit = fock.gaussian_unitary_fock(spec, 12)
+    assert hit.tobytes() == cold.tobytes() == fock._build_gaussian_unitary(spec, 12).tobytes()
+    assert hit.dtype == cold.dtype == complex and size == 2 * 12**2
+    assert not kept.flags.writeable and hit.flags.writeable and cold.flags.writeable
+    assert not np.shares_memory(hit, kept) and not np.shares_memory(cold, kept)
+    hit[0, 0] = 7.0
+    assert fock.gaussian_unitary_fock(spec, 12).tobytes() == cold.tobytes() == kept.tobytes()
+
+
+def test_a_different_spec_or_cutoff_misses_the_unitary_cache(monkeypatch):
+    """One ulp of S or of d, or another cutoff, is another unitary; an equal
+    spec made of other arrays is a hit."""
+    calls = _count_unitary_builds(monkeypatch)
+    fock._UNITARIES.clear()
+    spec = UNITARY_SPECS["random"]
+    S, d = spec.S.copy(), spec.d.copy()
+    S[0, 1] = np.nextafter(S[0, 1], np.inf)
+    d[1] = np.nextafter(d[1], np.inf)
+    for args in ((spec, 12), (sp.SymplecticSpec(S, spec.d), 12), (sp.SymplecticSpec(spec.S, d), 12), (spec, 13)):
+        before = len(calls)
+        fock.gaussian_unitary_fock(*args)
+        assert len(calls) == before + 1
+        fock.gaussian_unitary_fock(*args)
+        assert len(calls) == before + 1
+    fock.gaussian_unitary_fock(sp.SymplecticSpec(spec.S.copy(), spec.d.copy()), 12)
+    assert len(calls) == 4 and len(fock._UNITARIES) == 4
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_one_dual_path_check_builds_its_unitary_once(monkeypatch):
+    """The unitary witness's frame and an exact prover's leading unitary are
+    one spec, so a dual-path check builds its Fock unitary once."""
+    calls = _count_unitary_builds(monkeypatch)
+    fock._UNITARIES.clear()
+    spec = UNITARY_SPECS["random"]
+    W = fock.witness_fock_unitary(spec, 1.0, 12)
+    state = fock.entangled_output_fock(elementary_factors(exact_unitary(spec)), 1.0, 12)
+    assert abs(fock.expectation(W, state) - 1.0) < 1e-3 and len(calls) == 1
+
+
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [2, 3, 20])
+def test_kept_tables_equal_a_fresh_build(cutoff):
+    """Each per-cutoff table a dual path reads is kept once, read-only, and
+    equals a fresh build bit for bit; its size counts all its arrays."""
+    fock._TABLES.clear()
+    ops = [("unitary", _FRAMED_SPEC), ("attenuator", 0.8), ("amplifier", 1.2)]
+    W = fock.witness_fock_unitary(_FRAMED_SPEC, 1.0, cutoff)
+    for _ in range(2):  # a miss, then a hit
+        fock.expectation(W, fock.entangled_output_fock(ops, 1.0, cutoff))
+        fock.expectation(fock.witness_fock_amp(2.0, 1.0, cutoff), fock.entangled_output_fock(ops[1:], 1.0, cutoff))
+        assert fock.witness_fock_amp(2.0, 1.0, cutoff).matrix.shape == (cutoff**2,) * 2
+    builds = (fock._grid_tables, fock._transfer_tables, fock._output_gather, fock._log_binomials)
+    assert set(fock._TABLES) == {(build, cutoff) for build in builds}
+    for (build, c), ([kept], size) in list(fock._TABLES.items()):
+        fresh, name = build(c), build.__name__
+        assert len(kept) == len(fresh) and size == sum(x.nbytes for x in fresh) // 8, name
+        for x, y in zip(kept, fresh):
+            assert not x.flags.writeable and x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def test_cache_counts_every_array_of_a_value(monkeypatch):
+    """A value's size is every array it holds, in 8-byte words (two per
+    complex entry): a value above the bound is never kept, though its last
+    array alone would fit, and a new value evicts the oldest."""
+    monkeypatch.setattr(fock, "_CORE_ENTRIES", 100)
+    store, calls = OrderedDict(), []
+
+    def build():
+        calls.append(1)
+        return [(np.zeros(60), np.zeros(50))]
+
+    for _ in range(2):
+        fock._cached(store, "over", build)
+    assert len(calls) == 2 and not store
+    fock._cached(store, "complex", lambda: [(np.zeros(30, dtype=complex), np.zeros(30))])
+    assert [(key, size) for key, (_, size) in store.items()] == [("complex", 90)]
+    fock._cached(store, "two", lambda: [(np.zeros(5, dtype=np.int64),), (np.zeros(6),)])
+    assert [(key, size) for key, (_, size) in store.items()] == [("two", 11)]
+    # the transfer tables at c = 20 hold 400 + 400 + 20^3 = 8800 words: above a bound of
+    # 8500 that their largest array alone meets, so they are rebuilt on every call
+    monkeypatch.setattr(fock, "_CORE_ENTRIES", 8500)
+    fock._TABLES.clear()
+    for _ in range(2):
+        fock._transfer(fock._kraus_diagonals("attenuator", 0.7, 20))
+    assert list(fock._TABLES) == [(fock._log_binomials, 20)]
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("lam, cutoff", [(1.0, 12), (0.8, 20)])
+def test_identity_witness_is_a_float_stack_equal_to_its_core(lam, cutoff):
+    """The identity target's frame is real and diagonal, so it folds into a
+    float stack equal to the core, a new writeable array; a rotation's
+    diagonal frame has phases and folds into a complex one."""
+    W = fock.witness_fock_unitary(sp.identity(1), lam, cutoff)
+    core = fock._squeezed_sectors(fock._kappa(lam), 1.0 - lam / (lam + 1.0) * np.arange(cutoff, dtype=float), 0,
+                                  cutoff)
+    assert W.sectors.dtype == np.float64 and np.array_equal(W.sectors, core)
+    assert W.sectors.flags.writeable and not np.shares_memory(W.sectors, core)
+    rotation = sp.SymplecticSpec(np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]), np.zeros(2))
+    rotated = fock.witness_fock_unitary(rotation, lam, cutoff)
+    assert rotated.sectors is not None and np.iscomplexobj(rotated.sectors)

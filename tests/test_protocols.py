@@ -921,6 +921,20 @@ def test_witness_form_and_tmsv_are_built_once_per_config(monkeypatch):
     assert fresh.witness_form is not cfg.witness_form and fresh.tmsv is not cfg.tmsv
 
 
+def test_configs_compare_and_hash_by_value_after_a_round_trip():
+    """A unitary or state config read back from its dict or its pickle holds
+    a new target object, equal to the first by value, with the same hash."""
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(4))
+    state = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
+    for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), state, cfg_amp(2.5)):
+        for back in (VerificationConfig.from_dict(cfg.to_dict()), pickle.loads(pickle.dumps(cfg))):
+            assert back == cfg and hash(back) == hash(cfg) and len({back, cfg}) == 1
+    nudged = spec.S.copy()
+    nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)
+    other = cfg_unitary(sp.SymplecticSpec(nudged, spec.d), F_t=0.8, eps=0.03)
+    assert other != cfg_unitary(spec, F_t=0.8, eps=0.03) and other != state
+
+
 def test_built_form_leaves_the_config_unchanged():
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(1))
     for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5)):
@@ -934,5 +948,4 @@ def test_built_form_leaves_the_config_unchanged():
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             form.C[0, 0] = 1.0
-        if cfg.target is None:  # a target's arrays do not compare by value
-            assert back == cfg
+        assert back == cfg and hash(back) == hash(cfg)

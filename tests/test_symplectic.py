@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,26 @@ def test_serialization_roundtrip():
     b = sp.SymplecticSpec.from_dict(a.to_dict())
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.d, b.d)
+
+
+def test_specs_compare_by_value_and_hash_by_bytes():
+    """Equal S and d are an equal spec with one hash, whatever the objects,
+    and -0.0 is 0.0; one ulp of S or of d, or another mode count, is
+    another spec.  A spec never equals what is not a spec, and one read back
+    from its pickle is equal and read-only."""
+    spec = sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(3))
+    twin = sp.SymplecticSpec(spec.S.copy(), spec.d.copy())
+    assert spec == twin and hash(spec) == hash(twin) and len({spec, twin}) == 1
+    signed = sp.SymplecticSpec(np.eye(2), np.array([-0.0, 0.0]))
+    assert signed == sp.identity(1) and hash(signed) == hash(sp.identity(1))
+    S, d = spec.S.copy(), spec.d.copy()
+    S[1, 2] = np.nextafter(S[1, 2], np.inf)
+    d[3] = np.nextafter(d[3], np.inf)
+    for other in (sp.SymplecticSpec(S, spec.d), sp.SymplecticSpec(spec.S, d), sp.identity(1), sp.identity(2)):
+        assert other != spec and not other == spec
+    assert spec != spec.to_dict() and spec != "identity"
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec) and not back.S.flags.writeable and not back.d.flags.writeable
 
 
 def test_from_dict_names_the_object_it_reads():
