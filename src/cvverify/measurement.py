@@ -4,12 +4,14 @@ A homodyne setting assigns a quadrature angle to a subset of modes (all
 selected quadratures commute since they live on distinct modes).  Shots are
 i.i.d. draws from the exact multivariate-Gaussian marginal of the rotated
 quadratures, so every moment estimate reads only the shot sum and the
-scatter sum.  ``marginals`` stacks the exact marginals of many (setting,
-columns) pairs, and ``moment_sums`` draws those two sufficient statistics
-for all of them at once, at a cost independent of the shot count; the
-tests keep a per-shot sampler as its reference.  ``build_measurement_plan``
-lists the m+5 settings of the unitary game; which moment each one measures
-is stated once, by ``protocols.plan_unitary``.
+scatter sum.  ``marginals`` stacks the exact marginals of many
+projections, each the projector rows of the columns a setting's batch
+reads (``protocols._compile`` builds them, the one caller of
+``rotated_quadrature_projector``), and ``moment_sums`` draws those two
+sufficient statistics for all of them at once, at a cost independent of
+the shot count; the tests keep a per-shot sampler as its reference.
+``build_measurement_plan`` lists the m+5 settings of the unitary game;
+which moment each one measures is stated once, by ``protocols.plan_unitary``.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ def rotated_quadrature_projector(setting: HomodyneSetting, n_modes: int) -> np.n
     return P
 
 
-def marginals(state: GaussianState, settings, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Gaussian marginals, one per (setting, columns) pair: the mean
+def marginals(state: GaussianState, P: np.ndarray, settings) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Gaussian marginals of G projections P, shape (G, k, 2n): the
+    rows P_b of k quadratures that settings[b] measures.  Returns the mean
     P_b mu, shape (G, k), and a square root R_b of the covariance
-    P_b V P_b^T, shape (G, k, k), where P_b holds the projector rows of the
-    k listed columns of the setting's measured quadratures.
+    P_b V P_b^T, shape (G, k, k).
 
     R_b = U diag(sqrt(l)) from the eigendecomposition U diag(l) U^T, so it is
     exact also for a (near-)singular covariance, where a Cholesky factor
@@ -74,14 +76,8 @@ def marginals(state: GaussianState, settings, columns) -> tuple[np.ndarray, np.n
     16 k eps max|V|, the error of forming P_b V P_b^T and of the
     eigensolver) count as 0; a lower one is a ValueError naming the setting.
     """
-    first_row, projectors, rows = {}, [], []  # keyed by identity: plans reuse their settings
-    for setting, cols in zip(settings, columns):
-        start = first_row.get(id(setting))
-        if start is None:
-            start = first_row[id(setting)] = sum(map(len, projectors))
-            projectors.append(rotated_quadrature_projector(setting, state.n_modes))
-        rows += [start + c for c in cols]
-    P = np.concatenate(projectors)[rows].reshape(len(settings), -1, 2 * state.n_modes)
+    if P.shape[2] != 2 * state.n_modes:
+        raise ValueError(f"the projections cover {P.shape[2] // 2} modes, the state has {state.n_modes}")
     lam, U = np.linalg.eigh(P @ state.cov @ P.transpose(0, 2, 1))
     tol = 16 * P.shape[1] * np.finfo(float).eps * np.abs(state.cov).max()
     bad = np.flatnonzero(lam[:, 0] < -tol)

@@ -14,25 +14,22 @@ simulator:
 
 Every witness is affine in homodyne moments, omega = c0 + sum_k w_k <O_k>.
 A game's plan builder returns ``(batches, c0, shares)``, and one pipeline
-serves all three: ``estimate_terms`` turns each ``Batch`` into its share of
-omega from fresh shots.  The exact (infinite-shot) witness is one affine
-form per config, omega = c0 + a^T mu + <C, M> on the means mu and raw
-second moments M of the measured state, read off the same batches through
-each term's projector rows and weight; the config builds it, and the TMSV
-the verifier prepares, on first use and keeps both, so a config that
-serves several witness evaluations or verdicts pays for them once.
-``shares`` gives each count key its share of epsilon, and the
-budget reads the rest of Lemma 3 off the batches: a key sizes as many
-observables as its batches have terms.
-A batch's estimate reads only the sum and the scatter sum of its i.i.d.
-Gaussian shots, and these sufficient statistics are drawn exactly, so the
-paper's uncapped budgets run at a cost independent of the shot count.  All
-three games reach a verdict through one core on the state the verifier
-homodynes, which builds and compiles the plan once per call: the batches
-are grouped by count key and number of columns read, each group keeps the
-stacked exact marginals of just those columns (``measurement.marginals``),
-and each seed's one Generator draws every group, in plan order, in a few
-array calls (``measurement.moment_sums``).
+serves all three.  ``_compile`` reads the plan alone and is the one place a
+setting is projected: it groups the batches by count key and number of
+columns read, and keeps each group's stacked projector rows and its terms
+as (row, column i, column j or none, weight).  The exact (infinite-shot)
+witness is one affine form per config, omega = c0 + a^T mu + <C, M> on the
+means mu and raw second moments M of the measured state, read off those
+rows; the config builds it, and the TMSV the verifier prepares, on first
+use and keeps both.  ``shares`` gives each count key its share of epsilon,
+and the budget reads the rest of Lemma 3 off the batches: a key sizes as
+many observables as its batches have terms.  All three games reach a
+verdict through one core, which compiles the plan once per call: each
+group that draws shots gets the stacked exact marginals of its rows
+(``measurement.marginals``), and each seed's one Generator draws their shot
+and scatter sums, sufficient statistics, in plan order and in a few array
+calls (``measurement.moment_sums``), so an uncapped budget costs no more
+than a capped one.
 
 All additive constants are derived under the fixed vacuum-variance-1/2
 convention and pinned by the exact identities "honest prover gives
@@ -159,10 +156,16 @@ class VerificationConfig:
 
     @cached_property
     def witness_form(self) -> WitnessForm:
-        """The game's exact witness as one affine form, read off ``witness_plan``
-        on first use; the TMSV and the form are built independently."""
+        """The game's exact witness as one affine form, built on first use and
+        independently of the TMSV: a term w <x_i> whose projector rows are P
+        adds w P[i] to a, and a term w <x_i x_j> adds w P[i]^T P[j] to C."""
         batches, c0, _ = witness_plan(self)
-        return _affine_form(batches, c0)
+        L, R, w, j = map(np.concatenate, zip(*((g.P[g.rows, g.i], g.P[g.rows, g.j], g.weights, g.j)
+                                               for g in _compile(batches))))
+        L *= w[:, None]
+        a, C = L[j < 0].sum(0), L[j >= 0].T @ R[j >= 0]
+        a.flags.writeable = C.flags.writeable = False
+        return WitnessForm(c0, a, C)
 
     def __getstate__(self) -> dict:
         # only the fields: a pickle never carries the built TMSV or form
@@ -422,43 +425,53 @@ def witness_plan(cfg: VerificationConfig) -> tuple[list, float, dict]:
 
 
 class _Group(NamedTuple):
-    """The batches of one count key whose terms read k columns, compiled:
-    their positions in the plan, the shot count, the stacked marginals of
-    those columns, and every term as (row in the group, index into the
-    flattened shot sums then scatter sums, weight), in term order."""
+    """The plan's batches of one count key whose terms read k columns,
+    compiled: their positions in the plan, their settings, the stacked
+    projector rows of the columns they read, shape (G, k, 2n), and every
+    term, in term order, as (row in the group, column i, column j or -1 for
+    a mean, weight), with its index into the flattened shot sums then
+    scatter sums."""
 
+    key: str
     index: np.ndarray
-    shots: int
-    mean: np.ndarray
-    root: np.ndarray
+    settings: list
+    P: np.ndarray
     rows: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
     flat: np.ndarray
     weights: np.ndarray
 
 
-def _compile(state: GaussianState, batches, counts: dict) -> list[_Group]:
-    """Group the batches that draw shots by (count key, number of columns
-    read), in the order each pair first appears in the plan."""
-    members = {}
+def _compile(batches) -> list[_Group]:
+    """Group the plan's batches by (count key, number of columns read), in
+    the order each pair first appears in the plan, projecting each distinct
+    setting once: the one map from a term to the projector rows it reads."""
+    n_modes = len(batches[0].setting.angles)
+    first_row, projectors, members = {}, [], {}
     for pos, b in enumerate(batches):
-        if counts[b.key] <= 0:
-            if any(w for _, _, w in b.terms):
-                raise ValueError(f"shot budget {b.key} must be positive")
-            continue
+        start = first_row.get(id(b.setting))  # keyed by identity: plans reuse their settings
+        if start is None:
+            start = first_row[id(b.setting)] = sum(map(len, projectors))
+            projectors.append(rotated_quadrature_projector(b.setting, n_modes))
         cols = sorted({c for i, j, _ in b.terms for c in (i, j) if c is not None})
-        members.setdefault((b.key, len(cols)), []).append((pos, b, cols))
+        members.setdefault((b.key, len(cols)), []).append((pos, b, cols, [start + c for c in cols]))
+    stacked = np.concatenate(projectors)
     groups = []
     for (key, k), group in members.items():
-        mean, root = marginals(state, [b.setting for _, b, _ in group], [c for _, _, c in group])
-        rows, flat, weights = [], [], []
-        for row, (_, b, cols) in enumerate(group):
-            for i, j, w in b.terms:
-                at = row * k + cols.index(i)  # where column i sits in the flattened shot sums
+        rows, i, j, flat, weights = [], [], [], [], []
+        for row, (_, b, cols, _) in enumerate(group):
+            for ti, tj, w in b.terms:
+                i.append(cols.index(ti))
+                j.append(-1 if tj is None else cols.index(tj))
+                at = row * k + i[-1]  # where column i sits in the flattened shot sums
                 rows.append(row)
-                flat.append(at if j is None else len(group) * k + at * k + cols.index(j))
+                flat.append(at if tj is None else len(group) * k + at * k + j[-1])
                 weights.append(w)
-        groups.append(_Group(np.array([pos for pos, _, _ in group]), counts[key], mean, root,
-                             np.array(rows), np.array(flat), np.array(weights, dtype=float)))
+        pos, grouped, _, read = zip(*group)
+        groups.append(_Group(key, np.array(pos), [b.setting for b in grouped],
+                             stacked[sum(read, [])].reshape(len(group), k, -1),
+                             *np.array((rows, i, j, flat)), np.array(weights, dtype=float)))
     return groups
 
 
@@ -466,25 +479,32 @@ def estimate_terms(state: GaussianState, batches, counts: dict, seeds) -> list[l
     """Each batch's contribution to omega from counts[batch.key] fresh shots,
     once per seed.
 
-    A term reads only the shot sum and the scatter sum of its batch, so these
-    sufficient statistics are drawn directly (``measurement.moment_sums``):
-    the cost does not grow with the shot count.  The plan is compiled once
-    for all seeds: the batches are grouped by count key and number of
-    columns read, and each group keeps the exact marginals of just those
-    columns.  Each seed gets one np.random.default_rng(seed), which draws
-    the groups in plan order, and a batch's term is sum_t w_t s_t / N, its
-    weighted sums added in term order.  A batch without shots contributes 0
-    if all its weights are 0 and is an error otherwise.
+    A term reads only the shot sum and the scatter sum of its batch, drawn
+    directly (``measurement.moment_sums``), so the cost does not grow with
+    the shot count.  The plan is compiled once for all seeds, and each group
+    that draws shots gets the exact marginals of its projector rows; a group
+    without shots is skipped before any is built, and is an error if a
+    weight of it is nonzero, as is a count key missing from ``counts``.
+    Each seed's one np.random.default_rng(seed) draws the groups in plan
+    order, and a batch's term is sum_t w_t s_t / N, added in term order.
     """
-    groups = _compile(state, batches, counts)
+    stats = []
+    for g in _compile(batches):
+        if g.key not in counts:
+            raise ValueError(f"counts has no shot count for key {g.key!r}")
+        if counts[g.key] <= 0:
+            if g.weights.any():
+                raise ValueError(f"shot budget {g.key} must be positive")
+            continue
+        stats.append((g, counts[g.key], *marginals(state, g.P, g.settings)))
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         terms = np.zeros(len(batches))
-        for g in groups:
-            s1, s2 = moment_sums(g.mean, g.root, rng, g.shots)
+        for g, shots, mean, root in stats:
+            s1, s2 = moment_sums(mean, root, rng, shots)
             values = np.concatenate((s1.ravel(), s2.ravel()))[g.flat]
-            terms[g.index] = np.bincount(g.rows, g.weights * values, g.index.size) / g.shots
+            terms[g.index] = np.bincount(g.rows, g.weights * values, g.index.size) / shots
         out.append(terms.tolist())
     return out
 
@@ -500,35 +520,6 @@ class WitnessForm(NamedTuple):
 
     def value(self, mean: np.ndarray, second: np.ndarray) -> float:
         return float(self.c0 + self.a @ mean + np.vdot(self.C, second))
-
-
-def _affine_form(batches, c0: float) -> WitnessForm:
-    """The plan's witness in the infinite-shot limit as one affine form: a
-    term w <x_i> of a batch whose setting has projector P adds w P[i] to a,
-    and a term w <x_i x_j> adds w P[i]^T P[j] to C.  Each distinct setting
-    is projected once.  The projectors are stacked with one more column, and
-    below them a row that is 1 only there, which a mean term takes as its
-    second row; so one gather of every term's two rows and one product
-    over all terms give [C a]."""
-    n = 2 * len(batches[0].setting.angles)
-    first_row, projectors, rows, starts = {}, [], 0, []
-    for b in batches:
-        start = first_row.get(id(b.setting))  # keyed by identity: plans reuse their settings
-        if start is None:
-            start = first_row[id(b.setting)] = rows
-            projectors.append(rotated_quadrature_projector(b.setting, n // 2))
-            rows += len(projectors[-1])
-        starts += [start] * len(b.terms)
-    i, j, w = zip(*(t for b in batches for t in b.terms))
-    P = np.zeros((rows + 1, n + 1))
-    P[:rows, :n] = np.concatenate(projectors)
-    P[-1, n] = 1.0
-    right = [-1 if jt is None else at + jt for at, jt in zip(starts, j)]
-    L, R = P[np.array([np.add(starts, i), right])]
-    form = (np.array(w)[:, None] * L).T @ R
-    a, C = np.ascontiguousarray(form[:n, n]), np.ascontiguousarray(form[:n, :n])
-    a.flags.writeable = C.flags.writeable = False
-    return WitnessForm(c0, a, C)
 
 
 def witness_analytic(prover: ProverChannel, cfg: VerificationConfig) -> float:
@@ -591,6 +582,15 @@ def _decide(omega_star: float, cfg: VerificationConfig) -> bool:
     return omega_star >= cfg.F_t + cfg.epsilon
 
 
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int; a bool, a fraction or one below ``least`` is a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
               shot_cap: int | None) -> list[Verdict]:
     """One verdict per seed on the measured ``state``, which has the modes of
@@ -605,12 +605,12 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
         raise ValueError("the supplied state violates the uncertainty relation")
     if not seeds:
         raise ValueError("repetitions must be at least 1")
-    if shot_cap is not None and shot_cap < 1:
-        raise ValueError(f"shot_cap must be at least 1, got {shot_cap}")
-    budget = _budget(cfg, batches, shares)
-    counts = budget.counts
+    for seed in seeds:
+        _integer(seed, "seed", 0)
     if shot_cap is not None:
-        counts = {k: min(c, shot_cap) for k, c in counts.items()}
+        shot_cap = _integer(shot_cap, "shot_cap", 1)
+    budget = _budget(cfg, batches, shares)
+    counts = budget.counts if shot_cap is None else {k: min(c, shot_cap) for k, c in budget.counts.items()}
     verdicts = []
     for seed, terms in zip(seeds, estimate_terms(state, batches, counts, seeds)):
         omega = c0 + sum(terms)
@@ -659,7 +659,8 @@ def accept_rate(
     shot_cap: int | None = None,
 ) -> tuple[float, list[Verdict]]:
     """Run the protocol ``repetitions`` times with independent seeds."""
-    verdicts = _verdicts(output_state(prover, cfg), cfg, range(seed, seed + repetitions), shot_cap)
+    seeds = range(_integer(seed, "seed", 0), seed + _integer(repetitions, "repetitions", 1))
+    verdicts = _verdicts(output_state(prover, cfg), cfg, seeds, shot_cap)
     return sum(v.accepted for v in verdicts) / repetitions, verdicts
 
 

@@ -628,13 +628,25 @@ def test_one_parser_per_process_and_the_command_read_at_call_time(monkeypatch, c
     assert cli.build_parser.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("argv", [["plan", "0"], ["lemmas", "--cutoff", "1"],
-                                  ["lemmas", "--thetas", "abc"]])
-def test_invalid_argument_values_exit_2(argv, capsys):
+# (argv, the config error it prints); "SCENARIO" stands for the scenario fixture's file
+INVALID_ARGUMENTS = [
+    (["plan", "0"], "m must be at least 1"),
+    (["lemmas", "--cutoff", "1"], "cutoff must lie in [2, 256], got 1"),
+    (["lemmas", "--thetas", "abc"], "could not convert string to float: 'abc'"),
+    # a negative seed ended in numpy's "expected non-negative integer"
+    (["verify", "--config", "SCENARIO", "--seed", "-5"], "seed must be at least 0, got -5"),
+    (["sweep", "--config", "SCENARIO", "--seed", "-1", "--points", "1"], "seed must be at least 0, got -1"),
+    (["sweep", "--config", "SCENARIO", "--reps", "0", "--points", "1"], "repetitions must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_ARGUMENTS, ids=[f"argv{n}" for n in range(len(INVALID_ARGUMENTS))])
+def test_invalid_argument_values_exit_2(argv, message, scenario, capsys):
+    path, _ = scenario
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([str(path) if a == "SCENARIO" else a for a in argv])
     assert exc.value.code == 2
-    assert "config error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"config error: {message}\n")
 
 
 def test_closed_form_suite_compares_blocks_to_the_dense_maximum(tmp_path, monkeypatch, capsys):

@@ -60,26 +60,25 @@ def _record(cfg, state) -> dict:
     return {"exact_omega": cfg.witness_form.value(state.mean, second).hex(), "verdicts": verdicts}
 
 
-def _records() -> dict:
-    return {name: _record(cfg, state) for name, cfg, state in _games()}
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name, cfg, state", list(_games()), ids=lambda x: x if isinstance(x, str) else "")
-def test_verdicts_equal_the_golden_file(golden, name, cfg, state):
-    got, want = _record(cfg, state), golden[name]
+GAMES = {name: (cfg, state) for name, cfg, state in _games()}
+
+
+@pytest.mark.parametrize("name", list(GAMES))
+def test_verdicts_equal_the_golden_file(golden, name):
+    got, want = _record(*GAMES[name]), golden[name]
     assert got["verdicts"] == want["verdicts"]
     exact, pinned = float.fromhex(got["exact_omega"]), float.fromhex(want["exact_omega"])
     assert abs(exact - pinned) <= 1e-14 * abs(pinned)
 
 
 def test_golden_file_covers_every_config(golden):
-    assert list(golden) == [name for name, _, _ in _games()]
+    assert list(golden) == list(GAMES)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_records(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({name: _record(*game) for name, game in GAMES.items()}, indent=1) + "\n")

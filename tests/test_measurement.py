@@ -159,7 +159,8 @@ def _moment_sums(shots, reps, seed):
     """``reps`` independent draws of the shot and scatter sums of the dense
     four-column marginal, as one stacked ``moment_sums`` call."""
     st, setting, _, _ = _displaced_pairs()
-    mean, root = ms.marginals(st, [setting] * reps, [range(4)] * reps)
+    P = ms.rotated_quadrature_projector(setting, 4)
+    mean, root = ms.marginals(st, np.array([P] * reps), [setting] * reps)
     return ms.moment_sums(mean, root, np.random.default_rng(seed), shots)
 
 
@@ -195,7 +196,7 @@ def test_moment_sums_scatter_is_wishart(shots):
 
 def test_moment_sums_edge_counts_and_determinism():
     st, setting, _, _ = _displaced_pairs()
-    mean, root = ms.marginals(st, [setting], [range(4)])
+    mean, root = ms.marginals(st, ms.rotated_quadrature_projector(setting, 4)[None], [setting])
     for shots in (0, -1):
         with pytest.raises(ValueError, match="shots must be positive"):
             ms.moment_sums(mean, root, np.random.default_rng(0), shots)
@@ -219,9 +220,9 @@ def test_marginal_roots_are_exact_for_singular_covariances():
     cov = P @ st.cov @ P.T
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov)
-    mean, root = ms.marginals(st, [setting], [(0, 1)])
+    mean, root = ms.marginals(st, P[None], [setting])
     np.testing.assert_allclose(root[0] @ root[0].T, cov, rtol=1e-12)
     np.testing.assert_array_equal(mean, [[0.0, 0.0]])
-    _, root = ms.marginals(st, [setting, setting], [(0,), (1,)])
+    _, root = ms.marginals(st, P[:, None], [setting, setting])
     np.testing.assert_allclose(root[:, 0, 0] ** 2, np.diag(cov), rtol=1e-12)
 

@@ -14,7 +14,7 @@ from cvverify.channels import (
     exact_unitary,
     optimal_amplifier,
 )
-from cvverify.measurement import build_measurement_plan, marginals, moment_sums
+from cvverify.measurement import build_measurement_plan, marginals, moment_sums, rotated_quadrature_projector
 from cvverify.protocols import (
     Batch,
     VerificationConfig,
@@ -291,6 +291,51 @@ def test_prover_mode_mismatch_names_both_counts():
 def test_accept_rate_needs_a_repetition():
     with pytest.raises(ValueError, match="repetitions"):
         accept_rate(exact_unitary(sp.identity(1)), cfg_unitary(sp.identity(1)), 0, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p, c: run_verification(p, c, seed=0, shot_cap=True), "shot_cap must be an integer, got True"),
+    (lambda p, c: run_verification(p, c, seed=0, shot_cap=2.5), "shot_cap must be an integer, got 2.5"),
+    (lambda p, c: run_verification(p, c, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda p, c: run_verification(p, c, seed=-1), "seed must be at least 0, got -1"),
+    (lambda p, c: run_verification(p, c, seed=True), "seed must be an integer, got True"),
+    (lambda p, c: accept_rate(p, c, 2.0, seed=0), "repetitions must be an integer, got 2.0"),
+    (lambda p, c: accept_rate(p, c, 2, seed=-1), "seed must be at least 0, got -1"),
+    (lambda p, c: accept_rate(p, c, 2, seed=1.5), "seed must be an integer, got 1.5"),
+])
+def test_malformed_seed_shot_cap_and_repetitions_are_named(call, message):
+    # a bool cap drew one shot per observable and a bool seed ran as seed 1;
+    # fractions ended in TypeError and a negative seed in numpy's message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(exact_unitary(sp.identity(1)), cfg_unitary(sp.identity(1)))
+
+
+def test_integer_seed_and_cap_of_any_int_type_run():
+    cfg = cfg_unitary(sp.identity(1))
+    v = run_verification(exact_unitary(sp.identity(1)), cfg, seed=np.int64(3), shot_cap=np.int64(100))
+    assert v.diagnostics["shot_cap"] == 100 and type(v.diagnostics["shot_cap"]) is int
+    assert v.to_dict() == run_verification(exact_unitary(sp.identity(1)), cfg, seed=3, shot_cap=100).to_dict()
+
+
+def test_estimate_terms_reads_each_group_count():
+    # a missing key ended in KeyError: 'c3'; a key without shots is an error
+    # only where a weight of its group is nonzero (d != 0 gives mean weights);
+    # a state of the wrong mode count is named before any draw
+    for d_scale in (0.0, 0.3):
+        spec = sp.random_symplectic(1, r_max=0.3, d_scale=d_scale, rng=np.random.default_rng(0))
+        cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+        state, batches = output_state(exact_unitary(spec), cfg), plan_unitary(cfg)[0]
+        with pytest.raises(ValueError, match="counts has no shot count for key 'c3'"):
+            estimate_terms(state, batches, {"c4": 10, "c5": 10}, [0])
+        one_mode = ga.GaussianState(np.zeros(2), 0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="the projections cover 2 modes, the state has 1"):
+            estimate_terms(one_mode, batches, dict.fromkeys(("c3", "c4", "c5"), 10), [0])
+        counts = {"c3": 0, "c4": 10, "c5": 10}
+        if d_scale:
+            with pytest.raises(ValueError, match="shot budget c3 must be positive"):
+                estimate_terms(state, batches, counts, [0])
+        else:
+            assert estimate_terms(state, batches, counts, [0])[0][:2] == [0.0, 0.0]
 
 
 def test_state_plan_batches_all_have_terms():
@@ -732,7 +777,8 @@ def group_layout_terms(state, batches, counts, seed):
     out = [0.0] * len(batches)
     for (key, _), members in groups.items():
         n = counts[key]
-        mean, root = marginals(state, [b.setting for _, b, _ in members], [c for _, _, c in members])
+        P = np.array([rotated_quadrature_projector(b.setting, state.n_modes)[cols] for _, b, cols in members])
+        mean, root = marginals(state, P, [b.setting for _, b, _ in members])
         s1, s2 = moment_sums(mean, root, rng, n)
         for g, (pos, b, cols) in enumerate(members):
             total = 0.0
@@ -823,6 +869,30 @@ def test_m4_unitary_verdict_draws_once_per_group(monkeypatch):
     assert len(draws) == len(factors) == 4
     assert sum(len(mean) for mean, *_ in draws) == len(v.diagnostics["terms"]) == 108
     assert [mean.shape[1] for mean, *_ in draws] == [1, 1, 2, 2]
+
+
+def test_m4_unitary_verdict_without_displacement_builds_no_mean_marginal(monkeypatch):
+    # d = 0: the c3 mean key draws no shots, so its group is skipped before
+    # a marginal is built, and the three second-moment groups are drawn
+    draws = _count_calls(monkeypatch, protocols, "moment_sums")
+    factors = _count_calls(monkeypatch, protocols, "marginals")
+    spec = sp.random_symplectic(4, r_max=0.3, d_scale=0.0, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    v = run_verification(exact_unitary(spec), cfg, seed=0, shot_cap=1000)
+    assert len(draws) == len(factors) == 3
+    assert [P.shape[:2] for _, P, _ in factors] == [(12, 1), (24, 2), (64, 2)]
+    assert v.diagnostics["terms"][:8] == [0.0] * 8 and v.diagnostics["shots"][:8] == [0] * 8
+
+
+def test_sample_budget_projects_no_setting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the budget projected a setting")
+
+    monkeypatch.setattr(protocols, "rotated_quadrature_projector", refuse)
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5),
+                VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)):
+        assert sample_budget(cfg).channel_uses > 0
 
 
 def test_each_verdict_call_builds_one_plan(monkeypatch):

@@ -1,10 +1,11 @@
 """Static checks of the library source, read with ``ast``: every import is
 used, every module-level private function is referenced somewhere in the
 package, every public function and Fock-oracle method has a caller outside
-the tests, every parameter default is overridden by some caller,
-only the verdict path draws random numbers, and the Fock oracle imports no
-phase-space code.  One check runs the package's imports in a fresh
-interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
+the tests, every parameter default is overridden by some caller, only
+``protocols._compile`` projects a setting, only the verdict path draws
+random numbers, and the Fock oracle imports no phase-space code.  One check
+runs the package's imports in a fresh interpreter: neither ``cvverify`` nor
+its CLI loads SciPy."""
 
 import ast
 import os
@@ -128,6 +129,17 @@ def test_every_parameter_default_is_overridden_by_a_caller():
              for func, param, index in _defaulted_parameters(tree)
              if not any(_overridden(call, param, index) for call in calls.get(func, []))]
     assert never == []
+
+
+def test_one_caller_projects_a_setting():
+    """The map from a plan term to the projector rows it reads is built in
+    one place, ``protocols._compile``: the sampler and the exact witness both
+    read its groups, so no other library code projects a setting."""
+    calls = _calls(TREES.values()).get("rotated_quadrature_projector", [])
+    assert len(calls) == 1
+    compile_ = next(node for node in TREES["protocols.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_compile")
+    assert calls[0] in list(ast.walk(compile_))
 
 
 def test_only_the_verdict_path_calls_np_random():
