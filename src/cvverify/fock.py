@@ -16,8 +16,8 @@ of real antisymmetric tridiagonal blocks: the squeezer's chain blocks,
 zero-padded into a few length classes; the displacement's a+ - a, in the
 phase frame of beta; and the single-mode squeezer's even and odd chains.
 Each unit generator's spectrum (Lambda, V) comes from one stacked ``eigh``
-per (generator, cutoff, chain count), and a call only scales it:
-exp(-i theta H) = V e^{-i theta Lambda} V+, through one numpy kernel
+(the squeezer's kept per cutoff and chain count), and a call only scales
+it: exp(-i theta H) = V e^{-i theta Lambda} V+, through one numpy kernel
 (:func:`_exp_tridiagonal`), which returns the identity exactly at theta = 0.
 The squeezer's chains from |0, j> and |j, 0> have the same generator, so
 each such pair is exponentiated once, and a diagonal core inside a squeezer
@@ -69,31 +69,18 @@ shift diagonals) hold about c^3 entries, and 256^3 = 4096^2, a dense matrix
 of dimension 4096.
 A cutoff that is not an integer is refused the same way.
 
-Four least-recently-used caches keep what depends only on a specification
-or a cutoff, by one rule (:func:`_cached`).  The squeezed cores
-S_theta D S_theta+ of a specification (the unitary witness's core, the
-amplification witness and the closed-form observable's branches) depend on
-theta, D and the cutoff only, so ``_squeezed_sectors`` keeps them keyed on
-(theta, the bytes of D's diagonal, its slot, the cutoff, the kept cutoff).
-The unit generators' spectra are kept keyed on (generator, cutoff, chain
-count).  ``gaussian_unitary_fock`` keeps a spec's matrix keyed on (the bytes
-of S, the bytes of d, the cutoff), so a target and a prover on that target
-build it once.  The per-cutoff gather tables (:func:`_tables`: the wrapped
-grid and its flat rows, the transfer blocks' flat indices, the output
-stack's gather, the attenuator's log-binomial table) are kept keyed on
-(table, cutoff).  Each cache is bounded by every array of its values, in
-8-byte words, _CORE_ENTRIES = 2^22 (32 MB) in all, drops the least recently
-used values first, and never keeps one above the bound alone: a core kept to
-cutoff c is one c^3 stack, so one at c >= 162 is never kept, the squeezer's
-chain spectra hold about c^3/3 words, so theirs at c >= 232 are not (5.7e6
-at c = 256), and the transfer tables hold c^3 + 2 c^2, so theirs at
-c >= 161 are not.  Cached arrays are read-only: a core is returned as the
-kept array itself, which every use copies as it folds, scales or subtracts,
-the spectra and tables as a fresh list of kept arrays each call, and a
-unitary as a writeable copy.  Argument checks and the squeezer's leakage
-warning run on every call, before the lookup; the prover's Kraus operators
-and outputs are built per call, by scaling the cached spectra and gathering
-through the cached tables.
+One memo (:func:`_memo`) keeps what depends only on a specification or a
+cutoff: the squeezed cores S_theta D S_theta+ of a witness or closed form,
+the squeezer's chain spectra, a spec's Fock unitary, and the per-cutoff
+gather tables.  It is one least-recently-used store under one lock, keyed on
+the builder and its arguments, an array or a spec by its bytes.
+Every array of every kept value counts, in 8-byte words: no value above
+2^22 words (32 MB) is kept, and the store holds at most 2^24 (128 MB), the
+least recently used values going first.  Kept values are read-only, and a
+unitary is returned as a writeable copy.  Argument checks and the
+squeezer's leakage warning run on every call, before the lookup; the
+prover's Kraus operators and outputs are built per call, by scaling the
+kept spectra and gathering through the kept tables.
 """
 
 from __future__ import annotations
@@ -112,17 +99,13 @@ from .symplectic import SymplecticSpec
 SQUEEZE_LEAKAGE_WARN = 1e-4
 MAX_CUTOFF = 256
 _TERM_ENTRIES = 1 << 19  # term entries one product of _term_trace may form
-_CORE_ENTRIES = 1 << 22  # 8-byte words each cache of _cached may hold (32 MB)
+_MEMO_VALUE_WORDS = 1 << 22  # 8-byte words one value of _memo may hold (32 MB)
+_MEMO_WORDS = 1 << 24  # 8-byte words _memo holds in all (128 MB)
 
-# The caches of _cached, each value (a list of tuples of arrays, its size),
-# least recently used first: the squeezed cores of _squeezed_sectors, the
-# spectra of the unit generators that every exponential scales, the Gaussian
-# unitaries of the specs, and the per-cutoff gather tables.
-_CORES: OrderedDict = OrderedDict()
-_SPECTRA: OrderedDict = OrderedDict()
-_UNITARIES: OrderedDict = OrderedDict()  # gaussian_unitary_fock's matrices
-_TABLES: OrderedDict = OrderedDict()  # the per-cutoff index tables of _tables
-_CACHE_LOCK = threading.Lock()
+# The store of _memo: (builder, key of its arguments) -> (value, its words),
+# least recently used first.
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(eq=False, repr=False)
@@ -136,7 +119,7 @@ class _Fock:
     Diagonal s holds the chain from |0, s> (rows x < c - s) and the one from
     |c - s, 0> (rows x >= c - s), each state at x = its first-slot photon
     number; M conserves n1 - n2, so W[s] is block diagonal over the two,
-    with exact zeros between them (see :func:`_wrapped_grid`)."""
+    with exact zeros between them (see :func:`_grid_tables`)."""
 
     cutoff: int
     sectors: np.ndarray | None = None
@@ -236,75 +219,72 @@ def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
     return np.tanh(r) ** np.arange(cutoff, dtype=float) / np.cosh(r)
 
 
-def _chain_grid(cutoff: int) -> tuple:
-    """(i, j, lengths) of the chains of states that L = a1+ a2+ links: row k
-    of i and j holds the photon numbers along chain k, in order, in its first
-    lengths[k] entries, and 0, the vacuum, past them.
-
-    L moves |i, j> to |i+1, j+1>, so it conserves n1 - n2, and the
-    2 cutoff - 1 chains partition the truncated two-mode space.  Each starts
-    where L+ leaves it: at |0, j> for every j (chain j), then at |i, 0> for
-    i >= 1 (chain cutoff - 1 + i), the same length as the one from |0, i>.
-    """
-    c = cutoff
-    i0 = np.concatenate([np.zeros(c, dtype=int), np.arange(1, c)])
-    j0 = np.concatenate([np.arange(c), np.zeros(c - 1, dtype=int)])
-    t = np.arange(c)
-    lengths = c - np.maximum(i0, j0)
-    live = t < lengths[:, None]
-    return np.where(live, i0[:, None] + t, 0), np.where(live, j0[:, None] + t, 0), lengths
+def _key(arg):
+    """An argument of a memoized builder as its key: an array by its dtype,
+    shape and bytes, a spec by the bytes of its S and d (float arrays whose
+    shapes its mode count fixes), anything else as itself."""
+    if isinstance(arg, np.ndarray):
+        return arg.dtype, arg.shape, arg.tobytes()
+    if isinstance(arg, SymplecticSpec):
+        return arg.S.tobytes(), arg.d.tobytes()
+    return arg
 
 
-def _wrapped_grid(cutoff: int) -> np.ndarray:
-    """j[s, x] = (x + s) mod c, the second-slot photon number of row x of
-    diagonal s of the wrapped stacks of :class:`_Fock`."""
-    x = np.arange(cutoff)
-    return (x + x[:, None]) % cutoff
+def _frozen(value):
+    """``value``, an array or a tuple of values, with every array read-only.
+    A view is copied first: it would keep its whole base alive, uncounted."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    if value.base is not None:
+        value = value.copy()
+    value.setflags(write=False)
+    return value
 
 
-def _cached(store: OrderedDict, key: tuple, build) -> list:
-    """``build()``, a list of tuples of arrays, kept in ``store`` under ``key``.
+def _words(value) -> int:
+    """The 8-byte words of every array of a value (two per complex entry)."""
+    return sum(map(_words, value)) if isinstance(value, tuple) else value.nbytes // 8
 
-    Each store is a least-recently-used cache bounded by the size of every
-    array of its values in 8-byte words (an entry of a float64 or int64
-    array, half of a complex one), _CORE_ENTRIES in all: it drops the least
-    recently used values first and never keeps one above the bound alone.
-    Kept arrays are read-only, and each call returns a fresh list of them.
-    """
-    with _CACHE_LOCK:
-        held = store.pop(key, None)
-        if held is not None:
-            store[key] = held  # the most recently used sits last
-            return list(held[0])
-    value = build()
-    size = sum(x.nbytes for arrays in value for x in arrays) // 8
-    if size > _CORE_ENTRIES:
+
+def _memo(build):
+    """``build``, whose value is an array or a tuple of values, memoized in
+    the one store ``_MEMO`` under (build, the :func:`_key` of each argument).
+
+    The store is least recently used first.  A value above _MEMO_VALUE_WORDS
+    is rebuilt on every call and never kept, and the oldest values go while
+    the store holds more than _MEMO_WORDS.  Every value it returns, kept or
+    not, is read-only (:func:`_frozen`), so a hit and a miss look alike."""
+
+    @functools.wraps(build)
+    def memoized(*args):
+        key = (build, *map(_key, args))
+        with _MEMO_LOCK:
+            held = _MEMO.get(key)
+            if held is not None:
+                _MEMO.move_to_end(key)
+                return held[0]
+        value = _frozen(build(*args))
+        words = _words(value)
+        if words <= _MEMO_VALUE_WORDS:
+            with _MEMO_LOCK:
+                _MEMO[key] = value, words
+                total = sum(n for _, n in _MEMO.values())
+                while total > _MEMO_WORDS:
+                    total -= _MEMO.popitem(last=False)[1][1]
         return value
-    # copies: a view would keep its whole padded stack alive, uncounted by the bound
-    value = [tuple(x.copy() for x in arrays) for arrays in value]
-    for arrays in value:
-        for x in arrays:
-            x.setflags(write=False)
-    with _CACHE_LOCK:
-        store[key] = value, size
-        while sum(n for _, n in store.values()) > _CORE_ENTRIES:
-            store.popitem(last=False)
-    return list(value)
+
+    return memoized
 
 
-def _tables(build, cutoff: int) -> tuple:
-    """The index tables ``build(cutoff)``, a tuple of arrays that depend on
-    the cutoff only, kept by :func:`_cached` under (build, cutoff)."""
-    [tables] = _cached(_TABLES, (build, cutoff), lambda: [build(cutoff)])
-    return tables
-
-
+@_memo
 def _grid_tables(cutoff: int) -> tuple:
-    """(j, rows): the wrapped grid j of :func:`_wrapped_grid` and rows[s, x] =
-    x c + j[s, x], the flat index in a c x c amplitude array (or a c^2
-    two-mode index) of row x of wrapped diagonal s."""
-    j = _wrapped_grid(cutoff)
-    return j, np.arange(cutoff) * cutoff + j
+    """(j, rows) of the wrapped stacks of :class:`_Fock`: j[s, x] =
+    (x + s) mod c, the second-slot photon number of row x of diagonal s, and
+    rows[s, x] = x c + j[s, x], its flat index in a c x c amplitude array (or
+    a c^2 two-mode index)."""
+    x = np.arange(cutoff)
+    j = (x + x[:, None]) % cutoff
+    return j, x * cutoff + j
 
 
 def _spectrum(w: np.ndarray) -> tuple:
@@ -325,7 +305,7 @@ def _exp_tridiagonal(spectrum: tuple, theta: float, first_column: bool = False) 
     B[k+1, k] = w_k = -B[k, k+1], from the ``spectrum`` (Lambda, V) of
     :func:`_spectrum` of the off-diagonals w, or only the first column of
     each when ``first_column``.  Every matrix exponential of the oracle
-    goes through here; theta only scales the cached spectrum.
+    goes through here; theta only scales the spectrum.
 
     B = P (-i H) P^-1 with P = diag(i^k), so exp(theta B)[k, l] =
     i^(k - l) (V e^{-i theta Lambda} V^T)[k, l].  H links only states of
@@ -358,33 +338,41 @@ _PAD = 12  # chains of up to 2 _PAD states are stacked padded to _PAD or 2 _PAD
 
 
 def _chain_exps(theta: float, cutoff: int, count: int, first_column: bool = False):
-    """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chain_grid`, as
+    """exp(theta (L - L+)) on the first ``count`` chains of :func:`_chain_spectra`, as
     zero-padded stacks: yields (members, E), E[r] holding the block of chain
     members[r] in its leading corner and the identity past its length, or
     only its first column when ``first_column``.  The spectra of the unit
-    blocks, theta = 1, are built once per (cutoff, count) while the cache
-    of :func:`_cached` holds them (:func:`_chain_spectra`)."""
-    spectra = _cached(_SPECTRA, ("chains", cutoff, count), lambda: _chain_spectra(cutoff, count))
-    for members, lam, V in spectra:
+    blocks, theta = 1, are kept per (cutoff, count) (:func:`_chain_spectra`)."""
+    for members, lam, V in _chain_spectra(cutoff, count):
         yield members, _exp_tridiagonal((lam, V), theta, first_column)
 
 
-def _chain_spectra(cutoff: int, count: int) -> list:
+@_memo
+def _chain_spectra(cutoff: int, count: int) -> tuple:
     """(members, Lambda, V) per stack of the unit chain blocks of
-    :func:`_chain_exps`.  On a chain, L has the weights
-    w_k = <i+1, j+1|L|i, j>, the off-diagonals of :func:`_exp_tridiagonal`;
-    past a chain's end the grid's vacuum gives zero weights, which leave
-    the padding uncoupled.  Short chains, whose spectrum costs less than a
-    call, are padded to ``_PAD`` or ``2 _PAD`` states; the longer ones run
-    one length per stack."""
-    i, j, lengths = (x[:count] for x in _chain_grid(cutoff))
+    :func:`_chain_exps`, for the chains from |0, j>, j < count.
+
+    L = a1+ a2+ moves |i, j> to |i+1, j+1>, so it conserves n1 - n2, and
+    its 2 cutoff - 1 chains partition the truncated two-mode space: each
+    starts where L+ leaves it, at |0, j> or at |j, 0>, and the two have the
+    same length, c - j, and the same block.  Row j of the grid (i, j) below
+    holds the photon numbers along chain j, and 0, the vacuum, past its
+    length.  On a chain, L has the weights w_k = <i+1, j+1|L|i, j>, the
+    off-diagonals of :func:`_exp_tridiagonal`; past a chain's end the
+    vacuum gives zero weights, which leave the padding uncoupled.  Short
+    chains, whose spectrum costs less than a call, are padded to ``_PAD`` or
+    ``2 _PAD`` states; the longer ones run one length per stack."""
+    t = np.arange(cutoff)
+    lengths = cutoff - t[:count]
+    live = t < lengths[:, None]
+    i, j = np.where(live, t, 0), np.where(live, t[:count, None] + t, 0)
     short = -(-lengths // _PAD) * _PAD
     padded = np.where(short <= 2 * _PAD, np.minimum(short, lengths.max()), lengths)
     spectra = []
     for length in np.unique(padded):
         members = np.flatnonzero(padded == length)
         spectra.append((members, *_spectrum(np.sqrt(i[members, 1:length] * j[members, 1:length]))))
-    return spectra
+    return tuple(spectra)
 
 
 def _check_squeezer(theta: float, cutoff: int) -> None:
@@ -405,7 +393,7 @@ def _assemble(sectors: np.ndarray) -> np.ndarray:
     """The dense c^2 x c^2 matrix of a wrapped stack, in one scatter: the
     diagonals partition the states, so each entry of the stack lands once."""
     c = sectors.shape[0]
-    _, state = _tables(_grid_tables, c)  # state[s, x], the index i c + j of row x of diagonal s
+    _, state = _grid_tables(c)  # state[s, x], the index i c + j of row x of diagonal s
     M = np.zeros((c * c, c * c), dtype=complex)
     M[state[:, :, None], state[:, None, :]] = sectors
     return M
@@ -414,11 +402,9 @@ def _assemble(sectors: np.ndarray) -> np.ndarray:
 def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
     """exp(beta a+ - conj(beta) a) = R exp(|beta| (a+ - a)) R+ in the phase
     frame R = e^{i phi n} of beta = |beta| e^{i phi}.  a+ - a is one
-    antisymmetric tridiagonal chain with the weights of a's off-diagonal,
-    whose spectrum is kept per cutoff (:func:`_cached`)."""
+    antisymmetric tridiagonal chain with the weights of a's off-diagonal."""
     _check_cutoff(cutoff)
-    (spectrum,) = _cached(_SPECTRA, ("displace", cutoff),
-                          lambda: [_spectrum(np.diagonal(destroy(cutoff), 1).real)])
+    spectrum = _spectrum(np.diagonal(destroy(cutoff), 1).real)
     u = np.exp(1j * np.angle(beta) * np.arange(cutoff))
     return u[:, None] * _exp_tridiagonal(spectrum, abs(beta)) * u.conj()
 
@@ -426,17 +412,12 @@ def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
 def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
     """exp(r (a+^2 - a^2) / 2).  a+^2 - a^2 links n only to n + 2, so it is
     two antisymmetric tridiagonal chains, the even and the odd photon
-    numbers, with the weights of a^2's second off-diagonal halved; their
-    spectra are kept per cutoff as one stack, the odd chain zero-padded to
-    the even one's length (:func:`_cached`)."""
+    numbers, with the weights of a^2's second off-diagonal halved, in one
+    stack, the odd chain zero-padded to the even one's length."""
     _check_cutoff(cutoff)
-
-    def build():
-        a = destroy(cutoff)
-        w = np.diagonal(a @ a, 2).real / 2  # w[n] links n and n + 2
-        return [_spectrum(np.append(w, np.zeros(cutoff % 2)).reshape(-1, 2).T)]
-
-    (spectrum,) = _cached(_SPECTRA, ("squeeze1", cutoff), build)
+    a = destroy(cutoff)
+    w = np.diagonal(a @ a, 2).real / 2  # w[n] links n and n + 2
+    spectrum = _spectrum(np.append(w, np.zeros(cutoff % 2)).reshape(-1, 2).T)
     E, odd = _exp_tridiagonal(spectrum, r), cutoff // 2
     U = np.zeros((cutoff, cutoff), dtype=complex)
     U[::2, ::2], U[1::2, 1::2] = E[0], E[1, :odd, :odd]
@@ -454,20 +435,18 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     columns, and the displacement at beta = 0 is the identity, so it is
     skipped: the identity target's unitary is np.eye exactly.
 
-    The matrix is built once per (the bytes of S, the bytes of d, cutoff)
-    while the cache of :func:`_cached` holds the key, and each call returns
-    a writeable copy of it.
+    The matrix is kept per (spec, cutoff) by :func:`_memo`, and each call
+    returns a writeable copy of it.
     """
     _check_cutoff(cutoff)
     if spec.n_modes != 1:
         raise ValueError("Fock oracle supports single-mode Gaussian unitaries only")
-    key = (spec.S.tobytes(), spec.d.tobytes(), cutoff)
-    [(U,)] = _cached(_UNITARIES, key, lambda: [(_build_gaussian_unitary(spec, cutoff),)])
-    return U.copy()
+    return _euler_unitary(spec, cutoff).copy()
 
 
-def _build_gaussian_unitary(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
-    """Build the matrix that :func:`gaussian_unitary_fock` caches."""
+@_memo
+def _euler_unitary(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
+    """The matrix of :func:`gaussian_unitary_fock`, read-only."""
     W, sig, Vh = np.linalg.svd(spec.S)
     if np.linalg.det(W) < 0:  # fold reflections into the squeeze axis
         F = np.diag([1.0, -1.0])
@@ -496,7 +475,7 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
     _check_cutoff(cutoff)
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
-    j, x = _wrapped_grid(cutoff), np.arange(cutoff)
+    (j, _), x = _grid_tables(cutoff), np.arange(cutoff)
     far = x >= cutoff - x[:, None]  # row x of diagonal s lies on the chain from |c - s, 0>
     same = far[:, :, None] == far[:, None, :]  # rows x and y of diagonal s share a chain
     m, n, m2, n2 = x[:, None], j[:, :, None], x, j[:, None, :]
@@ -532,7 +511,7 @@ def canonical_observable(
             f"reference thermal state ill-conditioned: smallest retained eigenvalue "
             f"{rho_r.min():.2e} < 1e-12 (cutoff too large for lam={lam})"
         )
-    r = (1.0 / np.sqrt(rho_r))[_wrapped_grid(cutoff)]  # rho_R^(-1/2) on R's photon number j
+    r = (1.0 / np.sqrt(rho_r))[_grid_tables(cutoff)[0]]  # rho_R^(-1/2) on R's photon number j
     O = r[:, :, None] * performance_operator_avg_fidelity(g, lam, cutoff).sectors * r[:, None, :]
     return FockOperator(cutoff, 0.5 * (O + O.swapaxes(1, 2)))
 
@@ -540,23 +519,18 @@ def canonical_observable(
 def _squeezed_sectors(
     theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int | None = None
 ) -> np.ndarray:
+    """The :func:`_squeezed_core` kept to ``keep`` (default ``cutoff``),
+    after the squeezer check, and so its leakage warning, on every call."""
+    _check_squeezer(theta, cutoff)
+    return _squeezed_core(theta, v, slot, cutoff, cutoff if keep is None else keep)
+
+
+@_memo
+def _squeezed_core(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> np.ndarray:
     """The wrapped stack of S_theta D S_theta+ for the diagonal D that is
     diag(v) on one slot (0 = A', 1 = R) and the identity on the other,
-    evaluated at ``cutoff``, truncated to photon numbers below ``keep``
-    (default ``cutoff``) and symmetrized.  :func:`_build_squeezed_sectors`
-    builds it once per key while the cache of :func:`_cached` holds the key,
-    read-only.  The squeezer check, and so its leakage warning, runs first
-    on every call.
-    """
-    keep = cutoff if keep is None else keep
-    _check_squeezer(theta, cutoff)
-    key = (float(theta), v.tobytes(), slot, cutoff, keep)
-    [(core,)] = _cached(_CORES, key, lambda: [(_build_squeezed_sectors(theta, v, slot, cutoff, keep),)])
-    return core
-
-
-def _build_squeezed_sectors(theta: float, v: np.ndarray, slot: int, cutoff: int, keep: int) -> np.ndarray:
-    """Build the stack that :func:`_squeezed_sectors` caches.
+    evaluated at ``cutoff``, truncated to photon numbers below ``keep`` and
+    symmetrized, read-only.
 
     D is diagonal, so each chain block E of the squeezer gives E diag(d) E^T.
     Photon numbers grow along a chain, so the kept states of each block are
@@ -717,9 +691,8 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> tuple:
     if kind == "attenuator":
         if not 0 < param <= 1:
             raise ValueError(f"transmissivity must lie in (0, 1], got {param}")
-        (log_binom,) = _tables(_log_binomials, c)
         k, m = np.arange(c)[:, None], np.arange(c)
-        table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (log_binom + m * np.log(param)))
+        table = (-np.sqrt(1.0 - param)) ** k * np.exp(0.5 * (_log_binomials(c) + m * np.log(param)))
         return 1, table  # T[k, m] = K_k[m, m + k]
     if kind != "amplifier":
         raise ValueError(f"unknown elementary channel factor {kind!r}")
@@ -733,12 +706,13 @@ def _kraus_diagonals(kind: str, param: float, cutoff: int) -> tuple:
     return -1, T
 
 
-def _log_binomials(cutoff: int) -> tuple:
-    """(log C(m + k, k),), the attenuator's table at [k, m], -inf past the
+@_memo
+def _log_binomials(cutoff: int) -> np.ndarray:
+    """log C(m + k, k), the attenuator's table at [k, m], -inf past the
     end of K_k's diagonal (m >= c - k), where its entries are zero."""
     k, m = np.arange(cutoff)[:, None], np.arange(cutoff)
     log_fact = _log_factorials(2 * cutoff - 1)
-    return (np.where(m < cutoff - k, log_fact[m + k] - log_fact[m] - log_fact[k], -np.inf),)
+    return np.where(m < cutoff - k, log_fact[m + k] - log_fact[m] - log_fact[k], -np.inf)
 
 
 def _transfer(kraus: tuple) -> np.ndarray:
@@ -759,12 +733,13 @@ def _transfer(kraus: tuple) -> np.ndarray:
     """
     sign, T = kraus
     c = T.shape[1]
-    put_up, put_down, take = _tables(_transfer_tables, c)
+    put_up, put_down, take = _transfer_tables(c)
     M = np.zeros(4 * c * c, dtype=T.dtype)
     M[(put_up if sign > 0 else put_down)[: T.size]] = T.ravel()
     return M.reshape(2 * c, 2 * c)[:c, :c] * M.take(take).conj()
 
 
+@_memo
 def _transfer_tables(cutoff: int) -> tuple:
     """(put_up, put_down, take) of :func:`_transfer` at cutoff c: the flat
     index in the 2c x 2c array M of entry T[k, m] (k-major) of a table at
@@ -819,7 +794,7 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray) -> float:
     M, c = A.shape[:2]
     cols = A.transpose(1, 2, 0)  # [i, l, m]
     step = max(1, _TERM_ENTRIES // (M * c * c))
-    _, rows = _tables(_grid_tables, c)
+    _, rows = _grid_tables(c)
     total = 0.0
     for n in range(0, B.shape[0], step):
         X = (B[n:n + step].transpose(2, 0, 1).reshape(-1, c) @ cols).reshape(c * c, -1)  # [i c + j, (n, m)]
@@ -889,14 +864,14 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     # the factors' transfer blocks composed left to right (the identity channel's for none)
     blocks = [_transfer(f) for _, f in factors] or [_transfer((1, np.ones((1, cutoff))))]
     S = functools.reduce(lambda S, T: T @ S, blocks)
-    j, _ = _tables(_grid_tables, cutoff)
-    (gather,) = _tables(_output_gather, cutoff)
-    G = S.take(gather)
+    j, _ = _grid_tables(cutoff)
+    G = S.take(_output_gather(cutoff))
     G *= a[j][:, :, None] * a[j][:, None, :]
     return FockState(cutoff, G)
 
 
-def _output_gather(cutoff: int) -> tuple:
+@_memo
+def _output_gather(cutoff: int) -> np.ndarray:
     """The flat index into the (c, c, c) transfer blocks S of each entry of
     :func:`entangled_output_fock`'s wrapped stack, as many entries as S:
     (x, y) of diagonal s reads S_|x - y| at |min(x, y), (min(x, y) + s) mod c>.
@@ -904,8 +879,8 @@ def _output_gather(cutoff: int) -> tuple:
     reads S_(y - x)[x, x + s] with x + s >= c - (y - x), where every transfer
     block, and so their product, is zero."""
     x = np.arange(cutoff)
-    _, rows = _tables(_grid_tables, cutoff)
-    return (np.abs(x[:, None] - x) * cutoff**2 + rows[:, np.minimum.outer(x, x)],)
+    _, rows = _grid_tables(cutoff)
+    return np.abs(x[:, None] - x) * cutoff**2 + rows[:, np.minimum.outer(x, x)]
 
 
 def expectation(op: FockOperator, state: FockState) -> float:
@@ -931,11 +906,15 @@ def max_eigenvalue(op: FockOperator) -> float:
 
 
 def default_cutoff(lam: float) -> int:
-    """Smallest cutoff keeping the TMSV input's truncation leakage below 1e-6."""
+    """Smallest cutoff keeping the TMSV input's truncation leakage below
+    1e-6; a ValueError when it exceeds MAX_CUTOFF."""
     _check_lam(lam)
     nbar = 1.0 / lam
     x = nbar / (nbar + 1.0)
     if x >= 1.0:
         raise ValueError(f"lam = {lam} is too small for a finite cutoff")
-    n = int(np.ceil(np.log(1e-6) / np.log(x)))
-    return max(n, 2)
+    n = max(int(np.ceil(np.log(1e-6) / np.log(x))), 2)
+    if n > MAX_CUTOFF:
+        raise ValueError(f"lam = {lam:g} needs cutoff {n} to keep the TMSV leakage below 1e-6, above the "
+                         f"largest, {MAX_CUTOFF}; pass --cutoff")
+    return n

@@ -66,11 +66,11 @@ def dense_matrix(op: fock.FockOperator) -> np.ndarray:
 
 
 def chains(cutoff: int) -> list:
-    """Photon numbers (i, j) along each chain of states that a1+ a2+ links,
-    in the order of ``fock._chain_grid``: from |0, j> for every j, then from
-    |i, 0> for i >= 1."""
-    i, j, lengths = fock._chain_grid(cutoff)
-    return [(a[:n], b[:n]) for a, b, n in zip(i, j, lengths)]
+    """Photon numbers (i, j) along each of the 2 cutoff - 1 chains of states
+    that a1+ a2+ links: from |0, j> for every j (the order of
+    ``fock._chain_spectra``'s members), then from |i, 0> for i >= 1."""
+    starts = [(0, j) for j in range(cutoff)] + [(i, 0) for i in range(1, cutoff)]
+    return [(i + np.arange(cutoff - max(i, j)), j + np.arange(cutoff - max(i, j))) for i, j in starts]
 
 
 def chain_blocks(W: np.ndarray) -> list:

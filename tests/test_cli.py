@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvverify import fock
 from cvverify.cli import main
 
 SCHEMA = json.loads(
@@ -371,21 +375,54 @@ def _no_report(monkeypatch):
 
 @pytest.mark.parametrize("lam, cutoff, code", [(0.05, None, 2), (1.0, "257", 2), (1e-20, None, 2)])
 def test_oracle_cutoff_guard(scenario, tmp_path, monkeypatch, capsys, lam, cutoff, code):
-    # default_cutoff(0.05) is 284 and --cutoff 257 is one over the bound of
-    # 256, and lam = 1e-20 has no finite cutoff: each stops before the oracle
-    # report
+    # lam = 0.05 needs the default cutoff 284, which the error names with the
+    # bound of 256 (it once read "got 284", a cutoff the user never gave);
+    # --cutoff 257 is one over the bound, and lam = 1e-20 has no finite
+    # cutoff: each stops before the oracle report
     _no_report(monkeypatch)
     _, data = scenario
     data["config"]["lam"] = lam
     path = tmp_path / "small_lam.json"
     path.write_text(json.dumps(data))
     argv = ["oracle", "--config", str(path)] + (["--cutoff", cutoff] if cutoff else [])
-    message = "lam = 1e-20 is too small" if lam == 1e-20 else f"cutoff must lie in [2, 256], got {cutoff or 284}"
+    message = {1e-20: "lam = 1e-20 is too small",
+               0.05: "lam = 0.05 needs cutoff 284 to keep the TMSV leakage below 1e-6, above the largest, 256; "
+                     "pass --cutoff"}.get(lam, f"cutoff must lie in [2, 256], got {cutoff}")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
     out, err = capsys.readouterr()
     assert out == "" and f"config error: {message}" in err
+
+
+@pytest.mark.filterwarnings("ignore:gain g=")
+@pytest.mark.parametrize("config, prover", [
+    ({"target": {"m": 1, "S": [1.2, 0.3, 0.1, 0.8583333333333334], "d": [0.2, -0.1]}},
+     {"kind": "NoisyUnitary", "excess": 0.05, "spec": {"m": 1, "S": [1.2, 0.3, 0.1, 0.8583333333333334], "d": [0.2, -0.1]}}),
+    ({"protocol": "amplification", "g": 2.0, "F_t": 0.3, "target": None},
+     {"kind": "NoisyAmplifier", "g": 1.1, "excess": 0.1}),
+], ids=["noisy-unitary", "noisy-amplifier"])
+def test_oracle_fock_numbers_are_the_same_cold_and_warm(scenario, tmp_path, capsys, config, prover):
+    """The Fock numbers of ``oracle`` are the same bit for bit in a fresh
+    interpreter, whose memo is empty, and on a cold and a warm call in
+    process: a kept value is the value a build gives."""
+    _, data = scenario
+    data["config"] = {k: v for k, v in {**data["config"], **config}.items() if v is not None}
+    data["prover"] = prover
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(data))
+    fields = ("fock_omega", "fock_state_leakage")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent.parent / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run([sys.executable, "-m", "cvverify.cli", "oracle", "--config", str(path)],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert fresh.returncode == 0, fresh.stderr
+    reports = [json.loads(fresh.stdout)]
+    fock._MEMO.clear()
+    for _ in range(2):  # a cold call, then a warm one
+        assert main(["oracle", "--config", str(path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert len({tuple(float.hex(r[f]) for f in fields) for r in reports}) == 1
 
 
 @pytest.mark.parametrize("cutoff", ["0", "1", "-3"])

@@ -1,8 +1,9 @@
 import functools
 import inspect
 import re
+import sys
+import threading
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -106,11 +107,11 @@ def test_squeeze2_unitary_on_interior():
 def test_squeeze2_leakage_warning():
     with pytest.warns(UserWarning, match="leakage"):
         fock.entangled_output_fock([("amplifier", np.cosh(2.0))], 1.0, 6)
-    fock._CORES.clear()
-    for _ in range(2):  # the second build reads the cached core, and warns all the same
+    fock._MEMO.clear()
+    for _ in range(2):  # the second build reads the kept core, and warns all the same
         with pytest.warns(UserWarning, match="leakage"):
             fock.witness_fock_amp(1.5, 1.0, 6)  # theta' = arctanh(sqrt(2) / 1.5)
-    assert len(fock._CORES) == 1
+    assert len(_held(fock._squeezed_core)) == 1
 
 
 def test_performance_operator_trace_is_one():
@@ -413,6 +414,15 @@ def test_default_cutoff_policy():
     nbar = 1.0
     tail = (nbar / (nbar + 1.0)) ** c
     assert tail <= 1e-6 < (nbar / (nbar + 1.0)) ** (c - 1)
+
+
+@pytest.mark.parametrize("lam, needed", [(0.05, 284), (0.01, 1389)])
+def test_default_cutoff_above_the_bound_is_refused(lam, needed):
+    """A lam whose default cutoff exceeds MAX_CUTOFF is a ValueError that
+    names lam, the cutoff it needs and the bound, never a cutoff outside it."""
+    with pytest.raises(ValueError, match=rf"lam = {lam:g} needs cutoff {needed} .* 256; pass --cutoff"):
+        fock.default_cutoff(lam)
+    assert fock.default_cutoff(0.056) == 254
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1153,9 +1163,21 @@ def test_unitary_dual_path_holds_no_dense_two_mode_array():
         assert peak < 64 * 2**20, (prover.kind, peak)
 
 
-# The squeezed-core cache of fock._squeezed_sectors: the config-side cores
-# (the unitary witness's, the amplification witness, the closed-form
-# branches) are built once per key; prover-side data is built per call.
+# The one memo of fock._memo: the config-side data (the squeezed cores of the
+# witnesses and closed forms, a spec's Fock unitary), the squeezer's chain
+# spectra and the per-cutoff gather tables are built once per key;
+# prover-side data is built per call.
+
+def _held(builder):
+    """The memo's entries of one memoized builder, least recently used
+    first: {the keys of its arguments: (value, its words)}."""
+    return {key[1:]: held for key, held in fock._MEMO.items() if key[0] is builder.__wrapped__}
+
+
+def _arrays(value) -> list:
+    """Every array of a memo value, an array or a tuple of values."""
+    return [x for v in value for x in _arrays(v)] if isinstance(value, tuple) else [value]
+
 
 def _count_chain_exps(monkeypatch):
     """Count the calls of fock._chain_exps, the squeezer's exponentials."""
@@ -1190,9 +1212,9 @@ CORE_BUILDS = {
 @pytest.mark.parametrize("name", sorted(CORE_BUILDS))
 def test_cached_core_matches_a_cold_build(name):
     build = CORE_BUILDS[name]
-    fock._CORES.clear()
+    fock._MEMO.clear()
     cold = build()
-    assert len(fock._CORES) == 1
+    assert len(_held(fock._squeezed_core)) == 1
     hit = build()
     assert np.array_equal(_core(cold), _core(hit))
     if cold.form is not None:
@@ -1202,11 +1224,11 @@ def test_cached_core_matches_a_cold_build(name):
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_cached_core_is_one_read_only_array_and_every_use_makes_a_new_one():
-    """A cached core is one read-only (c, c, c) array, the same object on a
+    """A kept core is one read-only (c, c, c) array, the same object on a
     miss and on every hit, and a write to it raises; the diagonal frame's
     fold, the closed form's scale and a difference each return a new,
     writeable array, so nothing built from a core writes into it."""
-    fock._CORES.clear()
+    fock._MEMO.clear()
     cores = []
     for _ in range(2):  # a miss, then a hit
         W = fock.witness_fock_amp(2.0, 1.0, 8)
@@ -1233,7 +1255,7 @@ def test_a_different_core_misses_the_cache(monkeypatch):
     """One ulp of theta, of D or of lam, the other slot or another kept cutoff
     is another core; only the same key is a hit."""
     calls = _count_chain_exps(monkeypatch)
-    fock._CORES.clear()
+    fock._MEMO.clear()
     theta, v = 0.4, fock.g_theta(0.4, 10)
     nudged = v.copy()
     nudged[3] = np.nextafter(v[3], 1.0)
@@ -1250,33 +1272,42 @@ def test_a_different_core_misses_the_cache(monkeypatch):
         assert len(calls) == before + 1
         build()
         assert len(calls) == before + 1
-    assert len(fock._CORES) == 7
+    assert len(_held(fock._squeezed_core)) == 7
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_core_cache_keeps_its_entry_bound_in_lru_order(monkeypatch):
-    """The cached block entries never exceed the bound; a core above it is
-    never kept, and a hit moves its core to the back of the eviction order."""
-    bound = 5000  # the core at cutoff c is one c^3 stack: 4913 entries at 17, 5832 at 18
-    monkeypatch.setattr(fock, "_CORE_ENTRIES", bound)
-    fock._CORES.clear()
-
-    def core(c):
-        return fock._squeezed_sectors(0.3, fock.g_theta(0.3, c), 0, c)
+    """The memo's words never exceed its bound, a value above the value
+    bound is never kept, and a hit moves its value to the back of the
+    eviction order: shown on stand-ins of a core's size, one c^3 stack,
+    then on the cores themselves, each kept with its c^3 words."""
+    bound = 5000  # a core at cutoff c is c^3 words: 4913 at 17, 5832 at 18
+    monkeypatch.setattr(fock, "_MEMO_VALUE_WORDS", bound)
+    monkeypatch.setattr(fock, "_MEMO_WORDS", bound)
+    fock._MEMO.clear()
+    stand_in = fock._memo(lambda c: np.zeros((c,) * 3))
 
     def held():
-        return {key[3] for key in fock._CORES}
+        return {c for (c,) in _held(stand_in)}
 
     for c in list(range(2, 20)) + [8, 4, 18, 6]:
-        core(c)
-        assert sum(size for _, size in fock._CORES.values()) <= bound
+        stand_in(c)
+        assert sum(words for _, words in fock._MEMO.values()) <= bound
         assert c in held() or c >= 18
-    assert held() == {8, 4, 6}  # 17's 4913 entries made way for 8; 18 was never kept
-    core(16)  # 4096 entries
-    core(4)  # a hit: 4 becomes the most recently used
-    core(12)  # 1728 entries: 8, 6 and 16 go, oldest use first, and 4 stays
+    assert held() == {8, 4, 6}  # 17's 4913 words made way for 8; 18 was never kept
+    stand_in(16)  # 4096 words
+    stand_in(4)  # a hit: 4 becomes the most recently used
+    stand_in(12)  # 1728 words: 8, 6 and 16 go, oldest use first, and 4 stays
     assert held() == {4, 12}
-    assert sum(size for _, size in fock._CORES.values()) == 64 + 1728
+    assert sum(words for _, words in fock._MEMO.values()) == 64 + 1728
+
+    monkeypatch.setattr(fock, "_MEMO_WORDS", 1 << 24)
+    calls = _count_chain_exps(monkeypatch)
+    for c in (17, 18):
+        for _ in range(2):
+            fock._squeezed_sectors(0.3, fock.g_theta(0.3, c), 0, c)
+    assert [words for _, words in _held(fock._squeezed_core).values()] == [17**3]
+    assert len(calls) == 1 + 2  # 17 once, 18 on both calls
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1297,9 +1328,10 @@ def test_repeated_config_side_builds_exponentiate_nothing(monkeypatch):
     assert len(calls) == before + 2
 
 
-# The unit generators' spectra: each exponential of the oracle is an angle
-# times a fixed generator, diagonalised once per (generator, cutoff, chain
-# count) and kept in the same bounded cache rule as the squeezed cores.
+# The squeezer's chain spectra: each of its exponentials is an angle times
+# a fixed generator, diagonalised once per (cutoff, chain count) and kept by
+# the memo.  The displacement's and the single-mode squeezer's spectra are
+# built on every call: each spec's whole unitary is kept instead.
 
 def _count_eigh(monkeypatch):
     """Count the calls of np.linalg.eigh."""
@@ -1314,57 +1346,63 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-PROVER_SIDE_BUILDS = {  # a builder of each generator, and parameters to build it at
-    "amplifier": (lambda g, c: fock._kraus_diagonals("amplifier", g, c)[1], (1.2, 1.5, 2.0)),
-    "displace": (fock.displace_fock, (0.3, -0.4 + 0.9j, 1.5j)),
-    "squeeze1": (fock.squeeze1_fock, (0.2, -0.5, 0.8)),
-}
-
-
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [5, 20])
 def test_repeated_prover_side_builds_diagonalise_nothing(monkeypatch, cutoff):
-    """After one build per cutoff, the amplifier's Kraus operators, a
-    displacement (at a complex beta too) and a single-mode squeezer at new
-    parameters call np.linalg.eigh zero times: they scale the cached
-    spectra, which are read-only, and match a cold build."""
+    """After one build per cutoff, the amplifier's Kraus operators at new
+    gains, and a repeated spec's unitary, call np.linalg.eigh zero times:
+    they scale the kept chain spectra, which are read-only, or read the kept
+    unitary, and match a cold build.  A displacement (at a complex beta too)
+    or a single-mode squeezer runs its one stacked eigh on every call."""
     calls = _count_eigh(monkeypatch)
-    fock._SPECTRA.clear()
-    for build, params in PROVER_SIDE_BUILDS.values():
-        build(params[0], cutoff)
+    fock._MEMO.clear()
+
+    def amplifier(g):
+        return fock._kraus_diagonals("amplifier", g, cutoff)[1]
+
+    amplifier(1.2)
     built = len(calls)
-    assert built > 0 and len(fock._SPECTRA) == 3
-    hits = [(build, x, build(x, cutoff)) for build, params in PROVER_SIDE_BUILDS.values() for x in params[1:]]
+    assert built > 0 and list(_held(fock._chain_spectra)) == [(cutoff, cutoff)]
+    hits = [(g, amplifier(g)) for g in (1.5, 2.0)]
     assert len(calls) == built
-    assert not any(x.flags.writeable for value, _ in fock._SPECTRA.values() for arrays in value for x in arrays)
-    for build, x, hit in hits:
-        fock._SPECTRA.clear()
-        cold = build(x, cutoff)
-        assert np.max(np.abs(hit - cold)) <= 1e-14
+    assert not any(x.flags.writeable for value, _ in fock._MEMO.values() for x in _arrays(value))
+    for g, hit in hits:
+        fock._MEMO.clear()
+        assert np.array_equal(hit, amplifier(g))
+    for build, params in ((fock.displace_fock, (0.3, -0.4 + 0.9j, 1.5j)), (fock.squeeze1_fock, (0.2, -0.5, 0.8))):
+        for x in params:
+            before = len(calls)
+            build(x, cutoff)
+            assert len(calls) == before + 1, build.__name__
+    before = len(calls)
+    fock.gaussian_unitary_fock(_FRAMED_SPEC, cutoff)
+    assert len(calls) == before + 2  # a new spec: its squeezer's and its displacement's
+    fock.gaussian_unitary_fock(_FRAMED_SPEC, cutoff)
+    assert len(calls) == before + 2
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 def test_spectrum_cache_keeps_its_entry_bound(monkeypatch):
-    """A spectrum above the bound is rebuilt on every call and never kept.
-    The squeezer's chain spectra at cutoff c count every array of their
-    padded stacks, the members, eigenvalues and eigenvectors:
+    """A spectrum above the value bound is rebuilt on every call and never
+    kept.  The squeezer's chain spectra at cutoff c count every array of
+    their padded stacks, the members, eigenvalues and eigenvectors:
     (12 + 12^2 + 12^3) + (8 + 8 * 20 + 8 * 20^2) = 5252 at c = 20 and
     (12 + 12^2 + 12^3) + (9 + 9 * 21 + 9 * 21^2) = 6051 at 21 (and about
     5.7e6 at c = 256, above the real bound of 2^22)."""
-    monkeypatch.setattr(fock, "_CORE_ENTRIES", 5500)
+    monkeypatch.setattr(fock, "_MEMO_VALUE_WORDS", 5500)
     calls = _count_eigh(monkeypatch)
-    fock._SPECTRA.clear()
+    fock._MEMO.clear()
     for c in (20, 21):
         for g in (1.2, 1.3):
             fock._kraus_diagonals("amplifier", g, c)
-    assert list(fock._SPECTRA) == [("chains", 20, 20)]
-    assert sum(size for _, size in fock._SPECTRA.values()) == 5252
+    assert [(key, words) for key, (_, words) in _held(fock._chain_spectra).items()] == [((20, 20), 5252)]
+    assert len(fock._MEMO) == 1
     assert len(calls) == 2 + 2 * 2  # two stacks each: once at c = 20, on both calls at c = 21
 
 
 # The Gaussian unitaries of the specs and the per-cutoff gather tables, kept
-# by the same cache rule as the cores and the spectra, and the real fold of a
-# real diagonal frame.
+# by the same memo as the cores and the spectra, and the real fold of a real
+# diagonal frame.
 
 UNITARY_SPECS = {
     "identity": sp.identity(1),
@@ -1374,15 +1412,16 @@ UNITARY_SPECS = {
 
 
 def _count_unitary_builds(monkeypatch):
-    """Count the calls of fock._build_gaussian_unitary."""
+    """Count the builds of a spec's Fock unitary: each runs one single-mode
+    squeezer, fock.squeeze1_fock."""
     calls = []
-    build = fock._build_gaussian_unitary
+    squeeze1 = fock.squeeze1_fock
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return squeeze1(*args)
 
-    monkeypatch.setattr(fock, "_build_gaussian_unitary", counted)
+    monkeypatch.setattr(fock, "squeeze1_fock", counted)
     return calls
 
 
@@ -1391,12 +1430,12 @@ def test_cached_unitary_matches_a_cold_build_and_returns_a_copy(name):
     """A hit is the cold build bit for bit; the kept matrix is read-only, and
     every call returns a writeable copy, so a write to one reaches no other."""
     spec = UNITARY_SPECS[name]
-    fock._UNITARIES.clear()
+    fock._MEMO.clear()
     cold = fock.gaussian_unitary_fock(spec, 12)
-    [([(kept,)], size)] = fock._UNITARIES.values()
+    [(kept, words)] = _held(fock._euler_unitary).values()
     hit = fock.gaussian_unitary_fock(spec, 12)
-    assert hit.tobytes() == cold.tobytes() == fock._build_gaussian_unitary(spec, 12).tobytes()
-    assert hit.dtype == cold.dtype == complex and size == 2 * 12**2
+    assert hit.tobytes() == cold.tobytes() == fock._euler_unitary.__wrapped__(spec, 12).tobytes()
+    assert hit.dtype == cold.dtype == complex and words == 2 * 12**2
     assert not kept.flags.writeable and hit.flags.writeable and cold.flags.writeable
     assert not np.shares_memory(hit, kept) and not np.shares_memory(cold, kept)
     hit[0, 0] = 7.0
@@ -1407,7 +1446,7 @@ def test_a_different_spec_or_cutoff_misses_the_unitary_cache(monkeypatch):
     """One ulp of S or of d, or another cutoff, is another unitary; an equal
     spec made of other arrays is a hit."""
     calls = _count_unitary_builds(monkeypatch)
-    fock._UNITARIES.clear()
+    fock._MEMO.clear()
     spec = UNITARY_SPECS["random"]
     S, d = spec.S.copy(), spec.d.copy()
     S[0, 1] = np.nextafter(S[0, 1], np.inf)
@@ -1419,7 +1458,7 @@ def test_a_different_spec_or_cutoff_misses_the_unitary_cache(monkeypatch):
         fock.gaussian_unitary_fock(*args)
         assert len(calls) == before + 1
     fock.gaussian_unitary_fock(sp.SymplecticSpec(spec.S.copy(), spec.d.copy()), 12)
-    assert len(calls) == 4 and len(fock._UNITARIES) == 4
+    assert len(calls) == 4 and len(_held(fock._euler_unitary)) == 4
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
@@ -1427,62 +1466,137 @@ def test_one_dual_path_check_builds_its_unitary_once(monkeypatch):
     """The unitary witness's frame and an exact prover's leading unitary are
     one spec, so a dual-path check builds its Fock unitary once."""
     calls = _count_unitary_builds(monkeypatch)
-    fock._UNITARIES.clear()
+    fock._MEMO.clear()
     spec = UNITARY_SPECS["random"]
     W = fock.witness_fock_unitary(spec, 1.0, 12)
     state = fock.entangled_output_fock(elementary_factors(exact_unitary(spec)), 1.0, 12)
     assert abs(fock.expectation(W, state) - 1.0) < 1e-3 and len(calls) == 1
 
 
+TABLES = (fock._grid_tables, fock._transfer_tables, fock._output_gather, fock._log_binomials)
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
 @pytest.mark.parametrize("cutoff", [2, 3, 20])
 def test_kept_tables_equal_a_fresh_build(cutoff):
     """Each per-cutoff table a dual path reads is kept once, read-only, and
-    equals a fresh build bit for bit; its size counts all its arrays."""
-    fock._TABLES.clear()
+    equals a fresh build bit for bit; its words count all its arrays."""
+    fock._MEMO.clear()
     ops = [("unitary", _FRAMED_SPEC), ("attenuator", 0.8), ("amplifier", 1.2)]
     W = fock.witness_fock_unitary(_FRAMED_SPEC, 1.0, cutoff)
     for _ in range(2):  # a miss, then a hit
         fock.expectation(W, fock.entangled_output_fock(ops, 1.0, cutoff))
         fock.expectation(fock.witness_fock_amp(2.0, 1.0, cutoff), fock.entangled_output_fock(ops[1:], 1.0, cutoff))
         assert fock.witness_fock_amp(2.0, 1.0, cutoff).matrix.shape == (cutoff**2,) * 2
-    builds = (fock._grid_tables, fock._transfer_tables, fock._output_gather, fock._log_binomials)
-    assert set(fock._TABLES) == {(build, cutoff) for build in builds}
-    for (build, c), ([kept], size) in list(fock._TABLES.items()):
-        fresh, name = build(c), build.__name__
-        assert len(kept) == len(fresh) and size == sum(x.nbytes for x in fresh) // 8, name
-        for x, y in zip(kept, fresh):
+    for build in TABLES:
+        name = build.__name__
+        [(key, (kept, words))] = _held(build).items()
+        fresh = _arrays(build.__wrapped__(cutoff))
+        assert key == (cutoff,) and words == sum(x.nbytes for x in fresh) // 8, name
+        assert len(_arrays(kept)) == len(fresh), name
+        for x, y in zip(_arrays(kept), fresh):
             assert not x.flags.writeable and x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
 
 
 def test_cache_counts_every_array_of_a_value(monkeypatch):
-    """A value's size is every array it holds, in 8-byte words (two per
-    complex entry): a value above the bound is never kept, though its last
-    array alone would fit, and a new value evicts the oldest."""
-    monkeypatch.setattr(fock, "_CORE_ENTRIES", 100)
-    store, calls = OrderedDict(), []
+    """A value's words are every array it holds, in 8-byte words (two per
+    complex entry): a value above the value bound is never kept, though its
+    last array alone would fit, and a new value evicts the oldest once the
+    store is over its bound."""
+    monkeypatch.setattr(fock, "_MEMO_VALUE_WORDS", 100)
+    monkeypatch.setattr(fock, "_MEMO_WORDS", 100)
+    fock._MEMO.clear()
+    calls = []
 
-    def build():
+    def over():
         calls.append(1)
-        return [(np.zeros(60), np.zeros(50))]
+        return np.zeros(60), np.zeros(50)
 
     for _ in range(2):
-        fock._cached(store, "over", build)
-    assert len(calls) == 2 and not store
-    fock._cached(store, "complex", lambda: [(np.zeros(30, dtype=complex), np.zeros(30))])
-    assert [(key, size) for key, (_, size) in store.items()] == [("complex", 90)]
-    fock._cached(store, "two", lambda: [(np.zeros(5, dtype=np.int64),), (np.zeros(6),)])
-    assert [(key, size) for key, (_, size) in store.items()] == [("two", 11)]
-    # the transfer tables at c = 20 hold 400 + 400 + 20^3 = 8800 words: above a bound of
-    # 8500 that their largest array alone meets, so they are rebuilt on every call
-    monkeypatch.setattr(fock, "_CORE_ENTRIES", 8500)
-    fock._TABLES.clear()
+        fock._memo(over)()
+    assert len(calls) == 2 and not fock._MEMO
+    complex_ = fock._memo(lambda: (np.zeros(30, dtype=complex), np.zeros(30)))
+    complex_()
+    assert [words for _, words in fock._MEMO.values()] == [90]
+    two = fock._memo(lambda: ((np.zeros(5, dtype=np.int64),), np.zeros(6)))
+    two()
+    assert list(_held(two).values())[0][1] == 11 and len(fock._MEMO) == 1
+    # the transfer tables at c = 20 hold 400 + 400 + 20^3 = 8800 words: above a value
+    # bound of 8500 that their largest array alone meets, so they are rebuilt on every call
+    monkeypatch.setattr(fock, "_MEMO_VALUE_WORDS", 8500)
+    monkeypatch.setattr(fock, "_MEMO_WORDS", 1 << 24)
+    fock._MEMO.clear()
     for _ in range(2):
         fock._transfer(fock._kraus_diagonals("attenuator", 0.7, 20))
-    assert list(fock._TABLES) == [(fock._log_binomials, 20)]
+    assert [key for key in fock._MEMO] == [(fock._log_binomials.__wrapped__, 20)]
+
+
+def test_memo_keys_an_array_by_dtype_shape_and_bytes():
+    """Arrays with the same bytes but another dtype or shape are other keys;
+    an equal array made anew is a hit."""
+    fock._MEMO.clear()
+    calls = []
+
+    def build(x):
+        calls.append(x)
+        return np.zeros(1)
+
+    kept = fock._memo(build)
+    for x in (np.zeros(4), np.zeros(4), np.zeros(8, dtype=np.int32), np.zeros((2, 2)), np.zeros(4, dtype=np.int64)):
+        kept(x)
+    assert len(calls) == 4 and len(_held(kept)) == 4
+
+
+def test_memo_keeps_its_bound_under_threads(monkeypatch):
+    """Threads that miss, hit and evict at once, switching every
+    microsecond, leave the store within its bound, each entry counted at
+    its value's words, and every caller with the value a build gives."""
+    monkeypatch.setattr(fock, "_MEMO_WORDS", 300)
+    fock._MEMO.clear()
+    kept = fock._memo(lambda n: np.arange(float(n)))
+    wrong = []
+
+    def work(seed):
+        for n in np.random.default_rng(seed).integers(1, 60, size=300):
+            if not np.array_equal(kept(int(n)), np.arange(float(n))):
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert all(words == value.size for value, words in fock._MEMO.values())
+    assert sum(words for _, words in fock._MEMO.values()) <= 300
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_every_kept_value_is_read_only_owned_and_counted():
+    """After dual paths and closed forms at several cutoffs, every kept array is read-only and owns its data (a view would
+    keep its base alive uncounted), each value's words are its arrays',
+    none above 2^22, and the store is within 2^24."""
+    fock._MEMO.clear()
+    for cutoff in (6, 20, 24):
+        state = fock.entangled_output_fock([("unitary", _FRAMED_SPEC), ("attenuator", 0.8), ("amplifier", 1.2)],
+                                           1.0, cutoff)
+        fock.expectation(fock.witness_fock_unitary(_FRAMED_SPEC, 1.0, cutoff), state)
+        fock.expectation(fock.witness_fock_amp(2.0, 1.0, cutoff), fock.entangled_output_fock([], 1.0, cutoff))
+        fock.canonical_observable_closed_form(2.0, 1.0, min(cutoff, 14))
+    assert {key[0].__name__ for key in fock._MEMO} == {
+        "_grid_tables", "_transfer_tables", "_output_gather", "_log_binomials", "_chain_spectra", "_euler_unitary",
+        "_squeezed_core"}
+    for value, words in fock._MEMO.values():
+        arrays = _arrays(value)
+        assert all(not x.flags.writeable and x.base is None for x in arrays)
+        assert words == sum(x.nbytes for x in arrays) // 8 <= fock._MEMO_VALUE_WORDS == 1 << 22
+    assert sum(words for _, words in fock._MEMO.values()) <= fock._MEMO_WORDS == 1 << 24
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")

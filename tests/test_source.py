@@ -3,9 +3,9 @@ used, every module-level private function is referenced somewhere in the
 package, every public function and Fock-oracle method has a caller outside
 the tests, every parameter default is overridden by some caller, only
 ``protocols._compile`` projects a setting, only the verdict path draws
-random numbers, and the Fock oracle imports no phase-space code.  One check
-runs the package's imports in a fresh interpreter: neither ``cvverify`` nor
-its CLI loads SciPy."""
+random numbers, and the Fock oracle keeps one memo and imports no
+phase-space code.  One check runs the package's imports in a fresh
+interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
 import os
@@ -140,6 +140,22 @@ def test_one_caller_projects_a_setting():
     compile_ = next(node for node in TREES["protocols.py"].body
                     if isinstance(node, ast.FunctionDef) and node.name == "_compile")
     assert calls[0] in list(ast.walk(compile_))
+
+
+def test_the_fock_oracle_keeps_one_memo():
+    """``fock.py`` keeps what it memoizes in one store under one lock, both
+    module-level assignments read by ``fock._memo``: exactly one
+    ``OrderedDict`` and one ``threading.Lock`` are made in the whole module,
+    and no ``functools`` cache sits beside them."""
+    tree = TREES["fock.py"]
+    made = Counter(ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call))
+    assigned = Counter(ast.unparse(node.value.func) for node in tree.body
+                       if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call))
+    assert made["OrderedDict"] == assigned["OrderedDict"] == 1
+    assert made["threading.Lock"] == assigned["threading.Lock"] == 1
+    caches = {"lru_cache", "cache", "functools.lru_cache", "functools.cache"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in caches]
 
 
 def test_only_the_verdict_path_calls_np_random():
