@@ -6,16 +6,20 @@ decomposition into elementary factors used by the Fock-space cross-check.
 ``PARAMS`` is the one table of the fields each channel kind sets; the
 constructor refuses any other field off its default, so the phase-space
 map, the serialization and the Fock factors all read the fields alone.
+A ``ProverChannel`` keeps its phase-space map, built on the first
+``realize()``, so ``output_state`` and ``average_fidelity`` build it once
+per prover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .gaussian import GaussianChannel
-from .symplectic import SymplecticSpec, _as_float, _as_int, _as_str, _read_object
+from .symplectic import SymplecticSpec, _as_float, _as_int, _as_str, _fields_state, _read_object
 
 # The fields each kind sets.  Every other field stays at its default, so
 # ``realize`` and ``elementary_factors`` read the fields alone.
@@ -42,7 +46,10 @@ class ProverChannel:
     is a ValueError that names it, so every kind is the one affine map
     X = S or sqrt(g^2 eta) 1, Y = (|g^2 eta - 1|/2 + excess + variance) 1.
     ``to_dict`` writes the kind's fields and ``from_dict`` reads back just
-    those, n_modes as "modes", by the package's one object reader.
+    those, n_modes as "modes", by the package's one object reader.  The
+    channel keeps the GaussianChannel that ``realize`` builds on first call
+    (its arrays are read-only); it enters neither ``==``, ``hash``,
+    ``to_dict`` nor a pickle, and ``dataclasses.replace`` builds it afresh.
     """
 
     kind: str
@@ -76,11 +83,18 @@ class ProverChannel:
             raise ValueError("transmissivity must lie in (0, 1]")
 
     def realize(self) -> GaussianChannel:
+        """The affine map X, Y, d, built once per channel."""
+        return self._realized
+
+    @cached_property
+    def _realized(self) -> GaussianChannel:
         eye = np.eye(2 * self.n_modes)
         Y = (0.5 * abs(self.g**2 * self.eta - 1.0) + self.excess + self.variance) * eye
         if self.spec is not None:
             return GaussianChannel(self.spec.S, Y, self.spec.d)
         return GaussianChannel(self.g * np.sqrt(self.eta) * eye, Y, np.zeros(2 * self.n_modes))
+
+    __getstate__ = _fields_state  # never the realized channel
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind}

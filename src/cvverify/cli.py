@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -210,6 +211,9 @@ def cmd_budget(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    for flag, v in (("--v-min", args.v_min), ("--v-max", args.v_max)):
+        if not (math.isfinite(v) and v >= 0):  # refused before the first row is printed
+            raise ValueError(f"{flag} must be finite and nonnegative, got {v}")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv writes sweep.csv into the --out directory, and no --out is given")
     run = _parse_scenario(_load_json(args.config))

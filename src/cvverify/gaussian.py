@@ -15,6 +15,13 @@ from .symplectic import _as_floats, _as_int, _read_object, _readonly, symplectic
 UNCERTAINTY_TOL = 1e-9
 
 
+def _check_finite(owner: str, **arrays: np.ndarray) -> None:
+    """A ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{owner} {name} has an entry that is not finite")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """An N-mode Gaussian state: quadrature mean vector and covariance matrix."""
@@ -29,6 +36,7 @@ class GaussianState:
             raise ValueError(f"state mean must have positive even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        _check_finite("state", mean=mean, cov=cov)
         if np.max(np.abs(cov - cov.T)) > 1e-10:
             raise ValueError("cov must be symmetric")
         object.__setattr__(self, "mean", mean)
@@ -67,6 +75,7 @@ class GaussianChannel:
             raise ValueError(f"X must be 2N x 2N, got shape {X.shape}")
         if Y.shape != X.shape or d.shape != (X.shape[0],):
             raise ValueError("Y/d shapes incompatible with X")
+        _check_finite("channel", X=X, Y=Y, d=d)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "d", d)
@@ -88,12 +97,16 @@ def tmsv_pairs(r: float, m: int) -> GaussianState:
     A_j paired to R_j; each reduced mode is thermal with nbar = sinh^2 r."""
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
-    c, s = np.cosh(2 * r), np.sinh(2 * r)
-    Zm = np.kron(np.eye(m), np.diag([1.0, -1.0]))
-    cov = 0.5 * np.block(
-        [[c * np.eye(2 * m), s * Zm], [s * Zm, c * np.eye(2 * m)]]
-    )
-    return GaussianState(np.zeros(4 * m), cov)
+    n = 2 * m
+    c, s = 0.5 * np.cosh(2 * r), 0.5 * np.sinh(2 * r)
+    cov = np.zeros((2 * n, 2 * n))
+    # cov = 1/2 [[cosh 2r 1, sinh 2r Z], [sinh 2r Z, cosh 2r 1]] with Z = diag(1, -1, ...),
+    # and the -0.0 that the product 0 * -1 leaves between the p rows of two pairs
+    cov[1:n:2, n + 1::2] = cov[n + 1::2, 1:n:2] = -0.0
+    flat = cov.reshape(-1)  # a view: step 2n + 1 walks a diagonal
+    flat[:: 2 * n + 1] = c
+    flat[n : 2 * n * n : 2 * n + 1] = flat[2 * n * n :: 2 * n + 1] = (s, -s) * m
+    return GaussianState(np.zeros(2 * n), cov)
 
 
 def apply_channel(state: GaussianState, ch: GaussianChannel) -> GaussianState:

@@ -8,7 +8,7 @@ in this package.  A Gaussian unitary acts affinely on phase space,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,12 @@ def _as_str(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name!r} must be a string, got {value!r}")
     return value
+
+
+def _fields_state(obj) -> dict:
+    """A frozen dataclass's pickle state, its fields only: a value it keeps
+    beside them (built on first use) never enters a pickle."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _read_object(data, what: str, readers: dict, check=None) -> dict:

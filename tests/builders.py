@@ -1,8 +1,8 @@
 """Builders that several test files share and the library does not need:
-random prover channels for property tests, coherent states, each plan
-batch's exact share of the witness, the dense matrix of a Fock operator
-held in a frame, and the per-chain view of the oracle's wrapped n1 - n2
-stacks."""
+random prover channels for property tests, coherent states, the TMSV
+covariance from its block form, each plan batch's exact share of the
+witness, the dense matrix of a Fock operator held in a frame, and the
+per-chain view of the oracle's wrapped n1 - n2 stacks."""
 
 import numpy as np
 
@@ -39,6 +39,15 @@ def coherent(alpha) -> GaussianState:
     mean[0::2] = np.sqrt(2.0) * alpha.real
     mean[1::2] = np.sqrt(2.0) * alpha.imag
     return GaussianState(mean, 0.5 * np.eye(2 * alpha.size))
+
+
+def tmsv_block_cov(r: float, m: int) -> np.ndarray:
+    """The covariance of ``gaussian.tmsv_pairs(r, m)`` from its block form,
+    1/2 [[cosh 2r 1, sinh 2r Z], [sinh 2r Z, cosh 2r 1]] with
+    Z = 1_m (x) diag(1, -1), signed zeros included."""
+    c, s = np.cosh(2 * r), np.sinh(2 * r)
+    Zm = np.kron(np.eye(m), np.diag([1.0, -1.0]))
+    return 0.5 * np.block([[c * np.eye(2 * m), s * Zm], [s * Zm, c * np.eye(2 * m)]])
 
 
 def exact_terms(mean: np.ndarray, second: np.ndarray, batches) -> list[float]:

@@ -1,10 +1,11 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from builders import random_prover
-from cvverify import gaussian as ga, symplectic as sp
+from cvverify import channels, gaussian as ga, protocols, symplectic as sp
 from cvverify.channels import (
     KINDS,
     PARAMS,
@@ -224,3 +225,34 @@ def test_random_prover_always_realizable():
     for _ in range(30):
         p = random_prover(rng, n_modes=rng.integers(1, 3))
         assert p.realize().is_cp()
+
+
+@pytest.mark.parametrize("p", SIX, ids=KINDS)
+def test_channel_is_realized_once_per_prover(p, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ga.GaussianChannel(*args)
+
+    monkeypatch.setattr(channels, "GaussianChannel", counting)
+    p = dataclasses.replace(p)  # SIX's provers are shared with other tests, which realize them
+    twin, data, pickled, digest = dataclasses.replace(p), p.to_dict(), pickle.dumps(p), hash(p)
+    ch = p.realize()
+    assert p.realize() is ch and len(built) == 1
+    for array in (ch.X, ch.Y, ch.d):
+        assert not array.flags.writeable
+    # the output state, the exact fidelity and a verdict all read the kept channel
+    cfg = protocols.VerificationConfig("unitary", lam=1.0, F_t=0.5, delta=0.25, epsilon=0.03,
+                                       target=p.spec or sp.identity(1))
+    protocols.oracle_report(p, cfg)
+    protocols.accept_rate(p, cfg, 2, seed=0, shot_cap=100)
+    assert average_fidelity(p, AmplificationTarget(2.0), 1.0) > 0 and len(built) == 1
+    # the kept channel enters neither ==, hash, to_dict nor the pickle
+    assert p == twin and hash(p) == digest and p.to_dict() == data and pickle.dumps(p) == pickled
+    back = pickle.loads(pickled)
+    assert back == p and "_realized" not in vars(back) and "_realized" not in vars(twin)
+    fresh = dataclasses.replace(p)
+    assert fresh.realize() is not ch and len(built) == 2
+    for a, b in zip(dataclasses.astuple(fresh.realize()), dataclasses.astuple(ch)):
+        np.testing.assert_array_equal(a, b)

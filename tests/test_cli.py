@@ -533,6 +533,15 @@ def test_non_finite_results_exit_2(scenario, tmp_path, capsys, command, d, prove
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--v-max", "-1"), ("--v-min", "-0.5"), ("--v-max", "inf"),
+                                         ("--v-min", "nan")])
+def test_sweep_refuses_a_bad_variance_before_the_first_row(scenario, capsys, flag, value):
+    # --v-min 0.5 --v-max -1 --points 2 once printed the v = 0.5 row, then exited 2
+    path, _ = scenario
+    argv = ["sweep", "--config", str(path), "--v-min", "0.5", "--v-max", "0.5", "--points", "2", flag, value]
+    _assert_refused(argv, f"{flag} must be finite and nonnegative, got {float(value)}", capsys)
+
+
 def test_sweep_csv(scenario, tmp_path, capsys):
     path, _ = scenario
     code = main([
@@ -602,6 +611,11 @@ COHERENT = {"modes": 1, "mean": [0.3, 0.0], "cov": [0.5, 0.0, 0.0, 0.5]}
     ({"modes": 1, "mean": [0.3, 0.0], "cov": [0.1, 0.0, 0.0, 0.1]}, 2,
      "the supplied state violates the uncertainty relation"),
     ({"modes": 0, "mean": [], "cov": []}, 2, "state mean must have positive even length"),
+    # json.load reads NaN; it once ran the game and failed as an uncertainty violation
+    ({"modes": 1, "mean": [0.3, 0.0], "cov": [math.nan, 0.0, 0.0, 0.5]}, 2,
+     "state cov has an entry that is not finite"),
+    ({"modes": 1, "mean": [0.3, math.inf], "cov": [0.5, 0.0, 0.0, 0.5]}, 2,
+     "state mean has an entry that is not finite"),
 ])
 def test_verify_runs_the_state_game(state, code, result, tmp_path, capsys):
     from cvverify import protocols

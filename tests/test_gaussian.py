@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from builders import coherent
+from builders import coherent, tmsv_block_cov
 from cvverify import fock, gaussian as ga, symplectic as sp
 from cvverify.channels import exact_unitary
 from cvverify.protocols import kappa_for
@@ -21,6 +23,14 @@ def test_thermal_cov_lambda_one():
 
 def test_tmsv_zero_is_vacuum():
     np.testing.assert_array_equal(ga.tmsv_pairs(0.0, 1).cov, 0.5 * np.eye(4))
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 1e-160, 0.3, kappa_for(1.0), kappa_for(1e-6), 2.0, 20.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_tmsv_matches_the_block_construction_bit_for_bit(r, m):
+    # the signed zeros of Z's p-p entries included: bytes, not values, compared
+    cov = ga.tmsv_pairs(r, m).cov
+    assert cov.tobytes() == tmsv_block_cov(r, m).tobytes() and cov.shape == (4 * m, 4 * m)
 
 
 def test_tmsv_rejects_negative_squeezing():
@@ -154,3 +164,21 @@ def test_zero_mode_state_rejected():
         ga.GaussianState(np.zeros(0), np.zeros((0, 0)))
     with pytest.raises(ValueError, match="state mean"):
         ga.GaussianState.from_dict({"modes": 0, "mean": [], "cov": []})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_state_and_channel_entries_rejected(bad):
+    # NaN slipped past the symmetry check; inf became "violates the uncertainty
+    # relation" after a RuntimeWarning, or failed only once a verdict had run
+    eye = 0.5 * np.eye(2)
+    with pytest.raises(ValueError, match="state mean has an entry that is not finite"):
+        ga.GaussianState(np.array([0.0, bad]), eye)
+    with pytest.raises(ValueError, match="state cov has an entry that is not finite"):
+        ga.GaussianState(np.zeros(2), np.diag([bad, 0.5]))
+    with pytest.raises(ValueError, match="state cov has an entry that is not finite"):
+        ga.GaussianState.from_dict({"modes": 1, "mean": [0, 0], "cov": [0.5, bad, bad, 0.5]})
+    for name, (X, Y, d) in {"X": (np.diag([bad, 1.0]), eye, np.zeros(2)),
+                            "Y": (np.eye(2), np.diag([0.5, bad]), np.zeros(2)),
+                            "d": (np.eye(2), eye, np.array([bad, 0.0]))}.items():
+        with pytest.raises(ValueError, match=f"channel {name} has an entry that is not finite"):
+            ga.GaussianChannel(X, Y, d)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -1008,14 +1010,74 @@ def test_configs_compare_and_hash_by_value_after_a_round_trip():
 def test_built_form_leaves_the_config_unchanged():
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(1))
     for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5)):
-        twin, data, pickled = dataclasses.replace(cfg), cfg.to_dict(), pickle.dumps(cfg)
-        form, tmsv = cfg.witness_form, cfg.tmsv
-        assert cfg == twin and cfg.to_dict() == data and pickle.dumps(cfg) == pickled
+        twin, data, pickled, digest = dataclasses.replace(cfg), cfg.to_dict(), pickle.dumps(cfg), hash(cfg)
+        form, tmsv, budget = cfg.witness_form, cfg.tmsv, cfg.budget
+        assert cfg == twin and cfg.to_dict() == data and pickle.dumps(cfg) == pickled and hash(cfg) == digest
         back = pickle.loads(pickled)
-        assert back.to_dict() == data and not {"witness_form", "tmsv"} & set(vars(back))
+        assert back.to_dict() == data and not {"witness_form", "tmsv", "budget"} & set(vars(back))
+        assert back.budget == budget and back.budget is not budget
         np.testing.assert_array_equal(back.witness_form.C, form.C)
         for array in (form.a, form.C, tmsv.mean, tmsv.cov):
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             form.C[0, 0] = 1.0
         assert back == cfg and hash(back) == hash(cfg)
+
+
+def _games_of(spec):
+    """A unitary, a state and an amplification config, with the state each measures."""
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
+    acfg = cfg_amp(2.5)
+    return [(cfg, output_state(ProverChannel("NoisyUnitary", spec=spec, excess=0.05), cfg)),
+            (scfg, ga.GaussianState(spec.d, 0.5 * spec.S @ spec.S.T + 0.02 * np.eye(2 * spec.n_modes))),
+            (acfg, output_state(optimal_amplifier(2.5, 1.0), acfg))]
+
+
+def test_budget_is_built_once_per_config_and_shared(monkeypatch):
+    budgets = _count_calls(monkeypatch, protocols, "_budget")
+    plans = _count_calls(monkeypatch, protocols, "witness_plan")
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
+    for cfg, state in _games_of(spec):
+        budgets.clear()
+        plans.clear()
+        # a cold verdict keeps the budget of its own plan: one plan, one budget
+        first = run_state_verification(state, cfg, seed=0, shot_cap=1000)
+        assert len(plans) == len(budgets) == 1 and vars(cfg)["budget"] is first.budget
+        verdicts = [run_state_verification(state, cfg, seed=1)] + protocols._verdicts(state, cfg, [2, 3], 100)
+        assert sample_budget(cfg) is first.budget and all(v.budget is first.budget for v in verdicts)
+        assert len(budgets) == 1 and len(plans) == 3  # each verdict call still builds its plan
+        # sample_budget on a cold config builds the same budget, bit for bit, and keeps it
+        fresh = dataclasses.replace(cfg)
+        assert "budget" not in vars(fresh)
+        kept = sample_budget(fresh)
+        assert kept is not first.budget and len(budgets) == 2 and len(plans) == 4
+        assert kept.to_dict() == first.budget.to_dict()
+        assert [r.hex() for r in kept.raw.values()] == [r.hex() for r in first.budget.raw.values()]
+        assert run_state_verification(state, fresh, seed=0, shot_cap=1000).budget is kept
+        assert len(budgets) == 2
+
+
+def test_kept_budget_is_read_only_but_serialisable():
+    spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(3))
+    cfg, state = _games_of(spec)[0]
+    v = run_state_verification(state, cfg, seed=0, shot_cap=1000)
+    before = v.budget.to_dict()
+    for change in (lambda d: d.__setitem__("c3", 1), lambda d: d.__delitem__("c3"), lambda d: d.update(c3=1),
+                   lambda d: d.pop("c3"), lambda d: d.popitem(), lambda d: d.clear(),
+                   lambda d: d.setdefault("c9", 1), lambda d: d.__ior__({"c3": 1})):
+        for d in (v.budget.counts, v.budget.raw):
+            with pytest.raises(TypeError, match="read-only"):
+                change(d)
+    with pytest.raises(TypeError, match="read-only"):
+        v.budget.counts["c3"] += 1
+    assert cfg.budget.to_dict() == before and sample_budget(cfg) is v.budget
+    plain = v.budget.to_dict()
+    assert type(plain["counts"]) is dict and type(plain["raw"]) is dict
+    assert v.budget.counts == plain["counts"] and plain["counts"] == v.budget.counts
+    assert json.loads(json.dumps(v.budget.counts)) == plain["counts"]
+    for back in (pickle.loads(pickle.dumps(v.budget)), copy.deepcopy(v.budget)):
+        assert back == v.budget and back.to_dict() == before
+        with pytest.raises(TypeError, match="read-only"):
+            back.counts["c3"] = 1
+    assert pickle.loads(pickle.dumps(v)).to_dict() == v.to_dict()
