@@ -3,6 +3,9 @@
 Convention: a = (q + i p) / sqrt(2), so the vacuum has variance 1/2 per
 quadrature and n = (q^2 + p^2 - 1) / 2 per mode.  This convention is fixed
 package-wide; every derived constant in :mod:`cvverify.protocols` assumes it.
+
+States and channels follow the one value rule of ``symplectic._Arrays``:
+read-only finite float arrays, and equality, hash and pickling by value.
 """
 
 from __future__ import annotations
@@ -10,41 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .symplectic import _as_floats, _as_int, _read_object, _readonly, symplectic_form
+from .symplectic import _Arrays, _as_floats, _as_int, _read_object, symplectic_form
 
 UNCERTAINTY_TOL = 1e-9
 
 
-def _check_finite(owner: str, **arrays: np.ndarray) -> None:
-    """A ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{owner} {name} has an entry that is not finite")
-
-
-@dataclass(frozen=True)
-class GaussianState:
+@dataclass(frozen=True, eq=False)
+class GaussianState(_Arrays, what="state"):
     """An N-mode Gaussian state: quadrature mean vector and covariance matrix."""
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        mean = _readonly(self.mean)
-        cov = _readonly(self.cov)
+    def _check(self):
+        mean, cov = self.mean, self.cov
         if mean.ndim != 1 or mean.size % 2 or mean.size == 0:
             raise ValueError(f"state mean must have positive even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        _check_finite("state", mean=mean, cov=cov)
         if np.max(np.abs(cov - cov.T)) > 1e-10:
             raise ValueError("cov must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
 
     def is_physical(self) -> bool:
         """Uncertainty relation: cov + (i/2) Omega is positive semidefinite."""
@@ -59,32 +47,22 @@ class GaussianState:
         return cls(read["mean"], read["cov"].reshape(2 * n, 2 * n))
 
 
-@dataclass(frozen=True)
-class GaussianChannel:
+@dataclass(frozen=True, eq=False)
+class GaussianChannel(_Arrays, what="channel"):
     """Affine Gaussian CP map on N modes: mean -> X mean + d, cov -> X cov X^T + Y."""
 
     X: np.ndarray
     Y: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        X = _readonly(self.X)
-        Y = _readonly(self.Y)
-        d = _readonly(self.d)
+    def _check(self):
+        X = self.X
         if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2:
             raise ValueError(f"X must be 2N x 2N, got shape {X.shape}")
-        if Y.shape != X.shape or d.shape != (X.shape[0],):
+        if self.Y.shape != X.shape or self.d.shape != (X.shape[0],):
             raise ValueError("Y/d shapes incompatible with X")
-        _check_finite("channel", X=X, Y=Y, d=d)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "d", d)
         if not self.is_cp():
             raise ValueError("channel violates complete positivity")
-
-    @property
-    def n_modes(self) -> int:
-        return self.X.shape[0] // 2
 
     def is_cp(self) -> bool:
         omega = symplectic_form(self.n_modes)

@@ -122,8 +122,6 @@ class VerificationConfig:
         if "target" in GAME_FIELDS[self.protocol]:
             if self.target is None:
                 raise ValueError(f"{self.protocol} protocol requires a target spec")
-            if not (np.all(np.isfinite(self.target.S)) and np.all(np.isfinite(self.target.d))):
-                raise ValueError("target S and d must be finite")
             if not self.target.is_valid():
                 raise ValueError("target S is not symplectic")
             omega_max, bound = 1.0, "1"
@@ -368,6 +366,7 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float, dict]:
     so mode k is column k.
     """
     m = cfg.m
+    shares = _target_shares(cfg, "c3", "c4", "c5")  # first: it refuses an S whose S^-T S^-1 overflows
     S_inv, A, Ad, dAd = _target_weights(cfg)
     B = S_inv / math.sqrt(cfg.lam + 1.0)
     B[1::2] *= -1.0  # Z^(+)m S^-1: Z negates the p rows
@@ -387,8 +386,7 @@ def plan_unitary(cfg: VerificationConfig) -> tuple[list, float, dict]:
     batches += [Batch(rot45, "c4", ((j, j, -A[2 * j][2 * j + 1]),)) for j in range(m)]
     batches += [Batch(cross[u % 2][v % 2], "c5", ((u // 2, m + v // 2, B[v][u]),))
                 for u in range(2 * m) for v in range(2 * m)]
-    return (batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd,
-            _target_shares(cfg, "c3", "c4", "c5"))
+    return batches, 1.0 + m * (cfg.lam - 2.0) / (2.0 * cfg.lam) - 0.5 * dAd, shares
 
 
 def plan_amplification(cfg: VerificationConfig) -> tuple[list, float, dict]:
@@ -428,6 +426,7 @@ def plan_state(cfg: VerificationConfig) -> tuple[list, float, dict]:
     batch per mode j, q on j and p elsewhere (c2).
     """
     m = cfg.m
+    shares = _target_shares(cfg, "c1", "c2")  # first, as in plan_unitary
     _, A, Ad, dAd = _target_weights(cfg)
     Q, P = 0.0, np.pi / 2
     settings = [HomodyneSetting((phi,) * m, name) for phi, name in ((Q, "q"), (P, "p"))]
@@ -443,16 +442,21 @@ def plan_state(cfg: VerificationConfig) -> tuple[list, float, dict]:
         angles[j] = Q
         batches.append(Batch(HomodyneSetting(tuple(angles)), "c2",
                              tuple((j, k, -A[2 * j][2 * k + 1]) for k in range(m) if k != j)))
-    return batches, 1.0 + 0.5 * m - 0.5 * dAd, _target_shares(cfg, "c1", "c2")
+    return batches, 1.0 + 0.5 * m - 0.5 * dAd, shares
 
 
 def witness_plan(cfg: VerificationConfig) -> tuple[list, float, dict]:
-    """(batches, c0, shares) of the config's game."""
-    return {
-        "unitary": plan_unitary,
-        "amplification": plan_amplification,
-        "state": plan_state,
-    }[cfg.protocol](cfg)
+    """(batches, c0, shares) of the config's game.  A target or gain so large
+    that an epsilon share overflows (through |S|^2 or g^4) is a ValueError naming it."""
+    try:
+        return {
+            "unitary": plan_unitary,
+            "amplification": plan_amplification,
+            "state": plan_state,
+        }[cfg.protocol](cfg)
+    except OverflowError:
+        what = f"gain g = {cfg.g:g}" if cfg.target is None else f"target S, of norm {spectral_norm(cfg.target):g},"
+        raise ValueError(f"{what} is too large: an epsilon share of its plan leaves the float range") from None
 
 
 class _Group(NamedTuple):

@@ -3,6 +3,10 @@
 Quadrature ordering is interleaved, ``x = (q1, p1, ..., qN, pN)``, everywhere
 in this package.  A Gaussian unitary acts affinely on phase space,
 ``x -> S x + d`` with ``S`` symplectic: ``S @ Omega @ S.T == Omega``.
+
+``SymplecticSpec`` and the ``GaussianState`` and ``GaussianChannel`` of
+:mod:`cvverify.gaussian` share one value rule, ``_Arrays``: read-only finite
+float fields, and equality, hash and pickling by value.
 """
 
 from __future__ import annotations
@@ -33,12 +37,6 @@ def validate_symplectic(S: np.ndarray) -> bool:
         raise ValueError(f"symplectic matrix must have even dimension, got {S.shape[0]}")
     omega = symplectic_form(S.shape[0] // 2)
     return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= DEFAULT_TOL)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _as_int(value, name: str) -> int:
@@ -96,42 +94,61 @@ def _read_object(data, what: str, readers: dict, check=None) -> dict:
     return {key: read(data[key], key) for key, read in readers.items() if key in data}
 
 
-@dataclass(frozen=True)
-class SymplecticSpec:
-    """A Gaussian unitary target: symplectic matrix ``S`` plus displacement ``d``.
+class _Arrays:
+    """The value rule of a frozen array record, a ``@dataclass(frozen=True,
+    eq=False)`` subclass declared with ``what=``, the name its errors give it.
+    Each field is kept as a read-only float copy; a NaN or infinite entry is
+    a ValueError naming the record and the field, checked before the
+    subclass's ``_check``.  Records of one class are equal when their fields
+    are equal by value and hash by their bytes (-0.0 as 0.0); a pickle, a
+    deep copy or ``dataclasses.replace`` is rebuilt through ``__init__``."""
 
-    Two specs are equal when their S and d are equal by value, and the hash
-    reads their bytes (with -0.0 as 0.0), so a spec, and a config that holds
-    one, compares and hashes after a ``to_dict`` or pickle round trip."""
+    def __init_subclass__(cls, what: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._what = what
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            a = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(a).all():
+                raise ValueError(f"{self._what} {name} has an entry that is not finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        self._check()
+
+    def _arrays(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a.shape, (a + 0.0).tobytes()) for a in self._arrays()))
+
+    def __reduce__(self):
+        return type(self), self._arrays()
+
+    @property
+    def n_modes(self) -> int:
+        """N, for the 2N rows of the first field (S, mean or X)."""
+        return len(getattr(self, next(iter(self.__dataclass_fields__)))) // 2
+
+
+@dataclass(frozen=True, eq=False)
+class SymplecticSpec(_Arrays, what="target"):
+    """A Gaussian unitary target: symplectic matrix ``S`` plus displacement ``d``."""
 
     S: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        S = _readonly(self.S)
-        d = _readonly(self.d)
+    def _check(self):
+        S = self.S
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 or S.size == 0:
             raise ValueError(f"target S must be square with positive even dimension, got {S.shape}")
-        if d.shape != (S.shape[0],):
-            raise ValueError(f"d has shape {d.shape}, expected ({S.shape[0]},)")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "d", d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymplecticSpec):
-            return NotImplemented
-        return np.array_equal(self.S, other.S) and np.array_equal(self.d, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.S.shape, (self.S + 0.0).tobytes(), (self.d + 0.0).tobytes()))
-
-    def __reduce__(self):
-        # unpickled through __init__, so S and d are read-only again
-        return type(self), (self.S, self.d)
-
-    @property
-    def n_modes(self) -> int:
-        return self.S.shape[0] // 2
+        if self.d.shape != (S.shape[0],):
+            raise ValueError(f"d has shape {self.d.shape}, expected ({S.shape[0]},)")
 
     def is_valid(self) -> bool:
         return validate_symplectic(self.S)

@@ -533,6 +533,41 @@ def test_non_finite_results_exit_2(scenario, tmp_path, capsys, command, d, prove
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("command", ["budget", "verify", "oracle", "sweep"])
+@pytest.mark.parametrize("config, prover, message", [
+    ({"target": {"m": 1, "S": [1e155, 0, 0, 1e-155], "d": [0, 0]}}, None,
+     "target S, of norm 1e+155, is too large: an epsilon share of its plan leaves the float range"),
+    ({"protocol": "amplification", "F_t": 1e-300, "epsilon": 1e-301, "target": None, "g": 1e150},
+     {"kind": "QuantumLimitedAmplifier", "g": 1e150, "modes": 1},
+     "gain g = 1e+150 is too large: an epsilon share of its plan leaves the float range"),
+])
+def test_a_huge_target_or_gain_exits_2_naming_it(scenario, tmp_path, capsys, command, config, prover, message):
+    # |S|^2 and g^4 in the epsilon shares of the plan once escaped as a bare
+    # OverflowError (exit 1), the first after RuntimeWarnings from S^-T S^-1
+    _, data = scenario
+    data["config"] = {key: value for key, value in {**data["config"], **config}.items() if value is not None}
+    data["prover"] = prover or data["prover"]
+    data["repetitions"], data["shot_cap"] = 1, 10
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--config", str(path)] + (["--cutoff", "6"] if command == "oracle" else [])
+    _assert_refused(argv, message, capsys)
+
+
+@pytest.mark.parametrize("where", ["config", "prover"])
+@pytest.mark.parametrize("field, bad", [("S", math.nan), ("d", math.inf)])
+def test_a_non_finite_spec_exits_2_naming_the_field(scenario, tmp_path, capsys, where, field, bad):
+    # json.load reads NaN; a prover's NaN spec once reached the Fock oracle and
+    # failed there as "SVD did not converge"
+    path, data = scenario
+    spec = data["config"]["target"] if where == "config" else data["prover"]["spec"]
+    spec[field][0] = bad
+    path.write_text(json.dumps(data))
+    for command in ("verify", "oracle"):
+        _assert_refused([command, "--config", str(path)], f"target {field} has an entry that is not finite", capsys)
+
+
 @pytest.mark.parametrize("flag, value", [("--v-max", "-1"), ("--v-min", "-0.5"), ("--v-max", "inf"),
                                          ("--v-min", "nan")])
 def test_sweep_refuses_a_bad_variance_before_the_first_row(scenario, capsys, flag, value):

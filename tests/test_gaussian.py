@@ -1,11 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from builders import coherent, tmsv_block_cov
 from cvverify import fock, gaussian as ga, symplectic as sp
-from cvverify.channels import exact_unitary
+from cvverify.channels import ProverChannel, exact_unitary
 from cvverify.protocols import kappa_for
 from test_fock import thermal_rho
 
@@ -182,3 +185,51 @@ def test_non_finite_state_and_channel_entries_rejected(bad):
                             "d": (np.eye(2), eye, np.array([bad, 0.0]))}.items():
         with pytest.raises(ValueError, match=f"channel {name} has an entry that is not finite"):
             ga.GaussianChannel(X, Y, d)
+
+
+# One of each array record that shares the value rule of symplectic._Arrays.
+RECORDS = {
+    "spec": lambda: sp.random_symplectic(2, r_max=0.4, d_scale=0.5, rng=np.random.default_rng(3)),
+    "state": lambda: ga.tmsv_pairs(0.3, 2),
+    "channel": lambda: ProverChannel("QuantumLimitedAmplifier", g=1.5, n_modes=2).realize(),
+}
+
+
+def _arrays(record) -> list:
+    return [getattr(record, f.name) for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_and_hash_by_value(name):
+    """Equal arrays are an equal record with one hash, -0.0 being 0.0, so
+    equal states and equal channels dedupe in a set; one ulp of any field is
+    another record, and a record never equals what is not of its class."""
+    record = RECORDS[name]()
+    twin = type(record)(*(np.where(a == 0, -0.0, a) for a in _arrays(record)))
+    assert record == twin and hash(record) == hash(twin) and len({record, twin}) == 1
+    for k in range(len(_arrays(record))):
+        arrays = [a.copy() for a in _arrays(record)]
+        arrays[k].flat[0] = np.nextafter(arrays[k].flat[0], np.inf)
+        assert type(record)(*arrays) != record
+    others = [make() for other, make in RECORDS.items() if other != name]
+    assert all(record != other for other in [*others, tuple(_arrays(record)), None])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_come_back_equal_and_read_only(name):
+    # a state or channel once unpickled with writable arrays
+    record = RECORDS[name]()
+    for back in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), dataclasses.replace(record)):
+        assert back == record and hash(back) == hash(record)
+        assert not any(a.flags.writeable for a in _arrays(back))
+        assert not any(np.shares_memory(a, b) for a, b in zip(_arrays(back), _arrays(record)))
+
+
+def test_replace_checks_a_record_again():
+    spec, state, channel = (make() for make in RECORDS.values())
+    with pytest.raises(ValueError, match="target d has an entry that is not finite"):
+        dataclasses.replace(spec, d=np.full(4, np.nan))
+    with pytest.raises(ValueError, match="state cov has an entry that is not finite"):
+        dataclasses.replace(state, cov=np.full((8, 8), np.inf))
+    with pytest.raises(ValueError, match="complete positivity"):
+        dataclasses.replace(channel, Y=np.zeros((4, 4)))

@@ -247,11 +247,29 @@ def test_indefinite_measured_covariance_names_the_setting():
 
 
 def test_config_rejects_non_finite_target_and_gain():
-    for S, d in ((np.diag([np.nan, 1.0]), np.zeros(2)), (np.eye(2), np.array([np.inf, 0.0]))):
-        with pytest.raises(ValueError, match="target S and d must be finite"):
+    for S, d, name in ((np.diag([np.nan, 1.0]), np.zeros(2), "S"), (np.eye(2), np.array([np.inf, 0.0]), "d")):
+        with pytest.raises(ValueError, match=f"target {name} has an entry that is not finite"):
             cfg_unitary(sp.SymplecticSpec(S, d))
     with pytest.raises(ValueError, match="finite"):
         cfg_amp(np.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_huge_target_or_gain_is_a_value_error_in_every_plan():
+    # |S|^2 and g^4 in the epsilon shares once escaped as a bare OverflowError,
+    # the first after RuntimeWarnings from S^-T S^-1
+    huge = sp.SymplecticSpec(np.diag([1e155, 1e-155]), np.zeros(2))
+    vacuum = ga.GaussianState(np.zeros(2), 0.5 * np.eye(2))
+    cases = [(cfg, r"target S, of norm 1e\+155, is too large: an epsilon share of its plan leaves the float range")
+             for cfg in (cfg_unitary(huge), dataclasses.replace(cfg_unitary(huge), protocol="state"))]
+    cases.append((cfg_amp(1e150, F_t=1e-300, eps=1e-301), r"gain g = 1e\+150 is too large: an epsilon share"))
+    for cfg, message in cases:
+        runs = [lambda: cfg.witness_form, lambda: sample_budget(cfg)]
+        if cfg.protocol == "state":
+            runs.append(lambda: run_state_verification(vacuum, cfg, seed=0, shot_cap=10))
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 def test_config_rejects_the_other_games_field():

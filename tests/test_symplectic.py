@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -92,6 +93,17 @@ def test_specs_compare_by_value_and_hash_by_bytes():
     assert spec != spec.to_dict() and spec != "identity"
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec and hash(back) == hash(spec) and not back.S.flags.writeable and not back.d.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_spec_entries_rejected(bad):
+    # a NaN spec once reached the Fock oracle and failed there as "SVD did not converge"
+    with pytest.raises(ValueError, match="target S has an entry that is not finite"):
+        sp.SymplecticSpec(np.diag([bad, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="target d has an entry that is not finite"):
+        sp.SymplecticSpec(np.eye(2), np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="target S has an entry that is not finite"):
+        sp.SymplecticSpec.from_dict({"m": 1, "S": [1, bad, 0, 1], "d": [0, 0]})
 
 
 def test_from_dict_names_the_object_it_reads():
