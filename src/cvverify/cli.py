@@ -99,9 +99,13 @@ def cmd_oracle(args) -> int:
         raise ValueError(
             f"--cutoff sets the Fock cross-check, which runs at m = 1 only; this scenario has m = {cfg.m}"
         )
-    # the Fock forms come before the report, so a cutoff that fock refuses costs no work
+    # every refusal comes before any work: the cutoff's, then the plan's (a gain or a
+    # target whose plan leaves the float range), which builds the form the report reads
     if cfg.m == 1:  # the Fock cross-check runs on one mode only
         cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff
+        fock._check_cutoff(cutoff)
+    cfg.witness_form
+    if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
         if cfg.protocol == "amplification":
             W = fock.witness_fock_amp(cfg.g, cfg.lam, cutoff)

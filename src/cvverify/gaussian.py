@@ -87,9 +87,12 @@ def tmsv_pairs(r: float, m: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n), cov)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_channel(state: GaussianState, ch: GaussianChannel) -> GaussianState:
     """Apply a Gaussian channel to the state's leading ``ch.n_modes`` modes;
-    the other modes' correlations with them follow X."""
+    the other modes' correlations with them follow X.  It runs with overflow
+    warnings off: an output past the float range fails the state's
+    finiteness check, a ValueError."""
     n, k = state.n_modes, 2 * ch.n_modes
     if ch.n_modes > n:
         raise ValueError(f"a {ch.n_modes}-mode channel cannot act on a {n}-mode state")

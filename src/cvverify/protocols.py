@@ -63,7 +63,8 @@ from .measurement import (
     moment_sums,
     rotated_quadrature_projector,
 )
-from .symplectic import SymplecticSpec, _as_float, _as_str, _fields_state, _read_object, inverse, spectral_norm
+from .symplectic import (SymplecticSpec, _as_float, _as_str, _fields_state, _read_object, spectral_norm,
+                         symplectic_form)
 
 
 def kappa_for(lam: float) -> float:
@@ -302,7 +303,12 @@ def output_state(prover: ProverChannel, cfg: VerificationConfig) -> GaussianStat
     m = prover.n_modes
     if m != cfg.m:
         raise ValueError(f"prover acts on {m} modes but the config's target has {cfg.m}")
-    return gaussian.apply_channel(cfg.tmsv, prover.realize())
+    ch = prover.realize()
+    try:
+        return gaussian.apply_channel(cfg.tmsv, ch)
+    except ValueError as exc:  # an output past the float range, say: the prover's channel is at fault
+        raise ValueError(f"prover {prover.kind}'s channel, X of norm {np.linalg.norm(ch.X, 2):.3g}, "
+                         f"gives no output state: {exc}") from None
 
 
 class Batch(NamedTuple):
@@ -316,8 +322,10 @@ class Batch(NamedTuple):
 
 
 def _target_weights(cfg: VerificationConfig):
-    """S^-1, then A = S^-T S^-1 and A d as nested lists, and d^T A d."""
-    S_inv = inverse(cfg.target).S
+    """S^-1 = -Omega S^T Omega, the inverse of a symplectic S, then
+    A = S^-T S^-1 and A d as nested lists, and d^T A d."""
+    omega = symplectic_form(cfg.m)
+    S_inv = -omega @ cfg.target.S.T @ omega
     A = S_inv.T @ S_inv
     Ad = A @ cfg.target.d
     return S_inv, A.tolist(), Ad.tolist(), float(cfg.target.d @ Ad)

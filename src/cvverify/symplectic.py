@@ -176,13 +176,6 @@ def spectral_norm(spec: SymplecticSpec) -> float:
     return float(np.linalg.norm(spec.S, ord=2))
 
 
-def inverse(a: SymplecticSpec) -> SymplecticSpec:
-    """Inverse unitary: (S^-1, -S^-1 d), using S^-1 = -Omega S^T Omega."""
-    omega = symplectic_form(a.n_modes)
-    S_inv = -omega @ a.S.T @ omega
-    return SymplecticSpec(S_inv, -S_inv @ a.d)
-
-
 def orthogonal_symplectic(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random passive (orthogonal symplectic) matrix from a Haar unitary."""
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

@@ -1,5 +1,6 @@
 """Builders that several test files share and the library does not need:
-random prover channels for property tests, coherent states, the TMSV
+random prover channels for property tests, the inverse of a Gaussian
+unitary, coherent states, the TMSV
 covariance from its block form, each plan batch's exact share of the
 witness, the dense matrix of a Fock operator held in a frame, and the
 per-chain view of the oracle's wrapped n1 - n2 stacks."""
@@ -10,6 +11,13 @@ from cvverify import fock, symplectic as sp
 from cvverify.channels import KINDS, ProverChannel
 from cvverify.gaussian import GaussianState
 from cvverify.measurement import rotated_quadrature_projector
+
+
+def inverse(a: sp.SymplecticSpec) -> sp.SymplecticSpec:
+    """Inverse unitary: (S^-1, -S^-1 d), using S^-1 = -Omega S^T Omega."""
+    omega = sp.symplectic_form(a.n_modes)
+    S_inv = -omega @ a.S.T @ omega
+    return sp.SymplecticSpec(S_inv, -S_inv @ a.d)
 
 
 def random_prover(rng: np.random.Generator, n_modes: int = 1, kind: str | None = None) -> ProverChannel:

@@ -6,7 +6,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 import numpy as np
 import pytest
 
-from builders import random_prover
+from builders import inverse, random_prover
 from cvverify import fock, gaussian as ga, measurement as ms, symplectic as sp
 from cvverify.channels import (
     AmplificationTarget,
@@ -297,7 +297,7 @@ def test_8_measurement_plan():
         X = rng.normal(size=(4 * m, 4 * m))
         second = X + X.T
         a, r = slice(0, 2 * m), slice(2 * m, 4 * m)
-        S_inv, d = sp.inverse(spec).S, spec.d
+        S_inv, d = inverse(spec).S, spec.d
         Z = np.kron(np.eye(m), np.diag([1.0, -1.0]))
         M = second[a, a] - 2.0 * np.outer(mean[a], d) + np.outer(d, d)
         ref = (-0.5 * np.trace(S_inv.T @ S_inv @ M)

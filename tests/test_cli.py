@@ -497,6 +497,31 @@ def test_oracle_refuses_the_state_game(tmp_path, monkeypatch, capsys, prover):
     _assert_refused(["oracle", "--config", str(path)], "oracle checks a prover channel's witness", capsys)
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_refuses_the_plan_before_any_fock_work(tmp_path, capsys):
+    # the amplification plan refuses g = 1e150, whose epsilon shares leave the
+    # float range; the oracle once built the Fock witness and output first, and
+    # the prover's squeezer warned of truncation leakage 1.00e+00
+    config = {"protocol": "amplification", "lam": 1.0, "F_t": 1e-301, "delta": 0.25, "epsilon": 1e-302,
+              "g": 1e150}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"config": config, "prover": {"kind": "QuantumLimitedAmplifier", "g": 1e150}}))
+    _assert_refused(["oracle", "--config", str(path)],
+                    "gain g = 1e+150 is too large: an epsilon share of its plan leaves the float range", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_names_the_prover_whose_output_leaves_the_float_range(scenario, capsys):
+    # X cov X^T overflows for S = diag(1e155, 1e-155); it once warned of an
+    # overflow in matmul and then named only the output state's covariance
+    path, data = scenario
+    data["prover"]["spec"]["S"] = [1e155, 0, 0, 1e-155]
+    path.write_text(json.dumps(data))
+    _assert_refused(["verify", "--config", str(path)],
+                    "prover ExactUnitary's channel, X of norm 1e+155, gives no output state: state cov has an "
+                    "entry that is not finite", capsys)
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_sweep_refuses_fewer_than_one_point(scenario, capsys, points):
     # --points 0 once printed an empty sweep and exited 0

@@ -50,7 +50,7 @@ def density(state):
     amplitude form, sum vec(X) vec(X)+ over its terms X = A[m] @ B[n]."""
     if state.sectors is not None:
         return fock._assemble(state.sectors)
-    A, B = fock._term_stacks(state.form)
+    A, B = fock._later_stack(state.form), fock._first_stack(state.form)
     X = (A[:, None] @ B[None]).reshape(-1, state.cutoff**2)
     return X.T @ X.conj()
 
@@ -966,8 +966,71 @@ def test_term_trace_matches_the_per_chain_loop(cutoff):
         W = random_stack(rng, c, real)
         for terms in (1, c):
             A, B = (rng.normal(size=(terms, c, c)) + 1j * rng.normal(size=(terms, c, c)) for _ in range(2))
-            got, ref = fock._term_trace(A, B, W), _term_trace_per_chain(A, B, W)
+            got, ref = fock._term_trace(A, B, W, np.ones((terms, terms), bool)), _term_trace_per_chain(A, B, W)
             assert abs(got - ref) <= 1e-12 * ref, (real, terms)
+
+
+# A noisy unitary's dual path contracts only the terms that carry weight.  The
+# target is squeezed, rotated and displaced, so its witness is held in a frame.
+PRUNED_TARGET = sp.SymplecticSpec(
+    np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]) @ np.diag([np.exp(0.3), np.exp(-0.3)]),
+    np.array([0.2, -0.1]))
+
+
+def _noisy_unitary(cutoff, excess):
+    """A noisy unitary's output at PRUNED_TARGET, and the target's witness."""
+    state = fock.entangled_output_fock(
+        elementary_factors(ProverChannel("NoisyUnitary", spec=PRUNED_TARGET, excess=excess)), 1.0, cutoff)
+    return state, fock.witness_fock_unitary(PRUNED_TARGET, 1.0, cutoff)
+
+
+def _term_traces(A, B, W):
+    """(<X|O|X>, ||X||^2) of each term X = A[m] @ B[n], each of shape
+    (M, N), one product per chain as in _term_trace_per_chain."""
+    X = A[:, None] @ B[None]  # [m, n, i, j]
+    q = 0.0
+    for i, j, O in chain_blocks(W):
+        F = X[:, :, i, j]  # [m, n, chain state]
+        q = q + np.einsum("mnl,mnl->mn", F.conj(), F @ O.T).real
+    return q, np.einsum("mnij,mnij->mn", X, X.conj()).real
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("excess", [0.05, 0.15, 0.3])
+@pytest.mark.parametrize("cutoff", [20, 24, 40])
+def test_pruned_dual_path_matches_every_term(cutoff, excess):
+    """The expectation over the kept terms against every term, one product
+    per chain: within 1e-13, and within the bound the weights state, which
+    the left-out terms' own traces meet; each weight is its term's squared
+    norm, and bounds its trace by the stack's largest absolute row sum."""
+    state, op = _noisy_unitary(cutoff, excess)
+    (frame, W), w = op.form, state._terms[1]
+    A, B = fock._later_stack(state.form, frame), fock._first_stack(state.form)
+    got, ref = fock.expectation(op, state), _term_trace_per_chain(A, B, W)
+    assert abs(got - ref) <= 1e-13, (got, ref)
+
+    (q, norms), keep = _term_traces(A, B, W), fock._kept_terms(w, W)
+    assert np.allclose(w, norms, rtol=1e-13, atol=0)
+    norm = np.abs(W).sum(2).max()
+    bound = norm * w[~keep].sum()
+    assert abs(q.sum() - ref) <= 1e-13
+    assert np.all(np.abs(q) <= norm * w * (1 + 1e-12))
+    assert 0 < (~keep).sum() and abs(q[~keep].sum()) <= bound <= fock._DROP
+    assert abs(fock._term_trace(A, B, W, keep) - q[keep].sum()) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+@pytest.mark.parametrize("cutoff", [20, 24, 40])
+def test_leakage_read_off_the_weights_matches_the_dense_trace(cutoff):
+    state, _ = _noisy_unitary(cutoff, 0.15)
+    assert abs(state.leakage - (1.0 - np.trace(density(state)).real)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
+def test_noisy_unitary_keeps_under_a_quarter_of_its_terms_at_cutoff_64():
+    state, op = _noisy_unitary(64, 0.05)
+    keep = fock._kept_terms(state._terms[1], op.form[1])
+    assert keep.shape == (64, 64) and keep.sum() < 4096 // 4, keep.sum()
 
 
 # The scaled-spectrum kernel against SciPy's expm, chain by chain: each chain's block is

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from builders import exact_terms, random_prover
+from builders import exact_terms, inverse, random_prover
 from cvverify import fock, gaussian as ga, protocols, symplectic as sp
 from cvverify.channels import (
     KINDS,
@@ -686,7 +686,7 @@ def ref_unitary(state, cfg):
     gamma = mu[a]
     Gamma1 = V[a, a] + np.outer(gamma, gamma)
     Gamma2 = V[a, r] + np.outer(mu[a], mu[r])
-    S_inv, d = sp.inverse(cfg.target).S, cfg.target.d
+    S_inv, d = inverse(cfg.target).S, cfg.target.d
     M = Gamma1 - 2.0 * np.outer(gamma, d) + np.outer(d, d)
     Z = np.kron(np.eye(m), np.diag([1.0, -1.0]))
     return (-0.5 * np.trace(S_inv.T @ S_inv @ M) + np.trace(Z @ S_inv @ Gamma2) / np.sqrt(lam + 1.0)
@@ -706,7 +706,7 @@ def ref_amplification(state, cfg):
 
 def ref_state(mean, M, cfg):
     """1 + m/2 - 1/2 tr[S^-T S^-1 (M - 2 x d^T + d d^T)]."""
-    S_inv, d = sp.inverse(cfg.target).S, cfg.target.d
+    S_inv, d = inverse(cfg.target).S, cfg.target.d
     X = M - 2.0 * np.outer(mean, d) + np.outer(d, d)
     return 1.0 + 0.5 * cfg.m - 0.5 * np.trace(S_inv.T @ S_inv @ X)
 
