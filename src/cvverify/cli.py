@@ -95,16 +95,16 @@ def cmd_oracle(args) -> int:
         raise ValueError("oracle checks a prover channel's witness, and the state game has no prover channel")
     if prover is None:
         raise SystemExit("error: oracle requires a prover in the scenario")
-    if cfg.m != 1 and args.cutoff is not None:
+    # every refusal comes before any Fock build: the cutoff's first, then the plan's
+    # (a gain or a target whose plan leaves the float range), which the report reads
+    if cfg.m == 1:  # the Fock cross-check runs on one mode only
+        cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff
+        fock.check_cutoff(cutoff)
+    elif args.cutoff is not None:
         raise ValueError(
             f"--cutoff sets the Fock cross-check, which runs at m = 1 only; this scenario has m = {cfg.m}"
         )
-    # every refusal comes before any work: the cutoff's, then the plan's (a gain or a
-    # target whose plan leaves the float range), which builds the form the report reads
-    if cfg.m == 1:  # the Fock cross-check runs on one mode only
-        cutoff = fock.default_cutoff(cfg.lam) if args.cutoff is None else args.cutoff
-        fock._check_cutoff(cutoff)
-    cfg.witness_form
+    report = protocols.oracle_report(prover, cfg)
     if cfg.m == 1:
         # t2: tanh^2 of the witness squeezer's angle
         if cfg.protocol == "amplification":
@@ -114,8 +114,6 @@ def cmd_oracle(args) -> int:
             W = fock.witness_fock_unitary(cfg.target, cfg.lam, cutoff)
             t2 = 1.0 / (cfg.lam + 1.0)
         state = fock.entangled_output_fock(elementary_factors(prover), cfg.lam, cutoff)
-    report = protocols.oracle_report(prover, cfg)
-    if cfg.m == 1:
         report["fock_omega"] = fock.expectation(W, state)
         if not np.isfinite(report["fock_omega"]):
             raise ValueError(f"Fock witness {report['fock_omega']} is not finite")

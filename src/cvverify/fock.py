@@ -198,7 +198,8 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def _check_cutoff(cutoff: int, name: str = "cutoff") -> None:
+def check_cutoff(cutoff: int, name: str = "cutoff") -> None:
+    """Refuse a cutoff that is not an integer in [2, MAX_CUTOFF]."""
     try:
         operator.index(cutoff)
     except TypeError:
@@ -223,13 +224,13 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def destroy(cutoff: int) -> np.ndarray:
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
 def g_theta(theta: float, cutoff: int) -> np.ndarray:
     """The diagonal tanh^{2n}(theta) of the damping operator G_theta."""
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     _check_finite("theta", theta)
     t2 = np.tanh(theta) ** 2
     return t2 ** np.arange(cutoff, dtype=float)
@@ -401,7 +402,7 @@ def _chain_spectra(cutoff: int, count: int) -> tuple:
 
 def _check_squeezer(theta: float, cutoff: int) -> None:
     _check_finite("theta", theta)
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     # the truncated exponential is exactly unitary (anti-Hermitian generator),
     # so quantify leakage as the ideal TMSV tail mass beyond the cutoff
     leak = float(np.tanh(theta) ** (2 * cutoff))
@@ -427,7 +428,7 @@ def displace_fock(beta: complex, cutoff: int) -> np.ndarray:
     """exp(beta a+ - conj(beta) a) = R exp(|beta| (a+ - a)) R+ in the phase
     frame R = e^{i phi n} of beta = |beta| e^{i phi}.  a+ - a is one
     antisymmetric tridiagonal chain with the weights of a's off-diagonal."""
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     spectrum = _spectrum(np.diagonal(destroy(cutoff), 1).real)
     u = np.exp(1j * np.angle(beta) * np.arange(cutoff))
     return u[:, None] * _exp_tridiagonal(spectrum, abs(beta)) * u.conj()
@@ -438,7 +439,7 @@ def squeeze1_fock(r: float, cutoff: int) -> np.ndarray:
     two antisymmetric tridiagonal chains, the even and the odd photon
     numbers, with the weights of a^2's second off-diagonal halved, in one
     stack, the odd chain zero-padded to the even one's length."""
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     a = destroy(cutoff)
     w = np.diagonal(a @ a, 2).real / 2  # w[n] links n and n + 2
     spectrum = _spectrum(np.append(w, np.zeros(cutoff % 2)).reshape(-1, 2).T)
@@ -462,7 +463,7 @@ def gaussian_unitary_fock(spec: SymplecticSpec, cutoff: int) -> np.ndarray:
     The matrix is kept per (spec, cutoff) by :func:`_memo`, and each call
     returns a writeable copy of it.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     if spec.n_modes != 1:
         raise ValueError("Fock oracle supports single-mode Gaussian unitaries only")
     return _euler_unitary(spec, cutoff).copy()
@@ -496,7 +497,7 @@ def performance_operator_avg_fidelity(g: float, lam: float, cutoff: int) -> Fock
     evaluated in log space.  Both states of an entry lie on one n1 - n2
     chain, so the stack is built over the wrapped grid at once.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     if not (0 < g < np.inf and 0 < lam < np.inf):
         raise ValueError(f"g and lam must be positive and finite, got g={g}, lam={lam}")
     j, x = _grid_tables(cutoff)[0], np.arange(cutoff)
@@ -527,7 +528,7 @@ def canonical_observable(
     ``check_convergence`` is accepted and ignored: the performance operator is
     exact, so there is no quadrature left to check.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     p = np.arange(cutoff, dtype=float)
     rho_r = (lam / (1.0 + lam)) * (1.0 / (1.0 + lam)) ** p
     if rho_r.min() < 1e-12:
@@ -598,9 +599,9 @@ def canonical_observable_closed_form(
     by :func:`_embedding`, a ValueError near the transition, where none is
     enough.  Both branches conserve n1 - n2: the result is held as a stack.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     if embed_cutoff is not None:
-        _check_cutoff(embed_cutoff, "embed_cutoff")
+        check_cutoff(embed_cutoff, "embed_cutoff")
         if embed_cutoff < cutoff:
             raise ValueError("embed_cutoff must be at least cutoff")
     _check_lam(lam)
@@ -656,7 +657,7 @@ def witness_fock_unitary(spec: SymplecticSpec, lam: float, cutoff: int) -> FockO
     being first-slot photon numbers; a real u, as the identity target's,
     folds into a real stack.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     kappa = _kappa(lam)
     k = lam / (lam + 1.0)
     U = gaussian_unitary_fock(spec, cutoff)
@@ -677,7 +678,7 @@ def witness_fock_amp(g: float, lam: float, cutoff: int) -> FockOperator:
     S_theta' (1 (x) d) S_theta'+ with d = (lam+1)/g^2 (1 - (g^2-lam-1)/g^2 n),
     held as the wrapped stack of its n1 - n2 chain blocks E diag(d_R) E^T.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     _check_lam(lam)
     root = np.sqrt(lam + 1.0)
     if not root < g < np.inf:
@@ -843,12 +844,14 @@ def _kept_terms(w: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     times their summed weight stays at most _DROP, and the trace moves by at
     most _DROP.  The bound is at least |W[0, 0, 0]|, so when that alone
     keeps the lightest term, as it keeps a pure state's one term, the row
-    sums are not read."""
+    sums are not read.  Each n then keeps every m from its first kept term
+    to its last, which only keeps more, so that its A[m] are one slice."""
     keep = np.ones(w.shape, dtype=bool)
     if w.min() * abs(sectors[0, 0, 0]) <= _DROP:
         norm = (np.abs(sectors) @ np.ones(sectors.shape[-1])).max()
         order = np.argsort(w, axis=None)
         keep.flat[order[:np.searchsorted(np.cumsum(w.flat[order]) * norm, _DROP, side="right")]] = False
+        keep = np.logical_or.accumulate(keep) & np.logical_or.accumulate(keep[::-1])[::-1]
     return keep
 
 
@@ -857,10 +860,10 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray, keep: np.ndar
     of the wrapped stack W: sum_s F_s+ W[s] F_s, F_s[x, term] the terms'
     entries at |x, (x + s) mod c>, in one batched product over the wrapped
     diagonals, W[s] F_s or, past c terms, the smaller Gram matrices
-    F_s F_s+, for sum_s tr(W[s] conj(F_s F_s+)).  The terms are formed n by
-    n, the kept A[m] (a view when they are a run of m, as they most often
-    are) stacked into one product with B[n], and written straight into the
-    wrapped order F[s, x, term].
+    F_s F_s+, for sum_s tr(W[s] conj(F_s F_s+)).  Each n's kept m are one
+    run, as :func:`_kept_terms` and an all-true ``keep`` give them, and the
+    terms are formed n by n, that run's slice of A in one product with B[n],
+    written straight into the wrapped order F[s, x, term].
 
     Both steps cost c^3 per kept term.  :func:`_kept_terms` leaves out the
     lightest terms, whose traces are at most ||O|| times their weights and
@@ -871,7 +874,7 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray, keep: np.ndar
     max(_TERM_ENTRIES, c^2 M) entries, so the memory stays O(c^3) for stacks
     of c."""
     M, c = A.shape[:2]
-    A = np.ascontiguousarray(A)  # so the A[m] of a product are the rows of one matrix
+    A = np.ascontiguousarray(A)  # so a run of A[m] is the rows of one matrix
     n, m = np.nonzero(keep.T)  # the kept terms, n by n
     step = max(_TERM_ENTRIES, c * c * M) // (c * c)
     wrap = _grid_tables(c)[2]  # the row of |i, j> in the wrapped order
@@ -881,8 +884,7 @@ def _term_trace(A: np.ndarray, B: np.ndarray, sectors: np.ndarray, keep: np.ndar
         F = np.empty((c * c, ns.size), dtype=np.result_type(A, B))
         cuts = np.flatnonzero(np.diff(ns)) + 1
         for a, b in zip([0, *cuts], [*cuts, ns.size]):
-            As = A[ms[a]:ms[b - 1] + 1] if ms[b - 1] - ms[a] == b - a - 1 else A[ms[a:b]]
-            F[wrap, a:b] = (As.reshape(-1, c) @ B[ns[a]]).reshape(b - a, -1).T
+            F[wrap, a:b] = (A[ms[a]:ms[b - 1] + 1].reshape(-1, c) @ B[ns[a]]).reshape(b - a, -1).T
         F = F.reshape(c, c, -1)
         if np.isrealobj(sectors):  # Re f+ W f = Re(f) W Re(f) + Im(f) W Im(f): real products
             F = F.view(float)
@@ -936,7 +938,7 @@ def entangled_output_fock(ops: list[tuple], lam: float, cutoff: int) -> FockStat
     leading unitaries, and ``factors`` are the rest, each ("unitary", U) or
     ("kraus", the Kraus table of :func:`_kraus_diagonals`).
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     kappa = _kappa(lam)
     a = _tmsv_amplitudes(kappa, cutoff)
     factors = [("unitary", gaussian_unitary_fock(p, cutoff)) if kind == "unitary"

@@ -63,8 +63,8 @@ from .measurement import (
     moment_sums,
     rotated_quadrature_projector,
 )
-from .symplectic import (SymplecticSpec, _as_float, _as_str, _fields_state, _read_object, spectral_norm,
-                         symplectic_form)
+from .symplectic import (SymplecticSpec, _as_float, _as_str, _fields_state, _read_object, inverse_matrix,
+                         spectral_norm)
 
 
 def kappa_for(lam: float) -> float:
@@ -322,10 +322,9 @@ class Batch(NamedTuple):
 
 
 def _target_weights(cfg: VerificationConfig):
-    """S^-1 = -Omega S^T Omega, the inverse of a symplectic S, then
-    A = S^-T S^-1 and A d as nested lists, and d^T A d."""
-    omega = symplectic_form(cfg.m)
-    S_inv = -omega @ cfg.target.S.T @ omega
+    """S^-1 of the target's S, then A = S^-T S^-1 and A d as nested lists,
+    and d^T A d."""
+    S_inv = inverse_matrix(cfg.target.S)
     A = S_inv.T @ S_inv
     Ad = A @ cfg.target.d
     return S_inv, A.tolist(), Ad.tolist(), float(cfg.target.d @ Ad)

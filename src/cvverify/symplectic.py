@@ -176,6 +176,12 @@ def spectral_norm(spec: SymplecticSpec) -> float:
     return float(np.linalg.norm(spec.S, ord=2))
 
 
+def inverse_matrix(S: np.ndarray) -> np.ndarray:
+    """S^-1 = -Omega S^T Omega of a symplectic S."""
+    omega = symplectic_form(S.shape[0] // 2)
+    return -omega @ S.T @ omega
+
+
 def orthogonal_symplectic(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random passive (orthogonal symplectic) matrix from a Haar unitary."""
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

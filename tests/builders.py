@@ -14,9 +14,8 @@ from cvverify.measurement import rotated_quadrature_projector
 
 
 def inverse(a: sp.SymplecticSpec) -> sp.SymplecticSpec:
-    """Inverse unitary: (S^-1, -S^-1 d), using S^-1 = -Omega S^T Omega."""
-    omega = sp.symplectic_form(a.n_modes)
-    S_inv = -omega @ a.S.T @ omega
+    """Inverse unitary: (S^-1, -S^-1 d)."""
+    S_inv = sp.inverse_matrix(a.S)
     return sp.SymplecticSpec(S_inv, -S_inv @ a.d)
 
 

@@ -335,13 +335,13 @@ def _start_after_the_cutoff_check(monkeypatch):
     accepted cutoff is seen without any Fock work."""
     from cvverify import fock
 
-    check = fock._check_cutoff
+    check = fock.check_cutoff
 
     def checked(cutoff, name="cutoff"):
         check(cutoff, name)
         raise _Started
 
-    monkeypatch.setattr(fock, "_check_cutoff", checked)
+    monkeypatch.setattr(fock, "check_cutoff", checked)
 
 
 def _assert_refused(argv, message, capsys):

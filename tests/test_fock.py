@@ -634,6 +634,7 @@ def test_fock_builders_reject_malformed_input(call, match):
 # Valid values of the other arguments of each public fock function with a
 # cutoff; a new one fails the test below until it has an entry here.
 CUTOFF_ARGS = {
+    "check_cutoff": {},
     "destroy": {},
     "g_theta": {"theta": 0.5},
     "displace_fock": {"beta": 0.3 - 0.1j},
@@ -1016,7 +1017,17 @@ def test_pruned_dual_path_matches_every_term(cutoff, excess):
     assert abs(q.sum() - ref) <= 1e-13
     assert np.all(np.abs(q) <= norm * w * (1 + 1e-12))
     assert 0 < (~keep).sum() and abs(q[~keep].sum()) <= bound <= fock._DROP
+    assert np.all(np.count_nonzero(np.diff(keep, axis=0), axis=0) <= 2)  # each n keeps one run of m
     assert abs(fock._term_trace(A, B, W, keep) - q[keep].sum()) <= 1e-13
+
+
+def test_kept_terms_are_one_run_of_m_for_each_n():
+    """A light term between two heavy ones of the same n is kept, so that
+    _term_trace takes each n's A[m] as one slice; a light last term is not."""
+    W = np.zeros((2, 2, 2))
+    W[0] = np.eye(2)
+    w = np.array([[1.0, 1.0], [1e-30, 1.0], [1.0, 1e-30]])
+    assert fock._kept_terms(w, W).tolist() == [[True, True], [True, True], [True, False]]
 
 
 @pytest.mark.filterwarnings("ignore:two-mode squeezer truncation leakage")
