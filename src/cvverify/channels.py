@@ -167,8 +167,8 @@ class AmplificationTarget:
     g: float
 
     def __post_init__(self):
-        if self.g <= 1:
-            raise ValueError("amplification target gain must exceed 1")
+        if not 1 < self.g < np.inf:  # NaN fails too
+            raise ValueError(f"amplification target gain g must be finite and exceed 1, got {self.g}")
 
 
 def average_fidelity(p: ProverChannel, target, lam: float) -> float:
@@ -189,8 +189,8 @@ def average_fidelity(p: ProverChannel, target, lam: float) -> float:
     with V_E = X X^T / 2 + Y from ``p.realize()``, and V_T = S S^T / 2, T = S
     for a unitary target (1/2 and g for an amplification target).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     ch = p.realize()
     X, eye = ch.X, np.eye(2 * p.n_modes)
     if isinstance(target, AmplificationTarget):

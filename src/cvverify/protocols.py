@@ -24,18 +24,17 @@ rows.  ``shares`` gives each count key its share of epsilon, and the
 budget reads the rest of Lemma 3 off the batches: a key sizes as many
 observables as its batches have terms.  A config keeps three values, each
 built on first use: the TMSV the verifier prepares, the affine form and
-the budget (read-only, shared by every verdict and ``sample_budget``).
-All three games reach a verdict through one core, which builds and
-compiles the plan once per call, and on a config without a budget keeps
-the one it reads off that plan: each group that draws shots gets the
-stacked exact marginals of its rows (``measurement.marginals``), and each
-seed's one Generator draws their shot and scatter sums, sufficient
-statistics, in plan order and in a few array calls
-(``measurement.moment_sums``), so an uncapped budget costs no more than a
-capped one.  The plan and its compile are not kept on the config: a
-faster verdict lets a benchmark run complete more ops, and the harness
-keeps a record per op, so its peak RSS would pass its bound until those
-records are streamed.
+the budget (read-only; ``cfg.budget`` is its one builder).  All three
+games reach a verdict through one core, which builds and compiles the
+plan once per call and reads its counts off ``cfg.budget``: each group
+that draws shots gets the stacked exact marginals of its rows
+(``measurement.marginals``), and each seed's one Generator draws their
+shot and scatter sums, sufficient statistics, in plan order and in a few
+array calls (``measurement.moment_sums``), so an uncapped budget costs no
+more than a capped one.  A verdict reads its acceptance and budget
+through its config.  The plan and its compile are not kept on the
+config: the harness keeps a record per op, so more ops would pass its
+peak-RSS bound until those records are streamed.
 
 All additive constants are derived under the fixed vacuum-variance-1/2
 convention and pinned by the exact identities "honest prover gives
@@ -161,9 +160,9 @@ class VerificationConfig:
 
     @cached_property
     def budget(self) -> SampleBudget:
-        """The Lemma-3 budget of the game's plan, built on first use; a
-        verdict on a config without one keeps the budget it reads off its
-        own plan instead.  Every verdict of the config shares it."""
+        """The Lemma-3 budget of the game's plan, built on first use from a
+        plan of its own: the one builder of the config's budget.  Every
+        verdict of the config reads this object."""
         batches, _, shares = witness_plan(self)
         return _budget(self, batches, shares)
 
@@ -203,11 +202,12 @@ def lemma3_sample_count(sigma: float, l: int, epsilon: float, delta: float) -> i
     simultaneously with probability at least 1 - delta:
     ceil(sigma^2 (l+1) / (epsilon^2 ln(1/(1-delta)))).
     """
-    if sigma <= 0 or epsilon <= 0 or l < 0:
-        raise ValueError("sigma, epsilon must be positive and l nonnegative")
+    for name, value in (("sigma", sigma), ("epsilon", epsilon)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not 0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    return _count(_lemma3_raw(sigma, l, epsilon, delta))
+    return _count(_lemma3_raw(sigma, _integer(l, "l", 0), epsilon, delta))
 
 
 def _lemma3_raw(sigma: float, l: int, epsilon: float, delta: float) -> float:
@@ -221,11 +221,6 @@ def _count(raw: float) -> int:
     if not math.isfinite(raw):  # sigma too large, or epsilon or delta too small
         raise ValueError(f"shot count {raw} out of range")
     return int(math.ceil(raw))
-
-
-def _split_delta(delta: float, groups: int) -> float:
-    """Per-group failure budget: each group succeeds with prob (1-delta)^(1/groups)."""
-    return 1.0 - (1.0 - delta) ** (1.0 / groups)
 
 
 class _ReadOnlyDict(dict):
@@ -274,15 +269,15 @@ class SampleBudget:
 def _budget(cfg: VerificationConfig, batches, shares: dict) -> SampleBudget:
     """Lemma-3 counts of the plan's count keys.  A key sizes l observables,
     the terms of its batches, with variance bound sigma1 if they read means
-    and sigma2 otherwise; delta is split evenly over the keys whose epsilon
-    share is not None, and a None share is a count of 0.  ``channel_uses``
-    is the shots ``batches`` draw at those counts."""
+    and sigma2 otherwise; each of the k keys with an epsilon share fails with
+    probability 1 - (1-delta)^(1/k), and a None share is a count of 0.
+    ``channel_uses`` is the shots ``batches`` draw at those counts."""
     l, sigma = dict.fromkeys(shares, 0), dict.fromkeys(shares, cfg.sigma2)
     for b in batches:
         l[b.key] += len(b.terms)
         if any(j is None for _, j, _ in b.terms):
             sigma[b.key] = cfg.sigma1
-    dg = _split_delta(cfg.delta, sum(eps is not None for eps in shares.values()))
+    dg = 1.0 - (1.0 - cfg.delta) ** (1.0 / sum(eps is not None for eps in shares.values()))
     raw = {key: 0.0 if eps is None else _lemma3_raw(sigma[key], l[key], eps, dg)
            for key, eps in shares.items()}
     counts = {key: _count(v) for key, v in raw.items()}
@@ -598,30 +593,36 @@ def witness_estimate_state(
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one protocol run; pure function of (measured state, config, seed)."""
+    """Outcome of one protocol run; pure function of (measured state, config,
+    seed).  ``accepted`` and ``budget`` are read through ``cfg``."""
 
-    accepted: bool
     omega_star: float
-    budget: SampleBudget
     cfg: VerificationConfig
     seed: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def threshold(self) -> float:
+        return self.cfg.F_t + self.cfg.epsilon
+
+    @property
+    def accepted(self) -> bool:
+        return self.omega_star >= self.threshold  # ties at the threshold accept
+
+    @property
+    def budget(self) -> SampleBudget:
+        return self.cfg.budget
 
     def to_dict(self) -> dict:
         return {
             "accepted": bool(self.accepted),
             "omega_star": float(self.omega_star),
-            "threshold": float(self.cfg.F_t + self.cfg.epsilon),
+            "threshold": float(self.threshold),
             "budget": self.budget.to_dict(),
             "config": self.cfg.to_dict(),
             "seed": int(self.seed),
             "diagnostics": self.diagnostics,
         }
-
-
-def _decide(omega_star: float, cfg: VerificationConfig) -> bool:
-    # ties at the threshold accept (>= comparison)
-    return omega_star >= cfg.F_t + cfg.epsilon
 
 
 def _integer(value, name: str, least: int) -> int:
@@ -639,7 +640,7 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
     the plan's first setting: the supplied m modes in the state game, else the
     2m modes of ``output_state``.  Diagnostics hold
     c0, the shots and the term of every batch, with omega* = c0 + sum(terms)."""
-    batches, c0, shares = witness_plan(cfg)
+    batches, c0, _ = witness_plan(cfg)
     n_modes = len(batches[0].setting.angles)
     if state.n_modes != n_modes:
         raise ValueError(f"state has {state.n_modes} modes, the {cfg.protocol} game measures {n_modes}")
@@ -651,10 +652,7 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
         _integer(seed, "seed", 0)
     if shot_cap is not None:
         shot_cap = _integer(shot_cap, "shot_cap", 1)
-    budget = vars(cfg).get("budget")
-    if budget is None:  # keep the budget of this call's plan, so the call builds one plan
-        budget = vars(cfg)["budget"] = _budget(cfg, batches, shares)
-    counts = budget.counts if shot_cap is None else {k: min(c, shot_cap) for k, c in budget.counts.items()}
+    counts = {k: c if shot_cap is None else min(c, shot_cap) for k, c in cfg.budget.counts.items()}
     verdicts = []
     for seed, terms in zip(seeds, estimate_terms(state, batches, counts, seeds)):
         omega = c0 + sum(terms)
@@ -662,7 +660,7 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
             raise ValueError(f"omega* = {omega} is not finite")
         diag = {"shot_cap": shot_cap, "c0": c0, "shots": [counts[b.key] for b in batches],
                 "terms": terms}
-        verdicts.append(Verdict(_decide(omega, cfg), omega, budget, cfg, seed, diag))
+        verdicts.append(Verdict(omega, cfg, seed, diag))
     return verdicts
 
 

@@ -59,6 +59,18 @@ def test_non_finite_channel_parameters_rejected(params):
         ProverChannel(**params)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_non_finite_or_nonpositive_prior_and_target_gain_rejected(value):
+    # average_fidelity once warned in slogdet and returned NaN at lam = NaN,
+    # and a NaN or infinite target gain was kept, a NaN fidelity following
+    with pytest.raises(ValueError, match=f"^lam must be positive and finite, got {value}$"):
+        average_fidelity(exact_unitary(sp.identity(1)), sp.identity(1), value)
+    with pytest.raises(ValueError, match=f"^lam must be positive and finite, got {value}$"):
+        average_fidelity(optimal_amplifier(2.0, 1.0), AmplificationTarget(2.0), value)
+    with pytest.raises(ValueError, match=f"^amplification target gain g must be finite and exceed 1, got {value}$"):
+        AmplificationTarget(value)
+
+
 def test_from_dict_coerces_numbers():
     for modes in ("2", 2.0, "2.0", np.int64(2)):
         p = ProverChannel.from_dict({"kind": "QuantumLimitedAmplifier", "g": "1.5", "modes": modes})

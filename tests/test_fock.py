@@ -268,6 +268,18 @@ def test_default_embedding_grows_with_the_angle_up_to_the_cutoff_bound():
         fock.canonical_observable_closed_form(2.0, 1.0, 250)
 
 
+@pytest.mark.parametrize("cutoff", [16, 24, 30])
+def test_witness_below_observable_at_the_operator_tolerance(cutoff):
+    """W <= O within 1e-10 for the unitary (g = 1) and amplification (g = 2)
+    witnesses at lam = 1, with O the closed form at the same cutoff, the
+    suite ``cvverify lemmas`` runs.  The bound is tight (the top eigenvalue
+    of W - O reads below 3e-15 in size), so an O shifted up fails as well."""
+    for g, W in ((1.0, fock.witness_fock_unitary(sp.identity(1), 1.0, cutoff)),
+                 (2.0, fock.witness_fock_amp(2.0, 1.0, cutoff))):
+        O = fock.canonical_observable_closed_form(g, 1.0, cutoff, embed_cutoff=cutoff)
+        assert abs(fock.max_eigenvalue(W - O)) <= 1e-10, g
+
+
 def test_damping_inequality_small():
     theta, cutoff = 0.5, 20
     n = np.arange(cutoff, dtype=float)

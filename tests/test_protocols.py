@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cvverify.channels import (
 from cvverify.measurement import build_measurement_plan, marginals, moment_sums, rotated_quadrature_projector
 from cvverify.protocols import (
     Batch,
+    Verdict,
     VerificationConfig,
     estimate_terms,
     accept_rate,
@@ -60,6 +63,23 @@ def test_lemma3_quadratic_scaling():
     from cvverify.protocols import _lemma3_raw
 
     assert _lemma3_raw(1.0, 1, 0.05, 0.5) == pytest.approx(4 * _lemma3_raw(1.0, 1, 0.1, 0.5))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1.5, 0.1, 0.5), "l must be an integer, got 1.5"),
+    ((1.0, True, 0.1, 0.5), "l must be an integer, got True"),
+    ((1.0, -1, 0.1, 0.5), "l must be at least 0, got -1"),
+    ((np.nan, 1, 0.1, 0.5), "sigma must be positive and finite, got nan"),
+    ((np.inf, 1, 0.1, 0.5), "sigma must be positive and finite, got inf"),
+    ((0.0, 1, 0.1, 0.5), "sigma must be positive and finite, got 0.0"),
+    ((1.0, 1, np.nan, 0.5), "epsilon must be positive and finite, got nan"),
+    ((1.0, 1, np.inf, 0.5), "epsilon must be positive and finite, got inf"),
+    ((1.0, 1, 0.1, np.nan), "delta must lie in"),
+])
+def test_lemma3_refuses_each_bad_argument_by_name(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lemma3_sample_count(*args)
+    assert lemma3_sample_count(1.0, np.int64(1), 0.1, 0.5) == 289
 
 
 def test_lemma3_diverges_as_delta_vanishes():
@@ -633,11 +653,12 @@ def test_verdict_determinism_and_serialization():
 
 
 def test_tie_at_threshold_accepts():
-    from cvverify.protocols import _decide
-
+    # a verdict holds what its run produced; acceptance is read through its config
+    assert [f.name for f in dataclasses.fields(Verdict)] == ["omega_star", "cfg", "seed", "diagnostics"]
     cfg = cfg_unitary(sp.identity(1))
-    assert _decide(cfg.F_t + cfg.epsilon, cfg)
-    assert not _decide(cfg.F_t + cfg.epsilon - 1e-12, cfg)
+    threshold = cfg.F_t + cfg.epsilon
+    assert Verdict(threshold, cfg, 0).accepted and Verdict(threshold, cfg, 0).to_dict()["threshold"] == threshold
+    assert not Verdict(threshold - 1e-12, cfg, 0).accepted
 
 
 def test_amplification_run_accepts_optimal():
@@ -925,17 +946,34 @@ def test_each_verdict_call_builds_one_plan(monkeypatch):
     plan = protocols.witness_plan
     monkeypatch.setattr(protocols, "witness_plan", counting)
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
-    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
-    scfg = VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)
     honest = exact_unitary(spec)
-    for call in (lambda: run_verification(honest, cfg, seed=0),
-                 lambda: run_state_verification(ga.apply_channel(ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)),
-                                                                 honest.realize()), scfg, seed=0),
-                 lambda: accept_rate(honest, cfg, 5, seed=0, shot_cap=1000),
-                 lambda: accept_rate(optimal_amplifier(2.5, 1.0), cfg_amp(2.5), 3, seed=0)):
+    state = ga.apply_channel(ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)), honest.realize())
+
+    def calls_on(cfg, scfg, acfg):
+        return (lambda: run_verification(honest, cfg, seed=0),
+                lambda: run_state_verification(state, scfg, seed=0),
+                lambda: accept_rate(honest, cfg, 5, seed=0, shot_cap=1000),
+                lambda: accept_rate(optimal_amplifier(2.5, 1.0), acfg, 3, seed=0))
+
+    def configs():
+        return (cfg_unitary(spec, F_t=0.8, eps=0.03),
+                VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec),
+                cfg_amp(2.5))
+
+    # once the config holds its budget, a verdict call builds only its own plan
+    warm = configs()
+    for cfg in warm:
+        sample_budget(cfg)
+    for call in calls_on(*warm):
         calls.clear()
         call()
         assert len(calls) == 1
+    # on a cold config the budget's own plan comes first, once
+    for k in range(4):
+        call = calls_on(*configs())[k]
+        calls.clear()
+        call()
+        assert len(calls) == 2
 
 
 def test_state_mode_count_checked_against_the_game():
@@ -1053,27 +1091,38 @@ def _games_of(spec):
 
 
 def test_budget_is_built_once_per_config_and_shared(monkeypatch):
-    budgets = _count_calls(monkeypatch, protocols, "_budget")
+    """The config's ``budget`` is the one builder of its budget, and every
+    verdict reads that one object through ``cfg``.  Each verdict call builds
+    its own plan, and a cold config's first call builds the budget's too."""
+    budgets, build = [], protocols._budget
+
+    def builder(cfg, *args):  # records the config and the caller's name
+        budgets.append((cfg, sys._getframe(1).f_code.co_name))
+        return build(cfg, *args)
+
+    monkeypatch.setattr(protocols, "_budget", builder)
     plans = _count_calls(monkeypatch, protocols, "witness_plan")
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(2))
+    honest = exact_unitary(spec)
     for cfg, state in _games_of(spec):
         budgets.clear()
         plans.clear()
-        # a cold verdict keeps the budget of its own plan: one plan, one budget
         first = run_state_verification(state, cfg, seed=0, shot_cap=1000)
-        assert len(plans) == len(budgets) == 1 and vars(cfg)["budget"] is first.budget
+        assert budgets == [(cfg, "budget")] and len(plans) == 2
+        assert first.budget is cfg.budget is sample_budget(cfg) is vars(cfg)["budget"]
         verdicts = [run_state_verification(state, cfg, seed=1)] + protocols._verdicts(state, cfg, [2, 3], 100)
-        assert sample_budget(cfg) is first.budget and all(v.budget is first.budget for v in verdicts)
-        assert len(budgets) == 1 and len(plans) == 3  # each verdict call still builds its plan
-        # sample_budget on a cold config builds the same budget, bit for bit, and keeps it
+        assert len(budgets) == 1 and len(plans) == 4
+        if cfg.protocol == "unitary":
+            verdicts += [run_verification(honest, cfg, seed=4)] + accept_rate(honest, cfg, 5, seed=0, shot_cap=1000)[1]
+            assert len(budgets) == 1 and len(plans) == 6
+        assert all(v.budget is first.budget for v in verdicts)
+        # a cold config builds the same budget, bit for bit, and its verdicts read it
         fresh = dataclasses.replace(cfg)
         assert "budget" not in vars(fresh)
-        kept = sample_budget(fresh)
-        assert kept is not first.budget and len(budgets) == 2 and len(plans) == 4
-        assert kept.to_dict() == first.budget.to_dict()
-        assert [r.hex() for r in kept.raw.values()] == [r.hex() for r in first.budget.raw.values()]
-        assert run_state_verification(state, fresh, seed=0, shot_cap=1000).budget is kept
-        assert len(budgets) == 2
+        late = run_state_verification(state, fresh, seed=0, shot_cap=1000)
+        assert late.budget is fresh.budget is not first.budget and budgets == [(cfg, "budget"), (fresh, "budget")]
+        assert late.to_dict() == first.to_dict()
+        assert [r.hex() for r in late.budget.raw.values()] == [r.hex() for r in first.budget.raw.values()]
 
 
 def test_kept_budget_is_read_only_but_serialisable():
