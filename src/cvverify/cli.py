@@ -6,7 +6,8 @@ operator-inequality suites), budget (sample-count table), sweep (accept rate
 vs additive noise).  Scenario/config files are JSON documents; reports are
 JSON (schema in cvverify/schemas/report.schema.json) or CSV.
 
-Exit codes: 0 success, 1 file/parse error, 2 invalid value (any ValueError).
+Exit codes: 0 success, 1 file/parse error or a reader that closed stdout
+early, 2 invalid value (any ValueError).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -297,7 +299,12 @@ def main(argv=None) -> int:
     commands = {"verify": cmd_verify, "oracle": cmd_oracle, "plan": cmd_plan,
                 "lemmas": cmd_lemmas, "budget": cmd_budget, "sweep": cmd_sweep}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout: what is left unwritten goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -22,19 +22,20 @@ witness is one affine form per config, omega = c0 + a^T mu + <C, M> on the
 means mu and raw second moments M of the measured state, read off those
 rows.  ``shares`` gives each count key its share of epsilon, and the
 budget reads the rest of Lemma 3 off the batches: a key sizes as many
-observables as its batches have terms.  A config keeps three values, each
-built on first use: the TMSV the verifier prepares, the affine form and
+observables as its batches have terms.  A config keeps four values, each
+built on first use: the TMSV the verifier prepares, the plan (read-only;
+``cfg.plan`` is the one caller of ``witness_plan``), the affine form and
 the budget (read-only; ``cfg.budget`` is its one builder).  All three
-games reach a verdict through one core, which builds and compiles the
-plan once per call and reads its counts off ``cfg.budget``: each group
-that draws shots gets the stacked exact marginals of its rows
+games reach a verdict through one core, which reads ``cfg.plan``,
+compiles it once per call and reads its counts off ``cfg.budget``: each
+group that draws shots gets the stacked exact marginals of its rows
 (``measurement.marginals``), and each seed's one Generator draws their
 shot and scatter sums, sufficient statistics, in plan order and in a few
 array calls (``measurement.moment_sums``), so an uncapped budget costs no
 more than a capped one.  A verdict reads its acceptance and budget
-through its config.  The plan and its compile are not kept on the
-config: the harness keeps a record per op, so more ops would pass its
-peak-RSS bound until those records are streamed.
+through its config.  The plan is kept, the compile is per call: the
+benchmark harness keeps a record per op, so the ops a kept compile would
+add raise its peak RSS past its bound until those records are streamed.
 
 All additive constants are derived under the fixed vacuum-variance-1/2
 convention and pinned by the exact identities "honest prover gives
@@ -159,11 +160,20 @@ class VerificationConfig:
         return tmsv_pairs(kappa_for(self.lam), self.m)
 
     @cached_property
+    def plan(self) -> tuple[tuple, float, dict]:
+        """The game's plan ``(batches, c0, shares)``, built on first use and
+        read-only: the batches a tuple, the shares a ``_ReadOnlyDict``.  The
+        one caller of ``witness_plan``: the budget, the exact witness and
+        every verdict of the config read this plan."""
+        batches, c0, shares = witness_plan(self)
+        return tuple(batches), c0, _ReadOnlyDict(shares)
+
+    @cached_property
     def budget(self) -> SampleBudget:
-        """The Lemma-3 budget of the game's plan, built on first use from a
-        plan of its own: the one builder of the config's budget.  Every
-        verdict of the config reads this object."""
-        batches, _, shares = witness_plan(self)
+        """The Lemma-3 budget of the config's plan, built on first use: the
+        one builder of the config's budget.  Every verdict of the config
+        reads this object."""
+        batches, _, shares = self.plan
         return _budget(self, batches, shares)
 
     @cached_property
@@ -171,7 +181,7 @@ class VerificationConfig:
         """The game's exact witness as one affine form, built on first use and
         independently of the TMSV: a term w <x_i> whose projector rows are P
         adds w P[i] to a, and a term w <x_i x_j> adds w P[i]^T P[j] to C."""
-        batches, c0, _ = witness_plan(self)
+        batches, c0, _ = self.plan
         L, R, w, j = map(np.concatenate, zip(*((g.P[g.rows, g.i], g.P[g.rows, g.j], g.weights, g.j)
                                                for g in _compile(batches))))
         L *= w[:, None]
@@ -179,7 +189,7 @@ class VerificationConfig:
         a.flags.writeable = C.flags.writeable = False
         return WitnessForm(c0, a, C)
 
-    __getstate__ = _fields_state  # never the built TMSV, form or budget
+    __getstate__ = _fields_state  # never the built TMSV, plan, form or budget
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
@@ -640,7 +650,7 @@ def _verdicts(state: GaussianState, cfg: VerificationConfig, seeds,
     the plan's first setting: the supplied m modes in the state game, else the
     2m modes of ``output_state``.  Diagnostics hold
     c0, the shots and the term of every batch, with omega* = c0 + sum(terms)."""
-    batches, c0, _ = witness_plan(cfg)
+    batches, c0, _ = cfg.plan
     n_modes = len(batches[0].setting.angles)
     if state.n_modes != n_modes:
         raise ValueError(f"state has {state.n_modes} modes, the {cfg.protocol} game measures {n_modes}")

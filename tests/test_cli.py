@@ -662,6 +662,34 @@ def test_every_command_on_every_game_exits_cleanly(command, protocol, tmp_path, 
 COHERENT = {"modes": 1, "mean": [0.3, 0.0], "cov": [0.5, 0.0, 0.0, 0.5]}
 
 
+@pytest.mark.parametrize("protocol, argv", [
+    ("state", ["verify"]), ("state", ["budget"]), ("unitary", ["sweep", "--points", "2"]),
+    (None, ["plan", "2"]), (None, ["lemmas", "--cutoff", "30"]),
+], ids=["verify", "budget", "sweep", "plan", "lemmas"])
+def test_a_closed_pipe_exits_1_without_a_traceback(protocol, argv, tmp_path):
+    """``cvverify verify ... | head -c 50``: a reader that closes stdout before
+    the command writes ends it with exit 1 and nothing on stderr.  The broken
+    pipe is caught around the command, which writes its text lines and its
+    report before it returns, and stdout then points at the null device, so
+    the interpreter's exit flush does not raise again."""
+    if protocol is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"config": GAME_CONFIGS[protocol], "state": COHERENT,
+                                    "prover": {"kind": "ExactUnitary", "spec": GAME_CONFIGS["unitary"]["target"]},
+                                    "repetitions": 200, "seed": 5, "shot_cap": 20_000}))
+        argv = [*argv, "--config", str(path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent.parent / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "cvverify.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                             text=True, timeout=60, env=env)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
 @pytest.mark.parametrize("state, code, result", [
     (COHERENT, 0, 1.0),  # the pure target U_{S,d}|0> itself: omega = 1
     ({"modes": 1, "mean": [0.3, 0.0], "cov": [1.0, 0.0, 0.0, 1.0]}, 0, 0.0),  # thermal: omega = 1/2

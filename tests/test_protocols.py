@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import pickle
 import re
@@ -10,6 +12,7 @@ import pytest
 
 from builders import exact_terms, inverse, random_prover
 from cvverify import fock, gaussian as ga, protocols, symplectic as sp
+from cvverify.cli import main
 from cvverify.channels import (
     KINDS,
     ProverChannel,
@@ -936,44 +939,117 @@ def test_sample_budget_projects_no_setting(monkeypatch):
         assert sample_budget(cfg).channel_uses > 0
 
 
-def test_each_verdict_call_builds_one_plan(monkeypatch):
-    calls = []
+def _plan_entries(spec):
+    """Each library entry that reads a config's plan, as (game, call on a
+    config); a call returns a list of what it made."""
+    honest, amp = exact_unitary(spec), optimal_amplifier(2.5, 1.0)
+    state = ga.GaussianState(spec.d, 0.5 * spec.S @ spec.S.T + 0.02 * np.eye(2 * spec.n_modes))
+    second = state.cov + np.outer(state.mean, state.mean)
+    return [("unitary", lambda c: [c.budget]), ("unitary", lambda c: [c.witness_form]),
+            ("unitary", lambda c: [run_verification(honest, c, seed=0)]),
+            ("unitary", lambda c: [run_state_verification(output_state(honest, c), c, seed=0)]),
+            ("unitary", lambda c: accept_rate(honest, c, 3, seed=0, shot_cap=1000)[1]),
+            ("unitary", lambda c: [oracle_report(honest, c)]),
+            ("state", lambda c: [sample_budget(c)]), ("state", lambda c: [run_state_verification(state, c, seed=0)]),
+            ("state", lambda c: protocols._verdicts(state, c, [0, 1], None)),
+            ("state", lambda c: [witness_estimate_state(state.mean, second, c)]),
+            ("amplification", lambda c: accept_rate(amp, c, 3, seed=0)[1]),
+            ("amplification", lambda c: [run_verification(amp, c, seed=0, shot_cap=1000)]),
+            ("amplification", lambda c: [witness_analytic(amp, c)])]
 
-    def counting(cfg):
-        calls.append(cfg.protocol)
-        return plan(cfg)
 
-    plan = protocols.witness_plan
-    monkeypatch.setattr(protocols, "witness_plan", counting)
+def test_a_config_builds_one_plan_through_any_entry(monkeypatch):
+    """A fresh config builds its plan once, on first use, whichever entry
+    comes first: its budget, its exact witness or a verdict entry.  It builds
+    none after that, through any entry, and every verdict reads ``cfg.plan``:
+    a c0 moved on the kept plan is the c0 of every later verdict."""
+    plans = _count_calls(monkeypatch, protocols, "witness_plan")
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
-    honest = exact_unitary(spec)
-    state = ga.apply_channel(ga.GaussianState(np.zeros(4), 0.5 * np.eye(4)), honest.realize())
+    fresh = {"unitary": lambda: cfg_unitary(spec, F_t=0.8, eps=0.03), "amplification": lambda: cfg_amp(2.5),
+             "state": lambda: VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)}
+    entries = _plan_entries(spec)
+    for game, first in entries:
+        cfg = fresh[game]()
+        plans.clear()
+        first(cfg)
+        assert plans == [(cfg,)]
+        batches, c0, shares = cfg.plan
+        vars(cfg)["plan"] = moved = (batches, c0 + 1.0, shares)
+        for verdict in (v for other, call in entries if other == game for v in call(cfg) if isinstance(v, Verdict)):
+            assert verdict.diagnostics["c0"] == c0 + 1.0 and len(verdict.diagnostics["shots"]) == len(batches)
+        assert plans == [(cfg,)] and cfg.plan is moved
 
-    def calls_on(cfg, scfg, acfg):
-        return (lambda: run_verification(honest, cfg, seed=0),
-                lambda: run_state_verification(state, scfg, seed=0),
-                lambda: accept_rate(honest, cfg, 5, seed=0, shot_cap=1000),
-                lambda: accept_rate(optimal_amplifier(2.5, 1.0), acfg, 3, seed=0))
 
-    def configs():
-        return (cfg_unitary(spec, F_t=0.8, eps=0.03),
-                VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec),
-                cfg_amp(2.5))
+def _unkept_reference(state, cfg, seeds, shot_cap):
+    """Each verdict's (omega*, shots, terms), the budget's dict and the exact
+    form, each from a plan of its own through ``witness_plan`` and
+    ``_compile``, as they were built before the config kept its plan."""
+    batches, c0, shares = witness_plan(cfg)
+    budget = protocols._budget(cfg, batches, shares)
+    counts = {k: c if shot_cap is None else min(c, shot_cap) for k, c in budget.counts.items()}
+    verdicts = [(c0 + sum(terms), [counts[b.key] for b in batches], terms)
+                for terms in estimate_terms(state, batches, counts, seeds)]
+    batches, c0, _ = witness_plan(cfg)
+    L, R, w, j = map(np.concatenate, zip(*((g.P[g.rows, g.i], g.P[g.rows, g.j], g.weights, g.j)
+                                           for g in protocols._compile(batches))))
+    L *= w[:, None]
+    return verdicts, budget.to_dict(), (c0, L[j < 0].sum(0), L[j >= 0].T @ R[j >= 0])
 
-    # once the config holds its budget, a verdict call builds only its own plan
-    warm = configs()
-    for cfg in warm:
-        sample_budget(cfg)
-    for call in calls_on(*warm):
-        calls.clear()
-        call()
-        assert len(calls) == 1
-    # on a cold config the budget's own plan comes first, once
-    for k in range(4):
-        call = calls_on(*configs())[k]
-        calls.clear()
-        call()
-        assert len(calls) == 2
+
+def _random_games(rng):
+    """(cfg, measured state) for random configs of all three games: unitary
+    and state at m = 1..3, amplification on its one mode."""
+    for m in (1, 2, 3):
+        for _ in range(2):
+            spec = sp.random_symplectic(m, r_max=0.4, d_scale=0.5, rng=rng)
+            cfg = cfg_unitary(spec, lam=float(rng.uniform(0.3, 3.0)), F_t=0.5, eps=0.03)
+            yield cfg, output_state(random_prover(rng, m), cfg)
+            scfg = VerificationConfig("state", lam=1.0, F_t=0.5, delta=0.25, epsilon=0.03, target=spec)
+            X = rng.normal(size=(2 * m, 2 * m))
+            yield scfg, ga.GaussianState(spec.d + rng.normal(scale=0.3, size=2 * m),
+                                         0.5 * spec.S @ spec.S.T + 0.1 * X @ X.T)
+    for _ in range(3):
+        lam = float(rng.uniform(0.3, 2.0))
+        g = float(rng.uniform(1.1, 2.0)) * (lam + 1.0)
+        f = (lam + 1.0) / g**2
+        acfg = VerificationConfig("amplification", lam=lam, F_t=0.5 * f, delta=0.25, epsilon=0.1 * f, g=g)
+        yield acfg, output_state(random_prover(rng, 1), acfg)
+
+
+def test_kept_plan_verdicts_budget_and_form_are_bit_identical():
+    """Verdicts (seeds 0..4, capped and uncapped), the budget and the exact
+    form are the same bit for bit on a warm config, on a fresh copy of it and
+    from plans built apart from the config."""
+    games = set()
+    for cfg, state in _random_games(np.random.default_rng(38)):
+        refs = {cap: _unkept_reference(state, cfg, range(5), cap) for cap in (None, 1000)}
+        assert cfg.budget.channel_uses > 0 and cfg.witness_form.C.any()  # warm: kept before any verdict
+        for c in (cfg, dataclasses.replace(cfg)):
+            for cap, (verdicts, budget, (c0, a, C)) in refs.items():
+                got = protocols._verdicts(state, c, range(5), cap)
+                assert [(v.omega_star, v.diagnostics["shots"], v.diagnostics["terms"]) for v in got] == verdicts
+                assert c.budget.to_dict() == budget and c.witness_form.c0 == c0
+                np.testing.assert_array_equal(c.witness_form.a, a)
+                np.testing.assert_array_equal(c.witness_form.C, C)
+        games.add((cfg.protocol, cfg.m))
+    assert games == {("unitary", 1), ("unitary", 2), ("unitary", 3), ("state", 1), ("state", 2), ("state", 3),
+                     ("amplification", 1)}
+
+
+def test_each_cli_command_builds_one_plan(monkeypatch, tmp_path):
+    """Each command parses a fresh config and builds its plan once, also
+    when it runs several verdicts or witnesses on it (``sweep``)."""
+    plans = _count_calls(monkeypatch, protocols, "witness_plan")
+    spec = sp.random_symplectic(1, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(0))
+    cfg = cfg_unitary(spec, F_t=0.8, eps=0.03)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"config": cfg.to_dict(), "prover": exact_unitary(spec).to_dict(),
+                                "repetitions": 2, "shot_cap": 1000}))
+    for argv in (["verify"], ["budget"], ["sweep", "--points", "3", "--reps", "2"], ["oracle"]):
+        plans.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--config", str(path)]) == 0
+        assert len(plans) == 1 and plans[0][0] == cfg and plans[0][0] is not cfg
 
 
 def test_state_mode_count_checked_against_the_game():
@@ -1044,9 +1120,10 @@ def test_witness_form_and_tmsv_are_built_once_per_config(monkeypatch):
     assert witness_analytic(prover, cfg) == omega and len(plans) == len(vacua) == 1
     assert vacua == [(protocols.kappa_for(cfg.lam), 2)]
     fresh = dataclasses.replace(cfg)
-    assert fresh == cfg and not {"witness_form", "tmsv"} & set(vars(fresh))
+    assert fresh == cfg and not {"witness_form", "tmsv", "plan"} & set(vars(fresh))
     assert witness_analytic(prover, fresh) == omega and len(plans) == len(vacua) == 2
     assert fresh.witness_form is not cfg.witness_form and fresh.tmsv is not cfg.tmsv
+    assert plans == [(cfg,), (fresh,)] and fresh.plan is not cfg.plan
 
 
 def test_configs_compare_and_hash_by_value_after_a_round_trip():
@@ -1065,13 +1142,21 @@ def test_configs_compare_and_hash_by_value_after_a_round_trip():
 
 def test_built_form_leaves_the_config_unchanged():
     spec = sp.random_symplectic(2, r_max=0.3, d_scale=0.3, rng=np.random.default_rng(1))
-    for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5)):
+    for cfg in (cfg_unitary(spec, F_t=0.8, eps=0.03), cfg_amp(2.5),
+                VerificationConfig("state", lam=1.0, F_t=0.8, delta=0.25, epsilon=0.03, target=spec)):
         twin, data, pickled, digest = dataclasses.replace(cfg), cfg.to_dict(), pickle.dumps(cfg), hash(cfg)
-        form, tmsv, budget = cfg.witness_form, cfg.tmsv, cfg.budget
+        plan, form, tmsv, budget = cfg.plan, cfg.witness_form, cfg.tmsv, cfg.budget
         assert cfg == twin and cfg.to_dict() == data and pickle.dumps(cfg) == pickled and hash(cfg) == digest
         back = pickle.loads(pickled)
-        assert back.to_dict() == data and not {"witness_form", "tmsv", "budget"} & set(vars(back))
+        assert back.to_dict() == data and not {"plan", "witness_form", "tmsv", "budget"} & set(vars(back))
         assert back.budget == budget and back.budget is not budget
+        assert back.plan == plan and back.plan is not plan and "plan" not in vars(twin)
+        batches, c0, shares = plan
+        assert type(batches) is tuple and type(c0) is float and type(shares) is protocols._ReadOnlyDict
+        with pytest.raises(TypeError, match="read-only"):
+            shares[next(iter(shares))] = 1.0
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            batches[0] = batches[1]
         np.testing.assert_array_equal(back.witness_form.C, form.C)
         for array in (form.a, form.C, tmsv.mean, tmsv.cov):
             assert not array.flags.writeable
@@ -1092,8 +1177,8 @@ def _games_of(spec):
 
 def test_budget_is_built_once_per_config_and_shared(monkeypatch):
     """The config's ``budget`` is the one builder of its budget, and every
-    verdict reads that one object through ``cfg``.  Each verdict call builds
-    its own plan, and a cold config's first call builds the budget's too."""
+    verdict reads that one object through ``cfg``.  The budget reads the
+    config's one plan, which a cold config's first verdict call builds."""
     budgets, build = [], protocols._budget
 
     def builder(cfg, *args):  # records the config and the caller's name
@@ -1108,19 +1193,20 @@ def test_budget_is_built_once_per_config_and_shared(monkeypatch):
         budgets.clear()
         plans.clear()
         first = run_state_verification(state, cfg, seed=0, shot_cap=1000)
-        assert budgets == [(cfg, "budget")] and len(plans) == 2
+        assert budgets == [(cfg, "budget")] and plans == [(cfg,)]
         assert first.budget is cfg.budget is sample_budget(cfg) is vars(cfg)["budget"]
         verdicts = [run_state_verification(state, cfg, seed=1)] + protocols._verdicts(state, cfg, [2, 3], 100)
-        assert len(budgets) == 1 and len(plans) == 4
+        assert len(budgets) == 1 and len(plans) == 1
         if cfg.protocol == "unitary":
             verdicts += [run_verification(honest, cfg, seed=4)] + accept_rate(honest, cfg, 5, seed=0, shot_cap=1000)[1]
-            assert len(budgets) == 1 and len(plans) == 6
+            assert len(budgets) == 1 and len(plans) == 1
         assert all(v.budget is first.budget for v in verdicts)
         # a cold config builds the same budget, bit for bit, and its verdicts read it
         fresh = dataclasses.replace(cfg)
         assert "budget" not in vars(fresh)
         late = run_state_verification(state, fresh, seed=0, shot_cap=1000)
         assert late.budget is fresh.budget is not first.budget and budgets == [(cfg, "budget"), (fresh, "budget")]
+        assert plans == [(cfg,), (fresh,)]
         assert late.to_dict() == first.to_dict()
         assert [r.hex() for r in late.budget.raw.values()] == [r.hex() for r in first.budget.raw.values()]
 

@@ -2,9 +2,9 @@
 used, every module-level private function is referenced somewhere in the
 package, every public function and Fock-oracle method has a caller outside
 the tests, every parameter default is overridden by some caller, only
-``protocols._compile`` projects a setting, only the verdict path draws
-random numbers, and the Fock oracle keeps one memo and imports no
-phase-space code.  One check runs the package's imports in a fresh
+``protocols._compile`` projects a setting, only ``VerificationConfig.plan``
+builds a plan, only the verdict path draws random numbers, and the Fock
+oracle keeps one memo and imports no phase-space code.  One check runs the package's imports in a fresh
 interpreter: neither ``cvverify`` nor its CLI loads SciPy."""
 
 import ast
@@ -140,6 +140,17 @@ def test_one_caller_projects_a_setting():
     compile_ = next(node for node in TREES["protocols.py"].body
                     if isinstance(node, ast.FunctionDef) and node.name == "_compile")
     assert calls[0] in list(ast.walk(compile_))
+
+
+def test_one_caller_builds_a_plan():
+    """A config's plan is built in one place, ``VerificationConfig.plan``:
+    its budget, its exact witness and every verdict read that kept plan, so
+    no other library code calls ``witness_plan``."""
+    calls = _calls(TREES.values()).get("witness_plan", [])
+    config = next(node for node in TREES["protocols.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "VerificationConfig")
+    plan = next(node for node in config.body if isinstance(node, ast.FunctionDef) and node.name == "plan")
+    assert len(calls) == 1 and calls[0] in list(ast.walk(plan))
 
 
 def test_the_fock_oracle_keeps_one_memo():
